@@ -292,6 +292,8 @@ def cmd_probe_main(args) -> int:
         _emit({"probe": "dim2-exception", "spec": spec_obj, "maps_tested": report.maps_tested,
                "max_deviation": report.max_deviation, "passed": report.all_passed})
         return 0 if report.all_passed else 1
+    if args.maps < 1:
+        raise UsageError("--maps must be >= 1: a probe of no maps tests nothing")
     report = iv.congruence_theorem_probe(spec, n_maps=args.maps, n_samples=args.samples,
                                    seed=args.seed, min_sv_ratio=args.min_sv_ratio)
     ok = report.vacuous or (report.all_failed and report.controls_passed)

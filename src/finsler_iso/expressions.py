@@ -179,7 +179,23 @@ def _pow(x: float, y: float) -> float:
 
 
 def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
-    """IEEE double evaluation with domain errors instead of NaN propagation."""
+    """IEEE double evaluation: a value that is never NaN, or an EvalError.
+
+    Undefined forms the domain rules do not name (inf - inf, sin(inf)) are
+    caught once, here, and not at every node.
+    """
+    try:
+        value = _evaluate(expr, bindings)
+    except EvalError:
+        raise
+    except ValueError as exc:  # math.sin/cos/tan of an infinite argument
+        raise EvalError(f"expression is undefined here ({exc})") from None
+    if math.isnan(value):
+        raise EvalError("expression is undefined here (evaluates to NaN)")
+    return value
+
+
+def _evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
@@ -188,10 +204,10 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
         except KeyError:
             raise EvalError(f"missing binding for variable {expr.name!r}") from None
     if isinstance(expr, Neg):
-        return -evaluate(expr.operand, bindings)
+        return -_evaluate(expr.operand, bindings)
     if isinstance(expr, BinOp):
-        a = evaluate(expr.left, bindings)
-        b = evaluate(expr.right, bindings)
+        a = _evaluate(expr.left, bindings)
+        b = _evaluate(expr.right, bindings)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
@@ -203,7 +219,7 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
                 raise EvalError(f"division by zero ({a} / {b})")
             return a / b
         return _pow(a, b)
-    args = [evaluate(a, bindings) for a in expr.args]
+    args = [_evaluate(a, bindings) for a in expr.args]
     name = expr.name
     if name == "log":
         if args[0] <= 0.0:

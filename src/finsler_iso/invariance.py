@@ -9,8 +9,6 @@ to that statement and check the known dimension-2 exception.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +27,6 @@ from .linalg import (
     singular_values,
 )
 from .metrics import MetricSpec, area_dim2, eval_finsler, sample_radius
-
-THREADS_ENV = "FINSLER_ISO_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap from FINSLER_ISO_THREADS; defaults to sequential."""
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 @dataclass(frozen=True)
 class SymmetryVerdict:
@@ -175,16 +162,18 @@ def _spec_is_vacuous(spec: MetricSpec, rng: np.random.Generator, n: int = 32) ->
 def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int = 40,
                        seed: int = 0, min_sv_ratio: float = 1.1,
                        deviation_threshold: float = 1e-3, n_controls: int = 100,
-                       control_tol: float = 1e-9, workers: int | None = None) -> ProbeReport:
+                       control_tol: float = 1e-9) -> ProbeReport:
     """Falsification probe: every sampled non-congruence map must fail symmetry.
 
-    Requires dim >= 3.  Controls are random unitaries, scaled by a random
-    positive constant when the spec is invariant under all congruences;
-    they must pass at control_tol.  Absence of a counterexample is the
+    Requires dim >= 3 and at least one map.  Controls are random unitaries,
+    scaled by a random positive constant when the spec is invariant under
+    all congruences; they must pass at control_tol.  Absence of a counterexample is the
     assertion, not a proof.
     """
     if spec.dim < 3:
         raise ValueError("the probe applies in dimension >= 3")
+    if n_maps < 1:
+        raise ValueError("the probe needs at least one map (n_maps >= 1)")
     root = np.random.SeedSequence(seed)
     map_seeds, control_seeds, aux = root.spawn(n_maps), root.spawn(n_controls), root.spawn(1)[0]
     if _spec_is_vacuous(spec, np.random.default_rng(aux)):
@@ -204,17 +193,9 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
         v = is_symmetry(T, spec, n_samples, seed=int(rng.integers(2 ** 31)), tol=control_tol)
         return v.max_deviation
 
-    workers = worker_count() if workers is None else max(1, workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            map_results = list(pool.map(probe_map, map_seeds))
-            control_devs = list(pool.map(probe_control, control_seeds))
-    else:
-        map_results = [probe_map(ss) for ss in map_seeds]
-        control_devs = [probe_control(ss) for ss in control_seeds]
-
-    weakest_dev, weakest_map = min(map_results, key=lambda t: t[0]) if map_results \
-        else (float("inf"), None)
+    map_results = [probe_map(ss) for ss in map_seeds]
+    control_devs = [probe_control(ss) for ss in control_seeds]
+    weakest_dev, weakest_map = min(map_results, key=lambda t: t[0])
     control_worst = max(control_devs) if control_devs else 0.0
     return ProbeReport(
         maps_tested=len(map_results),

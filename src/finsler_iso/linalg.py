@@ -9,6 +9,7 @@ everywhere else in the package.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -153,37 +154,42 @@ def compose(A: LinearMap, B: LinearMap) -> LinearMap:
     return LinearMap(A.entries @ B.entries, A.field)
 
 
-def adjoint(T: LinearMap) -> LinearMap:
-    return LinearMap(T.entries.conj().T, T.field)
+def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, float]:
+    """(<h, g>, q) for an unchecked pair whose r = |g| > 0 is already known.
+
+    q = sqrt(|h|^2 |g|^2 - |<h, g>|^2) is formed as r |h - (<h,g>/r^2) g|,
+    which stays accurate when h is nearly collinear with g.  <h, g> is a
+    float over R and a complex over C.
+    """
+    ip = np.vdot(g.entries, h.entries)
+    perp = h.entries - (ip / (r * r)) * g.entries
+    q = r * math.sqrt(np.vdot(perp, perp).real)
+    return (float(ip.real) if g.field is Field.REAL else complex(ip)), q
 
 
 def acute_angle(g: Vector, h: Vector) -> float:
     """Angle in [0, pi/2] between the F-lines through g and h.
 
-    Invariant under multiplying either argument by any non-zero scalar.
+    Invariant under multiplying either argument by any non-zero scalar;
+    atan2(q, p) keeps it accurate for nearly collinear pairs.
     """
-    ng, nh = norm(g), norm(h)
-    if ng == 0.0 or nh == 0.0:
+    if norm(h) == 0.0:
         raise ZeroVectorError("acute angle needs non-zero vectors")
-    c = abs(inner(h, g)) / (nh * ng)
-    # Cauchy-Schwarz holds only in exact arithmetic; clamp before arccos.
-    return float(np.arccos(min(c, 1.0)))
+    _, p, q = canonical_invariants(g, h)  # raises on g = 0
+    return math.atan2(q, p)
 
 
 def canonical_invariants(g: Vector, h: Vector) -> tuple[float, float, float]:
     """The complete isometry invariants (r, p, q) of the pair (g, h).
 
-    r = |g|, p = |<h, g>|, q = sqrt(|h|^2 |g|^2 - p^2).  q is evaluated through
-    the component of h orthogonal to g, which is stable when h is nearly
-    collinear with g (the radical form cancels catastrophically there).
+    r = |g|, p = |<h, g>| and q as in :func:`pair_invariants`.
     """
     r = norm(g)
     if r == 0.0:
         raise ZeroVectorError("canonical invariants need g != 0")
     _check_pair(g, h)
-    ip = inner(h, g)
-    perp = h.entries - (ip / (r * r)) * g.entries
-    return r, abs(ip), r * float(np.linalg.norm(perp))
+    ip, q = pair_invariants(g, h, r)
+    return r, abs(ip), q
 
 
 def _orthonormal_extension(cols: list[np.ndarray], dim: int, dtype) -> np.ndarray:

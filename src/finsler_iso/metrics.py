@@ -1,10 +1,11 @@
 """Metric families on inner-product spaces.
 
-A MetricSpec is a constructible, evaluable metric: a canonical profile
-(lambda/theta/vartheta or a sesquilinear phi/psi pair), one of the named
-built-ins (Euclidean, Fubini-Study, the dim-2 area metric, the norm
-quotient), or a zero-extension.  Pointwise criteria (positive definiteness,
-the Kaehler condition psi = phi', homothety invariance) live here too.
+A MetricSpec is a metric built from a canonical profile (lambda, theta,
+vartheta or a sesquilinear phi/psi pair), a named built-in (Euclidean,
+Fubini-Study, the dim-2 area metric, the norm quotient) or a zero extension.
+eval_finsler forms the invariants r = |g|, ip = <h, g> and q once; each family
+is a function of them (p = |ip|, |h| = hypot(p, q)/r, angle atan2(q, p)), and
+only Custom and ZeroExtended see vectors.  Pointwise criteria live here too.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .errors import MismatchError, OutOfDomainError, ZeroVectorError
 from .linalg import (
     Field,
     Vector,
-    acute_angle,
-    canonical_invariants,
     inner,
     norm,
+    pair_invariants,
     random_gaussian_vector,
     random_vector_with_norm,
 )
@@ -212,7 +212,15 @@ class MetricSpec:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
-    def _value(self, g: Vector, h: Vector, r: float) -> float:
+    def _eval(self, g: Vector, h: Vector, r: float) -> float:
+        """rho_g(h) for checked vectors whose radius r = |g| lies in the domain."""
+        if r == 0.0:  # only a zero extension is defined at the origin
+            raise OutOfDomainError("base point g = 0 is outside the metric's domain")
+        ip, q = pair_invariants(g, h, r)
+        return self._value(r, ip, q)
+
+    def _value(self, r: float, ip: float | complex, q: float) -> float:
+        """rho from the invariants r = |g|, ip = <h, g> and q, with r > 0."""
         raise NotImplementedError
 
 
@@ -220,8 +228,8 @@ class MetricSpec:
 class Euclidean(MetricSpec):
     family: ClassVar[str] = "euclidean"
 
-    def _value(self, g, h, r):
-        return norm(h)
+    def _value(self, r, ip, q):
+        return math.hypot(abs(ip), q) / r
 
 
 @dataclass(frozen=True)
@@ -236,8 +244,7 @@ class FubiniStudy(MetricSpec):
     family: ClassVar[str] = "fubini-study"
     congruence_invariant: ClassVar[bool] = True
 
-    def _value(self, g, h, r):
-        _, _, q = canonical_invariants(g, h)
+    def _value(self, r, ip, q):
         return q / (r * r)
 
 
@@ -246,9 +253,8 @@ class FromLambda(MetricSpec):
     profile: SymLambdaProfile
     family: ClassVar[str] = "lambda"
 
-    def _value(self, g, h, r):
-        _, p, q = canonical_invariants(g, h)
-        return float(self.profile.fn(r, p, q))
+    def _value(self, r, ip, q):
+        return float(self.profile.fn(r, abs(ip), q))
 
 
 @dataclass(frozen=True)
@@ -256,11 +262,10 @@ class FromTheta(MetricSpec):
     profile: ThetaProfile
     family: ClassVar[str] = "theta"
 
-    def _value(self, g, h, r):
-        nh = norm(h)
-        if nh == 0.0:
-            return 0.0
-        return nh * float(self.profile.fn(r, acute_angle(g, h)))
+    def _value(self, r, ip, q):
+        p = abs(ip)
+        nh = math.hypot(p, q) / r
+        return 0.0 if nh == 0.0 else nh * float(self.profile.fn(r, math.atan2(q, p)))
 
 
 @dataclass(frozen=True)
@@ -268,10 +273,8 @@ class FromNonSymLambda(MetricSpec):
     profile: NonSymLambdaProfile
     family: ClassVar[str] = "nonsym-lambda"
 
-    def _value(self, g, h, r):
-        p = inner(h, g)
-        _, _, q = canonical_invariants(g, h)
-        return float(self.profile.fn(r, p, q))
+    def _value(self, r, ip, q):
+        return float(self.profile.fn(r, ip, q))
 
 
 @dataclass(frozen=True)
@@ -282,11 +285,9 @@ class FromRiemann(MetricSpec):
     indefinite_warning: bool = False
     family: ClassVar[str] = "riemann"
 
-    def _value(self, g, h, r):
-        r2 = r * r
-        nh = norm(h)
-        v = float(self.profile.phi(r2)) * nh * nh \
-            + float(self.profile.psi(r2)) * abs(inner(h, g)) ** 2
+    def _value(self, r, ip, q):
+        r2, p2 = r * r, abs(ip) ** 2  # |h|^2 = (p^2 + q^2) / r^2
+        v = float(self.profile.phi(r2)) * (p2 + q * q) / r2 + float(self.profile.psi(r2)) * p2
         if v == 0.0:
             return 0.0
         return math.copysign(math.sqrt(abs(v)), v)
@@ -301,20 +302,18 @@ class CongruenceInvariant(MetricSpec):
     family: ClassVar[str] = "congruence-invariant"
     congruence_invariant: ClassVar[bool] = True
 
-    def _value(self, g, h, r):
-        nh = norm(h)
-        if nh == 0.0:
-            return 0.0
-        return (nh / r) * float(self.vartheta(acute_angle(g, h)))
+    def _value(self, r, ip, q):
+        p = abs(ip)
+        nh = math.hypot(p, q) / r
+        return 0.0 if nh == 0.0 else (nh / r) * float(self.vartheta(math.atan2(q, p)))
 
 
 @dataclass(frozen=True)
 class AreaDim2(MetricSpec):
     """b * |g| |h| sin(angle): b times the parallelogram area over R^2.
 
-    Evaluated as b * q through the canonical invariants, which equals the
-    sine form exactly but avoids the ill-conditioned arccos near collinear
-    pairs.
+    Evaluated as b * q, which equals the sine form exactly but needs no
+    angle near collinear pairs.
     """
 
     b: float = 1.0
@@ -325,10 +324,7 @@ class AreaDim2(MetricSpec):
         if self.dim != 2:
             raise ValueError("the area metric is defined in dimension 2 only")
 
-    def _value(self, g, h, r):
-        if norm(h) == 0.0:
-            return 0.0
-        _, _, q = canonical_invariants(g, h)
+    def _value(self, r, ip, q):
         return self.b * q
 
 
@@ -349,7 +345,9 @@ class ZeroExtended(MetricSpec):
         if self.inner_spec.domain.includes_zero:
             raise ValueError("the wrapped spec must exclude 0")
 
-    def _value(self, g, h, r):
+    def _eval(self, g, h, r):
+        if r == 0.0:
+            return self.b * norm(h)
         return eval_finsler(self.inner_spec, g, h)
 
 
@@ -365,7 +363,7 @@ class Custom(MetricSpec):
         if self.fn is None:
             raise ValueError("a custom metric needs its callable")
 
-    def _value(self, g, h, r):
+    def _eval(self, g, h, r):
         return float(self.fn(g, h))
 
 
@@ -406,13 +404,9 @@ def eval_finsler(spec: MetricSpec, g: Vector, h: Vector) -> float:
     """rho_g(h).  g = 0 is allowed only when the spec extends through zero."""
     _check_compatible(spec, g, h)
     r = norm(g)
-    if r == 0.0:
-        if isinstance(spec, ZeroExtended):
-            return spec.b * norm(h)
-        raise OutOfDomainError("base point g = 0 is outside the metric's domain")
     if not spec.domain.contains(r):
         raise OutOfDomainError(f"|g| = {r} is outside the radius domain")
-    return spec._value(g, h, r)
+    return spec._eval(g, h, r)
 
 
 def eval_sesquilinear(profile: RiemannProfile, g: Vector, f: Vector, h: Vector):
@@ -451,12 +445,12 @@ def induced_finsler(profile: RiemannProfile, dim: int, field: Field = Field.REAL
     for _ in range(n_probe):
         g = random_vector_with_norm(dim, field, sample_radius(domain, rng), rng)
         h = random_gaussian_vector(dim, field, rng)
-        r2 = norm(g) ** 2
-        v = float(profile.phi(r2)) * norm(h) ** 2 + float(profile.psi(r2)) * abs(inner(h, g)) ** 2
-        if v < -1e-12:
+        r = norm(g)
+        # sign(v) sqrt|v| < -1e-6 exactly when v < -1e-12.
+        if spec._value(r, *pair_invariants(g, h, r)) < -1e-6:
             warnings.warn("sesquilinear profile takes negative values; induced "
                           "metric uses sign(v) sqrt|v|", RuntimeWarning, stacklevel=2)
-            return FromRiemann(dim, field, domain, profile, indefinite_warning=True)
+            return replace(spec, indefinite_warning=True)
     return spec
 
 

@@ -37,6 +37,13 @@ def test_eval_out_of_domain_is_exit_3(capsys):
     assert code == 3 and "domain" in err
 
 
+def test_eval_undefined_expression_is_exit_3(capsys):
+    for metric in ("theta:exp(1000)-exp(1000)", "theta:sin(exp(1000))"):
+        code, out, err = run(capsys, "eval", "--metric", metric, "--dim", "2",
+                             "--g", "1,0", "--h", "0,1")
+        assert code == 3 and out == "" and "error" in err, metric
+
+
 def test_eval_complex_entries(capsys):
     code, out, _ = run(capsys, "eval", "--metric", "euclidean", "--dim", "2",
                        "--field", "complex", "--g", "1:0,0:0", "--h", "0:1,1:0")
@@ -190,6 +197,12 @@ def test_probe_main_exit_codes(capsys):
     code, _, err = run(capsys, "probe-main", "--metric", "euclidean", "--dim", "2",
                        "--sl2", "5")
     assert code == 2 and "area" in err
+
+
+def test_probe_main_rejects_zero_maps(capsys):
+    code, out, err = run(capsys, "probe-main", "--metric", "euclidean", "--dim", "3",
+                         "--maps", "0")
+    assert code == 2 and out == "" and "--maps" in err
 
 
 def test_distance_command(capsys, tmp_path):

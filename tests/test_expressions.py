@@ -89,6 +89,17 @@ def test_domain_errors():
     assert ev("p^q", p=-2.0, q=2.0) == 4.0
 
 
+def test_undefined_results_raise_instead_of_nan():
+    for text in ("exp(1000)-exp(1000)", "0*exp(1000)", "exp(1000)/exp(1000)", "p"):
+        with pytest.raises(EvalError, match="NaN"):
+            ev(text, p=math.nan)
+    for text in ("sin(exp(1000))", "cos(-exp(1000))", "tan(exp(p))"):
+        with pytest.raises(EvalError, match="domain error"):
+            ev(text, p=1000.0)
+    assert ev("exp(1000)") == math.inf
+    assert ev("1/exp(1000)") == 0.0
+
+
 def test_missing_binding():
     expr = parse("p+q", VARS)
     with pytest.raises(EvalError, match="missing binding"):

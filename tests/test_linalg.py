@@ -55,6 +55,8 @@ def test_acute_angle_examples():
     assert la.acute_angle(la.basis_vector(2, 0), la.basis_vector(2, 1)) == pytest.approx(math.pi / 2)
     assert la.acute_angle(la.vector([1, 0]), la.vector([1, 1])) == pytest.approx(math.pi / 4)
     assert la.acute_angle(la.vector([1, 0], C), la.vector([1j, 0], C)) == pytest.approx(0.0)
+    # a 1e-9 angle is below arccos's resolution near 1; atan2(q, p) resolves it
+    assert la.acute_angle(la.vector([1, 0]), la.vector([1, 1e-9])) == pytest.approx(1e-9, rel=1e-12)
 
 
 def test_acute_angle_zero_vector():

@@ -58,6 +58,9 @@ def test_constant_theta_profile_gives_norm():
         g, h = sample_pair(spec, rng)
         assert mm.eval_finsler(spec, g, h) == pytest.approx(la.norm(h), rel=1e-12)
     assert mm.eval_finsler(spec, la.vector([1, 0, 0]), la.zero_vector(3)) == 0.0
+    tau_spec = mm.FromTheta(2, R, POS, mm.theta_profile("tau"))
+    value = mm.eval_finsler(tau_spec, la.vector([1, 0]), la.vector([1, 1e-9]))
+    assert value == pytest.approx(1e-9, rel=1e-12)
 
 
 def test_out_of_domain_is_an_error():
