@@ -2,8 +2,8 @@
 
 Subcommands: eval, decompose, check, probe-main, distance.  Output is
 machine-readable: JSON objects with sorted keys and 17-significant-digit
-floats (byte-identical across runs for identical flags and seed), or
-RFC-4180 CSV with a header row.
+floats, non-finite ones as null (byte-identical across runs for identical
+flags and seed), or RFC-4180 CSV with a header row.
 
 Exit codes: 0 success/pass, 1 property violated, 2 usage or parse error,
 3 numeric/domain error.
@@ -36,11 +36,7 @@ class UsageError(Exception):
 # Deterministic JSON rendering
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    return format(x, ".17g") if math.isfinite(x) else "null"  # JSON has no inf or NaN
 
 
 def render_json(obj) -> str:
@@ -124,41 +120,36 @@ def metric_from_args(args) -> mm.MetricSpec:
 
 
 def _named_metric(raw: str, args) -> mm.MetricSpec:
+    """NAME[:PAYLOAD] with --dim/--field/--alpha, built by spec_from_json."""
     field = _parse_field(args.field) if args.field is not None else Field.REAL
     if args.dim is None:
         raise UsageError("--dim is required with a named metric")
-    dim = args.dim
-    name, _, payload = raw.partition(":")
-    if name == "euclidean":
-        return mm.euclidean(dim, field)
-    if name == "fubini-study":
-        return mm.fubini_study(dim, field)
-    if name == "norm-quotient":
-        return mm.norm_quotient(dim, field)
-    if name == "area":
-        b = float(payload) if payload else 1.0
-        return mm.area_dim2(b, field)
-    if name == "lambda":
-        alpha = args.alpha if getattr(args, "alpha", None) is not None else 1.0
-        return mm.FromLambda(dim, field, mm.RadiusDomain.positive(),
-                             mm.lambda_profile(payload, alpha))
-    if name == "theta":
-        return mm.FromTheta(dim, field, mm.RadiusDomain.positive(), mm.theta_profile(payload))
-    if name == "vartheta":
-        spec_json = {"family": "congruence-invariant", "dim": dim, "field": field.value,
-                     "domain": mm.domain_to_json(mm.RadiusDomain.positive()),
-                     "params": {"vartheta": payload}}
-        return mm.spec_from_json(spec_json)
-    if name == "nonsym-lambda":
-        return mm.FromNonSymLambda(dim, field, mm.RadiusDomain.positive(),
-                                   mm.nonsym_lambda_profile(payload, field))
-    if name == "riemann":
-        try:
-            phi_text, psi_text = payload.split(";", 1)
-        except ValueError:
-            raise UsageError("riemann metric needs 'riemann:PHI;PSI'") from None
-        return mm.induced_finsler(mm.riemann_profile(phi_text, psi_text), dim, field)
-    raise UsageError(f"unknown metric {raw!r}")
+    name, colon, payload = raw.partition(":")
+    if name in ("euclidean", "fubini-study", "norm-quotient"):
+        if colon:
+            raise UsageError(f"metric {name!r} takes no payload, got {raw!r}")
+        if name == "norm-quotient":  # a constant vartheta: no expression evaluated per call
+            return mm.norm_quotient(args.dim, field)
+        params = {}
+    elif name == "area":
+        params = {"b": float(payload) if payload else 1.0}
+    elif name == "lambda":
+        params = {"lam": payload, "alpha": 1.0 if args.alpha is None else args.alpha}
+    elif name == "theta":
+        params = {"theta": payload}
+    elif name == "vartheta":
+        name, params = "congruence-invariant", {"vartheta": payload}
+    elif name == "nonsym-lambda":
+        params = {"lam": payload}
+    elif name == "riemann":
+        phi, semicolon, psi = payload.partition(";")
+        if not semicolon:
+            raise UsageError("riemann metric needs 'riemann:PHI;PSI'")
+        params = {"phi": phi, "psi": psi}
+    else:
+        raise UsageError(f"unknown metric {raw!r}")
+    return mm.spec_from_json({"family": name, "dim": args.dim, "field": field.value,
+                              "params": params})
 
 
 def _open_output(args):
@@ -207,7 +198,7 @@ def cmd_decompose(args) -> int:
     if spec.dim < 2:
         sys.stderr.write("decomposition requires dim >= 2\n")
         return 3
-    if isinstance(spec, mm.FromNonSymLambda):
+    if spec.family == "nonsym-lambda":
         raise UsageError("the theta form loses the sign of the inner product; "
                          "non-symmetric metrics have no symmetric decomposition")
     r_values = [float(r) for r in np.linspace(args.r_min, args.r_max, args.r_steps)]
@@ -228,11 +219,13 @@ def cmd_decompose(args) -> int:
 
 def cmd_check(args) -> int:
     spec = metric_from_args(args)
-    spec_obj = _spec_json_or_family(spec)
+    spec_obj = mm.spec_to_json(spec)
     if args.which == "invariance":
+        if args.samples < 1:
+            raise UsageError("--samples must be >= 1: an invariance check of no samples "
+                             "tests nothing")
         verdict = iv.invariance_suite(spec, args.samples, args.seed, args.tol)
-        report = iv.verdict_to_json(verdict, spec_obj, None)
-        report.pop("map")
+        report = iv.verdict_to_json(verdict, spec_obj)
         report.update({"check": "invariance", "samples": verdict.samples_used,
                        "passed": verdict.is_symmetry})
         _emit(report)
@@ -271,16 +264,11 @@ def cmd_check(args) -> int:
     return 0 if passed else 1
 
 
-def _spec_json_or_family(spec: mm.MetricSpec):
-    try:
-        return mm.spec_to_json(spec)
-    except ValueError:
-        return {"family": spec.family, "dim": spec.dim, "field": spec.field.value}
-
-
 def cmd_probe_main(args) -> int:
+    if args.maps < 1 or args.samples < 1 or (args.sl2 is not None and args.sl2 < 1):
+        raise UsageError("--maps, --samples and --sl2 must be >= 1: a probe of none tests nothing")
     spec = metric_from_args(args)
-    spec_obj = _spec_json_or_family(spec)
+    spec_obj = mm.spec_to_json(spec)
     if spec.dim < 3:
         if args.sl2 is None:
             raise UsageError("the theorem probe requires dim >= 3 "
@@ -292,8 +280,6 @@ def cmd_probe_main(args) -> int:
         _emit({"probe": "dim2-exception", "spec": spec_obj, "maps_tested": report.maps_tested,
                "max_deviation": report.max_deviation, "passed": report.all_passed})
         return 0 if report.all_passed else 1
-    if args.maps < 1:
-        raise UsageError("--maps must be >= 1: a probe of no maps tests nothing")
     report = iv.congruence_theorem_probe(spec, n_maps=args.maps, n_samples=args.samples,
                                    seed=args.seed, min_sv_ratio=args.min_sv_ratio)
     ok = report.vacuous or (report.all_failed and report.controls_passed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 
 class ParseError(ValueError):
@@ -167,8 +167,25 @@ def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
     return expr
 
 
+def compile_positional(text: str, names: tuple[str, ...]) -> Callable[..., float]:
+    """Parse text over one to four variables once; the callable evaluates it with
+    its arguments bound to names in order (a dict display: dict(zip) costs more)."""
+    expr = parse(text, names)
+    if len(names) == 1:
+        (a,) = names
+        return lambda x: evaluate(expr, {a: x})
+    if len(names) == 2:
+        a, b = names
+        return lambda x, y: evaluate(expr, {a: x, b: y})
+    if len(names) == 3:
+        a, b, c = names
+        return lambda x, y, z: evaluate(expr, {a: x, b: y, c: z})
+    a, b, c, d = names
+    return lambda x, y, z, w: evaluate(expr, {a: x, b: y, c: z, d: w})
+
+
 def _pow(x: float, y: float) -> float:
-    if x < 0.0 and y != math.floor(y):
+    if x < 0.0 and not y.is_integer():  # an infinite y is no integer either
         raise EvalError(f"non-integer power {y} of negative base {x}")
     if x == 0.0 and y < 0.0:
         raise EvalError(f"zero raised to negative power {y}")
@@ -258,18 +275,3 @@ def to_string(expr: Expr) -> str:
     if isinstance(expr, BinOp):
         return f"({to_string(expr.left)}{expr.op}{to_string(expr.right)})"
     return f"{expr.name}({','.join(to_string(a) for a in expr.args)})"
-
-
-def variables(expr: Expr) -> frozenset[str]:
-    if isinstance(expr, Var):
-        return frozenset({expr.name})
-    if isinstance(expr, Neg):
-        return variables(expr.operand)
-    if isinstance(expr, BinOp):
-        return variables(expr.left) | variables(expr.right)
-    if isinstance(expr, Call):
-        out: frozenset[str] = frozenset()
-        for a in expr.args:
-            out |= variables(a)
-        return out
-    return frozenset()

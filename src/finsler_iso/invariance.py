@@ -63,6 +63,8 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
     one is reported; the loop exits early only past 1000x the tolerance.
     """
     _check_map(T, spec)
+    if n_samples < 1:
+        raise ValueError("a symmetry test needs at least one sample (n_samples >= 1)")
     rng = np.random.default_rng(seed)
     max_dev, witness, used, skipped = 0.0, None, 0, 0
     domain_violated = False
@@ -110,6 +112,8 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
     rng = np.random.default_rng(seed)
     us = unitaries if unitaries is not None else [
         random_unitary(spec.dim, spec.field, int(s)) for s in rng.integers(2 ** 31, size=n_unitaries)]
+    if not us:
+        raise ValueError("the invariance suite needs at least one unitary")
     max_dev, witness = 0.0, None
     for u in us:
         g = random_vector_with_norm(spec.dim, spec.field, sample_radius(spec.domain, rng), rng)
@@ -223,10 +227,12 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
     Supplied maps must be real 2x2 with |det| = 1 (within tol); anything
     else is rejected as a precondition failure.
     """
+    if not maps:
+        raise ValueError("the dim-2 exception check needs at least one map")
     spec = area_dim2(b)
     root = np.random.SeedSequence(seed)
     worst = 0.0
-    for T, ss in zip(maps, root.spawn(max(1, len(maps)))):
+    for T, ss in zip(maps, root.spawn(len(maps))):
         if T.field is not Field.REAL or T.dim_in != 2 or T.dim_out != 2:
             raise MismatchError("dim-2 exception check needs real 2x2 maps")
         d = abs(float(np.linalg.det(T.entries)))
@@ -268,6 +274,8 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
         raise MismatchError("rotation sufficiency is a real-field statement")
     if spec.dim < 3:
         raise ValueError("rotation sufficiency needs dimension >= 3")
+    if n_rotations < 1:
+        raise ValueError("rotation sufficiency needs at least one rotation")
     root = np.random.SeedSequence(seed)
     rot_worst, orth_worst = 0.0, 0.0
     for ss in root.spawn(n_rotations):
@@ -290,16 +298,9 @@ def vector_json(v: Vector) -> list:
     return [[float(x.real), float(x.imag)] for x in v.entries]
 
 
-def map_json(T: LinearMap) -> list:
-    if T.field is Field.REAL:
-        return [float(x) for x in T.entries.ravel()]
-    return [[float(x.real), float(x.imag)] for x in T.entries.ravel()]
-
-
-def verdict_to_json(verdict: SymmetryVerdict, spec_obj, T: LinearMap) -> dict:
+def verdict_to_json(verdict: SymmetryVerdict, spec_obj) -> dict:
     return {
         "spec": spec_obj,
-        "map": None if T is None else map_json(T),
         "verdict": "symmetry" if verdict.is_symmetry else "not-symmetry",
         "max_deviation": verdict.max_deviation,
         "witness": None if verdict.witness is None else {

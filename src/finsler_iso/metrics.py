@@ -30,13 +30,6 @@ from .linalg import (
     random_vector_with_norm,
 )
 
-LAMBDA_VARS = frozenset({"r", "p", "q"})
-THETA_VARS = frozenset({"r", "tau"})
-VARTHETA_VARS = frozenset({"tau"})
-RADIAL_VARS = frozenset({"r"})
-NONSYM_VARS_REAL = frozenset({"r", "p", "q"})
-NONSYM_VARS_COMPLEX = frozenset({"r", "pre", "pim", "q"})
-
 
 # ---------------------------------------------------------------------------
 # Radius domains
@@ -142,37 +135,26 @@ class RiemannProfile:
 
 
 def lambda_profile(text: str, alpha: float = 1.0) -> SymLambdaProfile:
-    expr = expressions.parse(text, LAMBDA_VARS)
-    return SymLambdaProfile(
-        lambda r, p, q: expressions.evaluate(expr, {"r": r, "p": p, "q": q}),
-        alpha, text)
+    return SymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")), alpha, text)
 
 
 def theta_profile(text: str) -> ThetaProfile:
-    expr = expressions.parse(text, THETA_VARS)
-    return ThetaProfile(
-        lambda r, tau: expressions.evaluate(expr, {"r": r, "tau": tau}), text)
+    return ThetaProfile(expressions.compile_positional(text, ("r", "tau")), text)
 
 
 def nonsym_lambda_profile(text: str, field: Field) -> NonSymLambdaProfile:
-    # Complex p enters the expression as the real pair (pre, pim).
     if field is Field.REAL:
-        expr = expressions.parse(text, NONSYM_VARS_REAL)
-        fn = lambda r, p, q: expressions.evaluate(expr, {"r": r, "p": float(np.real(p)), "q": q})
-    else:
-        expr = expressions.parse(text, NONSYM_VARS_COMPLEX)
-        fn = lambda r, p, q: expressions.evaluate(
-            expr, {"r": r, "pre": float(np.real(p)), "pim": float(np.imag(p)), "q": q})
-    return NonSymLambdaProfile(fn, text)
+        return NonSymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")), text)
+    # Complex p enters the expression as the real pair (pre, pim).
+    fn = expressions.compile_positional(text, ("r", "pre", "pim", "q"))
+    return NonSymLambdaProfile(lambda r, p, q: fn(r, p.real, p.imag, q), text)
 
 
 def riemann_profile(phi_text: str, psi_text: str,
                     domain: RadiusDomain | None = None) -> RiemannProfile:
-    phi_expr = expressions.parse(phi_text, RADIAL_VARS)
-    psi_expr = expressions.parse(psi_text, RADIAL_VARS)
     return RiemannProfile(
-        lambda r: expressions.evaluate(phi_expr, {"r": r}),
-        lambda r: expressions.evaluate(psi_expr, {"r": r}),
+        expressions.compile_positional(phi_text, ("r",)),
+        expressions.compile_positional(psi_text, ("r",)),
         domain if domain is not None else RadiusDomain.positive(),
         phi_text, psi_text)
 
@@ -634,32 +616,26 @@ def domain_from_json(obj: dict) -> RadiusDomain:
     return RadiusDomain(ivs, bool(obj.get("includes_zero", False)))
 
 
-def _require_expr(text: str | None, what: str) -> str:
-    if text is None:
-        raise ValueError(f"{what} is not expression-backed and cannot be serialized")
-    return text
-
-
 def spec_to_json(spec: MetricSpec) -> dict:
     params: dict = {}
     if isinstance(spec, FromLambda):
-        params = {"lam": _require_expr(spec.profile.expr_text, "lambda profile"),
-                  "alpha": spec.profile.alpha}
+        params = {"lam": spec.profile.expr_text, "alpha": spec.profile.alpha}
     elif isinstance(spec, FromTheta):
-        params = {"theta": _require_expr(spec.profile.expr_text, "theta profile")}
+        params = {"theta": spec.profile.expr_text}
     elif isinstance(spec, FromNonSymLambda):
-        params = {"lam": _require_expr(spec.profile.expr_text, "non-symmetric profile")}
+        params = {"lam": spec.profile.expr_text}
     elif isinstance(spec, FromRiemann):
-        params = {"phi": _require_expr(spec.profile.phi_expr, "phi"),
-                  "psi": _require_expr(spec.profile.psi_expr, "psi")}
+        params = {"phi": spec.profile.phi_expr, "psi": spec.profile.psi_expr}
     elif isinstance(spec, CongruenceInvariant):
-        params = {"vartheta": _require_expr(spec.vartheta_expr, "vartheta")}
+        params = {"vartheta": spec.vartheta_expr}
     elif isinstance(spec, AreaDim2):
         params = {"b": spec.b}
     elif isinstance(spec, ZeroExtended):
         params = {"b": spec.b, "inner": spec_to_json(spec.inner_spec)}
     elif not isinstance(spec, (Euclidean, FubiniStudy)):
         raise ValueError(f"family {spec.family!r} is not serializable")
+    if None in params.values():  # a profile given as a callable, not as text
+        raise ValueError(f"{spec.family} profile is not expression-backed: not serializable")
     return {
         "family": spec.family,
         "dim": spec.dim,
@@ -691,11 +667,9 @@ def spec_from_json(obj: dict) -> MetricSpec:
         profile = riemann_profile(params["phi"], params["psi"], domain.squared())
         return replace(induced_finsler(profile, dim, field), domain=domain)
     if family == "congruence-invariant":
-        expr = expressions.parse(params["vartheta"], VARTHETA_VARS)
         return CongruenceInvariant(
-            dim, field, domain,
-            vartheta=lambda tau: expressions.evaluate(expr, {"tau": tau}),
-            vartheta_expr=params["vartheta"])
+            dim, field, domain, expressions.compile_positional(params["vartheta"], ("tau",)),
+            params["vartheta"])
     if family == "area":
         return AreaDim2(dim, field, domain, float(params.get("b", 1.0)))
     if family == "zero-extended":

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from finsler_iso import cli
+from finsler_iso import metrics as mm
 
 
 def run(capsys, *argv):
@@ -112,6 +113,9 @@ def test_check_invariance_exit_codes(capsys):
     code, out, _ = run(capsys, "check", "invariance", "--metric", "euclidean",
                        "--dim", "4", "--samples", "100")
     assert code == 0 and json.loads(out)["passed"] is True
+    code, out, err = run(capsys, "check", "invariance", "--metric", "euclidean",
+                         "--dim", "4", "--samples", "0")  # tests nothing: no verdict
+    assert code == 2 and out == "" and "--samples" in err
 
 
 def test_check_kaehler_fubini_study(capsys):
@@ -200,9 +204,73 @@ def test_probe_main_exit_codes(capsys):
 
 
 def test_probe_main_rejects_zero_maps(capsys):
-    code, out, err = run(capsys, "probe-main", "--metric", "euclidean", "--dim", "3",
-                         "--maps", "0")
-    assert code == 2 and out == "" and "--maps" in err
+    # a probe of no maps or no samples tests nothing, so it gives no verdict
+    for argv, flag in ((("euclidean", "--dim", "3", "--maps", "0"), "--maps"),
+                       (("euclidean", "--dim", "3", "--samples", "0"), "--samples"),
+                       (("area", "--dim", "2", "--sl2", "0"), "--sl2"),
+                       (("area", "--dim", "2", "--sl2", "5", "--samples", "0"), "--samples")):
+        code, out, err = run(capsys, "probe-main", "--metric", *argv)
+        assert code == 2 and out == "" and flag in err, argv
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_values_print_as_null(capsys, tmp_path):
+    assert cli.render_json([math.inf, -math.inf, math.nan, 1.5]) == "[null,null,null,1.5]"
+    code, out, _ = run(capsys, "eval", "--metric", "theta:exp(1000)", "--dim", "2",
+                       "--g", "1,0", "--h", "0,1")
+    assert code == 0 and _strict_json(out) == {"value": None}
+    # every non-congruence pushes a radius out of (1, 1.1): is_symmetry reports inf
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "euclidean", "dim": 3, "field": "real",
+                                "domain": {"intervals": [[1, 1.1]]}, "params": {}}))
+    code, out, _ = run(capsys, "probe-main", "--metric", f"@{path}")
+    report = _strict_json(out)
+    assert code == 0 and report["passed"] is True and report["weakest_deviation"] is None
+
+
+@pytest.mark.parametrize("metric", ["euclidean:x", "fubini-study:x", "norm-quotient:x"])
+def test_named_metrics_take_no_payload(capsys, metric):
+    code, out, err = run(capsys, "eval", "--metric", metric, "--dim", "2",
+                         "--g", "1,0", "--h", "0,1")
+    assert code == 2 and out == "" and "takes no payload" in err
+
+
+def test_area_metric_needs_dim_2(capsys):
+    code, out, err = run(capsys, "eval", "--metric", "area", "--dim", "3",
+                         "--g", "1,0", "--h", "0,1")
+    assert code == 2 and out == "" and "dimension 2" in err
+
+
+POSITIVE = {"intervals": [[0.0, None]], "includes_zero": False}
+
+# Each constructor the README lists, with the JSON object that builds the same metric.
+README_CONSTRUCTORS = [
+    (["euclidean"], "euclidean", {}),
+    (["fubini-study"], "fubini-study", {}),
+    (["norm-quotient"], "congruence-invariant", {"vartheta": "1"}),
+    (["area"], "area", {"b": 1.0}),
+    (["area:2.5"], "area", {"b": 2.5}),
+    (["lambda:sqrt(p^2+q^2)/r"], "lambda", {"lam": "sqrt(p^2+q^2)/r", "alpha": 1.0}),
+    (["lambda:p^2+q^2", "--alpha", "2"], "lambda", {"lam": "p^2+q^2", "alpha": 2.0}),
+    (["theta:1+cos(tau)^2"], "theta", {"theta": "1+cos(tau)^2"}),
+    (["vartheta:1+cos(tau)"], "congruence-invariant", {"vartheta": "1+cos(tau)"}),
+    (["riemann:1/r;-1/(r^2)"], "riemann", {"phi": "1/r", "psi": "-1/(r^2)"}),
+    (["nonsym-lambda:sqrt(p^2+q^2)+p"], "nonsym-lambda", {"lam": "sqrt(p^2+q^2)+p"}),
+]
+
+
+@pytest.mark.parametrize("metric,family,params", README_CONSTRUCTORS)
+def test_cli_specs_equal_their_json_form(metric, family, params):
+    args = cli.build_parser().parse_args(["eval", "--metric", *metric, "--dim", "2",
+                                          "--g", "1,0", "--h", "0,1"])
+    want = {"family": family, "dim": 2, "field": "real", "domain": POSITIVE, "params": params}
+    assert mm.spec_to_json(cli.metric_from_args(args)) == want
+    assert mm.spec_to_json(mm.spec_from_json(want)) == want
 
 
 def test_distance_command(capsys, tmp_path):

@@ -119,6 +119,20 @@ def test_theorem_probe_rejects_zero_maps():
         iv.congruence_theorem_probe(mm.euclidean(3), n_maps=0)
 
 
+def test_checks_of_nothing_raise():
+    spec = mm.euclidean(3)
+    with pytest.raises(ValueError, match="at least one sample"):
+        iv.is_symmetry(la.identity_map(3), spec, 0)
+    with pytest.raises(ValueError, match="at least one unitary"):
+        iv.invariance_suite(spec, 0)
+    with pytest.raises(ValueError, match="at least one unitary"):
+        iv.invariance_suite(spec, 5, unitaries=[])
+    with pytest.raises(ValueError, match="at least one map"):
+        iv.dim2_exception_check(1.0, [])
+    with pytest.raises(ValueError, match="at least one rotation"):
+        iv.rotation_sufficiency_check(spec, 0)
+
+
 def test_theorem_probe_vacuous_spec_reported():
     spec = mm.Custom(3, R, POS, fn=lambda g, h: 0.0)
     report = iv.congruence_theorem_probe(spec, n_maps=5, n_samples=10, seed=0, n_controls=5)
@@ -173,7 +187,7 @@ def test_invariance_suite_aggregates():
 def test_probe_report_serializes():
     t = la.linear_map([[2.0, 0.0], [0.0, 1.0]])
     v = iv.is_symmetry(t, mm.euclidean(2), 20, seed=11)
-    obj = iv.verdict_to_json(v, {"family": "euclidean"}, t)
+    obj = iv.verdict_to_json(v, {"family": "euclidean"})
     assert obj["verdict"] == "not-symmetry"
-    assert obj["witness"] is not None and len(obj["map"]) == 4
+    assert obj["witness"] is not None
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 from finsler_iso.errors import OutOfDomainError
+from finsler_iso.expressions import EvalError, evaluate, parse
 from helpers import POS, battery, sample_pair
 
 R, C = la.Field.REAL, la.Field.COMPLEX
@@ -375,3 +378,67 @@ def test_congruence_invariant_family_b_zero():
         h = la.random_gaussian_vector(3, C, rng)
         want = la.inner(f, h) / la.norm(g) ** 2
         assert mm.eval_sesquilinear(prof, g, f, h) == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Profile builders against the expression evaluator
+
+def _nonsym_complex(text):
+    fn = mm.nonsym_lambda_profile(text, C).fn
+    return lambda r, pre, pim, q: fn(r, complex(pre, pim), q)
+
+
+def _vartheta(text):
+    obj = {"family": "congruence-invariant", "dim": 3, "field": "real",
+           "params": {"vartheta": text}}
+    return mm.spec_from_json(obj).vartheta
+
+
+# builder -> (its variables in argument order, text -> callable over them)
+PROFILE_BUILDERS = {
+    "lambda": (("r", "p", "q"), lambda text: mm.lambda_profile(text).fn),
+    "theta": (("r", "tau"), lambda text: mm.theta_profile(text).fn),
+    "nonsym-real": (("r", "p", "q"), lambda text: mm.nonsym_lambda_profile(text, R).fn),
+    "nonsym-complex": (("r", "pre", "pim", "q"), _nonsym_complex),
+    "phi": (("r",), lambda text: mm.riemann_profile(text, "0").phi),
+    "psi": (("r",), lambda text: mm.riemann_profile("0", text).psi),
+    "vartheta": (("tau",), _vartheta),
+}
+
+_UNARY = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "-")
+
+
+def _expression_texts(names):
+    leaves = st.sampled_from(names) | st.sampled_from(("0", "0.5", "1", "2", "1e-3", "1e3"))
+
+    def extend(sub):
+        return (st.tuples(sub, st.sampled_from("+-*/^"), sub).map(lambda t: "({}{}{})".format(*t))
+                | st.tuples(st.sampled_from(_UNARY), sub).map(lambda t: "{}({})".format(*t))
+                | st.tuples(st.sampled_from(("min", "max")), sub, sub)
+                .map(lambda t: "{}({},{})".format(*t)))
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@st.composite
+def _profile_cases(draw):
+    kind = draw(st.sampled_from(sorted(PROFILE_BUILDERS)))
+    names, _ = PROFILE_BUILDERS[kind]
+    text = draw(_expression_texts(names))
+    values = draw(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * len(names)))
+    return kind, text, values
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_profile_cases())
+def test_profile_builders_match_evaluate(case):
+    kind, text, values = case
+    names, build = PROFILE_BUILDERS[kind]
+    fn = build(text)
+    try:
+        want = evaluate(parse(text, names), dict(zip(names, values)))
+    except EvalError:
+        with pytest.raises(EvalError):
+            fn(*values)
+        return
+    got = fn(*values)
+    assert not math.isnan(got) and got == want
