@@ -51,6 +51,7 @@ from .metrics import (
     check_positive_definite,
     congruence_invariant_riemann,
     euclidean,
+    eval_batch,
     eval_finsler,
     eval_sesquilinear,
     fubini_study,

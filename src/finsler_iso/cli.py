@@ -233,6 +233,9 @@ def cmd_check(args) -> int:
     if args.which == "homothety":
         if args.alpha is None:
             raise UsageError("check homothety needs --alpha")
+        if args.samples < 1:
+            raise UsageError("--samples must be >= 1: a homothety check of no samples "
+                             "tests nothing")
         verdict = mm.check_homothety_invariance(spec, args.alpha, args.samples,
                                                 args.seed, args.tol)
         _emit({"check": "homothety", "alpha": args.alpha, "spec": spec_obj,
@@ -275,6 +278,10 @@ def cmd_probe_main(args) -> int:
                              "(use --sl2 N for the dim-2 area exception)")
         if not isinstance(spec, mm.AreaDim2):
             raise UsageError("--sl2 applies to the dim-2 area metric")
+        # The check builds the real area metric b*q on the whole punctured plane.
+        if spec.field is not Field.REAL or spec.domain != mm.RadiusDomain.positive():
+            raise UsageError("--sl2 tests the real area metric on the positive radius "
+                             "domain; this spec is not that metric")
         maps = [iv.random_unimodular(args.seed + k) for k in range(args.sl2)]
         report = iv.dim2_exception_check(spec.b, maps, args.samples, args.seed, args.tol)
         _emit({"probe": "dim2-exception", "spec": spec_obj, "maps_tested": report.maps_tested,
@@ -311,7 +318,7 @@ def cmd_distance(args) -> int:
             for row in ge.path_rows(result.path):
                 writer.writerow([format(x, ".17g") for x in row])
     _emit({"value": result.distance, "iterations": result.iterations,
-           "initial_length": result.initial_length})
+           "initial_length": result.initial_length, "stop_reason": result.stop_reason})
     return 0
 
 

@@ -15,15 +15,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveMetricError, OutOfDomainError, ZeroVectorError
+from .errors import NonPositiveMetricError, ZeroVectorError
 from .linalg import (
     Field,
     Vector,
     canonical_invariants,
     inner,
     norm,
+    row_dots,
+    row_norms,
 )
-from .metrics import MetricSpec, eval_finsler
+from .metrics import MetricSpec, eval_batch, eval_finsler
 
 
 @dataclass(frozen=True)
@@ -191,14 +193,18 @@ class GeodesicResult:
     initial_length: float
     iterations: int
     history: tuple[float, ...]
+    stop_reason: str  # "zero-chord", "step-floor" or "iteration-cap"
 
 
 _CHUNK_CAP = 4096
 
+# What _segment_length reports for each segment.
+_RESOLVED, _LEFT_DOMAIN, _NEGATIVE = 0, 1, 2
 
-def _segment_length(spec: MetricSpec, u: np.ndarray, v: np.ndarray,
-                    field: Field, ell0: float) -> float:
-    """Refined midpoint length of the straight segment u -> v.
+
+def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
+                    ell0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Refined midpoint lengths of the straight segments U[k] -> V[k].
 
     Two refinement rules guard the descent against quadrature exploits: a
     floor of chunks per unit ell0 (a single midpoint has spurious minimizers
@@ -207,58 +213,69 @@ def _segment_length(spec: MetricSpec, u: np.ndarray, v: np.ndarray,
     their whole angular variation inside a near-origin passage, which coarse
     chunks would miss and undercount).  Segments that would need more than
     _CHUNK_CAP chunks are refused as unresolvable.
+
+    Every chunk of every segment is evaluated in one eval_batch call.
+    Returns (lengths, status): status[k] is _RESOLVED, or the first failure in
+    chunk order, _LEFT_DOMAIN (refused, or a chunk midpoint outside the
+    domain) or _NEGATIVE (a negative chunk value); lengths[k] is meaningful
+    only for a resolved segment.
     """
-    d = v - u
-    length = float(np.linalg.norm(d))
-    if length == 0.0:
-        return 0.0
-    t_star = float(np.clip(-np.real(np.vdot(d, u)) / (length * length), 0.0, 1.0))
-    origin_gap = float(np.linalg.norm(u + t_star * d))
+    D = V - U
+    length = row_norms(D)
+    moving = length > 0.0
+    t_star = np.clip(-row_dots(D.conj(), U).real / np.where(moving, length * length, 1.0),
+                     0.0, 1.0)
+    origin_gap = row_norms(U + t_star[:, None] * D)
     # chunk <= gap/16 keeps the midpoint bias of a near-origin sweep below
     # ~5e-4 even when the descent adversarially seeks quadrature error
-    needed = max(length / ell0, 16.0 * length / max(origin_gap, 1e-300))
-    if needed > _CHUNK_CAP:
-        raise OutOfDomainError("segment passes too close to the excluded origin "
-                               "to be resolved")
-    m = int(np.clip(math.ceil(needed), 4, _CHUNK_CAP))
-    step = d / m
-    step_v = Vector(step, field)
-    total = 0.0
-    for j in range(m):
-        mid = Vector(u + (j + 0.5) / m * d, field)
-        val = eval_finsler(spec, mid, step_v)
-        if val < 0.0:
-            raise NonPositiveMetricError("metric is negative along the path")
-        total += val
-    return total
+    needed = np.maximum(length / ell0, 16.0 * length / np.maximum(origin_gap, 1e-300))
+    refused = needed > _CHUNK_CAP
+    m = np.where(moving & ~refused, np.clip(np.ceil(needed), 4, _CHUNK_CAP), 0).astype(np.intp)
+    seg = np.repeat(np.arange(len(m)), m)
+    j = np.arange(len(seg)) - np.repeat(np.cumsum(m) - m, m)
+    mids = U[seg] + ((j + 0.5) / m[seg])[:, None] * D[seg]
+    steps = (D / np.maximum(m, 1)[:, None])[seg]
+    values, inside = eval_batch(spec, mids, steps)
+    # bincount adds each segment's chunks in order, from 0 for a segment without any
+    lengths = np.bincount(seg, weights=values, minlength=len(m))
+    status = np.where(refused, _LEFT_DOMAIN, _RESOLVED)
+    failed = np.flatnonzero(~inside | (values < 0.0))
+    if len(failed):
+        segs, first = np.unique(seg[failed], return_index=True)
+        status[segs] = np.where(inside[failed[first]], _NEGATIVE, _LEFT_DOMAIN)
+    return lengths, status
+
+
+def _direction(rng: np.random.Generator, dim: int, field: Field) -> np.ndarray:
+    """A seeded random unit direction in F^dim."""
+    if field is Field.REAL:
+        d = rng.standard_normal(dim)
+    else:
+        d = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return d / np.linalg.norm(d)
 
 
 def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
-                      rng: np.random.Generator, ell0: float) -> list[np.ndarray]:
+                      rng: np.random.Generator, ell0: float) -> tuple[np.ndarray, list[float]]:
     """Straight chord, or an arc through a perturbed midpoint when the chord
-    leaves the domain."""
+    leaves the domain; returns the vertices and their segment lengths."""
     ts = np.linspace(0.0, 1.0, n_vertices)
     chord = [(1.0 - t) * g.entries + t * h.entries for t in ts]
     for attempt in range(8):
-        verts = chord if attempt == 0 else _lifted_chord(g, h, n_vertices, rng)
-        try:
-            for u, v in zip(verts, verts[1:]):
-                _segment_length(spec, u, v, g.field, ell0)
-            return [np.array(v) for v in verts]
-        except OutOfDomainError:
-            continue
+        verts = np.array(chord if attempt == 0 else _lifted_chord(g, h, n_vertices, rng))
+        lengths, status = _segment_length(spec, verts[:-1], verts[1:], ell0)
+        failed = np.flatnonzero(status)
+        if len(failed) == 0:
+            return verts, lengths.tolist()
+        if status[failed[0]] == _NEGATIVE:
+            raise NonPositiveMetricError("metric is negative along the path")
     raise ValueError("no valid initialization found inside the metric's domain")
 
 
 def _lifted_chord(g: Vector, h: Vector, n_vertices: int,
                   rng: np.random.Generator) -> list[np.ndarray]:
     mid = 0.5 * (g.entries + h.entries)
-    if g.field is Field.REAL:
-        d = rng.standard_normal(g.dim)
-    else:
-        d = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
-    d = d / np.linalg.norm(d)
-    lift = mid + d * 0.75 * max(norm(g), norm(h))
+    lift = mid + _direction(rng, g.dim, g.field) * 0.75 * max(norm(g), norm(h))
     half = (n_vertices + 1) // 2
     ts1 = np.linspace(0.0, 1.0, half)
     ts2 = np.linspace(0.0, 1.0, n_vertices - half + 1)
@@ -275,7 +292,9 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     Coordinate descent over the interior vertices of a polyline: each vertex
     is line-searched along seeded random directions with a step that halves
     whenever a sweep brings no improvement.  The length sequence is
-    non-increasing; negative metrics are refused.
+    non-increasing; negative metrics are refused.  The result says why the
+    descent stopped: a zero chord (g = h), the step floor, or the iteration
+    cap.
     """
     if n_vertices < 3:
         raise ValueError("need at least one interior vertex")
@@ -294,47 +313,54 @@ def _descend(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
     chord_len = float(np.linalg.norm(h.entries - g.entries))
     if chord_len == 0.0:
         line = Polyline((g, h) if n_vertices == 2 else tuple([g] * (n_vertices - 1) + [h]))
-        return GeodesicResult(0.0, line, 0.0, 0, (0.0,))
+        return GeodesicResult(0.0, line, 0.0, 0, (0.0,), "zero-chord")
     ell0 = chord_len / (4.0 * (n_vertices - 1))
-    verts = _initial_vertices(spec, g, h, n_vertices, rng, ell0)
-    seglen = [_segment_length(spec, u, v, field, ell0) for u, v in zip(verts, verts[1:])]
+    verts, seglen = _initial_vertices(spec, g, h, n_vertices, rng, ell0)
     total = sum(seglen)
     initial = total
     history = [total]
     step = chord_len / (n_vertices - 1)
     step_floor = 1e-6 * chord_len
+    stop_reason = "iteration-cap"
 
     for _ in range(n_iterations):
         improved = False
         for i in range(1, n_vertices - 1):
             local = seglen[i - 1] + seglen[i]
-            for _ in range(2):
-                if field is Field.REAL:
-                    d = rng.standard_normal(spec.dim)
-                else:
-                    d = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
-                d = d / np.linalg.norm(d)
-                for sgn in (1.0, -1.0):
-                    cand = verts[i] + sgn * step * d
-                    try:
-                        a = _segment_length(spec, verts[i - 1], cand, field, ell0)
-                        b = _segment_length(spec, cand, verts[i + 1], field, ell0)
-                    except (OutOfDomainError, NonPositiveMetricError):
-                        continue
-                    if a + b < local - 1e-15 * (1.0 + local):
-                        verts[i] = cand
-                        seglen[i - 1], seglen[i] = a, b
-                        local = a + b
+            # Candidates draw nothing, so both directions can be drawn first.
+            dirs = [_direction(rng, spec.dim, field) for _ in range(2)]
+            moves = np.array([sgn * step * d for d in dirs for sgn in (1.0, -1.0)])
+            k = 0
+            while k < len(moves):
+                # The remaining candidates, measured from the current vertex:
+                # segments prev -> cand in the first half, cand -> next in the second.
+                cands = verts[i] + moves[k:]
+                n = len(cands)
+                lengths, status = _segment_length(
+                    spec, np.concatenate([verts[i - 1:i].repeat(n, axis=0), cands]),
+                    np.concatenate([cands, verts[i + 1:i + 2].repeat(n, axis=0)]), ell0)
+                resolved = (status[:n] == _RESOLVED) & (status[n:] == _RESOLVED)
+                a, b = lengths[:n].tolist(), lengths[n:].tolist()
+                for c in range(n):
+                    if resolved[c] and a[c] + b[c] < local - 1e-15 * (1.0 + local):
+                        verts[i] = cands[c]
+                        seglen[i - 1], seglen[i] = a[c], b[c]
+                        local = a[c] + b[c]
                         improved = True
+                        k += c + 1
+                        break
+                else:
+                    break
         total = sum(seglen)
         history.append(total)
         if not improved:
             step *= 0.5
             if step < step_floor:
+                stop_reason = "step-floor"
                 break
 
-    path = Polyline(tuple(Vector(np.array(v), field) for v in verts))
-    return GeodesicResult(total, path, initial, len(history) - 1, tuple(history))
+    path = Polyline(tuple(Vector(v.copy(), field) for v in verts))
+    return GeodesicResult(total, path, initial, len(history) - 1, tuple(history), stop_reason)
 
 
 def path_rows(path: Polyline) -> list[list[float]]:

@@ -167,6 +167,36 @@ def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, fl
     return (float(ip.real) if g.field is Field.REAL else complex(ip)), q
 
 
+def row_norms(G: np.ndarray) -> np.ndarray:
+    """|g| for each row of an (N, n) array, equal to norm() row by row."""
+    if G.dtype.kind == "c":
+        return np.sqrt(row_dots(G.real, G.real) + row_dots(G.imag, G.imag))
+    return np.sqrt(row_dots(G, G))
+
+
+def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
+                         r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pair_invariants for the rows of (N, n) arrays: (<h, g>, q) per row.
+
+    The same orthogonal-component form of q; a row with r = 0 gets
+    <h, g> = q = 0.
+    """
+    ip = row_dots(G.conj(), H)
+    c = np.divide(ip, r * r, out=np.zeros_like(ip), where=r > 0.0)
+    perp = H - c[:, None] * G
+    q = r * np.sqrt(row_dots(perp.conj(), perp).real)
+    return ip, q
+
+
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_j A[i, j] B[i, j] for each row i (conjugate A first for <b, a>).
+
+    Stacked vector products go through the dot kernel that np.vdot and
+    np.linalg.norm use, so each row rounds as those scalar calls do.
+    """
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
 def acute_angle(g: Vector, h: Vector) -> float:
     """Angle in [0, pi/2] between the F-lines through g and h.
 

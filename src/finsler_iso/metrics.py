@@ -5,7 +5,8 @@ vartheta or a sesquilinear phi/psi pair), a named built-in (Euclidean,
 Fubini-Study, the dim-2 area metric, the norm quotient) or a zero extension.
 eval_finsler forms the invariants r = |g|, ip = <h, g> and q once; each family
 is a function of them (p = |ip|, |h| = hypot(p, q)/r, angle atan2(q, p)), and
-only Custom and ZeroExtended see vectors.  Pointwise criteria live here too.
+only Custom and ZeroExtended see vectors.  eval_batch does the same for the
+rows of two arrays in one pass.  Pointwise criteria live here too.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .linalg import (
     inner,
     norm,
     pair_invariants,
+    pair_invariants_rows,
     random_gaussian_vector,
     random_vector_with_norm,
+    row_norms,
 )
 
 
@@ -59,6 +62,13 @@ class RadiusDomain:
         if r == 0.0:
             return self.includes_zero
         return any(lo < r < hi for lo, hi in self.intervals)
+
+    def contains_rows(self, r: np.ndarray) -> np.ndarray:
+        """contains() for each entry of an array of radii."""
+        inside = r == 0.0 if self.includes_zero else np.zeros(r.shape, dtype=bool)
+        for lo, hi in self.intervals:
+            inside |= (lo < r) & (r < hi)
+        return inside
 
     def squared(self) -> "RadiusDomain":
         """Image under r -> r^2 (norm radii to sesquilinear arguments)."""
@@ -189,21 +199,31 @@ class MetricSpec:
 
     family: ClassVar[str] = "?"
     congruence_invariant: ClassVar[bool] = False
+    defined_at_zero: ClassVar[bool] = False  # rho_0 exists (zero extensions, custom metrics)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
     def _eval(self, g: Vector, h: Vector, r: float) -> float:
-        """rho_g(h) for checked vectors whose radius r = |g| lies in the domain."""
-        if r == 0.0:  # only a zero extension is defined at the origin
-            raise OutOfDomainError("base point g = 0 is outside the metric's domain")
+        """rho_g(h) for checked vectors whose radius r = |g| lies in the domain
+        (r > 0 unless the spec is defined at 0)."""
         ip, q = pair_invariants(g, h, r)
         return self._value(r, ip, q)
 
     def _value(self, r: float, ip: float | complex, q: float) -> float:
         """rho from the invariants r = |g|, ip = <h, g> and q, with r > 0."""
         raise NotImplementedError
+
+    def _values(self, r: np.ndarray, ip: np.ndarray, q: np.ndarray,
+                G: np.ndarray, H: np.ndarray) -> np.ndarray:
+        """rho on rows whose base points lie in the domain, from their
+        invariants.  This default goes row by row through _eval; Euclidean,
+        Fubini-Study, congruence-invariant and area override it with one
+        numpy expression."""
+        f = self.field
+        return np.array([self._eval(Vector(g, f), Vector(h, f), x)
+                         for g, h, x in zip(G, H, r.tolist())], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -212,6 +232,9 @@ class Euclidean(MetricSpec):
 
     def _value(self, r, ip, q):
         return math.hypot(abs(ip), q) / r
+
+    def _values(self, r, ip, q, G, H):
+        return np.hypot(np.abs(ip), q) / r
 
 
 @dataclass(frozen=True)
@@ -227,6 +250,9 @@ class FubiniStudy(MetricSpec):
     congruence_invariant: ClassVar[bool] = True
 
     def _value(self, r, ip, q):
+        return q / (r * r)
+
+    def _values(self, r, ip, q, G, H):
         return q / (r * r)
 
 
@@ -289,6 +315,13 @@ class CongruenceInvariant(MetricSpec):
         nh = math.hypot(p, q) / r
         return 0.0 if nh == 0.0 else (nh / r) * float(self.vartheta(math.atan2(q, p)))
 
+    def _values(self, r, ip, q, G, H):
+        p = np.abs(ip)
+        nh = np.hypot(p, q) / r
+        tau = np.arctan2(q, p).tolist()
+        angular = [float(self.vartheta(t)) if n else 0.0 for t, n in zip(tau, nh.tolist())]
+        return (nh / r) * np.array(angular)
+
 
 @dataclass(frozen=True)
 class AreaDim2(MetricSpec):
@@ -309,6 +342,9 @@ class AreaDim2(MetricSpec):
     def _value(self, r, ip, q):
         return self.b * q
 
+    def _values(self, r, ip, q, G, H):
+        return self.b * q
+
 
 @dataclass(frozen=True)
 class ZeroExtended(MetricSpec):
@@ -317,6 +353,7 @@ class ZeroExtended(MetricSpec):
     b: float = 0.0
     inner_spec: MetricSpec | None = None
     family: ClassVar[str] = "zero-extended"
+    defined_at_zero: ClassVar[bool] = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -339,6 +376,7 @@ class Custom(MetricSpec):
 
     fn: Callable[[Vector, Vector], float] = None  # type: ignore[assignment]
     family: ClassVar[str] = "custom"
+    defined_at_zero: ClassVar[bool] = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -388,7 +426,35 @@ def eval_finsler(spec: MetricSpec, g: Vector, h: Vector) -> float:
     r = norm(g)
     if not spec.domain.contains(r):
         raise OutOfDomainError(f"|g| = {r} is outside the radius domain")
+    if r == 0.0 and not spec.defined_at_zero:
+        raise OutOfDomainError("base point g = 0 is outside the metric's domain")
     return spec._eval(g, h, r)
+
+
+def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho_g(h) for each row pair of two (N, dim) arrays, in one pass.
+
+    Returns (values, inside): inside marks the rows where eval_finsler would
+    not raise OutOfDomainError, i.e. |g| lies in the radius domain (and
+    g != 0 unless the spec is defined at 0); values is 0 on the other rows.
+    Dimension and field are checked once, as the arrays' shape and dtype.
+    """
+    G, H = np.asarray(G), np.asarray(H)
+    if G.ndim != 2 or G.shape != H.shape or G.shape[1] != spec.dim:
+        raise MismatchError(f"arrays of shape {G.shape} and {H.shape} are not rows "
+                            f"of dimension {spec.dim}")
+    if G.dtype != spec.field.dtype or H.dtype != spec.field.dtype:
+        raise MismatchError(f"array dtypes {G.dtype} and {H.dtype} are not the "
+                            f"{spec.field.value} field's {spec.field.dtype}")
+    r = row_norms(G)
+    inside = spec.domain.contains_rows(r)
+    if spec.domain.includes_zero and not spec.defined_at_zero:
+        inside &= r > 0.0
+    values = np.zeros(len(r))
+    rows = slice(None) if inside.all() else inside
+    G, H, r = G[rows], H[rows], r[rows]
+    values[rows] = spec._values(r, *pair_invariants_rows(G, H, r), G, H)
+    return values, inside
 
 
 def eval_sesquilinear(profile: RiemannProfile, g: Vector, f: Vector, h: Vector):
@@ -504,6 +570,8 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
     """
     if alpha <= 0.0 or alpha == 1.0:
         raise ValueError("alpha must be positive and != 1")
+    if n_samples < 1:
+        raise ValueError("the homothety check needs at least one sample")
     rng = np.random.default_rng(seed)
     max_dev, witness, used, skipped = 0.0, None, 0, 0
     for _ in range(n_samples):

@@ -152,6 +152,12 @@ def test_check_homothety(capsys):
     assert code == 2 and "alpha" in err
 
 
+def test_check_homothety_of_no_samples_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "homothety", "--alpha", "2",
+                         "--metric", "norm-quotient", "--dim", "3", "--samples", "0")
+    assert code == 2 and out == "" and "--samples" in err
+
+
 def test_decompose_theta_csv(capsys):
     code, out, _ = run(capsys, "decompose", "--metric", "euclidean", "--dim", "3",
                        "--r-steps", "3", "--tau-steps", "3")
@@ -211,6 +217,23 @@ def test_probe_main_rejects_zero_maps(capsys):
                        (("area", "--dim", "2", "--sl2", "5", "--samples", "0"), "--samples")):
         code, out, err = run(capsys, "probe-main", "--metric", *argv)
         assert code == 2 and out == "" and flag in err, argv
+
+
+def test_probe_main_sl2_tests_only_the_real_positive_area_metric(capsys, tmp_path):
+    # the dim-2 check builds the real area metric on the positive domain, so a
+    # complex or domain-restricted spec would pass untested
+    code, out, err = run(capsys, "probe-main", "--metric", "area", "--dim", "2",
+                         "--field", "complex", "--sl2", "5")
+    assert code == 2 and out == "" and "--sl2" in err
+    path = tmp_path / "area.json"
+    path.write_text(json.dumps({"family": "area", "dim": 2, "field": "real",
+                                "domain": {"intervals": [[1, 2]]}, "params": {"b": 1.0}}))
+    code, out, err = run(capsys, "probe-main", "--metric", f"@{path}", "--sl2", "5")
+    assert code == 2 and out == "" and "--sl2" in err
+    path.write_text(json.dumps({"family": "area", "dim": 2, "field": "real",
+                                "domain": {"intervals": [[0, None]]}, "params": {"b": 2.0}}))
+    code, out, _ = run(capsys, "probe-main", "--metric", f"@{path}", "--sl2", "5")
+    assert code == 0 and json.loads(out)["passed"] is True
 
 
 def _strict_json(text):
@@ -279,7 +302,8 @@ def test_distance_command(capsys, tmp_path):
     report = json.loads(out)
     assert code == 0
     assert report["value"] == pytest.approx(1.0, abs=1e-3)
-    assert set(report) == {"value", "iterations", "initial_length"}
+    assert set(report) == {"value", "iterations", "initial_length", "stop_reason"}
+    assert report["stop_reason"] in ("step-floor", "iteration-cap")
     path = tmp_path / "path.csv"
     code, out, _ = run(capsys, "distance", "--metric", "fubini-study", "--dim", "2",
                        "--g", "1,0", "--h", "0,1", "--iterations", "30",

@@ -186,6 +186,16 @@ def test_geodesic_euclidean_is_chord():
     res = ge.geodesic_distance(mm.euclidean(3), g, h, seed=0)
     assert res.distance == pytest.approx(math.sqrt(2.0), abs=1e-3)
     assert res.initial_length == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert res.stop_reason == "step-floor" and res.iterations == 17
+
+
+def test_geodesic_stop_reasons():
+    fs = ge.geodesic_distance(mm.fubini_study(3), la.basis_vector(3, 0),
+                              la.basis_vector(3, 1), seed=0)
+    assert fs.stop_reason == "iteration-cap" and fs.iterations == 150
+    g = la.vector([1.0, 2.0])
+    same = ge.geodesic_distance(mm.euclidean(2), g, g, seed=0)
+    assert same.stop_reason == "zero-chord" and same.iterations == 0 and same.distance == 0.0
 
 
 def test_geodesic_fubini_study_quarter():
@@ -257,3 +267,75 @@ def test_geodesic_nonsym_metric_is_directional():
     # radially outward p > 0, inward p < 0: forward costs 1.5x, backward 0.5x
     assert fwd == pytest.approx(1.5, abs=2e-2)
     assert bwd == pytest.approx(0.5, abs=2e-2)
+
+
+# ---------------------------------------------------------------------------
+# The batched descent against the scalar kernel and closed forms
+
+def _scalar_path_length(spec, path):
+    """The descent's quadrature redone one chunk at a time through eval_finsler:
+    per segment max(4, length/ell0, 16 length/gap) midpoint chunks."""
+    verts = [v.entries for v in path.vertices]
+    ell0 = np.linalg.norm(verts[-1] - verts[0]) / (4.0 * (len(verts) - 1))
+    total = 0.0
+    for u, v in zip(verts, verts[1:]):
+        d = v - u
+        length = np.linalg.norm(d)
+        t_star = min(1.0, max(0.0, -np.vdot(d, u).real / length ** 2))
+        gap = np.linalg.norm(u + t_star * d)
+        m = max(4, math.ceil(max(length / ell0, 16.0 * length / gap)))
+        step = la.Vector(d / m, spec.field)
+        total += sum(mm.eval_finsler(spec, la.Vector(u + (j + 0.5) / m * d, spec.field), step)
+                     for j in range(m))
+    return total
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_descent_distance_is_the_scalar_quadrature_of_its_path(field):
+    rng = np.random.default_rng(11)
+    specs = [mm.euclidean(3, field), mm.fubini_study(3, field), mm.norm_quotient(3, field),
+             mm.FromTheta(3, field, POS, mm.theta_profile("1+cos(tau)"))]
+    for k, spec in enumerate(specs):
+        g = la.random_gaussian_vector(3, field, rng)
+        h = la.random_gaussian_vector(3, field, rng)
+        res = ge.geodesic_distance(spec, g, h, n_vertices=7, n_iterations=20, seed=k)
+        assert res.distance == pytest.approx(_scalar_path_length(spec, res.path), rel=1e-12)
+
+
+def _real_angle(g, h):
+    c = np.vdot(g, h).real / (np.linalg.norm(g) * np.linalg.norm(h))
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+def _closed_form(name, g, h):
+    """Chord; Fubini-Study: the real angle over R, the angle between the complex
+    lines over C; norm quotient: sqrt(log(|h|/|g|)^2 + real angle^2)."""
+    if name == "euclidean":
+        return float(np.linalg.norm(h - g))
+    if name == "fubini-study":
+        if np.iscomplexobj(g):
+            c = abs(np.vdot(g, h)) / (np.linalg.norm(g) * np.linalg.norm(h))
+            return math.acos(min(1.0, c))
+        return _real_angle(g, h)
+    return math.hypot(math.log(np.linalg.norm(h) / np.linalg.norm(g)), _real_angle(g, h))
+
+
+MIDPOINT_BIAS = 5e-4  # the relative quadrature slack documented in geometry._segment_length
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_descent_is_an_upper_bound_on_closed_form_distances(field):
+    # Fubini-Study and norm-quotient solves may still stop short of their
+    # oracle's tolerance; only the upper bound is asserted for them.
+    rng = np.random.default_rng(12)
+    builders = {"euclidean": mm.euclidean, "fubini-study": mm.fubini_study,
+                "norm-quotient": mm.norm_quotient}
+    for dim in range(2, 6):
+        for name, build in builders.items():
+            g = la.random_gaussian_vector(dim, field, rng)
+            h = la.random_gaussian_vector(dim, field, rng)
+            want = _closed_form(name, g.entries, h.entries)
+            res = ge.geodesic_distance(build(dim, field), g, h, seed=dim)
+            assert res.distance >= want * (1.0 - MIDPOINT_BIAS), (name, dim)
+            if name == "euclidean":
+                assert res.distance == pytest.approx(want, abs=1e-3), dim

@@ -131,6 +131,8 @@ def test_checks_of_nothing_raise():
         iv.dim2_exception_check(1.0, [])
     with pytest.raises(ValueError, match="at least one rotation"):
         iv.rotation_sufficiency_check(spec, 0)
+    with pytest.raises(ValueError, match="homothety check needs at least one sample"):
+        mm.check_homothety_invariance(spec, 2.0, 0)
 
 
 def test_theorem_probe_vacuous_spec_reported():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
-from finsler_iso.errors import OutOfDomainError
+from finsler_iso.errors import MismatchError, OutOfDomainError
 from finsler_iso.expressions import EvalError, evaluate, parse
 from helpers import POS, battery, sample_pair
 
@@ -114,6 +114,109 @@ def test_isometry_invariance_sampled(field):
             a = mm.eval_finsler(spec, g, h)
             b = mm.eval_finsler(spec, la.apply_map(u, g), la.apply_map(u, h))
             assert abs(a - b) <= 1e-9 * (1 + abs(a)), name
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation
+
+def _batch_specs(dim, field):
+    """Every family, the expression-backed ones included, plus a custom metric
+    and a zero extension."""
+    specs = [
+        mm.euclidean(dim, field),
+        mm.fubini_study(dim, field),
+        mm.norm_quotient(dim, field),
+        mm.spec_from_json({"family": "congruence-invariant", "dim": dim, "field": field.value,
+                           "params": {"vartheta": "1+sin(tau)^2"}}),
+        mm.FromLambda(dim, field, POS, mm.lambda_profile("sqrt(p^2+2*q^2)/r")),
+        mm.FromTheta(dim, field, POS, mm.theta_profile("1+cos(tau)")),
+        mm.FromNonSymLambda(dim, field, POS, mm.nonsym_lambda_profile(
+            "sqrt(p^2+q^2)+0.5*p" if field is R else "sqrt(pre^2+pim^2+q^2)+0.5*pre", field)),
+        mm.induced_finsler(mm.riemann_profile("1+r", "1"), dim, field),
+        mm.Custom(dim, field, POS, fn=lambda g, h: la.norm(h) * (1.0 + abs(complex(g.entries[0])))),
+        mm.zero_extended(2.0, mm.euclidean(dim, field)),
+    ]
+    if dim == 2:
+        specs.append(mm.area_dim2(1.5, field))
+    return specs
+
+
+def _batch_pairs(dim, field, rng):
+    """Seeded pairs: generic, near-collinear, near-orthogonal."""
+    G, H = [], []
+    for k in range(30):
+        g = la.random_gaussian_vector(dim, field, rng).entries
+        noise = la.random_gaussian_vector(dim, field, rng).entries
+        if k % 3 == 0:
+            h = noise
+        elif k % 3 == 1:
+            h = complex(*rng.standard_normal(2)) * g if field is C else rng.standard_normal() * g
+            h = h + 10.0 ** -rng.uniform(4, 9) * noise
+        else:
+            h = noise - (np.vdot(g, noise) / np.vdot(g, g)) * g + 1e-7 * g
+        G.append(g)
+        H.append(h)
+    return np.array(G), np.array(H)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("field", [R, C])
+def test_eval_batch_rows_equal_eval_finsler(dim, field):
+    rng = np.random.default_rng(40 + dim)
+    G, H = _batch_pairs(dim, field, rng)
+    for spec in _batch_specs(dim, field):
+        rows_g, rows_h = G, H
+        if spec.family == "zero-extended":  # the row at g = 0 takes rho_0(h) = b |h|
+            rows_g, rows_h = np.vstack([G, np.zeros((1, dim), field.dtype)]), np.vstack([H, H[:1]])
+        values, inside = mm.eval_batch(spec, rows_g, rows_h)
+        assert inside.all(), spec.family
+        for g, h, got in zip(rows_g, rows_h, values):
+            want = mm.eval_finsler(spec, la.Vector(g, field), la.Vector(h, field))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300), spec.family
+
+
+def test_eval_batch_mask_on_a_bounded_domain():
+    domain = mm.RadiusDomain(((1.0, 2.0),))
+    rng = np.random.default_rng(7)
+    radii = [0.0, 0.5, 1.0, 1.5, 1.9, 2.0, 3.0] + list(rng.uniform(0.5, 2.5, 20))
+    G = np.array([r * la.random_vector_with_norm(3, R, 1.0, rng).entries for r in radii])
+    H = rng.standard_normal((len(radii), 3))
+    for spec in (mm.Euclidean(3, R, domain), mm.FromTheta(3, R, domain, mm.theta_profile("2+cos(tau)"))):
+        values, inside = mm.eval_batch(spec, G, H)
+        assert inside.tolist() == [domain.contains(r) for r in la.row_norms(G)]
+        for g, h, ok, got in zip(G, H, inside, values):
+            if ok:
+                assert got == pytest.approx(mm.eval_finsler(spec, la.vector(g), la.vector(h)),
+                                            rel=1e-12)
+            else:
+                assert got == 0.0
+                with pytest.raises(OutOfDomainError):
+                    mm.eval_finsler(spec, la.vector(g), la.vector(h))
+    # g = 0 lies in this domain, but only a zero extension is defined there
+    with_zero = mm.RadiusDomain(((0.0, math.inf),), includes_zero=True)
+    G0, H0 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.ones((2, 3))
+    assert mm.eval_batch(mm.Euclidean(3, R, with_zero), G0, H0)[1].tolist() == [False, True]
+
+
+def test_eval_batch_rejects_wrong_dim_or_dtype():
+    spec = mm.euclidean(3)
+    for G, H in ((np.ones((4, 2)), np.ones((4, 2))),
+                 (np.ones((4, 3)), np.ones((5, 3))),
+                 (np.ones(3), np.ones(3)),
+                 (np.ones((4, 3), complex), np.ones((4, 3), complex)),
+                 (np.ones((4, 3), int), np.ones((4, 3), int))):
+        with pytest.raises(MismatchError):
+            mm.eval_batch(spec, G, H)
+    with pytest.raises(MismatchError):
+        mm.eval_batch(mm.euclidean(3, C), np.ones((4, 3)), np.ones((4, 3)))
+
+
+def test_eval_batch_propagates_eval_error():
+    spec = mm.FromLambda(2, R, POS, mm.lambda_profile("1/q"))
+    G = np.array([[1.0, 0.0], [1.0, 0.0]])
+    H = np.array([[0.0, 1.0], [2.0, 0.0]])  # the second row is collinear: q = 0
+    with pytest.raises(EvalError):
+        mm.eval_batch(spec, G, H)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +370,8 @@ def test_homothety_euclidean_fails_with_witness():
 
 def test_homothety_skips_and_rejects_bad_alpha():
     spec = mm.Euclidean(2, R, mm.RadiusDomain(((1.0, 2.0),)))
-    with pytest.raises(ValueError):
-        mm.check_homothety_invariance(spec, 10.0, 50, seed=0)  # everything skipped
+    with pytest.raises(ValueError, match="all samples skipped"):
+        mm.check_homothety_invariance(spec, 10.0, 50, seed=0)
     with pytest.raises(ValueError):
         mm.check_homothety_invariance(spec, 1.0)
 
