@@ -289,13 +289,17 @@ def cmd_probe_main(args) -> int:
         return 0 if report.all_passed else 1
     report = iv.congruence_theorem_probe(spec, n_maps=args.maps, n_samples=args.samples,
                                    seed=args.seed, min_sv_ratio=args.min_sv_ratio)
-    ok = report.vacuous or (report.all_failed and report.controls_passed)
+    if report.vacuous:
+        raise UsageError("the metric is 0 on every sampled pair, so no map can fail: "
+                         "a probe of it tests nothing")
+    ok = report.all_failed and report.controls_passed
     _emit({"probe": "theorem-main", "spec": spec_obj, "maps_tested": report.maps_tested,
            "all_non_congruences_failed": report.all_failed,
            "weakest_deviation": report.weakest_deviation,
            "controls_tested": report.controls_tested,
            "controls_passed": report.controls_passed,
            "control_worst_deviation": report.control_worst_deviation,
+           "map_samples": report.map_samples, "control_samples": report.control_samples,
            "vacuous": report.vacuous, "passed": ok})
     return 0 if ok else 1
 

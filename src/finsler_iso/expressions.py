@@ -4,6 +4,8 @@ Profiles can be supplied as text on the CLI and in JSON metric specs.  The
 grammar covers numbers, a declared variable set, unary minus, + - * / ^
 (with ^ binding tightest and right-associative, then unary minus, then * /,
 then + -), parentheses, and calls to sin cos tan exp log sqrt abs min max.
+A tree evaluates on one binding (evaluate, compile_positional) or on
+equal-shape arrays of bindings at once (compile_rows), with equal results.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -189,8 +193,19 @@ def _pow(x: float, y: float) -> float:
         raise EvalError(f"non-integer power {y} of negative base {x}")
     if x == 0.0 and y < 0.0:
         raise EvalError(f"zero raised to negative power {y}")
+    return _pow_value(x, y)
+
+
+def _pow_value(x: float, y: float) -> float:
     try:
         return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
     except OverflowError:
         return math.inf
 
@@ -247,10 +262,7 @@ def _evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
             raise EvalError(f"sqrt of negative argument {args[0]}")
         return math.sqrt(args[0])
     if name == "exp":
-        try:
-            return math.exp(args[0])
-        except OverflowError:
-            return math.inf
+        return _exp(args[0])
     if name == "sin":
         return math.sin(args[0])
     if name == "cos":
@@ -262,6 +274,105 @@ def _evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
     if name == "min":
         return min(args)
     return max(args)
+
+
+def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]:
+    """Parse text once into a closure over equal-shape float arrays bound to
+    names in order; element i of its result is evaluate(expr, bindings of
+    element i) exactly.
+
+    Every domain rule is a mask over the elements, and the call raises
+    EvalError when any element would raise in evaluate.  Arithmetic is
+    numpy's (IEEE doubles, as Python floats); exp, log, ^ and the
+    trigonometric functions call math element by element, because numpy's
+    own may differ from it in the last bits.
+    """
+    node = _compile_rows(parse(text, names), names)
+
+    def rows(*columns):
+        cols = tuple(np.asarray(c, dtype=float) for c in columns)
+        with np.errstate(all="ignore"):  # inf and NaN are handled as evaluate does
+            out = node(cols)
+        if np.isnan(out).any():
+            raise EvalError("expression is undefined here (evaluates to NaN)")
+        return out
+    return rows
+
+
+def _compile_rows(expr: Expr, names: tuple[str, ...]) -> Callable[[tuple], np.ndarray]:
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda cols: np.full(cols[0].shape, value)
+    if isinstance(expr, Var):
+        i = names.index(expr.name)
+        return lambda cols: cols[i]
+    if isinstance(expr, Neg):
+        operand = _compile_rows(expr.operand, names)
+        return lambda cols: -operand(cols)
+    if isinstance(expr, BinOp):
+        left, right, op = (_compile_rows(expr.left, names), _compile_rows(expr.right, names),
+                           _ROW_OPS[expr.op])
+        return lambda cols: op(left(cols), right(cols))
+    fn, args = _ROW_CALLS[expr.name], [_compile_rows(a, names) for a in expr.args]
+    if len(args) == 1:
+        (arg,) = args
+        return lambda cols: fn(arg(cols))
+    first, second = args
+    return lambda cols: fn(first(cols), second(cols))
+
+
+def _require(bad: np.ndarray, message: str, *values: np.ndarray) -> None:
+    """EvalError naming the first bad element's values, if any element is bad."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise EvalError(message.format(*(v.flat[k] for v in values)))
+
+
+def _elementwise(fn: Callable[..., float], *arrays: np.ndarray) -> np.ndarray:
+    out = np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, arrays[0].size)
+    return out.reshape(arrays[0].shape)
+
+
+def _divide_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _require(b == 0.0, "division by zero ({} / {})", a, b)
+    return a / b
+
+
+def _pow_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    integer = np.isfinite(y) & (np.floor(y) == y)
+    _require((x < 0.0) & ~integer, "non-integer power {1} of negative base {0}", x, y)
+    _require((x == 0.0) & (y < 0.0), "zero raised to negative power {1}", x, y)
+    return _elementwise(_pow_value, x, y)
+
+
+def _log_rows(x: np.ndarray) -> np.ndarray:
+    _require(x <= 0.0, "log of non-positive argument {}", x)
+    return _elementwise(math.log, x)
+
+
+def _sqrt_rows(x: np.ndarray) -> np.ndarray:
+    _require(x < 0.0, "sqrt of negative argument {}", x)
+    return np.sqrt(x)
+
+
+def _trig_rows(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    def rows(x):
+        _require(np.isinf(x), f"expression is undefined here ({fn.__name__} of {{}})", x)
+        return _elementwise(fn, x)
+    return rows
+
+
+_ROW_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide_rows, "^": _pow_rows}
+
+# min and max keep their first argument unless the second is strictly
+# smaller (larger), as Python's do; np.minimum would pick a NaN instead.
+_ROW_CALLS = {
+    "sin": _trig_rows(math.sin), "cos": _trig_rows(math.cos), "tan": _trig_rows(math.tan),
+    "exp": lambda x: _elementwise(_exp, x), "log": _log_rows, "sqrt": _sqrt_rows,
+    "abs": np.abs,
+    "min": lambda a, b: np.where(b < a, b, a),
+    "max": lambda a, b: np.where(b > a, b, a),
+}
 
 
 def to_string(expr: Expr) -> str:

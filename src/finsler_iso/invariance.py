@@ -13,20 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchError
+from .errors import MismatchError, OutOfDomainError
 from .linalg import (
     Field,
     LinearMap,
     Vector,
-    apply_map,
-    norm,
-    random_gaussian_vector,
     random_rotation,
     random_unitary,
-    random_vector_with_norm,
     singular_values,
 )
-from .metrics import MetricSpec, area_dim2, eval_finsler, sample_radius
+from .metrics import MetricSpec, area_dim2, eval_batch, sample_pairs
+from .metrics import eval_finsler  # noqa: F401  (perfbench's tracer test patches it here)
 
 @dataclass(frozen=True)
 class SymmetryVerdict:
@@ -53,39 +50,50 @@ def _check_map(T: LinearMap, spec: MetricSpec) -> None:
         raise MismatchError("map/spec field mismatch")
 
 
+def _deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray, TG: np.ndarray,
+                TH: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|rho_{Tg}(Th) - rho_g(h)| / (1 + |rho_g(h)|) per row, inf where the
+    image base point leaves the metric's domain, and the mask of the rows
+    where it stays."""
+    base, _ = eval_batch(spec, G, H)
+    mapped, inside = eval_batch(spec, TG, TH)
+    dev = np.abs(mapped - base) / (1.0 + np.abs(base))
+    dev[~inside] = np.inf
+    return dev, inside
+
+
+def _verdict(spec: MetricSpec, G: np.ndarray, H: np.ndarray, dev: np.ndarray, tol: float,
+             skipped: int) -> SymmetryVerdict:
+    """The verdict on the rows of dev; the witness is the first row with the
+    largest deviation."""
+    k = int(np.argmax(dev))
+    max_dev = float(dev[k])
+    ok = skipped == 0 and max_dev <= tol
+    witness = None if ok else (Vector(G[k], spec.field), Vector(H[k], spec.field))
+    return SymmetryVerdict(ok, max_dev, witness, len(dev), skipped)
+
+
 def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int = 0,
                 tol: float = 1e-9) -> SymmetryVerdict:
     """Sampled test of rho_{Tg}(Th) = rho_g(h), deviations measured relatively.
 
-    A sample whose image radius |Tg| leaves the domain violates the
-    domain-preservation half of the definition: it is counted in `skipped`
-    and fails the verdict outright.  Deviations accumulate and the maximal
-    one is reported; the loop exits early only past 1000x the tolerance.
+    The n_samples pairs come from sample_pairs and each side is one
+    eval_batch call.  The verdict reads the rows up to and including the
+    first exit row, and samples_used counts them.  An exit row is one whose
+    deviation passes 1000x the tolerance, or whose image base point Tg leaves
+    the domain.  The latter violates the domain-preservation half of the
+    definition: it is counted in `skipped`, its deviation is inf and it fails
+    the verdict outright.
     """
     _check_map(T, spec)
     if n_samples < 1:
         raise ValueError("a symmetry test needs at least one sample (n_samples >= 1)")
-    rng = np.random.default_rng(seed)
-    max_dev, witness, used, skipped = 0.0, None, 0, 0
-    domain_violated = False
-    for _ in range(n_samples):
-        g = random_vector_with_norm(spec.dim, spec.field, sample_radius(spec.domain, rng), rng)
-        h = random_gaussian_vector(spec.dim, spec.field, rng)
-        base = eval_finsler(spec, g, h)
-        used += 1
-        tg = apply_map(T, g)
-        if not spec.domain.contains(norm(tg)):
-            skipped += 1
-            domain_violated = True
-            max_dev, witness = float("inf"), (g, h)
-            break
-        dev = abs(eval_finsler(spec, tg, apply_map(T, h)) - base) / (1.0 + abs(base))
-        if dev > max_dev:
-            max_dev, witness = dev, (g, h)
-        if dev > 1e3 * tol:
-            break
-    ok = (not domain_violated) and max_dev <= tol
-    return SymmetryVerdict(ok, max_dev, None if ok else witness, used, skipped)
+    G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
+    M = T.entries.T
+    dev, inside = _deviations(spec, G, H, G @ M, H @ M)
+    exits = np.flatnonzero(dev > 1e3 * tol)  # inf on every domain exit
+    used = int(exits[0]) + 1 if exits.size else n_samples
+    return _verdict(spec, G, H, dev[:used], tol, int(not inside[used - 1]))
 
 
 def classify_congruence(T: LinearMap, tol: float = 1e-9) -> CongruenceClass:
@@ -108,22 +116,27 @@ def classify_congruence(T: LinearMap, tol: float = 1e-9) -> CongruenceClass:
 def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
                      tol: float = 1e-9,
                      unitaries: list[LinearMap] | None = None) -> SymmetryVerdict:
-    """Invariance under Haar unitaries, one fresh sample pair per unitary."""
+    """Invariance under Haar unitaries, one fresh sample pair per unitary.
+
+    The pairs come from sample_pairs, the unitaries are applied in one
+    stacked matmul and each side is one eval_batch call.  Every pair counts;
+    a unitary that takes a base point out of the domain is an
+    OutOfDomainError.
+    """
     rng = np.random.default_rng(seed)
     us = unitaries if unitaries is not None else [
         random_unitary(spec.dim, spec.field, int(s)) for s in rng.integers(2 ** 31, size=n_unitaries)]
     if not us:
         raise ValueError("the invariance suite needs at least one unitary")
-    max_dev, witness = 0.0, None
     for u in us:
-        g = random_vector_with_norm(spec.dim, spec.field, sample_radius(spec.domain, rng), rng)
-        h = random_gaussian_vector(spec.dim, spec.field, rng)
-        base = eval_finsler(spec, g, h)
-        dev = abs(eval_finsler(spec, apply_map(u, g), apply_map(u, h)) - base) / (1.0 + abs(base))
-        if dev > max_dev:
-            max_dev, witness = dev, (g, h)
-    ok = max_dev <= tol
-    return SymmetryVerdict(ok, max_dev, None if ok else witness, len(us), 0)
+        _check_map(u, spec)
+    U = np.stack([u.entries for u in us])
+    G, H = sample_pairs(spec, len(us), rng)
+    dev, inside = _deviations(spec, G, H, (U @ G[:, :, None])[:, :, 0],
+                              (U @ H[:, :, None])[:, :, 0])
+    if not inside.all():
+        raise OutOfDomainError("a unitary of the suite maps a base point out of the domain")
+    return _verdict(spec, G, H, dev, tol, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +152,8 @@ class ProbeReport:
     controls_passed: bool
     control_worst_deviation: float
     vacuous: bool
+    map_samples: int                  # samples_used summed over the maps
+    control_samples: int              # and over the controls
 
 
 def _random_noncongruence(dim: int, field: Field, rng: np.random.Generator,
@@ -155,12 +170,8 @@ def _random_noncongruence(dim: int, field: Field, rng: np.random.Generator,
 
 
 def _spec_is_vacuous(spec: MetricSpec, rng: np.random.Generator, n: int = 32) -> bool:
-    for _ in range(n):
-        g = random_vector_with_norm(spec.dim, spec.field, sample_radius(spec.domain, rng), rng)
-        h = random_gaussian_vector(spec.dim, spec.field, rng)
-        if abs(eval_finsler(spec, g, h)) > 1e-12:
-            return False
-    return True
+    values, _ = eval_batch(spec, *sample_pairs(spec, n, rng))
+    return not (np.abs(values) > 1e-12).any()
 
 
 def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int = 40,
@@ -181,35 +192,37 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     root = np.random.SeedSequence(seed)
     map_seeds, control_seeds, aux = root.spawn(n_maps), root.spawn(n_controls), root.spawn(1)[0]
     if _spec_is_vacuous(spec, np.random.default_rng(aux)):
-        return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True)
+        return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True,
+                           map_samples=0, control_samples=0)
 
-    def probe_map(ss) -> tuple[float, LinearMap]:
+    def probe_map(ss) -> tuple[SymmetryVerdict, LinearMap]:
         rng = np.random.default_rng(ss)
         T = _random_noncongruence(spec.dim, spec.field, rng, min_sv_ratio)
-        v = is_symmetry(T, spec, n_samples, seed=int(rng.integers(2 ** 31)), tol=deviation_threshold)
-        return v.max_deviation, T
+        return is_symmetry(T, spec, n_samples, seed=int(rng.integers(2 ** 31)),
+                           tol=deviation_threshold), T
 
-    def probe_control(ss) -> float:
+    def probe_control(ss) -> SymmetryVerdict:
         rng = np.random.default_rng(ss)
         u = random_unitary(spec.dim, spec.field, int(rng.integers(2 ** 31)))
         c = float(np.exp(rng.uniform(-np.log(2.0), np.log(2.0)))) if spec.congruence_invariant else 1.0
         T = LinearMap(c * u.entries, spec.field)
-        v = is_symmetry(T, spec, n_samples, seed=int(rng.integers(2 ** 31)), tol=control_tol)
-        return v.max_deviation
+        return is_symmetry(T, spec, n_samples, seed=int(rng.integers(2 ** 31)), tol=control_tol)
 
     map_results = [probe_map(ss) for ss in map_seeds]
-    control_devs = [probe_control(ss) for ss in control_seeds]
-    weakest_dev, weakest_map = min(map_results, key=lambda t: t[0])
-    control_worst = max(control_devs) if control_devs else 0.0
+    controls = [probe_control(ss) for ss in control_seeds]
+    weakest, weakest_map = min(map_results, key=lambda t: t[0].max_deviation)
+    control_worst = max((v.max_deviation for v in controls), default=0.0)
     return ProbeReport(
         maps_tested=len(map_results),
-        all_failed=weakest_dev > deviation_threshold,
-        weakest_deviation=weakest_dev,
+        all_failed=weakest.max_deviation > deviation_threshold,
+        weakest_deviation=weakest.max_deviation,
         weakest_map=weakest_map,
-        controls_tested=len(control_devs),
+        controls_tested=len(controls),
         controls_passed=control_worst <= control_tol,
         control_worst_deviation=control_worst,
         vacuous=False,
+        map_samples=sum(v.samples_used for v, _ in map_results),
+        control_samples=sum(v.samples_used for v in controls),
     )
 
 

@@ -321,11 +321,15 @@ def singular_values(T: LinearMap) -> np.ndarray:
     return np.linalg.svd(T.entries, compute_uv=False)
 
 
-def random_gaussian_vector(dim: int, field: Field, rng: np.random.Generator) -> Vector:
+def random_gaussian_rows(n: int, dim: int, field: Field, rng: np.random.Generator) -> np.ndarray:
+    """An (n, dim) array of standard Gaussian entries over the field."""
     if field is Field.REAL:
-        return Vector(rng.standard_normal(dim), field)
-    a = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
-    return Vector(a, field)
+        return rng.standard_normal((n, dim))
+    return (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))) / np.sqrt(2.0)
+
+
+def random_gaussian_vector(dim: int, field: Field, rng: np.random.Generator) -> Vector:
+    return Vector(random_gaussian_rows(1, dim, field, rng)[0], field)
 
 
 def random_vector_with_norm(dim: int, field: Field, r: float,

@@ -6,7 +6,8 @@ Fubini-Study, the dim-2 area metric, the norm quotient) or a zero extension.
 eval_finsler forms the invariants r = |g|, ip = <h, g> and q once; each family
 is a function of them (p = |ip|, |h| = hypot(p, q)/r, angle atan2(q, p)), and
 only Custom and ZeroExtended see vectors.  eval_batch does the same for the
-rows of two arrays in one pass.  Pointwise criteria live here too.
+rows of two arrays in one pass, and sample_pairs draws such rows.  Pointwise
+criteria live here too.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .linalg import (
     norm,
     pair_invariants,
     pair_invariants_rows,
+    random_gaussian_rows,
     random_gaussian_vector,
     random_vector_with_norm,
     row_norms,
@@ -81,15 +83,42 @@ class RadiusDomain:
                             self.includes_zero)
 
 
-def sample_radius(domain: RadiusDomain, rng: np.random.Generator) -> float:
-    """A reproducible radius strictly inside one of the domain's intervals."""
-    lo, hi = domain.intervals[int(rng.integers(len(domain.intervals)))]
+def _radius_range(lo: float, hi: float) -> tuple[float, float, bool]:
+    """Where a radius in the interval (lo, hi) is drawn: uniformly in (a, b),
+    or log-uniformly (a and b are then logarithms) when hi is infinite."""
     if math.isfinite(hi):
         pad = 0.01 * (hi - lo)
-        return float(rng.uniform(lo + pad, hi - pad))
+        return lo + pad, hi - pad, False
     lo_eff = lo * 1.01 if lo > 0.0 else 0.05
-    hi_eff = max(8.0, 4.0 * lo_eff)
-    return float(math.exp(rng.uniform(math.log(lo_eff), math.log(hi_eff))))
+    return math.log(lo_eff), math.log(max(8.0, 4.0 * lo_eff)), True
+
+
+def sample_radius(domain: RadiusDomain, rng: np.random.Generator) -> float:
+    """A reproducible radius strictly inside one of the domain's intervals."""
+    a, b, log_scale = _radius_range(*domain.intervals[int(rng.integers(len(domain.intervals)))])
+    x = float(rng.uniform(a, b))
+    return math.exp(x) if log_scale else x
+
+
+def sample_pairs(spec: MetricSpec, n: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n pairs (g, h) as the rows of two (n, dim) arrays of the spec's dtype.
+
+    |g| is drawn inside the domain by sample_radius's rules, g's direction and
+    h are Gaussian.  The draws are batched, so a seed gives other points than
+    n calls of sample_radius and random_vector_with_norm would.
+    """
+    ranges = np.array([_radius_range(lo, hi) for lo, hi in spec.domain.intervals])
+    a, b, log_scale = ranges[rng.integers(len(ranges), size=n)].T
+    radii = rng.uniform(a, b)
+    np.exp(radii, out=radii, where=log_scale != 0.0)
+    G = random_gaussian_rows(n, spec.dim, spec.field, rng)
+    norms = row_norms(G)
+    while (short := norms < 1e-12).any():  # astronomically unlikely; resample for safety
+        G[short] = random_gaussian_rows(int(short.sum()), spec.dim, spec.field, rng)
+        norms = row_norms(G)
+    G *= (radii / norms)[:, None]
+    return G, random_gaussian_rows(n, spec.dim, spec.field, rng)
 
 
 def domain_grid(domain: RadiusDomain, points_per_interval: int = 4) -> list[float]:
@@ -115,6 +144,7 @@ class SymLambdaProfile:
     fn: Callable[[float, float, float], float]
     alpha: float = 1.0
     expr_text: str | None = None
+    fn_rows: Callable[..., np.ndarray] | None = None  # fn over arrays; None for a bare callable
 
 
 @dataclass(frozen=True)
@@ -123,6 +153,7 @@ class ThetaProfile:
 
     fn: Callable[[float, float], float]
     expr_text: str | None = None
+    fn_rows: Callable[..., np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -131,6 +162,7 @@ class NonSymLambdaProfile:
 
     fn: Callable[[float, complex, float], float]
     expr_text: str | None = None
+    fn_rows: Callable[..., np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -142,31 +174,41 @@ class RiemannProfile:
     domain: RadiusDomain = RadiusDomain.positive()
     phi_expr: str | None = None
     psi_expr: str | None = None
+    phi_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    psi_rows: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _compiled(text: str, names: tuple[str, ...]):
+    """The scalar and the array callable of one profile text."""
+    return expressions.compile_positional(text, names), expressions.compile_rows(text, names)
 
 
 def lambda_profile(text: str, alpha: float = 1.0) -> SymLambdaProfile:
-    return SymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")), alpha, text)
+    fn, rows = _compiled(text, ("r", "p", "q"))
+    return SymLambdaProfile(fn, alpha, text, rows)
 
 
 def theta_profile(text: str) -> ThetaProfile:
-    return ThetaProfile(expressions.compile_positional(text, ("r", "tau")), text)
+    fn, rows = _compiled(text, ("r", "tau"))
+    return ThetaProfile(fn, text, rows)
 
 
 def nonsym_lambda_profile(text: str, field: Field) -> NonSymLambdaProfile:
     if field is Field.REAL:
-        return NonSymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")), text)
+        fn, rows = _compiled(text, ("r", "p", "q"))
+        return NonSymLambdaProfile(fn, text, rows)
     # Complex p enters the expression as the real pair (pre, pim).
-    fn = expressions.compile_positional(text, ("r", "pre", "pim", "q"))
-    return NonSymLambdaProfile(lambda r, p, q: fn(r, p.real, p.imag, q), text)
+    fn, rows = _compiled(text, ("r", "pre", "pim", "q"))
+    return NonSymLambdaProfile(lambda r, p, q: fn(r, p.real, p.imag, q), text,
+                               lambda r, p, q: rows(r, p.real, p.imag, q))
 
 
 def riemann_profile(phi_text: str, psi_text: str,
                     domain: RadiusDomain | None = None) -> RiemannProfile:
-    return RiemannProfile(
-        expressions.compile_positional(phi_text, ("r",)),
-        expressions.compile_positional(psi_text, ("r",)),
-        domain if domain is not None else RadiusDomain.positive(),
-        phi_text, psi_text)
+    phi, phi_rows = _compiled(phi_text, ("r",))
+    psi, psi_rows = _compiled(psi_text, ("r",))
+    return RiemannProfile(phi, psi, domain if domain is not None else RadiusDomain.positive(),
+                          phi_text, psi_text, phi_rows, psi_rows)
 
 
 def congruence_invariant_riemann(a: float, b: float) -> RiemannProfile:
@@ -218,9 +260,9 @@ class MetricSpec:
     def _values(self, r: np.ndarray, ip: np.ndarray, q: np.ndarray,
                 G: np.ndarray, H: np.ndarray) -> np.ndarray:
         """rho on rows whose base points lie in the domain, from their
-        invariants.  This default goes row by row through _eval; Euclidean,
-        Fubini-Study, congruence-invariant and area override it with one
-        numpy expression."""
+        invariants.  This default goes row by row through _eval, for Custom,
+        ZeroExtended and profiles given as bare callables; every other
+        family is one numpy expression, its profile compiled to arrays."""
         f = self.field
         return np.array([self._eval(Vector(g, f), Vector(h, f), x)
                          for g, h, x in zip(G, H, r.tolist())], dtype=float)
@@ -256,6 +298,17 @@ class FubiniStudy(MetricSpec):
         return q / (r * r)
 
 
+def _where_nonzero(nh: np.ndarray, value: Callable) -> np.ndarray:
+    """value(k) on the rows k with |h| != 0 and 0 on the others, where the
+    scalar forms return 0 without calling the profile."""
+    if nh.all():
+        return value(slice(None))
+    out = np.zeros(nh.shape)
+    k = nh != 0.0
+    out[k] = value(k)
+    return out
+
+
 @dataclass(frozen=True)
 class FromLambda(MetricSpec):
     profile: SymLambdaProfile
@@ -263,6 +316,11 @@ class FromLambda(MetricSpec):
 
     def _value(self, r, ip, q):
         return float(self.profile.fn(r, abs(ip), q))
+
+    def _values(self, r, ip, q, G, H):
+        if self.profile.fn_rows is None:
+            return super()._values(r, ip, q, G, H)
+        return self.profile.fn_rows(r, np.abs(ip), q)
 
 
 @dataclass(frozen=True)
@@ -275,6 +333,14 @@ class FromTheta(MetricSpec):
         nh = math.hypot(p, q) / r
         return 0.0 if nh == 0.0 else nh * float(self.profile.fn(r, math.atan2(q, p)))
 
+    def _values(self, r, ip, q, G, H):
+        fn = self.profile.fn_rows
+        if fn is None:
+            return super()._values(r, ip, q, G, H)
+        p = np.abs(ip)
+        nh = np.hypot(p, q) / r
+        return _where_nonzero(nh, lambda k: nh[k] * fn(r[k], np.arctan2(q[k], p[k])))
+
 
 @dataclass(frozen=True)
 class FromNonSymLambda(MetricSpec):
@@ -283,6 +349,11 @@ class FromNonSymLambda(MetricSpec):
 
     def _value(self, r, ip, q):
         return float(self.profile.fn(r, ip, q))
+
+    def _values(self, r, ip, q, G, H):
+        if self.profile.fn_rows is None:
+            return super()._values(r, ip, q, G, H)
+        return self.profile.fn_rows(r, ip, q)
 
 
 @dataclass(frozen=True)
@@ -300,6 +371,14 @@ class FromRiemann(MetricSpec):
             return 0.0
         return math.copysign(math.sqrt(abs(v)), v)
 
+    def _values(self, r, ip, q, G, H):
+        phi, psi = self.profile.phi_rows, self.profile.psi_rows
+        if phi is None or psi is None:
+            return super()._values(r, ip, q, G, H)
+        r2, p2 = r * r, np.abs(ip) ** 2
+        v = phi(r2) * (p2 + q * q) / r2 + psi(r2) * p2
+        return np.where(v == 0.0, 0.0, np.copysign(np.sqrt(np.abs(v)), v))
+
 
 @dataclass(frozen=True)
 class CongruenceInvariant(MetricSpec):
@@ -307,6 +386,7 @@ class CongruenceInvariant(MetricSpec):
 
     vartheta: Callable[[float], float]
     vartheta_expr: str | None = None
+    vartheta_rows: Callable[[np.ndarray], np.ndarray] | None = None
     family: ClassVar[str] = "congruence-invariant"
     congruence_invariant: ClassVar[bool] = True
 
@@ -316,11 +396,12 @@ class CongruenceInvariant(MetricSpec):
         return 0.0 if nh == 0.0 else (nh / r) * float(self.vartheta(math.atan2(q, p)))
 
     def _values(self, r, ip, q, G, H):
+        fn = self.vartheta_rows
+        if fn is None:
+            return super()._values(r, ip, q, G, H)
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
-        tau = np.arctan2(q, p).tolist()
-        angular = [float(self.vartheta(t)) if n else 0.0 for t, n in zip(tau, nh.tolist())]
-        return (nh / r) * np.array(angular)
+        return _where_nonzero(nh, lambda k: (nh[k] / r[k]) * fn(np.arctan2(q[k], p[k])))
 
 
 @dataclass(frozen=True)
@@ -397,7 +478,8 @@ def fubini_study(dim: int, field: Field = Field.REAL) -> FubiniStudy:
 
 def norm_quotient(dim: int, field: Field = Field.REAL) -> CongruenceInvariant:
     return CongruenceInvariant(dim, field, RadiusDomain.positive(),
-                               vartheta=lambda tau: 1.0, vartheta_expr="1")
+                               vartheta=lambda tau: 1.0, vartheta_expr="1",
+                               vartheta_rows=lambda tau: np.ones(tau.shape))
 
 
 def area_dim2(b: float = 1.0, field: Field = Field.REAL) -> AreaDim2:
@@ -487,18 +569,13 @@ def induced_finsler(profile: RiemannProfile, dim: int, field: Field = Field.REAL
     when any sampled v is negative, i.e. the profile is not positive
     semi-definite there.
     """
-    domain = profile.domain.sqrt_image()
-    spec = FromRiemann(dim, field, domain, profile)
-    rng = np.random.default_rng(seed)
-    for _ in range(n_probe):
-        g = random_vector_with_norm(dim, field, sample_radius(domain, rng), rng)
-        h = random_gaussian_vector(dim, field, rng)
-        r = norm(g)
-        # sign(v) sqrt|v| < -1e-6 exactly when v < -1e-12.
-        if spec._value(r, *pair_invariants(g, h, r)) < -1e-6:
-            warnings.warn("sesquilinear profile takes negative values; induced "
-                          "metric uses sign(v) sqrt|v|", RuntimeWarning, stacklevel=2)
-            return replace(spec, indefinite_warning=True)
+    spec = FromRiemann(dim, field, profile.domain.sqrt_image(), profile)
+    values, _ = eval_batch(spec, *sample_pairs(spec, n_probe, np.random.default_rng(seed)))
+    # sign(v) sqrt|v| < -1e-6 exactly when v < -1e-12.
+    if (values < -1e-6).any():
+        warnings.warn("sesquilinear profile takes negative values; induced "
+                      "metric uses sign(v) sqrt|v|", RuntimeWarning, stacklevel=2)
+        return replace(spec, indefinite_warning=True)
     return spec
 
 
@@ -565,33 +642,27 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
                                seed: int = 0, tol: float = 1e-10) -> HomothetyVerdict:
     """Test rho_{alpha g}(alpha h) = rho_g(h) on seeded samples.
 
+    The pairs come from sample_pairs and each side is one eval_batch call.
     Samples whose scaled radius leaves the domain are skipped and counted;
-    the check fails loudly if every sample is skipped.
+    the check fails loudly if every sample is skipped.  The witness is the
+    first sample with the largest deviation.
     """
     if alpha <= 0.0 or alpha == 1.0:
         raise ValueError("alpha must be positive and != 1")
     if n_samples < 1:
         raise ValueError("the homothety check needs at least one sample")
-    rng = np.random.default_rng(seed)
-    max_dev, witness, used, skipped = 0.0, None, 0, 0
-    for _ in range(n_samples):
-        r = sample_radius(spec.domain, rng)
-        if not spec.domain.contains(alpha * r):
-            skipped += 1
-            continue
-        g = random_vector_with_norm(spec.dim, spec.field, r, rng)
-        h = random_gaussian_vector(spec.dim, spec.field, rng)
-        base = eval_finsler(spec, g, h)
-        mapped = eval_finsler(spec, Vector(alpha * g.entries, g.field),
-                              Vector(alpha * h.entries, h.field))
-        dev = abs(mapped - base)
-        if dev > max_dev:
-            max_dev, witness = dev, (g, h)
-        used += 1
+    G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
+    base, _ = eval_batch(spec, G, H)
+    mapped, kept = eval_batch(spec, alpha * G, alpha * H)
+    used = int(kept.sum())
     if used == 0:
         raise ValueError("all samples skipped: alpha * R does not meet R on the sampler")
+    dev = np.where(kept, np.abs(mapped - base), 0.0)
+    k = int(np.argmax(dev))
+    max_dev = float(dev[k])
     ok = max_dev <= tol
-    return HomothetyVerdict(ok, max_dev, None if ok else witness, used, skipped)
+    witness = None if ok else (Vector(G[k], spec.field), Vector(H[k], spec.field))
+    return HomothetyVerdict(ok, max_dev, witness, used, n_samples - used)
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +806,8 @@ def spec_from_json(obj: dict) -> MetricSpec:
         profile = riemann_profile(params["phi"], params["psi"], domain.squared())
         return replace(induced_finsler(profile, dim, field), domain=domain)
     if family == "congruence-invariant":
-        return CongruenceInvariant(
-            dim, field, domain, expressions.compile_positional(params["vartheta"], ("tau",)),
-            params["vartheta"])
+        vartheta, rows = _compiled(params["vartheta"], ("tau",))
+        return CongruenceInvariant(dim, field, domain, vartheta, params["vartheta"], rows)
     if family == "area":
         return AreaDim2(dim, field, domain, float(params.get("b", 1.0)))
     if family == "zero-extended":

@@ -6,6 +6,7 @@ import heapq
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
@@ -54,6 +55,55 @@ def probe_battery(dim: int, field: la.Field) -> list[tuple[str, mm.MetricSpec]]:
     """The symmetric specs the congruence-theorem probe runs over."""
     return [(name, spec) for name, spec in battery(dim, field)
             if name not in ("nonsym", "area")]
+
+
+def family_specs(dim: int, field: la.Field) -> list[mm.MetricSpec]:
+    """Every family: the expression-backed ones, which evaluate rows through
+    compiled array profiles, the same families over bare callables, which go
+    row by row, a custom metric and a zero extension."""
+    R = la.Field.REAL
+    nonsym_text = "sqrt(p^2+q^2)+0.5*p" if field is R else "sqrt(pre^2+pim^2+q^2)+0.5*pre"
+    specs = [
+        mm.euclidean(dim, field),
+        mm.fubini_study(dim, field),
+        mm.norm_quotient(dim, field),
+        mm.spec_from_json({"family": "congruence-invariant", "dim": dim, "field": field.value,
+                           "params": {"vartheta": "1+sin(tau)^2"}}),
+        mm.CongruenceInvariant(dim, field, POS, lambda tau: 1.0 + math.sin(tau) ** 2),
+        mm.FromLambda(dim, field, POS, mm.lambda_profile("sqrt(p^2+2*q^2)/r")),
+        mm.FromLambda(dim, field, POS, mm.lambda_profile(
+            "max(p,q)+min(p,q)^2/(p+q+r)+exp(0-r)*log(1+q)*tan(0.5)")),
+        mm.FromLambda(dim, field, POS,
+                      mm.SymLambdaProfile(lambda r, p, q: math.sqrt(p * p + 2 * q * q) / r)),
+        mm.FromTheta(dim, field, POS, mm.theta_profile("1+cos(tau)")),
+        mm.FromTheta(dim, field, POS, mm.theta_profile("(2+sin(tau)^3)*exp(0-r)")),
+        mm.FromTheta(dim, field, POS, mm.ThetaProfile(theta_angular)),
+        mm.FromNonSymLambda(dim, field, POS, mm.nonsym_lambda_profile(nonsym_text, field)),
+        mm.FromNonSymLambda(dim, field, POS, mm.NonSymLambdaProfile(nonsym_lambda)),
+        mm.induced_finsler(mm.riemann_profile("1+r", "1"), dim, field),
+        mm.induced_finsler(mm.congruence_invariant_riemann(1.0, 0.5), dim, field),
+        mm.Custom(dim, field, POS, fn=lambda g, h: la.norm(h) * (1.0 + abs(complex(g.entries[0])))),
+        mm.zero_extended(2.0, mm.euclidean(dim, field)),
+    ]
+    if dim == 2:
+        specs.append(mm.area_dim2(1.5, field))
+    return specs
+
+
+_UNARY = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "-")
+
+
+def expression_texts(names):
+    """Expression texts over names: numbers, variables, every operator and
+    function, up to 8 leaves."""
+    leaves = st.sampled_from(names) | st.sampled_from(("0", "0.5", "1", "2", "1e-3", "1e3"))
+
+    def extend(sub):
+        return (st.tuples(sub, st.sampled_from("+-*/^"), sub).map(lambda t: "({}{}{})".format(*t))
+                | st.tuples(st.sampled_from(_UNARY), sub).map(lambda t: "{}({})".format(*t))
+                | st.tuples(st.sampled_from(("min", "max")), sub, sub)
+                .map(lambda t: "{}({},{})".format(*t)))
+    return st.recursive(leaves, extend, max_leaves=8)
 
 
 def sample_pair(spec: mm.MetricSpec, rng: np.random.Generator):

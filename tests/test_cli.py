@@ -4,6 +4,7 @@ import math
 import pytest
 
 from finsler_iso import cli
+from finsler_iso import invariance as iv
 from finsler_iso import metrics as mm
 
 
@@ -217,6 +218,22 @@ def test_probe_main_rejects_zero_maps(capsys):
                        (("area", "--dim", "2", "--sl2", "5", "--samples", "0"), "--samples")):
         code, out, err = run(capsys, "probe-main", "--metric", *argv)
         assert code == 2 and out == "" and flag in err, argv
+
+
+def test_probe_main_of_a_zero_metric_is_usage_error(capsys):
+    # theta:0 is 0 on every pair, so no map can fail: the probe tests 0 maps
+    code, out, err = run(capsys, "probe-main", "--metric", "theta:0", "--dim", "3",
+                         "--maps", "10")
+    assert code == 2 and out == "" and "tests nothing" in err
+
+
+def test_probe_main_reports_sample_counts(capsys):
+    code, out, _ = run(capsys, "probe-main", "--metric", "euclidean", "--dim", "3",
+                       "--maps", "10", "--samples", "20", "--seed", "3")
+    report = iv.congruence_theorem_probe(mm.euclidean(3), n_maps=10, n_samples=20, seed=3)
+    obj = json.loads(out)
+    assert code == 0 and obj["map_samples"] == report.map_samples
+    assert obj["control_samples"] == report.control_samples == 100 * 20
 
 
 def test_probe_main_sl2_tests_only_the_real_positive_area_metric(capsys, tmp_path):

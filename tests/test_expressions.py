@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finsler_iso.expressions import (
     EvalError,
     ParseError,
+    compile_rows,
     evaluate,
     parse,
     to_string,
 )
+from helpers import expression_texts
 
 VARS = {"r", "p", "q", "tau", "x", "y"}
 
@@ -143,3 +147,44 @@ def test_fuzz_never_crashes():
             assert isinstance(err.offset, int)
         else:
             assert expr is not None
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation against the scalar evaluator
+
+@st.composite
+def _row_cases(draw):
+    names = draw(st.sampled_from([("r",), ("r", "tau"), ("r", "p", "q"), ("r", "pre", "pim", "q")]))
+    text = draw(expression_texts(names))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(*[finite] * len(names)), min_size=1, max_size=6))
+    return text, names, rows
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_row_cases())
+@example(("min(1,sin(exp(1000)))", ("r",), [(0.5,), (2.0,)]))
+@example(("min(1,exp(1000)-exp(1000))", ("r",), [(0.5,), (2.0,)]))
+@example(("max(exp(1000)-exp(1000),1)", ("r",), [(0.5,)]))
+@example(("(0-2)^exp(1000)", ("r",), [(1.0,)]))
+@example(("(0-10)^r", ("r",), [(309.0,), (2.0,)]))
+@example(("log(r)", ("r",), [(2.0,), (-1.0,), (3.0,)]))
+def test_compile_rows_matches_evaluate(case):
+    """Element i equals evaluate on row i bit for bit (so within any relative
+    tolerance), and the call raises EvalError exactly when some row does."""
+    text, names, rows = case
+    expr = parse(text, names)
+    want, raised = [], False
+    for row in rows:
+        try:
+            want.append(evaluate(expr, dict(zip(names, row))))
+        except EvalError:
+            raised = True
+    columns = [np.array(col) for col in zip(*rows)]
+    if raised:
+        with pytest.raises(EvalError):
+            compile_rows(text, names)(*columns)
+        return
+    got = compile_rows(text, names)(*columns)
+    assert got.shape == (len(rows),)
+    assert got.tolist() == want

@@ -7,7 +7,7 @@ from finsler_iso import invariance as iv
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 from finsler_iso.errors import MismatchError
-from helpers import POS, probe_battery, theta_angular
+from helpers import POS, family_specs, probe_battery, theta_angular
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 
@@ -193,3 +193,110 @@ def test_probe_report_serializes():
     assert obj["verdict"] == "not-symmetry"
     assert obj["witness"] is not None
 
+
+
+# ---------------------------------------------------------------------------
+# Batched checks against the per-pair loops they replace
+
+def _scalar_symmetry(spec, G, H, TG, TH, tol, exit_early):
+    """The per-pair symmetry loop over given rows: (verdict, max deviation,
+    witness rows, samples used, skipped)."""
+    vec = lambda row: la.Vector(row, spec.field)  # noqa: E731
+    max_dev, witness, used, skipped = 0.0, None, 0, 0
+    for g, h, tg, th in zip(G, H, TG, TH):
+        base = mm.eval_finsler(spec, vec(g), vec(h))
+        used += 1
+        if not spec.domain.contains(la.norm(vec(tg))):
+            max_dev, witness, skipped = math.inf, (g, h), 1
+            break
+        dev = abs(mm.eval_finsler(spec, vec(tg), vec(th)) - base) / (1.0 + abs(base))
+        if dev > max_dev:
+            max_dev, witness = dev, (g, h)
+        if exit_early and dev > 1e3 * tol:
+            break
+    ok = skipped == 0 and max_dev <= tol
+    return ok, max_dev, None if ok else witness, used, skipped
+
+
+def _scalar_homothety(spec, G, H, alpha, tol):
+    vec = lambda row: la.Vector(row, spec.field)  # noqa: E731
+    max_dev, witness, used = 0.0, None, 0
+    for g, h in zip(G, H):
+        if not spec.domain.contains(la.norm(vec(alpha * g))):
+            continue
+        base = mm.eval_finsler(spec, vec(g), vec(h))
+        dev = abs(mm.eval_finsler(spec, vec(alpha * g), vec(alpha * h)) - base)
+        if dev > max_dev:
+            max_dev, witness = dev, (g, h)
+        used += 1
+    ok = max_dev <= tol
+    return ok, max_dev, None if ok else witness, used, len(G) - used
+
+
+def _assert_same(verdict, want, name):
+    ok, max_dev, witness, used, skipped = want
+    got_ok = verdict.invariant if isinstance(verdict, mm.HomothetyVerdict) else verdict.is_symmetry
+    assert (got_ok, verdict.samples_used, verdict.skipped) == (ok, used, skipped), name
+    # on a symmetry the deviation is rounding noise, held to 1e-14 absolute
+    assert verdict.max_deviation == pytest.approx(max_dev, rel=1e-12, abs=1e-14), name
+    if witness is None:
+        assert verdict.witness is None, name
+    else:
+        assert np.array_equal(verdict.witness[0].entries, witness[0]), name
+        assert np.array_equal(verdict.witness[1].entries, witness[1]), name
+
+
+def _maps(dim, field, seed):
+    u = la.random_unitary(dim, field, seed)
+    stretch = np.diag(np.linspace(1.0, 1.02, dim))  # deviations near 1e-2: exits at tol 1e-5
+    return {"unitary": u, "2-unitary": la.LinearMap(2.0 * u.entries, field),
+            "1.3-unitary": la.LinearMap(1.3 * u.entries, field),  # leaves (1, 2) part way
+            "stretch": la.LinearMap(u.entries @ stretch, field)}
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batched_checks_equal_the_scalar_loop(dim, field):
+    bounded = mm.RadiusDomain(((1.0, 2.0),))
+    # a step metric: many rows tie at the largest deviation, and the witness is the first
+    step = mm.Custom(dim, field, POS, fn=lambda g, h: 0.005 * float(g.entries[0].real > 0))
+    specs = family_specs(dim, field) + [mm.Euclidean(dim, field, bounded),
+                                        mm.CongruenceInvariant(dim, field, bounded,
+                                                               lambda tau: 1.0, "1"), step]
+    for i, spec in enumerate(specs):
+        name = f"{spec.family}#{i}"
+        for label, T in _maps(dim, field, 100 + i).items():
+            for tol in (1e-9, 1e-5):
+                G, H = mm.sample_pairs(spec, 30, np.random.default_rng(i))
+                M = T.entries.T
+                want = _scalar_symmetry(spec, G, H, G @ M, H @ M, tol, exit_early=True)
+                _assert_same(iv.is_symmetry(T, spec, 30, seed=i, tol=tol), want, (name, label, tol))
+        us = [la.random_unitary(dim, field, 1000 * i + k) for k in range(20)]
+        G, H = mm.sample_pairs(spec, len(us), np.random.default_rng(i))
+        U = np.stack([u.entries for u in us])
+        want = _scalar_symmetry(spec, G, H, (U @ G[:, :, None])[:, :, 0],
+                                (U @ H[:, :, None])[:, :, 0], 1e-9, exit_early=False)
+        _assert_same(iv.invariance_suite(spec, seed=i, unitaries=us), want, (name, "suite"))
+        G, H = mm.sample_pairs(spec, 30, np.random.default_rng(i))
+        want = _scalar_homothety(spec, G, H, 1.5, 1e-10)
+        _assert_same(mm.check_homothety_invariance(spec, 1.5, 30, seed=i), want, (name, "homothety"))
+
+
+def test_batched_checks_cover_domain_exits_and_skips():
+    # the cases the comparison above must include, checked directly
+    bounded = mm.RadiusDomain(((1.0, 2.0),))
+    quotient = mm.CongruenceInvariant(3, R, bounded, lambda tau: 1.0, "1")
+    v = iv.is_symmetry(la.LinearMap(1.3 * np.eye(3), R), quotient, 30, seed=1)
+    assert v.skipped == 1 and v.samples_used > 1 and v.max_deviation == math.inf
+    h = mm.check_homothety_invariance(mm.Euclidean(3, R, bounded), 1.5, 30, seed=1)
+    assert 0 < h.skipped < 30 and h.samples_used + h.skipped == 30
+    stretch = iv.is_symmetry(_maps(3, R, 100)["stretch"], mm.euclidean(3), 30, seed=1, tol=1e-5)
+    assert 1 < stretch.samples_used < 30 and not stretch.is_symmetry
+
+
+def test_probe_report_counts_samples():
+    report = iv.congruence_theorem_probe(mm.euclidean(3), n_maps=10, n_samples=20, seed=3,
+                                         n_controls=5)
+    assert (report.map_samples, report.control_samples) == (185, 100)
+    vacuous = iv.congruence_theorem_probe(mm.Custom(3, R, POS, fn=lambda g, h: 0.0), n_maps=5)
+    assert (vacuous.map_samples, vacuous.control_samples) == (0, 0)

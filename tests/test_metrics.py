@@ -9,7 +9,7 @@ from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 from finsler_iso.errors import MismatchError, OutOfDomainError
 from finsler_iso.expressions import EvalError, evaluate, parse
-from helpers import POS, battery, sample_pair
+from helpers import POS, battery, expression_texts, family_specs, sample_pair
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 
@@ -119,28 +119,6 @@ def test_isometry_invariance_sampled(field):
 # ---------------------------------------------------------------------------
 # Batched evaluation
 
-def _batch_specs(dim, field):
-    """Every family, the expression-backed ones included, plus a custom metric
-    and a zero extension."""
-    specs = [
-        mm.euclidean(dim, field),
-        mm.fubini_study(dim, field),
-        mm.norm_quotient(dim, field),
-        mm.spec_from_json({"family": "congruence-invariant", "dim": dim, "field": field.value,
-                           "params": {"vartheta": "1+sin(tau)^2"}}),
-        mm.FromLambda(dim, field, POS, mm.lambda_profile("sqrt(p^2+2*q^2)/r")),
-        mm.FromTheta(dim, field, POS, mm.theta_profile("1+cos(tau)")),
-        mm.FromNonSymLambda(dim, field, POS, mm.nonsym_lambda_profile(
-            "sqrt(p^2+q^2)+0.5*p" if field is R else "sqrt(pre^2+pim^2+q^2)+0.5*pre", field)),
-        mm.induced_finsler(mm.riemann_profile("1+r", "1"), dim, field),
-        mm.Custom(dim, field, POS, fn=lambda g, h: la.norm(h) * (1.0 + abs(complex(g.entries[0])))),
-        mm.zero_extended(2.0, mm.euclidean(dim, field)),
-    ]
-    if dim == 2:
-        specs.append(mm.area_dim2(1.5, field))
-    return specs
-
-
 def _batch_pairs(dim, field, rng):
     """Seeded pairs: generic, near-collinear, near-orthogonal."""
     G, H = [], []
@@ -164,7 +142,7 @@ def _batch_pairs(dim, field, rng):
 def test_eval_batch_rows_equal_eval_finsler(dim, field):
     rng = np.random.default_rng(40 + dim)
     G, H = _batch_pairs(dim, field, rng)
-    for spec in _batch_specs(dim, field):
+    for spec in family_specs(dim, field):
         rows_g, rows_h = G, H
         if spec.family == "zero-extended":  # the row at g = 0 takes rho_0(h) = b |h|
             rows_g, rows_h = np.vstack([G, np.zeros((1, dim), field.dtype)]), np.vstack([H, H[:1]])
@@ -173,6 +151,33 @@ def test_eval_batch_rows_equal_eval_finsler(dim, field):
         for g, h, got in zip(rows_g, rows_h, values):
             want = mm.eval_finsler(spec, la.Vector(g, field), la.Vector(h, field))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300), spec.family
+
+
+def test_sample_pairs_draw_inside_the_domain():
+    # (0.5, 1) is drawn uniformly in (0.505, 0.995); (3, inf) log-uniformly in (3.03, 12.12)
+    domain = mm.RadiusDomain(((0.5, 1.0), (3.0, math.inf)))
+    for field in (R, C):
+        spec = mm.Euclidean(4, field, domain)
+        G, H = mm.sample_pairs(spec, 400, np.random.default_rng(0))
+        assert G.shape == H.shape == (400, 4) and G.dtype == H.dtype == field.dtype
+        r = la.row_norms(G)
+        low, high = (0.505 - 1e-12 < r) & (r < 0.995 + 1e-12), (3.03 - 1e-12 < r) & (r < 12.12 + 1e-12)
+        assert (low | high).all() and low.sum() > 150 and high.sum() > 150
+        again = mm.sample_pairs(spec, 400, np.random.default_rng(0))
+        assert np.array_equal(G, again[0]) and np.array_equal(H, again[1])
+
+
+def test_eval_batch_skips_the_profile_where_h_is_zero():
+    # at h = 0 the scalar forms return 0 without calling theta or vartheta,
+    # which here would divide by tau = atan2(0, 0) = 0
+    G = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    H = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
+    for spec in (mm.FromTheta(3, R, POS, mm.theta_profile("1/tau")),
+                 mm.spec_from_json({"family": "congruence-invariant", "dim": 3, "field": "real",
+                                    "params": {"vartheta": "1/tau"}})):
+        values, _ = mm.eval_batch(spec, G, H)
+        want = [mm.eval_finsler(spec, la.vector(g), la.vector(h)) for g, h in zip(G, H)]
+        assert values[0] == values[2] == 0.0 and values.tolist() == pytest.approx(want, rel=1e-12)
 
 
 def test_eval_batch_mask_on_a_bounded_domain():
@@ -508,25 +513,11 @@ PROFILE_BUILDERS = {
     "vartheta": (("tau",), _vartheta),
 }
 
-_UNARY = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "-")
-
-
-def _expression_texts(names):
-    leaves = st.sampled_from(names) | st.sampled_from(("0", "0.5", "1", "2", "1e-3", "1e3"))
-
-    def extend(sub):
-        return (st.tuples(sub, st.sampled_from("+-*/^"), sub).map(lambda t: "({}{}{})".format(*t))
-                | st.tuples(st.sampled_from(_UNARY), sub).map(lambda t: "{}({})".format(*t))
-                | st.tuples(st.sampled_from(("min", "max")), sub, sub)
-                .map(lambda t: "{}({},{})".format(*t)))
-    return st.recursive(leaves, extend, max_leaves=8)
-
-
 @st.composite
 def _profile_cases(draw):
     kind = draw(st.sampled_from(sorted(PROFILE_BUILDERS)))
     names, _ = PROFILE_BUILDERS[kind]
-    text = draw(_expression_texts(names))
+    text = draw(expression_texts(names))
     values = draw(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * len(names)))
     return kind, text, values
 
