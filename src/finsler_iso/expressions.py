@@ -10,6 +10,7 @@ equal-shape arrays of bindings at once (compile_rows), with equal results.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -276,10 +277,12 @@ def _evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
     return max(args)
 
 
+@functools.lru_cache(maxsize=256)
 def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]:
     """Parse text once into a closure over equal-shape float arrays bound to
     names in order; element i of its result is evaluate(expr, bindings of
-    element i) exactly.
+    element i) exactly.  Cached: a profile's text compiles on its first
+    batch and is looked up after that.
 
     Every domain rule is a mask over the elements, and the call raises
     EvalError when any element would raise in evaluate.  Arithmetic is

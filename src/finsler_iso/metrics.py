@@ -144,7 +144,6 @@ class SymLambdaProfile:
     fn: Callable[[float, float, float], float]
     alpha: float = 1.0
     expr_text: str | None = None
-    fn_rows: Callable[..., np.ndarray] | None = None  # fn over arrays; None for a bare callable
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,6 @@ class ThetaProfile:
 
     fn: Callable[[float, float], float]
     expr_text: str | None = None
-    fn_rows: Callable[..., np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,6 @@ class NonSymLambdaProfile:
 
     fn: Callable[[float, complex, float], float]
     expr_text: str | None = None
-    fn_rows: Callable[..., np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -174,41 +171,31 @@ class RiemannProfile:
     domain: RadiusDomain = RadiusDomain.positive()
     phi_expr: str | None = None
     psi_expr: str | None = None
-    phi_rows: Callable[[np.ndarray], np.ndarray] | None = None
-    psi_rows: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def _compiled(text: str, names: tuple[str, ...]):
-    """The scalar and the array callable of one profile text."""
-    return expressions.compile_positional(text, names), expressions.compile_rows(text, names)
 
 
 def lambda_profile(text: str, alpha: float = 1.0) -> SymLambdaProfile:
-    fn, rows = _compiled(text, ("r", "p", "q"))
-    return SymLambdaProfile(fn, alpha, text, rows)
+    return SymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")), alpha, text)
 
 
 def theta_profile(text: str) -> ThetaProfile:
-    fn, rows = _compiled(text, ("r", "tau"))
-    return ThetaProfile(fn, text, rows)
+    return ThetaProfile(expressions.compile_positional(text, ("r", "tau")), text)
 
 
 def nonsym_lambda_profile(text: str, field: Field) -> NonSymLambdaProfile:
     if field is Field.REAL:
-        fn, rows = _compiled(text, ("r", "p", "q"))
-        return NonSymLambdaProfile(fn, text, rows)
+        return NonSymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")), text)
     # Complex p enters the expression as the real pair (pre, pim).
-    fn, rows = _compiled(text, ("r", "pre", "pim", "q"))
-    return NonSymLambdaProfile(lambda r, p, q: fn(r, p.real, p.imag, q), text,
-                               lambda r, p, q: rows(r, p.real, p.imag, q))
+    fn = expressions.compile_positional(text, ("r", "pre", "pim", "q"))
+    return NonSymLambdaProfile(lambda r, p, q: fn(r, p.real, p.imag, q), text)
 
 
 def riemann_profile(phi_text: str, psi_text: str,
                     domain: RadiusDomain | None = None) -> RiemannProfile:
-    phi, phi_rows = _compiled(phi_text, ("r",))
-    psi, psi_rows = _compiled(psi_text, ("r",))
-    return RiemannProfile(phi, psi, domain if domain is not None else RadiusDomain.positive(),
-                          phi_text, psi_text, phi_rows, psi_rows)
+    return RiemannProfile(
+        expressions.compile_positional(phi_text, ("r",)),
+        expressions.compile_positional(psi_text, ("r",)),
+        domain if domain is not None else RadiusDomain.positive(),
+        phi_text, psi_text)
 
 
 def congruence_invariant_riemann(a: float, b: float) -> RiemannProfile:
@@ -261,8 +248,9 @@ class MetricSpec:
                 G: np.ndarray, H: np.ndarray) -> np.ndarray:
         """rho on rows whose base points lie in the domain, from their
         invariants.  This default goes row by row through _eval, for Custom,
-        ZeroExtended and profiles given as bare callables; every other
-        family is one numpy expression, its profile compiled to arrays."""
+        ZeroExtended and profiles given as bare callables (no expression
+        text); every other family is one numpy expression, its profile text
+        compiled to arrays by expressions.compile_rows."""
         f = self.field
         return np.array([self._eval(Vector(g, f), Vector(h, f), x)
                          for g, h, x in zip(G, H, r.tolist())], dtype=float)
@@ -318,9 +306,9 @@ class FromLambda(MetricSpec):
         return float(self.profile.fn(r, abs(ip), q))
 
     def _values(self, r, ip, q, G, H):
-        if self.profile.fn_rows is None:
+        if self.profile.expr_text is None:
             return super()._values(r, ip, q, G, H)
-        return self.profile.fn_rows(r, np.abs(ip), q)
+        return expressions.compile_rows(self.profile.expr_text, ("r", "p", "q"))(r, np.abs(ip), q)
 
 
 @dataclass(frozen=True)
@@ -334,9 +322,9 @@ class FromTheta(MetricSpec):
         return 0.0 if nh == 0.0 else nh * float(self.profile.fn(r, math.atan2(q, p)))
 
     def _values(self, r, ip, q, G, H):
-        fn = self.profile.fn_rows
-        if fn is None:
+        if self.profile.expr_text is None:
             return super()._values(r, ip, q, G, H)
+        fn = expressions.compile_rows(self.profile.expr_text, ("r", "tau"))
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
         return _where_nonzero(nh, lambda k: nh[k] * fn(r[k], np.arctan2(q[k], p[k])))
@@ -351,9 +339,12 @@ class FromNonSymLambda(MetricSpec):
         return float(self.profile.fn(r, ip, q))
 
     def _values(self, r, ip, q, G, H):
-        if self.profile.fn_rows is None:
+        text = self.profile.expr_text
+        if text is None:
             return super()._values(r, ip, q, G, H)
-        return self.profile.fn_rows(r, ip, q)
+        if self.field is Field.REAL:
+            return expressions.compile_rows(text, ("r", "p", "q"))(r, ip, q)
+        return expressions.compile_rows(text, ("r", "pre", "pim", "q"))(r, ip.real, ip.imag, q)
 
 
 @dataclass(frozen=True)
@@ -372,11 +363,12 @@ class FromRiemann(MetricSpec):
         return math.copysign(math.sqrt(abs(v)), v)
 
     def _values(self, r, ip, q, G, H):
-        phi, psi = self.profile.phi_rows, self.profile.psi_rows
-        if phi is None or psi is None:
+        texts = (self.profile.phi_expr, self.profile.psi_expr)
+        if None in texts:
             return super()._values(r, ip, q, G, H)
         r2, p2 = r * r, np.abs(ip) ** 2
-        v = phi(r2) * (p2 + q * q) / r2 + psi(r2) * p2
+        phi, psi = (expressions.compile_rows(text, ("r",))(r2) for text in texts)
+        v = phi * (p2 + q * q) / r2 + psi * p2
         return np.where(v == 0.0, 0.0, np.copysign(np.sqrt(np.abs(v)), v))
 
 
@@ -386,7 +378,6 @@ class CongruenceInvariant(MetricSpec):
 
     vartheta: Callable[[float], float]
     vartheta_expr: str | None = None
-    vartheta_rows: Callable[[np.ndarray], np.ndarray] | None = None
     family: ClassVar[str] = "congruence-invariant"
     congruence_invariant: ClassVar[bool] = True
 
@@ -396,9 +387,9 @@ class CongruenceInvariant(MetricSpec):
         return 0.0 if nh == 0.0 else (nh / r) * float(self.vartheta(math.atan2(q, p)))
 
     def _values(self, r, ip, q, G, H):
-        fn = self.vartheta_rows
-        if fn is None:
+        if self.vartheta_expr is None:
             return super()._values(r, ip, q, G, H)
+        fn = expressions.compile_rows(self.vartheta_expr, ("tau",))
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
         return _where_nonzero(nh, lambda k: (nh[k] / r[k]) * fn(np.arctan2(q[k], p[k])))
@@ -478,8 +469,7 @@ def fubini_study(dim: int, field: Field = Field.REAL) -> FubiniStudy:
 
 def norm_quotient(dim: int, field: Field = Field.REAL) -> CongruenceInvariant:
     return CongruenceInvariant(dim, field, RadiusDomain.positive(),
-                               vartheta=lambda tau: 1.0, vartheta_expr="1",
-                               vartheta_rows=lambda tau: np.ones(tau.shape))
+                               vartheta=lambda tau: 1.0, vartheta_expr="1")
 
 
 def area_dim2(b: float = 1.0, field: Field = Field.REAL) -> AreaDim2:
@@ -645,7 +635,8 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
     The pairs come from sample_pairs and each side is one eval_batch call.
     Samples whose scaled radius leaves the domain are skipped and counted;
     the check fails loudly if every sample is skipped.  The witness is the
-    first sample with the largest deviation.
+    first sample with the largest deviation; a NaN deviation (rho infinite
+    at both points) counts as 0.
     """
     if alpha <= 0.0 or alpha == 1.0:
         raise ValueError("alpha must be positive and != 1")
@@ -657,7 +648,9 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
     used = int(kept.sum())
     if used == 0:
         raise ValueError("all samples skipped: alpha * R does not meet R on the sampler")
-    dev = np.where(kept, np.abs(mapped - base), 0.0)
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(mapped - base)
+    dev[~kept | np.isnan(dev)] = 0.0
     k = int(np.argmax(dev))
     max_dev = float(dev[k])
     ok = max_dev <= tol
@@ -806,8 +799,9 @@ def spec_from_json(obj: dict) -> MetricSpec:
         profile = riemann_profile(params["phi"], params["psi"], domain.squared())
         return replace(induced_finsler(profile, dim, field), domain=domain)
     if family == "congruence-invariant":
-        vartheta, rows = _compiled(params["vartheta"], ("tau",))
-        return CongruenceInvariant(dim, field, domain, vartheta, params["vartheta"], rows)
+        return CongruenceInvariant(
+            dim, field, domain, expressions.compile_positional(params["vartheta"], ("tau",)),
+            params["vartheta"])
     if family == "area":
         return AreaDim2(dim, field, domain, float(params.get("b", 1.0)))
     if family == "zero-extended":

@@ -12,6 +12,7 @@ from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 
 POS = mm.RadiusDomain.positive()
+OVERFLOWING_THETA = "exp(exp(2*r))"
 
 
 # Three fixed theta profiles.  All are smooth with vanishing tau-derivative
@@ -59,8 +60,9 @@ def probe_battery(dim: int, field: la.Field) -> list[tuple[str, mm.MetricSpec]]:
 
 def family_specs(dim: int, field: la.Field) -> list[mm.MetricSpec]:
     """Every family: the expression-backed ones, which evaluate rows through
-    compiled array profiles, the same families over bare callables, which go
-    row by row, a custom metric and a zero extension."""
+    compiled array profiles (one of them overflowing to inf), the same
+    families over bare callables, which go row by row, a custom metric and a
+    zero extension."""
     R = la.Field.REAL
     nonsym_text = "sqrt(p^2+q^2)+0.5*p" if field is R else "sqrt(pre^2+pim^2+q^2)+0.5*pre"
     specs = [
@@ -78,6 +80,8 @@ def family_specs(dim: int, field: la.Field) -> list[mm.MetricSpec]:
         mm.FromTheta(dim, field, POS, mm.theta_profile("1+cos(tau)")),
         mm.FromTheta(dim, field, POS, mm.theta_profile("(2+sin(tau)^3)*exp(0-r)")),
         mm.FromTheta(dim, field, POS, mm.ThetaProfile(theta_angular)),
+        # overflows to inf for r > 3.3, so both sides of a check can be inf
+        mm.FromTheta(dim, field, POS, mm.theta_profile(OVERFLOWING_THETA)),
         mm.FromNonSymLambda(dim, field, POS, mm.nonsym_lambda_profile(nonsym_text, field)),
         mm.FromNonSymLambda(dim, field, POS, mm.NonSymLambdaProfile(nonsym_lambda)),
         mm.induced_finsler(mm.riemann_profile("1+r", "1"), dim, field),

@@ -7,7 +7,7 @@ from finsler_iso import invariance as iv
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 from finsler_iso.errors import MismatchError
-from helpers import POS, family_specs, probe_battery, theta_angular
+from helpers import OVERFLOWING_THETA, POS, family_specs, probe_battery, theta_angular
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 
@@ -292,6 +292,21 @@ def test_batched_checks_cover_domain_exits_and_skips():
     assert 0 < h.skipped < 30 and h.samples_used + h.skipped == 30
     stretch = iv.is_symmetry(_maps(3, R, 100)["stretch"], mm.euclidean(3), 30, seed=1, tol=1e-5)
     assert 1 < stretch.samples_used < 30 and not stretch.is_symmetry
+
+
+def test_checks_pass_over_rows_where_rho_is_infinite():
+    # rho = inf at g and at Ug gives a NaN deviation, which does not fail a symmetry
+    spec = mm.FromTheta(3, R, POS, mm.theta_profile(OVERFLOWING_THETA))
+    G, H = mm.sample_pairs(spec, 200, np.random.default_rng(0))
+    values, _ = mm.eval_batch(spec, G, H)
+    assert 10 < np.isinf(values).sum() < 190
+    u = la.random_unitary(3, R, 5)
+    v = iv.is_symmetry(u, spec, 200, seed=0)
+    assert v.is_symmetry and v.samples_used == 200 and v.max_deviation <= 1e-9
+    assert iv.invariance_suite(spec, 50, seed=0).is_symmetry
+    assert not iv.is_symmetry(la.LinearMap(2.0 * u.entries, R), spec, 200, seed=0).is_symmetry
+    report = iv.congruence_theorem_probe(spec, n_maps=5, n_samples=40, seed=0, n_controls=5)
+    assert report.controls_passed and report.all_failed
 
 
 def test_probe_report_counts_samples():

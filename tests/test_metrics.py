@@ -153,6 +153,22 @@ def test_eval_batch_rows_equal_eval_finsler(dim, field):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300), spec.family
 
 
+def test_every_profile_with_text_batches(monkeypatch):
+    # a spec that serializes has its profile as text: none may reach the row default
+    monkeypatch.setattr(mm.MetricSpec, "_values", lambda *args: pytest.fail("row default"))
+    G, H = _batch_pairs(3, C, np.random.default_rng(5))
+    batched = 0
+    for spec in family_specs(3, C) + [mm.induced_finsler(mm.fubini_study_profile(), 3, C)]:
+        try:
+            mm.spec_to_json(spec)
+        except ValueError:  # a Custom metric or a profile given as a callable
+            continue
+        if spec.family != "zero-extended":
+            mm.eval_batch(spec, G, H)
+            batched += 1
+    assert batched == 13
+
+
 def test_sample_pairs_draw_inside_the_domain():
     # (0.5, 1) is drawn uniformly in (0.505, 0.995); (3, inf) log-uniformly in (3.03, 12.12)
     domain = mm.RadiusDomain(((0.5, 1.0), (3.0, math.inf)))
