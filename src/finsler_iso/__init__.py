@@ -23,6 +23,7 @@ from .linalg import (
     linear_map,
     norm,
     random_rotation,
+    random_unitaries,
     random_unitary,
     singular_values,
     vector,
@@ -54,6 +55,7 @@ from .metrics import (
     eval_batch,
     eval_finsler,
     eval_sesquilinear,
+    eval_sesquilinear_rows,
     fubini_study,
     fubini_study_profile,
     induced_finsler,

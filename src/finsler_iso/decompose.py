@@ -15,15 +15,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MismatchError
+from .errors import MismatchError, OutOfDomainError
 from .linalg import (
     Field,
     Vector,
     basis_vector,
     inner,
     norm,
-    random_gaussian_vector,
-    random_vector_with_norm,
+    random_gaussian_rows,
+    row_dots,
+    row_norms,
 )
 from .metrics import (
     MetricSpec,
@@ -32,37 +33,59 @@ from .metrics import (
     RiemannProfile,
     SymLambdaProfile,
     ThetaProfile,
+    eval_batch,
     eval_finsler,
     eval_sesquilinear,
-    sample_radius,
+    eval_sesquilinear_rows,
+    sample_pairs,
     sesquilinear_profile,
 )
 
 
+class _RowsForm:
+    """An oracle's fn over the rows of (N, dim) arrays, one array per vector
+    argument: its rows form in one call when it has one, else a loop over fn."""
+
+    def eval_rows(self, *arrays: np.ndarray) -> np.ndarray:
+        if self.rows is not None:
+            return self.rows(*arrays)
+        return np.array([self.fn(*(Vector(v, self.field) for v in row)) for row in zip(*arrays)])
+
+
 @dataclass(frozen=True)
-class MetricOracle:
-    """A black-box rho(g, h) with a declared homogeneity degree in h."""
+class MetricOracle(_RowsForm):
+    """A black-box rho(g, h) with a declared homogeneity degree in h, and
+    optionally its rows form rows(G, H)."""
 
     fn: Callable[[Vector, Vector], float]
     dim: int
     field: Field
     domain: RadiusDomain
     alpha: float = 1.0
+    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
-class SesquiOracle:
-    """A black-box conjugate-symmetric sesquilinear sigma(g, f, h)."""
+class SesquiOracle(_RowsForm):
+    """A black-box conjugate-symmetric sesquilinear sigma(g, f, h), and
+    optionally its rows form rows(G, F, H)."""
 
     fn: Callable[[Vector, Vector, Vector], complex]
     dim: int
     field: Field
     domain: RadiusDomain
+    rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def oracle_from_spec(spec: MetricSpec) -> MetricOracle:
+    def rows(G: np.ndarray, H: np.ndarray) -> np.ndarray:
+        values, inside = eval_batch(spec, G, H)
+        if not inside.all():
+            raise OutOfDomainError("a row's base point is outside the metric's domain")
+        return values
+
     return MetricOracle(lambda g, h: eval_finsler(spec, g, h),
-                        spec.dim, spec.field, spec.domain, alpha=1.0)
+                        spec.dim, spec.field, spec.domain, alpha=1.0, rows=rows)
 
 
 def sesqui_oracle_from_spec(spec: MetricSpec) -> SesquiOracle:
@@ -70,7 +93,8 @@ def sesqui_oracle_from_spec(spec: MetricSpec) -> SesquiOracle:
     if profile is None:
         raise ValueError(f"family {spec.family!r} has no sesquilinear form")
     return SesquiOracle(lambda g, f, h: eval_sesquilinear(profile, g, f, h),
-                        spec.dim, spec.field, spec.domain)
+                        spec.dim, spec.field, spec.domain,
+                        rows=lambda G, F, H: eval_sesquilinear_rows(profile, G, F, H))
 
 
 def _default_frame(dim: int, field: Field) -> tuple[Vector, Vector]:
@@ -88,19 +112,36 @@ def _check_frame(oracle, frame) -> tuple[Vector, Vector]:
     return e, f
 
 
+def _with_rows(fn: Callable, rows: Callable) -> Callable:
+    """fn carrying its form over equal-shape arrays as fn.rows, which
+    metrics._array_form finds: an extracted profile then evaluates the rows
+    of a batch through one oracle rows call."""
+    fn.rows = rows
+    return fn
+
+
+def _relative_deviations(got: np.ndarray, want: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """|got - want| / (1 + |ref|) per row.  A NaN deviation (from an
+    infinite value) counts as 0, as a per-sample `dev > worst` passed it over."""
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(got - want) / (1.0 + np.abs(ref))
+    dev[np.isnan(dev)] = 0.0
+    return dev
+
+
 def validate_alpha(oracle: MetricOracle, n_samples: int = 24, seed: int = 0,
                    tol: float = 1e-8) -> float:
-    """Worst relative violation of rho_g(t h) = |t|^alpha rho_g(h) on samples."""
+    """Worst relative violation of rho_g(t h) = |t|^alpha rho_g(h) on samples.
+
+    The samples are drawn in one batch and each side is one oracle rows call.
+    """
+    if n_samples < 1:
+        raise ValueError("the homogeneity check needs at least one sample (n_samples >= 1)")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        g = random_vector_with_norm(oracle.dim, oracle.field, sample_radius(oracle.domain, rng), rng)
-        h = random_gaussian_vector(oracle.dim, oracle.field, rng)
-        base = oracle.fn(g, h)
-        t = float(rng.uniform(0.2, 3.0))
-        want = (t ** oracle.alpha) * base
-        got = oracle.fn(g, Vector(t * h.entries, h.field))
-        worst = max(worst, abs(got - want) / (1.0 + abs(want)))
+    G, H = sample_pairs(oracle, n_samples, rng)
+    t = rng.uniform(0.2, 3.0, n_samples)
+    want = (t ** oracle.alpha) * oracle.eval_rows(G, H)
+    worst = float(_relative_deviations(oracle.eval_rows(G, t[:, None] * H), want, want).max())
     if worst > tol:
         raise ValueError(f"declared homogeneity degree {oracle.alpha} violated "
                          f"by {worst:g} on samples")
@@ -110,70 +151,80 @@ def validate_alpha(oracle: MetricOracle, n_samples: int = 24, seed: int = 0,
 def extract_lambda(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = None,
                    check_alpha: bool = True) -> SymLambdaProfile:
     """lambda(r, p, q) = r^(-alpha) rho(r e, p e + q f) on the chosen frame."""
-    e, f = _check_frame(oracle, frame)
+    e, f = (v.entries for v in _check_frame(oracle, frame))
     if check_alpha:
         validate_alpha(oracle)
-    alpha = oracle.alpha
+    alpha, field = oracle.alpha, oracle.field
 
     def fn(r: float, p: float, q: float) -> float:
-        g = Vector(r * e.entries, oracle.field)
-        h = Vector(p * e.entries + q * f.entries, oracle.field)
-        return oracle.fn(g, h) / (r ** alpha)
+        return oracle.fn(Vector(r * e, field), Vector(p * e + q * f, field)) / (r ** alpha)
 
-    return SymLambdaProfile(fn, alpha)
+    def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / (r ** alpha)
+
+    return SymLambdaProfile(_with_rows(fn, rows), alpha)
 
 
 def extract_theta(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = None) -> ThetaProfile:
     """theta(r, tau) = r lambda(r, cos tau, sin tau); needs alpha = 1."""
     if abs(oracle.alpha - 1.0) > 1e-12:
         raise ValueError("theta extraction needs a degree-1 oracle")
-    lam = extract_lambda(oracle, frame)
-    return ThetaProfile(lambda r, tau: r * lam.fn(r, math.cos(tau), math.sin(tau)))
+    lam = extract_lambda(oracle, frame).fn
+    return ThetaProfile(_with_rows(lambda r, tau: r * lam(r, math.cos(tau), math.sin(tau)),
+                                   lambda r, tau: r * lam.rows(r, np.cos(tau), np.sin(tau))))
 
 
 def extract_nonsym_lambda(oracle: MetricOracle,
                           frame: tuple[Vector, Vector] | None = None) -> NonSymLambdaProfile:
     """Non-symmetric variant: p keeps the full scalar <h, g>, not its modulus."""
-    e, f = _check_frame(oracle, frame)
+    e, f = (v.entries for v in _check_frame(oracle, frame))
+    field = oracle.field
 
     def fn(r: float, p: complex, q: float) -> float:
-        g = Vector(r * e.entries, oracle.field)
-        if oracle.field is Field.REAL:
+        if field is Field.REAL:
             p = float(np.real(p))
-        h = Vector(p * e.entries + q * f.entries, oracle.field)
-        return oracle.fn(g, h) / r
+        return oracle.fn(Vector(r * e, field), Vector(p * e + q * f, field)) / r
 
-    return NonSymLambdaProfile(fn)
+    def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        if field is Field.REAL:
+            p = np.real(p)
+        return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / r
+
+    return NonSymLambdaProfile(_with_rows(fn, rows))
 
 
 def extract_phi_psi(oracle: SesquiOracle, frame: tuple[Vector, Vector] | None = None,
                     check_symmetry: bool = True) -> RiemannProfile:
     """phi(r) = sigma_{sqrt(r) e}(f, f) and psi(r) = (sigma_{sqrt(r) e}(e, e) - phi(r)) / r."""
-    e, f = _check_frame(oracle, frame)
+    e, f = (v.entries for v in _check_frame(oracle, frame))
     if check_symmetry:
         _validate_conjugate_symmetry(oracle)
+    field = oracle.field
 
-    def phi(r: float) -> float:
-        g = Vector(math.sqrt(r) * e.entries, oracle.field)
-        return float(np.real(oracle.fn(g, f, f)))
+    def sigma(r: float, v: np.ndarray) -> float:
+        g, w = Vector(math.sqrt(r) * e, field), Vector(v, field)
+        return float(np.real(oracle.fn(g, w, w)))
 
-    def psi(r: float) -> float:
-        g = Vector(math.sqrt(r) * e.entries, oracle.field)
-        return (float(np.real(oracle.fn(g, e, e))) - phi(r)) / r
+    def sigma_rows(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+        V = np.tile(v, (len(r), 1))
+        return np.real(oracle.eval_rows(np.sqrt(r)[:, None] * e, V, V))
 
+    phi = _with_rows(lambda r: sigma(r, f), lambda r: sigma_rows(r, f))
+    psi = _with_rows(lambda r: (sigma(r, e) - phi(r)) / r,
+                     lambda r: (sigma_rows(r, e) - phi.rows(r)) / r)
     return RiemannProfile(phi, psi, oracle.domain.squared())
 
 
 def _validate_conjugate_symmetry(oracle: SesquiOracle, n_samples: int = 16,
                                  seed: int = 0, tol: float = 1e-8) -> None:
+    if n_samples < 1:
+        raise ValueError("the symmetry check needs at least one sample (n_samples >= 1)")
     rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        g = random_vector_with_norm(oracle.dim, oracle.field, sample_radius(oracle.domain, rng), rng)
-        f = random_gaussian_vector(oracle.dim, oracle.field, rng)
-        h = random_gaussian_vector(oracle.dim, oracle.field, rng)
-        a = oracle.fn(g, f, h)
-        b = oracle.fn(g, h, f)
-        if abs(a - np.conj(b)) > tol * (1.0 + abs(a)):
+    G, F = sample_pairs(oracle, n_samples, rng)
+    H = random_gaussian_rows(n_samples, oracle.dim, oracle.field, rng)
+    a, b = oracle.eval_rows(G, F, H), oracle.eval_rows(G, H, F)
+    with np.errstate(invalid="ignore"):
+        if (np.abs(a - np.conj(b)) > tol * (1.0 + np.abs(a))).any():
             raise ValueError("oracle is not conjugate-symmetric on samples")
 
 
@@ -188,21 +239,23 @@ class RoundtripReport:
     passed: bool
 
 
-def _sample_pair(dim, field, domain, rng, kind: str) -> tuple[Vector, Vector]:
-    g = random_vector_with_norm(dim, field, sample_radius(domain, rng), rng)
-    if kind == "collinear":
-        c = rng.standard_normal()
-        if field is Field.COMPLEX:
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            c = c * complex(math.cos(ang), math.sin(ang))
-        h = Vector(c * g.entries, field)
-    elif kind == "orthogonal":
-        raw = random_gaussian_vector(dim, field, rng)
-        ng2 = norm(g) ** 2
-        h = Vector(raw.entries - (inner(raw, g) / ng2) * g.entries, field)
-    else:
-        h = random_gaussian_vector(dim, field, rng)
-    return g, h
+def _roundtrip_rows(oracle: MetricOracle | SesquiOracle, n_samples: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """roundtrip_check's samples as row arrays, (G, H) or (G, F, H) for a
+    sesquilinear oracle.  Sample i has h collinear with g (h = c g) when
+    i % 10 == 0 and h orthogonal to g when i % 10 == 5."""
+    G, H = sample_pairs(oracle, n_samples, rng)
+    kind = np.arange(n_samples) % 10
+    col, orth = kind == 0, kind == 5
+    c = rng.standard_normal(int(col.sum()))
+    if oracle.field is Field.COMPLEX:
+        c = c * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(c)))
+    H[col] = c[:, None] * G[col]
+    Go = G[orth]
+    H[orth] -= (row_dots(Go.conj(), H[orth]) / row_norms(Go) ** 2)[:, None] * Go
+    if isinstance(oracle, SesquiOracle):
+        return G, random_gaussian_rows(n_samples, oracle.dim, oracle.field, rng), H
+    return G, H
 
 
 def roundtrip_check(oracle: MetricOracle | SesquiOracle, extracted_spec: MetricSpec,
@@ -212,30 +265,30 @@ def roundtrip_check(oracle: MetricOracle | SesquiOracle, extracted_spec: MetricS
     Every tenth sample is an edge pair (h collinear with g, then h
     orthogonal to g): those are the degenerate strata of the canonical
     invariants.  For a sesquilinear oracle the comparison runs on random
-    triples against the reconstructed form.
+    triples against the reconstructed form.  The samples are drawn in one
+    batch and each side is one rows call; the witness is the first sample
+    with the largest deviation.
     """
-    rng = np.random.default_rng(seed)
-    worst, witness = 0.0, None
+    if n_samples < 1:
+        raise ValueError("a round-trip needs at least one sample (n_samples >= 1)")
     sesqui = isinstance(oracle, SesquiOracle)
     profile = sesquilinear_profile(extracted_spec) if sesqui else None
     if sesqui and profile is None:
         raise ValueError("sesquilinear round-trip needs a Riemann-backed spec")
-    for i in range(n_samples):
-        kind = "collinear" if i % 10 == 0 else ("orthogonal" if i % 10 == 5 else "generic")
-        g, h = _sample_pair(oracle.dim, oracle.field, oracle.domain, rng, kind)
-        if sesqui:
-            f = random_gaussian_vector(oracle.dim, oracle.field, rng)
-            got = oracle.fn(g, f, h)
-            want = eval_sesquilinear(profile, g, f, h)
-            args = (g, f, h)
-        else:
-            got = oracle.fn(g, h)
-            want = eval_finsler(extracted_spec, g, h)
-            args = (g, h)
-        dev = abs(got - want) / (1.0 + abs(got))
-        if dev > worst:
-            worst, witness = dev, args
-    return RoundtripReport(worst, witness if worst > tol else None, n_samples, worst <= tol)
+    rows = _roundtrip_rows(oracle, n_samples, np.random.default_rng(seed))
+    got = oracle.eval_rows(*rows)
+    if sesqui:
+        want = eval_sesquilinear_rows(profile, *rows)
+    else:
+        want, inside = eval_batch(extracted_spec, *rows)
+        if not inside.all():
+            raise OutOfDomainError("a sample's base point is outside the rebuilt metric's domain")
+    dev = _relative_deviations(got, want, got)
+    k = int(np.argmax(dev))
+    worst = float(dev[k])
+    passed = worst <= tol
+    witness = None if passed else tuple(Vector(a[k], oracle.field) for a in rows)
+    return RoundtripReport(worst, witness, n_samples, passed)
 
 
 # ---------------------------------------------------------------------------

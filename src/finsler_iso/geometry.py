@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveMetricError, ZeroVectorError
+from .errors import NonPositiveMetricError, OutOfDomainError, ZeroVectorError
 from .linalg import (
     Field,
     Vector,
@@ -33,6 +33,9 @@ class ParametricCurve:
     """t -> gamma(t) on [a, b]; derivatives by centered finite differences.
 
     The map must be evaluable slightly beyond the endpoints (one fd step).
+    A map that carries a `rows` attribute, as circle_arc's and
+    segment_curve's do, gives points() for all parameters in one call;
+    otherwise points() stacks fn(t).
     """
 
     fn: Callable[[float], Vector]
@@ -51,6 +54,27 @@ class ParametricCurve:
         s = self.fd_step * max(1.0, abs(t))
         p1, p0 = self.fn(t + s), self.fn(t - s)
         return Vector((p1.entries - p0.entries) / (2.0 * s), p1.field)
+
+    def points(self, ts: np.ndarray) -> np.ndarray:
+        """gamma(t) for each entry of ts, as the rows of an (N, dim) array."""
+        rows = getattr(self.fn, "rows", None)
+        if rows is not None:
+            return rows(ts)
+        return np.stack([self.fn(t).entries for t in ts.tolist()])
+
+    def velocities(self, ts: np.ndarray) -> np.ndarray:
+        """velocity(t) for each entry of ts, with the same step per node."""
+        s = self.fd_step * np.maximum(1.0, np.abs(ts))
+        return (self.points(ts + s) - self.points(ts - s)) / (2.0 * s)[:, None]
+
+
+def _curve_map(rows: Callable[[np.ndarray], np.ndarray], field: Field) -> Callable[[float], Vector]:
+    """The scalar map t -> Vector of a curve given by its rows form, which it
+    carries as .rows, so points and point agree bit for bit."""
+    def fn(t: float) -> Vector:
+        return Vector(rows(np.array([t], dtype=float))[0], field)
+    fn.rows = rows
+    return fn
 
 
 @dataclass(frozen=True)
@@ -90,27 +114,37 @@ class Polyline:
 Curve = ParametricCurve | Polyline
 
 
+def _warn_if_negative(values: np.ndarray) -> None:
+    if np.any(values < 0.0):
+        warnings.warn("metric takes negative values along the curve; the "
+                      "integral is signed", RuntimeWarning, stacklevel=3)
+
+
 def curve_length(spec: MetricSpec, curve: Curve, n_nodes: int = 1001) -> float:
     """Length of the curve under the metric.
 
     Parametric curves use composite Simpson quadrature on n_nodes (odd,
     >= 3); polylines use the exact sum of per-segment midpoint evaluations
-    rho_mid(delta).  Negative integrand values raise a warning but still
-    integrate.
+    rho_mid(delta), all segments in one eval_batch call.  Negative integrand
+    values raise a warning but still integrate.
     """
     if isinstance(curve, Polyline):
-        total = 0.0
-        for u, v in zip(curve.vertices, curve.vertices[1:]):
-            mid = Vector(0.5 * (u.entries + v.entries), u.field)
-            total += eval_finsler(spec, mid, Vector(v.entries - u.entries, u.field))
-        return total
+        V = np.stack([v.entries for v in curve.vertices])
+        values, inside = eval_batch(spec, 0.5 * (V[:-1] + V[1:]), V[1:] - V[:-1])
+        if not inside.all():
+            raise OutOfDomainError("a segment midpoint is outside the metric's domain")
+        _warn_if_negative(values)
+        return float(values.sum())
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("Simpson quadrature needs an odd node count >= 3")
     ts = np.linspace(curve.a, curve.b, n_nodes)
-    values = np.array([eval_finsler(spec, curve.point(t), curve.velocity(t)) for t in ts])
-    if np.any(values < 0.0):
-        warnings.warn("metric takes negative values along the curve; the "
-                      "integral is signed", RuntimeWarning, stacklevel=2)
+    P, D = curve.points(ts), curve.velocities(ts)
+    field = Field.COMPLEX if P.dtype.kind == "c" else Field.REAL
+    # One eval_finsler call per node, not eval_batch: see FOUND in CHANGES.md
+    # on perfbench/tests/test_tracer.py, which counts these calls.
+    values = np.array([eval_finsler(spec, Vector(p, field), Vector(d, field))
+                       for p, d in zip(P, D)])
+    _warn_if_negative(values)
     hstep = (curve.b - curve.a) / (n_nodes - 1)
     weights = np.ones(n_nodes)
     weights[1:-1:2] = 4.0
@@ -377,19 +411,20 @@ def path_rows(path: Polyline) -> list[list[float]]:
 
 def segment_curve(g: Vector, h: Vector) -> ParametricCurve:
     """The straight segment from g to h on [0, 1]."""
-    def fn(t: float) -> Vector:
-        return Vector((1.0 - t) * g.entries + t * h.entries, g.field)
-    return ParametricCurve(fn, 0.0, 1.0)
+    def rows(ts: np.ndarray) -> np.ndarray:
+        return (1.0 - ts)[:, None] * g.entries + ts[:, None] * h.entries
+    return ParametricCurve(_curve_map(rows, g.field), 0.0, 1.0)
 
 
 def circle_arc(dim: int = 2, field: Field = Field.REAL, radius: float = 1.0,
                t0: float = 0.0, t1: float = 0.5 * math.pi) -> ParametricCurve:
     """The arc t -> radius (cos t, sin t, 0, ...) on [t0, t1]."""
-    def fn(t: float) -> Vector:
-        e = np.zeros(dim, dtype=field.dtype)
-        e[0] = radius * math.cos(t)
-        e[1] = radius * math.sin(t)
-        return Vector(e, field)
     if dim < 2:
         raise ValueError("circle arc needs dim >= 2")
-    return ParametricCurve(fn, t0, t1)
+
+    def rows(ts: np.ndarray) -> np.ndarray:
+        P = np.zeros((len(ts), dim), dtype=field.dtype)
+        P[:, 0] = radius * np.cos(ts)
+        P[:, 1] = radius * np.sin(ts)
+        return P
+    return ParametricCurve(_curve_map(rows, field), t0, t1)

@@ -19,6 +19,7 @@ from .linalg import (
     LinearMap,
     Vector,
     random_rotation,
+    random_unitaries,
     random_unitary,
     singular_values,
 )
@@ -124,20 +125,21 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
                      unitaries: list[LinearMap] | None = None) -> SymmetryVerdict:
     """Invariance under Haar unitaries, one fresh sample pair per unitary.
 
-    The pairs come from sample_pairs, the unitaries are applied in one
-    stacked matmul and each side is one eval_batch call.  Every pair counts;
-    a unitary that takes a base point out of the domain is an
-    OutOfDomainError.
+    The unitaries come from random_unitaries (one stacked QR) unless given,
+    the pairs from sample_pairs; the unitaries are applied in one stacked
+    matmul and each side is one eval_batch call.  Every pair counts; a
+    unitary that takes a base point out of the domain is an OutOfDomainError.
     """
-    rng = np.random.default_rng(seed)
-    us = unitaries if unitaries is not None else [
-        random_unitary(spec.dim, spec.field, int(s)) for s in rng.integers(2 ** 31, size=n_unitaries)]
-    if not us:
+    if (n_unitaries if unitaries is None else len(unitaries)) < 1:
         raise ValueError("the invariance suite needs at least one unitary")
-    for u in us:
-        _check_map(u, spec)
-    U = np.stack([u.entries for u in us])
-    G, H = sample_pairs(spec, len(us), rng)
+    rng = np.random.default_rng(seed)
+    if unitaries is None:
+        U = random_unitaries(n_unitaries, spec.dim, spec.field, rng)
+    else:
+        for u in unitaries:
+            _check_map(u, spec)
+        U = np.stack([u.entries for u in unitaries])
+    G, H = sample_pairs(spec, len(U), rng)
     dev, inside = _deviations(spec, G, H, (U @ G[:, :, None])[:, :, 0],
                               (U @ H[:, :, None])[:, :, 0])
     if not inside.all():

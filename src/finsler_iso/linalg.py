@@ -284,23 +284,30 @@ def build_canonical_isometry(g: Vector, h: Vector, e: Vector, f: Vector,
     return LinearMap(target_basis @ domain_basis.conj().T, g.field)
 
 
-def random_unitary(dim: int, field: Field, seed: int) -> LinearMap:
-    """Haar-distributed unitary (orthogonal over R), deterministic per seed.
+def random_unitaries(n: int, dim: int, field: Field, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-distributed unitaries (orthogonal over R) as an (n, dim, dim) array.
 
-    QR of a Gaussian matrix with the R-diagonal phases pushed into Q.
+    One Gaussian draw and one stacked QR, with the R-diagonal phases pushed
+    into Q.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
     if field is Field.REAL:
-        a = rng.standard_normal((dim, dim))
+        a = rng.standard_normal((n, dim, dim))
     else:
-        a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+        a = (rng.standard_normal((n, dim, dim))
+             + 1j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=1, axis2=2)
     absd = np.abs(d)
     ph = np.where(absd == 0.0, 1.0, d / np.where(absd == 0.0, 1.0, absd))
-    return LinearMap(q * ph, field)
+    return q * ph[:, None, :]
+
+
+def random_unitary(dim: int, field: Field, seed: int) -> LinearMap:
+    """Haar-distributed unitary (orthogonal over R), deterministic per seed:
+    random_unitaries' one-matrix case on default_rng(seed)."""
+    return LinearMap(random_unitaries(1, dim, field, np.random.default_rng(seed))[0], field)
 
 
 def random_rotation(dim: int, seed: int, field: Field = Field.REAL) -> LinearMap:

@@ -32,6 +32,7 @@ from .linalg import (
     random_gaussian_rows,
     random_gaussian_vector,
     random_vector_with_norm,
+    row_dots,
     row_norms,
 )
 
@@ -104,9 +105,11 @@ def sample_pairs(spec: MetricSpec, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n pairs (g, h) as the rows of two (n, dim) arrays of the spec's dtype.
 
-    |g| is drawn inside the domain by sample_radius's rules, g's direction and
-    h are Gaussian.  The draws are batched, so a seed gives other points than
-    n calls of sample_radius and random_vector_with_norm would.
+    Only the spec's dim, field and domain are read, so a decompose oracle
+    serves as well.  |g| is drawn inside the domain by sample_radius's rules,
+    g's direction and h are Gaussian.  The draws are batched, so a seed gives
+    other points than n calls of sample_radius and random_vector_with_norm
+    would.
     """
     ranges = np.array([_radius_range(lo, hi) for lo, hi in spec.domain.intervals])
     a, b, log_scale = ranges[rng.integers(len(ranges), size=n)].T
@@ -247,10 +250,13 @@ class MetricSpec:
     def _values(self, r: np.ndarray, ip: np.ndarray, q: np.ndarray,
                 G: np.ndarray, H: np.ndarray) -> np.ndarray:
         """rho on rows whose base points lie in the domain, from their
-        invariants.  This default goes row by row through _eval, for Custom,
-        ZeroExtended and profiles given as bare callables (no expression
-        text); every other family is one numpy expression, its profile text
-        compiled to arrays by expressions.compile_rows."""
+        invariants.  This default goes row by row, for profiles without an
+        array form (see _array_form): through _value on the invariants, or
+        through _eval on the vectors for Custom and ZeroExtended, which see
+        vectors.  Every other family is one numpy expression."""
+        if type(self)._eval is MetricSpec._eval:
+            return np.array([self._value(*row) for row in zip(r.tolist(), ip.tolist(), q.tolist())],
+                            dtype=float)
         f = self.field
         return np.array([self._eval(Vector(g, f), Vector(h, f), x)
                          for g, h, x in zip(G, H, r.tolist())], dtype=float)
@@ -286,6 +292,17 @@ class FubiniStudy(MetricSpec):
         return q / (r * r)
 
 
+def _array_form(fn: Callable, text: str | None,
+                names: tuple[str, ...]) -> Callable[..., np.ndarray] | None:
+    """A profile's form over equal-shape arrays: its text compiled by
+    expressions.compile_rows, else the callable's own `rows` attribute (the
+    profiles decompose extracts from an oracle carry one), else None, and the
+    spec goes row by row."""
+    if text is not None:
+        return expressions.compile_rows(text, names)
+    return getattr(fn, "rows", None)
+
+
 def _where_nonzero(nh: np.ndarray, value: Callable) -> np.ndarray:
     """value(k) on the rows k with |h| != 0 and 0 on the others, where the
     scalar forms return 0 without calling the profile."""
@@ -306,9 +323,10 @@ class FromLambda(MetricSpec):
         return float(self.profile.fn(r, abs(ip), q))
 
     def _values(self, r, ip, q, G, H):
-        if self.profile.expr_text is None:
+        fn = _array_form(self.profile.fn, self.profile.expr_text, ("r", "p", "q"))
+        if fn is None:
             return super()._values(r, ip, q, G, H)
-        return expressions.compile_rows(self.profile.expr_text, ("r", "p", "q"))(r, np.abs(ip), q)
+        return fn(r, np.abs(ip), q)
 
 
 @dataclass(frozen=True)
@@ -322,9 +340,9 @@ class FromTheta(MetricSpec):
         return 0.0 if nh == 0.0 else nh * float(self.profile.fn(r, math.atan2(q, p)))
 
     def _values(self, r, ip, q, G, H):
-        if self.profile.expr_text is None:
+        fn = _array_form(self.profile.fn, self.profile.expr_text, ("r", "tau"))
+        if fn is None:
             return super()._values(r, ip, q, G, H)
-        fn = expressions.compile_rows(self.profile.expr_text, ("r", "tau"))
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
         return _where_nonzero(nh, lambda k: nh[k] * fn(r[k], np.arctan2(q[k], p[k])))
@@ -340,11 +358,12 @@ class FromNonSymLambda(MetricSpec):
 
     def _values(self, r, ip, q, G, H):
         text = self.profile.expr_text
-        if text is None:
+        if text is not None and self.field is Field.COMPLEX:
+            return expressions.compile_rows(text, ("r", "pre", "pim", "q"))(r, ip.real, ip.imag, q)
+        fn = _array_form(self.profile.fn, text, ("r", "p", "q"))
+        if fn is None:
             return super()._values(r, ip, q, G, H)
-        if self.field is Field.REAL:
-            return expressions.compile_rows(text, ("r", "p", "q"))(r, ip, q)
-        return expressions.compile_rows(text, ("r", "pre", "pim", "q"))(r, ip.real, ip.imag, q)
+        return fn(r, ip, q)
 
 
 @dataclass(frozen=True)
@@ -363,12 +382,13 @@ class FromRiemann(MetricSpec):
         return math.copysign(math.sqrt(abs(v)), v)
 
     def _values(self, r, ip, q, G, H):
-        texts = (self.profile.phi_expr, self.profile.psi_expr)
-        if None in texts:
+        prof = self.profile
+        phi = _array_form(prof.phi, prof.phi_expr, ("r",))
+        psi = _array_form(prof.psi, prof.psi_expr, ("r",))
+        if phi is None or psi is None:
             return super()._values(r, ip, q, G, H)
         r2, p2 = r * r, np.abs(ip) ** 2
-        phi, psi = (expressions.compile_rows(text, ("r",))(r2) for text in texts)
-        v = phi * (p2 + q * q) / r2 + psi * p2
+        v = phi(r2) * (p2 + q * q) / r2 + psi(r2) * p2
         return np.where(v == 0.0, 0.0, np.copysign(np.sqrt(np.abs(v)), v))
 
 
@@ -387,9 +407,9 @@ class CongruenceInvariant(MetricSpec):
         return 0.0 if nh == 0.0 else (nh / r) * float(self.vartheta(math.atan2(q, p)))
 
     def _values(self, r, ip, q, G, H):
-        if self.vartheta_expr is None:
+        fn = _array_form(self.vartheta, self.vartheta_expr, ("tau",))
+        if fn is None:
             return super()._values(r, ip, q, G, H)
-        fn = expressions.compile_rows(self.vartheta_expr, ("tau",))
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
         return _where_nonzero(nh, lambda k: (nh[k] / r[k]) * fn(np.arctan2(q[k], p[k])))
@@ -540,6 +560,24 @@ def eval_sesquilinear(profile: RiemannProfile, g: Vector, f: Vector, h: Vector):
         raise OutOfDomainError(f"|g|^2 = {r2} is outside the profile domain")
     val = float(profile.phi(r2)) * inner(f, h) + float(profile.psi(r2)) * inner(f, g) * inner(g, h)
     return val
+
+
+def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray,
+                           H: np.ndarray) -> np.ndarray:
+    """eval_sesquilinear for the rows of three (N, dim) arrays of one dtype,
+    in one pass; raises as it does when any row's g is 0 or out of domain."""
+    if not (G.shape == F.shape == H.shape and G.ndim == 2) or not (G.dtype == F.dtype == H.dtype):
+        raise MismatchError("sigma needs three row arrays of one shape and dtype")
+    r2 = row_norms(G) ** 2
+    if (r2 == 0.0).any():
+        raise ZeroVectorError("sigma is undefined at g = 0")
+    if not profile.domain.contains_rows(r2).all():
+        raise OutOfDomainError("a row's |g|^2 is outside the profile domain")
+    # a bare callable without an array form goes row by row
+    phi = _array_form(profile.phi, profile.phi_expr, ("r",)) or np.vectorize(profile.phi, otypes=[float])
+    psi = _array_form(profile.psi, profile.psi_expr, ("r",)) or np.vectorize(profile.psi, otypes=[float])
+    return (phi(r2) * row_dots(H.conj(), F)
+            + psi(r2) * row_dots(G.conj(), F) * row_dots(H.conj(), G))
 
 
 def sesquilinear_profile(spec: MetricSpec) -> RiemannProfile | None:

@@ -1,12 +1,16 @@
+import functools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsler_iso import decompose as dc
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
-from finsler_iso.errors import MismatchError
-from helpers import POS, battery
+from finsler_iso.errors import MismatchError, OutOfDomainError
+from helpers import POS, battery, family_specs, nonsym_lambda, theta_angular
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 
@@ -161,3 +165,228 @@ def test_tabulation_rows():
     pp = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(mm.fubini_study(2)))
     rows = dc.tabulate_phi_psi(pp, [2.0])
     assert rows[0] == pytest.approx((2.0, 0.5, -0.25))
+
+
+def test_checks_of_nothing_raise():
+    orc = dc.oracle_from_spec(mm.euclidean(3))
+    rebuilt = mm.FromLambda(3, R, POS, dc.extract_lambda(orc))
+    with pytest.raises(ValueError, match="round-trip needs at least one sample"):
+        dc.roundtrip_check(orc, rebuilt, 0)
+    with pytest.raises(ValueError, match="homogeneity check needs at least one sample"):
+        dc.validate_alpha(orc, n_samples=0)
+    with pytest.raises(ValueError, match="symmetry check needs at least one sample"):
+        dc._validate_conjugate_symmetry(dc.sesqui_oracle_from_spec(mm.fubini_study(3)), 0)
+
+
+def test_oracle_rows_reject_rows_outside_the_domain():
+    bounded = mm.Euclidean(3, R, mm.RadiusDomain(((1.0, 2.0),)))
+    orc = dc.oracle_from_spec(bounded)
+    H = np.ones((2, 3))
+    assert orc.eval_rows(np.array([[1.5, 0, 0], [0, 1.2, 0]]), H).tolist() == pytest.approx(
+        [math.sqrt(3.0)] * 2)
+    with pytest.raises(OutOfDomainError):
+        orc.eval_rows(np.array([[1.5, 0, 0], [0, 3.0, 0]]), H)
+
+
+# ---------------------------------------------------------------------------
+# Batched extraction, round-trips and lengths against the scalar loops they replace
+
+def _fn_only(oracle):
+    """The same oracle without its rows form: rows go through a loop over fn."""
+    if isinstance(oracle, dc.SesquiOracle):
+        return dc.SesquiOracle(oracle.fn, oracle.dim, oracle.field, oracle.domain)
+    return dc.MetricOracle(oracle.fn, oracle.dim, oracle.field, oracle.domain, oracle.alpha)
+
+
+def _roundtrip_cases(field):
+    """(name, oracle, rebuilt spec) for every extraction, over oracles with
+    and without a rows form, and two non-invariant custom oracles."""
+    nonsym_text = "sqrt(p^2+q^2)+0.5*p" if field is R else "sqrt(pre^2+pim^2+q^2)+0.5*pre"
+    cases = []
+    for orc in (dc.oracle_from_spec(mm.FromTheta(3, field, POS, mm.theta_profile("1+cos(tau)"))),
+                dc.oracle_from_spec(mm.FromTheta(3, field, POS, mm.ThetaProfile(theta_angular)))):
+        for o in (orc, _fn_only(orc)):
+            cases.append(("theta", o, mm.FromTheta(3, field, POS, dc.extract_theta(o))))
+            cases.append(("lambda", o, mm.FromLambda(3, field, POS, dc.extract_lambda(o))))
+    for orc in (dc.oracle_from_spec(mm.FromNonSymLambda(
+                    3, field, POS, mm.nonsym_lambda_profile(nonsym_text, field))),
+                dc.oracle_from_spec(mm.FromNonSymLambda(
+                    3, field, POS, mm.NonSymLambdaProfile(nonsym_lambda)))):
+        for o in (orc, _fn_only(orc)):
+            cases.append(("nonsym", o, mm.FromNonSymLambda(3, field, POS,
+                                                           dc.extract_nonsym_lambda(o))))
+    for spec in (mm.fubini_study(3, field), mm.induced_finsler(mm.riemann_profile("1+r", "1"), 3, field)):
+        orc = dc.sesqui_oracle_from_spec(spec)
+        for o in (orc, _fn_only(orc)):
+            cases.append(("phi-psi", o, mm.FromRiemann(3, field, POS, dc.extract_phi_psi(o))))
+    ident = dc.SesquiOracle(lambda g, f, h: la.inner(f, h), 3, field, POS)
+    cases.append(("phi-psi fn-only", ident, mm.FromRiemann(3, field, POS, dc.extract_phi_psi(ident))))
+    custom = dc.oracle_from_spec(mm.Custom(3, field, POS, fn=lambda g, h: abs(complex(h.entries[0]))))
+    cases.append(("custom", custom, mm.FromLambda(
+        3, field, POS, dc.extract_lambda(custom, check_alpha=False))))
+    # many samples tie at the largest deviation, and the witness is the first
+    step = dc.oracle_from_spec(mm.Custom(3, field, POS, fn=lambda g, h: 0.5 * (g.entries[0].real > 0)))
+    cases.append(("step", step, mm.FromLambda(3, field, POS, mm.lambda_profile("0"))))
+    return cases
+
+
+def _scalar_roundtrip(oracle, rebuilt, rows, tol):
+    """The per-sample round-trip loop over given rows: (passed, worst, witness index)."""
+    worst, k = 0.0, None
+    for i, row in enumerate(zip(*rows)):
+        vecs = [la.Vector(v, oracle.field) for v in row]
+        got = oracle.fn(*vecs)
+        if isinstance(oracle, dc.SesquiOracle):
+            want = mm.eval_sesquilinear(mm.sesquilinear_profile(rebuilt), *vecs)
+        else:
+            want = mm.eval_finsler(rebuilt, *vecs)
+        dev = abs(got - want) / (1.0 + abs(got))
+        if dev > worst:
+            worst, k = dev, i
+    return worst <= tol, worst, None if worst <= tol else k
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_batched_roundtrips_equal_the_scalar_loop(field):
+    for i, (name, orc, rebuilt) in enumerate(_roundtrip_cases(field)):
+        rows = dc._roundtrip_rows(orc, 200, np.random.default_rng(i))
+        passed, worst, k = _scalar_roundtrip(orc, rebuilt, rows, 1e-9)
+        report = dc.roundtrip_check(orc, rebuilt, 200, seed=i, tol=1e-9)
+        assert (report.passed, report.samples) == (passed, 200), name
+        assert passed == (name not in ("custom", "step")), name
+        # on a passing round-trip the deviation is rounding noise, held to 1e-14 absolute
+        assert report.max_relative_deviation == pytest.approx(worst, rel=1e-12, abs=1e-14), name
+        if k is None:
+            assert report.witness is None, name
+        else:
+            assert len(report.witness) == len(rows), name
+            for v, arr in zip(report.witness, rows):
+                assert np.array_equal(v.entries, arr[k]), name
+
+
+def test_rebuilt_specs_batch(monkeypatch):
+    # a spec rebuilt from an extracted profile never reaches the row default
+    monkeypatch.setattr(mm.MetricSpec, "_values", lambda *args: pytest.fail("row default"))
+    for field in (R, C):
+        G, H = mm.sample_pairs(mm.euclidean(3, field), 50, np.random.default_rng(0))
+        text = "sqrt(p^2+q^2)+0.5*p" if field is R else "sqrt(pre^2+pim^2+q^2)+0.5*pre"
+        orc = dc.oracle_from_spec(mm.FromTheta(3, field, POS, mm.theta_profile("1+cos(tau)")))
+        nonsym = dc.oracle_from_spec(mm.FromNonSymLambda(3, field, POS,
+                                                         mm.nonsym_lambda_profile(text, field)))
+        phi_psi = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(mm.fubini_study(3, field)))
+        for spec in (mm.FromTheta(3, field, POS, dc.extract_theta(orc)),
+                     mm.FromLambda(3, field, POS, dc.extract_lambda(orc)),
+                     mm.FromNonSymLambda(3, field, POS, dc.extract_nonsym_lambda(nonsym)),
+                     mm.FromRiemann(3, field, POS, phi_psi), mm.induced_finsler(phi_psi, 3, field)):
+            values, inside = mm.eval_batch(spec, G, H)
+            assert inside.all() and np.isfinite(values).all(), spec.family
+
+
+def test_roundtrip_strata():
+    for field in (R, C):
+        G, H = dc._roundtrip_rows(dc.oracle_from_spec(mm.euclidean(4, field)), 40,
+                                  np.random.default_rng(0))
+        ip, q = la.pair_invariants_rows(G, H, la.row_norms(G))
+        scale = la.row_norms(G) * la.row_norms(H)
+        assert (q[::10] <= 1e-12 * scale[::10]).all()           # h collinear with g
+        assert (np.abs(ip[5::10]) <= 1e-12 * scale[5::10]).all()  # h orthogonal to g
+        generic = np.arange(40) % 5 != 0
+        assert (q[generic] > 1e-3 * scale[generic]).all()
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_extracted_rows_equal_their_scalar_fn(field):
+    rng = np.random.default_rng(7)
+    r, tau = rng.uniform(0.1, 3.0, 50), rng.uniform(0.0, 0.5 * math.pi, 50)
+    p, q = rng.uniform(-2.0, 2.0, 50), rng.uniform(-2.0, 2.0, 50)
+    pc = p * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 50)) if field is C else p
+    for name, _, rebuilt in _roundtrip_cases(field):
+        if name == "step":  # not an extracted profile
+            continue
+        prof = rebuilt.profile
+        if name.startswith("phi-psi"):
+            forms = [(prof.phi, (r,)), (prof.psi, (r,))]
+        elif name == "theta":
+            forms = [(prof.fn, (r, tau))]
+        else:
+            forms = [(prof.fn, (r, pc if name == "nonsym" else np.abs(p), q))]
+        for fn, args in forms:
+            want = [fn(*row) for row in zip(*(a.tolist() for a in args))]
+            assert fn.rows(*args).tolist() == pytest.approx(want, rel=1e-12, abs=1e-300), name
+
+
+# ---------------------------------------------------------------------------
+# The profile determines the metric, on generated pairs
+
+def _rebuild(spec):
+    """The spec rebuilt from the profile extracted from its oracle: (phi, psi)
+    for the Riemann family, lambda for the lambda families and theta for the
+    other degree-1 families."""
+    args = (spec.dim, spec.field, spec.domain)
+    if spec.family == "riemann":
+        return mm.FromRiemann(*args, dc.extract_phi_psi(dc.sesqui_oracle_from_spec(spec)))
+    orc = dc.oracle_from_spec(spec)
+    if spec.family == "lambda":
+        return mm.FromLambda(*args, dc.extract_lambda(orc))
+    if spec.family == "nonsym-lambda":
+        return mm.FromNonSymLambda(*args, dc.extract_nonsym_lambda(orc))
+    return mm.FromTheta(*args, dc.extract_theta(orc))
+
+
+@functools.cache
+def _expression_rebuilds(dim, field):
+    """(spec, rebuilt) for every serializable spec of family_specs but the
+    zero extension, whose value at g = 0 no profile of r > 0 holds."""
+    out = []
+    for spec in family_specs(dim, field):
+        try:
+            mm.spec_to_json(spec)
+        except ValueError:  # a custom metric or a profile given as a callable
+            continue
+        if spec.family == "zero-extended":
+            continue
+        try:
+            out.append((spec, _rebuild(spec)))
+        except ValueError as exc:  # the lambda text that is not of degree 1 in (p, q)
+            assert spec.family == "lambda" and "homogeneity" in str(exc)
+    assert len(out) == 11 + (dim == 2)
+    return out
+
+
+@st.composite
+def _pairs(draw):
+    """(seed, |g|, |h|, kind, eps): h generic, within eps of the line of g,
+    or within eps of its orthogonal complement."""
+    return (draw(st.integers(0, 2 ** 32 - 1)), draw(st.floats(0.05, 4.0)),
+            draw(st.floats(0.05, 4.0)), draw(st.sampled_from(("generic", "collinear", "orthogonal"))),
+            10.0 ** draw(st.floats(-12.0, -2.0)))
+
+
+def _pair(dim, field, seed, ng, nh, kind, eps):
+    rng = np.random.default_rng(seed)
+    u, w = la.random_gaussian_rows(2, dim, field, rng)
+    u /= np.linalg.norm(u)
+    w -= np.vdot(u, w) * u
+    w /= np.linalg.norm(w)
+    a, b = rng.standard_normal(2)
+    if kind == "collinear":
+        b *= eps
+    elif kind == "orthogonal":
+        a *= eps
+    h = a * u * (np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) if field is C else 1.0) + b * w
+    return ng * u, nh * h / np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=40, deadline=None, database=None)
+@given(_pairs())
+def test_the_extracted_profile_determines_the_metric(dim, field, case):
+    g, h = _pair(dim, field, *case)
+    for spec, rebuilt in _expression_rebuilds(dim, field):
+        want = mm.eval_finsler(spec, la.Vector(g, field), la.Vector(h, field))
+        got = mm.eval_finsler(rebuilt, la.Vector(g, field), la.Vector(h, field))
+        rows, _ = mm.eval_batch(rebuilt, g[None, :], h[None, :])
+        for value in (got, float(rows[0])):
+            assert value == want or abs(value - want) <= 1e-9 * (1.0 + abs(want)), \
+                (spec.family, case, want, value)

@@ -7,7 +7,7 @@ from finsler_iso import geometry as ge
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 from finsler_iso.errors import NonPositiveMetricError, ZeroVectorError
-from helpers import POS
+from helpers import POS, family_specs
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 HALF_PI = 0.5 * math.pi
@@ -52,6 +52,47 @@ def test_polyline_length_is_midpoint_sum():
     poly = ge.Polyline((la.vector([1.0, 0.0]), la.vector([2.0, 0.0])))
     # single segment: |delta| / |midpoint| = 1 / 1.5
     assert ge.curve_length(spec, poly) == pytest.approx(1.0 / 1.5, rel=1e-12)
+
+
+def test_negative_polyline_warns_but_integrates():
+    spec = mm.FromLambda(2, R, POS, mm.lambda_profile("0-sqrt(p^2+q^2)/r"))
+    poly = ge.Polyline((la.vector([1.0, 0.0]), la.vector([1.0, 1.0])))
+    with pytest.warns(RuntimeWarning, match="negative"):
+        value = ge.curve_length(spec, poly)
+    assert value == pytest.approx(-1.0, rel=1e-12)  # sqrt(p^2 + q^2) / r = |h|
+
+
+def _scalar_simpson(spec, curve, n_nodes):
+    """The per-node Simpson sum through point(t) and velocity(t)."""
+    ts = np.linspace(curve.a, curve.b, n_nodes)
+    values = np.array([mm.eval_finsler(spec, curve.point(t), curve.velocity(t)) for t in ts])
+    weights = np.ones(n_nodes)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    return float((curve.b - curve.a) / (n_nodes - 1) / 3.0 * np.dot(weights, values))
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_batched_lengths_equal_the_scalar_sums(field):
+    g = la.vector([1.0, 0.5, -0.25], field)
+    h = la.vector([0.2, 1.5, 0.75], field)
+    quarter = ge.circle_arc(3, field)
+    curves = [quarter, ge.segment_curve(g, h), ge.circle_arc(3, field, 2.0, 0.3, 2.0),
+              ge.ParametricCurve(lambda t: quarter.fn(HALF_PI - t), 0.0, HALF_PI)]  # bare fn
+    rng = np.random.default_rng(3)
+    verts = tuple(la.Vector(v, field) for v in la.random_gaussian_rows(9, 3, field, rng))
+    poly = ge.Polyline(verts)
+    for spec in family_specs(3, field):
+        for curve in curves:
+            ts = np.linspace(curve.a, curve.b, 21)
+            for t, p, v in zip(ts, curve.points(ts), curve.velocities(ts)):
+                assert np.array_equal(p, curve.point(t).entries)
+                assert np.array_equal(v, curve.velocity(t).entries)
+            assert ge.curve_length(spec, curve, 101) == pytest.approx(
+                _scalar_simpson(spec, curve, 101), rel=1e-12), spec.family
+        want = sum(mm.eval_finsler(spec, la.Vector(0.5 * (u.entries + v.entries), field),
+                                   la.Vector(v.entries - u.entries, field))
+                   for u, v in zip(verts, verts[1:]))
+        assert ge.curve_length(spec, poly) == pytest.approx(want, rel=1e-12), spec.family
 
 
 def test_length_reversal_invariance():

@@ -172,6 +172,30 @@ def test_random_unitary_deterministic():
     assert np.array_equal(a.entries, b.entries)
 
 
+def test_random_unitary_stream_is_kept():
+    # values drawn before random_unitary became random_unitaries' one-matrix case
+    assert la.random_unitary(3, R, 0).entries[0].tolist() == pytest.approx(
+        [0.09566758570650524, -0.33463852249636405, 0.9374778783024902], rel=1e-12)
+    assert la.random_unitary(2, C, 7).entries[1].tolist() == pytest.approx(
+        [-0.5130611247305239 + 0.11256141313725435j, -0.15267846993532344 + 0.8371305127523442j],
+        rel=1e-12)
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_random_unitaries_are_unitary(field):
+    U = la.random_unitaries(50, 3, field, np.random.default_rng(0))
+    assert U.shape == (50, 3, 3) and U.dtype == field.dtype
+    assert np.max(np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(3))) <= 1e-12
+
+
+def test_stacked_unitaries_equal_one_at_a_time():
+    # over R one (n, dim, dim) draw is n consecutive (1, dim, dim) draws
+    stacked = la.random_unitaries(20, 4, R, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    single = [la.random_unitaries(1, 4, R, rng)[0] for _ in range(20)]
+    assert np.allclose(stacked, single, rtol=0.0, atol=1e-14)
+
+
 def test_random_rotation():
     for seed in range(10):
         rot = la.random_rotation(3, seed)
