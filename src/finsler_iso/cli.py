@@ -307,6 +307,8 @@ def cmd_probe_main(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.vertices < 3 or args.iterations < 0 or args.starts < 1:
+        raise UsageError("--vertices must be >= 3, --iterations >= 0 and --starts >= 1")
     spec = metric_from_args(args)
     g = parse_vector(args.g, spec.dim, spec.field)
     h = parse_vector(args.h, spec.dim, spec.field)

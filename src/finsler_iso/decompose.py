@@ -33,6 +33,7 @@ from .metrics import (
     RiemannProfile,
     SymLambdaProfile,
     ThetaProfile,
+    deviations,
     eval_batch,
     eval_finsler,
     eval_sesquilinear,
@@ -120,15 +121,6 @@ def _with_rows(fn: Callable, rows: Callable) -> Callable:
     return fn
 
 
-def _relative_deviations(got: np.ndarray, want: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """|got - want| / (1 + |ref|) per row.  A NaN deviation (from an
-    infinite value) counts as 0, as a per-sample `dev > worst` passed it over."""
-    with np.errstate(invalid="ignore"):
-        dev = np.abs(got - want) / (1.0 + np.abs(ref))
-    dev[np.isnan(dev)] = 0.0
-    return dev
-
-
 def validate_alpha(oracle: MetricOracle, n_samples: int = 24, seed: int = 0,
                    tol: float = 1e-8) -> float:
     """Worst relative violation of rho_g(t h) = |t|^alpha rho_g(h) on samples.
@@ -141,7 +133,7 @@ def validate_alpha(oracle: MetricOracle, n_samples: int = 24, seed: int = 0,
     G, H = sample_pairs(oracle, n_samples, rng)
     t = rng.uniform(0.2, 3.0, n_samples)
     want = (t ** oracle.alpha) * oracle.eval_rows(G, H)
-    worst = float(_relative_deviations(oracle.eval_rows(G, t[:, None] * H), want, want).max())
+    worst = float(deviations(oracle.eval_rows(G, t[:, None] * H), want, want).max())
     if worst > tol:
         raise ValueError(f"declared homogeneity degree {oracle.alpha} violated "
                          f"by {worst:g} on samples")
@@ -223,9 +215,8 @@ def _validate_conjugate_symmetry(oracle: SesquiOracle, n_samples: int = 16,
     G, F = sample_pairs(oracle, n_samples, rng)
     H = random_gaussian_rows(n_samples, oracle.dim, oracle.field, rng)
     a, b = oracle.eval_rows(G, F, H), oracle.eval_rows(G, H, F)
-    with np.errstate(invalid="ignore"):
-        if (np.abs(a - np.conj(b)) > tol * (1.0 + np.abs(a))).any():
-            raise ValueError("oracle is not conjugate-symmetric on samples")
+    if (deviations(a, np.conj(b), a) > tol).any():
+        raise ValueError("oracle is not conjugate-symmetric on samples")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +274,7 @@ def roundtrip_check(oracle: MetricOracle | SesquiOracle, extracted_spec: MetricS
         want, inside = eval_batch(extracted_spec, *rows)
         if not inside.all():
             raise OutOfDomainError("a sample's base point is outside the rebuilt metric's domain")
-    dev = _relative_deviations(got, want, got)
+    dev = deviations(got, want, got)
     k = int(np.argmax(dev))
     worst = float(dev[k])
     passed = worst <= tol

@@ -3,7 +3,10 @@
 Lengths integrate rho along a curve (composite Simpson for parametric
 curves, per-segment midpoint sums for polylines).  Geodesic distance is
 estimated by derivative-free coordinate descent over the interior vertices
-of a polyline, which yields an upper bound on the infimum.
+of a polyline, which yields an upper bound on the infimum.  Each sweep of
+the descent draws its directions at once, tabulates every position a vertex
+can reach and measures them in one eval_batch call; its result equals the
+one-vertex-at-a-time descent's bit for bit.
 """
 
 from __future__ import annotations
@@ -289,6 +292,37 @@ def _direction(rng: np.random.Generator, dim: int, field: Field) -> np.ndarray:
     return d / np.linalg.norm(d)
 
 
+def _directions(rng: np.random.Generator, count: int, dim: int, field: Field) -> np.ndarray:
+    """count seeded unit directions drawn in one call, as the rows of an array:
+    the same stream and the same floats as count successive _direction calls."""
+    if field is Field.REAL:
+        D = rng.standard_normal((count, dim))
+    else:
+        X = rng.standard_normal((count, 2, dim))
+        D = X[:, 0] + 1j * X[:, 1]
+    return D / row_norms(D)[:, None]
+
+
+def _sweep_positions(verts: np.ndarray, step: float, rng: np.random.Generator,
+                     field: Field) -> np.ndarray:
+    """Every position one sweep can move each interior vertex to.
+
+    Each vertex draws two directions d1, d2, which give its moves, in order,
+    +step d1, -step d1, +step d2, -step d2.  Row S of vertex i's (16, dim)
+    block is v_i plus the moves in the bitmask S, added in move order
+    (row 0 is v_i), so each row is the float the greedy pass reaches when it
+    accepts exactly the moves in S.
+    """
+    ni, dim = len(verts) - 2, verts.shape[1]
+    D = _directions(rng, 2 * ni, dim, field).reshape(ni, 2, 1, dim)
+    moves = (np.array([step, -step])[:, None] * D).reshape(ni, 4, dim)
+    P = np.empty((ni, 16, dim), dtype=verts.dtype)
+    P[:, 0] = verts[1:-1]
+    for j in range(4):  # the subsets whose highest move is j: the lower ones plus move j
+        P[:, 1 << j:2 << j] = P[:, :1 << j] + moves[:, j:j + 1]
+    return P
+
+
 def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
                       rng: np.random.Generator, ell0: float) -> tuple[np.ndarray, list[float]]:
     """Straight chord, or an arc through a perturbed midpoint when the chord
@@ -324,17 +358,24 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     """Upper bound on the geodesic distance between g and h.
 
     Coordinate descent over the interior vertices of a polyline: each vertex
-    is line-searched along seeded random directions with a step that halves
-    whenever a sweep brings no improvement.  The length sequence is
-    non-increasing; negative metrics are refused.  The result says why the
-    descent stopped: a zero chord (g = h), the step floor, or the iteration
-    cap.
+    in turn tries the moves +-step along two seeded random directions and
+    keeps each one that shortens the path, with a step that halves whenever
+    a sweep brings no improvement.  A sweep measures every position its
+    vertices can reach (see _sweep_positions) in one _segment_length call,
+    plus one call per vertex whose left neighbour moved; the moves, random
+    stream and result are those of visiting one vertex at a time, bit for
+    bit.  The length sequence is non-increasing; negative metrics are
+    refused.  The result says why the descent stopped: a zero chord (g = h),
+    the step floor, or the iteration cap.  Raises ValueError unless
+    n_vertices >= 3, n_starts >= 1 and n_iterations >= 0.
     """
     if n_vertices < 3:
         raise ValueError("need at least one interior vertex")
+    if n_starts < 1 or n_iterations < 0:
+        raise ValueError("need n_starts >= 1 and n_iterations >= 0")
     root = np.random.SeedSequence(seed)
     best: GeodesicResult | None = None
-    for ss in root.spawn(max(1, n_starts)):
+    for ss in root.spawn(n_starts):
         result = _descend(spec, g, h, n_vertices, n_iterations, np.random.default_rng(ss))
         if best is None or result.distance < best.distance:
             best = result
@@ -358,33 +399,33 @@ def _descend(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
     stop_reason = "iteration-cap"
 
     for _ in range(n_iterations):
-        improved = False
+        P = _sweep_positions(verts, step, rng, field)
+        # Both segments of every candidate, measured against the vertices as
+        # the sweep found them: prev -> cand first, then cand -> next.
+        cands = P[:, 1:].reshape(-1, spec.dim)
+        lengths, status = _segment_length(
+            spec, np.concatenate([verts[:-2].repeat(15, axis=0), cands]),
+            np.concatenate([cands, verts[2:].repeat(15, axis=0)]), ell0)
+        lengths = lengths.reshape(2, -1, 15).tolist()
+        ok = (status == _RESOLVED).reshape(2, -1, 15).tolist()
+        improved = moved = False
         for i in range(1, n_vertices - 1):
+            a, b, ok_a, ok_b = lengths[0][i - 1], lengths[1][i - 1], ok[0][i - 1], ok[1][i - 1]
+            if moved:  # the previous vertex moved, so every left segment starts there now
+                a, status = _segment_length(spec, verts[i - 1:i].repeat(15, axis=0),
+                                            P[i - 1, 1:], ell0)
+                a, ok_a = a.tolist(), (status == _RESOLVED).tolist()
             local = seglen[i - 1] + seglen[i]
-            # Candidates draw nothing, so both directions can be drawn first.
-            dirs = [_direction(rng, spec.dim, field) for _ in range(2)]
-            moves = np.array([sgn * step * d for d in dirs for sgn in (1.0, -1.0)])
-            k = 0
-            while k < len(moves):
-                # The remaining candidates, measured from the current vertex:
-                # segments prev -> cand in the first half, cand -> next in the second.
-                cands = verts[i] + moves[k:]
-                n = len(cands)
-                lengths, status = _segment_length(
-                    spec, np.concatenate([verts[i - 1:i].repeat(n, axis=0), cands]),
-                    np.concatenate([cands, verts[i + 1:i + 2].repeat(n, axis=0)]), ell0)
-                resolved = (status[:n] == _RESOLVED) & (status[n:] == _RESOLVED)
-                a, b = lengths[:n].tolist(), lengths[n:].tolist()
-                for c in range(n):
-                    if resolved[c] and a[c] + b[c] < local - 1e-15 * (1.0 + local):
-                        verts[i] = cands[c]
-                        seglen[i - 1], seglen[i] = a[c], b[c]
-                        local = a[c] + b[c]
-                        improved = True
-                        k += c + 1
-                        break
-                else:
-                    break
+            cur = 0  # the bitmask of the moves accepted so far, tried in move order
+            for j in range(4):
+                s = cur | 1 << j
+                if ok_a[s - 1] and ok_b[s - 1] and a[s - 1] + b[s - 1] < local - 1e-15 * (1.0 + local):
+                    cur, local = s, a[s - 1] + b[s - 1]
+            moved = cur > 0
+            if moved:
+                verts[i] = P[i - 1, cur]
+                seglen[i - 1], seglen[i] = a[cur - 1], b[cur - 1]
+                improved = True
         total = sum(seglen)
         history.append(total)
         if not improved:

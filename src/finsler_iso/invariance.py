@@ -23,7 +23,7 @@ from .linalg import (
     random_unitary,
     singular_values,
 )
-from .metrics import MetricSpec, area_dim2, eval_batch, sample_pairs
+from .metrics import MetricSpec, area_dim2, deviations, eval_batch, sample_pairs
 # Unused here; kept while perfbench/tests/test_tracer.py asserts a wrapper on
 # this name, see FOUND in CHANGES.md.  The benchmark change that drops that
 # assertion deletes this import.
@@ -58,13 +58,11 @@ def _deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray, TG: np.ndarray,
                 TH: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|rho_{Tg}(Th) - rho_g(h)| / (1 + |rho_g(h)|) per row, inf where the
     image base point leaves the metric's domain, and the mask of the rows
-    where it stays.  A NaN deviation (rho_g(h) infinite, e.g. an overflowing
-    exp in the profile) counts as 0: a strict `dev > max_dev` passes it over."""
+    where it stays.  An infinite rho (e.g. an overflowing exp in the profile)
+    deviates by 0 where both sides are that infinity, by inf otherwise."""
     base, _ = eval_batch(spec, G, H)
     mapped, inside = eval_batch(spec, TG, TH)
-    with np.errstate(invalid="ignore"):
-        dev = np.abs(mapped - base) / (1.0 + np.abs(base))
-    dev[np.isnan(dev)] = 0.0
+    dev = deviations(mapped, base, base)
     dev[~inside] = np.inf
     return dev, inside
 

@@ -657,6 +657,23 @@ def check_kaehler(profile: RiemannProfile, r_samples: list[float],
     return out
 
 
+def deviations(got: np.ndarray, want: np.ndarray, ref: np.ndarray | None = None) -> np.ndarray:
+    """|got - want| per row, over 1 + |ref| when ref is given.
+
+    A NaN deviation comes from an infinite (or NaN) value: it counts as 0
+    where got and want are the same infinity and as inf otherwise, so a
+    sample that is infinite on one side only fails a tolerance.
+    """
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(got - want)
+        if ref is not None:
+            dev = dev / (1.0 + np.abs(ref))
+    nan = np.isnan(dev)
+    if nan.any():
+        dev[nan] = np.where(got[nan] == want[nan], 0.0, np.inf)
+    return dev
+
+
 @dataclass(frozen=True)
 class HomothetyVerdict:
     invariant: bool
@@ -673,8 +690,7 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
     The pairs come from sample_pairs and each side is one eval_batch call.
     Samples whose scaled radius leaves the domain are skipped and counted;
     the check fails loudly if every sample is skipped.  The witness is the
-    first sample with the largest deviation; a NaN deviation (rho infinite
-    at both points) counts as 0.
+    first sample with the largest deviation, by the rule of deviations().
     """
     if alpha <= 0.0 or alpha == 1.0:
         raise ValueError("alpha must be positive and != 1")
@@ -686,9 +702,8 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
     used = int(kept.sum())
     if used == 0:
         raise ValueError("all samples skipped: alpha * R does not meet R on the sampler")
-    with np.errstate(invalid="ignore"):
-        dev = np.abs(mapped - base)
-    dev[~kept | np.isnan(dev)] = 0.0
+    dev = deviations(mapped, base)
+    dev[~kept] = 0.0
     k = int(np.argmax(dev))
     max_dev = float(dev[k])
     ok = max_dev <= tol

@@ -338,6 +338,21 @@ def test_distance_nonpositive_metric_exit_3(capsys):
     assert code == 3 and "negative" in err
 
 
+@pytest.mark.parametrize("option,value", [("--starts", "0"), ("--starts", "-1"),
+                                          ("--iterations", "-3"), ("--vertices", "2")])
+def test_distance_that_cannot_run_is_usage_error(capsys, option, value):
+    code, out, err = run(capsys, "distance", "--metric", "euclidean", "--dim", "2",
+                         "--g", "1,0", "--h", "0,1", option, value)
+    assert code == 2 and out == "" and option in err
+
+
+def test_distance_of_no_iterations_reports_the_initial_path(capsys):
+    code, out, _ = run(capsys, "distance", "--metric", "euclidean", "--dim", "2",
+                       "--g", "1,0", "--h", "0,1", "--iterations", "0")
+    report = json.loads(out)
+    assert code == 0 and report["iterations"] == 0 and report["value"] == report["initial_length"]
+
+
 def test_argparse_usage_exit_2(capsys):
     assert cli.main(["eval"]) == 2  # missing required --g/--h
     capsys.readouterr()

@@ -390,3 +390,31 @@ def test_the_extracted_profile_determines_the_metric(dim, field, case):
         for value in (got, float(rows[0])):
             assert value == want or abs(value - want) <= 1e-9 * (1.0 + abs(want)), \
                 (spec.family, case, want, value)
+
+
+def _infinite_beyond_two(g, h):
+    """The Euclidean rho for |g| <= 2, inf beyond."""
+    return math.inf if la.norm(g) > 2.0 else la.norm(h)
+
+
+def test_roundtrip_fails_where_one_side_only_is_infinite():
+    oracle = dc.oracle_from_spec(mm.Custom(3, R, POS, fn=_infinite_beyond_two))
+    report = dc.roundtrip_check(oracle, mm.euclidean(3), 200, seed=0)
+    assert not report.passed and report.max_relative_deviation == math.inf
+    assert la.norm(report.witness[0]) > 2.0
+    # the same infinity on both sides deviates by 0
+    same = dc.roundtrip_check(oracle, mm.Custom(3, R, POS, fn=_infinite_beyond_two), 200, seed=0)
+    assert same.passed and same.max_relative_deviation == 0.0
+
+
+def test_conjugate_symmetry_fails_on_opposite_infinities():
+    # sigma(g, f, h) = +inf and sigma(g, h, f) = -inf for |g| > 2: |inf - (-inf)| is
+    # not above tol * (1 + inf), but the two sides are different infinities
+    lopsided = dc.SesquiOracle(
+        lambda g, f, h: (math.copysign(math.inf, la.norm(f) - la.norm(h)) if la.norm(g) > 2.0
+                         else la.inner(f, h)), 3, R, POS)
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        dc.extract_phi_psi(lopsided)
+    both = dc.SesquiOracle(
+        lambda g, f, h: math.inf if la.norm(g) > 2.0 else la.inner(f, h), 3, R, POS)
+    dc._validate_conjugate_symmetry(both)  # inf against the same inf passes

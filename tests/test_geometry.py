@@ -258,6 +258,14 @@ def test_geodesic_monotone_improvement():
     assert res.distance <= res.initial_length + 1e-12
 
 
+@pytest.mark.parametrize("kwargs", [{"n_starts": 0}, {"n_starts": -2}, {"n_iterations": -1},
+                                    {"n_vertices": 2}])
+def test_geodesic_refuses_runs_that_cannot_do_anything(kwargs):
+    with pytest.raises(ValueError):
+        ge.geodesic_distance(mm.euclidean(2), la.vector([1.0, 0.0]), la.vector([0.0, 1.0]),
+                             **kwargs)
+
+
 def test_geodesic_refuses_negative_metric():
     with pytest.warns(RuntimeWarning):
         spec = mm.induced_finsler(mm.riemann_profile("-1", "0"), 2)
@@ -380,3 +388,138 @@ def test_descent_is_an_upper_bound_on_closed_form_distances(field):
             assert res.distance >= want * (1.0 - MIDPOINT_BIAS), (name, dim)
             if name == "euclidean":
                 assert res.distance == pytest.approx(want, abs=1e-3), dim
+
+
+# ---------------------------------------------------------------------------
+# The per-sweep descent against the per-vertex descent it replaced
+
+def _per_vertex_descend(spec, g, h, n_vertices, n_iterations, rng):
+    """geometry._descend as it ran one vertex visit at a time, kept verbatim as
+    the reference: each visit draws its two directions and measures its
+    remaining candidates from the current vertex, one _segment_length call per
+    accepted move and one more."""
+    _RESOLVED, _direction, _segment_length = ge._RESOLVED, ge._direction, ge._segment_length
+    Polyline, GeodesicResult, Vector = ge.Polyline, ge.GeodesicResult, la.Vector
+    field = spec.field
+    chord_len = float(np.linalg.norm(h.entries - g.entries))
+    if chord_len == 0.0:
+        line = Polyline((g, h) if n_vertices == 2 else tuple([g] * (n_vertices - 1) + [h]))
+        return GeodesicResult(0.0, line, 0.0, 0, (0.0,), "zero-chord")
+    ell0 = chord_len / (4.0 * (n_vertices - 1))
+    verts, seglen = ge._initial_vertices(spec, g, h, n_vertices, rng, ell0)
+    total = sum(seglen)
+    initial = total
+    history = [total]
+    step = chord_len / (n_vertices - 1)
+    step_floor = 1e-6 * chord_len
+    stop_reason = "iteration-cap"
+
+    for _ in range(n_iterations):
+        improved = False
+        for i in range(1, n_vertices - 1):
+            local = seglen[i - 1] + seglen[i]
+            # Candidates draw nothing, so both directions can be drawn first.
+            dirs = [_direction(rng, spec.dim, field) for _ in range(2)]
+            moves = np.array([sgn * step * d for d in dirs for sgn in (1.0, -1.0)])
+            k = 0
+            while k < len(moves):
+                # The remaining candidates, measured from the current vertex:
+                # segments prev -> cand in the first half, cand -> next in the second.
+                cands = verts[i] + moves[k:]
+                n = len(cands)
+                lengths, status = _segment_length(
+                    spec, np.concatenate([verts[i - 1:i].repeat(n, axis=0), cands]),
+                    np.concatenate([cands, verts[i + 1:i + 2].repeat(n, axis=0)]), ell0)
+                resolved = (status[:n] == _RESOLVED) & (status[n:] == _RESOLVED)
+                a, b = lengths[:n].tolist(), lengths[n:].tolist()
+                for c in range(n):
+                    if resolved[c] and a[c] + b[c] < local - 1e-15 * (1.0 + local):
+                        verts[i] = cands[c]
+                        seglen[i - 1], seglen[i] = a[c], b[c]
+                        local = a[c] + b[c]
+                        improved = True
+                        k += c + 1
+                        break
+                else:
+                    break
+        total = sum(seglen)
+        history.append(total)
+        if not improved:
+            step *= 0.5
+            if step < step_floor:
+                stop_reason = "step-floor"
+                break
+
+    path = Polyline(tuple(Vector(v.copy(), field) for v in verts))
+    return GeodesicResult(total, path, initial, len(history) - 1, tuple(history), stop_reason)
+
+
+def _per_vertex_distance(spec, g, h, n_vertices=13, n_iterations=150, seed=0, n_starts=1):
+    """geodesic_distance over the reference descent: the same start seeds."""
+    best = None
+    for ss in np.random.SeedSequence(seed).spawn(n_starts):
+        result = _per_vertex_descend(spec, g, h, n_vertices, n_iterations,
+                                     np.random.default_rng(ss))
+        if best is None or result.distance < best.distance:
+            best = result
+    return best
+
+
+def _outcome(solve, *args, **kwargs):
+    """A solve's every float, bit for bit, or the error it raised."""
+    try:
+        res = solve(*args, **kwargs)
+    except Exception as exc:  # both descents must raise alike
+        return type(exc).__name__, str(exc)
+    return (res.distance, res.history, res.iterations, res.stop_reason, res.initial_length,
+            [v.entries.tobytes() for v in res.path.vertices])
+
+
+def _assert_same_descent(spec, g, h, **kwargs):
+    want = _outcome(_per_vertex_distance, spec, g, h, **kwargs)
+    assert _outcome(ge.geodesic_distance, spec, g, h, **kwargs) == want, (spec.family, kwargs)
+    return want
+
+
+@pytest.mark.parametrize("n_vertices", [3, 7, 25])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("field", [R, C])
+def test_sweep_descent_equals_the_per_vertex_descent(field, dim, n_vertices):
+    # 4 specs in each of 18 settings: 72 solves, each compared bit for bit
+    rng = np.random.default_rng([dim, n_vertices, field is C])
+    specs = [mm.euclidean(dim, field), mm.fubini_study(dim, field), mm.norm_quotient(dim, field),
+             mm.FromTheta(dim, field, mm.RadiusDomain(((0.5, 3.0),)),
+                          mm.theta_profile("1+cos(tau)"))]
+    stops = set()
+    for k, spec in enumerate(specs):
+        g = la.random_vector_with_norm(dim, field, float(rng.uniform(0.6, 2.5)), rng)
+        h = la.random_vector_with_norm(dim, field, float(rng.uniform(0.6, 2.5)), rng)
+        want = _assert_same_descent(spec, g, h, n_vertices=n_vertices, n_iterations=30, seed=k)
+        stops.add(want[3])
+    assert "iteration-cap" in stops  # the descent ran to the cap, moving vertices
+
+
+def test_sweep_descent_equals_the_per_vertex_descent_at_the_edges():
+    # the chord through the origin takes the lifted initialisation
+    g, h = la.vector([1.0, 0.5, 0.0]), la.vector([-1.0, -0.5, 0.0])
+    lifted = _assert_same_descent(mm.euclidean(3), g, h, seed=1, n_iterations=40)
+    assert lifted[4] > float(np.linalg.norm(h.entries - g.entries))
+    # a step-floor stop, and the best of three starts
+    floor = _assert_same_descent(mm.euclidean(2), la.vector([1.0, 0.0]), la.vector([2.0, 1.0]),
+                                 n_vertices=5, seed=0)
+    assert floor[3] == "step-floor"
+    _assert_same_descent(mm.fubini_study(3, C), la.vector([1.0, 0.2j, 0.0], C),
+                         la.vector([0.1, 1.3, 0.4j], C), n_iterations=20, seed=4, n_starts=3)
+    with pytest.warns(RuntimeWarning):
+        negative = mm.induced_finsler(mm.riemann_profile("-1", "0"), 2)
+    assert _assert_same_descent(negative, la.vector([1.0, 0.0]), la.vector([2.0, 0.0]))[0] \
+        == "NonPositiveMetricError"
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_sweep_direction_draw_is_the_stacked_per_vertex_draws(field):
+    sweep, per_vertex = np.random.default_rng(5), np.random.default_rng(5)
+    D = ge._directions(sweep, 14, 4, field)
+    want = np.stack([ge._direction(per_vertex, 4, field) for _ in range(14)])
+    assert D.tobytes() == want.tobytes()
+    assert sweep.standard_normal() == per_vertex.standard_normal()  # the same stream position

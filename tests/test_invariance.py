@@ -315,3 +315,13 @@ def test_probe_report_counts_samples():
     assert (report.map_samples, report.control_samples) == (185, 100)
     vacuous = iv.congruence_theorem_probe(mm.Custom(3, R, POS, fn=lambda g, h: 0.0), n_maps=5)
     assert (vacuous.map_samples, vacuous.control_samples) == (0, 0)
+
+
+def test_is_symmetry_fails_a_map_whose_image_is_finite_where_rho_is_infinite():
+    # |h|/|g| is unchanged, bit for bit, when g and h are halved; rho = inf for
+    # |g| > 2, so a pair with 2 < |g| <= 4 maps from inf to a finite value
+    spec = mm.Custom(3, R, POS,
+                     fn=lambda g, h: math.inf if la.norm(g) > 2.0 else la.norm(h) / la.norm(g))
+    v = iv.is_symmetry(la.LinearMap(0.5 * np.eye(3), R), spec, 200, seed=0)
+    assert not v.is_symmetry and v.max_deviation == math.inf and v.skipped == 0
+    assert 2.0 < la.norm(v.witness[0]) <= 4.0
