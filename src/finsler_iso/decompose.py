@@ -113,10 +113,12 @@ def _check_frame(oracle, frame) -> tuple[Vector, Vector]:
     return e, f
 
 
-def _with_rows(fn: Callable, rows: Callable) -> Callable:
-    """fn carrying its form over equal-shape arrays as fn.rows, which
-    metrics._array_form finds: an extracted profile then evaluates the rows
-    of a batch through one oracle rows call."""
+def _profile_fn(rows: Callable[..., np.ndarray]) -> Callable[..., float]:
+    """A profile callable over scalars, the one-row view of rows, carrying
+    rows as fn.rows: metrics._array_form finds it, so a batch evaluates
+    through one oracle rows call."""
+    def fn(*args):
+        return float(rows(*(np.array([a]) for a in args))[0])
     fn.rows = rows
     return fn
 
@@ -146,43 +148,34 @@ def extract_lambda(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = N
     e, f = (v.entries for v in _check_frame(oracle, frame))
     if check_alpha:
         validate_alpha(oracle)
-    alpha, field = oracle.alpha, oracle.field
-
-    def fn(r: float, p: float, q: float) -> float:
-        return oracle.fn(Vector(r * e, field), Vector(p * e + q * f, field)) / (r ** alpha)
+    alpha = oracle.alpha
 
     def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / (r ** alpha)
 
-    return SymLambdaProfile(_with_rows(fn, rows), alpha)
+    return SymLambdaProfile(_profile_fn(rows), alpha)
 
 
 def extract_theta(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = None) -> ThetaProfile:
     """theta(r, tau) = r lambda(r, cos tau, sin tau); needs alpha = 1."""
     if abs(oracle.alpha - 1.0) > 1e-12:
         raise ValueError("theta extraction needs a degree-1 oracle")
-    lam = extract_lambda(oracle, frame).fn
-    return ThetaProfile(_with_rows(lambda r, tau: r * lam(r, math.cos(tau), math.sin(tau)),
-                                   lambda r, tau: r * lam.rows(r, np.cos(tau), np.sin(tau))))
+    lam = extract_lambda(oracle, frame).fn.rows
+    return ThetaProfile(_profile_fn(lambda r, tau: r * lam(r, np.cos(tau), np.sin(tau))))
 
 
 def extract_nonsym_lambda(oracle: MetricOracle,
                           frame: tuple[Vector, Vector] | None = None) -> NonSymLambdaProfile:
     """Non-symmetric variant: p keeps the full scalar <h, g>, not its modulus."""
     e, f = (v.entries for v in _check_frame(oracle, frame))
-    field = oracle.field
-
-    def fn(r: float, p: complex, q: float) -> float:
-        if field is Field.REAL:
-            p = float(np.real(p))
-        return oracle.fn(Vector(r * e, field), Vector(p * e + q * f, field)) / r
+    real = oracle.field is Field.REAL
 
     def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        if field is Field.REAL:
+        if real:
             p = np.real(p)
         return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / r
 
-    return NonSymLambdaProfile(_with_rows(fn, rows))
+    return NonSymLambdaProfile(_profile_fn(rows))
 
 
 def extract_phi_psi(oracle: SesquiOracle, frame: tuple[Vector, Vector] | None = None,
@@ -191,19 +184,13 @@ def extract_phi_psi(oracle: SesquiOracle, frame: tuple[Vector, Vector] | None = 
     e, f = (v.entries for v in _check_frame(oracle, frame))
     if check_symmetry:
         _validate_conjugate_symmetry(oracle)
-    field = oracle.field
 
-    def sigma(r: float, v: np.ndarray) -> float:
-        g, w = Vector(math.sqrt(r) * e, field), Vector(v, field)
-        return float(np.real(oracle.fn(g, w, w)))
-
-    def sigma_rows(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def sigma(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         V = np.tile(v, (len(r), 1))
         return np.real(oracle.eval_rows(np.sqrt(r)[:, None] * e, V, V))
 
-    phi = _with_rows(lambda r: sigma(r, f), lambda r: sigma_rows(r, f))
-    psi = _with_rows(lambda r: (sigma(r, e) - phi(r)) / r,
-                     lambda r: (sigma_rows(r, e) - phi.rows(r)) / r)
+    phi = _profile_fn(lambda r: sigma(r, f))
+    psi = _profile_fn(lambda r: (sigma(r, e) - phi.rows(r)) / r)
     return RiemannProfile(phi, psi, oracle.domain.squared())
 
 
@@ -287,11 +274,15 @@ def roundtrip_check(oracle: MetricOracle | SesquiOracle, extracted_spec: MetricS
 
 def tabulate_theta(profile: ThetaProfile, r_values: list[float],
                    tau_values: list[float]) -> list[tuple[float, float, float]]:
-    """(r, tau, theta_value) rows over the grid, row-major in r."""
-    return [(r, tau, float(profile.fn(r, tau))) for r in r_values for tau in tau_values]
+    """(r, tau, theta_value) rows over the grid, row-major in r, from one
+    call of the profile's array form."""
+    r = np.repeat(np.array(r_values, dtype=float), len(tau_values))
+    tau = np.tile(np.array(tau_values, dtype=float), len(r_values))
+    return list(zip(r.tolist(), tau.tolist(), profile.fn_rows(r, tau).tolist()))
 
 
 def tabulate_phi_psi(profile: RiemannProfile,
                      r_values: list[float]) -> list[tuple[float, float, float]]:
     """(r, phi, psi) rows; r here is the squared-norm argument."""
-    return [(r, float(profile.phi(r)), float(profile.psi(r))) for r in r_values]
+    r = np.array(r_values, dtype=float)
+    return list(zip(r.tolist(), profile.phi_rows(r).tolist(), profile.psi_rows(r).tolist()))

@@ -93,11 +93,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The deepest tree parse accepts; deeper text is a ParseError, so neither the
+# parser nor an evaluator meets Python's recursion limit.  Parsing may nest
+# twice as deep, so that to_string's rendering of every accepted tree parses.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; every parse method returns (tree, tree depth)."""
+
     def __init__(self, tokens, allowed_vars: frozenset[str]):
         self.tokens = tokens
         self.pos = 0
         self.allowed = allowed_vars
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -113,33 +122,45 @@ class _Parser:
             raise ParseError(f"expected {value!r}", off)
         self.advance()
 
-    def parse_expression(self, min_bp: int) -> Expr:
-        lhs = self.parse_atom()
+    @staticmethod
+    def deeper(depth: int, off: int) -> int:
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", off)
+        return depth + 1
+
+    def parse_expression(self, min_bp: int) -> tuple[Expr, int]:
+        self.nesting += 1
+        if self.nesting > 2 * MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {2 * MAX_DEPTH} levels",
+                             self.peek()[2])
+        lhs, depth = self.parse_atom()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, off = self.peek()
             if kind != "op" or val not in _BINDING:
                 break
             lbp, rbp = _BINDING[val]
             if lbp < min_bp:
                 break
             self.advance()
-            rhs = self.parse_expression(rbp)
-            lhs = BinOp(val, lhs, rhs)
-        return lhs
+            rhs, rdepth = self.parse_expression(rbp)
+            lhs, depth = BinOp(val, lhs, rhs), self.deeper(max(depth, rdepth), off)
+        self.nesting -= 1
+        return lhs, depth
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         kind, val, off = self.advance()
         if kind == "num":
-            return Num(float(val))
+            return Num(float(val)), 1
         if kind == "ident":
             if self.peek()[:2] == ("op", "("):
                 return self.parse_call(val, off)
             if val not in self.allowed:
                 raise ParseError(f"unknown variable {val!r}", off)
-            return Var(val)
+            return Var(val), 1
         if kind == "op":
             if val == "-":
-                return Neg(self.parse_expression(_UNARY_BP))
+                operand, depth = self.parse_expression(_UNARY_BP)
+                return Neg(operand), self.deeper(depth, off)
             if val == "(":
                 inner = self.parse_expression(0)
                 self.expect(")")
@@ -147,7 +168,7 @@ class _Parser:
             raise ParseError(f"unexpected token {val!r}", off)
         raise ParseError("unexpected end of input", off)
 
-    def parse_call(self, name: str, off: int) -> Expr:
+    def parse_call(self, name: str, off: int) -> tuple[Expr, int]:
         if name not in FUNCTION_ARITY:
             raise ParseError(f"unknown function {name!r}", off)
         self.expect("(")
@@ -159,13 +180,14 @@ class _Parser:
         if len(args) != FUNCTION_ARITY[name]:
             raise ParseError(
                 f"{name} expects {FUNCTION_ARITY[name]} argument(s), got {len(args)}", off)
-        return Call(name, tuple(args))
+        return Call(name, tuple(a for a, _ in args)), self.deeper(max(d for _, d in args), off)
 
 
 def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
-    """Parse text into an Expr whose variables all lie in allowed_vars."""
+    """Parse text into an Expr whose variables all lie in allowed_vars and
+    whose depth is at most MAX_DEPTH."""
     parser = _Parser(_tokenize(text), frozenset(allowed_vars))
-    expr = parser.parse_expression(0)
+    expr, _ = parser.parse_expression(0)
     kind, val, off = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing token {val!r}", off)

@@ -30,8 +30,6 @@ from .linalg import (
     pair_invariants,
     pair_invariants_rows,
     random_gaussian_rows,
-    random_gaussian_vector,
-    random_vector_with_norm,
     row_dots,
     row_norms,
 )
@@ -148,6 +146,10 @@ class SymLambdaProfile:
     alpha: float = 1.0
     expr_text: str | None = None
 
+    @property
+    def fn_rows(self) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        return _array_form(self.fn, self.expr_text, ("r", "p", "q"))
+
 
 @dataclass(frozen=True)
 class ThetaProfile:
@@ -155,6 +157,10 @@ class ThetaProfile:
 
     fn: Callable[[float, float], float]
     expr_text: str | None = None
+
+    @property
+    def fn_rows(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        return _array_form(self.fn, self.expr_text, ("r", "tau"))
 
 
 @dataclass(frozen=True)
@@ -174,6 +180,14 @@ class RiemannProfile:
     domain: RadiusDomain = RadiusDomain.positive()
     phi_expr: str | None = None
     psi_expr: str | None = None
+
+    @property
+    def phi_rows(self) -> Callable[[np.ndarray], np.ndarray]:
+        return _array_form(self.phi, self.phi_expr, ("r",))
+
+    @property
+    def psi_rows(self) -> Callable[[np.ndarray], np.ndarray]:
+        return _array_form(self.psi, self.psi_expr, ("r",))
 
 
 def lambda_profile(text: str, alpha: float = 1.0) -> SymLambdaProfile:
@@ -250,13 +264,8 @@ class MetricSpec:
     def _values(self, r: np.ndarray, ip: np.ndarray, q: np.ndarray,
                 G: np.ndarray, H: np.ndarray) -> np.ndarray:
         """rho on rows whose base points lie in the domain, from their
-        invariants.  This default goes row by row, for profiles without an
-        array form (see _array_form): through _value on the invariants, or
-        through _eval on the vectors for Custom and ZeroExtended, which see
-        vectors.  Every other family is one numpy expression."""
-        if type(self)._eval is MetricSpec._eval:
-            return np.array([self._value(*row) for row in zip(r.tolist(), ip.tolist(), q.tolist())],
-                            dtype=float)
+        invariants.  Every family is one numpy expression of them; this
+        default, for Custom and ZeroExtended, goes row by row through _eval."""
         f = self.field
         return np.array([self._eval(Vector(g, f), Vector(h, f), x)
                          for g, h, x in zip(G, H, r.tolist())], dtype=float)
@@ -293,14 +302,17 @@ class FubiniStudy(MetricSpec):
 
 
 def _array_form(fn: Callable, text: str | None,
-                names: tuple[str, ...]) -> Callable[..., np.ndarray] | None:
-    """A profile's form over equal-shape arrays: its text compiled by
+                names: tuple[str, ...]) -> Callable[..., np.ndarray]:
+    """A profile's form over equal-shape 1-d arrays: its text compiled by
     expressions.compile_rows, else the callable's own `rows` attribute (the
-    profiles decompose extracts from an oracle carry one), else None, and the
-    spec goes row by row."""
+    profiles decompose extracts from an oracle carry one), else the callable
+    called element by element."""
     if text is not None:
         return expressions.compile_rows(text, names)
-    return getattr(fn, "rows", None)
+    rows = getattr(fn, "rows", None)
+    if rows is not None:
+        return rows
+    return lambda *cols: np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
 
 
 def _where_nonzero(nh: np.ndarray, value: Callable) -> np.ndarray:
@@ -323,10 +335,7 @@ class FromLambda(MetricSpec):
         return float(self.profile.fn(r, abs(ip), q))
 
     def _values(self, r, ip, q, G, H):
-        fn = _array_form(self.profile.fn, self.profile.expr_text, ("r", "p", "q"))
-        if fn is None:
-            return super()._values(r, ip, q, G, H)
-        return fn(r, np.abs(ip), q)
+        return self.profile.fn_rows(r, np.abs(ip), q)
 
 
 @dataclass(frozen=True)
@@ -340,9 +349,7 @@ class FromTheta(MetricSpec):
         return 0.0 if nh == 0.0 else nh * float(self.profile.fn(r, math.atan2(q, p)))
 
     def _values(self, r, ip, q, G, H):
-        fn = _array_form(self.profile.fn, self.profile.expr_text, ("r", "tau"))
-        if fn is None:
-            return super()._values(r, ip, q, G, H)
+        fn = self.profile.fn_rows
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
         return _where_nonzero(nh, lambda k: nh[k] * fn(r[k], np.arctan2(q[k], p[k])))
@@ -357,13 +364,16 @@ class FromNonSymLambda(MetricSpec):
         return float(self.profile.fn(r, ip, q))
 
     def _values(self, r, ip, q, G, H):
+        return self.lambda_rows(r, ip, q)
+
+    @property
+    def lambda_rows(self) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        """The profile over arrays (r, p, q); a complex p enters a text as (pre, pim)."""
         text = self.profile.expr_text
         if text is not None and self.field is Field.COMPLEX:
-            return expressions.compile_rows(text, ("r", "pre", "pim", "q"))(r, ip.real, ip.imag, q)
-        fn = _array_form(self.profile.fn, text, ("r", "p", "q"))
-        if fn is None:
-            return super()._values(r, ip, q, G, H)
-        return fn(r, ip, q)
+            fn = expressions.compile_rows(text, ("r", "pre", "pim", "q"))
+            return lambda r, p, q: fn(r, p.real, p.imag, q)
+        return _array_form(self.profile.fn, text, ("r", "p", "q"))
 
 
 @dataclass(frozen=True)
@@ -383,12 +393,8 @@ class FromRiemann(MetricSpec):
 
     def _values(self, r, ip, q, G, H):
         prof = self.profile
-        phi = _array_form(prof.phi, prof.phi_expr, ("r",))
-        psi = _array_form(prof.psi, prof.psi_expr, ("r",))
-        if phi is None or psi is None:
-            return super()._values(r, ip, q, G, H)
         r2, p2 = r * r, np.abs(ip) ** 2
-        v = phi(r2) * (p2 + q * q) / r2 + psi(r2) * p2
+        v = prof.phi_rows(r2) * (p2 + q * q) / r2 + prof.psi_rows(r2) * p2
         return np.where(v == 0.0, 0.0, np.copysign(np.sqrt(np.abs(v)), v))
 
 
@@ -408,8 +414,6 @@ class CongruenceInvariant(MetricSpec):
 
     def _values(self, r, ip, q, G, H):
         fn = _array_form(self.vartheta, self.vartheta_expr, ("tau",))
-        if fn is None:
-            return super()._values(r, ip, q, G, H)
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
         return _where_nonzero(nh, lambda k: (nh[k] / r[k]) * fn(np.arctan2(q[k], p[k])))
@@ -558,8 +562,7 @@ def eval_sesquilinear(profile: RiemannProfile, g: Vector, f: Vector, h: Vector):
         raise ZeroVectorError("sigma is undefined at g = 0")
     if not profile.domain.contains(r2):
         raise OutOfDomainError(f"|g|^2 = {r2} is outside the profile domain")
-    val = float(profile.phi(r2)) * inner(f, h) + float(profile.psi(r2)) * inner(f, g) * inner(g, h)
-    return val
+    return float(profile.phi(r2)) * inner(f, h) + float(profile.psi(r2)) * inner(f, g) * inner(g, h)
 
 
 def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray,
@@ -573,11 +576,8 @@ def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray
         raise ZeroVectorError("sigma is undefined at g = 0")
     if not profile.domain.contains_rows(r2).all():
         raise OutOfDomainError("a row's |g|^2 is outside the profile domain")
-    # a bare callable without an array form goes row by row
-    phi = _array_form(profile.phi, profile.phi_expr, ("r",)) or np.vectorize(profile.phi, otypes=[float])
-    psi = _array_form(profile.psi, profile.psi_expr, ("r",)) or np.vectorize(profile.psi, otypes=[float])
-    return (phi(r2) * row_dots(H.conj(), F)
-            + psi(r2) * row_dots(G.conj(), F) * row_dots(H.conj(), G))
+    return (profile.phi_rows(r2) * row_dots(H.conj(), F)
+            + profile.psi_rows(r2) * row_dots(G.conj(), F) * row_dots(H.conj(), G))
 
 
 def sesquilinear_profile(spec: MetricSpec) -> RiemannProfile | None:
@@ -623,20 +623,16 @@ def check_positive_definite(profile: RiemannProfile, r_samples: list[float],
     PD needs both strictly positive; the degenerate verdict means both are
     non-negative with at least one vanishing (within tol).
     """
-    verdicts = []
-    for r in r_samples:
-        if not profile.domain.contains(r):
-            raise OutOfDomainError(f"sample r = {r} is outside the profile domain")
-        a = float(profile.phi(r))
-        c = a + r * float(profile.psi(r))
-        m = min(a, c)
-        if m > tol:
-            verdicts.append(PDVerdict.POSITIVE_DEFINITE)
-        elif m >= -tol:
-            verdicts.append(PDVerdict.SEMI_DEFINITE_DEGENERATE)
-        else:
-            verdicts.append(PDVerdict.INDEFINITE)
-    return verdicts
+    r = np.array(r_samples, dtype=float)
+    outside = ~profile.domain.contains_rows(r)
+    if outside.any():
+        raise OutOfDomainError(f"sample r = {r[outside][0]} is outside the profile domain")
+    a = profile.phi_rows(r)
+    c = a + r * profile.psi_rows(r)
+    return [PDVerdict.POSITIVE_DEFINITE if m > tol
+            else PDVerdict.SEMI_DEFINITE_DEGENERATE if m >= -tol
+            else PDVerdict.INDEFINITE
+            for m in np.where(c < a, c, a).tolist()]
 
 
 def check_kaehler(profile: RiemannProfile, r_samples: list[float],
@@ -646,15 +642,17 @@ def check_kaehler(profile: RiemannProfile, r_samples: list[float],
     Meaningful over the complex field, where it characterizes the Kaehler
     property of the invariant Hermitean metric.
     """
-    out = []
-    for r in r_samples:
-        step = fd_step if fd_step is not None else max(1e-5, 1e-5 * r)
-        if not (profile.domain.contains(r - step) and profile.domain.contains(r + step)):
-            raise ValueError(f"sample r = {r} is closer than {step} to the domain boundary")
-        d = (float(profile.phi(r + step)) - float(profile.phi(r - step))) / (2.0 * step)
-        t = tol if tol is not None else 1e-6 * (1.0 + abs(float(profile.psi(r))))
-        out.append(abs(float(profile.psi(r)) - d) <= t)
-    return out
+    r = np.array(r_samples, dtype=float)
+    step = np.full(r.shape, fd_step) if fd_step is not None else np.maximum(1e-5, 1e-5 * r)
+    near = ~(profile.domain.contains_rows(r - step) & profile.domain.contains_rows(r + step))
+    if near.any():
+        k = int(np.argmax(near))
+        raise ValueError(f"sample r = {r[k]} is closer than {step[k]} to the domain boundary")
+    up, down = np.split(profile.phi_rows(np.concatenate([r + step, r - step])), 2)
+    d = (up - down) / (2.0 * step)
+    psi = profile.psi_rows(r)
+    t = tol if tol is not None else 1e-6 * (1.0 + np.abs(psi))
+    return (np.abs(psi - d) <= t).tolist()
 
 
 def deviations(got: np.ndarray, want: np.ndarray, ref: np.ndarray | None = None) -> np.ndarray:
@@ -725,64 +723,52 @@ class ProfileValidation:
 _T_FACTORS = (0.0, 0.5, 1.0, 2.0)
 
 
-def _pq_grid(points: int) -> list[tuple[float, float]]:
-    grid = []
-    for rho in (0.3, 1.0, 3.0):
-        for k in range(points):
-            ang = 0.5 * math.pi * (k + 0.5) / points
-            grid.append((rho * math.cos(ang), rho * math.sin(ang)))
-    return grid
-
-
 def validate_profile(spec: MetricSpec, grid_size: int = 4, seed: int = 0,
                      tol: float = 1e-9) -> ProfileValidation:
     """Sample the homogeneity/evenness hypotheses of the underlying profile.
 
-    Families without a lambda-type profile are only checked for finite
-    values on the grid.  Report-only: never raises on a violation.
+    A lambda profile is called once on a grid of (r, p, q) and once per
+    hypothesis, with deviations by the rule of deviations().  Other families
+    are only checked for finite values on pairs from sample_pairs, in one
+    eval_batch call.  Report-only: never raises on a violation.
     """
     radii = domain_grid(spec.domain, grid_size)
-    worst_h, worst_e, checked = 0.0, 0.0, 0
+    if not isinstance(spec, (FromLambda, FromNonSymLambda)):
+        n = len(radii) * grid_size
+        values, _ = eval_batch(spec, *sample_pairs(spec, n, np.random.default_rng(seed)))
+        worst_h = 0.0 if np.isfinite(values).all() else math.inf
+        return ProfileValidation(worst_h <= tol, worst_h, 0.0, n)
 
+    ang = 0.5 * math.pi * (np.arange(grid_size) + 0.5) / grid_size
+    rho = np.array([[0.3], [1.0], [3.0]])
+    r = np.repeat(radii, 3 * grid_size)
+    p = np.tile((rho * np.cos(ang)).ravel(), len(radii))
+    q = np.tile((rho * np.sin(ang)).ravel(), len(radii))
     if isinstance(spec, FromLambda):
-        fn, alpha = spec.profile.fn, spec.profile.alpha
-        for r in radii:
-            for p, q in _pq_grid(grid_size):
-                base = float(fn(r, p, q))
-                for t in _T_FACTORS:
-                    if t == 0.0 and alpha <= 0.0:
-                        continue
-                    want = (t ** alpha) * base
-                    got = float(fn(r, t * p, t * q))
-                    worst_h = max(worst_h, abs(got - want) / (1.0 + abs(want)))
-                for mirrored in (fn(r, -p, q), fn(r, p, -q)):
-                    worst_e = max(worst_e, abs(float(mirrored) - base) / (1.0 + abs(base)))
-                checked += 1
-    elif isinstance(spec, FromNonSymLambda):
-        fn = spec.profile.fn
-        phases = (1.0,) if spec.field is Field.REAL else (1.0, complex(math.cos(2.1), math.sin(2.1)))
-        for r in radii:
-            for p0, q in _pq_grid(grid_size):
-                for ph in phases:
-                    p = p0 * ph
-                    base = float(fn(r, p, q))
-                    for t in _T_FACTORS:
-                        want = t * base
-                        worst_h = max(worst_h, abs(float(fn(r, t * p, t * q)) - want) / (1.0 + abs(want)))
-                        worst_h = max(worst_h, abs(float(fn(r, t * p, -t * q)) - want) / (1.0 + abs(want)))
-                    worst_e = max(worst_e, abs(float(fn(r, p, -q)) - base) / (1.0 + abs(base)))
-                    checked += 1
+        fn, alpha = spec.profile.fn_rows, spec.profile.alpha
+        # lambda(r, t p, t q) = t^alpha lambda(r, p, q); lambda is even in p and in q
+        scaled = [(t * p, t * q, t ** alpha) for t in _T_FACTORS if t > 0.0 or alpha > 0.0]
+        mirrored = [(-p, q, 1.0), (p, -q, 1.0)]
     else:
-        rng = np.random.default_rng(seed)
-        for r in radii:
-            g = random_vector_with_norm(spec.dim, spec.field, r, rng)
-            for _ in range(grid_size):
-                h = random_gaussian_vector(spec.dim, spec.field, rng)
-                if not math.isfinite(eval_finsler(spec, g, h)):
-                    worst_h = math.inf
-                checked += 1
+        fn = spec.lambda_rows
+        if spec.field is Field.COMPLEX:  # p also turned by the phase e^{2.1 i}
+            r, q = np.tile(r, 2), np.tile(q, 2)
+            p = np.concatenate([p, p * complex(math.cos(2.1), math.sin(2.1))])
+        # lambda(r, t p, +-t q) = t lambda(r, p, q); lambda is even in q
+        scaled = [(t * p, s * t * q, t) for t in _T_FACTORS for s in (1.0, -1.0)]
+        mirrored = [(p, -q, 1.0)]
+    base = fn(r, p, q)
 
-    return ProfileValidation(worst_h <= tol and worst_e <= tol, worst_h, worst_e, checked)
+    def worst(cases) -> float:
+        """The largest deviation of fn(r, p', q') from c fn(r, p, q) over cases (p', q', c)."""
+        ps, qs, cs = zip(*cases)
+        with np.errstate(invalid="ignore"):  # 0 * inf: a NaN want, which deviations() counts
+            want = np.concatenate([c * base for c in cs])
+        got = fn(np.tile(r, len(cases)), np.concatenate(ps), np.concatenate(qs))
+        return float(deviations(got, want, want).max())
+
+    worst_h, worst_e = worst(scaled), worst(mirrored)
+    return ProfileValidation(worst_h <= tol and worst_e <= tol, worst_h, worst_e, len(r))
 
 
 # ---------------------------------------------------------------------------

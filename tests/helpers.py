@@ -110,6 +110,33 @@ def expression_texts(names):
     return st.recursive(leaves, extend, max_leaves=8)
 
 
+def pair_cases(min_exp: float, max_exp: float):
+    """(seed, |g|, |h|, kind, eps) for near_pair, with eps = 10^e for e in
+    [min_exp, max_exp]."""
+    return st.tuples(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 4.0), st.floats(0.05, 4.0),
+                     st.sampled_from(("generic", "collinear", "orthogonal")),
+                     st.floats(min_exp, max_exp).map(lambda e: 10.0 ** e))
+
+
+def near_pair(dim: int, field: la.Field, seed: int, ng: float, nh: float, kind: str,
+              eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(g, h) with |g| = ng and |h| = nh: h generic, within eps of the line
+    of g, or within eps of its orthogonal complement."""
+    rng = np.random.default_rng(seed)
+    u, w = la.random_gaussian_rows(2, dim, field, rng)
+    u /= np.linalg.norm(u)
+    w -= np.vdot(u, w) * u
+    w /= np.linalg.norm(w)
+    a, b = rng.standard_normal(2)
+    if kind == "collinear":
+        b *= eps
+    elif kind == "orthogonal":
+        a *= eps
+    h = a * u * (np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) if field is la.Field.COMPLEX
+                 else 1.0) + b * w
+    return ng * u, nh * h / np.linalg.norm(h)
+
+
 def sample_pair(spec: mm.MetricSpec, rng: np.random.Generator):
     g = la.random_vector_with_norm(spec.dim, spec.field, mm.sample_radius(spec.domain, rng), rng)
     h = la.random_gaussian_vector(spec.dim, spec.field, rng)

@@ -46,6 +46,13 @@ def test_eval_undefined_expression_is_exit_3(capsys):
         assert code == 3 and out == "" and "error" in err, metric
 
 
+def test_eval_too_deep_expression_is_exit_2(capsys):
+    for text in ("(" * 500 + "1" + ")" * 500, "+".join(["r"] * 3000)):
+        code, out, err = run(capsys, "eval", "--metric", f"theta:{text}", "--dim", "2",
+                             "--g", "1,0", "--h", "0,1")
+        assert code == 2 and out == "" and "deeper than" in err and "offset" in err
+
+
 def test_eval_complex_entries(capsys):
     code, out, _ = run(capsys, "eval", "--metric", "euclidean", "--dim", "2",
                        "--field", "complex", "--g", "1:0,0:0", "--h", "0:1,1:0")

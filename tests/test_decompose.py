@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from finsler_iso import decompose as dc
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 from finsler_iso.errors import MismatchError, OutOfDomainError
-from helpers import POS, battery, family_specs, nonsym_lambda, theta_angular
+from helpers import POS, battery, family_specs, near_pair, nonsym_lambda, pair_cases, theta_angular
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 
@@ -353,36 +352,12 @@ def _expression_rebuilds(dim, field):
     return out
 
 
-@st.composite
-def _pairs(draw):
-    """(seed, |g|, |h|, kind, eps): h generic, within eps of the line of g,
-    or within eps of its orthogonal complement."""
-    return (draw(st.integers(0, 2 ** 32 - 1)), draw(st.floats(0.05, 4.0)),
-            draw(st.floats(0.05, 4.0)), draw(st.sampled_from(("generic", "collinear", "orthogonal"))),
-            10.0 ** draw(st.floats(-12.0, -2.0)))
-
-
-def _pair(dim, field, seed, ng, nh, kind, eps):
-    rng = np.random.default_rng(seed)
-    u, w = la.random_gaussian_rows(2, dim, field, rng)
-    u /= np.linalg.norm(u)
-    w -= np.vdot(u, w) * u
-    w /= np.linalg.norm(w)
-    a, b = rng.standard_normal(2)
-    if kind == "collinear":
-        b *= eps
-    elif kind == "orthogonal":
-        a *= eps
-    h = a * u * (np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) if field is C else 1.0) + b * w
-    return ng * u, nh * h / np.linalg.norm(h)
-
-
 @pytest.mark.parametrize("field", [R, C])
 @pytest.mark.parametrize("dim", [2, 3])
 @settings(max_examples=40, deadline=None, database=None)
-@given(_pairs())
+@given(pair_cases(-12.0, -2.0))
 def test_the_extracted_profile_determines_the_metric(dim, field, case):
-    g, h = _pair(dim, field, *case)
+    g, h = near_pair(dim, field, *case)
     for spec, rebuilt in _expression_rebuilds(dim, field):
         want = mm.eval_finsler(spec, la.Vector(g, field), la.Vector(h, field))
         got = mm.eval_finsler(rebuilt, la.Vector(g, field), la.Vector(h, field))

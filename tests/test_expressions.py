@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finsler_iso.expressions import (
+    MAX_DEPTH,
     EvalError,
     ParseError,
+    compile_positional,
     compile_rows,
     evaluate,
     parse,
@@ -147,6 +149,68 @@ def test_fuzz_never_crashes():
             assert isinstance(err.offset, int)
         else:
             assert expr is not None
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 500 + "1" + ")" * 500,
+    "-" * 500 + "r",
+    "^".join(["r"] * 500),             # right-associative
+    "+".join(["r"] * 3000),            # flat, so a left-deep tree
+    "sin(" * 150 + "r" + ")" * 150,
+], ids=["parentheses", "unary-minus", "power-chain", "sum-chain", "calls"])
+def test_deep_expressions_are_parse_errors(text):
+    with pytest.raises(ParseError, match="deeper than") as err:
+        parse(text, ("r",))
+    assert isinstance(err.value.offset, int) and 0 <= err.value.offset < len(text)
+
+
+@pytest.mark.parametrize("text", [
+    "+".join(["r"] * MAX_DEPTH),
+    "-" * (MAX_DEPTH - 1) + "r",
+    "^".join(["1"] * MAX_DEPTH),
+    "(sin(" * (MAX_DEPTH - 1) + "r" + "))" * (MAX_DEPTH - 1),
+], ids=["sum-chain", "unary-minus", "power-chain", "parenthesized-calls"])
+def test_the_deepest_accepted_tree_evaluates_everywhere(text):
+    expr = parse(text, ("r",))
+    want = evaluate(expr, {"r": 0.5})
+    assert compile_positional(text, ("r",))(0.5) == want
+    assert compile_rows(text, ("r",))(np.array([0.5, 0.5])).tolist() == [want, want]
+    assert evaluate(parse(to_string(expr), ("r",)), {"r": 0.5}) == want
+    # one level more is refused
+    with pytest.raises(ParseError, match="deeper than"):
+        parse("-" + text if text[0] != "(" else "-(" + text + ")", ("r",))
+
+
+_ALPHABET = "pqr txy+-*/^()., 0123456789esincoabml"
+
+
+@st.composite
+def _parser_texts(draw):
+    """Text over the grammar's alphabet, or a deep or long chain of one
+    construct around such text."""
+    core = draw(st.text(_ALPHABET, max_size=30))
+    n = draw(st.integers(0, 2000))
+    kind = draw(st.sampled_from(("plain", "parens", "minus", "pow", "plus", "call")))
+    if kind == "parens":
+        return "(" * n + core + ")" * draw(st.integers(0, n))
+    if kind == "minus":
+        return "-" * n + core
+    if kind in ("pow", "plus"):
+        return ("^" if kind == "pow" else "+").join([core or "p"] * (n + 1))
+    if kind == "call":
+        return "sin(" * n + core + ")" * n
+    return core
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_parser_texts())
+def test_parse_returns_or_raises_parse_error(text):
+    try:
+        expr = parse(text, VARS)
+    except ParseError as err:
+        assert isinstance(err.offset, int)
+    else:
+        assert expr is not None
 
 
 # ---------------------------------------------------------------------------

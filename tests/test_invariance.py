@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsler_iso import invariance as iv
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 from finsler_iso.errors import MismatchError
-from helpers import OVERFLOWING_THETA, POS, family_specs, probe_battery, theta_angular
+from helpers import (OVERFLOWING_THETA, POS, family_specs, near_pair, pair_cases,
+                     probe_battery, theta_angular)
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 
@@ -325,3 +328,35 @@ def test_is_symmetry_fails_a_map_whose_image_is_finite_where_rho_is_infinite():
     v = iv.is_symmetry(la.LinearMap(0.5 * np.eye(3), R), spec, 200, seed=0)
     assert not v.is_symmetry and v.max_deviation == math.inf and v.skipped == 0
     assert 2.0 < la.norm(v.witness[0]) <= 4.0
+
+
+# ---------------------------------------------------------------------------
+# Invariance and homogeneity on generated pairs
+
+# The one family_specs entry not homogeneous of degree 1 in h; Custom is left
+# out of both properties, since its metric depends on g's first coordinate.
+NOT_DEGREE_ONE = "max(p,q)+min(p,q)^2/(p+q+r)+exp(0-r)*log(1+q)*tan(0.5)"
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@settings(max_examples=30, deadline=None, database=None)
+@given(pair_cases(-12.0, -4.0), st.floats(0.01, 100.0))
+def test_invariance_and_homogeneity_on_generated_pairs(dim, field, case, t):
+    """rho_{Ug}(Uh) = rho_g(h) for a Haar unitary U and rho_g(t h) = t rho_g(h)
+    for t > 0, within 1e-9 (1 + |rho|), on generic, near-collinear and
+    near-orthogonal pairs."""
+    g, h = near_pair(dim, field, *case)
+    u = la.random_unitary(dim, field, case[0]).entries
+    G, H = np.stack([g, u @ g, g]), np.stack([h, u @ h, t * h])
+    for spec in family_specs(dim, field):
+        if spec.family == "custom":
+            continue
+        (rho, moved, scaled), inside = mm.eval_batch(spec, G, H)
+        assert inside.all(), spec.family
+        want = np.array([rho])
+        assert mm.deviations(np.array([moved]), want, want)[0] <= 1e-9, (spec.family, case)
+        if getattr(getattr(spec, "profile", None), "expr_text", None) != NOT_DEGREE_ONE:
+            want = np.array([t * rho])
+            assert mm.deviations(np.array([scaled]), want, want)[0] <= 1e-9, \
+                (spec.family, case, t)

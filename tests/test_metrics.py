@@ -418,6 +418,15 @@ def test_validate_profile_homogeneity_violation():
     assert not report.ok and report.worst_homogeneity > 1e-3
 
 
+def test_validate_profile_fails_where_one_side_only_is_infinite():
+    # lambda(1, 3, 0) = inf while 2 lambda(1, 1.5, 0) = 3: the deviation
+    # |3 - inf| / (1 + inf) is NaN, and counts as inf
+    spec = mm.FromLambda(2, R, POS, mm.lambda_profile(
+        "sqrt(p^2+q^2)*max(1,exp(1000*(sqrt(p^2+q^2)-2)))"))
+    report = mm.validate_profile(spec)
+    assert not report.ok and report.worst_homogeneity == math.inf and report.checked == 48
+
+
 def test_validate_nonsym_profile():
     spec = mm.FromNonSymLambda(2, C, POS, mm.nonsym_lambda_profile("sqrt(pre^2+pim^2+q^2)+pre", C))
     report = mm.validate_profile(spec)
