@@ -61,8 +61,8 @@ def probe_battery(dim: int, field: la.Field) -> list[tuple[str, mm.MetricSpec]]:
 def family_specs(dim: int, field: la.Field) -> list[mm.MetricSpec]:
     """Every family: the expression-backed ones, which evaluate rows through
     compiled array profiles (one of them overflowing to inf), the same
-    families over bare callables, which go row by row, a custom metric and a
-    zero extension."""
+    families over bare callables, which are called element by element, a
+    custom metric and a zero extension."""
     R = la.Field.REAL
     nonsym_text = "sqrt(p^2+q^2)+0.5*p" if field is R else "sqrt(pre^2+pim^2+q^2)+0.5*pre"
     specs = [
