@@ -274,8 +274,7 @@ def roundtrip_check(oracle: MetricOracle | SesquiOracle, extracted_spec: MetricS
 
 def tabulate_theta(profile: ThetaProfile, r_values: list[float],
                    tau_values: list[float]) -> list[tuple[float, float, float]]:
-    """(r, tau, theta_value) rows over the grid, row-major in r, from one
-    call of the profile's array form."""
+    """(r, tau, theta_value) rows over the grid, row-major in r."""
     r = np.repeat(np.array(r_values, dtype=float), len(tau_values))
     tau = np.tile(np.array(tau_values, dtype=float), len(r_values))
     return list(zip(r.tolist(), tau.tolist(), profile.fn_rows(r, tau).tolist()))

@@ -309,20 +309,20 @@ def _array_form(fn: Callable, text: str | None,
     called element by element."""
     if text is not None:
         return expressions.compile_rows(text, names)
-    rows = getattr(fn, "rows", None)
-    if rows is not None:
-        return rows
+    if hasattr(fn, "rows"):
+        return fn.rows
     return lambda *cols: np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
 
 
 def _where_nonzero(nh: np.ndarray, value: Callable) -> np.ndarray:
-    """value(k) on the rows k with |h| != 0 and 0 on the others, where the
-    scalar forms return 0 without calling the profile."""
-    if nh.all():
-        return value(slice(None))
-    out = np.zeros(nh.shape)
-    k = nh != 0.0
-    out[k] = value(k)
+    """value(k) on the rows k with |h| != 0 and 0 on the others, as in the
+    scalar forms, which skip the profile there and overflow to inf silently."""
+    with np.errstate(over="ignore"):
+        if nh.all():
+            return value(slice(None))
+        out = np.zeros(nh.shape)
+        k = nh != 0.0
+        out[k] = value(k)
     return out
 
 
@@ -394,7 +394,8 @@ class FromRiemann(MetricSpec):
     def _values(self, r, ip, q, G, H):
         prof = self.profile
         r2, p2 = r * r, np.abs(ip) ** 2
-        v = prof.phi_rows(r2) * (p2 + q * q) / r2 + prof.psi_rows(r2) * p2
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf - inf = NaN, as in _value
+            v = prof.phi_rows(r2) * (p2 + q * q) / r2 + prof.psi_rows(r2) * p2
         return np.where(v == 0.0, 0.0, np.copysign(np.sqrt(np.abs(v)), v))
 
 

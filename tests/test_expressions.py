@@ -178,7 +178,7 @@ def test_the_deepest_accepted_tree_evaluates_everywhere(text):
     assert evaluate(parse(to_string(expr), ("r",)), {"r": 0.5}) == want
     # one level more is refused
     with pytest.raises(ParseError, match="deeper than"):
-        parse("-" + text if text[0] != "(" else "-(" + text + ")", ("r",))
+        parse("-" + text, ("r",))
 
 
 _ALPHABET = "pqr txy+-*/^()., 0123456789esincoabml"

@@ -352,11 +352,10 @@ def test_invariance_and_homogeneity_on_generated_pairs(dim, field, case, t):
     for spec in family_specs(dim, field):
         if spec.family == "custom":
             continue
-        (rho, moved, scaled), inside = mm.eval_batch(spec, G, H)
-        assert inside.all(), spec.family
-        want = np.array([rho])
-        assert mm.deviations(np.array([moved]), want, want)[0] <= 1e-9, (spec.family, case)
-        if getattr(getattr(spec, "profile", None), "expr_text", None) != NOT_DEGREE_ONE:
-            want = np.array([t * rho])
-            assert mm.deviations(np.array([scaled]), want, want)[0] <= 1e-9, \
-                (spec.family, case, t)
+        values, inside = mm.eval_batch(spec, G, H)
+        with np.errstate(over="ignore"):  # rho near the largest double, times t
+            want = values[0] * np.array([1.0, t])
+        moved, scaled = mm.deviations(values[1:], want, want)
+        assert inside.all() and moved <= 1e-9, (spec.family, case)
+        if not (spec.family == "lambda" and spec.profile.expr_text == NOT_DEGREE_ONE):
+            assert scaled <= 1e-9, (spec.family, case, t)

@@ -196,6 +196,22 @@ def test_eval_batch_skips_the_profile_where_h_is_zero():
         assert values[0] == values[2] == 0.0 and values.tolist() == pytest.approx(want, rel=1e-12)
 
 
+def test_eval_batch_overflows_as_the_scalar_path_does():
+    # a finite profile value times |h| (or over |g|) overflows to inf, and
+    # inf - inf is NaN, with no numpy warning (tier-1 makes one an error)
+    G = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
+    H = np.array([[0.0, 10.0], [10.0, 0.0], [1.0, 1.0]])
+    for spec in (mm.FromTheta(2, R, POS, mm.theta_profile("1e308")),
+                 mm.spec_from_json({"family": "congruence-invariant", "dim": 2, "field": "real",
+                                    "params": {"vartheta": "1e308"}}),
+                 mm.FromRiemann(2, R, POS, mm.riemann_profile("1e308", "0")),
+                 mm.FromRiemann(2, R, POS, mm.riemann_profile("1e308", "-1e308"))):
+        values, _ = mm.eval_batch(spec, G, H)
+        want = [mm.eval_finsler(spec, la.vector(g), la.vector(h)) for g, h in zip(G, H)]
+        assert np.isinf(values).any(), spec
+        np.testing.assert_array_equal(values, want)
+
+
 def test_eval_batch_mask_on_a_bounded_domain():
     domain = mm.RadiusDomain(((1.0, 2.0),))
     rng = np.random.default_rng(7)
