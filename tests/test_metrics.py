@@ -435,8 +435,8 @@ def test_validate_profile_homogeneity_violation():
 
 
 def test_validate_profile_fails_where_one_side_only_is_infinite():
-    # lambda(1, 3, 0) = inf while 2 lambda(1, 1.5, 0) = 3: the deviation
-    # |3 - inf| / (1 + inf) is NaN, and counts as inf
+    # lambda = inf on the grid's circle p^2 + q^2 = 9, and 1.5 at half of each
+    # of its points: the deviation |1.5 - inf / 2| / (1 + inf / 2) is NaN, and counts as inf
     spec = mm.FromLambda(2, R, POS, mm.lambda_profile(
         "sqrt(p^2+q^2)*max(1,exp(1000*(sqrt(p^2+q^2)-2)))"))
     report = mm.validate_profile(spec)
