@@ -168,10 +168,9 @@ def extract_nonsym_lambda(oracle: MetricOracle,
                           frame: tuple[Vector, Vector] | None = None) -> NonSymLambdaProfile:
     """Non-symmetric variant: p keeps the full scalar <h, g>, not its modulus."""
     e, f = (v.entries for v in _check_frame(oracle, frame))
-    real = oracle.field is Field.REAL
 
     def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        if real:
+        if oracle.field is Field.REAL:
             p = np.real(p)
         return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / r
 

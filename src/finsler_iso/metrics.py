@@ -563,7 +563,8 @@ def eval_sesquilinear(profile: RiemannProfile, g: Vector, f: Vector, h: Vector):
         raise ZeroVectorError("sigma is undefined at g = 0")
     if not profile.domain.contains(r2):
         raise OutOfDomainError(f"|g|^2 = {r2} is outside the profile domain")
-    return float(profile.phi(r2)) * inner(f, h) + float(profile.psi(r2)) * inner(f, g) * inner(g, h)
+    val = float(profile.phi(r2)) * inner(f, h) + float(profile.psi(r2)) * inner(f, g) * inner(g, h)
+    return val
 
 
 def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray,
