@@ -115,6 +115,8 @@ def metric_from_args(args) -> mm.MetricSpec:
         return _named_metric(raw, args)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read metric spec: {exc}") from None
+    except EvalError:
+        raise  # undefined on a sampled pair while being built (riemann's sign probe): exit 3
     except (ParseError, ValueError) as exc:
         raise UsageError(f"bad metric spec: {exc}") from None
 

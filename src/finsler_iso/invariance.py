@@ -18,9 +18,8 @@ from .linalg import (
     Field,
     LinearMap,
     Vector,
-    random_rotation,
+    random_gaussian_rows,
     random_unitaries,
-    random_unitary,
     singular_values,
 )
 from .metrics import MetricSpec, area_dim2, deviations, eval_batch, sample_pairs
@@ -67,15 +66,57 @@ def _deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray, TG: np.ndarray,
     return dev, inside
 
 
-def _verdict(spec: MetricSpec, G: np.ndarray, H: np.ndarray, dev: np.ndarray, tol: float,
-             skipped: int) -> SymmetryVerdict:
-    """The verdict on the rows of dev; the witness is the first row with the
-    largest deviation."""
-    k = int(np.argmax(dev))
-    max_dev = float(dev[k])
-    ok = skipped == 0 and max_dev <= tol
-    witness = None if ok else (Vector(G[k], spec.field), Vector(H[k], spec.field))
-    return SymmetryVerdict(ok, max_dev, witness, len(dev), skipped)
+def _verdicts(spec: MetricSpec, G: np.ndarray, H: np.ndarray, dev: np.ndarray,
+              used: np.ndarray, skipped: np.ndarray, tol: float) -> list[SymmetryVerdict]:
+    """The verdict of each row i of the (k, n) deviations dev on its first
+    used[i] entries, whose samples are rows i*n .. of G and H; the witness is
+    the first sample with the largest deviation, copied out of G and H so a
+    verdict does not keep every map's samples alive."""
+    k, n = dev.shape
+    read = np.where(np.arange(n) < used[:, None], dev, -1.0)  # deviations are >= 0
+    at = read.argmax(axis=1)
+    max_dev = read[np.arange(k), at]
+    ok = ~skipped & (max_dev <= tol)
+    f = spec.field
+
+    def witness(j: int) -> tuple[Vector, Vector]:
+        return Vector(G[j].copy(), f), Vector(H[j].copy(), f)
+
+    return [SymmetryVerdict(o, d, None if o else witness(j), u, s)
+            for o, d, j, u, s in zip(ok.tolist(), max_dev.tolist(),
+                                     (np.arange(k) * n + at).tolist(), used.tolist(),
+                                     skipped.astype(int).tolist())]
+
+
+# Rows per eval_batch call in _symmetry_verdicts: whole maps' samples, about
+# this many, so a stack of maps keeps its temporaries small.
+_BLOCK_ROWS = 1024
+
+
+def _symmetry_verdicts(spec: MetricSpec, M: np.ndarray, G: np.ndarray, H: np.ndarray,
+                       tol: float) -> list[SymmetryVerdict]:
+    """is_symmetry's verdict for each map of a (k, dim, dim) stack, map i on
+    the rows i*n .. (i+1)*n - 1 of the (k*n, dim) samples G and H.
+
+    The maps are applied in stacked matmuls and each side is one eval_batch
+    call per block of whole maps' rows; each map's verdict reads only its
+    own rows, by is_symmetry's rule.
+    """
+    k, dim = len(M), spec.dim
+    n = len(G) // k
+    per = max(1, _BLOCK_ROWS // n)
+    Mt = M.transpose(0, 2, 1)
+    dev, inside = np.empty(k * n), np.empty(k * n, dtype=bool)
+    for a in range(0, k, per):
+        b = min(k, a + per)
+        rows = slice(a * n, b * n)
+        TG = (G[rows].reshape(b - a, n, dim) @ Mt[a:b]).reshape(-1, dim)
+        TH = (H[rows].reshape(b - a, n, dim) @ Mt[a:b]).reshape(-1, dim)
+        dev[rows], inside[rows] = _deviations(spec, G[rows], H[rows], TG, TH)
+    dev, inside = dev.reshape(k, n), inside.reshape(k, n)
+    exits = dev > 1e3 * tol  # inf on every domain exit
+    used = np.where(exits.any(axis=1), exits.argmax(axis=1) + 1, n)
+    return _verdicts(spec, G, H, dev, used, ~inside[np.arange(k), used - 1], tol)
 
 
 def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int = 0,
@@ -88,17 +129,14 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
     deviation passes 1000x the tolerance, or whose image base point Tg leaves
     the domain.  The latter violates the domain-preservation half of the
     definition: it is counted in `skipped`, its deviation is inf and it fails
-    the verdict outright.
+    the verdict outright.  This is the one-map case of the stacked test the
+    probes run.
     """
     _check_map(T, spec)
     if n_samples < 1:
         raise ValueError("a symmetry test needs at least one sample (n_samples >= 1)")
     G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
-    M = T.entries.T
-    dev, inside = _deviations(spec, G, H, G @ M, H @ M)
-    exits = np.flatnonzero(dev > 1e3 * tol)  # inf on every domain exit
-    used = int(exits[0]) + 1 if exits.size else n_samples
-    return _verdict(spec, G, H, dev[:used], tol, int(not inside[used - 1]))
+    return _symmetry_verdicts(spec, T.entries[None], G, H, tol)[0]
 
 
 def classify_congruence(T: LinearMap, tol: float = 1e-9) -> CongruenceClass:
@@ -142,7 +180,7 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
                               (U @ H[:, :, None])[:, :, 0])
     if not inside.all():
         raise OutOfDomainError("a unitary of the suite maps a base point out of the domain")
-    return _verdict(spec, G, H, dev, tol, 0)
+    return _verdicts(spec, G, H, dev[None], np.array([len(dev)]), np.array([False]), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +200,19 @@ class ProbeReport:
     control_samples: int              # and over the controls
 
 
-def _random_noncongruence(dim: int, field: Field, rng: np.random.Generator,
-                          min_sv_ratio: float) -> LinearMap:
-    # Rejection sampling over Gaussian matrices; almost never repeats.
+def _random_noncongruences(n: int, dim: int, field: Field, rng: np.random.Generator,
+                           min_sv_ratio: float) -> np.ndarray:
+    """n Gaussian (dim, dim) matrices with singular-value ratio >= min_sv_ratio,
+    as an (n, dim, dim) array: one stacked draw and SVD, then rejection
+    sampling of only the rejected matrices (which almost never happens)."""
+    m = random_gaussian_rows(n * dim, dim, field, rng).reshape(n, dim, dim)
+    todo = np.arange(n)
     while True:
-        if field is Field.REAL:
-            m = rng.standard_normal((dim, dim))
-        else:
-            m = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] > 1e-6 and sv[0] / sv[-1] >= min_sv_ratio:
-            return LinearMap(m, field)
+        sv = np.linalg.svd(m[todo], compute_uv=False)
+        todo = todo[(sv[:, -1] <= 1e-6) | (sv[:, 0] < min_sv_ratio * sv[:, -1])]
+        if not todo.size:
+            return m
+        m[todo] = random_gaussian_rows(todo.size * dim, dim, field, rng).reshape(-1, dim, dim)
 
 
 def _spec_is_vacuous(spec: MetricSpec, rng: np.random.Generator, n: int = 32) -> bool:
@@ -190,45 +230,49 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     scaled by a random positive constant when the spec is invariant under
     all congruences; they must pass at control_tol.  Absence of a counterexample is the
     assertion, not a proof.
+
+    The seed spawns three streams: one for the test of a metric that is 0
+    everywhere, one from which all the maps and then all their n_maps *
+    n_samples pairs are drawn at once, and one for the controls' unitaries
+    (one stacked QR), scales and pairs.  Each map is tested on its own
+    n_samples pairs by is_symmetry's rule, in one stacked test per side.
     """
     if spec.dim < 3:
         raise ValueError("the probe applies in dimension >= 3")
     if n_maps < 1:
         raise ValueError("the probe needs at least one map (n_maps >= 1)")
-    root = np.random.SeedSequence(seed)
-    map_seeds, control_seeds, aux = root.spawn(n_maps), root.spawn(n_controls), root.spawn(1)[0]
+    aux, map_ss, control_ss = np.random.SeedSequence(seed).spawn(3)
     if _spec_is_vacuous(spec, np.random.default_rng(aux)):
         return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True,
                            map_samples=0, control_samples=0)
-
-    def probe_map(ss) -> tuple[SymmetryVerdict, LinearMap]:
-        rng = np.random.default_rng(ss)
-        T = _random_noncongruence(spec.dim, spec.field, rng, min_sv_ratio)
-        return is_symmetry(T, spec, n_samples, seed=int(rng.integers(2 ** 31)),
-                           tol=deviation_threshold), T
-
-    def probe_control(ss) -> SymmetryVerdict:
-        rng = np.random.default_rng(ss)
-        u = random_unitary(spec.dim, spec.field, int(rng.integers(2 ** 31)))
-        c = float(np.exp(rng.uniform(-np.log(2.0), np.log(2.0)))) if spec.congruence_invariant else 1.0
-        T = LinearMap(c * u.entries, spec.field)
-        return is_symmetry(T, spec, n_samples, seed=int(rng.integers(2 ** 31)), tol=control_tol)
-
-    map_results = [probe_map(ss) for ss in map_seeds]
-    controls = [probe_control(ss) for ss in control_seeds]
-    weakest, weakest_map = min(map_results, key=lambda t: t[0].max_deviation)
-    control_worst = max((v.max_deviation for v in controls), default=0.0)
+    dim, field = spec.dim, spec.field
+    rng = np.random.default_rng(map_ss)
+    maps = _random_noncongruences(n_maps, dim, field, rng, min_sv_ratio)
+    verdicts = _symmetry_verdicts(spec, maps, *sample_pairs(spec, n_maps * n_samples, rng),
+                                  deviation_threshold)
+    rng = np.random.default_rng(control_ss)
+    controls = random_unitaries(n_controls, dim, field, rng)
+    scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), n_controls))
+    if spec.congruence_invariant:
+        controls *= scales[:, None, None]
+    control_verdicts = (_symmetry_verdicts(spec, controls,
+                                           *sample_pairs(spec, n_controls * n_samples, rng),
+                                           control_tol)
+                        if n_controls else [])
+    weakest = min(range(n_maps), key=lambda i: verdicts[i].max_deviation)
+    weakest_deviation = verdicts[weakest].max_deviation
+    control_worst = max((v.max_deviation for v in control_verdicts), default=0.0)
     return ProbeReport(
-        maps_tested=len(map_results),
-        all_failed=weakest.max_deviation > deviation_threshold,
-        weakest_deviation=weakest.max_deviation,
-        weakest_map=weakest_map,
-        controls_tested=len(controls),
+        maps_tested=n_maps,
+        all_failed=weakest_deviation > deviation_threshold,
+        weakest_deviation=weakest_deviation,
+        weakest_map=LinearMap(maps[weakest], field),
+        controls_tested=n_controls,
         controls_passed=control_worst <= control_tol,
         control_worst_deviation=control_worst,
         vacuous=False,
-        map_samples=sum(v.samples_used for v, _ in map_results),
-        control_samples=sum(v.samples_used for v in controls),
+        map_samples=sum(v.samples_used for v in verdicts),
+        control_samples=sum(v.samples_used for v in control_verdicts),
     )
 
 
@@ -244,21 +288,22 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
     """The dimension-2 exception: |det| = 1 maps preserve the area metric.
 
     Supplied maps must be real 2x2 with |det| = 1 (within tol); anything
-    else is rejected as a precondition failure.
+    else is rejected as a precondition failure.  All len(maps) * n_samples
+    pairs are drawn at once from the seed, and each map is tested on its own
+    n_samples of them by is_symmetry's rule, in one stacked test per side.
     """
     if not maps:
         raise ValueError("the dim-2 exception check needs at least one map")
     spec = area_dim2(b)
-    root = np.random.SeedSequence(seed)
-    worst = 0.0
-    for T, ss in zip(maps, root.spawn(len(maps))):
+    for T in maps:
         if T.field is not Field.REAL or T.dim_in != 2 or T.dim_out != 2:
             raise MismatchError("dim-2 exception check needs real 2x2 maps")
         d = abs(float(np.linalg.det(T.entries)))
         if abs(d - 1.0) > max(tol, 1e-9):
             raise ValueError(f"non-unimodular map supplied: |det| = {d}")
-        v = is_symmetry(T, spec, n_samples, seed=int(np.random.default_rng(ss).integers(2 ** 31)), tol=tol)
-        worst = max(worst, v.max_deviation)
+    G, H = sample_pairs(spec, len(maps) * n_samples, np.random.default_rng(seed))
+    verdicts = _symmetry_verdicts(spec, np.stack([T.entries for T in maps]), G, H, tol)
+    worst = max(v.max_deviation for v in verdicts)
     return Dim2Report(len(maps), worst <= tol, worst)
 
 
@@ -286,8 +331,11 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
                                tol: float = 1e-9) -> RotationSufficiencyReport:
     """Invariance under rotations alone matches invariance under all isometries.
 
-    Real field, dimension >= 3: runs the invariance suite once with Haar
-    rotations and once with Haar orthogonal maps and compares outcomes.
+    Real field, dimension >= 3: tests n_rotations Haar rotations and as many
+    Haar orthogonal maps and compares outcomes.  From the seed come the
+    orthogonal maps and then the rotations (each one stacked QR), then
+    n_rotations * n_samples pairs; rotation i and orthogonal map i are tested
+    on the same n_samples of them by is_symmetry's rule.
     """
     if spec.field is not Field.REAL:
         raise MismatchError("rotation sufficiency is a real-field statement")
@@ -295,15 +343,13 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
         raise ValueError("rotation sufficiency needs dimension >= 3")
     if n_rotations < 1:
         raise ValueError("rotation sufficiency needs at least one rotation")
-    root = np.random.SeedSequence(seed)
-    rot_worst, orth_worst = 0.0, 0.0
-    for ss in root.spawn(n_rotations):
-        rng = np.random.default_rng(ss)
-        s1, s2, s3 = (int(rng.integers(2 ** 31)) for _ in range(3))
-        rot = random_rotation(spec.dim, s1)
-        orth = random_unitary(spec.dim, Field.REAL, s2)
-        rot_worst = max(rot_worst, is_symmetry(rot, spec, n_samples, s3, tol).max_deviation)
-        orth_worst = max(orth_worst, is_symmetry(orth, spec, n_samples, s3, tol).max_deviation)
+    rng = np.random.default_rng(seed)
+    orth = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)
+    rot = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)
+    rot[np.linalg.det(rot) < 0, :, 0] *= -1.0
+    G, H = sample_pairs(spec, n_rotations * n_samples, rng)
+    rot_worst, orth_worst = (max(v.max_deviation for v in _symmetry_verdicts(spec, M, G, H, tol))
+                             for M in (rot, orth))
     rp, op = rot_worst <= tol, orth_worst <= tol
     return RotationSufficiencyReport(rot_worst, orth_worst, rp, op, rp == op)
 

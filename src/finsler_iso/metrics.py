@@ -376,6 +376,10 @@ class FromNonSymLambda(MetricSpec):
         return _array_form(self.profile.fn, text, ("r", "p", "q"))
 
 
+_UNDEFINED_SIGMA = ("riemann value is undefined: phi(|g|^2)|h|^2 + psi(|g|^2)|<h, g>|^2 is "
+                    "NaN (its terms overflow to opposite infinities, or a profile value is NaN)")
+
+
 @dataclass(frozen=True)
 class FromRiemann(MetricSpec):
     """Finsler metric induced by a sesquilinear profile: sign(v) sqrt|v|."""
@@ -387,6 +391,8 @@ class FromRiemann(MetricSpec):
     def _value(self, r, ip, q):
         r2, p2 = r * r, abs(ip) ** 2  # |h|^2 = (p^2 + q^2) / r^2
         v = float(self.profile.phi(r2)) * (p2 + q * q) / r2 + float(self.profile.psi(r2)) * p2
+        if math.isnan(v):
+            raise expressions.EvalError(_UNDEFINED_SIGMA)
         if v == 0.0:
             return 0.0
         return math.copysign(math.sqrt(abs(v)), v)
@@ -394,8 +400,10 @@ class FromRiemann(MetricSpec):
     def _values(self, r, ip, q, G, H):
         prof = self.profile
         r2, p2 = r * r, np.abs(ip) ** 2
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf - inf = NaN, as in _value
+        with np.errstate(over="ignore", invalid="ignore"):  # inf as in _value; NaN raises below
             v = prof.phi_rows(r2) * (p2 + q * q) / r2 + prof.psi_rows(r2) * p2
+        if np.isnan(v).any():
+            raise expressions.EvalError(_UNDEFINED_SIGMA)
         return np.where(v == 0.0, 0.0, np.copysign(np.sqrt(np.abs(v)), v))
 
 

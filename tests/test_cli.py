@@ -46,6 +46,13 @@ def test_eval_undefined_expression_is_exit_3(capsys):
         assert code == 3 and out == "" and "error" in err, metric
 
 
+def test_eval_of_an_undefined_riemann_value_is_exit_3(capsys):
+    # phi|h|^2 and psi p^2 overflow to opposite infinities: no value, not null
+    code, out, err = run(capsys, "eval", "--metric", "riemann:1e308;-1e308", "--dim", "2",
+                         "--g", "1,0", "--h", "10,0")
+    assert code == 3 and out == "" and "undefined" in err
+
+
 def test_eval_too_deep_expression_is_exit_2(capsys):
     for text in ("(" * 500 + "1" + ")" * 500, "+".join(["r"] * 3000)):
         code, out, err = run(capsys, "eval", "--metric", f"theta:{text}", "--dim", "2",

@@ -315,9 +315,60 @@ def test_checks_pass_over_rows_where_rho_is_infinite():
 def test_probe_report_counts_samples():
     report = iv.congruence_theorem_probe(mm.euclidean(3), n_maps=10, n_samples=20, seed=3,
                                          n_controls=5)
-    assert (report.map_samples, report.control_samples) == (185, 100)
+    assert (report.map_samples, report.control_samples) == (173, 100)
     vacuous = iv.congruence_theorem_probe(mm.Custom(3, R, POS, fn=lambda g, h: 0.0), n_maps=5)
     assert (vacuous.map_samples, vacuous.control_samples) == (0, 0)
+
+
+@pytest.mark.parametrize("block_rows", [iv._BLOCK_ROWS, 80])
+@pytest.mark.parametrize("field", [R, C])
+def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field, block_rows,
+                                                                   monkeypatch):
+    # one stack, maps that exit at different rows or not at all; at 80 rows a
+    # block holds two maps' samples, so blocks split the stack
+    monkeypatch.setattr(iv, "_BLOCK_ROWS", block_rows)
+    spec = mm.CongruenceInvariant(3, field, mm.RadiusDomain(((1.0, 2.0),)), lambda tau: 1.0, "1")
+    u = la.random_unitary(3, field, 4).entries
+    maps = [u, 1.3 * u, u @ np.diag([1.0, 1.0, 1.0 + 3e-6]), u @ np.diag([1.0, 1.0, 2.0]),
+            u @ np.diag([1.0, 1.0, 1.0 + 1e-8]), 1.2 * u]
+    n = 40
+    pairs = [mm.sample_pairs(spec, n, np.random.default_rng(seed)) for seed in range(len(maps))]
+    G, H = (np.concatenate(rows) for rows in zip(*pairs))
+    stacked = iv._symmetry_verdicts(spec, np.stack(maps), G, H, 1e-9)
+    alone = [iv.is_symmetry(la.LinearMap(m, field), spec, n, seed=seed, tol=1e-9)
+             for seed, m in enumerate(maps)]
+    for i, (got, want) in enumerate(zip(stacked, alone)):
+        assert (got.is_symmetry, got.max_deviation, got.samples_used, got.skipped) \
+            == (want.is_symmetry, want.max_deviation, want.samples_used, want.skipped), i
+        if want.witness is None:
+            assert got.witness is None, i
+        else:
+            for a, b in zip(got.witness, want.witness):
+                assert a.field is b.field and np.array_equal(a.entries, b.entries), i
+    # the cases the stack must hold: no exit, domain exits and deviation exits
+    # at different rows, and a failure with no exit
+    assert alone[0].is_symmetry and alone[0].samples_used == n
+    assert [v.skipped for v in alone] == [0, 1, 0, 0, 0, 1]
+    assert alone[1].samples_used > 1 and alone[1].max_deviation == math.inf
+    assert 1 < alone[2].samples_used < n and alone[2].max_deviation > 1e-6
+    assert alone[3].samples_used == 1 and alone[3].max_deviation > 1e-6
+    assert not alone[4].is_symmetry and alone[4].samples_used == n
+
+
+def test_probes_evaluate_one_batch_per_side_per_block(monkeypatch):
+    rows = []
+
+    def counting(spec, G, H):
+        rows.append(len(G))
+        return mm.eval_batch(spec, G, H)
+
+    monkeypatch.setattr(iv, "eval_batch", counting)
+    iv.congruence_theorem_probe(mm.euclidean(3), seed=1)  # 100 maps, 100 controls, 40 samples
+    # the zero-metric test, then 4 blocks of 25 maps each for the maps and the controls
+    assert rows == [32] + [1000] * 16
+    rows.clear()
+    iv.dim2_exception_check(1.0, [iv.random_unimodular(k) for k in range(30)], 40, seed=2)
+    assert rows == [1000, 1000, 200, 200]
 
 
 def test_is_symmetry_fails_a_map_whose_image_is_finite_where_rho_is_infinite():
