@@ -6,12 +6,15 @@ grammar covers numbers, a declared variable set, unary minus, + - * / ^
 then + -), parentheses, and calls to sin cos tan exp log sqrt abs min max.
 A tree evaluates on one binding (evaluate, compile_positional) or on
 equal-shape arrays of bindings at once (compile_rows), with equal results.
+Both compile each tree once into closures, one per node: evaluate on the
+tree's first call, compile_rows on the text's first batch.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
@@ -236,67 +239,82 @@ def _exp(x: float) -> float:
 def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
     """IEEE double evaluation: a value that is never NaN, or an EvalError.
 
-    Undefined forms the domain rules do not name (inf - inf, sin(inf)) are
-    caught once, here, and not at every node.
+    The tree is compiled to closures on its first evaluation.  Undefined
+    forms the domain rules do not name (inf - inf, sin(inf)) are caught
+    once, here, and not at every node.
     """
+    entry = _compiled.get(id(expr))
+    if entry is None:
+        if len(_compiled) >= 256:  # bounded as compile_rows is; the oldest goes
+            del _compiled[next(iter(_compiled))]
+        entry = _compiled[id(expr)] = (expr, _compile(expr))
     try:
-        value = _evaluate(expr, bindings)
+        value = entry[1](bindings)
     except EvalError:
         raise
     except ValueError as exc:  # math.sin/cos/tan of an infinite argument
         raise EvalError(f"expression is undefined here ({exc})") from None
-    if math.isnan(value):
+    except KeyError as exc:
+        raise EvalError(f"missing binding for variable {exc.args[0]!r}") from None
+    if value != value:
         raise EvalError("expression is undefined here (evaluates to NaN)")
     return value
 
 
-def _evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
+# id(tree) -> (tree, closure), keyed by identity: a frozen dataclass's hash walks
+# the whole tree every call.  Holding the tree keeps its id from being reused.
+_compiled: dict[int, tuple[Expr, Callable[[Mapping[str, float]], float]]] = {}
+
+
+def _compile(expr: Expr) -> Callable[[Mapping[str, float]], float]:
+    """The scalar twin of _compile_rows: one closure per node, the left
+    operand evaluated before the right, the domain rules raised as they meet."""
     if isinstance(expr, Num):
-        return expr.value
+        value = expr.value
+        return lambda b: value
     if isinstance(expr, Var):
-        try:
-            return float(bindings[expr.name])
-        except KeyError:
-            raise EvalError(f"missing binding for variable {expr.name!r}") from None
+        name = expr.name
+        return lambda b: float(b[name])
     if isinstance(expr, Neg):
-        return -_evaluate(expr.operand, bindings)
+        operand = _compile(expr.operand)
+        return lambda b: -operand(b)
     if isinstance(expr, BinOp):
-        a = _evaluate(expr.left, bindings)
-        b = _evaluate(expr.right, bindings)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            if b == 0.0:
-                raise EvalError(f"division by zero ({a} / {b})")
-            return a / b
-        return _pow(a, b)
-    args = [_evaluate(a, bindings) for a in expr.args]
-    name = expr.name
-    if name == "log":
-        if args[0] <= 0.0:
-            raise EvalError(f"log of non-positive argument {args[0]}")
-        return math.log(args[0])
-    if name == "sqrt":
-        if args[0] < 0.0:
-            raise EvalError(f"sqrt of negative argument {args[0]}")
-        return math.sqrt(args[0])
-    if name == "exp":
-        return _exp(args[0])
-    if name == "sin":
-        return math.sin(args[0])
-    if name == "cos":
-        return math.cos(args[0])
-    if name == "tan":
-        return math.tan(args[0])
-    if name == "abs":
-        return abs(args[0])
-    if name == "min":
-        return min(args)
-    return max(args)
+        left, right, op = _compile(expr.left), _compile(expr.right), _OPS[expr.op]
+        return lambda b: op(left(b), right(b))
+    fn, args = _CALLS[expr.name], [_compile(a) for a in expr.args]
+    if len(args) == 1:
+        (arg,) = args
+        return lambda b: fn(arg(b))
+    first, second = args
+    return lambda b: fn(first(b), second(b))
+
+
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalError(f"division by zero ({a} / {b})")
+    return a / b
+
+
+def _log(x: float) -> float:
+    if x <= 0.0:
+        raise EvalError(f"log of non-positive argument {x}")
+    return math.log(x)
+
+
+def _sqrt(x: float) -> float:
+    if x < 0.0:
+        raise EvalError(f"sqrt of negative argument {x}")
+    return math.sqrt(x)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _pow}
+
+# min and max of two floats keep the first unless the second is strictly
+# smaller (larger).
+_CALLS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": _exp, "log": _log,
+    "sqrt": _sqrt, "abs": abs, "min": min, "max": max,
+}
 
 
 @functools.lru_cache(maxsize=256)

@@ -23,6 +23,7 @@ from .linalg import (
     Field,
     Vector,
     canonical_invariants,
+    conj,
     inner,
     norm,
     row_dots,
@@ -260,14 +261,15 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     D = V - U
     length = row_norms(D)
     moving = length > 0.0
-    t_star = np.clip(-row_dots(D.conj(), U).real / np.where(moving, length * length, 1.0),
-                     0.0, 1.0)
+    t_star = np.minimum(np.maximum(
+        -row_dots(conj(D), U).real / np.where(moving, length * length, 1.0), 0.0), 1.0)
     origin_gap = row_norms(U + t_star[:, None] * D)
     # chunk <= gap/16 keeps the midpoint bias of a near-origin sweep below
     # ~5e-4 even when the descent adversarially seeks quadrature error
     needed = np.maximum(length / ell0, 16.0 * length / np.maximum(origin_gap, 1e-300))
     refused = needed > _CHUNK_CAP
-    m = np.where(moving & ~refused, np.clip(np.ceil(needed), 4, _CHUNK_CAP), 0).astype(np.intp)
+    m = np.where(moving & ~refused, np.minimum(np.maximum(np.ceil(needed), 4), _CHUNK_CAP),
+                 0).astype(np.intp)
     seg = np.repeat(np.arange(len(m)), m)
     j = np.arange(len(seg)) - np.repeat(np.cumsum(m) - m, m)
     mids = U[seg] + ((j + 0.5) / m[seg])[:, None] * D[seg]
@@ -275,9 +277,9 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     values, inside = eval_batch(spec, mids, steps)
     # bincount adds each segment's chunks in order, from 0 for a segment without any
     lengths = np.bincount(seg, weights=values, minlength=len(m))
-    status = np.where(refused, _LEFT_DOMAIN, _RESOLVED)
-    failed = np.flatnonzero(~inside | (values < 0.0))
-    if len(failed):
+    status = refused * _LEFT_DOMAIN  # _RESOLVED = 0 elsewhere
+    if not inside.all() or (values < 0.0).any():
+        failed = np.flatnonzero(~inside | (values < 0.0))
         segs, first = np.unique(seg[failed], return_index=True)
         status[segs] = np.where(inside[failed[first]], _NEGATIVE, _LEFT_DOMAIN)
     return lengths, status

@@ -120,7 +120,13 @@ def inner(f: Vector, h: Vector) -> complex | float:
 
 
 def norm(h: Vector) -> float:
-    return float(np.linalg.norm(h.entries))
+    """np.linalg.norm's own formula, bit for bit, without its overhead.  np.vdot
+    overflows to inf without the RuntimeWarning that ndarray.dot gives."""
+    x = h.entries
+    if h.field is Field.REAL:
+        return math.sqrt(np.vdot(x, x))
+    re, im = x.real, x.imag
+    return math.sqrt(np.vdot(re, re) + np.vdot(im, im))
 
 
 def scale(c, v: Vector) -> Vector:
@@ -162,9 +168,12 @@ def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, fl
     float over R and a complex over C.
     """
     ip = np.vdot(g.entries, h.entries)
+    real = g.field is Field.REAL
+    if real:  # Python floats round as numpy's do, at less cost; complex ones do not
+        ip = float(ip)
     perp = h.entries - (ip / (r * r)) * g.entries
     q = r * math.sqrt(np.vdot(perp, perp).real)
-    return (float(ip.real) if g.field is Field.REAL else complex(ip)), q
+    return (ip if real else complex(ip)), q
 
 
 def row_norms(G: np.ndarray) -> np.ndarray:
@@ -181,11 +190,18 @@ def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
     The same orthogonal-component form of q; a row with r = 0 gets
     <h, g> = q = 0.
     """
-    ip = row_dots(G.conj(), H)
-    c = np.divide(ip, r * r, out=np.zeros_like(ip), where=r > 0.0)
+    ip = row_dots(conj(G), H)
+    positive = r > 0.0
+    c = ip / (r * r) if positive.all() else np.divide(ip, r * r, out=np.zeros_like(ip),
+                                                      where=positive)
     perp = H - c[:, None] * G
-    q = r * np.sqrt(row_dots(perp.conj(), perp).real)
+    q = r * np.sqrt(row_dots(conj(perp), perp).real)
     return ip, q
+
+
+def conj(A: np.ndarray) -> np.ndarray:
+    """The complex conjugate of an array; a real array itself, not a copy."""
+    return A.conj() if A.dtype.kind == "c" else A
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:

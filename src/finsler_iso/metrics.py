@@ -62,10 +62,16 @@ class RadiusDomain:
     def contains(self, r: float) -> bool:
         if r == 0.0:
             return self.includes_zero
-        return any(lo < r < hi for lo, hi in self.intervals)
+        for lo, hi in self.intervals:
+            if lo < r < hi:
+                return True
+        return False
 
     def contains_rows(self, r: np.ndarray) -> np.ndarray:
         """contains() for each entry of an array of radii."""
+        if len(self.intervals) == 1 and not self.includes_zero:
+            ((lo, hi),) = self.intervals
+            return (lo < r) & (r < hi)
         inside = r == 0.0 if self.includes_zero else np.zeros(r.shape, dtype=bool)
         for lo, hi in self.intervals:
             inside |= (lo < r) & (r < hi)
@@ -526,13 +532,20 @@ def _check_compatible(spec: MetricSpec, *vs: Vector) -> None:
 
 
 def eval_finsler(spec: MetricSpec, g: Vector, h: Vector) -> float:
-    """rho_g(h).  g = 0 is allowed only when the spec extends through zero."""
-    _check_compatible(spec, g, h)
+    """rho_g(h).  g = 0 is allowed only when the spec extends through zero; a
+    g != 0 whose |g| underflows to 0 or overflows to inf is out of domain
+    (unless a Custom metric, which sees the vectors, takes g there)."""
+    if not (g.field is spec.field is h.field and len(g.entries) == spec.dim == len(h.entries)):
+        _check_compatible(spec, g, h)
     r = norm(g)
-    if not spec.domain.contains(r):
-        raise OutOfDomainError(f"|g| = {r} is outside the radius domain")
-    if r == 0.0 and not spec.defined_at_zero:
-        raise OutOfDomainError("base point g = 0 is outside the metric's domain")
+    if r == 0.0 or not spec.domain.contains(r):
+        if (r == math.inf or r == 0.0 and not isinstance(spec, Custom)) and g.entries.any():
+            raise OutOfDomainError(f"|g| {'overflows to inf' if r else 'underflows to 0'} "
+                                   f"at a non-zero base point")
+        if not spec.domain.contains(r):
+            raise OutOfDomainError(f"|g| = {r} is outside the radius domain")
+        if not spec.defined_at_zero:
+            raise OutOfDomainError("base point g = 0 is outside the metric's domain")
     return spec._eval(g, h, r)
 
 
@@ -540,9 +553,9 @@ def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
     """rho_g(h) for each row pair of two (N, dim) arrays, in one pass.
 
     Returns (values, inside): inside marks the rows where eval_finsler would
-    not raise OutOfDomainError, i.e. |g| lies in the radius domain (and
-    g != 0 unless the spec is defined at 0); values is 0 on the other rows.
-    Dimension and field are checked once, as the arrays' shape and dtype.
+    not raise OutOfDomainError (|g| in the radius domain, and the rules for
+    g = 0 and for a |g| that under- or overflows); values is 0 on the other
+    rows.  Dimension and field are checked once, as the arrays' shape and dtype.
     """
     G, H = np.asarray(G), np.asarray(H)
     if G.ndim != 2 or G.shape != H.shape or G.shape[1] != spec.dim:
@@ -551,14 +564,16 @@ def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
     if G.dtype != spec.field.dtype or H.dtype != spec.field.dtype:
         raise MismatchError(f"array dtypes {G.dtype} and {H.dtype} are not the "
                             f"{spec.field.value} field's {spec.field.dtype}")
-    r = row_norms(G)
+    with np.errstate(over="ignore"):  # an overflowing |g| is inf, outside, without a warning
+        r = row_norms(G)
     inside = spec.domain.contains_rows(r)
-    if spec.domain.includes_zero and not spec.defined_at_zero:
-        inside &= r > 0.0
+    if spec.domain.includes_zero and (zero := r == 0.0).any():  # g = 0, or |g| underflows
+        inside &= ~zero | (spec.defined_at_zero & (isinstance(spec, Custom) | ~G.any(axis=1)))
+    if inside.all():
+        return spec._values(r, *pair_invariants_rows(G, H, r), G, H), inside
     values = np.zeros(len(r))
-    rows = slice(None) if inside.all() else inside
-    G, H, r = G[rows], H[rows], r[rows]
-    values[rows] = spec._values(r, *pair_invariants_rows(G, H, r), G, H)
+    G, H, r = G[inside], H[inside], r[inside]
+    values[inside] = spec._values(r, *pair_invariants_rows(G, H, r), G, H)
     return values, inside
 
 

@@ -39,6 +39,16 @@ def test_eval_out_of_domain_is_exit_3(capsys):
     assert code == 3 and "domain" in err
 
 
+def test_eval_at_a_g_whose_norm_under_or_overflows_is_exit_3(capsys):
+    # |g| = 0 for a g != 0 is named as an underflow, not read as g = 0; |g| = inf
+    # as an overflow, with no numpy warning on stderr (the test configuration
+    # also turns one into an error)
+    for g, h, word in (("1e-200,0", "0,1e-200", "underflows"), ("1e200,0", "1e200,0", "overflows")):
+        code, out, err = run(capsys, "eval", "--metric", "euclidean", "--dim", "2",
+                             "--g", g, "--h", h)
+        assert code == 3 and out == "" and word in err and "Warning" not in err, g
+
+
 def test_eval_undefined_expression_is_exit_3(capsys):
     for metric in ("theta:exp(1000)-exp(1000)", "theta:sin(exp(1000))"):
         code, out, err = run(capsys, "eval", "--metric", metric, "--dim", "2",

@@ -1,14 +1,24 @@
 import math
+import struct
+from typing import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finsler_iso import expressions
 from finsler_iso.expressions import (
     MAX_DEPTH,
+    BinOp,
     EvalError,
+    Expr,
+    Neg,
+    Num,
     ParseError,
+    Var,
+    _exp,
+    _pow,
     compile_positional,
     compile_rows,
     evaluate,
@@ -252,3 +262,126 @@ def test_compile_rows_matches_evaluate(case):
     got = compile_rows(text, names)(*columns)
     assert got.shape == (len(rows),)
     assert got.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# The compiled scalar evaluator against the tree walk it replaced
+
+def _tree_walk_evaluate(expr, bindings):
+    """evaluate as it was before it compiled trees: the reference."""
+    try:
+        value = _evaluate(expr, bindings)
+    except EvalError:
+        raise
+    except ValueError as exc:  # math.sin/cos/tan of an infinite argument
+        raise EvalError(f"expression is undefined here ({exc})") from None
+    if math.isnan(value):
+        raise EvalError("expression is undefined here (evaluates to NaN)")
+    return value
+
+
+def _evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        try:
+            return float(bindings[expr.name])
+        except KeyError:
+            raise EvalError(f"missing binding for variable {expr.name!r}") from None
+    if isinstance(expr, Neg):
+        return -_evaluate(expr.operand, bindings)
+    if isinstance(expr, BinOp):
+        a = _evaluate(expr.left, bindings)
+        b = _evaluate(expr.right, bindings)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        if expr.op == "/":
+            if b == 0.0:
+                raise EvalError(f"division by zero ({a} / {b})")
+            return a / b
+        return _pow(a, b)
+    args = [_evaluate(a, bindings) for a in expr.args]
+    name = expr.name
+    if name == "log":
+        if args[0] <= 0.0:
+            raise EvalError(f"log of non-positive argument {args[0]}")
+        return math.log(args[0])
+    if name == "sqrt":
+        if args[0] < 0.0:
+            raise EvalError(f"sqrt of negative argument {args[0]}")
+        return math.sqrt(args[0])
+    if name == "exp":
+        return _exp(args[0])
+    if name == "sin":
+        return math.sin(args[0])
+    if name == "cos":
+        return math.cos(args[0])
+    if name == "tan":
+        return math.tan(args[0])
+    if name == "abs":
+        return abs(args[0])
+    if name == "min":
+        return min(args)
+    return max(args)
+
+
+@st.composite
+def _scalar_cases(draw):
+    names = draw(st.sampled_from([("r",), ("r", "tau"), ("r", "p", "q"), ("r", "pre", "pim", "q")]))
+    text = draw(expression_texts(names))
+    values = (st.floats() | st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, 1e-300, 710.0))
+              | st.integers(-3, 3) | st.floats(-10, 10).map(np.float64))  # each is read as a float
+    rows = draw(st.lists(st.tuples(*[values] * len(names)), min_size=1, max_size=4))
+    return text, names, rows
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_scalar_cases())
+@example(("min(1,sin(exp(1000)))", ("r",), [(0.5,), (2.0,)]))
+@example(("min(1,exp(1000)-exp(1000))", ("r",), [(0.5,), (2.0,)]))
+@example(("max(exp(1000)-exp(1000),1)", ("r",), [(0.5,)]))
+@example(("(0-2)^exp(1000)", ("r",), [(1.0,)]))
+@example(("(0-10)^r", ("r",), [(309.0,), (2.0,)]))
+@example(("log(r)", ("r",), [(2.0,), (-1.0,), (3.0,)]))
+@example(("exp(r)*exp(r)-exp(2*r)", ("r",), [(400.0,), (710.0,), (-800.0,)]))
+@example(("log(p)+sqrt(q)", ("r", "p", "q"), [(1.0, 0.0, 1.0), (1.0, -0.0, 1.0), (1.0, 1.0, -0.0)]))
+@example(("p/(q-r)+r/0", ("r", "p", "q"), [(1.0, 2.0, 1.0), (1.0, 0.0, 2.0)]))
+@example(("min(p,q)-max(q,p)", ("r", "p", "q"), [(0.0, -0.0, 0.0), (0.0, 1.0, -1.0)]))
+@example(("tan(r)^(0-1)+0^r", ("r",), [(0.0,), (-1.0,), (1.5707963267948966,)]))
+def test_compiled_evaluate_equals_the_tree_walk(case):
+    """The same float, bit for bit, or an EvalError with the same message,
+    on the first (compiling) call and on the cached ones after it."""
+    text, names, rows = case
+    expr = parse(text, names)
+    for row in rows:
+        bindings = dict(zip(names, row))
+        try:
+            want = _tree_walk_evaluate(expr, bindings)
+        except EvalError as err:
+            with pytest.raises(EvalError) as got:
+                evaluate(expr, bindings)
+            assert str(got.value) == str(err)
+            continue
+        got = evaluate(expr, bindings)
+        assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_missing_binding_names_the_variable_on_every_call():
+    expr = parse("sin(p)+q", VARS)
+    for _ in range(2):
+        with pytest.raises(EvalError, match="missing binding for variable 'q'"):
+            evaluate(expr, {"p": 1.0})
+    assert evaluate(expr, {"p": 0.0, "q": 2}) == 2.0
+
+
+def test_compiled_trees_are_cached_by_identity_and_bounded():
+    trees = [parse(f"r+{k}", ("r",)) for k in range(300)]
+    assert [evaluate(t, {"r": 0.5}) for t in trees] == [0.5 + k for k in range(300)]
+    assert len(expressions._compiled) <= 256
+    again = parse("r+299", ("r",))  # an equal tree is another entry
+    assert evaluate(again, {"r": 1.0}) == 300.0
+    assert id(again) in expressions._compiled and expressions._compiled[id(again)][0] is again

@@ -219,3 +219,65 @@ def test_singular_values_of_congruence():
         u = la.random_unitary(4, C, seed)
         sv = la.singular_values(la.LinearMap(c * u.entries, C))
         assert np.max(np.abs(sv - c)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The scalar forms against the numpy forms they replace, bit for bit
+
+def _numpy_pair_invariants(g, h, r):
+    """pair_invariants as it was written with numpy scalars: the reference."""
+    ip = np.vdot(g.entries, h.entries)
+    perp = h.entries - (ip / (r * r)) * g.entries
+    q = r * math.sqrt(np.vdot(perp, perp).real)
+    return (float(ip.real) if g.field is la.Field.REAL else complex(ip)), q
+
+
+def _bits(x) -> bytes:
+    return np.complex128(x).tobytes() if isinstance(x, complex) else np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_norm_and_pair_invariants_equal_the_numpy_forms_bit_for_bit(field, dim):
+    rng = np.random.default_rng([dim, field is C])
+    scales = 10.0 ** np.arange(-150.0, 151.0, 15.0)
+    for sg in scales:
+        for sh in scales[rng.permutation(len(scales))[:6]]:
+            g, h = (la.Vector(la.random_gaussian_rows(1, dim, field, rng)[0] * s, field)
+                    for s in (sg, sh))
+            near = la.Vector(g.entries * (sh / sg) * (1.0 + 1e-12) + 1e-9 * h.entries, field)
+            r = la.norm(g)
+            assert _bits(r) == _bits(float(np.linalg.norm(g.entries)))
+            assert _bits(la.norm(h)) == _bits(float(np.linalg.norm(h.entries)))
+            for other in (h, near):  # generic, and nearly collinear with g
+                got, want = la.pair_invariants(g, other, r), _numpy_pair_invariants(g, other, r)
+                assert [type(x) for x in got] == [type(x) for x in want]
+                assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+def test_norm_overflows_and_underflows_without_warnings():
+    # the error filter of the test configuration turns a RuntimeWarning into a failure
+    for field in (R, C):
+        assert la.norm(la.vector([1e200, 0.0], field)) == math.inf
+        assert la.norm(la.vector([1e-200, 1e-200], field)) == 0.0
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_pair_invariants_rows_fast_case_equals_the_masked_divide(field):
+    # all r > 0 skips the masked divide; a row with r = 0 appended takes it
+    rng = np.random.default_rng(4)
+    G, H = (la.random_gaussian_rows(40, 5, field, rng) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+            for _ in range(2))
+    G[7] = H[7] * (1.0 + 1e-13)  # nearly collinear
+    r = la.row_norms(G)
+    fast = la.pair_invariants_rows(G, H, r)
+    Gz, Hz = np.vstack([G, np.zeros((1, 5), G.dtype)]), np.vstack([H, H[:1]])
+    general = la.pair_invariants_rows(Gz, Hz, la.row_norms(Gz))
+    for a, b in zip(fast, general):
+        assert a.dtype == b.dtype and a.tobytes() == b[:-1].tobytes()
+        assert b[-1] == 0.0
+    # and each row equals the scalar form
+    for k in range(40):
+        g, h = la.Vector(G[k], field), la.Vector(H[k], field)
+        ip, q = la.pair_invariants(g, h, la.norm(g))
+        assert r[k] == la.norm(g) and fast[0][k] == ip and fast[1][k] == q

@@ -584,3 +584,103 @@ def test_profile_builders_match_evaluate(case):
         return
     got = fn(*values)
     assert not math.isnan(got) and got == want
+
+
+# ---------------------------------------------------------------------------
+# Fast cases of the batch path against its general case
+
+_DOMAINS = [
+    mm.RadiusDomain.positive(),
+    mm.RadiusDomain(((0.5, 3.0),)),
+    mm.RadiusDomain(((0.5, 1.0), (2.0, 3.0))),  # bounded, two intervals
+    mm.RadiusDomain(((0.0, math.inf),), includes_zero=True),
+    mm.RadiusDomain(((0.5, 1.0), (2.0, 3.0)), includes_zero=True),
+]
+
+
+@pytest.mark.parametrize("domain", _DOMAINS)
+def test_contains_rows_equals_contains_entry_by_entry(domain):
+    # a single interval without 0 takes the fast case; the others the general one
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, 0.5, 1.0, 2.0, 3.0, np.nextafter(0.5, 1), np.nextafter(3.0, 0),
+             1e-320, math.inf, math.nan]
+    r = np.concatenate([edges, rng.uniform(0.0, 4.0, 60)])
+    got = domain.contains_rows(r)
+    assert got.dtype == bool and got.tolist() == [domain.contains(x) for x in r.tolist()]
+    general = mm.RadiusDomain(domain.intervals, includes_zero=True).contains_rows(r)
+    assert (got == general)[r != 0.0].all()
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_eval_batch_all_inside_equals_the_scatter(field):
+    # with every row inside, eval_batch returns the family's values directly;
+    # one more row outside (|g| past the domain, or g = 0) takes the scatter
+    rng = np.random.default_rng(11)
+    G, H = _batch_pairs(3, field, rng)
+    G *= 1.5 / la.row_norms(G)[:, None]  # inside (0.5, 3) as well
+    bounded = mm.RadiusDomain(((0.5, 1.0), (1.2, 3.0)))
+    specs = family_specs(3, field) + [mm.Euclidean(3, field, bounded),
+                                      mm.FromTheta(3, field, bounded, mm.theta_profile("2+cos(tau)"))]
+    scattered = set()
+    for k, spec in enumerate(specs):
+        values, inside = mm.eval_batch(spec, G, H)
+        assert inside.all() and values.dtype == np.float64, spec.family
+        for outside in (4.0 * G[:1], np.zeros((1, 3), field.dtype)):
+            if mm.eval_batch(spec, outside, H[:1])[1][0]:
+                continue  # |g| = 6 lies in the positive domain, g = 0 in a zero extension
+            more, mask = mm.eval_batch(spec, np.vstack([G, outside]), np.vstack([H, H[:1]]))
+            assert mask.tolist() == [True] * len(G) + [False], spec.family
+            assert more[:-1].tobytes() == values.tobytes() and more[-1] == 0.0, spec.family
+            scattered.add(k)
+    assert len(scattered) == len(specs) - 1  # all but the zero extension
+
+
+# ---------------------------------------------------------------------------
+# |g| under- and overflow
+
+def test_a_non_zero_g_whose_norm_underflows_is_out_of_domain():
+    spec = mm.zero_extended(3.0, mm.euclidean(2))
+    tiny, h = la.vector([1e-200, 0.0]), la.vector([0.0, 1.0])
+    assert la.norm(tiny) == 0.0
+    with pytest.raises(OutOfDomainError, match="underflows"):  # not b|h| = 3, as g = 0 gives
+        mm.eval_finsler(spec, tiny, h)
+    assert mm.eval_finsler(spec, la.zero_vector(2), h) == 3.0
+    with pytest.raises(OutOfDomainError, match="underflows"):
+        mm.eval_finsler(mm.euclidean(2), tiny, h)
+    with pytest.raises(OutOfDomainError, match="outside the radius domain"):
+        mm.eval_finsler(mm.euclidean(2), la.zero_vector(2), h)
+    # a custom metric sees the vectors, so it still takes such a g
+    custom = mm.Custom(2, R, mm.RadiusDomain(((0.0, math.inf),), includes_zero=True),
+                       fn=lambda g, h: float(np.abs(g.entries).sum()))
+    assert mm.eval_finsler(custom, tiny, h) == 1e-200
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_a_g_whose_norm_overflows_is_out_of_domain_without_a_warning(field):
+    # the error filter of the test configuration turns a RuntimeWarning into a failure
+    huge = la.vector([1e200, 0.0], field)
+    for spec in (mm.euclidean(2, field), mm.zero_extended(1.0, mm.fubini_study(2, field)),
+                 mm.FromTheta(2, field, POS, mm.theta_profile("1+cos(tau)"))):
+        with pytest.raises(OutOfDomainError, match="overflows"):
+            mm.eval_finsler(spec, huge, huge)
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_eval_batch_marks_under_and_overflowing_rows_outside(field):
+    G = np.array([[1e-200, 0.0], [0.0, 0.0], [1.0, 0.0], [1e200, 0.0], [0.0, -1e-170]], field.dtype)
+    H = np.array([[0.0, 1.0]] * 5, field.dtype)
+    custom = mm.Custom(2, field, mm.RadiusDomain(((0.0, math.inf),), includes_zero=True),
+                       fn=lambda g, h: float(np.abs(g.entries).sum()))
+    cases = [(mm.zero_extended(3.0, mm.euclidean(2, field)), [False, True, True, False, False]),
+             (mm.euclidean(2, field), [False, False, True, False, False]),
+             (custom, [True, True, True, False, True])]
+    for spec, want in cases:
+        values, inside = mm.eval_batch(spec, G, H)
+        assert inside.tolist() == want, spec.family
+        for g, h, ok, got in zip(G, H, inside, values):
+            if ok:
+                assert got == mm.eval_finsler(spec, la.Vector(g, field), la.Vector(h, field))
+            else:
+                assert got == 0.0
+                with pytest.raises(OutOfDomainError):
+                    mm.eval_finsler(spec, la.Vector(g, field), la.Vector(h, field))
