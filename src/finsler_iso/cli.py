@@ -136,7 +136,8 @@ def _named_metric(raw: str, args) -> mm.MetricSpec:
     elif name == "area":
         params = {"b": float(payload) if payload else 1.0}
     elif name == "lambda":
-        params = {"lam": payload, "alpha": 1.0 if args.alpha is None else args.alpha}
+        alpha = getattr(args, "alpha", None)  # check's --alpha is the homothety coefficient
+        params = {"lam": payload, "alpha": 1.0 if alpha is None else alpha}
     elif name == "theta":
         params = {"theta": payload}
     elif name == "vartheta":
@@ -154,22 +155,18 @@ def _named_metric(raw: str, args) -> mm.MetricSpec:
                               "params": params})
 
 
-def _open_output(args):
-    if getattr(args, "output", None):
-        return open(args.output, "w", encoding="utf-8", newline="")
-    return None
-
-
-def _write_csv(rows, header, args) -> None:
-    out = _open_output(args)
+def _write_csv(rows, header, path) -> None:
+    """Header and rows as CSV, floats in .17g, to the file at path or to stdout."""
     try:
-        target = out or sys.stdout
-        writer = csv.writer(target)
+        out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        writer = csv.writer(out)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(x, ".17g") if isinstance(x, float) else x for x in row])
+        writer.writerows([format(x, ".17g") for x in row] for row in rows)
     finally:
-        if out is not None:
+        if out is not sys.stdout:
             out.close()
 
 
@@ -186,10 +183,7 @@ def cmd_eval(args) -> int:
             raise UsageError("--f needs a Riemann-backed metric")
         f = parse_vector(args.f, spec.dim, spec.field)
         value = mm.eval_sesquilinear(profile, g, f, h)
-        if spec.field is Field.COMPLEX:
-            _emit({"value": [value.real, value.imag]})
-        else:
-            _emit({"value": float(value)})
+        _emit({"value": [value.real, value.imag] if isinstance(value, complex) else value})
     else:
         _emit({"value": mm.eval_finsler(spec, g, h)})
     return 0
@@ -210,12 +204,12 @@ def cmd_decompose(args) -> int:
         if profile is None:
             raise UsageError("this metric has no sesquilinear form; use --as finsler")
         extracted = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(spec))
-        _write_csv(dc.tabulate_phi_psi(extracted, r_values), ["r", "phi", "psi"], args)
+        _write_csv(dc.tabulate_phi_psi(extracted, r_values), ["r", "phi", "psi"], args.output)
     else:
         theta = dc.extract_theta(dc.oracle_from_spec(spec))
         tau_values = [float(t) for t in np.linspace(0.0, 0.5 * math.pi, args.tau_steps)]
         _write_csv(dc.tabulate_theta(theta, r_values, tau_values),
-                   ["r", "tau", "theta_value"], args)
+                   ["r", "tau", "theta_value"], args.output)
     return 0
 
 
@@ -233,14 +227,14 @@ def cmd_check(args) -> int:
         _emit(report)
         return 0 if verdict.is_symmetry else 1
     if args.which == "homothety":
-        if args.alpha is None:
+        if args.homothety_alpha is None:
             raise UsageError("check homothety needs --alpha")
         if args.samples < 1:
             raise UsageError("--samples must be >= 1: a homothety check of no samples "
                              "tests nothing")
-        verdict = mm.check_homothety_invariance(spec, args.alpha, args.samples,
+        verdict = mm.check_homothety_invariance(spec, args.homothety_alpha, args.samples,
                                                 args.seed, args.tol)
-        _emit({"check": "homothety", "alpha": args.alpha, "spec": spec_obj,
+        _emit({"check": "homothety", "alpha": args.homothety_alpha, "spec": spec_obj,
                "max_deviation": verdict.max_deviation, "passed": verdict.invariant,
                "skipped": verdict.skipped,
                "witness": None if verdict.witness is None else {
@@ -309,24 +303,18 @@ def cmd_probe_main(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    if args.vertices < 3 or args.iterations < 0 or args.starts < 1:
-        raise UsageError("--vertices must be >= 3, --iterations >= 0 and --starts >= 1")
+    if args.vertices < 3 or args.iterations < 0:
+        raise UsageError("--vertices must be >= 3 and --iterations >= 0")
     spec = metric_from_args(args)
     g = parse_vector(args.g, spec.dim, spec.field)
     h = parse_vector(args.h, spec.dim, spec.field)
     result = ge.geodesic_distance(spec, g, h, n_vertices=args.vertices,
-                                  n_iterations=args.iterations, seed=args.seed,
-                                  n_starts=args.starts)
+                                  n_iterations=args.iterations, seed=args.seed)
     if args.path_out:
-        n = spec.dim
-        header = ["t"] + [f"x{i + 1}" for i in range(n)]
+        header = ["t"] + [f"x{i + 1}" for i in range(spec.dim)]
         if spec.field is Field.COMPLEX:
-            header += [f"y{i + 1}" for i in range(n)]
-        with open(args.path_out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in ge.path_rows(result.path):
-                writer.writerow([format(x, ".17g") for x in row])
+            header += [f"y{i + 1}" for i in range(spec.dim)]
+        _write_csv(ge.path_rows(result.path), header, args.path_out)
     _emit({"value": result.distance, "iterations": result.iterations,
            "initial_length": result.initial_length, "stop_reason": result.stop_reason})
     return 0
@@ -374,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["invariance", "pd", "kaehler", "homothety"])
     _add_common(p)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--alpha", type=float, default=None, help="homothety coefficient")
+    p.add_argument("--alpha", dest="homothety_alpha", type=float, default=None,
+                   help="homothety coefficient")
     p.add_argument("--r-min", type=float, default=0.5)
     p.add_argument("--r-max", type=float, default=2.0)
     p.set_defaults(func=cmd_check)
@@ -395,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True)
     p.add_argument("--vertices", type=int, default=13)
     p.add_argument("--iterations", type=int, default=150)
-    p.add_argument("--starts", type=int, default=1)
     p.add_argument("--path-out", help="write the optimized path as CSV")
     p.add_argument("--alpha", type=float, default=None)
     p.set_defaults(func=cmd_distance)

@@ -189,6 +189,8 @@ class _Parser:
 def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
     """Parse text into an Expr whose variables all lie in allowed_vars and
     whose depth is at most MAX_DEPTH."""
+    if not isinstance(text, str):
+        raise ParseError(f"an expression is text, not {type(text).__name__}", 0)
     parser = _Parser(_tokenize(text), frozenset(allowed_vars))
     expr, _ = parser.parse_expression(0)
     kind, val, off = parser.peek()

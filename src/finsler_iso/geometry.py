@@ -285,18 +285,8 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     return lengths, status
 
 
-def _direction(rng: np.random.Generator, dim: int, field: Field) -> np.ndarray:
-    """A seeded random unit direction in F^dim."""
-    if field is Field.REAL:
-        d = rng.standard_normal(dim)
-    else:
-        d = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return d / np.linalg.norm(d)
-
-
 def _directions(rng: np.random.Generator, count: int, dim: int, field: Field) -> np.ndarray:
-    """count seeded unit directions drawn in one call, as the rows of an array:
-    the same stream and the same floats as count successive _direction calls."""
+    """count seeded random unit directions in F^dim, as the rows of an array."""
     if field is Field.REAL:
         D = rng.standard_normal((count, dim))
     else:
@@ -345,7 +335,7 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
 def _lifted_chord(g: Vector, h: Vector, n_vertices: int,
                   rng: np.random.Generator) -> list[np.ndarray]:
     mid = 0.5 * (g.entries + h.entries)
-    lift = mid + _direction(rng, g.dim, g.field) * 0.75 * max(norm(g), norm(h))
+    lift = mid + _directions(rng, 1, g.dim, g.field)[0] * 0.75 * max(norm(g), norm(h))
     half = (n_vertices + 1) // 2
     ts1 = np.linspace(0.0, 1.0, half)
     ts2 = np.linspace(0.0, 1.0, n_vertices - half + 1)
@@ -355,41 +345,28 @@ def _lifted_chord(g: Vector, h: Vector, n_vertices: int,
 
 
 def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 13,
-                      n_iterations: int = 150, seed: int = 0,
-                      n_starts: int = 1) -> GeodesicResult:
+                      n_iterations: int = 150, seed: int = 0) -> GeodesicResult:
     """Upper bound on the geodesic distance between g and h.
 
-    Coordinate descent over the interior vertices of a polyline: each vertex
-    in turn tries the moves +-step along two seeded random directions and
-    keeps each one that shortens the path, with a step that halves whenever
-    a sweep brings no improvement.  A sweep measures every position its
-    vertices can reach (see _sweep_positions) in one _segment_length call,
-    plus one call per vertex whose left neighbour moved; the moves, random
-    stream and result are those of visiting one vertex at a time, bit for
-    bit.  The length sequence is non-increasing; negative metrics are
-    refused.  The result says why the descent stopped: a zero chord (g = h),
-    the step floor, or the iteration cap.  Raises ValueError unless
-    n_vertices >= 3, n_starts >= 1 and n_iterations >= 0.
+    Coordinate descent over the interior vertices of a polyline, on the one
+    random stream SeedSequence(seed).spawn(1)[0]: each vertex in turn tries
+    the moves +-step along two random directions and keeps each one that
+    shortens the path; the step halves after a sweep without improvement.
+    Each sweep is measured in batches (see _sweep_positions).  The length
+    sequence is non-increasing; negative metrics are refused.  The result
+    says why the descent stopped: a zero chord (g = h), the step floor, or
+    the iteration cap.  Raises ValueError unless n_vertices >= 3 and
+    n_iterations >= 0.
     """
     if n_vertices < 3:
         raise ValueError("need at least one interior vertex")
-    if n_starts < 1 or n_iterations < 0:
-        raise ValueError("need n_starts >= 1 and n_iterations >= 0")
-    root = np.random.SeedSequence(seed)
-    best: GeodesicResult | None = None
-    for ss in root.spawn(n_starts):
-        result = _descend(spec, g, h, n_vertices, n_iterations, np.random.default_rng(ss))
-        if best is None or result.distance < best.distance:
-            best = result
-    return best
-
-
-def _descend(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
-             n_iterations: int, rng: np.random.Generator) -> GeodesicResult:
+    if n_iterations < 0:
+        raise ValueError("need n_iterations >= 0")
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     field = spec.field
     chord_len = float(np.linalg.norm(h.entries - g.entries))
     if chord_len == 0.0:
-        line = Polyline((g, h) if n_vertices == 2 else tuple([g] * (n_vertices - 1) + [h]))
+        line = Polyline(tuple([g] * (n_vertices - 1) + [h]))
         return GeodesicResult(0.0, line, 0.0, 0, (0.0,), "zero-chord")
     ell0 = chord_len / (4.0 * (n_vertices - 1))
     verts, seglen = _initial_vertices(spec, g, h, n_vertices, rng, ell0)

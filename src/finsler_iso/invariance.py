@@ -44,15 +44,6 @@ class CongruenceClass:
     sv_ratio: float | None = None
 
 
-def _check_map(T: LinearMap, spec: MetricSpec) -> None:
-    if T.dim_in != T.dim_out:
-        raise MismatchError("symmetry candidates must be square")
-    if T.dim_in != spec.dim:
-        raise MismatchError(f"map dimension {T.dim_in} != spec dimension {spec.dim}")
-    if T.field is not spec.field:
-        raise MismatchError("map/spec field mismatch")
-
-
 def _deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray, TG: np.ndarray,
                 TH: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|rho_{Tg}(Th) - rho_g(h)| / (1 + |rho_g(h)|) per row, inf where the
@@ -132,7 +123,12 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
     the verdict outright.  This is the one-map case of the stacked test the
     probes run.
     """
-    _check_map(T, spec)
+    if T.dim_in != T.dim_out:
+        raise MismatchError("symmetry candidates must be square")
+    if T.dim_in != spec.dim:
+        raise MismatchError(f"map dimension {T.dim_in} != spec dimension {spec.dim}")
+    if T.field is not spec.field:
+        raise MismatchError("map/spec field mismatch")
     if n_samples < 1:
         raise ValueError("a symmetry test needs at least one sample (n_samples >= 1)")
     G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
@@ -157,24 +153,18 @@ def classify_congruence(T: LinearMap, tol: float = 1e-9) -> CongruenceClass:
 
 
 def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
-                     tol: float = 1e-9,
-                     unitaries: list[LinearMap] | None = None) -> SymmetryVerdict:
+                     tol: float = 1e-9) -> SymmetryVerdict:
     """Invariance under Haar unitaries, one fresh sample pair per unitary.
 
-    The unitaries come from random_unitaries (one stacked QR) unless given,
-    the pairs from sample_pairs; the unitaries are applied in one stacked
-    matmul and each side is one eval_batch call.  Every pair counts; a
-    unitary that takes a base point out of the domain is an OutOfDomainError.
+    From default_rng(seed) come the unitaries (random_unitaries, one stacked
+    QR) and then the pairs (sample_pairs); the unitaries are applied in one
+    stacked matmul and each side is one eval_batch call.  Every pair counts;
+    a unitary that takes a base point out of the domain is an OutOfDomainError.
     """
-    if (n_unitaries if unitaries is None else len(unitaries)) < 1:
+    if n_unitaries < 1:
         raise ValueError("the invariance suite needs at least one unitary")
     rng = np.random.default_rng(seed)
-    if unitaries is None:
-        U = random_unitaries(n_unitaries, spec.dim, spec.field, rng)
-    else:
-        for u in unitaries:
-            _check_map(u, spec)
-        U = np.stack([u.entries for u in unitaries])
+    U = random_unitaries(n_unitaries, spec.dim, spec.field, rng)
     G, H = sample_pairs(spec, len(U), rng)
     dev, inside = _deviations(spec, G, H, (U @ G[:, :, None])[:, :, 0],
                               (U @ H[:, :, None])[:, :, 0])

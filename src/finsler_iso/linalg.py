@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MismatchError, ZeroVectorError
+from .errors import MismatchError, OutOfDomainError, ZeroVectorError
 
 DEFAULT_TOL = 1e-10
 
@@ -91,18 +91,10 @@ def linear_map(entries: Sequence | np.ndarray, field: Field | None = None) -> Li
     return LinearMap(arr, field)
 
 
-def zero_vector(dim: int, field: Field = Field.REAL) -> Vector:
-    return Vector(np.zeros(dim, dtype=field.dtype), field)
-
-
 def basis_vector(dim: int, index: int, field: Field = Field.REAL) -> Vector:
     e = np.zeros(dim, dtype=field.dtype)
     e[index] = 1.0
     return Vector(e, field)
-
-
-def identity_map(dim: int, field: Field = Field.REAL) -> LinearMap:
-    return LinearMap(np.eye(dim, dtype=field.dtype), field)
 
 
 def _check_pair(f: Vector, h: Vector) -> None:
@@ -129,35 +121,12 @@ def norm(h: Vector) -> float:
     return math.sqrt(np.vdot(re, re) + np.vdot(im, im))
 
 
-def scale(c, v: Vector) -> Vector:
-    arr = c * v.entries
-    if v.field is Field.REAL and np.iscomplexobj(arr):
-        raise MismatchError("complex scalar applied to a real vector")
-    return Vector(arr, v.field)
-
-
-def add(u: Vector, v: Vector) -> Vector:
-    _check_pair(u, v)
-    return Vector(u.entries + v.entries, u.field)
-
-
-def sub(u: Vector, v: Vector) -> Vector:
-    _check_pair(u, v)
-    return Vector(u.entries - v.entries, u.field)
-
-
 def apply_map(T: LinearMap, v: Vector) -> Vector:
     if T.dim_in != v.dim:
         raise MismatchError(f"map expects dimension {T.dim_in}, got {v.dim}")
     if T.field is not v.field:
         raise MismatchError("map/vector field mismatch")
     return Vector(T.entries @ v.entries, v.field)
-
-
-def compose(A: LinearMap, B: LinearMap) -> LinearMap:
-    if A.field is not B.field or A.dim_in != B.dim_out:
-        raise MismatchError("incompatible maps")
-    return LinearMap(A.entries @ B.entries, A.field)
 
 
 def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, float]:
@@ -225,14 +194,22 @@ def acute_angle(g: Vector, h: Vector) -> float:
     return math.atan2(q, p)
 
 
+def norm_range_error(r: float) -> OutOfDomainError:
+    """The error for a base point g != 0 whose |g| (or |g|^2) is r = 0 or inf."""
+    return OutOfDomainError(f"|g| {'overflows to inf' if r else 'underflows to 0'} "
+                            f"at a non-zero base point")
+
+
 def canonical_invariants(g: Vector, h: Vector) -> tuple[float, float, float]:
     """The complete isometry invariants (r, p, q) of the pair (g, h).
 
-    r = |g|, p = |<h, g>| and q as in :func:`pair_invariants`.
+    r = |g|, p = |<h, g>| and q as in :func:`pair_invariants`.  Raises
+    ZeroVectorError at g = 0, OutOfDomainError where |g| under- or overflows.
     """
     r = norm(g)
-    if r == 0.0:
-        raise ZeroVectorError("canonical invariants need g != 0")
+    if r == 0.0 or r == math.inf:
+        raise (norm_range_error(r) if g.entries.any()
+               else ZeroVectorError("canonical invariants need g != 0"))
     _check_pair(g, h)
     ip, q = pair_invariants(g, h, r)
     return r, abs(ip), q

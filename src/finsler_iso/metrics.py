@@ -25,8 +25,8 @@ from .errors import MismatchError, OutOfDomainError, ZeroVectorError
 from .linalg import (
     Field,
     Vector,
-    inner,
     norm,
+    norm_range_error,
     pair_invariants,
     pair_invariants_rows,
     random_gaussian_rows,
@@ -578,27 +578,28 @@ def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
 
 
 def eval_sesquilinear(profile: RiemannProfile, g: Vector, f: Vector, h: Vector):
-    """sigma_g(f, h) = phi(|g|^2) <f,h> + psi(|g|^2) <f,g> <g,h>."""
-    if not (g.dim == f.dim == h.dim) or not (g.field is f.field is h.field):
-        raise MismatchError("sigma needs three vectors of one dimension and field")
-    r2 = norm(g) ** 2
-    if r2 == 0.0:
-        raise ZeroVectorError("sigma is undefined at g = 0")
-    if not profile.domain.contains(r2):
-        raise OutOfDomainError(f"|g|^2 = {r2} is outside the profile domain")
-    val = float(profile.phi(r2)) * inner(f, h) + float(profile.psi(r2)) * inner(f, g) * inner(g, h)
-    return val
+    """sigma_g(f, h) = phi(|g|^2) <f,h> + psi(|g|^2) <f,g> <g,h>, a float over R
+    and a complex over C: the one-row case of eval_sesquilinear_rows."""
+    return eval_sesquilinear_rows(profile, g.entries[None], f.entries[None],
+                                  h.entries[None])[0].item()
 
 
 def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray,
                            H: np.ndarray) -> np.ndarray:
-    """eval_sesquilinear for the rows of three (N, dim) arrays of one dtype,
-    in one pass; raises as it does when any row's g is 0 or out of domain."""
+    """sigma for the rows of three (N, dim) arrays of one dtype, in one pass.
+
+    Raises when any row's g is 0, is not 0 but has a |g| that under- or
+    overflows, or has a |g|^2 outside the profile's domain.
+    """
     if not (G.shape == F.shape == H.shape and G.ndim == 2) or not (G.dtype == F.dtype == H.dtype):
-        raise MismatchError("sigma needs three row arrays of one shape and dtype")
-    r2 = row_norms(G) ** 2
-    if (r2 == 0.0).any():
-        raise ZeroVectorError("sigma is undefined at g = 0")
+        raise MismatchError("sigma needs three vectors, or row arrays, of one dimension and field")
+    with np.errstate(over="ignore"):
+        r2 = row_norms(G) ** 2
+    degenerate = np.flatnonzero((r2 == 0.0) | (r2 == math.inf))
+    if degenerate.size:
+        k = degenerate[0]
+        raise (norm_range_error(r2[k]) if G[k].any()
+               else ZeroVectorError("sigma is undefined at g = 0"))
     if not profile.domain.contains_rows(r2).all():
         raise OutOfDomainError("a row's |g|^2 is outside the profile domain")
     return (profile.phi_rows(r2) * row_dots(H.conj(), F)
@@ -842,6 +843,21 @@ def spec_to_json(spec: MetricSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> MetricSpec:
+    """The spec of a JSON object in spec_to_json's form; ValueError names a
+    missing key or a value of the wrong type."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a metric spec is a JSON object, not {type(obj).__name__}")
+    if not isinstance(obj.get("params", {}), dict):
+        raise ValueError(f"params is a JSON object, not {type(obj['params']).__name__}")
+    try:
+        return _spec_from_json(obj)
+    except KeyError as exc:
+        raise ValueError(f"the metric spec lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"a metric spec value has the wrong type: {exc}") from None
+
+
+def _spec_from_json(obj: dict) -> MetricSpec:
     family = obj["family"]
     dim = int(obj["dim"])
     field = Field(obj["field"])

@@ -49,6 +49,13 @@ def test_eval_at_a_g_whose_norm_under_or_overflows_is_exit_3(capsys):
         assert code == 3 and out == "" and word in err and "Warning" not in err, g
 
 
+def test_eval_sigma_at_a_g_whose_norm_under_or_overflows_is_exit_3(capsys):
+    for g, word in (("1e-170,0", "underflows"), ("1e200,0", "overflows")):
+        code, out, err = run(capsys, "eval", "--metric", "fubini-study", "--dim", "2",
+                             "--g", g, "--h", "0,1", "--f", "1,0")
+        assert code == 3 and out == "" and word in err and "Warning" not in err, g
+
+
 def test_eval_undefined_expression_is_exit_3(capsys):
     for metric in ("theta:exp(1000)-exp(1000)", "theta:sin(exp(1000))"):
         code, out, err = run(capsys, "eval", "--metric", metric, "--dim", "2",
@@ -126,6 +133,19 @@ def test_metric_from_json_file(capsys, tmp_path):
     assert code == 0 and json.loads(out)["value"] == 6
 
 
+@pytest.mark.parametrize("text", [
+    '{"family":"theta","dim":2,"field":"real"}',
+    '{"family":"euclidean"}',
+    '{"family":"theta","dim":2,"field":"real","params":{"theta":5}}',
+    '[1,2]',
+])
+def test_malformed_json_spec_is_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", "--metric", f"@{path}", "--g", "1,0", "--h", "0,1")
+    assert code == 2 and out == "" and "bad metric spec" in err
+
+
 def test_json_output_is_deterministic(capsys):
     args = ("check", "invariance", "--metric", "fubini-study", "--dim", "3",
             "--samples", "50", "--seed", "7")
@@ -177,6 +197,13 @@ def test_check_homothety(capsys):
     assert code == 2 and "alpha" in err
 
 
+def test_check_alpha_is_not_the_lambda_degree(capsys):
+    code, out, _ = run(capsys, "check", "homothety", "--alpha", "2",
+                       "--metric", "lambda:sqrt(p^2+q^2)", "--dim", "3", "--samples", "20")
+    report = json.loads(out)
+    assert report["alpha"] == 2 and report["spec"]["params"]["alpha"] == 1
+
+
 def test_check_homothety_of_no_samples_is_usage_error(capsys):
     code, out, err = run(capsys, "check", "homothety", "--alpha", "2",
                          "--metric", "norm-quotient", "--dim", "3", "--samples", "0")
@@ -218,6 +245,15 @@ def test_decompose_writes_file(capsys, tmp_path):
     assert code == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0].rstrip("\r") == "r,tau,theta_value" and len(lines) == 5
+
+
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "x.csv")
+    for argv in (["decompose", "--metric", "euclidean", "--dim", "2", "--output", path],
+                 ["distance", "--metric", "euclidean", "--dim", "2", "--g", "1,0", "--h", "0,1",
+                  "--iterations", "2", "--path-out", path]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and path in err, argv[0]
 
 
 def test_probe_main_exit_codes(capsys):
@@ -362,8 +398,7 @@ def test_distance_nonpositive_metric_exit_3(capsys):
     assert code == 3 and "negative" in err
 
 
-@pytest.mark.parametrize("option,value", [("--starts", "0"), ("--starts", "-1"),
-                                          ("--iterations", "-3"), ("--vertices", "2")])
+@pytest.mark.parametrize("option,value", [("--iterations", "-3"), ("--vertices", "2")])
 def test_distance_that_cannot_run_is_usage_error(capsys, option, value):
     code, out, err = run(capsys, "distance", "--metric", "euclidean", "--dim", "2",
                          "--g", "1,0", "--h", "0,1", option, value)

@@ -81,6 +81,12 @@ def test_unknown_variable_reports_name():
         parse("p+z", VARS)
 
 
+@pytest.mark.parametrize("value", [5, 2.5, None, ["p"]])
+def test_parse_rejects_non_text(value):
+    with pytest.raises(ParseError, match=f"text, not {type(value).__name__}"):
+        parse(value, VARS)
+
+
 def test_unknown_function_and_arity():
     with pytest.raises(ParseError, match="unknown function"):
         parse("foo(p)", VARS)

@@ -136,15 +136,16 @@ def test_delta_scalar_invariance():
         h = la.random_gaussian_vector(3, C, rng)
         c = complex(*rng.standard_normal(2))
         d = complex(*rng.standard_normal(2))
-        assert ge.delta1(la.scale(c, g), la.scale(d, h)) == pytest.approx(ge.delta1(g, h), abs=1e-10)
-        assert ge.delta2(la.scale(c, g), la.scale(d, h)) == pytest.approx(ge.delta2(g, h), abs=1e-10)
+        cg, dh = la.vector(c * g.entries), la.vector(d * h.entries)
+        assert ge.delta1(cg, dh) == pytest.approx(ge.delta1(g, h), abs=1e-10)
+        assert ge.delta2(cg, dh) == pytest.approx(ge.delta2(g, h), abs=1e-10)
 
 
 def test_delta_zero_vector_errors():
     with pytest.raises(ZeroVectorError):
-        ge.delta1(la.zero_vector(2), la.vector([1, 0]))
+        ge.delta1(la.vector([0, 0]), la.vector([1, 0]))
     with pytest.raises(ZeroVectorError):
-        ge.delta2(la.vector([1, 0]), la.zero_vector(2))
+        ge.delta2(la.vector([1, 0]), la.vector([0, 0]))
 
 
 def test_delta_identity_and_inequality():
@@ -258,8 +259,7 @@ def test_geodesic_monotone_improvement():
     assert res.distance <= res.initial_length + 1e-12
 
 
-@pytest.mark.parametrize("kwargs", [{"n_starts": 0}, {"n_starts": -2}, {"n_iterations": -1},
-                                    {"n_vertices": 2}])
+@pytest.mark.parametrize("kwargs", [{"n_iterations": -1}, {"n_vertices": 2}])
 def test_geodesic_refuses_runs_that_cannot_do_anything(kwargs):
     with pytest.raises(ValueError):
         ge.geodesic_distance(mm.euclidean(2), la.vector([1.0, 0.0]), la.vector([0.0, 1.0]),
@@ -393,12 +393,22 @@ def test_descent_is_an_upper_bound_on_closed_form_distances(field):
 # ---------------------------------------------------------------------------
 # The per-sweep descent against the per-vertex descent it replaced
 
+def _direction(rng, dim, field):
+    """A seeded random unit direction in F^dim, one draw at a time: the
+    reference for geometry._directions."""
+    if field is R:
+        d = rng.standard_normal(dim)
+    else:
+        d = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return d / np.linalg.norm(d)
+
+
 def _per_vertex_descend(spec, g, h, n_vertices, n_iterations, rng):
-    """geometry._descend as it ran one vertex visit at a time, kept verbatim as
-    the reference: each visit draws its two directions and measures its
+    """The geodesic descent as it ran one vertex visit at a time, kept verbatim
+    as the reference: each visit draws its two directions and measures its
     remaining candidates from the current vertex, one _segment_length call per
     accepted move and one more."""
-    _RESOLVED, _direction, _segment_length = ge._RESOLVED, ge._direction, ge._segment_length
+    _RESOLVED, _segment_length = ge._RESOLVED, ge._segment_length
     Polyline, GeodesicResult, Vector = ge.Polyline, ge.GeodesicResult, la.Vector
     field = spec.field
     chord_len = float(np.linalg.norm(h.entries - g.entries))
@@ -454,15 +464,10 @@ def _per_vertex_descend(spec, g, h, n_vertices, n_iterations, rng):
     return GeodesicResult(total, path, initial, len(history) - 1, tuple(history), stop_reason)
 
 
-def _per_vertex_distance(spec, g, h, n_vertices=13, n_iterations=150, seed=0, n_starts=1):
-    """geodesic_distance over the reference descent: the same start seeds."""
-    best = None
-    for ss in np.random.SeedSequence(seed).spawn(n_starts):
-        result = _per_vertex_descend(spec, g, h, n_vertices, n_iterations,
-                                     np.random.default_rng(ss))
-        if best is None or result.distance < best.distance:
-            best = result
-    return best
+def _per_vertex_distance(spec, g, h, n_vertices=13, n_iterations=150, seed=0):
+    """geodesic_distance over the reference descent: the same start seed."""
+    return _per_vertex_descend(spec, g, h, n_vertices, n_iterations,
+                               np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]))
 
 
 def _outcome(solve, *args, **kwargs):
@@ -504,12 +509,10 @@ def test_sweep_descent_equals_the_per_vertex_descent_at_the_edges():
     g, h = la.vector([1.0, 0.5, 0.0]), la.vector([-1.0, -0.5, 0.0])
     lifted = _assert_same_descent(mm.euclidean(3), g, h, seed=1, n_iterations=40)
     assert lifted[4] > float(np.linalg.norm(h.entries - g.entries))
-    # a step-floor stop, and the best of three starts
+    # a step-floor stop
     floor = _assert_same_descent(mm.euclidean(2), la.vector([1.0, 0.0]), la.vector([2.0, 1.0]),
                                  n_vertices=5, seed=0)
     assert floor[3] == "step-floor"
-    _assert_same_descent(mm.fubini_study(3, C), la.vector([1.0, 0.2j, 0.0], C),
-                         la.vector([0.1, 1.3, 0.4j], C), n_iterations=20, seed=4, n_starts=3)
     with pytest.warns(RuntimeWarning):
         negative = mm.induced_finsler(mm.riemann_profile("-1", "0"), 2)
     assert _assert_same_descent(negative, la.vector([1.0, 0.0]), la.vector([2.0, 0.0]))[0] \
@@ -520,6 +523,6 @@ def test_sweep_descent_equals_the_per_vertex_descent_at_the_edges():
 def test_sweep_direction_draw_is_the_stacked_per_vertex_draws(field):
     sweep, per_vertex = np.random.default_rng(5), np.random.default_rng(5)
     D = ge._directions(sweep, 14, 4, field)
-    want = np.stack([ge._direction(per_vertex, 4, field) for _ in range(14)])
+    want = np.stack([_direction(per_vertex, 4, field) for _ in range(14)])
     assert D.tobytes() == want.tobytes()
     assert sweep.standard_normal() == per_vertex.standard_normal()  # the same stream position

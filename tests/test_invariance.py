@@ -43,7 +43,7 @@ def test_domain_violation_fails_the_verdict():
 
 def test_is_symmetry_dimension_guard():
     with pytest.raises(MismatchError):
-        iv.is_symmetry(la.identity_map(2), mm.euclidean(3))
+        iv.is_symmetry(la.linear_map(np.eye(2)), mm.euclidean(3))
 
 
 def test_classify_congruence_cases():
@@ -85,7 +85,8 @@ def test_symmetries_compose():
     tol = 1e-10
     assert iv.is_symmetry(t1, spec, 100, seed=3, tol=tol).is_symmetry
     assert iv.is_symmetry(t2, spec, 100, seed=3, tol=tol).is_symmetry
-    assert iv.is_symmetry(la.compose(t1, t2), spec, 100, seed=3, tol=3 * tol).is_symmetry
+    t12 = la.linear_map(t1.entries @ t2.entries)
+    assert iv.is_symmetry(t12, spec, 100, seed=3, tol=3 * tol).is_symmetry
 
 
 def test_singular_maps_fail_nonzero_specs():
@@ -125,11 +126,9 @@ def test_theorem_probe_rejects_zero_maps():
 def test_checks_of_nothing_raise():
     spec = mm.euclidean(3)
     with pytest.raises(ValueError, match="at least one sample"):
-        iv.is_symmetry(la.identity_map(3), spec, 0)
+        iv.is_symmetry(la.linear_map(np.eye(3)), spec, 0)
     with pytest.raises(ValueError, match="at least one unitary"):
         iv.invariance_suite(spec, 0)
-    with pytest.raises(ValueError, match="at least one unitary"):
-        iv.invariance_suite(spec, 5, unitaries=[])
     with pytest.raises(ValueError, match="at least one map"):
         iv.dim2_exception_check(1.0, [])
     with pytest.raises(ValueError, match="at least one rotation"):
@@ -274,12 +273,12 @@ def test_batched_checks_equal_the_scalar_loop(dim, field):
                 M = T.entries.T
                 want = _scalar_symmetry(spec, G, H, G @ M, H @ M, tol, exit_early=True)
                 _assert_same(iv.is_symmetry(T, spec, 30, seed=i, tol=tol), want, (name, label, tol))
-        us = [la.random_unitary(dim, field, 1000 * i + k) for k in range(20)]
-        G, H = mm.sample_pairs(spec, len(us), np.random.default_rng(i))
-        U = np.stack([u.entries for u in us])
+        rng = np.random.default_rng(i)  # the suite's own draw: unitaries, then pairs
+        U = la.random_unitaries(20, dim, field, rng)
+        G, H = mm.sample_pairs(spec, 20, rng)
         want = _scalar_symmetry(spec, G, H, (U @ G[:, :, None])[:, :, 0],
                                 (U @ H[:, :, None])[:, :, 0], 1e-9, exit_early=False)
-        _assert_same(iv.invariance_suite(spec, seed=i, unitaries=us), want, (name, "suite"))
+        _assert_same(iv.invariance_suite(spec, 20, seed=i), want, (name, "suite"))
         G, H = mm.sample_pairs(spec, 30, np.random.default_rng(i))
         want = _scalar_homothety(spec, G, H, 1.5, 1e-10)
         _assert_same(mm.check_homothety_invariance(spec, 1.5, 30, seed=i), want, (name, "homothety"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finsler_iso import linalg as la
-from finsler_iso.errors import MismatchError, ZeroVectorError
+from finsler_iso.errors import MismatchError, OutOfDomainError, ZeroVectorError
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 
@@ -38,7 +38,7 @@ def test_vector_rejects_nonfinite():
 
 def test_norm_examples():
     assert la.norm(la.vector([3, 4, 0])) == pytest.approx(5.0)
-    assert la.norm(la.zero_vector(3)) == 0.0
+    assert la.norm(la.vector([0, 0, 0])) == 0.0
     assert la.norm(la.vector([1j, 1], C)) == pytest.approx(math.sqrt(2))
 
 
@@ -48,7 +48,7 @@ def test_norm_consistent_with_inner():
         v = la.random_gaussian_vector(4, C, rng)
         assert la.norm(v) ** 2 == pytest.approx(la.inner(v, v).real, abs=1e-12)
         c = complex(rng.standard_normal(), rng.standard_normal())
-        assert la.norm(la.scale(c, v)) == pytest.approx(abs(c) * la.norm(v), abs=1e-12)
+        assert la.norm(la.vector(c * v.entries)) == pytest.approx(abs(c) * la.norm(v), abs=1e-12)
 
 
 def test_acute_angle_examples():
@@ -61,7 +61,7 @@ def test_acute_angle_examples():
 
 def test_acute_angle_zero_vector():
     with pytest.raises(ZeroVectorError):
-        la.acute_angle(la.zero_vector(2), la.vector([1, 0]))
+        la.acute_angle(la.vector([0, 0]), la.vector([1, 0]))
 
 
 def test_acute_angle_scalar_invariance():
@@ -71,7 +71,7 @@ def test_acute_angle_scalar_invariance():
         h = la.random_gaussian_vector(3, C, rng)
         c = complex(rng.standard_normal(), rng.standard_normal()) or 1.0
         d = complex(rng.standard_normal(), rng.standard_normal()) or 1.0
-        assert la.acute_angle(la.scale(c, g), la.scale(d, h)) == pytest.approx(
+        assert la.acute_angle(la.vector(c * g.entries), la.vector(d * h.entries)) == pytest.approx(
             la.acute_angle(g, h), abs=1e-10)
 
 
@@ -79,6 +79,16 @@ def test_canonical_invariants_examples():
     assert la.canonical_invariants(la.vector([2, 0]), la.vector([0, 3])) == pytest.approx((2, 0, 6))
     assert la.canonical_invariants(la.vector([1, 0]), la.vector([1, 0])) == pytest.approx((1, 1, 0))
     assert la.canonical_invariants(la.vector([1, 0]), la.vector([1, 1])) == pytest.approx((1, 1, 1))
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_canonical_invariants_at_a_g_whose_norm_under_or_overflows(field):
+    h = la.vector([0.0, 1.0], field)
+    for g, word in (([1e-170, 0.0], "underflows"), ([1e200, 0.0], "overflows")):
+        with pytest.raises(OutOfDomainError, match=word):
+            la.canonical_invariants(la.vector(g, field), h)
+    with pytest.raises(ZeroVectorError, match="g != 0"):
+        la.canonical_invariants(la.vector([0.0, 0.0], field), h)
 
 
 def test_canonical_invariants_pythagoras():
@@ -206,7 +216,7 @@ def test_random_rotation():
 
 
 def test_singular_values():
-    assert la.singular_values(la.identity_map(3)) == pytest.approx([1, 1, 1])
+    assert la.singular_values(la.linear_map(np.eye(3))) == pytest.approx([1, 1, 1])
     assert la.singular_values(la.linear_map([[2, 0], [0, 1]])) == pytest.approx([2, 1])
     rank1 = la.linear_map([[1, 2], [2, 4]])
     assert la.singular_values(rank1)[1] <= 1e-12

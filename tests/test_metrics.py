@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
-from finsler_iso.errors import MismatchError, OutOfDomainError
+from finsler_iso.errors import MismatchError, OutOfDomainError, ZeroVectorError
 from finsler_iso.expressions import EvalError, evaluate, parse
 from helpers import POS, battery, expression_texts, family_specs, sample_pair
 
@@ -48,10 +48,10 @@ def test_fubini_study_eval():
 
 def test_zero_extension():
     spec = mm.zero_extended(3.0, mm.euclidean(2))
-    assert mm.eval_finsler(spec, la.zero_vector(2), la.vector([1, 0])) == pytest.approx(3.0)
+    assert mm.eval_finsler(spec, la.vector([0, 0]), la.vector([1, 0])) == pytest.approx(3.0)
     assert mm.eval_finsler(spec, la.vector([1, 1]), la.vector([1, 0])) == pytest.approx(1.0)
     with pytest.raises(OutOfDomainError):
-        mm.eval_finsler(mm.euclidean(2), la.zero_vector(2), la.vector([1, 0]))
+        mm.eval_finsler(mm.euclidean(2), la.vector([0, 0]), la.vector([1, 0]))
 
 
 def test_constant_theta_profile_gives_norm():
@@ -60,7 +60,7 @@ def test_constant_theta_profile_gives_norm():
     for _ in range(20):
         g, h = sample_pair(spec, rng)
         assert mm.eval_finsler(spec, g, h) == pytest.approx(la.norm(h), rel=1e-12)
-    assert mm.eval_finsler(spec, la.vector([1, 0, 0]), la.zero_vector(3)) == 0.0
+    assert mm.eval_finsler(spec, la.vector([1, 0, 0]), la.vector([0, 0, 0])) == 0.0
     tau_spec = mm.FromTheta(2, R, POS, mm.theta_profile("tau"))
     value = mm.eval_finsler(tau_spec, la.vector([1, 0]), la.vector([1, 1e-9]))
     assert value == pytest.approx(1e-9, rel=1e-12)
@@ -100,7 +100,7 @@ def test_scaling_law(field):
                 if field is C:
                     ang = rng.uniform(0, 2 * math.pi)
                     t = t * complex(math.cos(ang), math.sin(ang))
-            got = mm.eval_finsler(spec, g, la.scale(t, h))
+            got = mm.eval_finsler(spec, g, la.vector(t * h.entries, h.field))
             assert got == pytest.approx(abs(t) * base, abs=1e-10 * (1 + abs(base)))
 
 
@@ -284,6 +284,36 @@ def test_sesquilinear_fubini_study_values():
     assert mm.eval_sesquilinear(prof, g, g, g) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("field", [R, C])
+def test_sesquilinear_is_one_row_of_the_rows_form(field):
+    prof = mm.congruence_invariant_riemann(0.7, -0.3)
+    rng = np.random.default_rng(6)
+    G, F, H = (la.random_gaussian_rows(50, 3, field, rng) for _ in range(3))
+    rows = mm.eval_sesquilinear_rows(prof, G, F, H)
+    for g, f, h, want in zip(G, F, H, rows):
+        got = mm.eval_sesquilinear(prof, *(la.Vector(v, field) for v in (g, f, h)))
+        assert type(got) is (float if field is R else complex) and got == want
+    with pytest.raises(MismatchError):
+        mm.eval_sesquilinear(prof, la.vector([1.0, 0.0]), la.vector([1.0, 0.0, 0.0]),
+                             la.vector([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_sesquilinear_at_a_g_whose_norm_under_or_overflows_is_out_of_domain(field):
+    # no RuntimeWarning either: the test configuration turns one into a failure
+    prof = mm.fubini_study_profile()
+    f = h = la.vector([0.0, 1.0], field)
+    for g, word in (([1e-170, 0.0], "underflows"), ([1e200, 0.0], "overflows")):
+        g = la.vector(g, field)
+        with pytest.raises(OutOfDomainError, match=word):
+            mm.eval_sesquilinear(prof, g, f, h)
+        G = np.stack([[1.0, 0.0], g.entries]).astype(field.dtype)
+        with pytest.raises(OutOfDomainError, match=word):
+            mm.eval_sesquilinear_rows(prof, G, G, G)
+    with pytest.raises(ZeroVectorError, match="g = 0"):
+        mm.eval_sesquilinear(prof, la.vector([0.0, 0.0], field), f, h)
+
+
 def test_sesquilinear_conjugate_symmetry_and_linearity():
     prof = mm.congruence_invariant_riemann(0.7, -0.3)
     rng = np.random.default_rng(5)
@@ -296,7 +326,7 @@ def test_sesquilinear_conjugate_symmetry_and_linearity():
         b = mm.eval_sesquilinear(prof, g, h, f1)
         assert abs(a - np.conj(b)) <= 1e-10 * (1 + abs(a))
         c = complex(rng.standard_normal(), rng.standard_normal())
-        lhs = mm.eval_sesquilinear(prof, g, la.add(la.scale(c, f1), f2), h)
+        lhs = mm.eval_sesquilinear(prof, g, la.vector(c * f1.entries + f2.entries), h)
         rhs = c * a + mm.eval_sesquilinear(prof, g, f2, h)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
@@ -514,7 +544,20 @@ def test_spec_json_roundtrip(spec):
 def test_zero_extended_json_includes_zero():
     spec = mm.zero_extended(2.0, mm.euclidean(2))
     back = mm.spec_from_json(mm.spec_to_json(spec))
-    assert mm.eval_finsler(back, la.zero_vector(2), la.vector([1, 0])) == pytest.approx(2.0)
+    assert mm.eval_finsler(back, la.vector([0, 0]), la.vector([1, 0])) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("obj,words", [
+    ({"family": "theta", "dim": 2, "field": "real"}, "key 'theta'"),
+    ({"family": "euclidean"}, "key 'dim'"),
+    ({"family": "theta", "dim": 2, "field": "real", "params": {"theta": 5}}, "text, not int"),
+    ([1, 2], "JSON object, not list"),
+    ({"family": "euclidean", "dim": [2], "field": "real"}, "wrong type"),
+    ({"family": "area", "dim": 2, "field": "real", "params": [1]}, "params is a JSON object"),
+])
+def test_a_malformed_spec_is_a_value_error(obj, words):
+    with pytest.raises(ValueError, match=words):
+        mm.spec_from_json(obj)
 
 
 def test_callable_profile_not_serializable():
@@ -644,11 +687,11 @@ def test_a_non_zero_g_whose_norm_underflows_is_out_of_domain():
     assert la.norm(tiny) == 0.0
     with pytest.raises(OutOfDomainError, match="underflows"):  # not b|h| = 3, as g = 0 gives
         mm.eval_finsler(spec, tiny, h)
-    assert mm.eval_finsler(spec, la.zero_vector(2), h) == 3.0
+    assert mm.eval_finsler(spec, la.vector([0, 0]), h) == 3.0
     with pytest.raises(OutOfDomainError, match="underflows"):
         mm.eval_finsler(mm.euclidean(2), tiny, h)
     with pytest.raises(OutOfDomainError, match="outside the radius domain"):
-        mm.eval_finsler(mm.euclidean(2), la.zero_vector(2), h)
+        mm.eval_finsler(mm.euclidean(2), la.vector([0, 0]), h)
     # a custom metric sees the vectors, so it still takes such a g
     custom = mm.Custom(2, R, mm.RadiusDomain(((0.0, math.inf),), includes_zero=True),
                        fn=lambda g, h: float(np.abs(g.entries).sum()))
