@@ -42,18 +42,12 @@ def test_eval_out_of_domain_is_exit_3(capsys):
 def test_eval_at_a_g_whose_norm_under_or_overflows_is_exit_3(capsys):
     # |g| = 0 for a g != 0 is named as an underflow, not read as g = 0; |g| = inf
     # as an overflow, with no numpy warning on stderr (the test configuration
-    # also turns one into an error)
+    # also turns one into an error); for rho and, with --f, for sigma
     for g, h, word in (("1e-200,0", "0,1e-200", "underflows"), ("1e200,0", "1e200,0", "overflows")):
-        code, out, err = run(capsys, "eval", "--metric", "euclidean", "--dim", "2",
-                             "--g", g, "--h", h)
-        assert code == 3 and out == "" and word in err and "Warning" not in err, g
-
-
-def test_eval_sigma_at_a_g_whose_norm_under_or_overflows_is_exit_3(capsys):
-    for g, word in (("1e-170,0", "underflows"), ("1e200,0", "overflows")):
-        code, out, err = run(capsys, "eval", "--metric", "fubini-study", "--dim", "2",
-                             "--g", g, "--h", "0,1", "--f", "1,0")
-        assert code == 3 and out == "" and word in err and "Warning" not in err, g
+        for extra in ([], ["--f", "1,0"]):
+            code, out, err = run(capsys, "eval", "--metric", "fubini-study", "--dim", "2",
+                                 "--g", g, "--h", h, *extra)
+            assert code == 3 and out == "" and word in err and "Warning" not in err, (g, extra)
 
 
 def test_eval_undefined_expression_is_exit_3(capsys):
