@@ -94,14 +94,8 @@ def parse_vector(text: str, dim: int, field: Field) -> Vector:
 
 
 def metric_from_args(args) -> mm.MetricSpec:
-    """Build the MetricSpec from --metric / --config, reporting parse errors."""
+    """Build the MetricSpec from --metric, reporting parse errors."""
     raw = args.metric
-    if getattr(args, "config", None):
-        if raw is not None:
-            raise UsageError("give either --metric or --config, not both")
-        raw = "@" + args.config
-    if raw is None:
-        raise UsageError("a metric is required (--metric or --config)")
     try:
         if raw.startswith("@"):
             with open(raw[1:], encoding="utf-8") as fh:
@@ -130,13 +124,12 @@ def _named_metric(raw: str, args) -> mm.MetricSpec:
     if name in ("euclidean", "fubini-study", "norm-quotient"):
         if colon:
             raise UsageError(f"metric {name!r} takes no payload, got {raw!r}")
-        if name == "norm-quotient":  # a constant vartheta: no expression evaluated per call
-            return mm.norm_quotient(args.dim, field)
-        params = {}
+        name, params = (("congruence-invariant", {"vartheta": "1"}) if name == "norm-quotient"
+                        else (name, {}))
     elif name == "area":
         params = {"b": float(payload) if payload else 1.0}
     elif name == "lambda":
-        alpha = getattr(args, "alpha", None)  # check's --alpha is the homothety coefficient
+        alpha = getattr(args, "alpha", None)  # only eval and probe-main set the degree
         params = {"lam": payload, "alpha": 1.0 if alpha is None else alpha}
     elif name == "theta":
         params = {"theta": payload}
@@ -227,8 +220,6 @@ def cmd_check(args) -> int:
         _emit(report)
         return 0 if verdict.is_symmetry else 1
     if args.which == "homothety":
-        if args.homothety_alpha is None:
-            raise UsageError("check homothety needs --alpha")
         if args.samples < 1:
             raise UsageError("--samples must be >= 1: a homothety check of no samples "
                              "tests nothing")
@@ -284,7 +275,8 @@ def cmd_probe_main(args) -> int:
                "max_deviation": report.max_deviation, "passed": report.all_passed})
         return 0 if report.all_passed else 1
     report = iv.congruence_theorem_probe(spec, n_maps=args.maps, n_samples=args.samples,
-                                   seed=args.seed, min_sv_ratio=args.min_sv_ratio)
+                                         seed=args.seed, min_sv_ratio=args.min_sv_ratio,
+                                         control_tol=args.tol)
     if report.vacuous:
         raise UsageError("the metric is 0 on every sampled pair, so no map can fail: "
                          "a probe of it tests nothing")
@@ -323,11 +315,14 @@ def cmd_distance(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metric", help="named metric, family:expr constructor, or @file.json")
-    p.add_argument("--config", help="JSON metric spec file (same object as --metric @file)")
+def _add_metric(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--metric", required=True,
+                   help="named metric, family:expr constructor, or @file.json")
     p.add_argument("--dim", type=int)
     p.add_argument("--field", choices=["real", "complex"])
+
+
+def _add_seed_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
 
@@ -340,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate rho_g(h), or sigma_g(f,h) with --f")
-    _add_common(p)
+    _add_metric(p)
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--f", default=None)
@@ -348,28 +343,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("decompose", help="extract theta(r,tau) or (phi,psi) as CSV")
-    _add_common(p)
+    _add_metric(p)
     p.add_argument("--as", dest="form", choices=["auto", "finsler", "riemann"], default="auto")
     p.add_argument("--r-min", type=float, default=0.5)
     p.add_argument("--r-max", type=float, default=2.0)
     p.add_argument("--r-steps", type=int, default=5)
     p.add_argument("--tau-steps", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--output", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("check", help="invariance / pd / kaehler / homothety checks")
-    p.add_argument("which", choices=["invariance", "pd", "kaehler", "homothety"])
-    _add_common(p)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--alpha", dest="homothety_alpha", type=float, default=None,
-                   help="homothety coefficient")
-    p.add_argument("--r-min", type=float, default=0.5)
-    p.add_argument("--r-max", type=float, default=2.0)
     p.set_defaults(func=cmd_check)
+    modes = p.add_subparsers(dest="which", required=True)
+    for which in ("invariance", "pd", "kaehler", "homothety"):
+        p = modes.add_parser(which)
+        _add_metric(p)
+        p.add_argument("--samples", type=int, default=200)
+        if which in ("pd", "kaehler"):
+            p.add_argument("--r-min", type=float, default=0.5)
+            p.add_argument("--r-max", type=float, default=2.0)
+        else:
+            _add_seed_tol(p)
+    modes.choices["homothety"].add_argument("--alpha", dest="homothety_alpha", type=float,
+                                            required=True, help="homothety coefficient")
 
     p = sub.add_parser("probe-main", help="falsification probe: symmetries are congruences")
-    _add_common(p)
+    _add_metric(p)
+    _add_seed_tol(p)
     p.add_argument("--maps", type=int, default=100)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--min-sv-ratio", type=float, default=1.1)
@@ -379,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe_main)
 
     p = sub.add_parser("distance", help="geodesic distance by polyline descent")
-    _add_common(p)
+    _add_metric(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--vertices", type=int, default=13)
     p.add_argument("--iterations", type=int, default=150)
     p.add_argument("--path-out", help="write the optimized path as CSV")
-    p.add_argument("--alpha", type=float, default=None)
     p.set_defaults(func=cmd_distance)
 
     return parser

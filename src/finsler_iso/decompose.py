@@ -27,6 +27,7 @@ from .linalg import (
     row_norms,
 )
 from .metrics import (
+    FromLambda,
     MetricSpec,
     NonSymLambdaProfile,
     RadiusDomain,
@@ -79,6 +80,8 @@ class SesquiOracle(_RowsForm):
 
 
 def oracle_from_spec(spec: MetricSpec) -> MetricOracle:
+    """The spec as an oracle of its own homogeneity degree: a lambda profile's
+    alpha, else 1."""
     def rows(G: np.ndarray, H: np.ndarray) -> np.ndarray:
         values, inside = eval_batch(spec, G, H)
         if not inside.all():
@@ -86,7 +89,8 @@ def oracle_from_spec(spec: MetricSpec) -> MetricOracle:
         return values
 
     return MetricOracle(lambda g, h: eval_finsler(spec, g, h),
-                        spec.dim, spec.field, spec.domain, alpha=1.0, rows=rows)
+                        spec.dim, spec.field, spec.domain, rows=rows,
+                        alpha=spec.profile.alpha if isinstance(spec, FromLambda) else 1.0)
 
 
 def sesqui_oracle_from_spec(spec: MetricSpec) -> SesquiOracle:
@@ -177,12 +181,12 @@ def extract_nonsym_lambda(oracle: MetricOracle,
     return NonSymLambdaProfile(_profile_fn(rows))
 
 
-def extract_phi_psi(oracle: SesquiOracle, frame: tuple[Vector, Vector] | None = None,
-                    check_symmetry: bool = True) -> RiemannProfile:
-    """phi(r) = sigma_{sqrt(r) e}(f, f) and psi(r) = (sigma_{sqrt(r) e}(e, e) - phi(r)) / r."""
+def extract_phi_psi(oracle: SesquiOracle,
+                    frame: tuple[Vector, Vector] | None = None) -> RiemannProfile:
+    """phi(r) = sigma_{sqrt(r) e}(f, f) and psi(r) = (sigma_{sqrt(r) e}(e, e) - phi(r)) / r,
+    after a check that the oracle is conjugate-symmetric on samples."""
     e, f = (v.entries for v in _check_frame(oracle, frame))
-    if check_symmetry:
-        _validate_conjugate_symmetry(oracle)
+    _validate_conjugate_symmetry(oracle)
 
     def sigma(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         V = np.tile(v, (len(r), 1))

@@ -34,9 +34,9 @@ from .metrics import MetricSpec, eval_batch, eval_finsler
 
 @dataclass(frozen=True)
 class ParametricCurve:
-    """t -> gamma(t) on [a, b]; derivatives by centered finite differences.
+    """t -> gamma(t) on [a, b]; derivatives by centered differences of step 1e-6 max(1, |t|).
 
-    The map must be evaluable slightly beyond the endpoints (one fd step).
+    The map must be evaluable slightly beyond the endpoints (one step).
     A map that carries a `rows` attribute, as circle_arc's and
     segment_curve's do, gives points() for all parameters in one call;
     otherwise points() stacks fn(t).
@@ -45,7 +45,6 @@ class ParametricCurve:
     fn: Callable[[float], Vector]
     a: float
     b: float
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -55,7 +54,7 @@ class ParametricCurve:
         return self.fn(t)
 
     def velocity(self, t: float) -> Vector:
-        s = self.fd_step * max(1.0, abs(t))
+        s = 1e-6 * max(1.0, abs(t))
         p1, p0 = self.fn(t + s), self.fn(t - s)
         return Vector((p1.entries - p0.entries) / (2.0 * s), p1.field)
 
@@ -68,7 +67,7 @@ class ParametricCurve:
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
         """velocity(t) for each entry of ts, with the same step per node."""
-        s = self.fd_step * np.maximum(1.0, np.abs(ts))
+        s = 1e-6 * np.maximum(1.0, np.abs(ts))
         return (self.points(ts + s) - self.points(ts - s)) / (2.0 * s)[:, None]
 
 

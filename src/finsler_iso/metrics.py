@@ -589,7 +589,8 @@ def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray
     """sigma for the rows of three (N, dim) arrays of one dtype, in one pass.
 
     Raises when any row's g is 0, is not 0 but has a |g| that under- or
-    overflows, or has a |g|^2 outside the profile's domain.
+    overflows, or has a |g|^2 outside the profile's domain, and EvalError when
+    any row's sigma is NaN (its terms overflow to opposite infinities).
     """
     if not (G.shape == F.shape == H.shape and G.ndim == 2) or not (G.dtype == F.dtype == H.dtype):
         raise MismatchError("sigma needs three vectors, or row arrays, of one dimension and field")
@@ -602,8 +603,13 @@ def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray
                else ZeroVectorError("sigma is undefined at g = 0"))
     if not profile.domain.contains_rows(r2).all():
         raise OutOfDomainError("a row's |g|^2 is outside the profile domain")
-    return (profile.phi_rows(r2) * row_dots(H.conj(), F)
-            + profile.psi_rows(r2) * row_dots(G.conj(), F) * row_dots(H.conj(), G))
+    phi, psi = profile.phi_rows(r2), profile.psi_rows(r2)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN raises below
+        sigma = phi * row_dots(H.conj(), F) + psi * row_dots(G.conj(), F) * row_dots(H.conj(), G)
+    if np.isnan(sigma).any():
+        raise expressions.EvalError("sigma is undefined: phi(|g|^2)<f, h> + "
+                                    "psi(|g|^2)<f, g><g, h> is NaN")
+    return sigma
 
 
 def sesquilinear_profile(spec: MetricSpec) -> RiemannProfile | None:
@@ -615,16 +621,16 @@ def sesquilinear_profile(spec: MetricSpec) -> RiemannProfile | None:
     return None
 
 
-def induced_finsler(profile: RiemannProfile, dim: int, field: Field = Field.REAL,
-                    n_probe: int = 64, seed: int = 0) -> FromRiemann:
+def induced_finsler(profile: RiemannProfile, dim: int,
+                    field: Field = Field.REAL) -> FromRiemann:
     """The Finsler metric sign(v) sqrt|v| with v = sigma_g(h, h).
 
-    Probes v on seeded samples and flags the spec (plus a RuntimeWarning)
-    when any sampled v is negative, i.e. the profile is not positive
-    semi-definite there.
+    Probes v on 64 pairs from sample_pairs with default_rng(0) and flags the
+    spec (plus a RuntimeWarning) when any sampled v is negative, i.e. the
+    profile is not positive semi-definite there.
     """
     spec = FromRiemann(dim, field, profile.domain.sqrt_image(), profile)
-    values, _ = eval_batch(spec, *sample_pairs(spec, n_probe, np.random.default_rng(seed)))
+    values, _ = eval_batch(spec, *sample_pairs(spec, 64, np.random.default_rng(0)))
     # sign(v) sqrt|v| < -1e-6 exactly when v < -1e-12.
     if (values < -1e-6).any():
         warnings.warn("sesquilinear profile takes negative values; induced "
@@ -662,14 +668,14 @@ def check_positive_definite(profile: RiemannProfile, r_samples: list[float],
 
 
 def check_kaehler(profile: RiemannProfile, r_samples: list[float],
-                  fd_step: float | None = None, tol: float | None = None) -> list[bool]:
-    """Whether psi matches the centered finite difference of phi at each sample.
+                  tol: float | None = None) -> list[bool]:
+    """Whether psi matches the centered difference of phi, step max(1e-5, 1e-5 r), at each r.
 
     Meaningful over the complex field, where it characterizes the Kaehler
     property of the invariant Hermitean metric.
     """
     r = np.array(r_samples, dtype=float)
-    step = np.full(r.shape, fd_step) if fd_step is not None else np.maximum(1e-5, 1e-5 * r)
+    step = np.maximum(1e-5, 1e-5 * r)
     near = ~(profile.domain.contains_rows(r - step) & profile.domain.contains_rows(r + step))
     if near.any():
         k = int(np.argmax(near))
@@ -749,22 +755,17 @@ class ProfileValidation:
 _T_FACTORS = (0.0, 0.5, 1.0, 2.0)
 
 
-def validate_profile(spec: MetricSpec, grid_size: int = 4, seed: int = 0,
-                     tol: float = 1e-9) -> ProfileValidation:
+def validate_profile(spec: MetricSpec, grid_size: int = 4, tol: float = 1e-9) -> ProfileValidation:
     """Sample the homogeneity/evenness hypotheses of the underlying profile.
 
-    A lambda profile is called once on a grid of (r, p, q) and once per
-    hypothesis, with deviations by the rule of deviations().  Other families
-    are only checked for finite values on pairs from sample_pairs, in one
-    eval_batch call.  Report-only: never raises on a violation.
+    The lambda profile is called once on a grid of (r, p, q) and once per
+    hypothesis, with deviations by the rule of deviations().  Report-only:
+    never raises on a violation, but raises ValueError for a family without a
+    lambda profile, which has no hypotheses to test.
     """
-    radii = domain_grid(spec.domain, grid_size)
     if not isinstance(spec, (FromLambda, FromNonSymLambda)):
-        n = len(radii) * grid_size
-        values, _ = eval_batch(spec, *sample_pairs(spec, n, np.random.default_rng(seed)))
-        worst_h = 0.0 if np.isfinite(values).all() else math.inf
-        return ProfileValidation(worst_h <= tol, worst_h, 0.0, n)
-
+        raise ValueError(f"family {spec.family!r} has no lambda profile to validate")
+    radii = domain_grid(spec.domain, grid_size)
     ang = 0.5 * math.pi * (np.arange(grid_size) + 0.5) / grid_size
     rho = np.array([[0.3], [1.0], [3.0]])
     r = np.repeat(radii, 3 * grid_size)
@@ -807,10 +808,24 @@ def domain_to_json(domain: RadiusDomain) -> dict:
     }
 
 
+_JSON_KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
+               bool: ("a boolean", bool)}
+
+
+def _typed(value, kind: type, key: str):
+    """value, as a float for kind float, when it has that JSON type, else a
+    ValueError naming key.  A boolean is neither an integer nor a number."""
+    name, types = _JSON_KINDS[kind]
+    if not isinstance(value, types) or isinstance(value, bool) is not (kind is bool):
+        raise ValueError(f"{key} has the wrong type: {type(value).__name__}, not {name}")
+    return float(value) if kind is float else value
+
+
 def domain_from_json(obj: dict) -> RadiusDomain:
-    ivs = tuple((float(lo), math.inf if hi is None else float(hi))
+    ivs = tuple((_typed(lo, float, "an interval end"),
+                 math.inf if hi is None else _typed(hi, float, "an interval end"))
                 for lo, hi in obj["intervals"])
-    return RadiusDomain(ivs, bool(obj.get("includes_zero", False)))
+    return RadiusDomain(ivs, _typed(obj.get("includes_zero", False), bool, "includes_zero"))
 
 
 def spec_to_json(spec: MetricSpec) -> dict:
@@ -859,7 +874,7 @@ def spec_from_json(obj: dict) -> MetricSpec:
 
 def _spec_from_json(obj: dict) -> MetricSpec:
     family = obj["family"]
-    dim = int(obj["dim"])
+    dim = _typed(obj["dim"], int, "dim")
     field = Field(obj["field"])
     domain = domain_from_json(obj["domain"]) if "domain" in obj else RadiusDomain.positive()
     params = obj.get("params", {})
@@ -869,7 +884,8 @@ def _spec_from_json(obj: dict) -> MetricSpec:
         return FubiniStudy(dim, field, domain)
     if family == "lambda":
         return FromLambda(dim, field, domain,
-                          lambda_profile(params["lam"], float(params.get("alpha", 1.0))))
+                          lambda_profile(params["lam"],
+                                         _typed(params.get("alpha", 1.0), float, "alpha")))
     if family == "theta":
         return FromTheta(dim, field, domain, theta_profile(params["theta"]))
     if family == "nonsym-lambda":
@@ -883,8 +899,8 @@ def _spec_from_json(obj: dict) -> MetricSpec:
             dim, field, domain, expressions.compile_positional(params["vartheta"], ("tau",)),
             params["vartheta"])
     if family == "area":
-        return AreaDim2(dim, field, domain, float(params.get("b", 1.0)))
+        return AreaDim2(dim, field, domain, _typed(params.get("b", 1.0), float, "b"))
     if family == "zero-extended":
         inner_spec = spec_from_json(params["inner"])
-        return ZeroExtended(dim, field, domain, float(params["b"]), inner_spec)
+        return ZeroExtended(dim, field, domain, _typed(params["b"], float, "b"), inner_spec)
     raise ValueError(f"unknown metric family {family!r}")

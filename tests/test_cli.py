@@ -64,6 +64,14 @@ def test_eval_of_an_undefined_riemann_value_is_exit_3(capsys):
     assert code == 3 and out == "" and "undefined" in err
 
 
+def test_eval_of_an_undefined_sigma_is_exit_3(capsys):
+    # phi <f,h> and psi <f,g><g,h> overflow to opposite infinities: no value and
+    # no numpy warning, not null
+    code, out, err = run(capsys, "eval", "--metric", "fubini-study", "--dim", "2",
+                         "--g", "1,0", "--h", "1e200,0", "--f", "1e200,0")
+    assert code == 3 and out == "" and "sigma is undefined" in err and "Warning" not in err
+
+
 def test_eval_too_deep_expression_is_exit_2(capsys):
     for text in ("(" * 500 + "1" + ")" * 500, "+".join(["r"] * 3000)):
         code, out, err = run(capsys, "eval", "--metric", f"theta:{text}", "--dim", "2",
@@ -123,8 +131,6 @@ def test_metric_from_json_file(capsys, tmp_path):
     path.write_text(json.dumps(spec))
     code, out, _ = run(capsys, "eval", "--metric", f"@{path}", "--g", "0,0", "--h", "1,0")
     assert code == 0 and json.loads(out)["value"] == 3
-    code, out, _ = run(capsys, "eval", "--config", str(path), "--g", "0,0", "--h", "2,0")
-    assert code == 0 and json.loads(out)["value"] == 6
 
 
 @pytest.mark.parametrize("text", [
@@ -290,6 +296,20 @@ def test_probe_main_reports_sample_counts(capsys):
     assert obj["control_samples"] == report.control_samples == 100 * 20
 
 
+def test_probe_main_tol_is_the_controls_tolerance(capsys):
+    # the controls' deviations are rounding, about 1e-16: they pass at the
+    # default 1e-9 and fail at 1e-20, as congruence_theorem_probe's control_tol
+    argv = ("probe-main", "--metric", "fubini-study", "--dim", "3", "--maps", "5",
+            "--samples", "10")
+    for tol, passed in (("1e-9", True), ("1e-20", False)):
+        code, out, _ = run(capsys, *argv, "--tol", tol)
+        report = iv.congruence_theorem_probe(mm.fubini_study(3), n_maps=5, n_samples=10,
+                                             control_tol=float(tol))
+        obj = json.loads(out)
+        assert obj["controls_passed"] is report.controls_passed is passed, tol
+        assert obj["control_samples"] == report.control_samples and code == (0 if passed else 1)
+
+
 def test_probe_main_sl2_tests_only_the_real_positive_area_metric(capsys, tmp_path):
     # the dim-2 check builds the real area metric on the positive domain, so a
     # complex or domain-restricted spec would pass untested
@@ -404,6 +424,39 @@ def test_distance_of_no_iterations_reports_the_initial_path(capsys):
                        "--g", "1,0", "--h", "0,1", "--iterations", "0")
     report = json.loads(out)
     assert code == 0 and report["iterations"] == 0 and report["value"] == report["initial_length"]
+
+
+# Options that a command (or check mode) would not read, and --config, a second
+# spelling of --metric @FILE: argparse refuses each of them.
+DELETED_OPTIONS = [
+    *[("eval", flag) for flag in ("--config", "--seed", "--tol")],
+    *[("decompose", flag) for flag in ("--config", "--seed", "--tol", "--alpha")],
+    *[("check " + mode, "--config") for mode in ("invariance", "homothety", "pd", "kaehler")],
+    *[("check invariance", flag) for flag in ("--alpha", "--r-min", "--r-max")],
+    *[("check homothety", flag) for flag in ("--r-min", "--r-max")],
+    *[("check " + mode, flag) for mode in ("pd", "kaehler")
+      for flag in ("--seed", "--tol", "--alpha")],
+    ("probe-main", "--config"),
+    *[("distance", flag) for flag in ("--config", "--tol", "--alpha")],
+]
+VALID_ARGS = {
+    "eval": ["--metric", "euclidean", "--dim", "2", "--g", "1,0", "--h", "0,1"],
+    "decompose": ["--metric", "euclidean", "--dim", "2"],
+    "check invariance": ["--metric", "euclidean", "--dim", "3", "--samples", "5"],
+    "check homothety": ["--alpha", "2", "--metric", "euclidean", "--dim", "3", "--samples", "5"],
+    "check pd": ["--metric", "fubini-study", "--dim", "2"],
+    "check kaehler": ["--metric", "fubini-study", "--dim", "2"],
+    "probe-main": ["--metric", "euclidean", "--dim", "3", "--maps", "2", "--samples", "5"],
+    "distance": ["--metric", "euclidean", "--dim", "2", "--g", "1,0", "--h", "0,1",
+                 "--iterations", "1"],
+}
+
+
+@pytest.mark.parametrize("command,option", DELETED_OPTIONS)
+def test_an_option_the_command_does_not_read_is_refused(capsys, tmp_path, command, option):
+    value = str(tmp_path / "spec.json") if option == "--config" else "2"
+    code, out, err = run(capsys, *command.split(), *VALID_ARGS[command], option, value)
+    assert code == 2 and out == "" and f"unrecognized arguments: {option}" in err
 
 
 def test_argparse_usage_exit_2(capsys):

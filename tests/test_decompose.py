@@ -51,6 +51,19 @@ def test_extract_theta_requires_degree_one():
         dc.extract_theta(orc)
 
 
+def test_an_oracle_from_a_lambda_spec_declares_the_spec_degree():
+    spec = mm.FromLambda(3, R, POS, mm.lambda_profile("p^2+q^2", 2.0))
+    orc = dc.oracle_from_spec(spec)
+    assert orc.alpha == 2.0 and dc.oracle_from_spec(mm.euclidean(3)).alpha == 1.0
+    lam = dc.extract_lambda(orc)  # validates the declared degree on samples
+    assert lam.alpha == 2.0
+    for r, p, q in [(2.0, 0.0, 3.0), (1.0, 1.0, 1.0), (0.5, 0.3, 0.4)]:
+        assert lam.fn(r, p, q) == pytest.approx(p * p + q * q, rel=1e-12)
+    assert dc.roundtrip_check(orc, mm.FromLambda(3, R, POS, lam), 100, seed=1).passed
+    with pytest.raises(ValueError, match="degree-1"):
+        dc.extract_theta(orc)
+
+
 def test_alpha_validation_rejects_wrong_degree():
     orc = dc.oracle_from_spec(mm.euclidean(3))
     bad = dc.MetricOracle(orc.fn, 3, R, POS, alpha=2.0)

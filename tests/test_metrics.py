@@ -314,6 +314,27 @@ def test_sesquilinear_at_a_g_whose_norm_under_or_overflows_is_out_of_domain(fiel
         mm.eval_sesquilinear(prof, la.vector([0.0, 0.0], field), f, h)
 
 
+@pytest.mark.parametrize("field", [R, C])
+def test_an_undefined_sigma_is_an_eval_error(field):
+    # phi <f,h> and psi <f,g><g,h> overflow to opposite infinities on the second
+    # row: no NaN and no RuntimeWarning (the test configuration turns one into a
+    # failure).  A real sigma that overflows to one infinity is still a value; a
+    # complex one has a NaN imaginary part (phi (inf + 0j) forms 0 * inf)
+    prof = mm.fubini_study_profile()
+    G = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=field.dtype)
+    F = np.array([[0.0, 1.0], [1e200, 0.0]], dtype=field.dtype)
+    with pytest.raises(EvalError, match="sigma is undefined"):
+        mm.eval_sesquilinear_rows(prof, G, F, F)
+    with pytest.raises(EvalError, match="sigma is undefined"):
+        mm.eval_sesquilinear(prof, *(la.Vector(v, field) for v in (G[1], F[1], F[1])))
+    big = np.array([[0.0, 1e200]], dtype=field.dtype)
+    if field is R:
+        assert mm.eval_sesquilinear_rows(prof, G[:1], big, big)[0] == math.inf
+    else:
+        with pytest.raises(EvalError, match="sigma is undefined"):
+            mm.eval_sesquilinear_rows(prof, G[:1], big, big)
+
+
 def test_sesquilinear_conjugate_symmetry_and_linearity():
     prof = mm.congruence_invariant_riemann(0.7, -0.3)
     rng = np.random.default_rng(5)
@@ -486,6 +507,13 @@ def test_validate_nonsym_profile():
     assert report.ok
 
 
+def test_validate_profile_refuses_a_family_without_a_lambda_profile():
+    # it has no homogeneity or evenness hypothesis to test, so no verdict
+    for spec in (mm.euclidean(3), mm.fubini_study(3, C)):
+        with pytest.raises(ValueError, match=spec.family):
+            mm.validate_profile(spec)
+
+
 # ---------------------------------------------------------------------------
 # Seminorm null-space trichotomy
 
@@ -554,6 +582,23 @@ def test_zero_extended_json_includes_zero():
     ([1, 2], "JSON object, not list"),
     ({"family": "euclidean", "dim": [2], "field": "real"}, "wrong type"),
     ({"family": "area", "dim": 2, "field": "real", "params": [1]}, "params is a JSON object"),
+    # a value of the wrong JSON type is refused, not coerced
+    ({"family": "euclidean", "dim": 2.7, "field": "real"}, "dim has the wrong type: float, not an integer"),
+    ({"family": "euclidean", "dim": True, "field": "real"}, "dim has the wrong type: bool, not an integer"),
+    ({"family": "euclidean", "dim": 2, "field": "real",
+      "domain": {"intervals": [[0, None]], "includes_zero": "no"}},
+     "includes_zero has the wrong type: str, not a boolean"),
+    ({"family": "euclidean", "dim": 2, "field": "real", "domain": {"intervals": [["0", None]]}},
+     "an interval end has the wrong type: str, not a number"),
+    ({"family": "euclidean", "dim": 2, "field": "real", "domain": {"intervals": [[0, True]]}},
+     "an interval end has the wrong type: bool, not a number"),
+    ({"family": "area", "dim": 2, "field": "real", "params": {"b": "2"}},
+     "b has the wrong type: str, not a number"),
+    ({"family": "zero-extended", "dim": 2, "field": "real",
+      "params": {"b": False, "inner": {"family": "euclidean", "dim": 2, "field": "real"}}},
+     "b has the wrong type: bool, not a number"),
+    ({"family": "lambda", "dim": 2, "field": "real", "params": {"lam": "p", "alpha": "2"}},
+     "alpha has the wrong type: str, not a number"),
 ])
 def test_a_malformed_spec_is_a_value_error(obj, words):
     with pytest.raises(ValueError, match=words):
