@@ -67,6 +67,7 @@ from .metrics import (
     spec_to_json,
     theta_profile,
     validate_profile,
+    vartheta_profile,
     zero_extended,
 )
 from .decompose import (

@@ -12,6 +12,7 @@ Exit codes: 0 success/pass, 1 property violated, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -85,11 +86,14 @@ def parse_vector(text: str, dim: int, field: Field) -> Vector:
                 if field is Field.REAL:
                     raise UsageError(f"complex entry {part!r} in a real vector")
                 re_s, im_s = part.split(":", 1)
-                entries.append(complex(float(re_s), float(im_s)))
+                entry = complex(float(re_s), float(im_s))
             else:
-                entries.append(complex(float(part), 0.0) if field is Field.COMPLEX else float(part))
+                entry = complex(float(part), 0.0) if field is Field.COMPLEX else float(part)
         except ValueError:
             raise UsageError(f"cannot parse vector entry {part!r}") from None
+        if not cmath.isfinite(entry):
+            raise UsageError(f"vector entry {part!r} is not finite")
+        entries.append(entry)
     return Vector(np.array(entries, dtype=field.dtype), field)
 
 
@@ -209,10 +213,9 @@ def cmd_decompose(args) -> int:
 def cmd_check(args) -> int:
     spec = metric_from_args(args)
     spec_obj = mm.spec_to_json(spec)
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1: check {args.which} of no samples tests nothing")
     if args.which == "invariance":
-        if args.samples < 1:
-            raise UsageError("--samples must be >= 1: an invariance check of no samples "
-                             "tests nothing")
         verdict = iv.invariance_suite(spec, args.samples, args.seed, args.tol)
         report = iv.verdict_to_json(verdict, spec_obj)
         report.update({"check": "invariance", "samples": verdict.samples_used,
@@ -220,9 +223,6 @@ def cmd_check(args) -> int:
         _emit(report)
         return 0 if verdict.is_symmetry else 1
     if args.which == "homothety":
-        if args.samples < 1:
-            raise UsageError("--samples must be >= 1: a homothety check of no samples "
-                             "tests nothing")
         verdict = mm.check_homothety_invariance(spec, args.homothety_alpha, args.samples,
                                                 args.seed, args.tol)
         _emit({"check": "homothety", "alpha": args.homothety_alpha, "spec": spec_obj,
@@ -257,6 +257,8 @@ def cmd_check(args) -> int:
 def cmd_probe_main(args) -> int:
     if args.maps < 1 or args.samples < 1 or (args.sl2 is not None and args.sl2 < 1):
         raise UsageError("--maps, --samples and --sl2 must be >= 1: a probe of none tests nothing")
+    if not 1.0 <= args.min_sv_ratio < math.inf:
+        raise UsageError(f"--min-sv-ratio must be a finite number >= 1, got {args.min_sv_ratio}")
     spec = metric_from_args(args)
     spec_obj = mm.spec_to_json(spec)
     if spec.dim < 3:

@@ -119,12 +119,20 @@ def _check_frame(oracle, frame) -> tuple[Vector, Vector]:
 
 def _profile_fn(rows: Callable[..., np.ndarray]) -> Callable[..., float]:
     """A profile callable over scalars, the one-row view of rows, carrying
-    rows as fn.rows: metrics._array_form finds it, so a batch evaluates
-    through one oracle rows call."""
+    rows as fn.rows, as a compiled text does, so a batch evaluates through
+    one oracle rows call."""
     def fn(*args):
         return float(rows(*(np.array([a]) for a in args))[0])
     fn.rows = rows
     return fn
+
+
+def _require_radii(r: np.ndarray, domain: RadiusDomain) -> None:
+    """OutOfDomainError unless every r is a positive point of the domain: at
+    r <= 0 the frame's base point r e would stand at the radius |r|."""
+    bad = ~((r > 0.0) & domain.contains_rows(r))
+    if bad.any():
+        raise OutOfDomainError(f"r = {r[bad][0]} is outside the extracted profile's domain")
 
 
 def validate_alpha(oracle: MetricOracle, n_samples: int = 24, seed: int = 0,
@@ -155,6 +163,7 @@ def extract_lambda(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = N
     alpha = oracle.alpha
 
     def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        _require_radii(r, oracle.domain)
         return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / (r ** alpha)
 
     return SymLambdaProfile(_profile_fn(rows), alpha)
@@ -174,6 +183,7 @@ def extract_nonsym_lambda(oracle: MetricOracle,
     e, f = (v.entries for v in _check_frame(oracle, frame))
 
     def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        _require_radii(r, oracle.domain)
         if oracle.field is Field.REAL:
             p = np.real(p)
         return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / r
@@ -187,14 +197,16 @@ def extract_phi_psi(oracle: SesquiOracle,
     after a check that the oracle is conjugate-symmetric on samples."""
     e, f = (v.entries for v in _check_frame(oracle, frame))
     _validate_conjugate_symmetry(oracle)
+    domain = oracle.domain.squared()
 
     def sigma(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+        _require_radii(r, domain)
         V = np.tile(v, (len(r), 1))
         return np.real(oracle.eval_rows(np.sqrt(r)[:, None] * e, V, V))
 
     phi = _profile_fn(lambda r: sigma(r, f))
     psi = _profile_fn(lambda r: (sigma(r, e) - phi.rows(r)) / r)
-    return RiemannProfile(phi, psi, oracle.domain.squared())
+    return RiemannProfile(phi, psi, domain)
 
 
 def _validate_conjugate_symmetry(oracle: SesquiOracle, n_samples: int = 16,

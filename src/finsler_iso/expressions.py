@@ -6,8 +6,8 @@ grammar covers numbers, a declared variable set, unary minus, + - * / ^
 then + -), parentheses, and calls to sin cos tan exp log sqrt abs min max.
 A tree evaluates on one binding (evaluate, compile_positional) or on
 equal-shape arrays of bindings at once (compile_rows), with equal results.
-Both compile each tree once into closures, one per node: evaluate on the
-tree's first call, compile_rows on the text's first batch.
+Both compile each tree once, by one walk, into closures, one per node:
+evaluate on the tree's first call, compile_rows on the text's first use.
 """
 
 from __future__ import annotations
@@ -201,19 +201,24 @@ def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
 
 def compile_positional(text: str, names: tuple[str, ...]) -> Callable[..., float]:
     """Parse text over one to four variables once; the callable evaluates it with
-    its arguments bound to names in order (a dict display: dict(zip) costs more)."""
+    its arguments bound to names in order (a dict display: dict(zip) costs more).
+    It carries its text as .text and its array form, compile_rows(text, names),
+    as .rows."""
     expr = parse(text, names)
     if len(names) == 1:
         (a,) = names
-        return lambda x: evaluate(expr, {a: x})
-    if len(names) == 2:
+        fn = lambda x: evaluate(expr, {a: x})
+    elif len(names) == 2:
         a, b = names
-        return lambda x, y: evaluate(expr, {a: x, b: y})
-    if len(names) == 3:
+        fn = lambda x, y: evaluate(expr, {a: x, b: y})
+    elif len(names) == 3:
         a, b, c = names
-        return lambda x, y, z: evaluate(expr, {a: x, b: y, c: z})
-    a, b, c, d = names
-    return lambda x, y, z, w: evaluate(expr, {a: x, b: y, c: z, d: w})
+        fn = lambda x, y, z: evaluate(expr, {a: x, b: y, c: z})
+    else:
+        a, b, c, d = names
+        fn = lambda x, y, z, w: evaluate(expr, {a: x, b: y, c: z, d: w})
+    fn.text, fn.rows = text, compile_rows(text, names)
+    return fn
 
 
 def _pow(x: float, y: float) -> float:
@@ -249,7 +254,9 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
     if entry is None:
         if len(_compiled) >= 256:  # bounded as compile_rows is; the oldest goes
             del _compiled[next(iter(_compiled))]
-        entry = _compiled[id(expr)] = (expr, _compile(expr))
+        closure = _compile(expr, lambda value: lambda b: value,
+                           lambda name: lambda b: float(b[name]), _OPS, _CALLS)
+        entry = _compiled[id(expr)] = (expr, closure)
     try:
         value = entry[1](bindings)
     except EvalError:
@@ -268,27 +275,31 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
 _compiled: dict[int, tuple[Expr, Callable[[Mapping[str, float]], float]]] = {}
 
 
-def _compile(expr: Expr) -> Callable[[Mapping[str, float]], float]:
-    """The scalar twin of _compile_rows: one closure per node, the left
-    operand evaluated before the right, the domain rules raised as they meet."""
-    if isinstance(expr, Num):
-        value = expr.value
-        return lambda b: value
-    if isinstance(expr, Var):
-        name = expr.name
-        return lambda b: float(b[name])
-    if isinstance(expr, Neg):
-        operand = _compile(expr.operand)
-        return lambda b: -operand(b)
-    if isinstance(expr, BinOp):
-        left, right, op = _compile(expr.left), _compile(expr.right), _OPS[expr.op]
-        return lambda b: op(left(b), right(b))
-    fn, args = _CALLS[expr.name], [_compile(a) for a in expr.args]
-    if len(args) == 1:
-        (arg,) = args
-        return lambda b: fn(arg(b))
-    first, second = args
-    return lambda b: fn(first(b), second(b))
+def _compile(expr: Expr, num: Callable, var: Callable, ops: Mapping[str, Callable],
+             calls: Mapping[str, Callable]) -> Callable:
+    """The tree as closures over one binding b, a mapping for evaluate and a
+    tuple of columns for compile_rows: num(value) and var(name) make the
+    leaves, ops and calls give the operators and functions.  One closure per
+    node, the left operand evaluated before the right, the domain rules raised
+    as they meet."""
+    def walk(e: Expr) -> Callable:
+        if isinstance(e, Num):
+            return num(e.value)
+        if isinstance(e, Var):
+            return var(e.name)
+        if isinstance(e, Neg):
+            operand = walk(e.operand)
+            return lambda b: -operand(b)
+        if isinstance(e, BinOp):
+            left, right, op = walk(e.left), walk(e.right), ops[e.op]
+            return lambda b: op(left(b), right(b))
+        fn, args = calls[e.name], [walk(a) for a in e.args]
+        if len(args) == 1:
+            (arg,) = args
+            return lambda b: fn(arg(b))
+        first, second = args
+        return lambda b: fn(first(b), second(b))
+    return walk(expr)
 
 
 def _divide(a: float, b: float) -> float:
@@ -323,8 +334,8 @@ _CALLS = {
 def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]:
     """Parse text once into a closure over equal-shape float arrays bound to
     names in order; element i of its result is evaluate(expr, bindings of
-    element i) exactly.  Cached: a profile's text compiles on its first
-    batch and is looked up after that.
+    element i) exactly.  Cached: a profile's text compiles once, when
+    compile_positional builds the profile, and is looked up after that.
 
     Every domain rule is a mask over the elements, and the call raises
     EvalError when any element would raise in evaluate.  Arithmetic is
@@ -332,7 +343,8 @@ def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]
     trigonometric functions call math element by element, because numpy's
     own may differ from it in the last bits.
     """
-    node = _compile_rows(parse(text, names), names)
+    node = _compile(parse(text, names), lambda value: lambda cols: np.full(cols[0].shape, value),
+                    lambda name: operator.itemgetter(names.index(name)), _ROW_OPS, _ROW_CALLS)
 
     def rows(*columns):
         cols = tuple(np.asarray(c, dtype=float) for c in columns)
@@ -342,28 +354,6 @@ def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]
             raise EvalError("expression is undefined here (evaluates to NaN)")
         return out
     return rows
-
-
-def _compile_rows(expr: Expr, names: tuple[str, ...]) -> Callable[[tuple], np.ndarray]:
-    if isinstance(expr, Num):
-        value = expr.value
-        return lambda cols: np.full(cols[0].shape, value)
-    if isinstance(expr, Var):
-        i = names.index(expr.name)
-        return lambda cols: cols[i]
-    if isinstance(expr, Neg):
-        operand = _compile_rows(expr.operand, names)
-        return lambda cols: -operand(cols)
-    if isinstance(expr, BinOp):
-        left, right, op = (_compile_rows(expr.left, names), _compile_rows(expr.right, names),
-                           _ROW_OPS[expr.op])
-        return lambda cols: op(left(cols), right(cols))
-    fn, args = _ROW_CALLS[expr.name], [_compile_rows(a, names) for a in expr.args]
-    if len(args) == 1:
-        (arg,) = args
-        return lambda cols: fn(arg(cols))
-    first, second = args
-    return lambda cols: fn(first(cols), second(cols))
 
 
 def _require(bad: np.ndarray, message: str, *values: np.ndarray) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -82,34 +82,26 @@ def _curve_map(rows: Callable[[np.ndarray], np.ndarray], field: Field) -> Callab
 
 @dataclass(frozen=True)
 class Polyline:
-    """Ordered vertices with strictly increasing parameter values."""
+    """Ordered vertices, vertex i of n at the parameter i/(n-1) of [0, 1]."""
 
     vertices: tuple[Vector, ...]
-    params: tuple[float, ...] | None = None
+    a: ClassVar[float] = 0.0
+    b: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if len(self.vertices) < 2:
             raise ValueError("polyline needs at least two vertices")
-        if self.params is None:
-            n = len(self.vertices)
-            object.__setattr__(self, "params", tuple(i / (n - 1) for i in range(n)))
-        if len(self.params) != len(self.vertices):
-            raise ValueError("one parameter per vertex")
-        if any(t1 >= t2 for t1, t2 in zip(self.params, self.params[1:])):
-            raise ValueError("parameters must be strictly increasing")
-
-    @property
-    def a(self) -> float:
-        return self.params[0]
-
-    @property
-    def b(self) -> float:
-        return self.params[-1]
 
     def point(self, t: float) -> Vector:
-        ts = np.asarray(self.params)
-        k = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
-        w = (t - ts[k]) / (ts[k + 1] - ts[k])
+        m = len(self.vertices) - 1
+        # the segment k whose start k/m is the last vertex parameter below t, or
+        # the first or last segment: t*m estimates it, the parameters settle it
+        k = min(max(math.ceil(t * m) - 1, 0), m - 1)
+        if k > 0 and k / m >= t:
+            k -= 1
+        elif k < m - 1 and (k + 1) / m < t:
+            k += 1
+        w = (t - k / m) / ((k + 1) / m - k / m)
         u, v = self.vertices[k], self.vertices[k + 1]
         return Vector((1.0 - w) * u.entries + w * v.entries, u.field)
 
@@ -417,15 +409,11 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
 
 
 def path_rows(path: Polyline) -> list[list[float]]:
-    """CSV rows (t, x_1..x_n[, y_1..y_n]) for an optimized path."""
-    rows = []
-    for t, v in zip(path.params, path.vertices):
-        if v.field is Field.REAL:
-            rows.append([float(t)] + [float(x) for x in v.entries])
-        else:
-            rows.append([float(t)] + [float(x.real) for x in v.entries]
-                        + [float(x.imag) for x in v.entries])
-    return rows
+    """CSV rows (t, x_1..x_n[, y_1..y_n]) for an optimized path, t = i/(n-1) at vertex i."""
+    n = len(path.vertices)
+    return [[i / (n - 1)] + (v.entries.tolist() if v.field is Field.REAL
+                             else v.entries.real.tolist() + v.entries.imag.tolist())
+            for i, v in enumerate(path.vertices)]
 
 
 def segment_curve(g: Vector, h: Vector) -> ParametricCurve:

@@ -9,6 +9,7 @@ to that statement and check the known dimension-2 exception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,19 +191,25 @@ class ProbeReport:
     control_samples: int              # and over the controls
 
 
+_MAX_DRAW_ROUNDS = 1000  # then _random_noncongruences gives up on its ratio
+
+
 def _random_noncongruences(n: int, dim: int, field: Field, rng: np.random.Generator,
                            min_sv_ratio: float) -> np.ndarray:
     """n Gaussian (dim, dim) matrices with singular-value ratio >= min_sv_ratio,
     as an (n, dim, dim) array: one stacked draw and SVD, then rejection
-    sampling of only the rejected matrices (which almost never happens)."""
+    sampling of only the rejected matrices (which almost never happens at
+    the default ratio), for at most _MAX_DRAW_ROUNDS rounds in all."""
     m = random_gaussian_rows(n * dim, dim, field, rng).reshape(n, dim, dim)
     todo = np.arange(n)
-    while True:
+    for _ in range(_MAX_DRAW_ROUNDS):
         sv = np.linalg.svd(m[todo], compute_uv=False)
         todo = todo[(sv[:, -1] <= 1e-6) | (sv[:, 0] < min_sv_ratio * sv[:, -1])]
         if not todo.size:
             return m
         m[todo] = random_gaussian_rows(todo.size * dim, dim, field, rng).reshape(-1, dim, dim)
+    raise ValueError(f"no Gaussian map of singular-value ratio >= {min_sv_ratio} in "
+                     f"{_MAX_DRAW_ROUNDS} draw rounds")
 
 
 def _spec_is_vacuous(spec: MetricSpec, rng: np.random.Generator, n: int = 32) -> bool:
@@ -216,10 +223,12 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
                        control_tol: float = 1e-9) -> ProbeReport:
     """Falsification probe: every sampled non-congruence map must fail symmetry.
 
-    Requires dim >= 3 and at least one map.  Controls are random unitaries,
-    scaled by a random positive constant when the spec is invariant under
-    all congruences; they must pass at control_tol.  Absence of a counterexample is the
-    assertion, not a proof.
+    Requires dim >= 3, at least one map and a finite min_sv_ratio >= 1; a
+    ratio the Gaussian maps do not reach in _MAX_DRAW_ROUNDS rounds of draws
+    is a ValueError.  Controls are random unitaries, scaled by a random
+    positive constant when the spec is invariant under all congruences; they
+    must pass at control_tol.  Absence of a counterexample is the assertion,
+    not a proof.
 
     The seed spawns three streams: one for the test of a metric that is 0
     everywhere, one from which all the maps and then all their n_maps *
@@ -231,6 +240,8 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
         raise ValueError("the probe applies in dimension >= 3")
     if n_maps < 1:
         raise ValueError("the probe needs at least one map (n_maps >= 1)")
+    if not 1.0 <= min_sv_ratio < math.inf:
+        raise ValueError(f"min_sv_ratio must be a finite number >= 1, got {min_sv_ratio}")
     aux, map_ss, control_ss = np.random.SeedSequence(seed).spawn(3)
     if _spec_is_vacuous(spec, np.random.default_rng(aux)):
         return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True,

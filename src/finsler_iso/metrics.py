@@ -150,11 +150,10 @@ class SymLambdaProfile:
 
     fn: Callable[[float, float, float], float]
     alpha: float = 1.0
-    expr_text: str | None = None
 
     @property
     def fn_rows(self) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-        return _array_form(self.fn, self.expr_text, ("r", "p", "q"))
+        return _array_form(self.fn)
 
 
 @dataclass(frozen=True)
@@ -162,11 +161,10 @@ class ThetaProfile:
     """theta(r, tau) with tau in [0, pi/2]."""
 
     fn: Callable[[float, float], float]
-    expr_text: str | None = None
 
     @property
     def fn_rows(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        return _array_form(self.fn, self.expr_text, ("r", "tau"))
+        return _array_form(self.fn)
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,10 @@ class NonSymLambdaProfile:
     """lambda(r, p, q) with p a scalar in F; positively homogeneous, even in q."""
 
     fn: Callable[[float, complex, float], float]
-    expr_text: str | None = None
+
+    @property
+    def fn_rows(self) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        return _array_form(self.fn)
 
 
 @dataclass(frozen=True)
@@ -184,32 +185,48 @@ class RiemannProfile:
     phi: Callable[[float], float]
     psi: Callable[[float], float]
     domain: RadiusDomain = RadiusDomain.positive()
-    phi_expr: str | None = None
-    psi_expr: str | None = None
 
     @property
     def phi_rows(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _array_form(self.phi, self.phi_expr, ("r",))
+        return _array_form(self.phi)
 
     @property
     def psi_rows(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _array_form(self.psi, self.psi_expr, ("r",))
+        return _array_form(self.psi)
+
+
+def _array_form(fn: Callable) -> Callable[..., np.ndarray]:
+    """A profile callable's form over equal-shape 1-d arrays: its own `rows`
+    attribute (a compiled text carries one, as do the profiles decompose
+    extracts from an oracle), else the callable called element by element."""
+    rows = getattr(fn, "rows", None)
+    if rows is not None:
+        return rows
+    return lambda *cols: np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
 
 
 def lambda_profile(text: str, alpha: float = 1.0) -> SymLambdaProfile:
-    return SymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")), alpha, text)
+    return SymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")), alpha)
 
 
 def theta_profile(text: str) -> ThetaProfile:
-    return ThetaProfile(expressions.compile_positional(text, ("r", "tau")), text)
+    return ThetaProfile(expressions.compile_positional(text, ("r", "tau")))
+
+
+def vartheta_profile(text: str) -> Callable[[float], float]:
+    return expressions.compile_positional(text, ("tau",))
 
 
 def nonsym_lambda_profile(text: str, field: Field) -> NonSymLambdaProfile:
     if field is Field.REAL:
-        return NonSymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")), text)
+        return NonSymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")))
     # Complex p enters the expression as the real pair (pre, pim).
     fn = expressions.compile_positional(text, ("r", "pre", "pim", "q"))
-    return NonSymLambdaProfile(lambda r, p, q: fn(r, p.real, p.imag, q), text)
+
+    def lam(r, p, q):
+        return fn(r, p.real, p.imag, q)
+    lam.text, lam.rows = text, lambda r, p, q: fn.rows(r, p.real, p.imag, q)
+    return NonSymLambdaProfile(lam)
 
 
 def riemann_profile(phi_text: str, psi_text: str,
@@ -217,8 +234,7 @@ def riemann_profile(phi_text: str, psi_text: str,
     return RiemannProfile(
         expressions.compile_positional(phi_text, ("r",)),
         expressions.compile_positional(psi_text, ("r",)),
-        domain if domain is not None else RadiusDomain.positive(),
-        phi_text, psi_text)
+        domain if domain is not None else RadiusDomain.positive())
 
 
 def congruence_invariant_riemann(a: float, b: float) -> RiemannProfile:
@@ -228,12 +244,7 @@ def congruence_invariant_riemann(a: float, b: float) -> RiemannProfile:
     both a > 0 and a + b > 0 (the weaker condition a + b > 0 alone is
     sometimes quoted; the strict form is what check_positive_definite tests).
     """
-    return RiemannProfile(
-        lambda r: a / r,
-        lambda r: b / (r * r),
-        RadiusDomain.positive(),
-        f"{float(a)!r}/r",
-        f"{float(b)!r}/(r^2)")
+    return riemann_profile(f"{float(a)!r}/r", f"{float(b)!r}/(r^2)")
 
 
 def fubini_study_profile() -> RiemannProfile:
@@ -307,19 +318,6 @@ class FubiniStudy(MetricSpec):
         return q / (r * r)
 
 
-def _array_form(fn: Callable, text: str | None,
-                names: tuple[str, ...]) -> Callable[..., np.ndarray]:
-    """A profile's form over equal-shape 1-d arrays: its text compiled by
-    expressions.compile_rows, else the callable's own `rows` attribute (the
-    profiles decompose extracts from an oracle carry one), else the callable
-    called element by element."""
-    if text is not None:
-        return expressions.compile_rows(text, names)
-    if hasattr(fn, "rows"):
-        return fn.rows
-    return lambda *cols: np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
-
-
 def _where_nonzero(nh: np.ndarray, value: Callable) -> np.ndarray:
     """value(k) on the rows k with |h| != 0 and 0 on the others, as in the
     scalar forms, which skip the profile there and overflow to inf silently."""
@@ -370,16 +368,7 @@ class FromNonSymLambda(MetricSpec):
         return float(self.profile.fn(r, ip, q))
 
     def _values(self, r, ip, q, G, H):
-        return self.lambda_rows(r, ip, q)
-
-    @property
-    def lambda_rows(self) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-        """The profile over arrays (r, p, q); a complex p enters a text as (pre, pim)."""
-        text = self.profile.expr_text
-        if text is not None and self.field is Field.COMPLEX:
-            fn = expressions.compile_rows(text, ("r", "pre", "pim", "q"))
-            return lambda r, p, q: fn(r, p.real, p.imag, q)
-        return _array_form(self.profile.fn, text, ("r", "p", "q"))
+        return self.profile.fn_rows(r, ip, q)
 
 
 _UNDEFINED_SIGMA = ("riemann value is undefined: phi(|g|^2)|h|^2 + psi(|g|^2)|<h, g>|^2 is "
@@ -418,7 +407,6 @@ class CongruenceInvariant(MetricSpec):
     """rho_g(h) = (|h|/|g|) vartheta(angle(g, h)); invariant under all congruences."""
 
     vartheta: Callable[[float], float]
-    vartheta_expr: str | None = None
     family: ClassVar[str] = "congruence-invariant"
     congruence_invariant: ClassVar[bool] = True
 
@@ -428,7 +416,7 @@ class CongruenceInvariant(MetricSpec):
         return 0.0 if nh == 0.0 else (nh / r) * float(self.vartheta(math.atan2(q, p)))
 
     def _values(self, r, ip, q, G, H):
-        fn = _array_form(self.vartheta, self.vartheta_expr, ("tau",))
+        fn = _array_form(self.vartheta)
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
         return _where_nonzero(nh, lambda k: (nh[k] / r[k]) * fn(np.arctan2(q[k], p[k])))
@@ -507,8 +495,7 @@ def fubini_study(dim: int, field: Field = Field.REAL) -> FubiniStudy:
 
 
 def norm_quotient(dim: int, field: Field = Field.REAL) -> CongruenceInvariant:
-    return CongruenceInvariant(dim, field, RadiusDomain.positive(),
-                               vartheta=lambda tau: 1.0, vartheta_expr="1")
+    return CongruenceInvariant(dim, field, RadiusDomain.positive(), vartheta_profile("1"))
 
 
 def area_dim2(b: float = 1.0, field: Field = Field.REAL) -> AreaDim2:
@@ -540,8 +527,7 @@ def eval_finsler(spec: MetricSpec, g: Vector, h: Vector) -> float:
     r = norm(g)
     if r == 0.0 or not spec.domain.contains(r):
         if (r == math.inf or r == 0.0 and not isinstance(spec, Custom)) and g.entries.any():
-            raise OutOfDomainError(f"|g| {'overflows to inf' if r else 'underflows to 0'} "
-                                   f"at a non-zero base point")
+            raise norm_range_error(r)
         if not spec.domain.contains(r):
             raise OutOfDomainError(f"|g| = {r} is outside the radius domain")
         if not spec.defined_at_zero:
@@ -605,11 +591,20 @@ def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray
         raise OutOfDomainError("a row's |g|^2 is outside the profile domain")
     phi, psi = profile.phi_rows(r2), profile.psi_rows(r2)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN raises below
-        sigma = phi * row_dots(H.conj(), F) + psi * row_dots(G.conj(), F) * row_dots(H.conj(), G)
+        sigma = (_scaled(phi, row_dots(H.conj(), F))
+                 + _scaled(psi, row_dots(G.conj(), F)) * row_dots(H.conj(), G))
     if np.isnan(sigma).any():
         raise expressions.EvalError("sigma is undefined: phi(|g|^2)<f, h> + "
                                     "psi(|g|^2)<f, g><g, h> is NaN")
     return sigma
+
+
+def _scaled(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """c z for real c, scaling a complex z's real and imaginary parts apart:
+    numpy's complex product would form 0 * inf = NaN from z = inf + 0j."""
+    if z.dtype.kind == "c":
+        return (c[:, None] * np.stack([z.real, z.imag], axis=1)).view(complex)[:, 0]
+    return c * z
 
 
 def sesquilinear_profile(spec: MetricSpec) -> RiemannProfile | None:
@@ -771,13 +766,13 @@ def validate_profile(spec: MetricSpec, grid_size: int = 4, tol: float = 1e-9) ->
     r = np.repeat(radii, 3 * grid_size)
     p = np.tile((rho * np.cos(ang)).ravel(), len(radii))
     q = np.tile((rho * np.sin(ang)).ravel(), len(radii))
+    fn = spec.profile.fn_rows
     if isinstance(spec, FromLambda):
-        fn, alpha = spec.profile.fn_rows, spec.profile.alpha
+        alpha = spec.profile.alpha
         # lambda(r, t p, t q) = t^alpha lambda(r, p, q); lambda is even in p and in q
         scaled = [(t * p, t * q, t ** alpha) for t in _T_FACTORS if t > 0.0 or alpha > 0.0]
         mirrored = [(-p, q, 1.0), (p, -q, 1.0)]
     else:
-        fn = spec.lambda_rows
         if spec.field is Field.COMPLEX:  # p also turned by the phase e^{2.1 i}
             r, q = np.tile(r, 2), np.tile(q, 2)
             p = np.concatenate([p, p * complex(math.cos(2.1), math.sin(2.1))])
@@ -828,24 +823,42 @@ def domain_from_json(obj: dict) -> RadiusDomain:
     return RadiusDomain(ivs, _typed(obj.get("includes_zero", False), bool, "includes_zero"))
 
 
+def _text(fn: Callable) -> str | None:
+    return getattr(fn, "text", None)
+
+
+# family -> (its params, its spec from (dim, field, domain, params)).  A
+# profile's params are its texts; a callable without one is not serializable.
+_FAMILIES: dict[str, tuple[Callable[..., dict], Callable[..., MetricSpec]]] = {
+    "euclidean": (lambda s: {}, lambda d, f, dom, p: Euclidean(d, f, dom)),
+    "fubini-study": (lambda s: {}, lambda d, f, dom, p: FubiniStudy(d, f, dom)),
+    "lambda": (lambda s: {"lam": _text(s.profile.fn), "alpha": s.profile.alpha},
+               lambda d, f, dom, p: FromLambda(d, f, dom, lambda_profile(
+                   p["lam"], _typed(p.get("alpha", 1.0), float, "alpha")))),
+    "theta": (lambda s: {"theta": _text(s.profile.fn)},
+              lambda d, f, dom, p: FromTheta(d, f, dom, theta_profile(p["theta"]))),
+    "nonsym-lambda": (lambda s: {"lam": _text(s.profile.fn)},
+                      lambda d, f, dom, p: FromNonSymLambda(
+                          d, f, dom, nonsym_lambda_profile(p["lam"], f))),
+    "riemann": (lambda s: {"phi": _text(s.profile.phi), "psi": _text(s.profile.psi)},
+                lambda d, f, dom, p: replace(induced_finsler(
+                    riemann_profile(p["phi"], p["psi"], dom.squared()), d, f), domain=dom)),
+    "congruence-invariant": (lambda s: {"vartheta": _text(s.vartheta)},
+                             lambda d, f, dom, p: CongruenceInvariant(
+                                 d, f, dom, vartheta_profile(p["vartheta"]))),
+    "area": (lambda s: {"b": s.b},
+             lambda d, f, dom, p: AreaDim2(d, f, dom, _typed(p.get("b", 1.0), float, "b"))),
+    "zero-extended": (lambda s: {"b": s.b, "inner": spec_to_json(s.inner_spec)},
+                      # the inner spec is read first, so its errors come first
+                      lambda d, f, dom, p: ZeroExtended(d, f, dom, inner_spec=spec_from_json(
+                          p["inner"]), b=_typed(p["b"], float, "b"))),
+}
+
+
 def spec_to_json(spec: MetricSpec) -> dict:
-    params: dict = {}
-    if isinstance(spec, FromLambda):
-        params = {"lam": spec.profile.expr_text, "alpha": spec.profile.alpha}
-    elif isinstance(spec, FromTheta):
-        params = {"theta": spec.profile.expr_text}
-    elif isinstance(spec, FromNonSymLambda):
-        params = {"lam": spec.profile.expr_text}
-    elif isinstance(spec, FromRiemann):
-        params = {"phi": spec.profile.phi_expr, "psi": spec.profile.psi_expr}
-    elif isinstance(spec, CongruenceInvariant):
-        params = {"vartheta": spec.vartheta_expr}
-    elif isinstance(spec, AreaDim2):
-        params = {"b": spec.b}
-    elif isinstance(spec, ZeroExtended):
-        params = {"b": spec.b, "inner": spec_to_json(spec.inner_spec)}
-    elif not isinstance(spec, (Euclidean, FubiniStudy)):
+    if spec.family not in _FAMILIES:
         raise ValueError(f"family {spec.family!r} is not serializable")
+    params = _FAMILIES[spec.family][0](spec)
     if None in params.values():  # a profile given as a callable, not as text
         raise ValueError(f"{spec.family} profile is not expression-backed: not serializable")
     return {
@@ -878,29 +891,7 @@ def _spec_from_json(obj: dict) -> MetricSpec:
     field = Field(obj["field"])
     domain = domain_from_json(obj["domain"]) if "domain" in obj else RadiusDomain.positive()
     params = obj.get("params", {})
-    if family == "euclidean":
-        return Euclidean(dim, field, domain)
-    if family == "fubini-study":
-        return FubiniStudy(dim, field, domain)
-    if family == "lambda":
-        return FromLambda(dim, field, domain,
-                          lambda_profile(params["lam"],
-                                         _typed(params.get("alpha", 1.0), float, "alpha")))
-    if family == "theta":
-        return FromTheta(dim, field, domain, theta_profile(params["theta"]))
-    if family == "nonsym-lambda":
-        return FromNonSymLambda(dim, field, domain,
-                                nonsym_lambda_profile(params["lam"], field))
-    if family == "riemann":
-        profile = riemann_profile(params["phi"], params["psi"], domain.squared())
-        return replace(induced_finsler(profile, dim, field), domain=domain)
-    if family == "congruence-invariant":
-        return CongruenceInvariant(
-            dim, field, domain, expressions.compile_positional(params["vartheta"], ("tau",)),
-            params["vartheta"])
-    if family == "area":
-        return AreaDim2(dim, field, domain, _typed(params.get("b", 1.0), float, "b"))
-    if family == "zero-extended":
-        inner_spec = spec_from_json(params["inner"])
-        return ZeroExtended(dim, field, domain, _typed(params["b"], float, "b"), inner_spec)
-    raise ValueError(f"unknown metric family {family!r}")
+    build = _FAMILIES[family][1] if isinstance(family, str) and family in _FAMILIES else None
+    if build is None:
+        raise ValueError(f"unknown metric family {family!r}")
+    return build(dim, field, domain, params)

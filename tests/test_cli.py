@@ -208,6 +208,14 @@ def test_check_homothety_of_no_samples_is_usage_error(capsys):
     code, out, err = run(capsys, "check", "homothety", "--alpha", "2",
                          "--metric", "norm-quotient", "--dim", "3", "--samples", "0")
     assert code == 2 and out == "" and "--samples" in err
+    # every check mode: pd and kaehler would test one radius at --r-min
+    for mode, metric, samples in (("pd", "fubini-study", "0"), ("kaehler", "fubini-study", "-3"),
+                                  ("invariance", "euclidean", "-3"),
+                                  ("homothety", "norm-quotient", "-3")):
+        alpha = ("--alpha", "2") if mode == "homothety" else ()
+        code, out, err = run(capsys, "check", mode, *alpha, "--metric", metric, "--dim", "2",
+                             "--samples", samples)
+        assert code == 2 and out == "" and "tests nothing" in err, mode
 
 
 def test_decompose_theta_csv(capsys):
@@ -275,9 +283,20 @@ def test_probe_main_rejects_zero_maps(capsys):
     for argv, flag in ((("euclidean", "--dim", "3", "--maps", "0"), "--maps"),
                        (("euclidean", "--dim", "3", "--samples", "0"), "--samples"),
                        (("area", "--dim", "2", "--sl2", "0"), "--sl2"),
-                       (("area", "--dim", "2", "--sl2", "5", "--samples", "0"), "--samples")):
+                       (("area", "--dim", "2", "--sl2", "5", "--samples", "0"), "--samples"),
+                       # a ratio the maps must reach: nan would turn the filter off,
+                       # inf would redraw forever, one below 1 filters nothing
+                       *((("euclidean", "--dim", "3", "--min-sv-ratio", ratio), "--min-sv-ratio")
+                         for ratio in ("nan", "inf", "0.5", "-2"))):
         code, out, err = run(capsys, "probe-main", "--metric", *argv)
         assert code == 2 and out == "" and flag in err, argv
+
+
+def test_probe_main_of_an_unreachable_min_sv_ratio_is_exit_3(capsys):
+    # Gaussian maps never reach the ratio: the redraws stop, naming it
+    code, out, err = run(capsys, "probe-main", "--metric", "euclidean", "--dim", "3",
+                         "--maps", "1", "--samples", "2", "--min-sv-ratio", "1e9")
+    assert code == 3 and out == "" and "ratio >= 1000000000.0" in err
 
 
 def test_probe_main_of_a_zero_metric_is_usage_error(capsys):
@@ -410,6 +429,47 @@ def test_distance_nonpositive_metric_exit_3(capsys):
         code, _, err = run(capsys, "distance", "--metric", "riemann:-1;0",
                            "--dim", "2", "--g", "1,0", "--h", "2,0")
     assert code == 3 and "negative" in err
+
+
+NOT_FINITE = ["nan", "inf", "-inf", "1e400"]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("command,option", [("eval", "--g"), ("eval", "--h"), ("eval", "--f"),
+                                            ("distance", "--g"), ("distance", "--h")])
+def test_a_vector_entry_that_is_not_finite_is_usage_error(capsys, command, option, field):
+    one, zero = ("1", "0") if field == "real" else ("1:0", "0:0")
+    entries = NOT_FINITE if field == "real" else (
+        [f"{x}:0" for x in NOT_FINITE] + [f"0:{x}" for x in NOT_FINITE])  # either part
+    for entry in entries:
+        vectors = {"--g": f"{one},{zero}", "--h": f"{zero},{one}"}
+        if option == "--f":
+            vectors["--f"] = f"{zero},{one}"
+        vectors[option] = f"{entry},{zero}"
+        code, out, err = run(capsys, command, "--dim", "2", "--field", field, "--metric",
+                             "fubini-study" if option == "--f" else "euclidean",
+                             *(f"{flag}={value}" for flag, value in vectors.items()))
+        assert code == 2 and out == "" and f"vector entry '{entry}' is not finite" in err, entry
+
+
+def test_eval_of_a_complex_sigma_that_overflows_to_one_infinity(capsys):
+    # phi scales <f,h> = inf + 0j part by part: the value of the real case, not NaN
+    code, out, err = run(capsys, "eval", "--metric", "fubini-study", "--dim", "2",
+                         "--field", "complex", "--g", "1:0,0:0", "--h", "0:0,1e200:0",
+                         "--f", "0:0,1e200:0")
+    assert (code, out, err) == (0, '{"value":[null,0]}\n', "")
+    code, out, err = run(capsys, "eval", "--metric", "fubini-study", "--dim", "2",
+                         "--g", "1,0", "--h", "0,1e200", "--f", "0,1e200")
+    assert (code, out, err) == (0, '{"value":null}\n', "")
+
+
+def test_decompose_below_radius_0_is_a_domain_error(capsys):
+    for form in ("finsler", "riemann"):
+        metric = "theta:r" if form == "finsler" else "fubini-study"
+        code, out, err = run(capsys, "decompose", "--metric", metric, "--dim", "2", "--as", form,
+                             "--r-min", "-1", "--r-steps", "2")
+        assert code == 3 and out == "" and err == (
+            "error: r = -1.0 is outside the extracted profile's domain\n"), form
 
 
 @pytest.mark.parametrize("option,value", [("--iterations", "-3"), ("--vertices", "2")])

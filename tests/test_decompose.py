@@ -190,6 +190,32 @@ def test_checks_of_nothing_raise():
         dc._validate_conjugate_symmetry(dc.sesqui_oracle_from_spec(mm.fubini_study(3)), 0)
 
 
+@pytest.mark.parametrize("field", [R, C])
+def test_extracted_profiles_refuse_radii_outside_the_domain(field):
+    # r e with r <= 0 would stand at the radius |r|: every extracted rows form
+    # refuses such an r, and one outside a bounded domain, before any arithmetic
+    orc = dc.oracle_from_spec(mm.FromTheta(2, field, POS, mm.theta_profile("r")))
+    theta = dc.extract_theta(orc)
+    lam = dc.extract_lambda(orc)
+    nonsym = dc.extract_nonsym_lambda(orc)
+    riemann = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(mm.fubini_study(2, field)))
+    bounded = dc.extract_lambda(dc.oracle_from_spec(mm.Euclidean(2, field, mm.RadiusDomain(
+        ((1.0, 2.0),)))))
+    assert theta.fn(2.0, 0.3) == pytest.approx(2.0, rel=1e-12)
+    one, bad = np.ones(2), np.array([1.0, -1.0])  # at 1.5 + bad, 2.5 leaves (1, 2)
+    calls = [lambda r: theta.fn(r, 0.3), lambda r: lam.fn(r, 1.0, 1.0),
+             lambda r: nonsym.fn(r, 1.0, 1.0), riemann.phi, riemann.psi]
+    for call in calls:
+        for r in (-1.0, 0.0, math.nan):
+            with pytest.raises(OutOfDomainError, match="outside the extracted profile's domain"):
+                call(r)
+    for rows in (lambda r: theta.fn_rows(r, one), lambda r: lam.fn_rows(r, one, one),
+                 lambda r: nonsym.fn_rows(r, one, one), riemann.phi_rows, riemann.psi_rows,
+                 lambda r: bounded.fn_rows(r + 1.5, one, one)):
+        with pytest.raises(OutOfDomainError, match=r"r = (-1\.0|2\.5) is outside"):
+            rows(bad)
+
+
 def test_oracle_rows_reject_rows_outside_the_domain():
     bounded = mm.Euclidean(3, R, mm.RadiusDomain(((1.0, 2.0),)))
     orc = dc.oracle_from_spec(bounded)

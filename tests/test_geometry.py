@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -305,6 +306,19 @@ def test_path_rows_and_export_shape():
     assert len(rows) == 5 and len(rows[0]) == 3
     assert rows[0][1:] == pytest.approx([1.0, 0.0])
     assert rows[-1][1:] == pytest.approx([2.0, 1.0])
+
+
+def test_a_polyline_sits_on_uniform_parameters():
+    # vertex i of n is at t = i/(n-1); point interpolates between the two
+    # vertices around t, and path_rows writes those parameters
+    verts = tuple(la.vector([float(i), float(i * i)]) for i in range(7))
+    poly = ge.Polyline(verts)
+    assert "params" not in {f.name for f in dataclasses.fields(ge.Polyline)}
+    assert (poly.a, poly.b) == (0.0, 1.0)
+    for i, v in enumerate(verts):
+        assert np.array_equal(poly.point(i / 6).entries, v.entries)
+    assert poly.point(0.25).entries.tolist() == pytest.approx([1.5, 2.5], rel=1e-15)  # vertex 1.5
+    assert [row[0] for row in ge.path_rows(poly)] == [i / 6 for i in range(7)]
 
 
 def test_geodesic_nonsym_metric_is_directional():

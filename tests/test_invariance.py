@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -262,9 +263,8 @@ def test_batched_checks_equal_the_scalar_loop(dim, field):
     bounded = mm.RadiusDomain(((1.0, 2.0),))
     # a step metric: many rows tie at the largest deviation, and the witness is the first
     step = mm.Custom(dim, field, POS, fn=lambda g, h: 0.005 * float(g.entries[0].real > 0))
-    specs = family_specs(dim, field) + [mm.Euclidean(dim, field, bounded),
-                                        mm.CongruenceInvariant(dim, field, bounded,
-                                                               lambda tau: 1.0, "1"), step]
+    quotient = mm.CongruenceInvariant(dim, field, bounded, mm.norm_quotient(dim, field).vartheta)
+    specs = family_specs(dim, field) + [mm.Euclidean(dim, field, bounded), quotient, step]
     for i, spec in enumerate(specs):
         name = f"{spec.family}#{i}"
         for label, T in _maps(dim, field, 100 + i).items():
@@ -287,7 +287,7 @@ def test_batched_checks_equal_the_scalar_loop(dim, field):
 def test_batched_checks_cover_domain_exits_and_skips():
     # the cases the comparison above must include, checked directly
     bounded = mm.RadiusDomain(((1.0, 2.0),))
-    quotient = mm.CongruenceInvariant(3, R, bounded, lambda tau: 1.0, "1")
+    quotient = mm.CongruenceInvariant(3, R, bounded, mm.norm_quotient(3, R).vartheta)
     v = iv.is_symmetry(la.LinearMap(1.3 * np.eye(3), R), quotient, 30, seed=1)
     assert v.skipped == 1 and v.samples_used > 1 and v.max_deviation == math.inf
     h = mm.check_homothety_invariance(mm.Euclidean(3, R, bounded), 1.5, 30, seed=1)
@@ -319,6 +319,21 @@ def test_probe_report_counts_samples():
     assert (vacuous.map_samples, vacuous.control_samples) == (0, 0)
 
 
+def test_a_min_sv_ratio_the_maps_cannot_reach_raises():
+    # a ratio that is not a finite number >= 1 is refused; one that Gaussian
+    # maps do not reach ends after the capped draw rounds, naming the ratio
+    for ratio in (math.nan, math.inf, 0.5, -1.0):
+        with pytest.raises(ValueError, match="min_sv_ratio must be a finite number >= 1"):
+            iv.congruence_theorem_probe(mm.euclidean(3), n_maps=1, n_samples=2,
+                                        min_sv_ratio=ratio)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="ratio >= 1000000000000.0 in 1000 draw rounds"):
+        iv.congruence_theorem_probe(mm.euclidean(3), n_maps=3, n_samples=2, min_sv_ratio=1e12)
+    assert time.perf_counter() - started < 10.0  # about 0.05 s on a 2-core machine
+    report = iv.congruence_theorem_probe(mm.euclidean(3), n_maps=3, n_samples=2, min_sv_ratio=1.0)
+    assert report.maps_tested == 3 and report.all_failed
+
+
 @pytest.mark.parametrize("block_rows", [iv._BLOCK_ROWS, 80])
 @pytest.mark.parametrize("field", [R, C])
 def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field, block_rows,
@@ -326,7 +341,8 @@ def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field, block_rows
     # one stack, maps that exit at different rows or not at all; at 80 rows a
     # block holds two maps' samples, so blocks split the stack
     monkeypatch.setattr(iv, "_BLOCK_ROWS", block_rows)
-    spec = mm.CongruenceInvariant(3, field, mm.RadiusDomain(((1.0, 2.0),)), lambda tau: 1.0, "1")
+    spec = mm.CongruenceInvariant(3, field, mm.RadiusDomain(((1.0, 2.0),)),
+                                  mm.norm_quotient(3, field).vartheta)
     u = la.random_unitary(3, field, 4).entries
     maps = [u, 1.3 * u, u @ np.diag([1.0, 1.0, 1.0 + 3e-6]), u @ np.diag([1.0, 1.0, 2.0]),
             u @ np.diag([1.0, 1.0, 1.0 + 1e-8]), 1.2 * u]
@@ -407,5 +423,5 @@ def test_invariance_and_homogeneity_on_generated_pairs(dim, field, case, t):
             want = values[0] * np.array([1.0, t])
         moved, scaled = mm.deviations(values[1:], want, want)
         assert inside.all() and moved <= 1e-9, (spec.family, case)
-        if not (spec.family == "lambda" and spec.profile.expr_text == NOT_DEGREE_ONE):
+        if not (spec.family == "lambda" and getattr(spec.profile.fn, "text", None) == NOT_DEGREE_ONE):
             assert scaled <= 1e-9, (spec.family, case, t)
