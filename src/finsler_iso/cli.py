@@ -227,26 +227,22 @@ def cmd_check(args) -> int:
                                                 args.seed, args.tol)
         _emit({"check": "homothety", "alpha": args.homothety_alpha, "spec": spec_obj,
                "max_deviation": verdict.max_deviation, "passed": verdict.invariant,
-               "skipped": verdict.skipped,
-               "witness": None if verdict.witness is None else {
-                   "g": iv.vector_json(verdict.witness[0]),
-                   "h": iv.vector_json(verdict.witness[1])}})
+               "skipped": verdict.skipped, "witness": iv.witness_json(verdict.witness)})
         return 0 if verdict.invariant else 1
     profile = mm.sesquilinear_profile(spec)
     if profile is None:
         raise UsageError(f"check {args.which} needs a Riemann-backed metric")
-    r_values = [float(r) for r in np.linspace(args.r_min, args.r_max, args.samples)] \
-        if args.samples > 1 else [args.r_min]
+    r_squared = [r * r for r in np.linspace(args.r_min, args.r_max, args.samples).tolist()]
     if args.which == "pd":
-        verdicts = mm.check_positive_definite(profile, [r * r for r in r_values])
+        verdicts = mm.check_positive_definite(profile, r_squared)
         passed = all(v is mm.PDVerdict.POSITIVE_DEFINITE for v in verdicts)
-        _emit({"check": "pd", "spec": spec_obj, "r_squared": [r * r for r in r_values],
+        _emit({"check": "pd", "spec": spec_obj, "r_squared": r_squared,
                "verdicts": [v.value for v in verdicts], "passed": passed})
         return 0 if passed else 1
     # kaehler
-    results = mm.check_kaehler(profile, [r * r for r in r_values])
+    results = mm.check_kaehler(profile, r_squared)
     passed = all(results)
-    report = {"check": "kaehler", "spec": spec_obj, "r_squared": [r * r for r in r_values],
+    report = {"check": "kaehler", "spec": spec_obj, "r_squared": r_squared,
               "results": results, "passed": passed}
     if spec.family == "fubini-study":
         report["potential"] = "2*log(norm(g))"  # informational; not verified

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -29,20 +29,18 @@ from .linalg import (
     row_dots,
     row_norms,
 )
-from .metrics import MetricSpec, eval_batch, eval_finsler
+from .metrics import MetricSpec, _check_compatible, eval_batch, eval_finsler
 
 
 @dataclass(frozen=True)
 class ParametricCurve:
-    """t -> gamma(t) on [a, b]; derivatives by centered differences of step 1e-6 max(1, |t|).
-
-    The map must be evaluable slightly beyond the endpoints (one step).
-    A map that carries a `rows` attribute, as circle_arc's and
-    segment_curve's do, gives points() for all parameters in one call;
-    otherwise points() stacks fn(t).
+    """t -> gamma(t) on [a, b], given by its rows form: points(ts) is the
+    (N, dim) array of gamma at each entry of ts.  Velocities are centred
+    differences of step 1e-6 max(1, |t|), so the map must be evaluable one
+    step beyond the endpoints.  point and velocity are one-row views.
     """
 
-    fn: Callable[[float], Vector]
+    points: Callable[[np.ndarray], np.ndarray]
     a: float
     b: float
 
@@ -50,63 +48,33 @@ class ParametricCurve:
         if not self.a < self.b:
             raise ValueError("curve needs a < b")
 
-    def point(self, t: float) -> Vector:
-        return self.fn(t)
-
-    def velocity(self, t: float) -> Vector:
-        s = 1e-6 * max(1.0, abs(t))
-        p1, p0 = self.fn(t + s), self.fn(t - s)
-        return Vector((p1.entries - p0.entries) / (2.0 * s), p1.field)
-
-    def points(self, ts: np.ndarray) -> np.ndarray:
-        """gamma(t) for each entry of ts, as the rows of an (N, dim) array."""
-        rows = getattr(self.fn, "rows", None)
-        if rows is not None:
-            return rows(ts)
-        return np.stack([self.fn(t).entries for t in ts.tolist()])
-
     def velocities(self, ts: np.ndarray) -> np.ndarray:
-        """velocity(t) for each entry of ts, with the same step per node."""
         s = 1e-6 * np.maximum(1.0, np.abs(ts))
         return (self.points(ts + s) - self.points(ts - s)) / (2.0 * s)[:, None]
 
+    def point(self, t: float) -> Vector:
+        return _vectors(self.points(np.array([t], dtype=float)))[0]
 
-def _curve_map(rows: Callable[[np.ndarray], np.ndarray], field: Field) -> Callable[[float], Vector]:
-    """The scalar map t -> Vector of a curve given by its rows form, which it
-    carries as .rows, so points and point agree bit for bit."""
-    def fn(t: float) -> Vector:
-        return Vector(rows(np.array([t], dtype=float))[0], field)
-    fn.rows = rows
-    return fn
+    def velocity(self, t: float) -> Vector:
+        return _vectors(self.velocities(np.array([t], dtype=float)))[0]
 
 
-@dataclass(frozen=True)
+def _vectors(rows: np.ndarray) -> list[Vector]:
+    """The rows of an array as Vectors of the field its dtype names."""
+    field = Field.COMPLEX if rows.dtype.kind == "c" else Field.REAL
+    return [Vector(row, field) for row in rows]
+
+
+@dataclass(frozen=True, eq=False)
 class Polyline:
-    """Ordered vertices, vertex i of n at the parameter i/(n-1) of [0, 1]."""
+    """Ordered vertices, the rows of an (n, dim) array; vertex i of n sits at
+    the parameter i/(n-1) of [0, 1]."""
 
-    vertices: tuple[Vector, ...]
-    a: ClassVar[float] = 0.0
-    b: ClassVar[float] = 1.0
+    vertices: np.ndarray
 
     def __post_init__(self):
-        if len(self.vertices) < 2:
-            raise ValueError("polyline needs at least two vertices")
-
-    def point(self, t: float) -> Vector:
-        m = len(self.vertices) - 1
-        # the segment k whose start k/m is the last vertex parameter below t, or
-        # the first or last segment: t*m estimates it, the parameters settle it
-        k = min(max(math.ceil(t * m) - 1, 0), m - 1)
-        if k > 0 and k / m >= t:
-            k -= 1
-        elif k < m - 1 and (k + 1) / m < t:
-            k += 1
-        w = (t - k / m) / ((k + 1) / m - k / m)
-        u, v = self.vertices[k], self.vertices[k + 1]
-        return Vector((1.0 - w) * u.entries + w * v.entries, u.field)
-
-
-Curve = ParametricCurve | Polyline
+        if getattr(self.vertices, "ndim", None) != 2 or len(self.vertices) < 2:
+            raise ValueError("polyline needs an (n, dim) array of n >= 2 vertices")
 
 
 def _warn_if_negative(values: np.ndarray) -> None:
@@ -115,7 +83,7 @@ def _warn_if_negative(values: np.ndarray) -> None:
                       "integral is signed", RuntimeWarning, stacklevel=3)
 
 
-def curve_length(spec: MetricSpec, curve: Curve, n_nodes: int = 1001) -> float:
+def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline, n_nodes: int = 1001) -> float:
     """Length of the curve under the metric.
 
     Parametric curves use composite Simpson quadrature on n_nodes (odd,
@@ -124,7 +92,7 @@ def curve_length(spec: MetricSpec, curve: Curve, n_nodes: int = 1001) -> float:
     values raise a warning but still integrate.
     """
     if isinstance(curve, Polyline):
-        V = np.stack([v.entries for v in curve.vertices])
+        V = curve.vertices
         values, inside = eval_batch(spec, 0.5 * (V[:-1] + V[1:]), V[1:] - V[:-1])
         if not inside.all():
             raise OutOfDomainError("a segment midpoint is outside the metric's domain")
@@ -172,13 +140,14 @@ def delta2(g: Vector, h: Vector) -> float:
     return math.sqrt(max(0.0, 2.0 - 2.0 * c))
 
 
-def polygonal_delta_length(which: str, curve: Curve, n_segments: int = 1000) -> float:
-    """Sum of delta over a uniform parameter partition of the curve."""
+def polygonal_delta_length(which: str, curve: ParametricCurve, n_segments: int = 1000) -> float:
+    """Sum of delta over a uniform partition of the curve into n_segments >= 1 parts."""
     fn = {"delta1": delta1, "delta2": delta2}.get(which)
     if fn is None:
         raise ValueError("which must be 'delta1' or 'delta2'")
-    ts = np.linspace(curve.a, curve.b, n_segments + 1)
-    points = [curve.point(t) for t in ts]
+    if n_segments < 1:
+        raise ValueError("need n_segments >= 1")
+    points = _vectors(curve.points(np.linspace(curve.a, curve.b, n_segments + 1)))
     return float(sum(fn(u, v) for u, v in zip(points, points[1:])))
 
 
@@ -195,8 +164,13 @@ def intrinsification_ratio(curve: ParametricCurve, t: float,
 
     The reference is sqrt(sigma_gamma(gamma', gamma')) for the Fubini-Study
     form; the ratios converge to it as the steps shrink.  A vanishing
-    derivative is reported, not asserted.
+    derivative is reported, not asserted.  Raises ValueError unless t is in
+    [a, b] and each step s is positive with t + s or t - s in [a, b].
     """
+    if not curve.a <= t <= curve.b:
+        raise ValueError(f"t = {t} is outside the curve's interval [{curve.a}, {curve.b}]")
+    if not all(s > 0.0 and (t + s <= curve.b or t - s >= curve.a) for s in s_steps):
+        raise ValueError("each step s must be positive, with t + s or t - s in [a, b]")
     base = curve.point(t)
     if norm(base) == 0.0:
         raise ZeroVectorError("intrinsification needs gamma(t) != 0")
@@ -310,10 +284,9 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
                       rng: np.random.Generator, ell0: float) -> tuple[np.ndarray, list[float]]:
     """Straight chord, or an arc through a perturbed midpoint when the chord
     leaves the domain; returns the vertices and their segment lengths."""
-    ts = np.linspace(0.0, 1.0, n_vertices)
-    chord = [(1.0 - t) * g.entries + t * h.entries for t in ts]
     for attempt in range(8):
-        verts = np.array(chord if attempt == 0 else _lifted_chord(g, h, n_vertices, rng))
+        verts = (_segment_rows(g.entries, h.entries, np.linspace(0.0, 1.0, n_vertices))
+                 if attempt == 0 else _lifted_chord(g, h, n_vertices, rng))
         lengths, status = _segment_length(spec, verts[:-1], verts[1:], ell0)
         failed = np.flatnonzero(status)
         if len(failed) == 0:
@@ -324,15 +297,13 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
 
 
 def _lifted_chord(g: Vector, h: Vector, n_vertices: int,
-                  rng: np.random.Generator) -> list[np.ndarray]:
+                  rng: np.random.Generator) -> np.ndarray:
     mid = 0.5 * (g.entries + h.entries)
     lift = mid + _directions(rng, 1, g.dim, g.field)[0] * 0.75 * max(norm(g), norm(h))
     half = (n_vertices + 1) // 2
-    ts1 = np.linspace(0.0, 1.0, half)
-    ts2 = np.linspace(0.0, 1.0, n_vertices - half + 1)
-    leg1 = [(1.0 - t) * g.entries + t * lift for t in ts1]
-    leg2 = [(1.0 - t) * lift + t * h.entries for t in ts2]
-    return leg1 + leg2[1:]
+    leg1 = _segment_rows(g.entries, lift, np.linspace(0.0, 1.0, half))
+    leg2 = _segment_rows(lift, h.entries, np.linspace(0.0, 1.0, n_vertices - half + 1))
+    return np.concatenate([leg1, leg2[1:]])
 
 
 def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 13,
@@ -347,17 +318,18 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     sequence is non-increasing; negative metrics are refused.  The result
     says why the descent stopped: a zero chord (g = h), the step floor, or
     the iteration cap.  Raises ValueError unless n_vertices >= 3 and
-    n_iterations >= 0.
+    n_iterations >= 0, and MismatchError unless g and h have the spec's
+    dimension and field.
     """
     if n_vertices < 3:
         raise ValueError("need at least one interior vertex")
     if n_iterations < 0:
         raise ValueError("need n_iterations >= 0")
+    _check_compatible(spec, g, h)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    field = spec.field
     chord_len = float(np.linalg.norm(h.entries - g.entries))
     if chord_len == 0.0:
-        line = Polyline(tuple([g] * (n_vertices - 1) + [h]))
+        line = Polyline(np.stack([g.entries] * (n_vertices - 1) + [h.entries]))
         return GeodesicResult(0.0, line, 0.0, 0, (0.0,), "zero-chord")
     ell0 = chord_len / (4.0 * (n_vertices - 1))
     verts, seglen = _initial_vertices(spec, g, h, n_vertices, rng, ell0)
@@ -369,7 +341,7 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     stop_reason = "iteration-cap"
 
     for _ in range(n_iterations):
-        P = _sweep_positions(verts, step, rng, field)
+        P = _sweep_positions(verts, step, rng, spec.field)
         # Both segments of every candidate, measured against the vertices as
         # the sweep found them: prev -> cand first, then cand -> next.
         cands = P[:, 1:].reshape(-1, spec.dim)
@@ -404,23 +376,26 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
                 stop_reason = "step-floor"
                 break
 
-    path = Polyline(tuple(Vector(v.copy(), field) for v in verts))
-    return GeodesicResult(total, path, initial, len(history) - 1, tuple(history), stop_reason)
+    return GeodesicResult(total, Polyline(verts), initial, len(history) - 1, tuple(history),
+                          stop_reason)
 
 
 def path_rows(path: Polyline) -> list[list[float]]:
     """CSV rows (t, x_1..x_n[, y_1..y_n]) for an optimized path, t = i/(n-1) at vertex i."""
-    n = len(path.vertices)
-    return [[i / (n - 1)] + (v.entries.tolist() if v.field is Field.REAL
-                             else v.entries.real.tolist() + v.entries.imag.tolist())
-            for i, v in enumerate(path.vertices)]
+    V = path.vertices
+    if V.dtype.kind == "c":
+        V = np.concatenate([V.real, V.imag], axis=1)
+    return [[i / (len(V) - 1)] + row for i, row in enumerate(V.tolist())]
+
+
+def _segment_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """(1 - t) u + t v for each entry of ts, as the rows of an array."""
+    return (1.0 - ts)[:, None] * u + ts[:, None] * v
 
 
 def segment_curve(g: Vector, h: Vector) -> ParametricCurve:
     """The straight segment from g to h on [0, 1]."""
-    def rows(ts: np.ndarray) -> np.ndarray:
-        return (1.0 - ts)[:, None] * g.entries + ts[:, None] * h.entries
-    return ParametricCurve(_curve_map(rows, g.field), 0.0, 1.0)
+    return ParametricCurve(lambda ts: _segment_rows(g.entries, h.entries, ts), 0.0, 1.0)
 
 
 def circle_arc(dim: int = 2, field: Field = Field.REAL, radius: float = 1.0,
@@ -434,4 +409,4 @@ def circle_arc(dim: int = 2, field: Field = Field.REAL, radius: float = 1.0,
         P[:, 0] = radius * np.cos(ts)
         P[:, 1] = radius * np.sin(ts)
         return P
-    return ParametricCurve(_curve_map(rows, field), t0, t1)
+    return ParametricCurve(rows, t0, t1)

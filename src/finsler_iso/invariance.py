@@ -364,13 +364,15 @@ def vector_json(v: Vector) -> list:
     return [[float(x.real), float(x.imag)] for x in v.entries]
 
 
+def witness_json(witness: tuple[Vector, Vector] | None) -> dict | None:
+    return None if witness is None else {"g": vector_json(witness[0]),
+                                         "h": vector_json(witness[1])}
+
+
 def verdict_to_json(verdict: SymmetryVerdict, spec_obj) -> dict:
     return {
         "spec": spec_obj,
         "verdict": "symmetry" if verdict.is_symmetry else "not-symmetry",
         "max_deviation": verdict.max_deviation,
-        "witness": None if verdict.witness is None else {
-            "g": vector_json(verdict.witness[0]),
-            "h": vector_json(verdict.witness[1]),
-        },
+        "witness": witness_json(verdict.witness),
     }

@@ -7,7 +7,7 @@ import pytest
 from finsler_iso import geometry as ge
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
-from finsler_iso.errors import NonPositiveMetricError, ZeroVectorError
+from finsler_iso.errors import MismatchError, NonPositiveMetricError, ZeroVectorError
 from helpers import POS, family_specs
 
 R, C = la.Field.REAL, la.Field.COMPLEX
@@ -50,14 +50,14 @@ def test_negative_metric_warns_but_integrates():
 
 def test_polyline_length_is_midpoint_sum():
     spec = mm.norm_quotient(2)
-    poly = ge.Polyline((la.vector([1.0, 0.0]), la.vector([2.0, 0.0])))
+    poly = ge.Polyline(np.array([[1.0, 0.0], [2.0, 0.0]]))
     # single segment: |delta| / |midpoint| = 1 / 1.5
     assert ge.curve_length(spec, poly) == pytest.approx(1.0 / 1.5, rel=1e-12)
 
 
 def test_negative_polyline_warns_but_integrates():
     spec = mm.FromLambda(2, R, POS, mm.lambda_profile("0-sqrt(p^2+q^2)/r"))
-    poly = ge.Polyline((la.vector([1.0, 0.0]), la.vector([1.0, 1.0])))
+    poly = ge.Polyline(np.array([[1.0, 0.0], [1.0, 1.0]]))
     with pytest.warns(RuntimeWarning, match="negative"):
         value = ge.curve_length(spec, poly)
     assert value == pytest.approx(-1.0, rel=1e-12)  # sqrt(p^2 + q^2) / r = |h|
@@ -77,10 +77,8 @@ def test_batched_lengths_equal_the_scalar_sums(field):
     g = la.vector([1.0, 0.5, -0.25], field)
     h = la.vector([0.2, 1.5, 0.75], field)
     quarter = ge.circle_arc(3, field)
-    curves = [quarter, ge.segment_curve(g, h), ge.circle_arc(3, field, 2.0, 0.3, 2.0),
-              ge.ParametricCurve(lambda t: quarter.fn(HALF_PI - t), 0.0, HALF_PI)]  # bare fn
-    rng = np.random.default_rng(3)
-    verts = tuple(la.Vector(v, field) for v in la.random_gaussian_rows(9, 3, field, rng))
+    curves = [quarter, ge.segment_curve(g, h), ge.circle_arc(3, field, 2.0, 0.3, 2.0)]
+    verts = la.random_gaussian_rows(9, 3, field, np.random.default_rng(3))
     poly = ge.Polyline(verts)
     for spec in family_specs(3, field):
         for curve in curves:
@@ -90,15 +88,14 @@ def test_batched_lengths_equal_the_scalar_sums(field):
                 assert np.array_equal(v, curve.velocity(t).entries)
             assert ge.curve_length(spec, curve, 101) == pytest.approx(
                 _scalar_simpson(spec, curve, 101), rel=1e-12), spec.family
-        want = sum(mm.eval_finsler(spec, la.Vector(0.5 * (u.entries + v.entries), field),
-                                   la.Vector(v.entries - u.entries, field))
+        want = sum(mm.eval_finsler(spec, la.Vector(0.5 * (u + v), field), la.Vector(v - u, field))
                    for u, v in zip(verts, verts[1:]))
         assert ge.curve_length(spec, poly) == pytest.approx(want, rel=1e-12), spec.family
 
 
 def test_length_reversal_invariance():
     quarter = ge.circle_arc(3)
-    reverse = ge.ParametricCurve(lambda t: quarter.fn(HALF_PI - t), 0.0, HALF_PI)
+    reverse = ge.ParametricCurve(lambda ts: quarter.points(HALF_PI - ts), 0.0, HALF_PI)
     for spec in (mm.euclidean(3), mm.fubini_study(3)):
         a = ge.curve_length(spec, quarter, 2001)
         b = ge.curve_length(spec, reverse, 2001)
@@ -110,7 +107,7 @@ def test_length_isometry_invariance():
     quarter = ge.circle_arc(3)
     for seed in range(5):
         u = la.random_unitary(3, R, seed)
-        moved = ge.ParametricCurve(lambda t: la.apply_map(u, quarter.fn(t)), 0.0, HALF_PI)
+        moved = ge.ParametricCurve(lambda ts: quarter.points(ts) @ u.entries.T, 0.0, HALF_PI)
         for spec in (mm.euclidean(3), mm.fubini_study(3)):
             assert ge.curve_length(spec, moved, 2001) == pytest.approx(
                 ge.curve_length(spec, quarter, 2001), abs=1e-9)
@@ -179,10 +176,16 @@ def test_polygonal_delta_lengths_quarter_circle():
 
 
 def test_polygonal_delta_constant_curve():
-    const = ge.ParametricCurve(lambda t: la.vector([1.0, 1.0]), 0.0, 1.0)
+    const = ge.ParametricCurve(lambda ts: np.ones((len(ts), 2)), 0.0, 1.0)
     assert ge.polygonal_delta_length("delta1", const, 100) <= 1e-12
     with pytest.raises(ValueError):
         ge.polygonal_delta_length("delta3", const, 10)
+
+
+@pytest.mark.parametrize("n_segments", [0, -3])
+def test_polygonal_delta_refuses_fewer_than_one_segment(n_segments):
+    with pytest.raises(ValueError, match="n_segments"):
+        ge.polygonal_delta_length("delta1", ge.circle_arc(2), n_segments)
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +203,27 @@ def test_intrinsification_unit_circle():
     assert abs(r2[-1] - table.sigma_value) <= 1e-3
 
 
+@pytest.mark.parametrize("t,steps", [
+    (5.0, [1e-2]), (-0.1, [1e-2]), (0.0, [1e-2, 0.0]), (0.0, [-1e-2]), (0.0, [math.nan]),
+    (0.7, [2.0])], ids=["t-past-b", "t-before-a", "zero-step", "negative-step", "nan-step",
+                        "step-past-both-ends"])
+def test_intrinsification_refuses_points_off_the_curve(t, steps):
+    with pytest.raises(ValueError):
+        ge.intrinsification_ratio(ge.circle_arc(2), t, steps)
+
+
 def test_intrinsification_radial_curve_vanishes():
-    radial = ge.ParametricCurve(lambda t: la.vector([1.0 + t, 0.0]), -0.5, 0.5)
+    radial = ge.ParametricCurve(lambda ts: np.stack([1.0 + ts, 0.0 * ts], axis=1), -0.5, 0.5)
     table = ge.intrinsification_ratio(radial, 0.0, [1e-2, 1e-3, 1e-4])
     assert table.sigma_value <= 1e-9
     assert abs(table.rows[-1][1]) <= 1e-3 and abs(table.rows[-1][2]) <= 1e-3
 
 
 def test_intrinsification_sphere_curve_matches_sesquilinear():
-    def fn(t):
-        return la.vector([math.cos(t), math.sin(t) * math.cos(0.5 * t),
-                          math.sin(t) * math.sin(0.5 * t)])
-    curve = ge.ParametricCurve(fn, 0.0, 1.5)
+    def points(ts):
+        return np.stack([np.cos(ts), np.sin(ts) * np.cos(0.5 * ts),
+                         np.sin(ts) * np.sin(0.5 * ts)], axis=1)
+    curve = ge.ParametricCurve(points, 0.0, 1.5)
     t0 = 0.7
     table = ge.intrinsification_ratio(curve, t0, [1e-2, 1e-3, 1e-4])
     sigma = mm.eval_sesquilinear(mm.fubini_study_profile(), curve.point(t0),
@@ -267,6 +279,16 @@ def test_geodesic_refuses_runs_that_cannot_do_anything(kwargs):
                              **kwargs)
 
 
+@pytest.mark.parametrize("spec,g,h", [
+    (mm.euclidean(2), la.vector([1.0, 0.0]), la.vector([1.0, 0.0], C)),  # equal values
+    (mm.euclidean(2), la.vector([1.0, 0.0]), la.vector([1.0, 0.0, 0.0])),
+    (mm.euclidean(3), la.vector([1.0, 0.0]), la.vector([0.0, 1.0]))],
+    ids=["field", "g-h-dimension", "spec-dimension"])
+def test_geodesic_refuses_vectors_that_do_not_match_the_spec(spec, g, h):
+    with pytest.raises(MismatchError, match="^vector (dimension|field) .* != spec"):
+        ge.geodesic_distance(spec, g, h)
+
+
 def test_geodesic_refuses_negative_metric():
     with pytest.warns(RuntimeWarning):
         spec = mm.induced_finsler(mm.riemann_profile("-1", "0"), 2)
@@ -309,16 +331,19 @@ def test_path_rows_and_export_shape():
 
 
 def test_a_polyline_sits_on_uniform_parameters():
-    # vertex i of n is at t = i/(n-1); point interpolates between the two
-    # vertices around t, and path_rows writes those parameters
-    verts = tuple(la.vector([float(i), float(i * i)]) for i in range(7))
-    poly = ge.Polyline(verts)
+    # vertex i of n is at t = i/(n-1), and path_rows writes those parameters
+    poly = ge.Polyline(np.array([[float(i), float(i * i)] for i in range(7)]))
     assert "params" not in {f.name for f in dataclasses.fields(ge.Polyline)}
-    assert (poly.a, poly.b) == (0.0, 1.0)
-    for i, v in enumerate(verts):
-        assert np.array_equal(poly.point(i / 6).entries, v.entries)
-    assert poly.point(0.25).entries.tolist() == pytest.approx([1.5, 2.5], rel=1e-15)  # vertex 1.5
     assert [row[0] for row in ge.path_rows(poly)] == [i / 6 for i in range(7)]
+
+
+@pytest.mark.parametrize("vertices", [
+    np.zeros((1, 2)), np.zeros(3), np.zeros((2, 2, 2)),
+    (la.vector([1.0, 0.0]), la.vector([2.0, 0.0])), [[1.0, 0.0], [2.0, 0.0]]],
+    ids=["one-row", "1-d", "3-d", "tuple-of-vectors", "list"])
+def test_a_polyline_is_an_array_of_at_least_two_rows(vertices):
+    with pytest.raises(ValueError, match="polyline"):
+        ge.Polyline(vertices)
 
 
 def test_geodesic_nonsym_metric_is_directional():
@@ -338,7 +363,7 @@ def test_geodesic_nonsym_metric_is_directional():
 def _scalar_path_length(spec, path):
     """The descent's quadrature redone one chunk at a time through eval_finsler:
     per segment max(4, length/ell0, 16 length/gap) midpoint chunks."""
-    verts = [v.entries for v in path.vertices]
+    verts = path.vertices
     ell0 = np.linalg.norm(verts[-1] - verts[0]) / (4.0 * (len(verts) - 1))
     total = 0.0
     for u, v in zip(verts, verts[1:]):
@@ -423,11 +448,11 @@ def _per_vertex_descend(spec, g, h, n_vertices, n_iterations, rng):
     remaining candidates from the current vertex, one _segment_length call per
     accepted move and one more."""
     _RESOLVED, _segment_length = ge._RESOLVED, ge._segment_length
-    Polyline, GeodesicResult, Vector = ge.Polyline, ge.GeodesicResult, la.Vector
+    Polyline, GeodesicResult = ge.Polyline, ge.GeodesicResult
     field = spec.field
     chord_len = float(np.linalg.norm(h.entries - g.entries))
     if chord_len == 0.0:
-        line = Polyline((g, h) if n_vertices == 2 else tuple([g] * (n_vertices - 1) + [h]))
+        line = Polyline(np.stack([g.entries] * (n_vertices - 1) + [h.entries]))
         return GeodesicResult(0.0, line, 0.0, 0, (0.0,), "zero-chord")
     ell0 = chord_len / (4.0 * (n_vertices - 1))
     verts, seglen = ge._initial_vertices(spec, g, h, n_vertices, rng, ell0)
@@ -474,8 +499,8 @@ def _per_vertex_descend(spec, g, h, n_vertices, n_iterations, rng):
                 stop_reason = "step-floor"
                 break
 
-    path = Polyline(tuple(Vector(v.copy(), field) for v in verts))
-    return GeodesicResult(total, path, initial, len(history) - 1, tuple(history), stop_reason)
+    return GeodesicResult(total, Polyline(verts), initial, len(history) - 1, tuple(history),
+                          stop_reason)
 
 
 def _per_vertex_distance(spec, g, h, n_vertices=13, n_iterations=150, seed=0):
@@ -491,7 +516,7 @@ def _outcome(solve, *args, **kwargs):
     except Exception as exc:  # both descents must raise alike
         return type(exc).__name__, str(exc)
     return (res.distance, res.history, res.iterations, res.stop_reason, res.initial_length,
-            [v.entries.tobytes() for v in res.path.vertices])
+            res.path.vertices.tobytes())
 
 
 def _assert_same_descent(spec, g, h, **kwargs):
