@@ -39,12 +39,9 @@ from .metrics import (
     FromTheta,
     FubiniStudy,
     MetricSpec,
-    NonSymLambdaProfile,
     PDVerdict,
     RadiusDomain,
     RiemannProfile,
-    SymLambdaProfile,
-    ThetaProfile,
     ZeroExtended,
     area_dim2,
     check_homothety_invariance,

@@ -29,11 +29,9 @@ from .linalg import (
 from .metrics import (
     FromLambda,
     MetricSpec,
-    NonSymLambdaProfile,
     RadiusDomain,
     RiemannProfile,
-    SymLambdaProfile,
-    ThetaProfile,
+    _array_form,
     deviations,
     eval_batch,
     eval_finsler,
@@ -80,7 +78,7 @@ class SesquiOracle(_RowsForm):
 
 
 def oracle_from_spec(spec: MetricSpec) -> MetricOracle:
-    """The spec as an oracle of its own homogeneity degree: a lambda profile's
+    """The spec as an oracle of its own homogeneity degree: a lambda spec's
     alpha, else 1."""
     def rows(G: np.ndarray, H: np.ndarray) -> np.ndarray:
         values, inside = eval_batch(spec, G, H)
@@ -90,7 +88,7 @@ def oracle_from_spec(spec: MetricSpec) -> MetricOracle:
 
     return MetricOracle(lambda g, h: eval_finsler(spec, g, h),
                         spec.dim, spec.field, spec.domain, rows=rows,
-                        alpha=spec.profile.alpha if isinstance(spec, FromLambda) else 1.0)
+                        alpha=spec.alpha if isinstance(spec, FromLambda) else 1.0)
 
 
 def sesqui_oracle_from_spec(spec: MetricSpec) -> SesquiOracle:
@@ -155,8 +153,9 @@ def validate_alpha(oracle: MetricOracle, n_samples: int = 24, seed: int = 0,
 
 
 def extract_lambda(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = None,
-                   check_alpha: bool = True) -> SymLambdaProfile:
-    """lambda(r, p, q) = r^(-alpha) rho(r e, p e + q f) on the chosen frame."""
+                   check_alpha: bool = True) -> Callable[[float, float, float], float]:
+    """lambda(r, p, q) = r^(-alpha) rho(r e, p e + q f) on the chosen frame,
+    alpha being the oracle's."""
     e, f = (v.entries for v in _check_frame(oracle, frame))
     if check_alpha:
         validate_alpha(oracle)
@@ -166,19 +165,20 @@ def extract_lambda(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = N
         _require_radii(r, oracle.domain)
         return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / (r ** alpha)
 
-    return SymLambdaProfile(_profile_fn(rows), alpha)
+    return _profile_fn(rows)
 
 
-def extract_theta(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = None) -> ThetaProfile:
+def extract_theta(oracle: MetricOracle,
+                  frame: tuple[Vector, Vector] | None = None) -> Callable[[float, float], float]:
     """theta(r, tau) = r lambda(r, cos tau, sin tau); needs alpha = 1."""
     if abs(oracle.alpha - 1.0) > 1e-12:
         raise ValueError("theta extraction needs a degree-1 oracle")
-    lam = extract_lambda(oracle, frame).fn.rows
-    return ThetaProfile(_profile_fn(lambda r, tau: r * lam(r, np.cos(tau), np.sin(tau))))
+    lam = extract_lambda(oracle, frame).rows
+    return _profile_fn(lambda r, tau: r * lam(r, np.cos(tau), np.sin(tau)))
 
 
-def extract_nonsym_lambda(oracle: MetricOracle,
-                          frame: tuple[Vector, Vector] | None = None) -> NonSymLambdaProfile:
+def extract_nonsym_lambda(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = None
+                          ) -> Callable[[float, complex, float], float]:
     """Non-symmetric variant: p keeps the full scalar <h, g>, not its modulus."""
     e, f = (v.entries for v in _check_frame(oracle, frame))
 
@@ -188,7 +188,7 @@ def extract_nonsym_lambda(oracle: MetricOracle,
             p = np.real(p)
         return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / r
 
-    return NonSymLambdaProfile(_profile_fn(rows))
+    return _profile_fn(rows)
 
 
 def extract_phi_psi(oracle: SesquiOracle,
@@ -287,12 +287,12 @@ def roundtrip_check(oracle: MetricOracle | SesquiOracle, extracted_spec: MetricS
 # ---------------------------------------------------------------------------
 # Tabulation for CSV export
 
-def tabulate_theta(profile: ThetaProfile, r_values: list[float],
+def tabulate_theta(theta: Callable[[float, float], float], r_values: list[float],
                    tau_values: list[float]) -> list[tuple[float, float, float]]:
     """(r, tau, theta_value) rows over the grid, row-major in r."""
     r = np.repeat(np.array(r_values, dtype=float), len(tau_values))
     tau = np.tile(np.array(tau_values, dtype=float), len(r_values))
-    return list(zip(r.tolist(), tau.tolist(), profile.fn_rows(r, tau).tolist()))
+    return list(zip(r.tolist(), tau.tolist(), _array_form(theta)(r, tau).tolist()))
 
 
 def tabulate_phi_psi(profile: RiemannProfile,

@@ -45,8 +45,8 @@ class ParametricCurve:
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("curve needs a < b")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError("curve needs finite a < b")
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
         s = 1e-6 * np.maximum(1.0, np.abs(ts))

@@ -145,40 +145,6 @@ def domain_grid(domain: RadiusDomain, points_per_interval: int = 4) -> list[floa
 # Profiles
 
 @dataclass(frozen=True)
-class SymLambdaProfile:
-    """lambda(r, p, q): even in p and in q, homogeneous of degree alpha in (p, q)."""
-
-    fn: Callable[[float, float, float], float]
-    alpha: float = 1.0
-
-    @property
-    def fn_rows(self) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-        return _array_form(self.fn)
-
-
-@dataclass(frozen=True)
-class ThetaProfile:
-    """theta(r, tau) with tau in [0, pi/2]."""
-
-    fn: Callable[[float, float], float]
-
-    @property
-    def fn_rows(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        return _array_form(self.fn)
-
-
-@dataclass(frozen=True)
-class NonSymLambdaProfile:
-    """lambda(r, p, q) with p a scalar in F; positively homogeneous, even in q."""
-
-    fn: Callable[[float, complex, float], float]
-
-    @property
-    def fn_rows(self) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-        return _array_form(self.fn)
-
-
-@dataclass(frozen=True)
 class RiemannProfile:
     """The (phi, psi) pair of an invariant sesquilinear form; arguments are |g|^2."""
 
@@ -205,28 +171,28 @@ def _array_form(fn: Callable) -> Callable[..., np.ndarray]:
     return lambda *cols: np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
 
 
-def lambda_profile(text: str, alpha: float = 1.0) -> SymLambdaProfile:
-    return SymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")), alpha)
+def lambda_profile(text: str) -> Callable[[float, float, float], float]:
+    return expressions.compile_positional(text, ("r", "p", "q"))
 
 
-def theta_profile(text: str) -> ThetaProfile:
-    return ThetaProfile(expressions.compile_positional(text, ("r", "tau")))
+def theta_profile(text: str) -> Callable[[float, float], float]:
+    return expressions.compile_positional(text, ("r", "tau"))
 
 
 def vartheta_profile(text: str) -> Callable[[float], float]:
     return expressions.compile_positional(text, ("tau",))
 
 
-def nonsym_lambda_profile(text: str, field: Field) -> NonSymLambdaProfile:
+def nonsym_lambda_profile(text: str, field: Field) -> Callable[[float, complex, float], float]:
     if field is Field.REAL:
-        return NonSymLambdaProfile(expressions.compile_positional(text, ("r", "p", "q")))
+        return expressions.compile_positional(text, ("r", "p", "q"))
     # Complex p enters the expression as the real pair (pre, pim).
     fn = expressions.compile_positional(text, ("r", "pre", "pim", "q"))
 
     def lam(r, p, q):
         return fn(r, p.real, p.imag, q)
     lam.text, lam.rows = text, lambda r, p, q: fn.rows(r, p.real, p.imag, q)
-    return NonSymLambdaProfile(lam)
+    return lam
 
 
 def riemann_profile(phi_text: str, psi_text: str,
@@ -332,28 +298,33 @@ def _where_nonzero(nh: np.ndarray, value: Callable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FromLambda(MetricSpec):
-    profile: SymLambdaProfile
+    """lambda(r, p, q): even in p and in q, homogeneous of degree alpha in (p, q)."""
+
+    lam: Callable[[float, float, float], float]
+    alpha: float = 1.0
     family: ClassVar[str] = "lambda"
 
     def _value(self, r, ip, q):
-        return float(self.profile.fn(r, abs(ip), q))
+        return float(self.lam(r, abs(ip), q))
 
     def _values(self, r, ip, q, G, H):
-        return self.profile.fn_rows(r, np.abs(ip), q)
+        return _array_form(self.lam)(r, np.abs(ip), q)
 
 
 @dataclass(frozen=True)
 class FromTheta(MetricSpec):
-    profile: ThetaProfile
+    """rho_g(h) = |h| theta(|g|, tau) with tau = angle(g, h) in [0, pi/2]."""
+
+    theta: Callable[[float, float], float]
     family: ClassVar[str] = "theta"
 
     def _value(self, r, ip, q):
         p = abs(ip)
         nh = math.hypot(p, q) / r
-        return 0.0 if nh == 0.0 else nh * float(self.profile.fn(r, math.atan2(q, p)))
+        return 0.0 if nh == 0.0 else nh * float(self.theta(r, math.atan2(q, p)))
 
     def _values(self, r, ip, q, G, H):
-        fn = self.profile.fn_rows
+        fn = _array_form(self.theta)
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
         return _where_nonzero(nh, lambda k: nh[k] * fn(r[k], np.arctan2(q[k], p[k])))
@@ -361,14 +332,16 @@ class FromTheta(MetricSpec):
 
 @dataclass(frozen=True)
 class FromNonSymLambda(MetricSpec):
-    profile: NonSymLambdaProfile
+    """lambda(r, p, q) with p = <h, g> a scalar in F; positively homogeneous, even in q."""
+
+    lam: Callable[[float, complex, float], float]
     family: ClassVar[str] = "nonsym-lambda"
 
     def _value(self, r, ip, q):
-        return float(self.profile.fn(r, ip, q))
+        return float(self.lam(r, ip, q))
 
     def _values(self, r, ip, q, G, H):
-        return self.profile.fn_rows(r, ip, q)
+        return _array_form(self.lam)(r, ip, q)
 
 
 _UNDEFINED_SIGMA = ("riemann value is undefined: phi(|g|^2)|h|^2 + psi(|g|^2)|<h, g>|^2 is "
@@ -576,7 +549,9 @@ def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray
 
     Raises when any row's g is 0, is not 0 but has a |g| that under- or
     overflows, or has a |g|^2 outside the profile's domain, and EvalError when
-    any row's sigma is NaN (its terms overflow to opposite infinities).
+    any row's sigma is NaN (its terms overflow to opposite infinities).  A
+    coefficient phi or psi that is 0 makes its term 0, even where the inner
+    products overflow.
     """
     if not (G.shape == F.shape == H.shape and G.ndim == 2) or not (G.dtype == F.dtype == H.dtype):
         raise MismatchError("sigma needs three vectors, or row arrays, of one dimension and field")
@@ -591,8 +566,9 @@ def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray
         raise OutOfDomainError("a row's |g|^2 is outside the profile domain")
     phi, psi = profile.phi_rows(r2), profile.psi_rows(r2)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN raises below
-        sigma = (_scaled(phi, row_dots(H.conj(), F))
-                 + _scaled(psi, row_dots(G.conj(), F)) * row_dots(H.conj(), G))
+        sigma = (np.where(phi == 0.0, 0.0, _scaled(phi, row_dots(H.conj(), F)))
+                 + np.where(psi == 0.0, 0.0,
+                            _scaled(psi, row_dots(G.conj(), F)) * row_dots(H.conj(), G)))
     if np.isnan(sigma).any():
         raise expressions.EvalError("sigma is undefined: phi(|g|^2)<f, h> + "
                                     "psi(|g|^2)<f, g><g, h> is NaN")
@@ -766,9 +742,9 @@ def validate_profile(spec: MetricSpec, grid_size: int = 4, tol: float = 1e-9) ->
     r = np.repeat(radii, 3 * grid_size)
     p = np.tile((rho * np.cos(ang)).ravel(), len(radii))
     q = np.tile((rho * np.sin(ang)).ravel(), len(radii))
-    fn = spec.profile.fn_rows
+    fn = _array_form(spec.lam)
     if isinstance(spec, FromLambda):
-        alpha = spec.profile.alpha
+        alpha = spec.alpha
         # lambda(r, t p, t q) = t^alpha lambda(r, p, q); lambda is even in p and in q
         scaled = [(t * p, t * q, t ** alpha) for t in _T_FACTORS if t > 0.0 or alpha > 0.0]
         mirrored = [(-p, q, 1.0), (p, -q, 1.0)]
@@ -832,12 +808,12 @@ def _text(fn: Callable) -> str | None:
 _FAMILIES: dict[str, tuple[Callable[..., dict], Callable[..., MetricSpec]]] = {
     "euclidean": (lambda s: {}, lambda d, f, dom, p: Euclidean(d, f, dom)),
     "fubini-study": (lambda s: {}, lambda d, f, dom, p: FubiniStudy(d, f, dom)),
-    "lambda": (lambda s: {"lam": _text(s.profile.fn), "alpha": s.profile.alpha},
-               lambda d, f, dom, p: FromLambda(d, f, dom, lambda_profile(
-                   p["lam"], _typed(p.get("alpha", 1.0), float, "alpha")))),
-    "theta": (lambda s: {"theta": _text(s.profile.fn)},
+    "lambda": (lambda s: {"lam": _text(s.lam), "alpha": s.alpha},
+               lambda d, f, dom, p: FromLambda(d, f, dom, lambda_profile(p["lam"]),
+                                               _typed(p.get("alpha", 1.0), float, "alpha"))),
+    "theta": (lambda s: {"theta": _text(s.theta)},
               lambda d, f, dom, p: FromTheta(d, f, dom, theta_profile(p["theta"]))),
-    "nonsym-lambda": (lambda s: {"lam": _text(s.profile.fn)},
+    "nonsym-lambda": (lambda s: {"lam": _text(s.lam)},
                       lambda d, f, dom, p: FromNonSymLambda(
                           d, f, dom, nonsym_lambda_profile(p["lam"], f))),
     "riemann": (lambda s: {"phi": _text(s.profile.phi), "psi": _text(s.profile.psi)},

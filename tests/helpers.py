@@ -42,10 +42,10 @@ def battery(dim: int, field: la.Field) -> list[tuple[str, mm.MetricSpec]]:
         ("euclidean", mm.euclidean(dim, field)),
         ("fubini-study", mm.fubini_study(dim, field)),
         ("norm-quotient", mm.norm_quotient(dim, field)),
-        ("theta-angular", mm.FromTheta(dim, field, POS, mm.ThetaProfile(theta_angular))),
-        ("theta-radial", mm.FromTheta(dim, field, POS, mm.ThetaProfile(theta_radial))),
-        ("theta-mixed", mm.FromTheta(dim, field, POS, mm.ThetaProfile(theta_mixed))),
-        ("nonsym", mm.FromNonSymLambda(dim, field, POS, mm.NonSymLambdaProfile(nonsym_lambda))),
+        ("theta-angular", mm.FromTheta(dim, field, POS, theta_angular)),
+        ("theta-radial", mm.FromTheta(dim, field, POS, theta_radial)),
+        ("theta-mixed", mm.FromTheta(dim, field, POS, theta_mixed)),
+        ("nonsym", mm.FromNonSymLambda(dim, field, POS, nonsym_lambda)),
     ]
     if dim == 2:
         specs.append(("area", mm.area_dim2(1.0, field)))
@@ -75,15 +75,14 @@ def family_specs(dim: int, field: la.Field) -> list[mm.MetricSpec]:
         mm.FromLambda(dim, field, POS, mm.lambda_profile("sqrt(p^2+2*q^2)/r")),
         mm.FromLambda(dim, field, POS, mm.lambda_profile(
             "max(p,q)+min(p,q)^2/(p+q+r)+exp(0-r)*log(1+q)*tan(0.5)")),
-        mm.FromLambda(dim, field, POS,
-                      mm.SymLambdaProfile(lambda r, p, q: math.sqrt(p * p + 2 * q * q) / r)),
+        mm.FromLambda(dim, field, POS, lambda r, p, q: math.sqrt(p * p + 2 * q * q) / r),
         mm.FromTheta(dim, field, POS, mm.theta_profile("1+cos(tau)")),
         mm.FromTheta(dim, field, POS, mm.theta_profile("(2+sin(tau)^3)*exp(0-r)")),
-        mm.FromTheta(dim, field, POS, mm.ThetaProfile(theta_angular)),
+        mm.FromTheta(dim, field, POS, theta_angular),
         # overflows to inf for r > 3.3, so both sides of a check can be inf
         mm.FromTheta(dim, field, POS, mm.theta_profile(OVERFLOWING_THETA)),
         mm.FromNonSymLambda(dim, field, POS, mm.nonsym_lambda_profile(nonsym_text, field)),
-        mm.FromNonSymLambda(dim, field, POS, mm.NonSymLambdaProfile(nonsym_lambda)),
+        mm.FromNonSymLambda(dim, field, POS, nonsym_lambda),
         mm.induced_finsler(mm.riemann_profile("1+r", "1"), dim, field),
         mm.induced_finsler(mm.congruence_invariant_riemann(1.0, 0.5), dim, field),
         mm.Custom(dim, field, POS, fn=lambda g, h: la.norm(h) * (1.0 + abs(complex(g.entries[0])))),

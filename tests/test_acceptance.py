@@ -94,7 +94,7 @@ def test_criterion_2_decomposition_roundtrips():
     th = dc.extract_theta(dc.oracle_from_spec(mm.fubini_study(3)))
     for r in (0.5, 1.0, 2.0):
         for tau in np.linspace(0.0, HALF_PI, 7):
-            assert th.fn(r, float(tau)) == pytest.approx(math.sin(tau) / r,
+            assert th(r, float(tau)) == pytest.approx(math.sin(tau) / r,
                                                          rel=1e-9, abs=1e-12)
 
     # basis independence: rotated extraction frames give the same profiles
@@ -114,7 +114,7 @@ def test_criterion_2_decomposition_roundtrips():
                 f = la.Vector(np.ascontiguousarray(rot_entries[:, 1]), field)
                 lam1 = dc.extract_lambda(orc, frame=(e, f), check_alpha=False)
                 for r, p, q in grid:
-                    a, b = lam0.fn(r, p, q), lam1.fn(r, p, q)
+                    a, b = lam0(r, p, q), lam1(r, p, q)
                     dev = abs(a - b) / (1.0 + abs(a))
                     assert dev <= 1e-9, (name, field, seed, dev)
                     frame_worst = max(frame_worst, dev)

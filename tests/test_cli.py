@@ -72,6 +72,20 @@ def test_eval_of_an_undefined_sigma_is_exit_3(capsys):
     assert code == 3 and out == "" and "sigma is undefined" in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("field,g,f,h", [
+    ("real", "1e150,0", "1e200,0", "1e-100,0"),
+    ("complex", "1e150:0,0:0", "1e200:0,0:0", "1e-100:0,0:0")])
+def test_eval_of_a_sigma_with_a_zero_coefficient(capsys, field, g, f, h):
+    # psi(|g|^2) = -1/|g|^4 underflows to 0 while <f,g> overflows: a zero
+    # coefficient makes its term 0, not 0 * inf = NaN, so sigma is phi <f,h>
+    code, out, err = run(capsys, "eval", "--metric", "fubini-study", "--dim", "2",
+                         "--field", field, "--g", g, "--f", f, "--h", h)
+    value = json.loads(out)["value"]
+    assert code == 0 and err == ""
+    assert (value if field == "real" else value[0]) == pytest.approx(1e-200, rel=1e-12)
+    assert field == "real" or value[1] == 0.0
+
+
 def test_eval_too_deep_expression_is_exit_2(capsys):
     for text in ("(" * 500 + "1" + ")" * 500, "+".join(["r"] * 3000)):
         code, out, err = run(capsys, "eval", "--metric", f"theta:{text}", "--dim", "2",

@@ -17,31 +17,31 @@ R, C = la.Field.REAL, la.Field.COMPLEX
 def test_extract_lambda_euclidean():
     lam = dc.extract_lambda(dc.oracle_from_spec(mm.euclidean(3)))
     for r, p, q in [(2.0, 0.0, 3.0), (1.0, 1.0, 1.0), (0.5, 0.3, 0.4)]:
-        assert lam.fn(r, p, q) == pytest.approx(math.hypot(p, q) / r, rel=1e-12)
+        assert lam(r, p, q) == pytest.approx(math.hypot(p, q) / r, rel=1e-12)
 
 
 def test_extract_lambda_norm_product_oracle():
     spec = mm.Custom(3, R, POS, fn=lambda g, h: la.norm(g) * la.norm(h))
     lam = dc.extract_lambda(dc.oracle_from_spec(spec))
-    assert lam.fn(2.0, 3.0, 4.0) == pytest.approx(5.0, rel=1e-12)
+    assert lam(2.0, 3.0, 4.0) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_extract_lambda_fubini_study():
     lam = dc.extract_lambda(dc.oracle_from_spec(mm.fubini_study(3)))
     for r, p, q in [(2.0, 1.0, 1.0), (1.0, 0.0, 2.0), (0.7, 0.2, 0.9)]:
-        assert lam.fn(r, p, q) == pytest.approx(q / r ** 2, rel=1e-12, abs=1e-15)
+        assert lam(r, p, q) == pytest.approx(q / r ** 2, rel=1e-12, abs=1e-15)
 
 
 def test_extract_theta_values():
-    assert dc.extract_theta(dc.oracle_from_spec(mm.euclidean(3))).fn(1.7, 0.4) \
+    assert dc.extract_theta(dc.oracle_from_spec(mm.euclidean(3)))(1.7, 0.4) \
         == pytest.approx(1.0, rel=1e-12)
     cos_spec = mm.FromLambda(3, R, POS, mm.lambda_profile("p/r"))
     th = dc.extract_theta(dc.oracle_from_spec(cos_spec))
     for tau in (0.0, 0.4, 1.2):
-        assert th.fn(2.0, tau) == pytest.approx(math.cos(tau), rel=1e-12, abs=1e-15)
+        assert th(2.0, tau) == pytest.approx(math.cos(tau), rel=1e-12, abs=1e-15)
     fs = dc.extract_theta(dc.oracle_from_spec(mm.fubini_study(3)))
     for r, tau in [(1.0, 0.5), (2.0, 1.0)]:
-        assert fs.fn(r, tau) == pytest.approx(math.sin(tau) / r, rel=1e-12)
+        assert fs(r, tau) == pytest.approx(math.sin(tau) / r, rel=1e-12)
 
 
 def test_extract_theta_requires_degree_one():
@@ -52,16 +52,18 @@ def test_extract_theta_requires_degree_one():
 
 
 def test_an_oracle_from_a_lambda_spec_declares_the_spec_degree():
-    spec = mm.FromLambda(3, R, POS, mm.lambda_profile("p^2+q^2", 2.0))
+    spec = mm.FromLambda(3, R, POS, mm.lambda_profile("p^2+q^2"), 2.0)
     orc = dc.oracle_from_spec(spec)
     assert orc.alpha == 2.0 and dc.oracle_from_spec(mm.euclidean(3)).alpha == 1.0
     lam = dc.extract_lambda(orc)  # validates the declared degree on samples
-    assert lam.alpha == 2.0
     for r, p, q in [(2.0, 0.0, 3.0), (1.0, 1.0, 1.0), (0.5, 0.3, 0.4)]:
-        assert lam.fn(r, p, q) == pytest.approx(p * p + q * q, rel=1e-12)
-    assert dc.roundtrip_check(orc, mm.FromLambda(3, R, POS, lam), 100, seed=1).passed
+        assert lam(r, p, q) == pytest.approx(p * p + q * q, rel=1e-12)
+    assert dc.roundtrip_check(orc, mm.FromLambda(3, R, POS, lam, 2.0), 100, seed=1).passed
     with pytest.raises(ValueError, match="degree-1"):
         dc.extract_theta(orc)
+    obj = mm.spec_to_json(spec)  # the degree is the spec's, and is written and read back
+    assert obj["params"] == {"lam": "p^2+q^2", "alpha": 2.0}
+    assert mm.spec_from_json(obj).alpha == 2.0 and mm.spec_to_json(mm.spec_from_json(obj)) == obj
 
 
 def test_alpha_validation_rejects_wrong_degree():
@@ -157,7 +159,7 @@ def test_basis_independence_under_rotations():
                      la.apply_map(rot, la.basis_vector(3, 1)))
             lam1 = dc.extract_lambda(orc, frame=frame, check_alpha=False)
             for r, p, q in grid:
-                a, b = lam0.fn(r, p, q), lam1.fn(r, p, q)
+                a, b = lam0(r, p, q), lam1(r, p, q)
                 assert abs(a - b) <= 1e-9 * (1 + abs(a)), name
 
 
@@ -165,9 +167,9 @@ def test_nonsym_extraction_keeps_direction():
     spec = mm.FromNonSymLambda(2, C, POS,
                                mm.nonsym_lambda_profile("sqrt(pre^2+pim^2+q^2)+pre", C))
     lam = dc.extract_nonsym_lambda(dc.oracle_from_spec(spec))
-    assert lam.fn(1.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
-    assert lam.fn(1.0, -1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert lam.fn(1.0, 1j, 0.0) == pytest.approx(1.0, rel=1e-12)
+    assert lam(1.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
+    assert lam(1.0, -1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert lam(1.0, 1j, 0.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tabulation_rows():
@@ -201,17 +203,17 @@ def test_extracted_profiles_refuse_radii_outside_the_domain(field):
     riemann = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(mm.fubini_study(2, field)))
     bounded = dc.extract_lambda(dc.oracle_from_spec(mm.Euclidean(2, field, mm.RadiusDomain(
         ((1.0, 2.0),)))))
-    assert theta.fn(2.0, 0.3) == pytest.approx(2.0, rel=1e-12)
+    assert theta(2.0, 0.3) == pytest.approx(2.0, rel=1e-12)
     one, bad = np.ones(2), np.array([1.0, -1.0])  # at 1.5 + bad, 2.5 leaves (1, 2)
-    calls = [lambda r: theta.fn(r, 0.3), lambda r: lam.fn(r, 1.0, 1.0),
-             lambda r: nonsym.fn(r, 1.0, 1.0), riemann.phi, riemann.psi]
+    calls = [lambda r: theta(r, 0.3), lambda r: lam(r, 1.0, 1.0),
+             lambda r: nonsym(r, 1.0, 1.0), riemann.phi, riemann.psi]
     for call in calls:
         for r in (-1.0, 0.0, math.nan):
             with pytest.raises(OutOfDomainError, match="outside the extracted profile's domain"):
                 call(r)
-    for rows in (lambda r: theta.fn_rows(r, one), lambda r: lam.fn_rows(r, one, one),
-                 lambda r: nonsym.fn_rows(r, one, one), riemann.phi_rows, riemann.psi_rows,
-                 lambda r: bounded.fn_rows(r + 1.5, one, one)):
+    for rows in (lambda r: theta.rows(r, one), lambda r: lam.rows(r, one, one),
+                 lambda r: nonsym.rows(r, one, one), riemann.phi_rows, riemann.psi_rows,
+                 lambda r: bounded.rows(r + 1.5, one, one)):
         with pytest.raises(OutOfDomainError, match=r"r = (-1\.0|2\.5) is outside"):
             rows(bad)
 
@@ -242,14 +244,14 @@ def _roundtrip_cases(field):
     nonsym_text = "sqrt(p^2+q^2)+0.5*p" if field is R else "sqrt(pre^2+pim^2+q^2)+0.5*pre"
     cases = []
     for orc in (dc.oracle_from_spec(mm.FromTheta(3, field, POS, mm.theta_profile("1+cos(tau)"))),
-                dc.oracle_from_spec(mm.FromTheta(3, field, POS, mm.ThetaProfile(theta_angular)))):
+                dc.oracle_from_spec(mm.FromTheta(3, field, POS, theta_angular))):
         for o in (orc, _fn_only(orc)):
             cases.append(("theta", o, mm.FromTheta(3, field, POS, dc.extract_theta(o))))
             cases.append(("lambda", o, mm.FromLambda(3, field, POS, dc.extract_lambda(o))))
     for orc in (dc.oracle_from_spec(mm.FromNonSymLambda(
                     3, field, POS, mm.nonsym_lambda_profile(nonsym_text, field))),
                 dc.oracle_from_spec(mm.FromNonSymLambda(
-                    3, field, POS, mm.NonSymLambdaProfile(nonsym_lambda)))):
+                    3, field, POS, nonsym_lambda))):
         for o in (orc, _fn_only(orc)):
             cases.append(("nonsym", o, mm.FromNonSymLambda(3, field, POS,
                                                            dc.extract_nonsym_lambda(o))))
@@ -341,13 +343,12 @@ def test_extracted_rows_equal_their_scalar_fn(field):
     for name, _, rebuilt in _roundtrip_cases(field):
         if name == "step":  # not an extracted profile
             continue
-        prof = rebuilt.profile
         if name.startswith("phi-psi"):
-            forms = [(prof.phi, (r,)), (prof.psi, (r,))]
+            forms = [(rebuilt.profile.phi, (r,)), (rebuilt.profile.psi, (r,))]
         elif name == "theta":
-            forms = [(prof.fn, (r, tau))]
+            forms = [(rebuilt.theta, (r, tau))]
         else:
-            forms = [(prof.fn, (r, pc if name == "nonsym" else np.abs(p), q))]
+            forms = [(rebuilt.lam, (r, pc if name == "nonsym" else np.abs(p), q))]
         for fn, args in forms:
             want = [fn(*row) for row in zip(*(a.tolist() for a in args))]
             assert fn.rows(*args).tolist() == pytest.approx(want, rel=1e-12, abs=1e-300), name

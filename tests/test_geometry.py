@@ -188,6 +188,15 @@ def test_polygonal_delta_refuses_fewer_than_one_segment(n_segments):
         ge.polygonal_delta_length("delta1", ge.circle_arc(2), n_segments)
 
 
+@pytest.mark.parametrize("t0,t1", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+def test_a_curve_refuses_an_end_that_is_not_finite(t0, t1):
+    # refused when the curve is built, before a length samples NaN points
+    with pytest.raises(ValueError, match="finite a < b"):
+        ge.curve_length(mm.euclidean(2), ge.circle_arc(2, t0=t0, t1=t1), 11)
+    with pytest.raises(ValueError, match="finite a < b"):
+        ge.polygonal_delta_length("delta1", ge.circle_arc(2, t0=t0, t1=t1), 4)
+
+
 # ---------------------------------------------------------------------------
 # Intrinsification
 

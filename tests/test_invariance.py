@@ -80,7 +80,7 @@ def test_classify_congruence_soundness():
 
 def test_symmetries_compose():
     # monoid closure at matching tolerances, on the same seed's samples
-    spec = mm.FromTheta(3, C, POS, mm.ThetaProfile(theta_angular))
+    spec = mm.FromTheta(3, C, POS, theta_angular)
     t1 = la.random_unitary(3, C, 21)
     t2 = la.random_unitary(3, C, 22)
     tol = 1e-10
@@ -171,7 +171,7 @@ def test_dim2_exception_random_unimodular_suite():
 
 def test_rotation_sufficiency_matches_full_group():
     for spec in (mm.euclidean(3),
-                 mm.FromTheta(4, R, POS, mm.ThetaProfile(theta_angular))):
+                 mm.FromTheta(4, R, POS, theta_angular)):
         report = iv.rotation_sufficiency_check(spec, 25, 10, seed=8)
         assert report.consistent and report.rotations_pass and report.orthogonals_pass
         assert report.rotation_max_deviation <= 1e-10
@@ -423,5 +423,5 @@ def test_invariance_and_homogeneity_on_generated_pairs(dim, field, case, t):
             want = values[0] * np.array([1.0, t])
         moved, scaled = mm.deviations(values[1:], want, want)
         assert inside.all() and moved <= 1e-9, (spec.family, case)
-        if not (spec.family == "lambda" and getattr(spec.profile.fn, "text", None) == NOT_DEGREE_ONE):
+        if not (spec.family == "lambda" and getattr(spec.lam, "text", None) == NOT_DEGREE_ONE):
             assert scaled <= 1e-9, (spec.family, case, t)

@@ -55,7 +55,7 @@ def test_zero_extension():
 
 
 def test_constant_theta_profile_gives_norm():
-    spec = mm.FromTheta(3, R, POS, mm.ThetaProfile(lambda r, tau: 1.0))
+    spec = mm.FromTheta(3, R, POS, lambda r, tau: 1.0)
     rng = np.random.default_rng(0)
     for _ in range(20):
         g, h = sample_pair(spec, rng)
@@ -484,7 +484,7 @@ def test_validate_profile_evenness_violation():
 
 
 def test_validate_profile_homogeneity_violation():
-    spec = mm.FromLambda(2, R, POS, mm.lambda_profile("p^2+q^2", alpha=1.0))
+    spec = mm.FromLambda(2, R, POS, mm.lambda_profile("p^2+q^2"), alpha=1.0)
     report = mm.validate_profile(spec)
     assert not report.ok and report.worst_homogeneity > 1e-3
 
@@ -607,11 +607,22 @@ def test_a_malformed_spec_is_a_value_error(obj, words):
 
 
 def test_callable_profile_not_serializable():
-    spec = mm.FromTheta(3, R, POS, mm.ThetaProfile(lambda r, tau: 1.0))
+    spec = mm.FromTheta(3, R, POS, lambda r, tau: 1.0)
     with pytest.raises(ValueError):
         mm.spec_to_json(spec)
     with pytest.raises(ValueError):
         mm.spec_to_json(mm.Custom(3, R, POS, fn=lambda g, h: 0.0))
+
+
+@pytest.mark.parametrize("spec", [
+    mm.FromLambda(3, R, POS, lambda r, p, q: math.hypot(p, q) / r),
+    mm.FromTheta(3, R, POS, lambda r, tau: 1.0),
+    mm.FromNonSymLambda(3, C, POS, lambda r, p, q: math.hypot(abs(p), q) / r),
+    mm.CongruenceInvariant(3, R, POS, lambda tau: 1.0)], ids=lambda s: s.family)
+def test_a_bare_callable_profile_is_not_serializable(spec):
+    # without the .text of a profile built from text there is nothing to write
+    with pytest.raises(ValueError, match="not expression-backed"):
+        mm.spec_to_json(spec)
 
 
 def test_congruence_invariant_family_b_zero():
@@ -629,7 +640,7 @@ def test_congruence_invariant_family_b_zero():
 # Profile builders against the expression evaluator
 
 def _nonsym_complex(text):
-    fn = mm.nonsym_lambda_profile(text, C).fn
+    fn = mm.nonsym_lambda_profile(text, C)
     return lambda r, pre, pim, q: fn(r, complex(pre, pim), q)
 
 
@@ -641,9 +652,9 @@ def _vartheta(text):
 
 # builder -> (its variables in argument order, text -> callable over them)
 PROFILE_BUILDERS = {
-    "lambda": (("r", "p", "q"), lambda text: mm.lambda_profile(text).fn),
-    "theta": (("r", "tau"), lambda text: mm.theta_profile(text).fn),
-    "nonsym-real": (("r", "p", "q"), lambda text: mm.nonsym_lambda_profile(text, R).fn),
+    "lambda": (("r", "p", "q"), mm.lambda_profile),
+    "theta": (("r", "tau"), mm.theta_profile),
+    "nonsym-real": (("r", "p", "q"), lambda text: mm.nonsym_lambda_profile(text, R)),
     "nonsym-complex": (("r", "pre", "pim", "q"), _nonsym_complex),
     "phi": (("r",), lambda text: mm.riemann_profile(text, "0").phi),
     "psi": (("r",), lambda text: mm.riemann_profile("0", text).psi),

@@ -1,3 +1,4 @@
+import math
 import pathlib
 import re
 
@@ -11,3 +12,4 @@ def test_the_readme_library_block_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "2.0" and out[3] == "(13, 3)"
+    assert abs(float(out[1]) - math.sin(0.5) / 2) <= 1e-12
