@@ -20,7 +20,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from . import expressions
+import finsler_iso.expressions as expressions  # dotted: -X importtime reports it
+
 from .errors import MismatchError, OutOfDomainError, ZeroVectorError
 from .linalg import (
     Field,
@@ -286,13 +287,12 @@ class FubiniStudy(MetricSpec):
 
 def _where_nonzero(nh: np.ndarray, value: Callable) -> np.ndarray:
     """value(k) on the rows k with |h| != 0 and 0 on the others, as in the
-    scalar forms, which skip the profile there and overflow to inf silently."""
-    with np.errstate(over="ignore"):
-        if nh.all():
-            return value(slice(None))
-        out = np.zeros(nh.shape)
-        k = nh != 0.0
-        out[k] = value(k)
+    scalar forms, which skip the profile there."""
+    if nh.all():
+        return value(slice(None))
+    out = np.zeros(nh.shape)
+    k = nh != 0.0
+    out[k] = value(k)
     return out
 
 
@@ -357,8 +357,10 @@ class FromRiemann(MetricSpec):
     family: ClassVar[str] = "riemann"
 
     def _value(self, r, ip, q):
-        r2, p2 = r * r, abs(ip) ** 2  # |h|^2 = (p^2 + q^2) / r^2
-        v = float(self.profile.phi(r2)) * (p2 + q * q) / r2 + float(self.profile.psi(r2)) * p2
+        r2, p = r * r, abs(ip)
+        p2 = p * p  # |h|^2 = (p^2 + q^2) / r^2; a Python float's ** raises on overflow
+        phi, psi = float(self.profile.phi(r2)), float(self.profile.psi(r2))
+        v = (0.0 if phi == 0.0 else phi * (p2 + q * q) / r2) + (0.0 if psi == 0.0 else psi * p2)
         if math.isnan(v):
             raise expressions.EvalError(_UNDEFINED_SIGMA)
         if v == 0.0:
@@ -367,9 +369,12 @@ class FromRiemann(MetricSpec):
 
     def _values(self, r, ip, q, G, H):
         prof = self.profile
-        r2, p2 = r * r, np.abs(ip) ** 2
+        r2 = r * r
+        phi, psi = prof.phi_rows(r2), prof.psi_rows(r2)
         with np.errstate(over="ignore", invalid="ignore"):  # inf as in _value; NaN raises below
-            v = prof.phi_rows(r2) * (p2 + q * q) / r2 + prof.psi_rows(r2) * p2
+            p2 = np.abs(ip) ** 2
+            v = (np.where(phi == 0.0, 0.0, phi * (p2 + q * q) / r2)
+                 + np.where(psi == 0.0, 0.0, psi * p2))
         if np.isnan(v).any():
             raise expressions.EvalError(_UNDEFINED_SIGMA)
         return np.where(v == 0.0, 0.0, np.copysign(np.sqrt(np.abs(v)), v))
@@ -523,16 +528,17 @@ def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
     if G.dtype != spec.field.dtype or H.dtype != spec.field.dtype:
         raise MismatchError(f"array dtypes {G.dtype} and {H.dtype} are not the "
                             f"{spec.field.value} field's {spec.field.dtype}")
-    with np.errstate(over="ignore"):  # an overflowing |g| is inf, outside, without a warning
+    # |g| (then outside), <h, g>, q and rho overflow to inf silently, as in eval_finsler
+    with np.errstate(over="ignore"):
         r = row_norms(G)
-    inside = spec.domain.contains_rows(r)
-    if spec.domain.includes_zero and (zero := r == 0.0).any():  # g = 0, or |g| underflows
-        inside &= ~zero | (spec.defined_at_zero & (isinstance(spec, Custom) | ~G.any(axis=1)))
-    if inside.all():
-        return spec._values(r, *pair_invariants_rows(G, H, r), G, H), inside
-    values = np.zeros(len(r))
-    G, H, r = G[inside], H[inside], r[inside]
-    values[inside] = spec._values(r, *pair_invariants_rows(G, H, r), G, H)
+        inside = spec.domain.contains_rows(r)
+        if spec.domain.includes_zero and (zero := r == 0.0).any():  # g = 0, or |g| underflows
+            inside &= ~zero | (spec.defined_at_zero & (isinstance(spec, Custom) | ~G.any(axis=1)))
+        if inside.all():
+            return spec._values(r, *pair_invariants_rows(G, H, r), G, H), inside
+        values = np.zeros(len(r))
+        G, H, r = G[inside], H[inside], r[inside]
+        values[inside] = spec._values(r, *pair_invariants_rows(G, H, r), G, H)
     return values, inside
 
 

@@ -1,5 +1,12 @@
+import ast
 import json
 import math
+import os
+import pathlib
+import re
+import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +69,18 @@ def test_eval_of_an_undefined_riemann_value_is_exit_3(capsys):
     code, out, err = run(capsys, "eval", "--metric", "riemann:1e308;-1e308", "--dim", "2",
                          "--g", "1,0", "--h", "10,0")
     assert code == 3 and out == "" and "undefined" in err
+
+
+@pytest.mark.parametrize("metric,field,g,h,value", [
+    # phi = 0 makes phi|h|^2 = 0 although |h|^2 overflows, as in sigma; psi p^2 = 0
+    ("riemann:0;1", "real", "1,0", "0,1e200", "0"),
+    # |h|^2 = p^2 overflows to one infinity: a value, printed as null
+    ("riemann:1;0", "real", "1,0", "1e200,0", "null"),
+    ("riemann:1;0", "complex", "1:0,0:0", "1e200:0,0:0", "null")])
+def test_eval_of_a_riemann_value_with_overflowing_invariants(capsys, metric, field, g, h, value):
+    code, out, err = run(capsys, "eval", "--metric", metric, "--dim", "2", "--field", field,
+                         "--g", g, "--h", h)
+    assert (code, out, err) == (0, f'{{"value":{value}}}\n', "")
 
 
 def test_eval_of_an_undefined_sigma_is_exit_3(capsys):
@@ -570,3 +589,38 @@ def test_decompose_rejects_nonsym(capsys):
     code, _, err = run(capsys, "decompose", "--metric", "nonsym-lambda:sqrt(p^2+q^2)+p",
                        "--dim", "2")
     assert code == 2 and "non-symmetric" in err
+
+
+# Which of the optional modules each README command loads: the start-up of
+# finsler_iso.cli loads cli, metrics, expressions, linalg and errors only.
+COMMAND_MODULES = {("eval",): set(), ("check", "pd"): set(), ("check", "kaehler"): set(),
+                   ("check", "invariance"): {"invariance"}, ("check", "homothety"): {"invariance"},
+                   ("probe-main",): {"invariance"}, ("decompose",): {"decompose"},
+                   ("distance",): {"geometry"}}
+CHILD = """import sys
+from finsler_iso import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith("finsler_iso."))) + "\\n")
+sys.exit(code)
+"""
+
+
+def readme_commands():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("finsler-iso ")]
+
+
+def test_each_readme_command_loads_only_its_own_module(tmp_path):
+    commands = readme_commands()
+    assert len(commands) == 12
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv in commands:
+        key = tuple(argv[:2]) if argv[0] == "check" else (argv[0],)
+        proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (0, 1), (argv, proc.stderr)
+        loaded = {m.split(".")[1] for m in ast.literal_eval(proc.stderr.splitlines()[-1])}
+        assert loaded == {"cli", "metrics", "expressions", "linalg", "errors"} | COMMAND_MODULES[key], argv

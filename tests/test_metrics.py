@@ -219,6 +219,31 @@ def test_eval_batch_overflows_as_the_scalar_path_does():
     assert mm.eval_finsler(spec, la.vector(G[0]), la.vector(H[0])) == math.inf
 
 
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("build", [mm.euclidean, mm.fubini_study, mm.norm_quotient])
+def test_eval_batch_overflows_in_the_pair_invariants_as_the_scalar_path_does(build, field):
+    # |h - (<h,g>/r^2) g|^2 overflows, so q is inf: inf with no numpy warning
+    spec = build(2, field)
+    G, H = np.array([[1, 0]], field.dtype), np.array([[0, 1e200]], field.dtype)
+    values, inside = mm.eval_batch(spec, G, H)
+    assert inside.tolist() == [True] and values.tolist() == [math.inf]
+    assert mm.eval_finsler(spec, la.Vector(G[0], field), la.Vector(H[0], field)) == math.inf
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_riemann_rows_and_scalars_agree_on_overflowing_invariants(field):
+    # a zero coefficient makes its term 0 where |h|^2 or p^2 overflows; a term
+    # that overflows alone gives inf; row values equal the scalar ones
+    G = np.array([[1, 0], [1, 0], [1, 0]], field.dtype)
+    H = np.array([[0, 1e200], [1e200, 0], [3, 4]], field.dtype)
+    for phi, psi, want in (("0", "1", [0.0, math.inf, 3.0]), ("1", "0", [math.inf, math.inf, 5.0])):
+        spec = mm.FromRiemann(2, field, POS, mm.riemann_profile(phi, psi))
+        values, _ = mm.eval_batch(spec, G, H)
+        scalars = [mm.eval_finsler(spec, la.Vector(g, field), la.Vector(h, field))
+                   for g, h in zip(G, H)]
+        assert values.tolist() == scalars == want, (phi, psi)
+
+
 def test_eval_batch_mask_on_a_bounded_domain():
     domain = mm.RadiusDomain(((1.0, 2.0),))
     rng = np.random.default_rng(7)
