@@ -29,6 +29,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 
 class UsageError(Exception):
@@ -401,12 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI prints it: one line, without the source location."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports its own usage errors
         return int(exc.code or 0)
+    # Only the format changes: the warnings filters (an "error" filter
+    # included) and any recording of warnings act as before.
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except UsageError as exc:
@@ -418,6 +427,8 @@ def main(argv=None) -> int:
     except (OutOfDomainError, NonPositiveMetricError, ZeroVectorError, EvalError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def entry() -> None:

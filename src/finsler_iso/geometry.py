@@ -5,8 +5,9 @@ curves, per-segment midpoint sums for polylines).  Geodesic distance is
 estimated by derivative-free coordinate descent over the interior vertices
 of a polyline, which yields an upper bound on the infimum.  Each sweep of
 the descent draws its directions at once, tabulates every position a vertex
-can reach and measures them in one eval_batch call; its result equals the
-one-vertex-at-a-time descent's bit for bit.
+can reach and measures them in one eval_batch call, plus one call that
+measures again the 15 left segments of each vertex whose left neighbour
+moved; its result equals the one-vertex-at-a-time descent's bit for bit.
 """
 
 from __future__ import annotations
@@ -233,21 +234,31 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     # ~5e-4 even when the descent adversarially seeks quadrature error
     needed = np.maximum(length / ell0, 16.0 * length / np.maximum(origin_gap, 1e-300))
     refused = needed > _CHUNK_CAP
-    m = np.where(moving & ~refused, np.minimum(np.maximum(np.ceil(needed), 4), _CHUNK_CAP),
-                 0).astype(np.intp)
-    seg = np.repeat(np.arange(len(m)), m)
-    j = np.arange(len(seg)) - np.repeat(np.cumsum(m) - m, m)
-    mids = U[seg] + ((j + 0.5) / m[seg])[:, None] * D[seg]
-    steps = (D / np.maximum(m, 1)[:, None])[seg]
-    values, inside = eval_batch(spec, mids, steps)
-    # bincount adds each segment's chunks in order, from 0 for a segment without any
-    lengths = np.bincount(seg, weights=values, minlength=len(m))
+    # a segment that is not refused needs at most _CHUNK_CAP chunks
+    m = np.where(moving & ~refused, np.maximum(np.ceil(needed), 4.0), 0.0).astype(np.intp)
+    seg = np.arange(len(m)).repeat(m)
+    values, inside = eval_batch(spec, *_chunk_rows(U, D, m))
+    # bincount adds each segment's chunks in order, from 0 for a segment without
+    # any; it gives int zeros when no segment has a chunk
+    lengths = np.bincount(seg, weights=values, minlength=len(m)).astype(float, copy=False)
     status = refused * _LEFT_DOMAIN  # _RESOLVED = 0 elsewhere
-    if not inside.all() or (values < 0.0).any():
-        failed = np.flatnonzero(~inside | (values < 0.0))
+    failed = ~inside | (values < 0.0)
+    if failed.any():
+        failed = np.flatnonzero(failed)
         segs, first = np.unique(seg[failed], return_index=True)
         status[segs] = np.where(inside[failed[first]], _NEGATIVE, _LEFT_DOMAIN)
     return lengths, status
+
+
+def _chunk_rows(U: np.ndarray, D: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and steps of the chunks, segment k's m[k] rows in order: chunk
+    j of m sits at U + ((j + 0.5)/m) D with step D/m.  A function of its own,
+    so that its row-sized temporaries are freed before eval_batch runs."""
+    m_rows, steps = m.repeat(m)[:, None], D.repeat(m, axis=0)
+    half_j = np.arange(0.5, len(steps)) - (m.cumsum() - m).repeat(m)
+    mids = U.repeat(m, axis=0) + (half_j[:, None] / m_rows) * steps
+    steps /= m_rows
+    return mids, steps
 
 
 def _directions(rng: np.random.Generator, count: int, dim: int, field: Field) -> np.ndarray:
@@ -283,7 +294,8 @@ def _sweep_positions(verts: np.ndarray, step: float, rng: np.random.Generator,
 def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
                       rng: np.random.Generator, ell0: float) -> tuple[np.ndarray, list[float]]:
     """Straight chord, or an arc through a perturbed midpoint when the chord
-    leaves the domain; returns the vertices and their segment lengths."""
+    leaves the domain; returns the vertices and their segment lengths.  When
+    every start fails, an endpoint outside the domain is named as such."""
     for attempt in range(8):
         verts = (_segment_rows(g.entries, h.entries, np.linspace(0.0, 1.0, n_vertices))
                  if attempt == 0 else _lifted_chord(g, h, n_vertices, rng))
@@ -293,6 +305,12 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
             return verts, lengths.tolist()
         if status[failed[0]] == _NEGATIVE:
             raise NonPositiveMetricError("metric is negative along the path")
+    chord = h.entries - g.entries
+    _, inside = eval_batch(spec, np.stack([g.entries, h.entries]), np.stack([chord, chord]))
+    for name, end, ok in zip("gh", (g, h), inside.tolist()):
+        if not ok:
+            raise OutOfDomainError(f"endpoint {name} is outside the metric's domain "
+                                   f"(|{name}| = {norm(end)})")
     raise ValueError("no valid initialization found inside the metric's domain")
 
 

@@ -525,9 +525,9 @@ def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
     if G.ndim != 2 or G.shape != H.shape or G.shape[1] != spec.dim:
         raise MismatchError(f"arrays of shape {G.shape} and {H.shape} are not rows "
                             f"of dimension {spec.dim}")
-    if G.dtype != spec.field.dtype or H.dtype != spec.field.dtype:
+    if G.dtype != (dtype := spec.field.dtype) or H.dtype != dtype:
         raise MismatchError(f"array dtypes {G.dtype} and {H.dtype} are not the "
-                            f"{spec.field.value} field's {spec.field.dtype}")
+                            f"{spec.field.value} field's {dtype}")
     # |g| (then outside), <h, g>, q and rho overflow to inf silently, as in eval_finsler
     with np.errstate(over="ignore"):
         r = row_norms(G)

@@ -464,6 +464,34 @@ def test_distance_nonpositive_metric_exit_3(capsys):
     assert code == 3 and "negative" in err
 
 
+def _cli_process(*argv, **env):
+    """The console command in a process of its own, with the given variables
+    set on top of the environment: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    proc = subprocess.run([sys.executable, "-m", "finsler_iso.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_warning_is_one_line_without_its_source():
+    argv = ("distance", "--metric", "riemann:-1;0", "--dim", "2", "--g", "1,0", "--h", "2,0")
+    assert _cli_process(*argv, PYTHONWARNINGS="default") == (
+        3, "", "warning: sesquilinear profile takes negative values; induced metric uses "
+               "sign(v) sqrt|v|\nerror: metric is negative along the path\n")
+    # an "error" filter still turns the warning into an exception
+    code, out, err = _cli_process(*argv, PYTHONWARNINGS="error::RuntimeWarning")
+    assert code == 1 and out == "" and err.splitlines()[-1] == (
+        "RuntimeWarning: sesquilinear profile takes negative values; induced metric uses "
+        "sign(v) sqrt|v|")
+
+
+def test_distance_from_an_endpoint_outside_the_domain_names_it(capsys):
+    code, out, err = run(capsys, "distance", "--metric", "fubini-study", "--dim", "3",
+                         "--g", "0,0,0", "--h", "0,1,0")
+    assert (code, out, err) == (3, "", "error: endpoint g is outside the metric's domain "
+                                       "(|g| = 0.0)\n")
+
+
 NOT_FINITE = ["nan", "inf", "-inf", "1e400"]
 
 

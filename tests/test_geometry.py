@@ -7,7 +7,8 @@ import pytest
 from finsler_iso import geometry as ge
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
-from finsler_iso.errors import MismatchError, NonPositiveMetricError, ZeroVectorError
+from finsler_iso.errors import (MismatchError, NonPositiveMetricError, OutOfDomainError,
+                                 ZeroVectorError)
 from helpers import POS, family_specs
 
 R, C = la.Field.REAL, la.Field.COMPLEX
@@ -313,6 +314,16 @@ def test_geodesic_initialization_avoids_forbidden_origin():
     assert res.distance <= 2.2  # close to the infimum despite the detour
 
 
+def test_geodesic_from_an_endpoint_outside_the_domain_names_it():
+    spec = mm.FromTheta(3, R, mm.RadiusDomain(((0.5, 3.0),)), mm.theta_profile("1+cos(tau)"))
+    with pytest.raises(OutOfDomainError, match=r"^endpoint h is outside .* \(\|h\| = 4\.0\)$"):
+        ge.geodesic_distance(spec, la.vector([1.0, 0.0, 0.0]), la.vector([0.0, 4.0, 0.0]))
+    # endpoints on the domain's open boundary: every chunk midpoint is inside
+    res = ge.geodesic_distance(spec, la.vector([0.5, 0.0, 0.0]), la.vector([0.0, 3.0, 0.0]),
+                               n_iterations=3)
+    assert res.distance > 0.0
+
+
 def test_geodesic_triangle_sanity_fubini_study():
     rng = np.random.default_rng(4)
     spec = mm.fubini_study(3)
@@ -436,6 +447,80 @@ def test_descent_is_an_upper_bound_on_closed_form_distances(field):
             assert res.distance >= want * (1.0 - MIDPOINT_BIAS), (name, dim)
             if name == "euclidean":
                 assert res.distance == pytest.approx(want, abs=1e-3), dim
+
+
+# ---------------------------------------------------------------------------
+# The segment kernel: chunk rows, refinement rules and statuses
+
+SEGMENTS = [  # (U, V) in R^3 and the status each gets; the first two take no chunk
+    ((1.5, 0, 0), (1.5, 0, 0), ge._RESOLVED),      # zero length
+    ((1, 0, 0), (-1, 1e-9, 0), ge._LEFT_DOMAIN),   # refused: passes 5e-10 from 0
+    ((2, 0, 0), (4, 0, 0), ge._LEFT_DOMAIN),       # leaves the domain at r = 3
+    ((0.8, 0, 0), (0, 0.9, 0), ge._NEGATIVE),      # stays inside the unit sphere
+    ((0.7, 0, 0), (3.5, 0, 0), ge._NEGATIVE),      # negative before it leaves
+    ((3.5, 0, 0), (0.7, 0, 0), ge._LEFT_DOMAIN),   # leaves before it is negative
+    ((1.5, 0, 0), (0, 2, 0), ge._RESOLVED),
+]
+
+
+def _counted_rows(monkeypatch):
+    """The row count of each eval_batch call that geometry makes from here on."""
+    rows = []
+
+    def counting(spec, G, H):
+        rows.append(len(G))
+        return mm.eval_batch(spec, G, H)
+
+    monkeypatch.setattr(ge, "eval_batch", counting)
+    return rows
+
+
+def _kernel_segments(field):
+    phase = 1.0 if field is R else np.exp(0.3j)  # a complex multiple of each real segment
+    U = np.array([u for u, _, _ in SEGMENTS], dtype=field.dtype) * phase
+    V = np.array([v for _, v, _ in SEGMENTS], dtype=field.dtype) * phase
+    return U, V
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_each_segment_measures_alone_as_inside_any_batch(field, monkeypatch):
+    # theta = r - 1 on 0.5 < r < 3: negative inside the unit sphere
+    spec = mm.FromTheta(3, field, mm.RadiusDomain(((0.5, 3.0),)), mm.theta_profile("r-1"))
+    U, V = _kernel_segments(field)
+    rows = _counted_rows(monkeypatch)
+    alone = [ge._segment_length(spec, U[k:k + 1], V[k:k + 1], 0.05) for k in range(len(U))]
+    assert [status[0] for _, status in alone] == [s for _, _, s in SEGMENTS]
+    assert rows[:2] == [0, 0] and min(rows[2:]) >= 4
+    assert alone[0][0][0] == 0.0 and alone[-1][0][0] > 0.0
+    rng = np.random.default_rng(1)
+    for _ in range(20):  # batches in any order, with repeats
+        pick = rng.integers(len(U), size=int(rng.integers(1, 3 * len(U))))
+        lengths, status = ge._segment_length(spec, U[pick], V[pick], 0.05)
+        assert lengths.tobytes() == np.concatenate([alone[k][0] for k in pick]).tobytes()
+        assert status.tolist() == [alone[k][1][0] for k in pick]
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_a_batch_without_chunks_has_float_lengths(field):
+    spec = mm.fubini_study(3, field)
+    empty = np.zeros((0, 3), dtype=field.dtype)
+    lengths, status = ge._segment_length(spec, empty, empty, 0.1)
+    assert lengths.dtype == np.float64 and lengths.shape == status.shape == (0,)
+    still = np.ones((2, 3), dtype=field.dtype)  # two segments of length 0
+    lengths, status = ge._segment_length(spec, still, still, 0.1)
+    assert lengths.dtype == np.float64 and lengths.tolist() == [0.0, 0.0]
+    assert status.tolist() == [ge._RESOLVED] * 2
+
+
+def test_a_seeded_solve_makes_the_same_eval_batch_calls_and_rows(monkeypatch):
+    # one batch per sweep plus one 15-segment re-measure per vertex whose left
+    # neighbour moved: a rewrite of the kernel may neither add a call nor skip a row
+    rows = _counted_rows(monkeypatch)
+    rng = np.random.default_rng(5)
+    g, h = la.random_gaussian_vector(3, C, rng), la.random_gaussian_vector(3, C, rng)
+    res = ge.geodesic_distance(mm.fubini_study(3, C), g, h, seed=3)
+    assert (res.iterations, res.stop_reason) == (150, "iteration-cap")
+    assert (len(rows), sum(rows)) == (821, 270695)
 
 
 # ---------------------------------------------------------------------------
