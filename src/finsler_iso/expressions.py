@@ -4,10 +4,11 @@ Profiles can be supplied as text on the CLI and in JSON metric specs.  The
 grammar covers numbers, a declared variable set, unary minus, + - * / ^
 (with ^ binding tightest and right-associative, then unary minus, then * /,
 then + -), parentheses, and calls to sin cos tan exp log sqrt abs min max.
-A tree evaluates on one binding (evaluate, compile_positional) or on
-equal-shape arrays of bindings at once (compile_rows), with equal results.
-Both compile each tree once, by one walk, into closures, one per node:
-evaluate on the tree's first call, compile_rows on the text's first use.
+A tree evaluates on one binding with math's functions (evaluate,
+compile_positional), or on equal-shape arrays of bindings at once with
+numpy's (compile_rows), under the same domain rules.  Both compile each tree
+once, by one walk, into closures, one per node: evaluate on the tree's first
+call, compile_rows on the text's first use.
 """
 
 from __future__ import annotations
@@ -226,14 +227,10 @@ def _pow(x: float, y: float) -> float:
         raise EvalError(f"non-integer power {y} of negative base {x}")
     if x == 0.0 and y < 0.0:
         raise EvalError(f"zero raised to negative power {y}")
-    return _pow_value(x, y)
-
-
-def _pow_value(x: float, y: float) -> float:
     try:
         return math.pow(x, y)
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # a negative x to an odd y overflows to -inf
+        return -math.inf if x < 0.0 and y % 2.0 == 1.0 else math.inf
 
 
 def _exp(x: float) -> float:
@@ -333,15 +330,15 @@ _CALLS = {
 @functools.lru_cache(maxsize=256)
 def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]:
     """Parse text once into a closure over equal-shape float arrays bound to
-    names in order; element i of its result is evaluate(expr, bindings of
-    element i) exactly.  Cached: a profile's text compiles once, when
+    names in order.  Cached: a profile's text compiles once, when
     compile_positional builds the profile, and is looked up after that.
 
-    Every domain rule is a mask over the elements, and the call raises
-    EvalError when any element would raise in evaluate.  Arithmetic is
-    numpy's (IEEE doubles, as Python floats); exp, log, ^ and the
-    trigonometric functions call math element by element, because numpy's
-    own may differ from it in the last bits.
+    Element i of its result is, bit for bit, the tree walk of element i
+    with numpy's exp, log, power, sin, cos and tan in place of math's, and
+    the call raises EvalError exactly when that walk raises on some element:
+    every domain rule is a mask over the elements.  + - * /, sqrt, abs, min
+    and max are the same IEEE operations as evaluate's, and numpy's six
+    functions are within 1 ulp of math's.
     """
     node = _compile(parse(text, names), lambda value: lambda cols: np.full(cols[0].shape, value),
                     lambda name: operator.itemgetter(names.index(name)), _ROW_OPS, _ROW_CALLS)
@@ -363,11 +360,6 @@ def _require(bad: np.ndarray, message: str, *values: np.ndarray) -> None:
         raise EvalError(message.format(*(v.flat[k] for v in values)))
 
 
-def _elementwise(fn: Callable[..., float], *arrays: np.ndarray) -> np.ndarray:
-    out = np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, arrays[0].size)
-    return out.reshape(arrays[0].shape)
-
-
 def _divide_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _require(b == 0.0, "division by zero ({} / {})", a, b)
     return a / b
@@ -377,12 +369,12 @@ def _pow_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     integer = np.isfinite(y) & (np.floor(y) == y)
     _require((x < 0.0) & ~integer, "non-integer power {1} of negative base {0}", x, y)
     _require((x == 0.0) & (y < 0.0), "zero raised to negative power {1}", x, y)
-    return _elementwise(_pow_value, x, y)
+    return np.power(x, y)
 
 
 def _log_rows(x: np.ndarray) -> np.ndarray:
     _require(x <= 0.0, "log of non-positive argument {}", x)
-    return _elementwise(math.log, x)
+    return np.log(x)
 
 
 def _sqrt_rows(x: np.ndarray) -> np.ndarray:
@@ -390,10 +382,10 @@ def _sqrt_rows(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x)
 
 
-def _trig_rows(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+def _trig_rows(fn: np.ufunc) -> Callable[[np.ndarray], np.ndarray]:
     def rows(x):
         _require(np.isinf(x), f"expression is undefined here ({fn.__name__} of {{}})", x)
-        return _elementwise(fn, x)
+        return fn(x)
     return rows
 
 
@@ -402,8 +394,8 @@ _ROW_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide_rows, 
 # min and max keep their first argument unless the second is strictly
 # smaller (larger), as Python's do; np.minimum would pick a NaN instead.
 _ROW_CALLS = {
-    "sin": _trig_rows(math.sin), "cos": _trig_rows(math.cos), "tan": _trig_rows(math.tan),
-    "exp": lambda x: _elementwise(_exp, x), "log": _log_rows, "sqrt": _sqrt_rows,
+    "sin": _trig_rows(np.sin), "cos": _trig_rows(np.cos), "tan": _trig_rows(np.tan),
+    "exp": np.exp, "log": _log_rows, "sqrt": _sqrt_rows,
     "abs": np.abs,
     "min": lambda a, b: np.where(b < a, b, a),
     "max": lambda a, b: np.where(b > a, b, a),

@@ -1,5 +1,7 @@
 import math
+import operator
 import struct
+import sys
 from typing import Mapping
 
 import numpy as np
@@ -230,7 +232,7 @@ def test_parse_returns_or_raises_parse_error(text):
 
 
 # ---------------------------------------------------------------------------
-# Array evaluation against the scalar evaluator
+# Array evaluation against a tree walk with numpy's functions
 
 @st.composite
 def _row_cases(draw):
@@ -239,6 +241,57 @@ def _row_cases(draw):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     rows = draw(st.lists(st.tuples(*[finite] * len(names)), min_size=1, max_size=6))
     return text, names, rows
+
+
+def _one_element(fn):
+    """fn over Python floats, run as numpy's array loop on one element, as
+    compile_rows runs it: on two Python floats np.power takes another loop,
+    which can round differently."""
+    return lambda *xs: float(fn(*(np.array([x]) for x in xs))[0])
+
+
+def _numpy_pow(x, y):
+    if x < 0.0 and not y.is_integer():
+        raise EvalError("non-integer power of a negative base")
+    if x == 0.0 and y < 0.0:
+        raise EvalError("zero raised to a negative power")
+    return _one_element(np.power)(x, y)
+
+
+def _numpy_trig(fn):
+    def value(x):
+        if math.isinf(x):
+            raise EvalError("trigonometric function of an infinity")
+        return _one_element(fn)(x)
+    return value
+
+
+def _numpy_log(x):
+    if x <= 0.0:
+        raise EvalError("log of a non-positive argument")
+    return _one_element(np.log)(x)
+
+
+_NUMPY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": expressions._divide, "^": _numpy_pow}
+_NUMPY_CALLS = {
+    "sin": _numpy_trig(np.sin), "cos": _numpy_trig(np.cos), "tan": _numpy_trig(np.tan),
+    "exp": _one_element(np.exp), "log": _numpy_log, "sqrt": expressions._sqrt,
+    "abs": abs, "min": min, "max": max,
+}
+
+
+def _numpy_tree_walk(expr, bindings):
+    """evaluate's walk over one row of Python floats, its operators and its
+    domain rules, with numpy's exp, log, power, sin, cos and tan in place of
+    math's: the reference compile_rows is held to."""
+    walk = expressions._compile(expr, lambda value: lambda b: value,
+                                lambda name: lambda b: float(b[name]), _NUMPY_OPS, _NUMPY_CALLS)
+    with np.errstate(all="ignore"):
+        value = walk(bindings)
+    if value != value:
+        raise EvalError("expression is undefined here (evaluates to NaN)")
+    return value
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -250,14 +303,15 @@ def _row_cases(draw):
 @example(("(0-10)^r", ("r",), [(309.0,), (2.0,)]))
 @example(("log(r)", ("r",), [(2.0,), (-1.0,), (3.0,)]))
 def test_compile_rows_matches_evaluate(case):
-    """Element i equals evaluate on row i bit for bit (so within any relative
-    tolerance), and the call raises EvalError exactly when some row does."""
+    """Element i equals the numpy-function tree walk of row i bit for bit (so
+    within any relative tolerance), and the call raises EvalError exactly
+    when some row does."""
     text, names, rows = case
     expr = parse(text, names)
     want, raised = [], False
     for row in rows:
         try:
-            want.append(evaluate(expr, dict(zip(names, row))))
+            want.append(_numpy_tree_walk(expr, dict(zip(names, row))))
         except EvalError:
             raised = True
     columns = [np.array(col) for col in zip(*rows)]
@@ -268,6 +322,65 @@ def test_compile_rows_matches_evaluate(case):
     got = compile_rows(text, names)(*columns)
     assert got.shape == (len(rows),)
     assert got.tolist() == want
+
+
+def test_negative_bases_overflow_to_minus_infinity_on_both_paths():
+    cases = [("(0-10)^r", 309.0), ("(0-0.1)^r", -309.0), ("min(1,(0-10)^r)", 309.0)]
+    for text, r in cases:
+        assert ev(text, r=r) == -math.inf, text
+        assert compile_rows(text, ("r",))(np.array([r])).tolist() == [-math.inf], text
+    assert ev("(0-10)^r", r=310.0) == math.inf  # an even power stays positive
+
+
+def _ulps(a, b):
+    """Units in the last place between two arrays of doubles, elementwise,
+    counted on the doubles' ordering as integers (+0 and -0 coincide)."""
+    bits = [np.asarray(v, dtype=float).view(np.int64) for v in (a, b)]
+    ordered = [np.where(i < 0, -(i & np.int64(2**63 - 1)), i) for i in bits]
+    return np.abs(ordered[0] - ordered[1])
+
+
+def _math_rows(fn, *arrays):
+    return np.array([fn(*v) for v in zip(*(a.tolist() for a in arrays))])
+
+
+def test_numpy_functions_are_within_one_ulp_of_math():
+    """The bound the rows contract states: compile_rows's six functions against
+    evaluate's, over the arguments the domain rules admit."""
+    rng = np.random.default_rng(19)
+    angles = np.concatenate([rng.uniform(-50.0, 50.0, 40_000),
+                             np.arange(-31, 32) * (math.pi / 2), [0.0, -0.0]])
+    exponents = np.concatenate([rng.uniform(-745.0, 710.0, 40_000), [0.0, -0.0, 709.8, 720.0]])
+    magnitudes = np.exp(rng.uniform(-700.0, 700.0, 40_000))
+    bases = np.concatenate([np.exp(rng.uniform(-50.0, 50.0, 20_000)),       # any real power
+                            -np.exp(rng.uniform(-50.0, 50.0, 20_000)),      # integer powers
+                            rng.uniform(-3.0, 3.0, 20_000), np.zeros(100)])  # integer powers, 0
+    powers = np.concatenate([rng.uniform(-20.0, 20.0, 20_000),
+                             np.round(rng.uniform(-40.0, 40.0, 40_000)),
+                             rng.uniform(0.0, 5.0, 100)])
+    cases = [(np.sin, math.sin, angles), (np.cos, math.cos, angles), (np.tan, math.tan, angles),
+             (np.exp, _exp, exponents), (np.log, math.log, magnitudes),
+             (np.power, _pow, bases, powers)]
+    with np.errstate(all="ignore"):
+        for ufunc, fn, *args in cases:
+            assert _ulps(ufunc(*args), _math_rows(fn, *args)).max() <= 1, ufunc.__name__
+
+
+def test_compile_rows_makes_no_call_per_element():
+    text = "1+sin(tau)^2+exp(tau)-log(2+tau)+tan(tau)*cos(tau)"
+    rows = compile_rows(text, ("tau",))
+    counts = []
+    for n in (10, 1000):
+        tau = np.linspace(0.0, 1.0, n)
+        rows(tau)  # count a second call, not a first one that may import or cache
+        events = []
+        sys.setprofile(lambda frame, event, arg: events.append(event))
+        try:
+            rows(tau)
+        finally:
+            sys.setprofile(None)
+        counts.append(sum(event in ("call", "c_call") for event in events))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

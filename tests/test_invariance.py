@@ -201,18 +201,25 @@ def test_probe_report_serializes():
 # ---------------------------------------------------------------------------
 # Batched checks against the per-pair loops they replace
 
+def _one_row(spec, g, h):
+    """rho_g(h) as eval_batch gives it on that one row: the loops below check
+    the batched verdict, exit and witness logic, and rows against eval_finsler
+    are test_metrics's test_eval_batch_rows_equal_eval_finsler."""
+    return mm.eval_batch(spec, g[None], h[None])[0].item()
+
+
 def _scalar_symmetry(spec, G, H, TG, TH, tol, exit_early):
     """The per-pair symmetry loop over given rows: (verdict, max deviation,
     witness rows, samples used, skipped)."""
     vec = lambda row: la.Vector(row, spec.field)  # noqa: E731
     max_dev, witness, used, skipped = 0.0, None, 0, 0
     for g, h, tg, th in zip(G, H, TG, TH):
-        base = mm.eval_finsler(spec, vec(g), vec(h))
+        base = _one_row(spec, g, h)
         used += 1
         if not spec.domain.contains(la.norm(vec(tg))):
             max_dev, witness, skipped = math.inf, (g, h), 1
             break
-        dev = abs(mm.eval_finsler(spec, vec(tg), vec(th)) - base) / (1.0 + abs(base))
+        dev = abs(_one_row(spec, tg, th) - base) / (1.0 + abs(base))
         if dev > max_dev:
             max_dev, witness = dev, (g, h)
         if exit_early and dev > 1e3 * tol:
@@ -227,8 +234,8 @@ def _scalar_homothety(spec, G, H, alpha, tol):
     for g, h in zip(G, H):
         if not spec.domain.contains(la.norm(vec(alpha * g))):
             continue
-        base = mm.eval_finsler(spec, vec(g), vec(h))
-        dev = abs(mm.eval_finsler(spec, vec(alpha * g), vec(alpha * h)) - base)
+        base = _one_row(spec, g, h)
+        dev = abs(_one_row(spec, alpha * g, alpha * h) - base)
         if dev > max_dev:
             max_dev, witness = dev, (g, h)
         used += 1
