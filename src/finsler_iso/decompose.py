@@ -23,7 +23,6 @@ from .linalg import (
     inner,
     norm,
     random_gaussian_rows,
-    row_dots,
     row_norms,
 )
 from .metrics import (
@@ -245,7 +244,7 @@ def _roundtrip_rows(oracle: MetricOracle | SesquiOracle, n_samples: int,
         c = c * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(c)))
     H[col] = c[:, None] * G[col]
     Go = G[orth]
-    H[orth] -= (row_dots(Go.conj(), H[orth]) / row_norms(Go) ** 2)[:, None] * Go
+    H[orth] -= (np.vecdot(Go, H[orth]) / row_norms(Go) ** 2)[:, None] * Go
     if isinstance(oracle, SesquiOracle):
         return G, random_gaussian_rows(n_samples, oracle.dim, oracle.field, rng), H
     return G, H

@@ -338,9 +338,11 @@ def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]
     the call raises EvalError exactly when that walk raises on some element:
     every domain rule is a mask over the elements.  + - * /, sqrt, abs, min
     and max are the same IEEE operations as evaluate's, and numpy's six
-    functions are within 1 ulp of math's.
+    functions are within 1 ulp of math's.  The closure's .constant is the
+    value of a text without a variable, and None for any other text.
     """
-    node = _compile(parse(text, names), lambda value: lambda cols: np.full(cols[0].shape, value),
+    tree = parse(text, names)
+    node = _compile(tree, lambda value: lambda cols: np.full(cols[0].shape, value),
                     lambda name: operator.itemgetter(names.index(name)), _ROW_OPS, _ROW_CALLS)
 
     def rows(*columns):
@@ -350,7 +352,20 @@ def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]
         if np.isnan(out).any():
             raise EvalError("expression is undefined here (evaluates to NaN)")
         return out
+    rows.constant = None  # a tree without a variable carries its value: callers need no column
+    if not _has_variable(tree):
+        try:  # such a tree reads only a column's shape
+            rows.constant = float(rows(np.zeros(1))[0])
+        except EvalError:  # no value: every non-empty call raises
+            pass
     return rows
+
+
+def _has_variable(e: Expr) -> bool:
+    if isinstance(e, (Num, Var)):
+        return isinstance(e, Var)
+    return any(map(_has_variable, (e.operand,) if isinstance(e, Neg)
+                   else (e.left, e.right) if isinstance(e, BinOp) else e.args))
 
 
 def _require(bad: np.ndarray, message: str, *values: np.ndarray) -> None:

@@ -24,13 +24,12 @@ from .linalg import (
     Field,
     Vector,
     canonical_invariants,
-    conj,
     inner,
     norm,
-    row_dots,
     row_norms,
 )
-from .metrics import MetricSpec, _check_compatible, eval_batch, eval_finsler
+from .metrics import (MetricSpec, _check_compatible, _eval_rows, _inside_rows, eval_batch,
+                      eval_finsler)
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     length = row_norms(D)
     moving = length > 0.0
     t_star = np.minimum(np.maximum(
-        -row_dots(conj(D), U).real / np.where(moving, length * length, 1.0), 0.0), 1.0)
+        -np.vecdot(D, U).real / np.where(moving, length * length, 1.0), 0.0), 1.0)
     origin_gap = row_norms(U + t_star[:, None] * D)
     # chunk <= gap/16 keeps the midpoint bias of a near-origin sweep below
     # ~5e-4 even when the descent adversarially seeks quadrature error
@@ -237,14 +236,13 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     # a segment that is not refused needs at most _CHUNK_CAP chunks
     m = np.where(moving & ~refused, np.maximum(np.ceil(needed), 4.0), 0.0).astype(np.intp)
     seg = np.arange(len(m)).repeat(m)
-    values, inside = eval_batch(spec, *_chunk_rows(U, D, m))
+    values, inside = _eval_rows(spec, *_chunk_rows(U, D, m))  # rows of the spec's dtype
     # bincount adds each segment's chunks in order, from 0 for a segment without
     # any; it gives int zeros when no segment has a chunk
     lengths = np.bincount(seg, weights=values, minlength=len(m)).astype(float, copy=False)
     status = refused * _LEFT_DOMAIN  # _RESOLVED = 0 elsewhere
-    failed = ~inside | (values < 0.0)
-    if failed.any():
-        failed = np.flatnonzero(failed)
+    if not inside.all() or (values < 0.0).any():
+        failed = np.flatnonzero(~inside | (values < 0.0))
         segs, first = np.unique(seg[failed], return_index=True)
         status[segs] = np.where(inside[failed[first]], _NEGATIVE, _LEFT_DOMAIN)
     return lengths, status
@@ -294,8 +292,7 @@ def _sweep_positions(verts: np.ndarray, step: float, rng: np.random.Generator,
 def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
                       rng: np.random.Generator, ell0: float) -> tuple[np.ndarray, list[float]]:
     """Straight chord, or an arc through a perturbed midpoint when the chord
-    leaves the domain; returns the vertices and their segment lengths.  When
-    every start fails, an endpoint outside the domain is named as such."""
+    leaves the domain; returns the vertices and their segment lengths."""
     for attempt in range(8):
         verts = (_segment_rows(g.entries, h.entries, np.linspace(0.0, 1.0, n_vertices))
                  if attempt == 0 else _lifted_chord(g, h, n_vertices, rng))
@@ -305,12 +302,6 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
             return verts, lengths.tolist()
         if status[failed[0]] == _NEGATIVE:
             raise NonPositiveMetricError("metric is negative along the path")
-    chord = h.entries - g.entries
-    _, inside = eval_batch(spec, np.stack([g.entries, h.entries]), np.stack([chord, chord]))
-    for name, end, ok in zip("gh", (g, h), inside.tolist()):
-        if not ok:
-            raise OutOfDomainError(f"endpoint {name} is outside the metric's domain "
-                                   f"(|{name}| = {norm(end)})")
     raise ValueError("no valid initialization found inside the metric's domain")
 
 
@@ -336,19 +327,33 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     sequence is non-increasing; negative metrics are refused.  The result
     says why the descent stopped: a zero chord (g = h), the step floor, or
     the iteration cap.  Raises ValueError unless n_vertices >= 3 and
-    n_iterations >= 0, and MismatchError unless g and h have the spec's
-    dimension and field.
+    n_iterations >= 0, or when g != h and the chord's length under- or
+    overflows; MismatchError unless g and h have the spec's dimension and
+    field; OutOfDomainError naming an endpoint outside the domain (one on
+    the boundary of a radius interval is a valid start).
     """
     if n_vertices < 3:
         raise ValueError("need at least one interior vertex")
     if n_iterations < 0:
         raise ValueError("need n_iterations >= 0")
     _check_compatible(spec, g, h)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    chord_len = float(np.linalg.norm(h.entries - g.entries))
-    if chord_len == 0.0:
+    with np.errstate(over="ignore"):  # |g|, |h| or the chord may overflow: each is named below
+        r, inside = _inside_rows(spec, np.stack([g.entries, h.entries]))
+        chord_len = float(np.linalg.norm(h.entries - g.entries))
+    # a path may start on the boundary of a radius interval: only chunk midpoints are evaluated
+    inside |= (0.0 < r) & (r < math.inf) & np.any(
+        [(lo <= r) & (r <= hi) for lo, hi in spec.domain.intervals], axis=0)
+    for name, radius, ok in zip("gh", r.tolist(), inside.tolist()):
+        if not ok:
+            raise OutOfDomainError(f"endpoint {name} is outside the metric's domain "
+                                   f"(|{name}| = {radius})")
+    if np.array_equal(g.entries, h.entries):
         line = Polyline(np.stack([g.entries] * (n_vertices - 1) + [h.entries]))
         return GeodesicResult(0.0, line, 0.0, 0, (0.0,), "zero-chord")
+    if chord_len == 0.0 or chord_len == math.inf:
+        how = "overflows to inf" if chord_len else "underflows to 0"
+        raise ValueError(f"the chord |h - g| {how} although g != h")
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     ell0 = chord_len / (4.0 * (n_vertices - 1))
     verts, seglen = _initial_vertices(spec, g, h, n_vertices, rng, ell0)
     total = sum(seglen)

@@ -3,7 +3,9 @@
 Vectors and dense linear maps carry an explicit scalar-field tag; mixed-field
 operations are rejected.  The inner product is linear in the first slot and
 conjugate-linear in the second, and that convention is used consistently
-everywhere else in the package.
+everywhere else in the package.  Every row-wise inner product is
+np.vecdot(a, b), which conjugates a and runs np.vdot's dot routine, so row i
+equals np.vdot(a[i], b[i]) bit for bit.
 """
 
 from __future__ import annotations
@@ -148,8 +150,8 @@ def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, fl
 def row_norms(G: np.ndarray) -> np.ndarray:
     """|g| for each row of an (N, n) array, equal to norm() row by row."""
     if G.dtype.kind == "c":
-        return np.sqrt(row_dots(G.real, G.real) + row_dots(G.imag, G.imag))
-    return np.sqrt(row_dots(G, G))
+        return np.sqrt(np.vecdot(G.real, G.real) + np.vecdot(G.imag, G.imag))
+    return np.sqrt(np.vecdot(G, G))
 
 
 def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
@@ -159,27 +161,11 @@ def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
     The same orthogonal-component form of q; a row with r = 0 gets
     <h, g> = q = 0.
     """
-    ip = row_dots(conj(G), H)
-    positive = r > 0.0
-    c = ip / (r * r) if positive.all() else np.divide(ip, r * r, out=np.zeros_like(ip),
-                                                      where=positive)
+    ip = np.vecdot(G, H)
+    c = ip / (r * r) if r.all() else np.divide(ip, r * r, out=np.zeros_like(ip), where=r > 0.0)
     perp = H - c[:, None] * G
-    q = r * np.sqrt(row_dots(conj(perp), perp).real)
+    q = r * np.sqrt(np.vecdot(perp, perp).real)
     return ip, q
-
-
-def conj(A: np.ndarray) -> np.ndarray:
-    """The complex conjugate of an array; a real array itself, not a copy."""
-    return A.conj() if A.dtype.kind == "c" else A
-
-
-def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """sum_j A[i, j] B[i, j] for each row i (conjugate A first for <b, a>).
-
-    Stacked vector products go through the dot kernel that np.vdot and
-    np.linalg.norm use, so each row rounds as those scalar calls do.
-    """
-    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
 def acute_angle(g: Vector, h: Vector) -> float:

@@ -31,7 +31,6 @@ from .linalg import (
     pair_invariants,
     pair_invariants_rows,
     random_gaussian_rows,
-    row_dots,
     row_norms,
 )
 
@@ -325,9 +324,11 @@ class FromTheta(MetricSpec):
 
     def _values(self, r, ip, q, G, H):
         fn = _array_form(self.theta)
+        c = getattr(fn, "constant", None)  # a constant theta needs no angle
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
-        return _where_nonzero(nh, lambda k: nh[k] * fn(r[k], np.arctan2(q[k], p[k])))
+        return _where_nonzero(nh, lambda k: nh[k] * (
+            fn(r[k], np.arctan2(q[k], p[k])) if c is None else c))
 
 
 @dataclass(frozen=True)
@@ -395,9 +396,11 @@ class CongruenceInvariant(MetricSpec):
 
     def _values(self, r, ip, q, G, H):
         fn = _array_form(self.vartheta)
+        c = getattr(fn, "constant", None)  # a constant vartheta needs no angle
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
-        return _where_nonzero(nh, lambda k: (nh[k] / r[k]) * fn(np.arctan2(q[k], p[k])))
+        return _where_nonzero(nh, lambda k: (nh[k] / r[k]) * (
+            fn(np.arctan2(q[k], p[k])) if c is None else c))
 
 
 @dataclass(frozen=True)
@@ -528,12 +531,23 @@ def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
     if G.dtype != (dtype := spec.field.dtype) or H.dtype != dtype:
         raise MismatchError(f"array dtypes {G.dtype} and {H.dtype} are not the "
                             f"{spec.field.value} field's {dtype}")
+    return _eval_rows(spec, G, H)
+
+
+def _inside_rows(spec: MetricSpec, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|g| per row of G and eval_batch's inside mask (|g| may overflow to inf: outside)."""
+    r = row_norms(G)
+    inside = spec.domain.contains_rows(r)
+    if spec.domain.includes_zero and (zero := r == 0.0).any():  # g = 0, or |g| underflows
+        inside &= ~zero | (spec.defined_at_zero & (isinstance(spec, Custom) | ~G.any(axis=1)))
+    return r, inside
+
+
+def _eval_rows(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eval_batch on arrays already known to be rows of the spec's dimension and dtype."""
     # |g| (then outside), <h, g>, q and rho overflow to inf silently, as in eval_finsler
     with np.errstate(over="ignore"):
-        r = row_norms(G)
-        inside = spec.domain.contains_rows(r)
-        if spec.domain.includes_zero and (zero := r == 0.0).any():  # g = 0, or |g| underflows
-            inside &= ~zero | (spec.defined_at_zero & (isinstance(spec, Custom) | ~G.any(axis=1)))
+        r, inside = _inside_rows(spec, G)
         if inside.all():
             return spec._values(r, *pair_invariants_rows(G, H, r), G, H), inside
         values = np.zeros(len(r))
@@ -572,9 +586,8 @@ def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray
         raise OutOfDomainError("a row's |g|^2 is outside the profile domain")
     phi, psi = profile.phi_rows(r2), profile.psi_rows(r2)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN raises below
-        sigma = (np.where(phi == 0.0, 0.0, _scaled(phi, row_dots(H.conj(), F)))
-                 + np.where(psi == 0.0, 0.0,
-                            _scaled(psi, row_dots(G.conj(), F)) * row_dots(H.conj(), G)))
+        sigma = (np.where(phi == 0.0, 0.0, _scaled(phi, np.vecdot(H, F)))
+                 + np.where(psi == 0.0, 0.0, _scaled(psi, np.vecdot(G, F)) * np.vecdot(H, G)))
     if np.isnan(sigma).any():
         raise expressions.EvalError("sigma is undefined: phi(|g|^2)<f, h> + "
                                     "psi(|g|^2)<f, g><g, h> is NaN")

@@ -492,6 +492,19 @@ def test_distance_from_an_endpoint_outside_the_domain_names_it(capsys):
                                        "(|g| = 0.0)\n")
 
 
+@pytest.mark.parametrize("g,h,message", [
+    ("1e300,0", "0,1e300", "endpoint g is outside the metric's domain (|g| = inf)"),
+    ("1e-300,0", "0,1e-300", "endpoint g is outside the metric's domain (|g| = 0.0)"),
+    ("1e154,0", "-1e154,1", "the chord |h - g| overflows to inf although g != h"),
+    ("1,0", "1,1e-170", "the chord |h - g| underflows to 0 although g != h"),
+])
+def test_distance_names_a_norm_or_chord_that_under_or_overflows(capsys, g, h, message):
+    # one error line, no numpy warning before it
+    code, out, err = run(capsys, "distance", "--metric", "fubini-study", "--dim", "2",
+                         f"--g={g}", f"--h={h}")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 NOT_FINITE = ["nan", "inf", "-inf", "1e400"]
 
 

@@ -324,6 +324,36 @@ def test_geodesic_from_an_endpoint_outside_the_domain_names_it():
     assert res.distance > 0.0
 
 
+@pytest.mark.parametrize("field", [R, C])
+def test_geodesic_names_an_endpoint_whose_norm_under_or_overflows(field):
+    spec = mm.fubini_study(2, field)
+    for big, want in ((1e300, "inf"), (1e-300, "0.0")):
+        g, h = la.vector([big, 0.0], field), la.vector([0.0, big], field)
+        message = rf"^endpoint g is outside the metric's domain \(\|g\| = {want}\)$"
+        with pytest.raises(OutOfDomainError, match=message):
+            ge.geodesic_distance(spec, g, h)
+    # g = h is a zero chord only inside the domain
+    zero = la.vector([0.0, 0.0], field)
+    with pytest.raises(OutOfDomainError, match=r"^endpoint g is outside"):
+        ge.geodesic_distance(spec, zero, zero)
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_geodesic_refuses_a_chord_that_under_or_overflows(field):
+    spec = mm.fubini_study(2, field)
+    # both endpoints inside the domain, g != h, |h - g| overflows or underflows
+    cases = (([1e154, 0.0], [-1e154, 1.0], "overflows to inf"),
+             ([1.0, 0.0], [1.0, 1e-170], "underflows to 0"),
+             ([1e-100, 0.0], [1e-100, 1e-170], "underflows to 0"))
+    for g, h, how in cases:
+        with pytest.raises(ValueError, match=rf"^the chord \|h - g\| {how} although g != h$"):
+            ge.geodesic_distance(spec, la.vector(g, field), la.vector(h, field))
+    # just inside the range the descent runs
+    res = ge.geodesic_distance(spec, la.vector([1e153, 0.0], field),
+                               la.vector([-1e153, 1.0], field), n_iterations=5)
+    assert math.isfinite(res.distance) and res.stop_reason == "iteration-cap"
+
+
 def test_geodesic_triangle_sanity_fubini_study():
     rng = np.random.default_rng(4)
     spec = mm.fubini_study(3)
@@ -464,14 +494,15 @@ SEGMENTS = [  # (U, V) in R^3 and the status each gets; the first two take no ch
 
 
 def _counted_rows(monkeypatch):
-    """The row count of each eval_batch call that geometry makes from here on."""
+    """The row count of each call that geometry's segment kernel makes from
+    here on to metrics._eval_rows, eval_batch past its shape and dtype checks."""
     rows = []
 
     def counting(spec, G, H):
         rows.append(len(G))
-        return mm.eval_batch(spec, G, H)
+        return mm._eval_rows(spec, G, H)
 
-    monkeypatch.setattr(ge, "eval_batch", counting)
+    monkeypatch.setattr(ge, "_eval_rows", counting)
     return rows
 
 

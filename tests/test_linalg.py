@@ -291,3 +291,23 @@ def test_pair_invariants_rows_fast_case_equals_the_masked_divide(field):
         g, h = la.Vector(G[k], field), la.Vector(H[k], field)
         ip, q = la.pair_invariants(g, h, la.norm(g))
         assert r[k] == la.norm(g) and fast[0][k] == ip and fast[1][k] == q
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_vecdot_rows_equal_vdot_bit_for_bit(field):
+    # np.vecdot is the package's one row-wise inner product: row i of
+    # np.vecdot(A, B) is np.vdot(A[i], B[i]), which conjugates A[i], to the bit
+    rng = np.random.default_rng(12)
+    for dim in range(1, 9):
+        A, B = (la.random_gaussian_rows(64, dim, field, rng)
+                * 10.0 ** rng.uniform(-150, 150, (64, 1)) for _ in range(2))
+        B[::4] = A[::4] * (1.0 + 1e-13) + 1e-9 * B[::4]  # nearly collinear pairs
+        W = la.random_gaussian_rows(64, 2 * dim, field, rng)
+        pairs = [(A, B), (B, A), (A, A), (W[:, ::2], W[:, 1::2])]  # the last two strided
+        if field is C:
+            pairs += [(A.real, A.real), (A.imag, A.imag), (A.real, B.imag)]
+        for X, Y in pairs:
+            got = np.vecdot(X, Y)
+            want = np.array([np.vdot(x, y) for x, y in zip(X, Y)])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (dim, X.strides)
+        assert la.row_norms(A).tolist() == [la.norm(la.Vector(a, field)) for a in A]

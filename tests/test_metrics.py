@@ -809,3 +809,50 @@ def test_eval_batch_marks_under_and_overflowing_rows_outside(field):
                 assert got == 0.0
                 with pytest.raises(OutOfDomainError):
                     mm.eval_finsler(spec, la.Vector(g, field), la.Vector(h, field))
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("c", ["0", "-1", "2.5"])
+def test_a_constant_profile_gives_the_rows_of_its_varying_form(field, c):
+    # a constant vartheta or theta skips the angle; the rows are those of
+    # c+0*tau, signed zeros included, with 0 on the h = 0 rows
+    G, H = mm.sample_pairs(mm.euclidean(4, field), 300, np.random.default_rng(8))
+    H[1::7] = -2.0 * G[1::7]  # collinear: tau = 0
+    H[::5] = 0.0
+    pairs = [(mm.CongruenceInvariant, mm.vartheta_profile), (mm.FromTheta, mm.theta_profile)]
+    for family, profile in pairs:
+        constant, varying = profile(c), profile(f"{c}+0*tau")
+        assert (constant.rows.constant, varying.rows.constant) == (float(c), None)
+        got, inside = mm.eval_batch(family(4, field, POS, constant), G, H)
+        want, _ = mm.eval_batch(family(4, field, POS, varying), G, H)
+        assert inside.all() and got.tobytes() == want.tobytes()
+        assert (got[::5] == 0.0).all() and not np.signbit(got[::5]).any()
+        # with h = 0 on every row the profile is never evaluated, as before
+        zero, _ = mm.eval_batch(family(4, field, POS, constant), G, 0.0 * H)
+        assert zero.tobytes() == np.zeros(len(G)).tobytes()
+
+
+def test_a_constant_profile_is_not_evaluated_on_the_rows():
+    def vartheta(tau):
+        raise AssertionError("the scalar form is not called")
+
+    def rows(tau):
+        raise AssertionError("a constant profile needs no angle column")
+    vartheta.rows, rows.constant = rows, 2.5
+    G, H = mm.sample_pairs(mm.euclidean(3), 50, np.random.default_rng(9))
+    got, _ = mm.eval_batch(mm.CongruenceInvariant(3, R, POS, vartheta), G, H)
+    want, _ = mm.eval_batch(mm.CongruenceInvariant(3, R, POS, mm.vartheta_profile("2.5")), G, H)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_constant_text_that_raises_keeps_its_errors():
+    # log(0) has no value: no constant, and the rows raise on every row with h != 0
+    G, H = mm.sample_pairs(mm.euclidean(3), 20, np.random.default_rng(10))
+    for family, profile in [(mm.CongruenceInvariant, mm.vartheta_profile),
+                            (mm.FromTheta, mm.theta_profile)]:
+        fn = profile("log(0)")
+        assert fn.rows.constant is None
+        spec = family(3, R, POS, fn)
+        with pytest.raises(EvalError, match="log of non-positive argument"):
+            mm.eval_batch(spec, G, H)
+        assert mm.eval_batch(spec, G, 0.0 * H)[0].tolist() == [0.0] * 20
