@@ -31,9 +31,8 @@ _EXPORTS = {
         "validate_profile", "vartheta_profile", "zero_extended",
     ),
     "decompose": (
-        "MetricOracle", "SesquiOracle", "extract_lambda", "extract_nonsym_lambda",
-        "extract_phi_psi", "extract_theta", "oracle_from_spec", "roundtrip_check",
-        "sesqui_oracle_from_spec",
+        "SesquiOracle", "extract_lambda", "extract_phi_psi", "extract_theta",
+        "roundtrip_check", "sesqui_oracle_from_spec",
     ),
     "invariance": (
         "CongruenceClass", "SymmetryVerdict", "classify_congruence", "dim2_exception_check",

@@ -123,7 +123,7 @@ def metric_from_args(args) -> mm.MetricSpec:
 
 
 def _named_metric(raw: str, args) -> mm.MetricSpec:
-    """NAME[:PAYLOAD] with --dim/--field/--alpha, built by spec_from_json."""
+    """NAME[:PAYLOAD] with --dim/--field, built by spec_from_json."""
     field = _parse_field(args.field) if args.field is not None else Field.REAL
     if args.dim is None:
         raise UsageError("--dim is required with a named metric")
@@ -135,15 +135,12 @@ def _named_metric(raw: str, args) -> mm.MetricSpec:
                         else (name, {}))
     elif name == "area":
         params = {"b": float(payload) if payload else 1.0}
-    elif name == "lambda":
-        alpha = getattr(args, "alpha", None)  # only eval and probe-main set the degree
-        params = {"lam": payload, "alpha": 1.0 if alpha is None else alpha}
+    elif name in ("lambda", "nonsym-lambda"):
+        params = {"lam": payload}
     elif name == "theta":
         params = {"theta": payload}
     elif name == "vartheta":
         name, params = "congruence-invariant", {"vartheta": payload}
-    elif name == "nonsym-lambda":
-        params = {"lam": payload}
     elif name == "riemann":
         phi, semicolon, psi = payload.partition(";")
         if not semicolon:
@@ -192,6 +189,9 @@ def cmd_eval(args) -> int:
 def cmd_decompose(args) -> int:
     import finsler_iso.decompose as dc
 
+    for flag, steps in (("--r-steps", args.r_steps), ("--tau-steps", args.tau_steps)):
+        if steps < 1:
+            raise UsageError(f"{flag} must be >= 1, got {steps}: a table of no rows shows nothing")
     spec = metric_from_args(args)
     if spec.dim < 2:
         sys.stderr.write("decomposition requires dim >= 2\n")
@@ -208,7 +208,7 @@ def cmd_decompose(args) -> int:
         extracted = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(spec))
         _write_csv(dc.tabulate_phi_psi(extracted, r_values), ["r", "phi", "psi"], args.output)
     else:
-        theta = dc.extract_theta(dc.oracle_from_spec(spec))
+        theta = dc.extract_theta(spec)
         tau_values = [float(t) for t in np.linspace(0.0, 0.5 * math.pi, args.tau_steps)]
         _write_csv(dc.tabulate_theta(theta, r_values, tau_values),
                    ["r", "tau", "theta_value"], args.output)
@@ -350,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--f", default=None)
-    p.add_argument("--alpha", type=float, default=None, help="homogeneity degree for lambda: metrics")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("decompose", help="extract theta(r,tau) or (phi,psi) as CSV")
@@ -386,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-sv-ratio", type=float, default=1.1)
     p.add_argument("--sl2", type=int, default=None,
                    help="dim-2 exception: number of random unimodular maps")
-    p.add_argument("--alpha", type=float, default=None)
     p.set_defaults(func=cmd_probe_main)
 
     p = sub.add_parser("distance", help="geodesic distance by polyline descent")

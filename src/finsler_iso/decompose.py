@@ -1,14 +1,15 @@
-"""Extraction of canonical profiles from black-box metric oracles.
+"""Extraction of canonical profiles from metrics, black boxes included.
 
-Given an isometry-invariant metric as an opaque callable, the canonical
-profiles lambda(r, p, q), theta(r, tau) and (phi, psi) can be read off by
-evaluating the oracle on a fixed orthonormal frame; extraction here returns
-profiles that delegate to the oracle (no tabulation), so round-trips carry
-no interpolation error.
+Given an isometry-invariant metric as a MetricSpec (a black box is a Custom
+spec) or a sesquilinear form as a SesquiOracle, the canonical profiles
+lambda(r, p, q), theta(r, tau) and (phi, psi) can be read off by evaluating
+it on a fixed orthonormal frame; extraction here returns profiles that
+delegate to it (no tabulation), so round-trips carry no interpolation error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,14 +27,12 @@ from .linalg import (
     row_norms,
 )
 from .metrics import (
-    FromLambda,
     MetricSpec,
     RadiusDomain,
     RiemannProfile,
     _array_form,
     deviations,
     eval_batch,
-    eval_finsler,
     eval_sesquilinear,
     eval_sesquilinear_rows,
     sample_pairs,
@@ -41,31 +40,8 @@ from .metrics import (
 )
 
 
-class _RowsForm:
-    """An oracle's fn over the rows of (N, dim) arrays, one array per vector
-    argument: its rows form in one call when it has one, else a loop over fn."""
-
-    def eval_rows(self, *arrays: np.ndarray) -> np.ndarray:
-        if self.rows is not None:
-            return self.rows(*arrays)
-        return np.array([self.fn(*(Vector(v, self.field) for v in row)) for row in zip(*arrays)])
-
-
 @dataclass(frozen=True)
-class MetricOracle(_RowsForm):
-    """A black-box rho(g, h) with a declared homogeneity degree in h, and
-    optionally its rows form rows(G, H)."""
-
-    fn: Callable[[Vector, Vector], float]
-    dim: int
-    field: Field
-    domain: RadiusDomain
-    alpha: float = 1.0
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
-class SesquiOracle(_RowsForm):
+class SesquiOracle:
     """A black-box conjugate-symmetric sesquilinear sigma(g, f, h), and
     optionally its rows form rows(G, F, H)."""
 
@@ -75,19 +51,12 @@ class SesquiOracle(_RowsForm):
     domain: RadiusDomain
     rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
-
-def oracle_from_spec(spec: MetricSpec) -> MetricOracle:
-    """The spec as an oracle of its own homogeneity degree: a lambda spec's
-    alpha, else 1."""
-    def rows(G: np.ndarray, H: np.ndarray) -> np.ndarray:
-        values, inside = eval_batch(spec, G, H)
-        if not inside.all():
-            raise OutOfDomainError("a row's base point is outside the metric's domain")
-        return values
-
-    return MetricOracle(lambda g, h: eval_finsler(spec, g, h),
-                        spec.dim, spec.field, spec.domain, rows=rows,
-                        alpha=spec.alpha if isinstance(spec, FromLambda) else 1.0)
+    def eval_rows(self, G: np.ndarray, F: np.ndarray, H: np.ndarray) -> np.ndarray:
+        """sigma over the rows of three (N, dim) arrays: the rows form in one
+        call when there is one, else a loop over fn."""
+        if self.rows is not None:
+            return self.rows(G, F, H)
+        return np.array([self.fn(*(Vector(v, self.field) for v in row)) for row in zip(G, F, H)])
 
 
 def sesqui_oracle_from_spec(spec: MetricSpec) -> SesquiOracle:
@@ -99,15 +68,20 @@ def sesqui_oracle_from_spec(spec: MetricSpec) -> SesquiOracle:
                         rows=lambda G, F, H: eval_sesquilinear_rows(profile, G, F, H))
 
 
-def _default_frame(dim: int, field: Field) -> tuple[Vector, Vector]:
-    return basis_vector(dim, 0, field), basis_vector(dim, 1, field)
+def _rows(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """rho over the rows of G and H in one eval_batch call, every base point
+    of which must lie in the spec's domain."""
+    values, inside = eval_batch(spec, G, H)
+    if not inside.all():
+        raise OutOfDomainError("a row's base point is outside the metric's domain")
+    return values
 
 
-def _check_frame(oracle, frame) -> tuple[Vector, Vector]:
-    if oracle.dim < 2:
+def _check_frame(metric, frame) -> tuple[Vector, Vector]:
+    if metric.dim < 2:
         raise MismatchError("extraction needs dimension >= 2")
     if frame is None:
-        return _default_frame(oracle.dim, oracle.field)
+        return basis_vector(metric.dim, 0, metric.field), basis_vector(metric.dim, 1, metric.field)
     e, f = frame
     if abs(norm(e) - 1.0) > 1e-10 or abs(norm(f) - 1.0) > 1e-10 or abs(inner(e, f)) > 1e-10:
         raise ValueError("extraction frame must be an orthonormal pair")
@@ -117,7 +91,7 @@ def _check_frame(oracle, frame) -> tuple[Vector, Vector]:
 def _profile_fn(rows: Callable[..., np.ndarray]) -> Callable[..., float]:
     """A profile callable over scalars, the one-row view of rows, carrying
     rows as fn.rows, as a compiled text does, so a batch evaluates through
-    one oracle rows call."""
+    one rows call of the metric."""
     def fn(*args):
         return float(rows(*(np.array([a]) for a in args))[0])
     fn.rows = rows
@@ -132,62 +106,65 @@ def _require_radii(r: np.ndarray, domain: RadiusDomain) -> None:
         raise OutOfDomainError(f"r = {r[bad][0]} is outside the extracted profile's domain")
 
 
-def validate_alpha(oracle: MetricOracle, n_samples: int = 24, seed: int = 0,
+def validate_alpha(spec: MetricSpec, n_samples: int = 24, seed: int = 0,
                    tol: float = 1e-8) -> float:
-    """Worst relative violation of rho_g(t h) = |t|^alpha rho_g(h) on samples.
+    """Worst relative violation of rho_g(t h) = |t|^alpha rho_g(h) on samples,
+    alpha being the spec's degree.
 
-    The samples are drawn in one batch and each side is one oracle rows call.
+    The samples are drawn in one batch and each side is one eval_batch call.
     """
     if n_samples < 1:
         raise ValueError("the homogeneity check needs at least one sample (n_samples >= 1)")
     rng = np.random.default_rng(seed)
-    G, H = sample_pairs(oracle, n_samples, rng)
+    G, H = sample_pairs(spec, n_samples, rng)
     t = rng.uniform(0.2, 3.0, n_samples)
-    want = (t ** oracle.alpha) * oracle.eval_rows(G, H)
-    worst = float(deviations(oracle.eval_rows(G, t[:, None] * H), want, want).max())
+    want = (t ** spec.alpha) * _rows(spec, G, H)
+    worst = float(deviations(_rows(spec, G, t[:, None] * H), want, want).max())
     if worst > tol:
-        raise ValueError(f"declared homogeneity degree {oracle.alpha} violated "
+        raise ValueError(f"declared homogeneity degree {spec.alpha} violated "
                          f"by {worst:g} on samples")
     return worst
 
 
-def extract_lambda(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = None,
+def extract_lambda(spec: MetricSpec, frame: tuple[Vector, Vector] | None = None,
                    check_alpha: bool = True) -> Callable[[float, float, float], float]:
     """lambda(r, p, q) = r^(-alpha) rho(r e, p e + q f) on the chosen frame,
-    alpha being the oracle's."""
-    e, f = (v.entries for v in _check_frame(oracle, frame))
+    alpha being the spec's degree.
+
+    p may be a scalar of the field: a non-symmetric metric's profile keeps
+    the full <h, g> (extract it with check_alpha=False, as its degree holds
+    for t > 0 only); over R only p's real part is read.
+    """
+    e, f = (v.entries for v in _check_frame(spec, frame))
     if check_alpha:
-        validate_alpha(oracle)
-    alpha = oracle.alpha
+        validate_alpha(spec)
+    alpha, real = spec.alpha, spec.field is Field.REAL
 
     def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        _require_radii(r, oracle.domain)
-        return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / (r ** alpha)
+        _require_radii(r, spec.domain)
+        if real:
+            p = np.real(p)
+        return _rows(spec, r[:, None] * e, p[:, None] * e + q[:, None] * f) / (r ** alpha)
 
     return _profile_fn(rows)
 
 
-def extract_theta(oracle: MetricOracle,
+def extract_theta(spec: MetricSpec,
                   frame: tuple[Vector, Vector] | None = None) -> Callable[[float, float], float]:
     """theta(r, tau) = r lambda(r, cos tau, sin tau); needs alpha = 1."""
-    if abs(oracle.alpha - 1.0) > 1e-12:
-        raise ValueError("theta extraction needs a degree-1 oracle")
-    lam = extract_lambda(oracle, frame).rows
+    if abs(spec.alpha - 1.0) > 1e-12:
+        raise ValueError("theta extraction needs a degree-1 metric")
+    lam = extract_lambda(spec, frame).rows
     return _profile_fn(lambda r, tau: r * lam(r, np.cos(tau), np.sin(tau)))
 
 
-def extract_nonsym_lambda(oracle: MetricOracle, frame: tuple[Vector, Vector] | None = None
-                          ) -> Callable[[float, complex, float], float]:
-    """Non-symmetric variant: p keeps the full scalar <h, g>, not its modulus."""
-    e, f = (v.entries for v in _check_frame(oracle, frame))
+# The spec itself, and extract_lambda without the degree check.  Kept only
+# while perfbench/workloads.py calls these two names, see ROADMAP item 1.
+def oracle_from_spec(spec: MetricSpec) -> MetricSpec:
+    return spec
 
-    def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        _require_radii(r, oracle.domain)
-        if oracle.field is Field.REAL:
-            p = np.real(p)
-        return oracle.eval_rows(r[:, None] * e, p[:, None] * e + q[:, None] * f) / r
 
-    return _profile_fn(rows)
+extract_nonsym_lambda = functools.partial(extract_lambda, check_alpha=False)
 
 
 def extract_phi_psi(oracle: SesquiOracle,
@@ -231,28 +208,29 @@ class RoundtripReport:
     passed: bool
 
 
-def _roundtrip_rows(oracle: MetricOracle | SesquiOracle, n_samples: int,
+def _roundtrip_rows(metric: MetricSpec | SesquiOracle, n_samples: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """roundtrip_check's samples as row arrays, (G, H) or (G, F, H) for a
     sesquilinear oracle.  Sample i has h collinear with g (h = c g) when
     i % 10 == 0 and h orthogonal to g when i % 10 == 5."""
-    G, H = sample_pairs(oracle, n_samples, rng)
+    G, H = sample_pairs(metric, n_samples, rng)
     kind = np.arange(n_samples) % 10
     col, orth = kind == 0, kind == 5
     c = rng.standard_normal(int(col.sum()))
-    if oracle.field is Field.COMPLEX:
+    if metric.field is Field.COMPLEX:
         c = c * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(c)))
     H[col] = c[:, None] * G[col]
     Go = G[orth]
     H[orth] -= (np.vecdot(Go, H[orth]) / row_norms(Go) ** 2)[:, None] * Go
-    if isinstance(oracle, SesquiOracle):
-        return G, random_gaussian_rows(n_samples, oracle.dim, oracle.field, rng), H
+    if isinstance(metric, SesquiOracle):
+        return G, random_gaussian_rows(n_samples, metric.dim, metric.field, rng), H
     return G, H
 
 
-def roundtrip_check(oracle: MetricOracle | SesquiOracle, extracted_spec: MetricSpec,
+def roundtrip_check(metric: MetricSpec | SesquiOracle, extracted_spec: MetricSpec,
                     n_samples: int = 1000, seed: int = 0, tol: float = 1e-9) -> RoundtripReport:
-    """Compare the oracle against its reconstruction on seeded samples.
+    """Compare a metric, or a sesquilinear oracle, against its reconstruction
+    on seeded samples.
 
     Every tenth sample is an edge pair (h collinear with g, then h
     orthogonal to g): those are the degenerate strata of the canonical
@@ -263,12 +241,12 @@ def roundtrip_check(oracle: MetricOracle | SesquiOracle, extracted_spec: MetricS
     """
     if n_samples < 1:
         raise ValueError("a round-trip needs at least one sample (n_samples >= 1)")
-    sesqui = isinstance(oracle, SesquiOracle)
+    sesqui = isinstance(metric, SesquiOracle)
     profile = sesquilinear_profile(extracted_spec) if sesqui else None
     if sesqui and profile is None:
         raise ValueError("sesquilinear round-trip needs a Riemann-backed spec")
-    rows = _roundtrip_rows(oracle, n_samples, np.random.default_rng(seed))
-    got = oracle.eval_rows(*rows)
+    rows = _roundtrip_rows(metric, n_samples, np.random.default_rng(seed))
+    got = metric.eval_rows(*rows) if sesqui else _rows(metric, *rows)
     if sesqui:
         want = eval_sesquilinear_rows(profile, *rows)
     else:
@@ -279,7 +257,7 @@ def roundtrip_check(oracle: MetricOracle | SesquiOracle, extracted_spec: MetricS
     k = int(np.argmax(dev))
     worst = float(dev[k])
     passed = worst <= tol
-    witness = None if passed else tuple(Vector(a[k], oracle.field) for a in rows)
+    witness = None if passed else tuple(Vector(a[k], metric.field) for a in rows)
     return RoundtripReport(worst, witness, n_samples, passed)
 
 

@@ -131,17 +131,26 @@ def apply_map(T: LinearMap, v: Vector) -> Vector:
     return Vector(T.entries @ v.entries, v.field)
 
 
+# The least r whose 1/r^2 is finite.  Over C, ip / r^2 is a complex division,
+# which numpy forms as ip * (1/r^2): for a smaller r it overflows and q is NaN.
+_R_MIN = 7.458340731200208e-155
+
+
 def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, float]:
     """(<h, g>, q) for an unchecked pair whose r = |g| > 0 is already known.
 
     q = sqrt(|h|^2 |g|^2 - |<h, g>|^2) is formed as r |h - (<h,g>/r^2) g|,
     which stays accurate when h is nearly collinear with g.  <h, g> is a
-    float over R and a complex over C.
+    float over R and a complex over C.  Over C, an r below _R_MIN forms both
+    from (g/r, h) and scales them back by r.
     """
     ip = np.vdot(g.entries, h.entries)
     real = g.field is Field.REAL
     if real:  # Python floats round as numpy's do, at less cost; complex ones do not
         ip = float(ip)
+    elif r < _R_MIN:  # as in pair_invariants_rows
+        ip, q = pair_invariants_rows(g.entries[None], h.entries[None], np.array([r]))
+        return complex(ip[0]), float(q[0])
     perp = h.entries - (ip / (r * r)) * g.entries
     q = r * math.sqrt(np.vdot(perp, perp).real)
     return (ip if real else complex(ip)), q
@@ -158,13 +167,22 @@ def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
                          r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """pair_invariants for the rows of (N, n) arrays: (<h, g>, q) per row.
 
-    The same orthogonal-component form of q; a row with r = 0 gets
-    <h, g> = q = 0.
+    The same orthogonal-component form of q, with the same rule for an r
+    below _R_MIN on those rows only; a row with r = 0 gets <h, g> = q = 0.
     """
+    k = None
+    if G.dtype.kind == "c" and len(r) > 0 and r.min() < _R_MIN:
+        k = np.flatnonzero((r > 0.0) & (r < _R_MIN))  # rows k take (g/r, h) and r = 1
+        rk, G, r = r[k], G.copy(), r.copy()
+        G[k] /= rk[:, None]
+        r[k] = 1.0
     ip = np.vecdot(G, H)
     c = ip / (r * r) if r.all() else np.divide(ip, r * r, out=np.zeros_like(ip), where=r > 0.0)
     perp = H - c[:, None] * G
     q = r * np.sqrt(np.vecdot(perp, perp).real)
+    if k is not None:  # and scale their invariants back by r
+        ip[k] *= rk
+        q[k] *= rk
     return ip, q
 
 

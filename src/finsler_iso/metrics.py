@@ -109,11 +109,11 @@ def sample_pairs(spec: MetricSpec, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n pairs (g, h) as the rows of two (n, dim) arrays of the spec's dtype.
 
-    Only the spec's dim, field and domain are read, so a decompose oracle
-    serves as well.  |g| is drawn inside the domain by sample_radius's rules,
-    g's direction and h are Gaussian.  The draws are batched, so a seed gives
-    other points than n calls of sample_radius and random_vector_with_norm
-    would.
+    Only the spec's dim, field and domain are read, so a
+    decompose.SesquiOracle serves as well.  |g| is drawn inside the domain by
+    sample_radius's rules, g's direction and h are Gaussian.  The draws are
+    batched, so a seed gives other points than n calls of sample_radius and
+    random_vector_with_norm would.
     """
     ranges = np.array([_radius_range(lo, hi) for lo, hi in spec.domain.intervals])
     a, b, log_scale = ranges[rng.integers(len(ranges), size=n)].T
@@ -164,7 +164,7 @@ class RiemannProfile:
 def _array_form(fn: Callable) -> Callable[..., np.ndarray]:
     """A profile callable's form over equal-shape 1-d arrays: its own `rows`
     attribute (a compiled text carries one, as do the profiles decompose
-    extracts from an oracle), else the callable called element by element."""
+    extracts from a metric), else the callable called element by element."""
     rows = getattr(fn, "rows", None)
     if rows is not None:
         return rows
@@ -229,6 +229,7 @@ class MetricSpec:
     family: ClassVar[str] = "?"
     congruence_invariant: ClassVar[bool] = False
     defined_at_zero: ClassVar[bool] = False  # rho_0 exists (zero extensions, custom metrics)
+    alpha = 1.0  # the degree in h: not a field, so lambda and custom specs end with theirs
 
     def __post_init__(self):
         if self.dim < 1:
@@ -452,9 +453,11 @@ class ZeroExtended(MetricSpec):
 
 @dataclass(frozen=True)
 class Custom(MetricSpec):
-    """A black-box metric callable; usable everywhere but not serializable."""
+    """A black-box metric callable of declared degree alpha in h; usable
+    everywhere but not serializable."""
 
     fn: Callable[[Vector, Vector], float] = None  # type: ignore[assignment]
+    alpha: float = 1.0
     family: ClassVar[str] = "custom"
     defined_at_zero: ClassVar[bool] = True
 
@@ -762,18 +765,18 @@ def validate_profile(spec: MetricSpec, grid_size: int = 4, tol: float = 1e-9) ->
     p = np.tile((rho * np.cos(ang)).ravel(), len(radii))
     q = np.tile((rho * np.sin(ang)).ravel(), len(radii))
     fn = _array_form(spec.lam)
-    if isinstance(spec, FromLambda):
-        alpha = spec.alpha
-        # lambda(r, t p, t q) = t^alpha lambda(r, p, q); lambda is even in p and in q
-        scaled = [(t * p, t * q, t ** alpha) for t in _T_FACTORS if t > 0.0 or alpha > 0.0]
-        mirrored = [(-p, q, 1.0), (p, -q, 1.0)]
-    else:
+    if isinstance(spec, FromNonSymLambda):
         if spec.field is Field.COMPLEX:  # p also turned by the phase e^{2.1 i}
             r, q = np.tile(r, 2), np.tile(q, 2)
             p = np.concatenate([p, p * complex(math.cos(2.1), math.sin(2.1))])
         # lambda(r, t p, +-t q) = t lambda(r, p, q); lambda is even in q
         scaled = [(t * p, s * t * q, t) for t in _T_FACTORS for s in (1.0, -1.0)]
         mirrored = [(p, -q, 1.0)]
+    else:
+        alpha = spec.alpha
+        # lambda(r, t p, t q) = t^alpha lambda(r, p, q); lambda is even in p and in q
+        scaled = [(t * p, t * q, t ** alpha) for t in _T_FACTORS if t > 0.0 or alpha > 0.0]
+        mirrored = [(-p, q, 1.0), (p, -q, 1.0)]
     base = fn(r, p, q)
 
     def worst(cases) -> float:

@@ -65,12 +65,12 @@ def test_criterion_1_isometry_invariance_suite():
 # ---------------------------------------------------------------------------
 
 def _roundtrip_spec(name, spec):
-    orc = dc.oracle_from_spec(spec)
+    lam = dc.extract_lambda(spec, check_alpha=False)
     if name == "nonsym":
-        return mm.FromNonSymLambda(spec.dim, spec.field, POS, dc.extract_nonsym_lambda(orc))
+        return mm.FromNonSymLambda(spec.dim, spec.field, POS, lam)
     # reconstruct through the canonical lambda form: the theta form loses the
     # stable orthogonal component exactly at the collinear edge pairs
-    return mm.FromLambda(spec.dim, spec.field, POS, dc.extract_lambda(orc, check_alpha=False))
+    return mm.FromLambda(spec.dim, spec.field, POS, lam)
 
 
 def test_criterion_2_decomposition_roundtrips():
@@ -79,7 +79,7 @@ def test_criterion_2_decomposition_roundtrips():
     for field in (R, C):
         for name, spec in battery(3, field):
             rebuilt = _roundtrip_spec(name, spec)
-            rep = dc.roundtrip_check(dc.oracle_from_spec(spec), rebuilt,
+            rep = dc.roundtrip_check(spec, rebuilt,
                                      n_samples=1000, seed=101, tol=1e-9)
             assert rep.passed, (name, field, rep.max_relative_deviation)
             worst = max(worst, rep.max_relative_deviation)
@@ -91,7 +91,7 @@ def test_criterion_2_decomposition_roundtrips():
         worst = max(worst, rep.max_relative_deviation)
 
     # theta extraction agrees with closed forms on a grid
-    th = dc.extract_theta(dc.oracle_from_spec(mm.fubini_study(3)))
+    th = dc.extract_theta(mm.fubini_study(3))
     for r in (0.5, 1.0, 2.0):
         for tau in np.linspace(0.0, HALF_PI, 7):
             assert th(r, float(tau)) == pytest.approx(math.sin(tau) / r,
@@ -105,14 +105,13 @@ def test_criterion_2_decomposition_roundtrips():
         for name, spec in battery(3, field):
             if name == "nonsym":
                 continue
-            orc = dc.oracle_from_spec(spec)
-            lam0 = dc.extract_lambda(orc, check_alpha=False)
+            lam0 = dc.extract_lambda(spec, check_alpha=False)
             for seed in range(20):
                 rot = la.random_rotation(3, seed)
                 rot_entries = rot.entries.astype(field.dtype)
                 e = la.Vector(np.ascontiguousarray(rot_entries[:, 0]), field)
                 f = la.Vector(np.ascontiguousarray(rot_entries[:, 1]), field)
-                lam1 = dc.extract_lambda(orc, frame=(e, f), check_alpha=False)
+                lam1 = dc.extract_lambda(spec, frame=(e, f), check_alpha=False)
                 for r, p, q in grid:
                     a, b = lam0(r, p, q), lam1(r, p, q)
                     dev = abs(a - b) / (1.0 + abs(a))

@@ -274,6 +274,14 @@ def test_decompose_riemann_csv(capsys):
     assert psi == pytest.approx(-1.0 / r ** 2, rel=1e-9)
 
 
+@pytest.mark.parametrize("option", ["--r-steps", "--tau-steps"])
+def test_decompose_of_no_steps_is_a_usage_error(capsys, option):
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, "decompose", "--metric", "euclidean", "--dim", "3",
+                             option, value)
+        assert code == 2 and out == "" and f"{option} must be >= 1, got {value}" in err, value
+
+
 def test_decompose_dim1_is_exit_3(capsys):
     code, _, err = run(capsys, "decompose", "--metric", "euclidean", "--dim", "1")
     assert code == 3 and "dim >= 2" in err
@@ -422,7 +430,8 @@ README_CONSTRUCTORS = [
     (["area"], "area", {"b": 1.0}),
     (["area:2.5"], "area", {"b": 2.5}),
     (["lambda:sqrt(p^2+q^2)/r"], "lambda", {"lam": "sqrt(p^2+q^2)/r", "alpha": 1.0}),
-    (["lambda:p^2+q^2", "--alpha", "2"], "lambda", {"lam": "p^2+q^2", "alpha": 2.0}),
+    # the constructor declares degree 1, whatever the text's degree; a spec file sets another
+    (["lambda:p^2+q^2"], "lambda", {"lam": "p^2+q^2", "alpha": 1.0}),
     (["theta:1+cos(tau)^2"], "theta", {"theta": "1+cos(tau)^2"}),
     (["vartheta:1+cos(tau)"], "congruence-invariant", {"vartheta": "1+cos(tau)"}),
     (["riemann:1/r;-1/(r^2)"], "riemann", {"phi": "1/r", "psi": "-1/(r^2)"}),
@@ -437,6 +446,17 @@ def test_cli_specs_equal_their_json_form(metric, family, params):
     want = {"family": family, "dim": 2, "field": "real", "domain": POSITIVE, "params": params}
     assert mm.spec_to_json(cli.metric_from_args(args)) == want
     assert mm.spec_to_json(mm.spec_from_json(want)) == want
+
+
+def test_a_spec_file_carries_the_lambda_degree(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "lambda", "dim": 3, "field": "real",
+                                "params": {"lam": "p^2+q^2", "alpha": 2.0}}))
+    args = cli.build_parser().parse_args(["eval", "--metric", f"@{path}",
+                                          "--g", "1,0,0", "--h", "0,1,0"])
+    assert cli.metric_from_args(args).alpha == 2.0
+    code, out, err = run(capsys, "decompose", "--metric", f"@{path}")
+    assert code == 3 and out == "" and "degree-1" in err
 
 
 def test_distance_command(capsys, tmp_path):
@@ -563,14 +583,14 @@ def test_distance_of_no_iterations_reports_the_initial_path(capsys):
 # Options that a command (or check mode) would not read, and --config, a second
 # spelling of --metric @FILE: argparse refuses each of them.
 DELETED_OPTIONS = [
-    *[("eval", flag) for flag in ("--config", "--seed", "--tol")],
+    *[("eval", flag) for flag in ("--config", "--seed", "--tol", "--alpha")],
     *[("decompose", flag) for flag in ("--config", "--seed", "--tol", "--alpha")],
     *[("check " + mode, "--config") for mode in ("invariance", "homothety", "pd", "kaehler")],
     *[("check invariance", flag) for flag in ("--alpha", "--r-min", "--r-max")],
     *[("check homothety", flag) for flag in ("--r-min", "--r-max")],
     *[("check " + mode, flag) for mode in ("pd", "kaehler")
       for flag in ("--seed", "--tol", "--alpha")],
-    ("probe-main", "--config"),
+    *[("probe-main", flag) for flag in ("--config", "--alpha")],
     *[("distance", flag) for flag in ("--config", "--tol", "--alpha")],
 ]
 VALID_ARGS = {

@@ -15,68 +15,71 @@ R, C = la.Field.REAL, la.Field.COMPLEX
 
 
 def test_extract_lambda_euclidean():
-    lam = dc.extract_lambda(dc.oracle_from_spec(mm.euclidean(3)))
+    lam = dc.extract_lambda(mm.euclidean(3))
     for r, p, q in [(2.0, 0.0, 3.0), (1.0, 1.0, 1.0), (0.5, 0.3, 0.4)]:
         assert lam(r, p, q) == pytest.approx(math.hypot(p, q) / r, rel=1e-12)
 
 
 def test_extract_lambda_norm_product_oracle():
     spec = mm.Custom(3, R, POS, fn=lambda g, h: la.norm(g) * la.norm(h))
-    lam = dc.extract_lambda(dc.oracle_from_spec(spec))
+    lam = dc.extract_lambda(spec)
     assert lam(2.0, 3.0, 4.0) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_extract_lambda_fubini_study():
-    lam = dc.extract_lambda(dc.oracle_from_spec(mm.fubini_study(3)))
+    lam = dc.extract_lambda(mm.fubini_study(3))
     for r, p, q in [(2.0, 1.0, 1.0), (1.0, 0.0, 2.0), (0.7, 0.2, 0.9)]:
         assert lam(r, p, q) == pytest.approx(q / r ** 2, rel=1e-12, abs=1e-15)
 
 
 def test_extract_theta_values():
-    assert dc.extract_theta(dc.oracle_from_spec(mm.euclidean(3)))(1.7, 0.4) \
+    assert dc.extract_theta(mm.euclidean(3))(1.7, 0.4) \
         == pytest.approx(1.0, rel=1e-12)
     cos_spec = mm.FromLambda(3, R, POS, mm.lambda_profile("p/r"))
-    th = dc.extract_theta(dc.oracle_from_spec(cos_spec))
+    th = dc.extract_theta(cos_spec)
     for tau in (0.0, 0.4, 1.2):
         assert th(2.0, tau) == pytest.approx(math.cos(tau), rel=1e-12, abs=1e-15)
-    fs = dc.extract_theta(dc.oracle_from_spec(mm.fubini_study(3)))
+    fs = dc.extract_theta(mm.fubini_study(3))
     for r, tau in [(1.0, 0.5), (2.0, 1.0)]:
         assert fs(r, tau) == pytest.approx(math.sin(tau) / r, rel=1e-12)
 
 
+def _black_box(spec, alpha=1.0):
+    """The spec as a Custom metric of the given degree: rows loop over eval_finsler."""
+    return mm.Custom(spec.dim, spec.field, spec.domain,
+                     functools.partial(mm.eval_finsler, spec), alpha)
+
+
 def test_extract_theta_requires_degree_one():
-    orc = dc.oracle_from_spec(mm.euclidean(3))
-    orc = dc.MetricOracle(orc.fn, orc.dim, orc.field, orc.domain, alpha=2.0)
-    with pytest.raises(ValueError):
-        dc.extract_theta(orc)
+    with pytest.raises(ValueError, match="degree-1"):
+        dc.extract_theta(_black_box(mm.euclidean(3), alpha=2.0))
 
 
-def test_an_oracle_from_a_lambda_spec_declares_the_spec_degree():
+def test_a_spec_carries_its_degree():
     spec = mm.FromLambda(3, R, POS, mm.lambda_profile("p^2+q^2"), 2.0)
-    orc = dc.oracle_from_spec(spec)
-    assert orc.alpha == 2.0 and dc.oracle_from_spec(mm.euclidean(3)).alpha == 1.0
-    lam = dc.extract_lambda(orc)  # validates the declared degree on samples
+    assert spec.alpha == 2.0 and _black_box(spec, 2.0).alpha == 2.0
+    assert mm.euclidean(3).alpha == mm.FromNonSymLambda(3, R, POS, nonsym_lambda).alpha == 1.0
+    assert mm.Custom(3, R, POS, fn=la.inner).alpha == 1.0
+    lam = dc.extract_lambda(spec)  # validates the declared degree on samples
     for r, p, q in [(2.0, 0.0, 3.0), (1.0, 1.0, 1.0), (0.5, 0.3, 0.4)]:
         assert lam(r, p, q) == pytest.approx(p * p + q * q, rel=1e-12)
-    assert dc.roundtrip_check(orc, mm.FromLambda(3, R, POS, lam, 2.0), 100, seed=1).passed
+    assert dc.roundtrip_check(spec, mm.FromLambda(3, R, POS, lam, 2.0), 100, seed=1).passed
     with pytest.raises(ValueError, match="degree-1"):
-        dc.extract_theta(orc)
+        dc.extract_theta(spec)
     obj = mm.spec_to_json(spec)  # the degree is the spec's, and is written and read back
     assert obj["params"] == {"lam": "p^2+q^2", "alpha": 2.0}
     assert mm.spec_from_json(obj).alpha == 2.0 and mm.spec_to_json(mm.spec_from_json(obj)) == obj
 
 
 def test_alpha_validation_rejects_wrong_degree():
-    orc = dc.oracle_from_spec(mm.euclidean(3))
-    bad = dc.MetricOracle(orc.fn, 3, R, POS, alpha=2.0)
     with pytest.raises(ValueError, match="homogeneity"):
-        dc.extract_lambda(bad)
+        dc.extract_lambda(_black_box(mm.euclidean(3), alpha=2.0))
 
 
 def test_extraction_needs_dim2():
     spec = mm.Custom(1, R, POS, fn=lambda g, h: la.norm(h))
     with pytest.raises(MismatchError):
-        dc.extract_lambda(dc.oracle_from_spec(spec))
+        dc.extract_lambda(spec)
 
 
 def test_extract_phi_psi_cases():
@@ -101,9 +104,9 @@ def test_phi_psi_rejects_asymmetric_oracle():
 
 
 def test_roundtrip_euclidean():
-    orc = dc.oracle_from_spec(mm.euclidean(3))
-    rebuilt = mm.FromLambda(3, R, POS, dc.extract_lambda(orc))
-    report = dc.roundtrip_check(orc, rebuilt, 500, seed=0, tol=1e-10)
+    spec = mm.euclidean(3)
+    rebuilt = mm.FromLambda(3, R, POS, dc.extract_lambda(spec))
+    report = dc.roundtrip_check(spec, rebuilt, 500, seed=0, tol=1e-10)
     assert report.passed, report.max_relative_deviation
 
 
@@ -117,9 +120,8 @@ def test_roundtrip_fubini_study_sesquilinear():
 def test_roundtrip_flags_non_invariant_oracle():
     # depends on the base point's direction, so the canonical form cannot match
     spec = mm.Custom(3, R, POS, fn=lambda g, h: abs(float(h.entries[0])))
-    orc = dc.oracle_from_spec(spec)
-    rebuilt = mm.FromLambda(3, R, POS, dc.extract_lambda(orc, check_alpha=False))
-    report = dc.roundtrip_check(orc, rebuilt, 200, seed=2)
+    rebuilt = mm.FromLambda(3, R, POS, dc.extract_lambda(spec, check_alpha=False))
+    report = dc.roundtrip_check(spec, rebuilt, 200, seed=2)
     assert not report.passed
     assert report.max_relative_deviation > 0.1
     assert report.witness is not None
@@ -128,12 +130,9 @@ def test_roundtrip_flags_non_invariant_oracle():
 @pytest.mark.parametrize("field", [R, C])
 def test_roundtrip_battery(field):
     for name, spec in battery(3, field):
-        orc = dc.oracle_from_spec(spec)
-        if name == "nonsym":
-            rebuilt = mm.FromNonSymLambda(3, field, POS, dc.extract_nonsym_lambda(orc))
-        else:
-            rebuilt = mm.FromLambda(3, field, POS, dc.extract_lambda(orc, check_alpha=False))
-        report = dc.roundtrip_check(orc, rebuilt, 300, seed=3, tol=1e-9)
+        lam = dc.extract_lambda(spec, check_alpha=False)
+        rebuilt = (mm.FromNonSymLambda if name == "nonsym" else mm.FromLambda)(3, field, POS, lam)
+        report = dc.roundtrip_check(spec, rebuilt, 300, seed=3, tol=1e-9)
         assert report.passed, (name, report.max_relative_deviation)
 
 
@@ -141,7 +140,7 @@ def test_extracted_lambda_satisfies_profile_hypotheses():
     for name, spec in battery(3, R):
         if name == "nonsym":
             continue
-        lam = dc.extract_lambda(dc.oracle_from_spec(spec), check_alpha=False)
+        lam = dc.extract_lambda(spec, check_alpha=False)
         report = mm.validate_profile(mm.FromLambda(3, R, POS, lam), grid_size=3, tol=1e-9)
         assert report.ok, (name, report)
 
@@ -151,13 +150,12 @@ def test_basis_independence_under_rotations():
     for name, spec in battery(3, R):
         if name == "nonsym":
             continue
-        orc = dc.oracle_from_spec(spec)
-        lam0 = dc.extract_lambda(orc, check_alpha=False)
+        lam0 = dc.extract_lambda(spec, check_alpha=False)
         for seed in range(20):
             rot = la.random_rotation(3, seed)
             frame = (la.apply_map(rot, la.basis_vector(3, 0)),
                      la.apply_map(rot, la.basis_vector(3, 1)))
-            lam1 = dc.extract_lambda(orc, frame=frame, check_alpha=False)
+            lam1 = dc.extract_lambda(spec, frame=frame, check_alpha=False)
             for r, p, q in grid:
                 a, b = lam0(r, p, q), lam1(r, p, q)
                 assert abs(a - b) <= 1e-9 * (1 + abs(a)), name
@@ -166,14 +164,26 @@ def test_basis_independence_under_rotations():
 def test_nonsym_extraction_keeps_direction():
     spec = mm.FromNonSymLambda(2, C, POS,
                                mm.nonsym_lambda_profile("sqrt(pre^2+pim^2+q^2)+pre", C))
-    lam = dc.extract_nonsym_lambda(dc.oracle_from_spec(spec))
+    lam = dc.extract_lambda(spec, check_alpha=False)
     assert lam(1.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
     assert lam(1.0, -1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert lam(1.0, 1j, 0.0) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("field", [R, C])
+def test_the_names_kept_for_the_benchmark_add_nothing(field):
+    # perfbench's sweep still calls oracle_from_spec and extract_nonsym_lambda
+    spec = mm.FromNonSymLambda(3, field, POS, nonsym_lambda)
+    assert dc.oracle_from_spec(spec) is spec
+    rng = np.random.default_rng(3)
+    r, q = rng.uniform(0.1, 3.0, 20), rng.uniform(-2.0, 2.0, 20)
+    p = la.random_gaussian_rows(20, 1, field, rng)[:, 0]
+    np.testing.assert_array_equal(dc.extract_nonsym_lambda(spec).rows(r, p, q),
+                                  dc.extract_lambda(spec, check_alpha=False).rows(r, p, q))
+
+
 def test_tabulation_rows():
-    th = dc.extract_theta(dc.oracle_from_spec(mm.euclidean(2)))
+    th = dc.extract_theta(mm.euclidean(2))
     rows = dc.tabulate_theta(th, [1.0, 2.0], [0.0, 0.5])
     assert len(rows) == 4 and rows[0] == pytest.approx((1.0, 0.0, 1.0))
     pp = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(mm.fubini_study(2)))
@@ -182,12 +192,12 @@ def test_tabulation_rows():
 
 
 def test_checks_of_nothing_raise():
-    orc = dc.oracle_from_spec(mm.euclidean(3))
-    rebuilt = mm.FromLambda(3, R, POS, dc.extract_lambda(orc))
+    spec = mm.euclidean(3)
+    rebuilt = mm.FromLambda(3, R, POS, dc.extract_lambda(spec))
     with pytest.raises(ValueError, match="round-trip needs at least one sample"):
-        dc.roundtrip_check(orc, rebuilt, 0)
+        dc.roundtrip_check(spec, rebuilt, 0)
     with pytest.raises(ValueError, match="homogeneity check needs at least one sample"):
-        dc.validate_alpha(orc, n_samples=0)
+        dc.validate_alpha(spec, n_samples=0)
     with pytest.raises(ValueError, match="symmetry check needs at least one sample"):
         dc._validate_conjugate_symmetry(dc.sesqui_oracle_from_spec(mm.fubini_study(3)), 0)
 
@@ -196,13 +206,12 @@ def test_checks_of_nothing_raise():
 def test_extracted_profiles_refuse_radii_outside_the_domain(field):
     # r e with r <= 0 would stand at the radius |r|: every extracted rows form
     # refuses such an r, and one outside a bounded domain, before any arithmetic
-    orc = dc.oracle_from_spec(mm.FromTheta(2, field, POS, mm.theta_profile("r")))
-    theta = dc.extract_theta(orc)
-    lam = dc.extract_lambda(orc)
-    nonsym = dc.extract_nonsym_lambda(orc)
+    spec = mm.FromTheta(2, field, POS, mm.theta_profile("r"))
+    theta = dc.extract_theta(spec)
+    lam = dc.extract_lambda(spec)
+    nonsym = dc.extract_lambda(mm.FromNonSymLambda(2, field, POS, nonsym_lambda), check_alpha=False)
     riemann = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(mm.fubini_study(2, field)))
-    bounded = dc.extract_lambda(dc.oracle_from_spec(mm.Euclidean(2, field, mm.RadiusDomain(
-        ((1.0, 2.0),)))))
+    bounded = dc.extract_lambda(mm.Euclidean(2, field, mm.RadiusDomain(((1.0, 2.0),))))
     assert theta(2.0, 0.3) == pytest.approx(2.0, rel=1e-12)
     one, bad = np.ones(2), np.array([1.0, -1.0])  # at 1.5 + bad, 2.5 leaves (1, 2)
     calls = [lambda r: theta(r, 0.3), lambda r: lam(r, 1.0, 1.0),
@@ -218,67 +227,67 @@ def test_extracted_profiles_refuse_radii_outside_the_domain(field):
             rows(bad)
 
 
-def test_oracle_rows_reject_rows_outside_the_domain():
+def test_spec_rows_reject_rows_outside_the_domain():
     bounded = mm.Euclidean(3, R, mm.RadiusDomain(((1.0, 2.0),)))
-    orc = dc.oracle_from_spec(bounded)
     H = np.ones((2, 3))
-    assert orc.eval_rows(np.array([[1.5, 0, 0], [0, 1.2, 0]]), H).tolist() == pytest.approx(
+    assert dc._rows(bounded, np.array([[1.5, 0, 0], [0, 1.2, 0]]), H).tolist() == pytest.approx(
         [math.sqrt(3.0)] * 2)
-    with pytest.raises(OutOfDomainError):
-        orc.eval_rows(np.array([[1.5, 0, 0], [0, 3.0, 0]]), H)
+    with pytest.raises(OutOfDomainError, match="outside the metric's domain"):
+        dc._rows(bounded, np.array([[1.5, 0, 0], [0, 3.0, 0]]), H)
 
 
 # ---------------------------------------------------------------------------
 # Batched extraction, round-trips and lengths against the scalar loops they replace
 
-def _fn_only(oracle):
-    """The same oracle without its rows form: rows go through a loop over fn."""
-    if isinstance(oracle, dc.SesquiOracle):
-        return dc.SesquiOracle(oracle.fn, oracle.dim, oracle.field, oracle.domain)
-    return dc.MetricOracle(oracle.fn, oracle.dim, oracle.field, oracle.domain, oracle.alpha)
+def _fn_only(metric):
+    """The same metric without its rows form: rows go through a loop over
+    eval_finsler, or over a sesquilinear oracle's fn."""
+    if isinstance(metric, dc.SesquiOracle):
+        return dc.SesquiOracle(metric.fn, metric.dim, metric.field, metric.domain)
+    return _black_box(metric, metric.alpha)
 
 
 def _roundtrip_cases(field):
-    """(name, oracle, rebuilt spec) for every extraction, over oracles with
-    and without a rows form, and two non-invariant custom oracles."""
+    """(name, metric, rebuilt spec) for every extraction, over metrics and
+    sesquilinear oracles with and without a rows form, and two non-invariant
+    custom metrics."""
     nonsym_text = "sqrt(p^2+q^2)+0.5*p" if field is R else "sqrt(pre^2+pim^2+q^2)+0.5*pre"
     cases = []
-    for orc in (dc.oracle_from_spec(mm.FromTheta(3, field, POS, mm.theta_profile("1+cos(tau)"))),
-                dc.oracle_from_spec(mm.FromTheta(3, field, POS, theta_angular))):
-        for o in (orc, _fn_only(orc)):
+    for spec in (mm.FromTheta(3, field, POS, mm.theta_profile("1+cos(tau)")),
+                 mm.FromTheta(3, field, POS, theta_angular)):
+        for o in (spec, _fn_only(spec)):
             cases.append(("theta", o, mm.FromTheta(3, field, POS, dc.extract_theta(o))))
             cases.append(("lambda", o, mm.FromLambda(3, field, POS, dc.extract_lambda(o))))
-    for orc in (dc.oracle_from_spec(mm.FromNonSymLambda(
-                    3, field, POS, mm.nonsym_lambda_profile(nonsym_text, field))),
-                dc.oracle_from_spec(mm.FromNonSymLambda(
-                    3, field, POS, nonsym_lambda))):
-        for o in (orc, _fn_only(orc)):
-            cases.append(("nonsym", o, mm.FromNonSymLambda(3, field, POS,
-                                                           dc.extract_nonsym_lambda(o))))
+    for spec in (mm.FromNonSymLambda(3, field, POS, mm.nonsym_lambda_profile(nonsym_text, field)),
+                 mm.FromNonSymLambda(3, field, POS, nonsym_lambda)):
+        for o in (spec, _fn_only(spec)):
+            cases.append(("nonsym", o, mm.FromNonSymLambda(
+                3, field, POS, dc.extract_lambda(o, check_alpha=False))))
     for spec in (mm.fubini_study(3, field), mm.induced_finsler(mm.riemann_profile("1+r", "1"), 3, field)):
         orc = dc.sesqui_oracle_from_spec(spec)
         for o in (orc, _fn_only(orc)):
             cases.append(("phi-psi", o, mm.FromRiemann(3, field, POS, dc.extract_phi_psi(o))))
     ident = dc.SesquiOracle(lambda g, f, h: la.inner(f, h), 3, field, POS)
     cases.append(("phi-psi fn-only", ident, mm.FromRiemann(3, field, POS, dc.extract_phi_psi(ident))))
-    custom = dc.oracle_from_spec(mm.Custom(3, field, POS, fn=lambda g, h: abs(complex(h.entries[0]))))
+    custom = mm.Custom(3, field, POS, fn=lambda g, h: abs(complex(h.entries[0])))
     cases.append(("custom", custom, mm.FromLambda(
         3, field, POS, dc.extract_lambda(custom, check_alpha=False))))
     # many samples tie at the largest deviation, and the witness is the first
-    step = dc.oracle_from_spec(mm.Custom(3, field, POS, fn=lambda g, h: 0.5 * (g.entries[0].real > 0)))
+    step = mm.Custom(3, field, POS, fn=lambda g, h: 0.5 * (g.entries[0].real > 0))
     cases.append(("step", step, mm.FromLambda(3, field, POS, mm.lambda_profile("0"))))
     return cases
 
 
-def _scalar_roundtrip(oracle, rebuilt, rows, tol):
+def _scalar_roundtrip(metric, rebuilt, rows, tol):
     """The per-sample round-trip loop over given rows: (passed, worst, witness index)."""
     worst, k = 0.0, None
     for i, row in enumerate(zip(*rows)):
-        vecs = [la.Vector(v, oracle.field) for v in row]
-        got = oracle.fn(*vecs)
-        if isinstance(oracle, dc.SesquiOracle):
+        vecs = [la.Vector(v, metric.field) for v in row]
+        if isinstance(metric, dc.SesquiOracle):
+            got = metric.fn(*vecs)
             want = mm.eval_sesquilinear(mm.sesquilinear_profile(rebuilt), *vecs)
         else:
+            got = mm.eval_finsler(metric, *vecs)
             want = mm.eval_finsler(rebuilt, *vecs)
         dev = abs(got - want) / (1.0 + abs(got))
         if dev > worst:
@@ -288,10 +297,10 @@ def _scalar_roundtrip(oracle, rebuilt, rows, tol):
 
 @pytest.mark.parametrize("field", [R, C])
 def test_batched_roundtrips_equal_the_scalar_loop(field):
-    for i, (name, orc, rebuilt) in enumerate(_roundtrip_cases(field)):
-        rows = dc._roundtrip_rows(orc, 200, np.random.default_rng(i))
-        passed, worst, k = _scalar_roundtrip(orc, rebuilt, rows, 1e-9)
-        report = dc.roundtrip_check(orc, rebuilt, 200, seed=i, tol=1e-9)
+    for i, (name, metric, rebuilt) in enumerate(_roundtrip_cases(field)):
+        rows = dc._roundtrip_rows(metric, 200, np.random.default_rng(i))
+        passed, worst, k = _scalar_roundtrip(metric, rebuilt, rows, 1e-9)
+        report = dc.roundtrip_check(metric, rebuilt, 200, seed=i, tol=1e-9)
         assert (report.passed, report.samples) == (passed, 200), name
         assert passed == (name not in ("custom", "step")), name
         # on a passing round-trip the deviation is rounding noise, held to 1e-14 absolute
@@ -310,13 +319,12 @@ def test_rebuilt_specs_batch(monkeypatch):
     for field in (R, C):
         G, H = mm.sample_pairs(mm.euclidean(3, field), 50, np.random.default_rng(0))
         text = "sqrt(p^2+q^2)+0.5*p" if field is R else "sqrt(pre^2+pim^2+q^2)+0.5*pre"
-        orc = dc.oracle_from_spec(mm.FromTheta(3, field, POS, mm.theta_profile("1+cos(tau)")))
-        nonsym = dc.oracle_from_spec(mm.FromNonSymLambda(3, field, POS,
-                                                         mm.nonsym_lambda_profile(text, field)))
+        theta = mm.FromTheta(3, field, POS, mm.theta_profile("1+cos(tau)"))
+        nonsym = mm.FromNonSymLambda(3, field, POS, mm.nonsym_lambda_profile(text, field))
         phi_psi = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(mm.fubini_study(3, field)))
-        for spec in (mm.FromTheta(3, field, POS, dc.extract_theta(orc)),
-                     mm.FromLambda(3, field, POS, dc.extract_lambda(orc)),
-                     mm.FromNonSymLambda(3, field, POS, dc.extract_nonsym_lambda(nonsym)),
+        for spec in (mm.FromTheta(3, field, POS, dc.extract_theta(theta)),
+                     mm.FromLambda(3, field, POS, dc.extract_lambda(theta)),
+                     mm.FromNonSymLambda(3, field, POS, dc.extract_lambda(nonsym, check_alpha=False)),
                      mm.FromRiemann(3, field, POS, phi_psi), mm.induced_finsler(phi_psi, 3, field)):
             values, inside = mm.eval_batch(spec, G, H)
             assert inside.all() and np.isfinite(values).all(), spec.family
@@ -324,8 +332,7 @@ def test_rebuilt_specs_batch(monkeypatch):
 
 def test_roundtrip_strata():
     for field in (R, C):
-        G, H = dc._roundtrip_rows(dc.oracle_from_spec(mm.euclidean(4, field)), 40,
-                                  np.random.default_rng(0))
+        G, H = dc._roundtrip_rows(mm.euclidean(4, field), 40, np.random.default_rng(0))
         ip, q = la.pair_invariants_rows(G, H, la.row_norms(G))
         scale = la.row_norms(G) * la.row_norms(H)
         assert (q[::10] <= 1e-12 * scale[::10]).all()           # h collinear with g
@@ -358,18 +365,17 @@ def test_extracted_rows_equal_their_scalar_fn(field):
 # The profile determines the metric, on generated pairs
 
 def _rebuild(spec):
-    """The spec rebuilt from the profile extracted from its oracle: (phi, psi)
-    for the Riemann family, lambda for the lambda families and theta for the
-    other degree-1 families."""
+    """The spec rebuilt from the profile extracted from it: (phi, psi) for the
+    Riemann family, lambda for the lambda families and theta for the other
+    degree-1 families."""
     args = (spec.dim, spec.field, spec.domain)
     if spec.family == "riemann":
         return mm.FromRiemann(*args, dc.extract_phi_psi(dc.sesqui_oracle_from_spec(spec)))
-    orc = dc.oracle_from_spec(spec)
     if spec.family == "lambda":
-        return mm.FromLambda(*args, dc.extract_lambda(orc))
+        return mm.FromLambda(*args, dc.extract_lambda(spec))
     if spec.family == "nonsym-lambda":
-        return mm.FromNonSymLambda(*args, dc.extract_nonsym_lambda(orc))
-    return mm.FromTheta(*args, dc.extract_theta(orc))
+        return mm.FromNonSymLambda(*args, dc.extract_lambda(spec, check_alpha=False))
+    return mm.FromTheta(*args, dc.extract_theta(spec))
 
 
 @functools.cache
@@ -413,12 +419,12 @@ def _infinite_beyond_two(g, h):
 
 
 def test_roundtrip_fails_where_one_side_only_is_infinite():
-    oracle = dc.oracle_from_spec(mm.Custom(3, R, POS, fn=_infinite_beyond_two))
-    report = dc.roundtrip_check(oracle, mm.euclidean(3), 200, seed=0)
+    spec = mm.Custom(3, R, POS, fn=_infinite_beyond_two)
+    report = dc.roundtrip_check(spec, mm.euclidean(3), 200, seed=0)
     assert not report.passed and report.max_relative_deviation == math.inf
     assert la.norm(report.witness[0]) > 2.0
     # the same infinity on both sides deviates by 0
-    same = dc.roundtrip_check(oracle, mm.Custom(3, R, POS, fn=_infinite_beyond_two), 200, seed=0)
+    same = dc.roundtrip_check(spec, mm.Custom(3, R, POS, fn=_infinite_beyond_two), 200, seed=0)
     assert same.passed and same.max_relative_deviation == 0.0
 
 

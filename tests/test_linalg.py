@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +272,54 @@ def test_norm_overflows_and_underflows_without_warnings():
     for field in (R, C):
         assert la.norm(la.vector([1e200, 0.0], field)) == math.inf
         assert la.norm(la.vector([1e-200, 1e-200], field)) == 0.0
+
+
+def test_a_complex_g_below_the_inverse_square_bound_has_invariants():
+    # 1/r^2 overflows exactly below _R_MIN; there (r, p, q) come from (g/r, h),
+    # and they scale with g as the invariants of (g * 1e155, h) do
+    below = math.nextafter(la._R_MIN, 0.0)
+    assert math.isfinite(1.0 / (la._R_MIN * la._R_MIN)) and 1.0 / (below * below) == math.inf
+    g, h = np.array([3 + 1j, 2j]) * 1e-155, np.array([1, 0.5j])
+    r, p, q = la.canonical_invariants(la.Vector(g, C), la.Vector(h, C))
+    want = la.canonical_invariants(la.Vector(g * 1e155, C), la.Vector(h, C))
+    assert [r * 1e155, p * 1e155, q * 1e155] == pytest.approx(want, rel=1e-12)
+    ip, q_rows = la.pair_invariants_rows(g[None], h[None], np.array([r]))
+    assert q_rows[0] == q and ip[0] == la.pair_invariants(la.Vector(g, C), la.Vector(h, C), r)[0]
+
+
+def _exact_q_squared(g, h) -> Fraction:
+    """q^2 = sum over i < j of |g_i h_j - g_j h_i|^2 (Binet-Cauchy), exact in Fractions."""
+    g = [(Fraction(z.real), Fraction(z.imag)) for z in np.asarray(g, complex).tolist()]
+    h = [(Fraction(z.real), Fraction(z.imag)) for z in np.asarray(h, complex).tolist()]
+    total = Fraction(0)
+    for i, j in itertools.combinations(range(len(g)), 2):
+        (a, b), (c, d), (e, f), (k, m) = g[i], h[j], g[j], h[i]
+        re, im = a * c - b * d - e * k + f * m, a * d + b * c - e * m - f * k
+        total += re * re + im * im
+    return total
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_q_holds_to_an_exact_reference_on_nearly_collinear_pairs(field):
+    # h = c g + eps w with eps = 10^U(-15, -3): q is mostly cancelled away, and
+    # both forms hold it to 4 eps |g||h| absolute.  Not relative: the
+    # orthogonal-component form's error relative to q can reach several percent.
+    rng = np.random.default_rng(21)
+    for dim in range(2, 6):
+        G, W = (la.random_gaussian_rows(75, dim, field, rng) for _ in range(2))
+        c = rng.standard_normal(75)
+        if field is C:
+            c = c * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 75))
+        H = c[:, None] * G + (10.0 ** rng.uniform(-15.0, -3.0, 75))[:, None] * W
+        r = la.row_norms(G)
+        _, q_rows = la.pair_invariants_rows(G, H, r)
+        for g, h, rk, qk in zip(G, H, r.tolist(), q_rows.tolist()):
+            q = la.pair_invariants(la.Vector(g, field), la.Vector(h, field), rk)[1]
+            bound = Fraction(4.0 * np.finfo(float).eps * rk * np.linalg.norm(h))
+            exact = _exact_q_squared(g, h)
+            for got in (Fraction(q), Fraction(qk)):
+                low = max(got - bound, Fraction(0))
+                assert low * low <= exact <= (got + bound) ** 2, (dim, got, float(exact) ** 0.5)
 
 
 @pytest.mark.parametrize("field", [R, C])

@@ -230,6 +230,26 @@ def test_eval_batch_overflows_in_the_pair_invariants_as_the_scalar_path_does(bui
     assert mm.eval_finsler(spec, la.Vector(G[0], field), la.Vector(H[0], field)) == math.inf
 
 
+@pytest.mark.parametrize("build", [mm.euclidean, mm.fubini_study])
+def test_a_complex_g_whose_inverse_square_norm_overflows_has_a_value(build):
+    # |g| = 3.7e-155 is in the domain, but 1/|g|^2 overflows, so <h,g>/|g|^2
+    # was inf and q NaN; rho_{t g}(h) = rho_g(h) / t^k with k = 0 and 1 here
+    spec, k = build(2, C), 0 if build is mm.euclidean else 1
+    g, h = np.array([3 + 1j, 2j]) * 1e-155, np.array([1, 0.5j])
+    want = mm.eval_finsler(spec, la.Vector(g * 1e155, C), la.Vector(h, C)) * 1e155 ** k
+    assert mm.eval_finsler(spec, la.Vector(g, C), la.Vector(h, C)) == pytest.approx(want, rel=1e-12)
+    # rows below the bound and rows above it in one batch: those keep the bits they have alone
+    G = np.array([g, [1, 1j], g * 1e150, [3e-160, 0]])
+    H = np.array([h, [2, 1], h, h])
+    values, inside = mm.eval_batch(spec, G, H)
+    assert inside.tolist() == [True] * 4 and np.isfinite(values).all()
+    assert values[0] == pytest.approx(want, rel=1e-12)
+    for i in (1, 2):
+        assert values[i] == mm.eval_batch(spec, G[i:i + 1], H[i:i + 1])[0][0]
+    for gi, hi, v in zip(G, H, values.tolist()):
+        assert mm.eval_finsler(spec, la.Vector(gi, C), la.Vector(hi, C)) == pytest.approx(v, rel=1e-12)
+
+
 @pytest.mark.parametrize("field", [R, C])
 def test_riemann_rows_and_scalars_agree_on_overflowing_invariants(field):
     # a zero coefficient makes its term 0 where |h|^2 or p^2 overflows; a term
