@@ -66,6 +66,27 @@ def _emit(obj, out=None) -> None:
     (out or sys.stdout).write(render_json(obj) + "\n")
 
 
+def vector_json(v: Vector) -> list:
+    if v.field is Field.REAL:
+        return [float(x) for x in v.entries]
+    return [[float(x.real), float(x.imag)] for x in v.entries]
+
+
+def witness_json(witness: tuple[Vector, Vector] | None) -> dict | None:
+    return None if witness is None else {"g": vector_json(witness[0]),
+                                         "h": vector_json(witness[1])}
+
+
+def verdict_to_json(verdict, spec_obj) -> dict:
+    """A SymmetryVerdict of the invariance module as the report's JSON fields."""
+    return {
+        "spec": spec_obj,
+        "verdict": "symmetry" if verdict.is_symmetry else "not-symmetry",
+        "max_deviation": verdict.max_deviation,
+        "witness": witness_json(verdict.witness),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing helpers
 
@@ -194,8 +215,7 @@ def cmd_decompose(args) -> int:
             raise UsageError(f"{flag} must be >= 1, got {steps}: a table of no rows shows nothing")
     spec = metric_from_args(args)
     if spec.dim < 2:
-        sys.stderr.write("decomposition requires dim >= 2\n")
-        return 3
+        raise ValueError("decomposition requires dim >= 2")
     if spec.family == "nonsym-lambda":
         raise UsageError("the theta form loses the sign of the inner product; "
                          "non-symmetric metrics have no symmetric decomposition")
@@ -224,19 +244,17 @@ def cmd_check(args) -> int:
         import finsler_iso.invariance as iv
 
         verdict = iv.invariance_suite(spec, args.samples, args.seed, args.tol)
-        report = iv.verdict_to_json(verdict, spec_obj)
+        report = verdict_to_json(verdict, spec_obj)
         report.update({"check": "invariance", "samples": verdict.samples_used,
                        "passed": verdict.is_symmetry})
         _emit(report)
         return 0 if verdict.is_symmetry else 1
     if args.which == "homothety":
-        import finsler_iso.invariance as iv  # for witness_json
-
         verdict = mm.check_homothety_invariance(spec, args.homothety_alpha, args.samples,
                                                 args.seed, args.tol)
         _emit({"check": "homothety", "alpha": args.homothety_alpha, "spec": spec_obj,
                "max_deviation": verdict.max_deviation, "passed": verdict.invariant,
-               "skipped": verdict.skipped, "witness": iv.witness_json(verdict.witness)})
+               "skipped": verdict.skipped, "witness": witness_json(verdict.witness)})
         return 0 if verdict.invariant else 1
     profile = mm.sesquilinear_profile(spec)
     if profile is None:
@@ -416,10 +434,7 @@ def main(argv=None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ParseError, MismatchError) as exc:
+    except (UsageError, ParseError, MismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (OutOfDomainError, NonPositiveMetricError, ZeroVectorError, EvalError, ValueError) as exc:

@@ -24,7 +24,7 @@ from .linalg import (
     Field,
     Vector,
     canonical_invariants,
-    inner,
+    checked_norm,
     norm,
     row_norms,
 )
@@ -118,26 +118,27 @@ def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline, n_nodes: i
 # ---------------------------------------------------------------------------
 # Projective pseudodistances
 
+def _angle(g: Vector, h: Vector) -> tuple[float, float]:
+    """cos and sin of the acute angle between the F-lines of g and h: the
+    invariants p and q of the pair over r |h|.  Raises ZeroVectorError at
+    g = 0 or h = 0, OutOfDomainError where |g| or |h| under- or overflows."""
+    nh = checked_norm(h, "h")
+    r, p, q = canonical_invariants(g, h)
+    return p / (r * nh), q / (r * nh)
+
+
 def delta1(g: Vector, h: Vector) -> float:
     """sin of the acute angle between the F-lines of g and h.
 
     Evaluated through the orthogonal component of h against g, which stays
     accurate for nearly collinear pairs.
     """
-    nh = norm(h)
-    if nh == 0.0:
-        raise ZeroVectorError("delta1 needs non-zero vectors")
-    _, _, q = canonical_invariants(g, h)  # raises on g = 0
-    return min(1.0, q / (norm(g) * nh))
+    return min(1.0, _angle(g, h)[1])
 
 
 def delta2(g: Vector, h: Vector) -> float:
     """Chord distance between the unit-sphere intersections of the two F-lines."""
-    ng, nh = norm(g), norm(h)
-    if ng == 0.0 or nh == 0.0:
-        raise ZeroVectorError("delta2 needs non-zero vectors")
-    c = min(1.0, abs(inner(h, g)) / (ng * nh))
-    return math.sqrt(max(0.0, 2.0 - 2.0 * c))
+    return math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, _angle(g, h)[0])))
 
 
 def polygonal_delta_length(which: str, curve: ParametricCurve, n_segments: int = 1000) -> float:

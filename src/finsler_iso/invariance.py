@@ -353,26 +353,3 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
                              for M in (rot, orth))
     rp, op = rot_worst <= tol, orth_worst <= tol
     return RotationSufficiencyReport(rot_worst, orth_worst, rp, op, rp == op)
-
-
-# ---------------------------------------------------------------------------
-# Report serialization (wire format used by the CLI)
-
-def vector_json(v: Vector) -> list:
-    if v.field is Field.REAL:
-        return [float(x) for x in v.entries]
-    return [[float(x.real), float(x.imag)] for x in v.entries]
-
-
-def witness_json(witness: tuple[Vector, Vector] | None) -> dict | None:
-    return None if witness is None else {"g": vector_json(witness[0]),
-                                         "h": vector_json(witness[1])}
-
-
-def verdict_to_json(verdict: SymmetryVerdict, spec_obj) -> dict:
-    return {
-        "spec": spec_obj,
-        "verdict": "symmetry" if verdict.is_symmetry else "not-symmetry",
-        "max_deviation": verdict.max_deviation,
-        "witness": witness_json(verdict.witness),
-    }

@@ -114,13 +114,16 @@ def inner(f: Vector, h: Vector) -> complex | float:
 
 
 def norm(h: Vector) -> float:
-    """np.linalg.norm's own formula, bit for bit, without its overhead.  np.vdot
-    overflows to inf without the RuntimeWarning that ndarray.dot gives."""
+    """np.linalg.norm's own formula, bit for bit, without its overhead, except
+    where |h|^2 is subnormal (see row_norms).  np.vdot overflows to inf without
+    the RuntimeWarning that ndarray.dot gives."""
     x = h.entries
     if h.field is Field.REAL:
-        return math.sqrt(np.vdot(x, x))
-    re, im = x.real, x.imag
-    return math.sqrt(np.vdot(re, re) + np.vdot(im, im))
+        s = float(np.vdot(x, x))
+    else:
+        re, im = x.real, x.imag
+        s = float(np.vdot(re, re) + np.vdot(im, im))
+    return float(row_norms(x[None])[0]) if 0.0 < s < _TINY else math.sqrt(s)
 
 
 def apply_map(T: LinearMap, v: Vector) -> Vector:
@@ -131,9 +134,11 @@ def apply_map(T: LinearMap, v: Vector) -> Vector:
     return Vector(T.entries @ v.entries, v.field)
 
 
-# The least r whose 1/r^2 is finite.  Over C, ip / r^2 is a complex division,
-# which numpy forms as ip * (1/r^2): for a smaller r it overflows and q is NaN.
-_R_MIN = 7.458340731200208e-155
+# The least normal float: a |g|^2 below it has lost bits to underflow.  Below
+# _R_MIN = sqrt(_TINY), about 1.49e-154, r^2 is subnormal, so ip / r^2 loses
+# bits; over C numpy forms it as ip * (1/r^2), which overflows below 7.46e-155.
+_TINY = float(np.finfo(float).tiny)
+_R_MIN = math.sqrt(_TINY)
 
 
 def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, float]:
@@ -141,26 +146,35 @@ def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, fl
 
     q = sqrt(|h|^2 |g|^2 - |<h, g>|^2) is formed as r |h - (<h,g>/r^2) g|,
     which stays accurate when h is nearly collinear with g.  <h, g> is a
-    float over R and a complex over C.  Over C, an r below _R_MIN forms both
-    from (g/r, h) and scales them back by r.
+    float over R and a complex over C.  An r below _R_MIN forms both from
+    (g/r, h) and scales them back by r.
     """
-    ip = np.vdot(g.entries, h.entries)
     real = g.field is Field.REAL
+    if r < _R_MIN:  # as in pair_invariants_rows
+        ip, q = pair_invariants_rows(g.entries[None], h.entries[None], np.array([r]))
+        return (float(ip[0]) if real else complex(ip[0])), float(q[0])
+    ip = np.vdot(g.entries, h.entries)
     if real:  # Python floats round as numpy's do, at less cost; complex ones do not
         ip = float(ip)
-    elif r < _R_MIN:  # as in pair_invariants_rows
-        ip, q = pair_invariants_rows(g.entries[None], h.entries[None], np.array([r]))
-        return complex(ip[0]), float(q[0])
     perp = h.entries - (ip / (r * r)) * g.entries
     q = r * math.sqrt(np.vdot(perp, perp).real)
     return (ip if real else complex(ip)), q
 
 
 def row_norms(G: np.ndarray) -> np.ndarray:
-    """|g| for each row of an (N, n) array, equal to norm() row by row."""
+    """|g| for each row of an (N, n) array, equal to norm() row by row.  A row
+    whose |g|^2 is subnormal but not 0 is measured again as m |g/m|, with
+    m = max |g_i|, which keeps the bits its sum of squares lost."""
     if G.dtype.kind == "c":
-        return np.sqrt(np.vecdot(G.real, G.real) + np.vecdot(G.imag, G.imag))
-    return np.sqrt(np.vecdot(G, G))
+        s = np.vecdot(G.real, G.real) + np.vecdot(G.imag, G.imag)
+    else:
+        s = np.vecdot(G, G)
+    r = np.sqrt(s)
+    if s.size and s.min() < _TINY:
+        k = np.flatnonzero((s > 0.0) & (s < _TINY))
+        m = np.abs(G[k]).max(axis=1)
+        r[k] = m * row_norms(G[k] / m[:, None])
+    return r
 
 
 def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
@@ -171,13 +185,14 @@ def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
     below _R_MIN on those rows only; a row with r = 0 gets <h, g> = q = 0.
     """
     k = None
-    if G.dtype.kind == "c" and len(r) > 0 and r.min() < _R_MIN:
+    plain = len(r) == 0 or r.min() >= _R_MIN  # no row with r = 0 or a tiny r
+    if not plain:
         k = np.flatnonzero((r > 0.0) & (r < _R_MIN))  # rows k take (g/r, h) and r = 1
         rk, G, r = r[k], G.copy(), r.copy()
         G[k] /= rk[:, None]
         r[k] = 1.0
     ip = np.vecdot(G, H)
-    c = ip / (r * r) if r.all() else np.divide(ip, r * r, out=np.zeros_like(ip), where=r > 0.0)
+    c = ip / (r * r) if plain else np.divide(ip, r * r, out=np.zeros_like(ip), where=r > 0.0)
     perp = H - c[:, None] * G
     q = r * np.sqrt(np.vecdot(perp, perp).real)
     if k is not None:  # and scale their invariants back by r
@@ -192,16 +207,26 @@ def acute_angle(g: Vector, h: Vector) -> float:
     Invariant under multiplying either argument by any non-zero scalar;
     atan2(q, p) keeps it accurate for nearly collinear pairs.
     """
-    if norm(h) == 0.0:
-        raise ZeroVectorError("acute angle needs non-zero vectors")
-    _, p, q = canonical_invariants(g, h)  # raises on g = 0
+    checked_norm(h, "h")
+    _, p, q = canonical_invariants(g, h)
     return math.atan2(q, p)
 
 
-def norm_range_error(r: float) -> OutOfDomainError:
-    """The error for a base point g != 0 whose |g| (or |g|^2) is r = 0 or inf."""
-    return OutOfDomainError(f"|g| {'overflows to inf' if r else 'underflows to 0'} "
-                            f"at a non-zero base point")
+def norm_range_error(r: float, name: str = "g") -> OutOfDomainError:
+    """The error for a vector g != 0 (or the one named) whose |g| (or |g|^2)
+    is r = 0 or inf."""
+    return OutOfDomainError(f"|{name}| {'overflows to inf' if r else 'underflows to 0'} "
+                            f"although {name} != 0")
+
+
+def checked_norm(v: Vector, name: str = "g") -> float:
+    """|v|, named name in errors: ZeroVectorError at v = 0, OutOfDomainError
+    where |v| underflows to 0 or overflows to inf."""
+    n = norm(v)
+    if n == 0.0 or n == math.inf:
+        raise (norm_range_error(n, name) if v.entries.any()
+               else ZeroVectorError(f"expected {name} != 0"))
+    return n
 
 
 def canonical_invariants(g: Vector, h: Vector) -> tuple[float, float, float]:
@@ -210,39 +235,19 @@ def canonical_invariants(g: Vector, h: Vector) -> tuple[float, float, float]:
     r = |g|, p = |<h, g>| and q as in :func:`pair_invariants`.  Raises
     ZeroVectorError at g = 0, OutOfDomainError where |g| under- or overflows.
     """
-    r = norm(g)
-    if r == 0.0 or r == math.inf:
-        raise (norm_range_error(r) if g.entries.any()
-               else ZeroVectorError("canonical invariants need g != 0"))
+    r = checked_norm(g)
     _check_pair(g, h)
     ip, q = pair_invariants(g, h, r)
     return r, abs(ip), q
 
 
-def _orthonormal_extension(cols: list[np.ndarray], dim: int, dtype) -> np.ndarray:
-    """Extend the given orthonormal columns to a full basis, deterministically.
-
-    Gram-Schmidt over the standard basis in index order, with a second
-    orthogonalization pass for stability.
-    """
-    basis = [np.asarray(c, dtype=dtype) for c in cols]
-    for i in range(dim):
-        if len(basis) == dim:
-            break
-        cand = np.zeros(dim, dtype=dtype)
-        cand[i] = 1.0
-        for b in basis:
-            cand = cand - b * np.vdot(b, cand)
-        n = np.linalg.norm(cand)
-        if n < 1e-6:
-            continue
-        cand = cand / n
-        for b in basis:
-            cand = cand - b * np.vdot(b, cand)
-        basis.append(cand / np.linalg.norm(cand))
-    if len(basis) != dim:
-        raise RuntimeError("orthonormal extension failed")  # unreachable for valid input
-    return np.stack(basis, axis=1)
+def _complete_frame(cols: list[np.ndarray]) -> np.ndarray:
+    """The given orthonormal columns, then columns that complete them to a
+    unitary basis: one Householder QR, with the given columns written back."""
+    A = np.stack(cols, axis=1)
+    Q = np.linalg.qr(A, mode="complete")[0]
+    Q[:, :len(cols)] = A
+    return Q
 
 
 def build_canonical_isometry(g: Vector, h: Vector, e: Vector, f: Vector,
@@ -259,25 +264,18 @@ def build_canonical_isometry(g: Vector, h: Vector, e: Vector, f: Vector,
         raise MismatchError("frame dimension differs from vector dimension")
     if g.dim < 2:
         raise MismatchError("canonical isometry needs dimension >= 2")
-    ng = norm(g)
-    if ng == 0.0:
-        raise ZeroVectorError("canonical isometry needs g != 0")
+    ng = checked_norm(g)
     if abs(norm(e) - 1.0) > tol or abs(norm(f) - 1.0) > tol or abs(inner(e, f)) > tol:
         raise ValueError("(e, f) must be an orthonormal pair")
 
-    dtype = g.field.dtype
     u1 = g.entries / ng
     ip = inner(h, g)
     w = h.entries - (ip / (ng * ng)) * g.entries
     nw = np.linalg.norm(w)
-    if nw > tol * max(1.0, norm(h)):
-        u2 = w / nw
-    else:
-        # h collinear with g: complete {g/|g|} over the standard basis.
-        u2 = _orthonormal_extension([u1], g.dim, dtype)[:, 1]
+    # h collinear with g: the completion's first column stands in for w/|w|
+    domain_basis = _complete_frame([u1, w / nw] if nw > tol * max(1.0, norm(h)) else [u1])
     mu = ip / abs(ip) if abs(ip) > 0.0 else 1.0
-    domain_basis = _orthonormal_extension([u1, u2], g.dim, dtype)
-    target_basis = _orthonormal_extension([e.entries, mu * f.entries], g.dim, dtype)
+    target_basis = _complete_frame([e.entries, mu * f.entries])
     return LinearMap(target_basis @ domain_basis.conj().T, g.field)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from finsler_iso import cli
 from finsler_iso import invariance as iv
+from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 
 
@@ -284,7 +285,15 @@ def test_decompose_of_no_steps_is_a_usage_error(capsys, option):
 
 def test_decompose_dim1_is_exit_3(capsys):
     code, _, err = run(capsys, "decompose", "--metric", "euclidean", "--dim", "1")
-    assert code == 3 and "dim >= 2" in err
+    assert code == 3 and err == "error: decomposition requires dim >= 2\n"
+
+
+def test_probe_report_serializes():
+    t = la.linear_map([[2.0, 0.0], [0.0, 1.0]])
+    v = iv.is_symmetry(t, mm.euclidean(2), 20, seed=11)
+    obj = cli.verdict_to_json(v, {"family": "euclidean"})
+    assert obj["verdict"] == "not-symmetry"
+    assert obj["witness"] is not None
 
 
 def test_decompose_writes_file(capsys, tmp_path):
@@ -655,7 +664,7 @@ def test_decompose_rejects_nonsym(capsys):
 # Which of the optional modules each README command loads: the start-up of
 # finsler_iso.cli loads cli, metrics, expressions, linalg and errors only.
 COMMAND_MODULES = {("eval",): set(), ("check", "pd"): set(), ("check", "kaehler"): set(),
-                   ("check", "invariance"): {"invariance"}, ("check", "homothety"): {"invariance"},
+                   ("check", "invariance"): {"invariance"}, ("check", "homothety"): set(),
                    ("probe-main",): {"invariance"}, ("decompose",): {"decompose"},
                    ("distance",): {"geometry"}}
 CHILD = """import sys

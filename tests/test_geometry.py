@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,10 +142,40 @@ def test_delta_scalar_invariance():
 
 
 def test_delta_zero_vector_errors():
-    with pytest.raises(ZeroVectorError):
-        ge.delta1(la.vector([0, 0]), la.vector([1, 0]))
-    with pytest.raises(ZeroVectorError):
-        ge.delta2(la.vector([1, 0]), la.vector([0, 0]))
+    for g, h in (([0, 0], [1, 0]), ([1, 0], [0, 0])):
+        for fn in (ge.delta1, ge.delta2):
+            with pytest.raises(ZeroVectorError):
+                fn(la.vector(g), la.vector(h))
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_delta_of_a_vector_whose_norm_under_or_overflows_is_out_of_domain(field):
+    # once the norm path gave 0.0 or 1.0 and 1.414 here without an error, and
+    # an underflowing h was called a zero vector
+    cases = (([1e200, 1e200], [1e200, 0.0], "|h| overflows"),
+             ([1.0, 0.0], [1e200, 1e200], "|h| overflows"),
+             ([1.0, 0.0], [1e-170, 1e-170], "|h| underflows"),
+             ([1e-170, 0.0], [1.0, 1.0], "|g| underflows"),
+             ([1e200, 0.0], [1.0, 1.0], "|g| overflows"))
+    for g, h, message in cases:
+        for fn in (ge.delta1, ge.delta2):
+            with pytest.raises(OutOfDomainError, match=re.escape(message)):
+                fn(la.vector(g, field), la.vector(h, field))
+
+
+def test_delta_keeps_the_bits_of_the_norm_and_inner_forms():
+    # at unit scale the values equal the forms the pseudodistances had before
+    # they read canonical_invariants: q / (|g| |h|) and the chord of
+    # |<h, g>| / (|g| |h|)
+    rng = np.random.default_rng(8)
+    for field in (R, C):
+        for _ in range(200):
+            g, h = (la.random_gaussian_vector(4, field, rng) for _ in range(2))
+            nh = la.norm(h)
+            q = la.canonical_invariants(g, h)[2]
+            c = min(1.0, abs(la.inner(h, g)) / (la.norm(g) * nh))
+            assert ge.delta1(g, h) == min(1.0, q / (la.norm(g) * nh))
+            assert ge.delta2(g, h) == math.sqrt(max(0.0, 2.0 - 2.0 * c))
 
 
 def test_delta_identity_and_inequality():

@@ -189,15 +189,6 @@ def test_invariance_suite_aggregates():
     assert verdict.is_symmetry and verdict.samples_used == 100
 
 
-def test_probe_report_serializes():
-    t = la.linear_map([[2.0, 0.0], [0.0, 1.0]])
-    v = iv.is_symmetry(t, mm.euclidean(2), 20, seed=11)
-    obj = iv.verdict_to_json(v, {"family": "euclidean"})
-    assert obj["verdict"] == "not-symmetry"
-    assert obj["witness"] is not None
-
-
-
 # ---------------------------------------------------------------------------
 # Batched checks against the per-pair loops they replace
 

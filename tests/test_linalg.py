@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,17 @@ def test_acute_angle_zero_vector():
         la.acute_angle(la.vector([0, 0]), la.vector([1, 0]))
 
 
+@pytest.mark.parametrize("field", [R, C])
+def test_acute_angle_of_an_h_whose_norm_under_or_overflows_is_out_of_domain(field):
+    # (1, 0) against (1e200, 1e200) once gave pi/2 without an error
+    g = la.vector([1.0, 0.0], field)
+    for h, word in (([1e200, 1e200], "|h| overflows"), ([1e-170, 1e-170], "|h| underflows")):
+        with pytest.raises(OutOfDomainError, match=re.escape(word)):
+            la.acute_angle(g, la.vector(h, field))
+    with pytest.raises(ZeroVectorError, match="h != 0"):
+        la.acute_angle(g, la.vector([0.0, 0.0], field))
+
+
 def test_acute_angle_scalar_invariance():
     rng = np.random.default_rng(1)
     for _ in range(1000):
@@ -129,20 +141,48 @@ def test_canonical_isometry_collinear_case():
     assert np.allclose(u.entries.T @ u.entries, np.eye(2), atol=1e-12)
 
 
+def _assert_canonical(g, h, e, f):
+    """The properties of build_canonical_isometry(g, h, e, f) to 1e-12."""
+    u = la.build_canonical_isometry(g, h, e, f)
+    ug, uh = la.apply_map(u, g), la.apply_map(u, h)
+    assert abs(la.inner(uh, ug) - la.inner(h, g)) <= 1e-12
+    assert abs(la.norm(uh) - la.norm(h)) <= 1e-12
+    assert np.max(np.abs(ug.entries - la.norm(g) * e.entries)) <= 1e-12
+    frame = np.stack([e.entries, f.entries], axis=1)
+    assert np.max(np.abs(uh.entries - frame @ (frame.conj().T @ uh.entries))) <= 1e-12
+    assert np.max(np.abs(u.entries.conj().T @ u.entries - np.eye(g.dim))) <= 1e-12
+
+
 def test_canonical_isometry_random_complex_pairs():
     rng = np.random.default_rng(4)
     e, f = la.basis_vector(4, 0, C), la.basis_vector(4, 1, C)
     for _ in range(100):
         g = la.random_gaussian_vector(4, C, rng)
         h = la.random_gaussian_vector(4, C, rng)
-        u = la.build_canonical_isometry(g, h, e, f)
-        ug, uh = la.apply_map(u, g), la.apply_map(u, h)
-        assert abs(la.inner(uh, ug) - la.inner(h, g)) <= 1e-12
-        assert abs(la.norm(uh) - la.norm(h)) <= 1e-12
-        assert np.allclose(ug.entries, la.norm(g) * e.entries, atol=1e-12)
-        # image of h stays in the coordinate plane of (e, f)
-        assert np.max(np.abs(uh.entries[2:])) <= 1e-12
-        assert np.max(np.abs(u.entries.conj().T @ u.entries - np.eye(4))) <= 1e-12
+        _assert_canonical(g, h, e, f)
+
+
+@pytest.mark.parametrize("dim", range(3, 7))
+def test_canonical_isometry_real_pairs_use_completion_columns(dim):
+    # in dim >= 3 the frames are completed beyond span{g, h} and span{e, f};
+    # one pair in three is collinear, where span{g, h} is a line
+    rng = np.random.default_rng(dim)
+    for k in range(30):
+        g, h = (la.random_gaussian_vector(dim, R, rng) for _ in range(2))
+        if k % 3 == 0:
+            h = la.Vector(float(rng.standard_normal()) * g.entries, R)
+        u = la.random_unitary(dim, R, k)
+        _assert_canonical(g, h, la.Vector(u.entries[:, 0], R), la.Vector(u.entries[:, 1], R))
+
+
+def test_canonical_isometry_complex_collinear_pairs():
+    rng = np.random.default_rng(6)
+    for k in range(60):
+        dim = 3 + k % 4
+        g = la.random_gaussian_vector(dim, C, rng)
+        h = la.Vector(complex(*rng.standard_normal(2)) * g.entries, C)
+        u = la.random_unitary(dim, C, k)
+        _assert_canonical(g, h, la.Vector(u.entries[:, 0], C), la.Vector(u.entries[:, 1], C))
 
 
 def test_canonical_isometry_preserves_probe_norms():
@@ -275,16 +315,34 @@ def test_norm_overflows_and_underflows_without_warnings():
 
 
 def test_a_complex_g_below_the_inverse_square_bound_has_invariants():
-    # 1/r^2 overflows exactly below _R_MIN; there (r, p, q) come from (g/r, h),
-    # and they scale with g as the invariants of (g * 1e155, h) do
+    # r^2 is subnormal exactly below _R_MIN = sqrt(smallest normal), and over C
+    # 1/r^2 overflows a little further down; there (r, p, q) come from
+    # (g/r, h), and they scale with g as the invariants of (g * 1e155, h) do
     below = math.nextafter(la._R_MIN, 0.0)
-    assert math.isfinite(1.0 / (la._R_MIN * la._R_MIN)) and 1.0 / (below * below) == math.inf
+    assert la._R_MIN * la._R_MIN == np.finfo(float).tiny > below * below
     g, h = np.array([3 + 1j, 2j]) * 1e-155, np.array([1, 0.5j])
     r, p, q = la.canonical_invariants(la.Vector(g, C), la.Vector(h, C))
     want = la.canonical_invariants(la.Vector(g * 1e155, C), la.Vector(h, C))
     assert [r * 1e155, p * 1e155, q * 1e155] == pytest.approx(want, rel=1e-12)
     ip, q_rows = la.pair_invariants_rows(g[None], h[None], np.array([r]))
     assert q_rows[0] == q and ip[0] == la.pair_invariants(la.Vector(g, C), la.Vector(h, C), r)[0]
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("scale", [1e-160, 5e-155])
+def test_a_tiny_g_has_the_invariants_of_its_unit_scale_pair(field, scale):
+    # at 1e-160 |g|^2 is subnormal, at 5e-155 r^2 is: r, p and q still scale
+    # with g, on the scalar path and the rows path alike
+    g1 = np.array([3.0, -4.0] if field is R else [3 + 1j, 2j], field.dtype)
+    h = la.Vector(np.array([1.0, 0.5], field.dtype), field)
+    want = la.canonical_invariants(la.Vector(g1, field), h)
+    got = la.canonical_invariants(la.Vector(g1 * scale, field), h)
+    assert [x / scale for x in got] == pytest.approx(want, rel=1e-15)
+    G = np.stack([g1 * scale, g1])
+    r = la.row_norms(G)
+    assert r.tolist() == [got[0], want[0]]
+    ip, q = la.pair_invariants_rows(G, np.stack([h.entries] * 2), r)
+    assert [abs(ip[0]), q[0]] == list(got[1:]) and [abs(ip[1]), q[1]] == list(want[1:])
 
 
 def _exact_q_squared(g, h) -> Fraction:

@@ -251,6 +251,20 @@ def test_a_complex_g_whose_inverse_square_norm_overflows_has_a_value(build):
 
 
 @pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("scale", [1e-160, 5e-155])
+def test_euclidean_at_a_tiny_g_is_the_norm_of_h(field, scale):
+    # at 1e-160 |g|^2 is subnormal, at 5e-155 r^2 is; at 1e-160 the value
+    # once read 1.1180389676
+    spec = mm.euclidean(2, field)
+    g, h = la.vector([scale, 0.0], field), la.vector([1.0, 0.5], field)
+    want = math.sqrt(1.25)
+    assert mm.eval_finsler(spec, g, h) == pytest.approx(want, rel=1e-15)
+    values, inside = mm.eval_batch(spec, np.stack([g.entries, h.entries]),
+                                   np.stack([h.entries, h.entries]))
+    assert inside.all() and values[0] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("field", [R, C])
 def test_riemann_rows_and_scalars_agree_on_overflowing_invariants(field):
     # a zero coefficient makes its term 0 where |h|^2 or p^2 overflows; a term
     # that overflows alone gives inf; row values equal the scalar ones
