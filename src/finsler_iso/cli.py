@@ -196,11 +196,10 @@ def cmd_eval(args) -> int:
     g = parse_vector(args.g, spec.dim, spec.field)
     h = parse_vector(args.h, spec.dim, spec.field)
     if args.f is not None:
-        profile = mm.sesquilinear_profile(spec)
-        if profile is None:
+        if not isinstance(spec, mm.RIEMANN_BACKED):
             raise UsageError("--f needs a Riemann-backed metric")
         f = parse_vector(args.f, spec.dim, spec.field)
-        value = mm.eval_sesquilinear(profile, g, f, h)
+        value = mm.eval_sesquilinear(spec, g, f, h)
         _emit({"value": [value.real, value.imag] if isinstance(value, complex) else value})
     else:
         _emit({"value": mm.eval_finsler(spec, g, h)})
@@ -220,10 +219,9 @@ def cmd_decompose(args) -> int:
         raise UsageError("the theta form loses the sign of the inner product; "
                          "non-symmetric metrics have no symmetric decomposition")
     r_values = [float(r) for r in np.linspace(args.r_min, args.r_max, args.r_steps)]
-    profile = mm.sesquilinear_profile(spec)
-    as_riemann = (args.form == "riemann") or (args.form == "auto" and profile is not None)
-    if as_riemann:
-        if profile is None:
+    riemann_backed = isinstance(spec, mm.RIEMANN_BACKED)
+    if args.form == "riemann" or (args.form == "auto" and riemann_backed):
+        if not riemann_backed:
             raise UsageError("this metric has no sesquilinear form; use --as finsler")
         extracted = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(spec))
         _write_csv(dc.tabulate_phi_psi(extracted, r_values), ["r", "phi", "psi"], args.output)
@@ -256,20 +254,19 @@ def cmd_check(args) -> int:
                "max_deviation": verdict.max_deviation, "passed": verdict.invariant,
                "skipped": verdict.skipped, "witness": witness_json(verdict.witness)})
         return 0 if verdict.invariant else 1
-    profile = mm.sesquilinear_profile(spec)
-    if profile is None:
+    if not isinstance(spec, mm.RIEMANN_BACKED):
         raise UsageError(f"check {args.which} needs a Riemann-backed metric")
-    r_squared = [r * r for r in np.linspace(args.r_min, args.r_max, args.samples).tolist()]
+    r2 = [r * r for r in np.linspace(args.r_min, args.r_max, args.samples).tolist()]
     if args.which == "pd":
-        verdicts = mm.check_positive_definite(profile, r_squared)
+        verdicts = mm.check_positive_definite(spec, r2)
         passed = all(v is mm.PDVerdict.POSITIVE_DEFINITE for v in verdicts)
-        _emit({"check": "pd", "spec": spec_obj, "r_squared": r_squared,
+        _emit({"check": "pd", "spec": spec_obj, "r_squared": r2,
                "verdicts": [v.value for v in verdicts], "passed": passed})
         return 0 if passed else 1
     # kaehler
-    results = mm.check_kaehler(profile, r_squared)
+    results = mm.check_kaehler(spec, r2)
     passed = all(results)
-    report = {"check": "kaehler", "spec": spec_obj, "r_squared": r_squared,
+    report = {"check": "kaehler", "spec": spec_obj, "r_squared": r2,
               "results": results, "passed": passed}
     if spec.family == "fubini-study":
         report["potential"] = "2*log(norm(g))"  # informational; not verified

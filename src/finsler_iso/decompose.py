@@ -31,6 +31,7 @@ from .metrics import (
     RadiusDomain,
     RiemannProfile,
     _array_form,
+    _roots_inside,
     deviations,
     eval_batch,
     eval_sesquilinear,
@@ -60,12 +61,10 @@ class SesquiOracle:
 
 
 def sesqui_oracle_from_spec(spec: MetricSpec) -> SesquiOracle:
-    profile = sesquilinear_profile(spec)
-    if profile is None:
-        raise ValueError(f"family {spec.family!r} has no sesquilinear form")
-    return SesquiOracle(lambda g, f, h: eval_sesquilinear(profile, g, f, h),
+    sesquilinear_profile(spec)  # ValueError unless the spec is Riemann-backed
+    return SesquiOracle(lambda g, f, h: eval_sesquilinear(spec, g, f, h),
                         spec.dim, spec.field, spec.domain,
-                        rows=lambda G, F, H: eval_sesquilinear_rows(profile, G, F, H))
+                        rows=lambda G, F, H: eval_sesquilinear_rows(spec, G, F, H))
 
 
 def _rows(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -98,12 +97,11 @@ def _profile_fn(rows: Callable[..., np.ndarray]) -> Callable[..., float]:
     return fn
 
 
-def _require_radii(r: np.ndarray, domain: RadiusDomain) -> None:
-    """OutOfDomainError unless every r is a positive point of the domain: at
-    r <= 0 the frame's base point r e would stand at the radius |r|."""
-    bad = ~((r > 0.0) & domain.contains_rows(r))
-    if bad.any():
-        raise OutOfDomainError(f"r = {r[bad][0]} is outside the extracted profile's domain")
+def _require_radii(r: np.ndarray, inside: np.ndarray) -> None:
+    """OutOfDomainError unless every r is inside: r > 0 with its base point in
+    the domain, since at r <= 0 the frame's base point would stand at |r|."""
+    if not inside.all():
+        raise OutOfDomainError(f"r = {r[~inside][0]} is outside the extracted profile's domain")
 
 
 def validate_alpha(spec: MetricSpec, n_samples: int = 24, seed: int = 0,
@@ -141,7 +139,7 @@ def extract_lambda(spec: MetricSpec, frame: tuple[Vector, Vector] | None = None,
     alpha, real = spec.alpha, spec.field is Field.REAL
 
     def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        _require_radii(r, spec.domain)
+        _require_radii(r, (r > 0.0) & spec.domain.contains_rows(r))
         if real:
             p = np.real(p)
         return _rows(spec, r[:, None] * e, p[:, None] * e + q[:, None] * f) / (r ** alpha)
@@ -173,16 +171,15 @@ def extract_phi_psi(oracle: SesquiOracle,
     after a check that the oracle is conjugate-symmetric on samples."""
     e, f = (v.entries for v in _check_frame(oracle, frame))
     _validate_conjugate_symmetry(oracle)
-    domain = oracle.domain.squared()
 
     def sigma(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-        _require_radii(r, domain)
+        _require_radii(r, _roots_inside(oracle, r))  # r is |g|^2: its root is in the domain
         V = np.tile(v, (len(r), 1))
         return np.real(oracle.eval_rows(np.sqrt(r)[:, None] * e, V, V))
 
     phi = _profile_fn(lambda r: sigma(r, f))
     psi = _profile_fn(lambda r: (sigma(r, e) - phi.rows(r)) / r)
-    return RiemannProfile(phi, psi, domain)
+    return RiemannProfile(phi, psi)
 
 
 def _validate_conjugate_symmetry(oracle: SesquiOracle, n_samples: int = 16,
@@ -241,18 +238,11 @@ def roundtrip_check(metric: MetricSpec | SesquiOracle, extracted_spec: MetricSpe
     """
     if n_samples < 1:
         raise ValueError("a round-trip needs at least one sample (n_samples >= 1)")
-    sesqui = isinstance(metric, SesquiOracle)
-    profile = sesquilinear_profile(extracted_spec) if sesqui else None
-    if sesqui and profile is None:
-        raise ValueError("sesquilinear round-trip needs a Riemann-backed spec")
     rows = _roundtrip_rows(metric, n_samples, np.random.default_rng(seed))
-    got = metric.eval_rows(*rows) if sesqui else _rows(metric, *rows)
-    if sesqui:
-        want = eval_sesquilinear_rows(profile, *rows)
-    else:
-        want, inside = eval_batch(extracted_spec, *rows)
-        if not inside.all():
-            raise OutOfDomainError("a sample's base point is outside the rebuilt metric's domain")
+    if isinstance(metric, SesquiOracle):  # against the sigma of the Riemann-backed rebuilt spec
+        got, want = metric.eval_rows(*rows), eval_sesquilinear_rows(extracted_spec, *rows)
+    else:  # each side refuses a row outside its domain
+        got, want = _rows(metric, *rows), _rows(extracted_spec, *rows)
     dev = deviations(got, want, got)
     k = int(np.argmax(dev))
     worst = float(dev[k])
@@ -274,6 +264,6 @@ def tabulate_theta(theta: Callable[[float, float], float], r_values: list[float]
 
 def tabulate_phi_psi(profile: RiemannProfile,
                      r_values: list[float]) -> list[tuple[float, float, float]]:
-    """(r, phi, psi) rows; r here is the squared-norm argument."""
+    """(r, phi, psi) rows; r here is the argument |g|^2."""
     r = np.array(r_values, dtype=float)
     return list(zip(r.tolist(), profile.phi_rows(r).tolist(), profile.psi_rows(r).tolist()))

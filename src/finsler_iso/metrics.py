@@ -77,16 +77,6 @@ class RadiusDomain:
             inside |= (lo < r) & (r < hi)
         return inside
 
-    def squared(self) -> "RadiusDomain":
-        """Image under r -> r^2 (norm radii to sesquilinear arguments)."""
-        return RadiusDomain(tuple((lo * lo, hi * hi) for lo, hi in self.intervals),
-                            self.includes_zero)
-
-    def sqrt_image(self) -> "RadiusDomain":
-        """Image under r -> sqrt(r) (sesquilinear arguments to norm radii)."""
-        return RadiusDomain(tuple((math.sqrt(lo), math.sqrt(hi)) for lo, hi in self.intervals),
-                            self.includes_zero)
-
 
 def _radius_range(lo: float, hi: float) -> tuple[float, float, bool]:
     """Where a radius in the interval (lo, hi) is drawn: uniformly in (a, b),
@@ -150,7 +140,6 @@ class RiemannProfile:
 
     phi: Callable[[float], float]
     psi: Callable[[float], float]
-    domain: RadiusDomain = RadiusDomain.positive()
 
     @property
     def phi_rows(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -195,12 +184,9 @@ def nonsym_lambda_profile(text: str, field: Field) -> Callable[[float, complex, 
     return lam
 
 
-def riemann_profile(phi_text: str, psi_text: str,
-                    domain: RadiusDomain | None = None) -> RiemannProfile:
-    return RiemannProfile(
-        expressions.compile_positional(phi_text, ("r",)),
-        expressions.compile_positional(psi_text, ("r",)),
-        domain if domain is not None else RadiusDomain.positive())
+def riemann_profile(phi_text: str, psi_text: str) -> RiemannProfile:
+    return RiemannProfile(expressions.compile_positional(phi_text, ("r",)),
+                          expressions.compile_positional(psi_text, ("r",)))
 
 
 def congruence_invariant_riemann(a: float, b: float) -> RiemannProfile:
@@ -214,7 +200,7 @@ def congruence_invariant_riemann(a: float, b: float) -> RiemannProfile:
 
 
 def fubini_study_profile() -> RiemannProfile:
-    return congruence_invariant_riemann(1.0, -1.0)
+    return FubiniStudy.profile
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +233,8 @@ class MetricSpec:
 
     def _values(self, r: np.ndarray, ip: np.ndarray, q: np.ndarray,
                 G: np.ndarray, H: np.ndarray) -> np.ndarray:
-        """rho on rows whose base points lie in the domain, from their
-        invariants.  Every family is one numpy expression of them; this
-        default, for Custom and ZeroExtended, goes row by row through _eval."""
-        f = self.field
-        return np.array([self._eval(Vector(g, f), Vector(h, f), x)
-                         for g, h, x in zip(G, H, r.tolist())], dtype=float)
+        """rho on rows whose base points lie in the domain, from their invariants."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -277,6 +259,7 @@ class FubiniStudy(MetricSpec):
 
     family: ClassVar[str] = "fubini-study"
     congruence_invariant: ClassVar[bool] = True
+    profile: ClassVar[RiemannProfile] = congruence_invariant_riemann(1.0, -1.0)  # sigma's, built once
 
     def _value(self, r, ip, q):
         return q / (r * r)
@@ -450,6 +433,12 @@ class ZeroExtended(MetricSpec):
             return self.b * norm(h)
         return eval_finsler(self.inner_spec, g, h)
 
+    def _values(self, r, ip, q, G, H):
+        k = r != 0.0  # the others are rows at g = 0, where rho_0(h) = b |h|
+        out = self.b * row_norms(H)
+        out[k] = self.inner_spec._values(r[k], ip[k], q[k], G[k], H[k])
+        return out
+
 
 @dataclass(frozen=True)
 class Custom(MetricSpec):
@@ -468,6 +457,11 @@ class Custom(MetricSpec):
 
     def _eval(self, g, h, r):
         return float(self.fn(g, h))
+
+    def _values(self, r, ip, q, G, H):  # the callable sees vectors: row by row
+        f = self.field
+        return np.array([self._eval(Vector(g, f), Vector(h, f), x)
+                         for g, h, x in zip(G, H, r.tolist())], dtype=float)
 
 
 def euclidean(dim: int, field: Field = Field.REAL) -> Euclidean:
@@ -559,34 +553,38 @@ def _eval_rows(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
     return values, inside
 
 
-def eval_sesquilinear(profile: RiemannProfile, g: Vector, f: Vector, h: Vector):
+def eval_sesquilinear(spec: MetricSpec, g: Vector, f: Vector, h: Vector):
     """sigma_g(f, h) = phi(|g|^2) <f,h> + psi(|g|^2) <f,g> <g,h>, a float over R
     and a complex over C: the one-row case of eval_sesquilinear_rows."""
-    return eval_sesquilinear_rows(profile, g.entries[None], f.entries[None],
+    return eval_sesquilinear_rows(spec, g.entries[None], f.entries[None],
                                   h.entries[None])[0].item()
 
 
-def eval_sesquilinear_rows(profile: RiemannProfile, G: np.ndarray, F: np.ndarray,
+def eval_sesquilinear_rows(spec: MetricSpec, G: np.ndarray, F: np.ndarray,
                            H: np.ndarray) -> np.ndarray:
-    """sigma for the rows of three (N, dim) arrays of one dtype, in one pass.
+    """sigma of a Riemann-backed spec for the rows of three (N, dim) arrays of
+    its dimension and dtype, in one pass.
 
-    Raises when any row's g is 0, is not 0 but has a |g| that under- or
-    overflows, or has a |g|^2 outside the profile's domain, and EvalError when
-    any row's sigma is NaN (its terms overflow to opposite infinities).  A
-    coefficient phi or psi that is 0 makes its term 0, even where the inner
-    products overflow.
+    Raises where eval_batch marks a row outside (g = 0, a |g| that under- or
+    overflows, a |g| outside the domain) or |g|^2 under- or overflows, and
+    EvalError when any row's sigma is NaN (its terms overflow to opposite
+    infinities).  A coefficient phi or psi that is 0 makes its term 0, even
+    where the inner products overflow.
     """
-    if not (G.shape == F.shape == H.shape and G.ndim == 2) or not (G.dtype == F.dtype == H.dtype):
-        raise MismatchError("sigma needs three vectors, or row arrays, of one dimension and field")
+    profile = sesquilinear_profile(spec)
+    if not (G.shape == F.shape == H.shape == (len(G), spec.dim)
+            and G.dtype == F.dtype == H.dtype == spec.field.dtype):
+        raise MismatchError("sigma needs vectors or row arrays of the metric's dimension and field")
     with np.errstate(over="ignore"):
-        r2 = row_norms(G) ** 2
+        r, inside = _inside_rows(spec, G)
+        r2 = r ** 2
     degenerate = np.flatnonzero((r2 == 0.0) | (r2 == math.inf))
     if degenerate.size:
         k = degenerate[0]
         raise (norm_range_error(r2[k]) if G[k].any()
                else ZeroVectorError("sigma is undefined at g = 0"))
-    if not profile.domain.contains_rows(r2).all():
-        raise OutOfDomainError("a row's |g|^2 is outside the profile domain")
+    if not inside.all():
+        raise OutOfDomainError("a row's |g| is outside the radius domain")
     phi, psi = profile.phi_rows(r2), profile.psi_rows(r2)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN raises below
         sigma = (np.where(phi == 0.0, 0.0, _scaled(phi, np.vecdot(H, F)))
@@ -605,24 +603,25 @@ def _scaled(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return c * z
 
 
-def sesquilinear_profile(spec: MetricSpec) -> RiemannProfile | None:
-    """The (phi, psi) pair behind a spec, when it has one."""
-    if isinstance(spec, FromRiemann):
-        return spec.profile
-    if isinstance(spec, FubiniStudy):
-        return fubini_study_profile()
-    return None
+RIEMANN_BACKED = (FromRiemann, FubiniStudy)  # the specs with a sigma, and a (phi, psi) for it
 
 
-def induced_finsler(profile: RiemannProfile, dim: int,
-                    field: Field = Field.REAL) -> FromRiemann:
-    """The Finsler metric sign(v) sqrt|v| with v = sigma_g(h, h).
+def sesquilinear_profile(spec: MetricSpec) -> RiemannProfile:
+    """The (phi, psi) pair of a Riemann-backed spec; ValueError for any other."""
+    if not isinstance(spec, RIEMANN_BACKED):
+        raise ValueError(f"family {spec.family!r} has no sesquilinear form")
+    return spec.profile
 
-    Probes v on 64 pairs from sample_pairs with default_rng(0) and flags the
-    spec (plus a RuntimeWarning) when any sampled v is negative, i.e. the
-    profile is not positive semi-definite there.
+
+def induced_finsler(profile: RiemannProfile, dim: int, field: Field = Field.REAL,
+                    domain: RadiusDomain = RadiusDomain.positive()) -> FromRiemann:
+    """The Finsler metric sign(v) sqrt|v| with v = sigma_g(h, h), on the domain.
+
+    Probes v on 64 pairs inside it from sample_pairs with default_rng(0) and
+    flags the spec (plus a RuntimeWarning) when any sampled v is negative,
+    i.e. the profile is not positive semi-definite there.
     """
-    spec = FromRiemann(dim, field, profile.domain.sqrt_image(), profile)
+    spec = FromRiemann(dim, field, domain, profile)
     values, _ = eval_batch(spec, *sample_pairs(spec, 64, np.random.default_rng(0)))
     # sign(v) sqrt|v| < -1e-6 exactly when v < -1e-12.
     if (values < -1e-6).any():
@@ -641,38 +640,52 @@ class PDVerdict(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-def check_positive_definite(profile: RiemannProfile, r_samples: list[float],
+def _roots_inside(spec: MetricSpec, r: np.ndarray) -> np.ndarray:
+    """Whether each |g|^2 = r > 0 has its root in the radius domain (of a
+    spec, or of anything with a domain, such as a decompose.SesquiOracle)."""
+    with np.errstate(invalid="ignore"):  # r < 0 has no root: NaN is outside
+        return (r > 0.0) & spec.domain.contains_rows(np.sqrt(r))
+
+
+def check_positive_definite(spec: MetricSpec, r_samples: list[float],
                             tol: float = 1e-8) -> list[PDVerdict]:
-    """Per-sample verdict from the pair (phi(r), phi(r) + r psi(r)).
+    """Per-sample verdict of a Riemann-backed spec from the pair (phi(r),
+    phi(r) + r psi(r)) at each r = |g|^2, whose root must lie in its domain.
 
     PD needs both strictly positive; the degenerate verdict means both are
-    non-negative with at least one vanishing (within tol).
+    non-negative with the smaller vanishing within tol times the larger
+    magnitude, so scaling the profile does not change a verdict.
     """
+    profile = sesquilinear_profile(spec)
     r = np.array(r_samples, dtype=float)
-    outside = ~profile.domain.contains_rows(r)
+    outside = ~_roots_inside(spec, r)
     if outside.any():
-        raise OutOfDomainError(f"sample r = {r[outside][0]} is outside the profile domain")
+        raise OutOfDomainError(f"sample |g|^2 = {r[outside][0]} is outside the radius domain")
     a = profile.phi_rows(r)
     c = a + r * profile.psi_rows(r)
-    return [PDVerdict.POSITIVE_DEFINITE if m > tol
-            else PDVerdict.SEMI_DEFINITE_DEGENERATE if m >= -tol
+    t = tol * np.maximum(np.abs(a), np.abs(c))
+    return [PDVerdict.POSITIVE_DEFINITE if m > e
+            else PDVerdict.SEMI_DEFINITE_DEGENERATE if m >= -e
             else PDVerdict.INDEFINITE
-            for m in np.where(c < a, c, a).tolist()]
+            for m, e in zip(np.where(c < a, c, a).tolist(), t.tolist())]
 
 
-def check_kaehler(profile: RiemannProfile, r_samples: list[float],
+def check_kaehler(spec: MetricSpec, r_samples: list[float],
                   tol: float | None = None) -> list[bool]:
-    """Whether psi matches the centered difference of phi, step max(1e-5, 1e-5 r), at each r.
+    """Whether psi matches the centered difference of phi, step max(1e-5, 1e-5 r),
+    at each sample r = |g|^2 of a Riemann-backed spec.
 
     Meaningful over the complex field, where it characterizes the Kaehler
     property of the invariant Hermitean metric.
     """
+    profile = sesquilinear_profile(spec)
     r = np.array(r_samples, dtype=float)
     step = np.maximum(1e-5, 1e-5 * r)
-    near = ~(profile.domain.contains_rows(r - step) & profile.domain.contains_rows(r + step))
+    near = ~(_roots_inside(spec, r - step) & _roots_inside(spec, r + step))
     if near.any():
         k = int(np.argmax(near))
-        raise ValueError(f"sample r = {r[k]} is closer than {step[k]} to the domain boundary")
+        raise ValueError(f"sample |g|^2 = {r[k]} is outside the radius domain or closer "
+                         f"than {step[k]} to its boundary")
     up, down = np.split(profile.phi_rows(np.concatenate([r + step, r - step])), 2)
     d = (up - down) / (2.0 * step)
     psi = profile.psi_rows(r)
@@ -680,17 +693,15 @@ def check_kaehler(profile: RiemannProfile, r_samples: list[float],
     return (np.abs(psi - d) <= t).tolist()
 
 
-def deviations(got: np.ndarray, want: np.ndarray, ref: np.ndarray | None = None) -> np.ndarray:
-    """|got - want| per row, over 1 + |ref| when ref is given.
+def deviations(got: np.ndarray, want: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """|got - want| / (1 + |ref|) per row: every sampled check's relative deviation.
 
     A NaN deviation comes from an infinite (or NaN) value: it counts as 0
     where got and want are the same infinity and as inf otherwise, so a
     sample that is infinite on one side only fails a tolerance.
     """
     with np.errstate(invalid="ignore"):
-        dev = np.abs(got - want)
-        if ref is not None:
-            dev = dev / (1.0 + np.abs(ref))
+        dev = np.abs(got - want) / (1.0 + np.abs(ref))
     nan = np.isnan(dev)
     if nan.any():
         dev[nan] = np.where(got[nan] == want[nan], 0.0, np.inf)
@@ -725,7 +736,7 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
     used = int(kept.sum())
     if used == 0:
         raise ValueError("all samples skipped: alpha * R does not meet R on the sampler")
-    dev = deviations(mapped, base)
+    dev = deviations(mapped, base, base)
     dev[~kept] = 0.0
     k = int(np.argmax(dev))
     max_dev = float(dev[k])
@@ -839,8 +850,8 @@ _FAMILIES: dict[str, tuple[Callable[..., dict], Callable[..., MetricSpec]]] = {
                       lambda d, f, dom, p: FromNonSymLambda(
                           d, f, dom, nonsym_lambda_profile(p["lam"], f))),
     "riemann": (lambda s: {"phi": _text(s.profile.phi), "psi": _text(s.profile.psi)},
-                lambda d, f, dom, p: replace(induced_finsler(
-                    riemann_profile(p["phi"], p["psi"], dom.squared()), d, f), domain=dom)),
+                lambda d, f, dom, p: induced_finsler(riemann_profile(p["phi"], p["psi"]),
+                                                     d, f, dom)),
     "congruence-invariant": (lambda s: {"vartheta": _text(s.vartheta)},
                              lambda d, f, dom, p: CongruenceInvariant(
                                  d, f, dom, vartheta_profile(p["vartheta"]))),

@@ -37,7 +37,6 @@ def test_criterion_1_isometry_invariance_suite():
             unitaries = [la.random_unitary(dim, field, 1000 * dim + seed)
                          for seed in range(500)]
             rng = np.random.default_rng(dim)
-            fs_profile = mm.fubini_study_profile()
             for name, spec in battery(dim, field):
                 combos += 1
                 for u in unitaries:
@@ -50,8 +49,8 @@ def test_criterion_1_isometry_invariance_suite():
                     if name == "fubini-study":
                         # second form: the sesquilinear values themselves
                         f = la.random_gaussian_vector(dim, field, rng)
-                        s0 = mm.eval_sesquilinear(fs_profile, g, f, h)
-                        s1 = mm.eval_sesquilinear(fs_profile, la.apply_map(u, g),
+                        s0 = mm.eval_sesquilinear(spec, g, f, h)
+                        s1 = mm.eval_sesquilinear(spec, la.apply_map(u, g),
                                                   la.apply_map(u, f), la.apply_map(u, h))
                         dev = abs(s1 - s0) / (1.0 + abs(s0))
                         assert dev <= 1e-9, ("fubini-study sesquilinear", dim, field, dev)
@@ -138,11 +137,12 @@ def test_criterion_3_pd_criterion_vs_eigenvalue_oracle():
         else:
             a, b = (float(x) for x in rng.uniform(-2.0, 2.0, size=2))
             profile = mm.RiemannProfile(lambda r, a=a: a, lambda r, b=b: b)
-        verdict = mm.check_positive_definite(profile, [r2], tol=1e-8)[0]
+        spec = mm.FromRiemann(dim, field, POS, profile)
+        verdict = mm.check_positive_definite(spec, [r2], tol=1e-8)[0]
         u = la.random_unitary(dim, field, 7000 + case)
         cols = [la.Vector(np.ascontiguousarray(u.entries[:, i]), field) for i in range(dim)]
         g = la.random_vector_with_norm(dim, field, math.sqrt(r2), rng)
-        gram = np.array([[mm.eval_sesquilinear(profile, g, ci, cj) for cj in cols]
+        gram = np.array([[mm.eval_sesquilinear(spec, g, ci, cj) for cj in cols]
                          for ci in cols])
         eig = float(np.linalg.eigvalsh(gram).min())
         if eig > 1e-8:
@@ -161,7 +161,7 @@ def test_criterion_3_pd_criterion_vs_eigenvalue_oracle():
 
 def test_criterion_4_kaehler_checks():
     started = time.time()
-    fs = mm.fubini_study_profile()
+    fs = mm.fubini_study(2, C)
     r_samples = [float(r) for r in np.linspace(0.3, 4.0, 50)]
     results = mm.check_kaehler(fs, r_samples, tol=1e-6)
     assert all(results)
@@ -172,12 +172,12 @@ def test_criterion_4_kaehler_checks():
     both = 0
     for a in grid:
         for b in grid:
-            profile = mm.congruence_invariant_riemann(float(a), float(b))
+            spec = mm.FromRiemann(2, C, POS, mm.congruence_invariant_riemann(float(a), float(b)))
             pd = all(v is mm.PDVerdict.POSITIVE_DEFINITE
-                     for v in mm.check_positive_definite(profile, probe_rs))
+                     for v in mm.check_positive_definite(spec, probe_rs))
             if not pd:
                 continue
-            if all(mm.check_kaehler(profile, probe_rs)):
+            if all(mm.check_kaehler(spec, probe_rs)):
                 both += 1
     assert both == 0
     report(4, f"Fubini-Study satisfies the derivative criterion at 50 radii within "

@@ -129,6 +129,32 @@ def test_eval_sesquilinear_flag(capsys):
     assert code == 2 and "Riemann" in err
 
 
+@pytest.mark.parametrize("family,params,value", [("fubini-study", {}, 1 / 2.25),
+                                                  ("riemann", {"phi": "1", "psi": "0"}, 1.0)])
+def test_sigma_and_criteria_refuse_outside_a_bounded_domain(capsys, tmp_path, family, params,
+                                                             value):
+    # |g| in (1, 2): sigma at |g| = 3 and the criteria at |g|^2 = 0.01, 6.5025
+    # and 25 are out of domain for a fubini-study spec as for a riemann one
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": family, "dim": 2, "field": "real",
+                                "domain": {"intervals": [[1, 2]]}, "params": params}))
+    metric = f"@{path}"
+    grid = ["--r-min", "0.1", "--r-max", "5", "--samples", "3"]
+    for argv in (["eval", "--metric", metric, "--g", "3,0", "--h", "0,1", "--f", "0,1"],
+                 ["eval", "--metric", metric, "--g", "3,0", "--h", "0,1"],
+                 ["check", "pd", "--metric", metric, *grid],
+                 ["check", "kaehler", "--metric", metric, *grid]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "domain" in err, argv
+    code, out, _ = run(capsys, "eval", "--metric", metric, "--g", "1.5,0", "--h", "0,1",
+                       "--f", "0,1")
+    assert code == 0 and json.loads(out)["value"] == value
+    code, out, _ = run(capsys, "check", "pd", "--metric", metric, "--r-min", "1.1",
+                       "--r-max", "1.9", "--samples", "3")
+    verdict = "PSD-degenerate" if family == "fubini-study" else "PD"
+    assert (code, json.loads(out)["verdicts"]) == (int(verdict != "PD"), [verdict] * 3)
+
+
 def test_eval_expression_metrics(capsys):
     # the Euclidean profile: rho = sqrt(p^2+q^2)/r = |h| for any base point
     code, out, _ = run(capsys, "eval", "--metric", "lambda:sqrt(p^2+q^2)/r",

@@ -227,6 +227,39 @@ def test_extracted_profiles_refuse_radii_outside_the_domain(field):
             rows(bad)
 
 
+@pytest.mark.parametrize("field", [R, C])
+def test_phi_psi_extraction_and_roundtrips_refuse_outside_a_bounded_domain(field):
+    # |g| in (1, 2), so |g|^2 in (1, 4): inside, the values of the spec on the
+    # positive radii bit for bit; outside, OutOfDomainError
+    bounded = mm.RadiusDomain(((1.0, 2.0),))
+    prof = mm.riemann_profile("1+r", "1/r")
+    inside, outside = np.array([1.21, 2.25, 3.61]), (0.81, 4.41, 1.0, 4.0)
+    for spec, unbounded in ((mm.FromRiemann(3, field, bounded, prof), mm.FromRiemann(3, field, POS, prof)),
+                            (mm.FubiniStudy(3, field, bounded), mm.fubini_study(3, field))):
+        oracle = dc.sesqui_oracle_from_spec(spec)
+        got = dc.extract_phi_psi(oracle)
+        want = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(unbounded))
+        for a, b in ((got.phi_rows, want.phi_rows), (got.psi_rows, want.psi_rows)):
+            assert np.array_equal(a(inside), b(inside))
+            for r in outside:
+                with pytest.raises(OutOfDomainError, match="outside the extracted profile's domain"):
+                    a(np.array([2.25, r]))
+        # the oracle samples inside (1, 2); each rebuilt spec's sigma refuses
+        # what its own domain excludes
+        rebuilt = mm.FromRiemann(3, field, bounded, got)
+        report = dc.roundtrip_check(oracle, rebuilt, 200, seed=4)
+        assert report.passed
+        same = dc.roundtrip_check(oracle, mm.FromRiemann(3, field, POS, got), 200, seed=4)
+        assert same.max_relative_deviation == report.max_relative_deviation
+        narrower = mm.FromRiemann(3, field, mm.RadiusDomain(((1.0, 1.5),)), got)
+        with pytest.raises(OutOfDomainError):
+            dc.roundtrip_check(oracle, narrower, 200, seed=4)
+        with pytest.raises(OutOfDomainError):
+            dc.roundtrip_check(dc.sesqui_oracle_from_spec(unbounded), rebuilt, 200, seed=4)
+    with pytest.raises(ValueError, match="no sesquilinear form"):
+        dc.roundtrip_check(oracle, mm.euclidean(3, field), 10)
+
+
 def test_spec_rows_reject_rows_outside_the_domain():
     bounded = mm.Euclidean(3, R, mm.RadiusDomain(((1.0, 2.0),)))
     H = np.ones((2, 3))
@@ -285,7 +318,7 @@ def _scalar_roundtrip(metric, rebuilt, rows, tol):
         vecs = [la.Vector(v, metric.field) for v in row]
         if isinstance(metric, dc.SesquiOracle):
             got = metric.fn(*vecs)
-            want = mm.eval_sesquilinear(mm.sesquilinear_profile(rebuilt), *vecs)
+            want = mm.eval_sesquilinear(rebuilt, *vecs)
         else:
             got = mm.eval_finsler(metric, *vecs)
             want = mm.eval_finsler(rebuilt, *vecs)

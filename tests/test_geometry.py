@@ -267,7 +267,7 @@ def test_intrinsification_sphere_curve_matches_sesquilinear():
     curve = ge.ParametricCurve(points, 0.0, 1.5)
     t0 = 0.7
     table = ge.intrinsification_ratio(curve, t0, [1e-2, 1e-3, 1e-4])
-    sigma = mm.eval_sesquilinear(mm.fubini_study_profile(), curve.point(t0),
+    sigma = mm.eval_sesquilinear(mm.fubini_study(3), curve.point(t0),
                                  curve.velocity(t0), curve.velocity(t0))
     assert table.sigma_value == pytest.approx(math.sqrt(sigma), abs=1e-6)
     assert abs(table.rows[-1][1] - table.sigma_value) <= 1e-3

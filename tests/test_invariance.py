@@ -226,7 +226,7 @@ def _scalar_homothety(spec, G, H, alpha, tol):
         if not spec.domain.contains(la.norm(vec(alpha * g))):
             continue
         base = _one_row(spec, g, h)
-        dev = abs(_one_row(spec, alpha * g, alpha * h) - base)
+        dev = abs(_one_row(spec, alpha * g, alpha * h) - base) / (1.0 + abs(base))
         if dev > max_dev:
             max_dev, witness = dev, (g, h)
         used += 1

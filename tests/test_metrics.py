@@ -154,19 +154,37 @@ def test_eval_batch_rows_equal_eval_finsler(dim, field):
 
 
 def test_every_profile_with_text_batches(monkeypatch):
-    # a spec that serializes has its profile as text: none may reach the row default
-    monkeypatch.setattr(mm.MetricSpec, "_values", lambda *args: pytest.fail("row default"))
+    # a spec that serializes has its profile as text: none may reach the row
+    # default, which only a Custom metric's callable takes
+    monkeypatch.setattr(mm.Custom, "_values", lambda *args: pytest.fail("row default"))
     G, H = _batch_pairs(3, C, np.random.default_rng(5))
+    G[0] = 0.0  # the zero extension's rho_0 row
     batched = 0
     for spec in family_specs(3, C) + [mm.induced_finsler(mm.fubini_study_profile(), 3, C)]:
         try:
             mm.spec_to_json(spec)
         except ValueError:  # a Custom metric or a profile given as a callable
             continue
-        if spec.family != "zero-extended":
-            mm.eval_batch(spec, G, H)
-            batched += 1
-    assert batched == 13
+        mm.eval_batch(spec, G, H)
+        batched += 1
+    assert batched == 14
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("field", [R, C])
+def test_zero_extensions_batch_as_their_inner_spec(dim, field):
+    # rho_0(h) = b |h| on the g = 0 rows and the inner spec's rows form on the
+    # others, which agree with eval_finsler as every family's rows do
+    G, H = _batch_pairs(dim, field, np.random.default_rng(44))
+    G[::7] = 0.0
+    for inner in (s for s in family_specs(dim, field) if s.family != "zero-extended"):
+        spec = mm.zero_extended(1.5, inner)
+        values, inside = mm.eval_batch(spec, G, H)
+        assert inside.all(), inner.family
+        for g, h, got in zip(G, H, values):
+            want = mm.eval_finsler(spec, la.Vector(g, field), la.Vector(h, field))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300), inner.family
+        assert values[0] == 1.5 * la.norm(la.Vector(H[0], field))
 
 
 def test_sample_pairs_draw_inside_the_domain():
@@ -325,8 +343,13 @@ def test_eval_batch_propagates_eval_error():
 # ---------------------------------------------------------------------------
 # Sesquilinear forms
 
+def riemann(profile, dim=3, field=C, domain=POS):
+    """The FromRiemann spec of a profile, without induced_finsler's sign probe."""
+    return mm.FromRiemann(dim, field, domain, profile)
+
+
 def test_sesquilinear_identity_profile():
-    prof = mm.riemann_profile("1", "0")
+    prof = riemann(mm.riemann_profile("1", "0"))
     rng = np.random.default_rng(4)
     for _ in range(20):
         g = la.random_gaussian_vector(3, C, rng)
@@ -336,7 +359,7 @@ def test_sesquilinear_identity_profile():
 
 
 def test_sesquilinear_fubini_study_values():
-    prof = mm.fubini_study_profile()
+    prof = mm.fubini_study(2)
     g = la.vector([1, 0])
     f = h = la.vector([0, 1])
     assert mm.eval_sesquilinear(prof, g, f, h) == pytest.approx(1.0)
@@ -345,7 +368,7 @@ def test_sesquilinear_fubini_study_values():
 
 @pytest.mark.parametrize("field", [R, C])
 def test_sesquilinear_is_one_row_of_the_rows_form(field):
-    prof = mm.congruence_invariant_riemann(0.7, -0.3)
+    prof = riemann(mm.congruence_invariant_riemann(0.7, -0.3), 3, field)
     rng = np.random.default_rng(6)
     G, F, H = (la.random_gaussian_rows(50, 3, field, rng) for _ in range(3))
     rows = mm.eval_sesquilinear_rows(prof, G, F, H)
@@ -355,12 +378,20 @@ def test_sesquilinear_is_one_row_of_the_rows_form(field):
     with pytest.raises(MismatchError):
         mm.eval_sesquilinear(prof, la.vector([1.0, 0.0]), la.vector([1.0, 0.0, 0.0]),
                              la.vector([1.0, 0.0]))
+    with pytest.raises(MismatchError):  # three vectors of one size, not the metric's
+        mm.eval_sesquilinear_rows(prof, G[:, :2], F[:, :2], H[:, :2])
+    with pytest.raises(MismatchError):  # three vectors of one field, not the metric's
+        other = C if field is R else R
+        mm.eval_sesquilinear_rows(prof, *(la.random_gaussian_rows(2, 3, other, rng)
+                                          for _ in range(3)))
+    with pytest.raises(ValueError, match="no sesquilinear form"):
+        mm.eval_sesquilinear_rows(mm.euclidean(3, field), G, F, H)
 
 
 @pytest.mark.parametrize("field", [R, C])
 def test_sesquilinear_at_a_g_whose_norm_under_or_overflows_is_out_of_domain(field):
     # no RuntimeWarning either: the test configuration turns one into a failure
-    prof = mm.fubini_study_profile()
+    prof = mm.fubini_study(2, field)
     f = h = la.vector([0.0, 1.0], field)
     for g, word in (([1e-170, 0.0], "underflows"), ([1e200, 0.0], "overflows")):
         g = la.vector(g, field)
@@ -379,7 +410,7 @@ def test_an_undefined_sigma_is_an_eval_error(field):
     # row: no NaN and no RuntimeWarning (the test configuration turns one into a
     # failure).  A sigma that overflows to one infinity is still a value, over C
     # too: phi scales the parts of <f,h> = inf + 0j apart, with no 0 * inf
-    prof = mm.fubini_study_profile()
+    prof = mm.fubini_study(2, field)
     G = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=field.dtype)
     F = np.array([[0.0, 1.0], [1e200, 0.0]], dtype=field.dtype)
     with pytest.raises(EvalError, match="sigma is undefined"):
@@ -392,7 +423,7 @@ def test_an_undefined_sigma_is_an_eval_error(field):
 
 
 def test_sesquilinear_conjugate_symmetry_and_linearity():
-    prof = mm.congruence_invariant_riemann(0.7, -0.3)
+    prof = riemann(mm.congruence_invariant_riemann(0.7, -0.3))
     rng = np.random.default_rng(5)
     for _ in range(1000):
         g = la.random_gaussian_vector(3, C, rng)
@@ -406,6 +437,60 @@ def test_sesquilinear_conjugate_symmetry_and_linearity():
         lhs = mm.eval_sesquilinear(prof, g, la.vector(c * f1.entries + f2.entries), h)
         rhs = c * a + mm.eval_sesquilinear(prof, g, f2, h)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
+
+
+BOUNDED = mm.RadiusDomain(((1.0, 2.0),))
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_sigma_and_criteria_refuse_outside_a_bounded_domain(field):
+    # |g| in (1, 2): sigma refuses the rows eval_batch marks outside, the
+    # criteria the samples |g|^2 outside (1, 4); inside, each returns the
+    # values of the same spec on the positive radii, bit for bit
+    rng = np.random.default_rng(46)
+    G, F, H = (la.random_gaussian_rows(40, 3, field, rng) for _ in range(3))
+    G *= (np.linspace(0.5, 2.5, 40) / la.row_norms(G))[:, None]
+    prof = mm.riemann_profile("1+r", "1/r")
+    r2 = [1.21, 2.25, 3.61]
+    for spec, unbounded in ((riemann(prof, 3, field, BOUNDED), riemann(prof, 3, field)),
+                            (mm.FubiniStudy(3, field, BOUNDED), mm.fubini_study(3, field))):
+        _, inside = mm.eval_batch(spec, G, H)
+        assert 0 < inside.sum() < len(G)
+        want = mm.eval_sesquilinear_rows(unbounded, G, F, H)
+        assert np.array_equal(mm.eval_sesquilinear_rows(spec, G[inside], F[inside], H[inside]),
+                              want[inside])
+        j = int(np.argmax(inside))  # one row inside, beside each row outside
+        for k in range(len(G)):
+            vecs = [la.Vector(A[k], field) for A in (G, F, H)]
+            if inside[k]:
+                assert mm.eval_sesquilinear(spec, *vecs) == want[k]
+                continue
+            with pytest.raises(OutOfDomainError, match="outside the radius domain"):
+                mm.eval_sesquilinear(spec, *vecs)
+            with pytest.raises(OutOfDomainError, match="outside the radius domain"):
+                mm.eval_sesquilinear_rows(spec, G[[j, k]], F[[j, k]], H[[j, k]])
+        assert mm.check_positive_definite(spec, r2) == mm.check_positive_definite(unbounded, r2)
+        assert mm.check_kaehler(spec, r2) == mm.check_kaehler(unbounded, r2)
+        for r in (0.81, 4.41, 1.0, 4.0, -2.25):
+            with pytest.raises(OutOfDomainError, match="outside the radius domain"):
+                mm.check_positive_definite(spec, [2.25, r])
+            with pytest.raises(ValueError, match="outside the radius domain or closer than"):
+                mm.check_kaehler(spec, [2.25, r])
+
+
+def test_riemann_json_keeps_a_bounded_domain_and_probes_inside_it():
+    # sqrt(3-r) raises at |g|^2 > 3, which |g| in (0.3, 1.7) never reaches, so
+    # the sign probe of the spec built from JSON samples inside its domain
+    domain = mm.RadiusDomain(((0.3, 1.7),))
+    for field in ("real", "complex"):
+        obj = {"family": "riemann", "dim": 3, "field": field, "domain": mm.domain_to_json(domain),
+               "params": {"phi": "sqrt(3-r)", "psi": "0"}}
+        spec = mm.spec_from_json(obj)
+        back = mm.spec_from_json(mm.spec_to_json(spec))
+        assert spec.domain.intervals == back.domain.intervals == ((0.3, 1.7),)
+        assert mm.spec_to_json(back) == mm.spec_to_json(spec) and not back.indefinite_warning
+        with pytest.raises(EvalError):  # on the positive radii the probe reaches |g|^2 > 3
+            mm.spec_from_json({**obj, "domain": mm.domain_to_json(POS)})
 
 
 def test_induced_finsler_euclidean_profile():
@@ -438,19 +523,35 @@ def test_induced_fubini_study_vanishes_on_the_line():
 
 def test_pd_examples():
     pd = mm.check_positive_definite
-    assert pd(mm.riemann_profile("1", "0"), [0.5, 1.0, 7.0]) == [mm.PDVerdict.POSITIVE_DEFINITE] * 3
-    assert pd(mm.fubini_study_profile(), [0.5, 1.0, 2.0]) == [mm.PDVerdict.SEMI_DEFINITE_DEGENERATE] * 3
-    assert pd(mm.riemann_profile("1", "-2/r"), [1.0]) == [mm.PDVerdict.INDEFINITE]
+    assert pd(riemann(mm.riemann_profile("1", "0")), [0.5, 1.0, 7.0]) == [mm.PDVerdict.POSITIVE_DEFINITE] * 3
+    assert pd(mm.fubini_study(2), [0.5, 1.0, 2.0]) == [mm.PDVerdict.SEMI_DEFINITE_DEGENERATE] * 3
+    assert pd(riemann(mm.riemann_profile("1", "-2/r")), [1.0]) == [mm.PDVerdict.INDEFINITE]
+    with pytest.raises(ValueError, match="no sesquilinear form"):
+        pd(mm.euclidean(2), [1.0])
 
 
-def gram_min_eigenvalue(profile, r2, dim, field, seed):
+def test_pd_verdicts_do_not_change_with_the_profile_scale():
+    # sigma = 1e-9 <f,h> is PD, and phi + r psi = -1e-9 is indefinite: each
+    # reads as its unscaled profile does, with m measured against the scale
+    pd = mm.check_positive_definite
+    for c in ("1", "1e-9", "1e9"):
+        assert pd(riemann(mm.riemann_profile(c, "0")), [0.5, 2.0]) == [mm.PDVerdict.POSITIVE_DEFINITE] * 2
+        assert pd(riemann(mm.riemann_profile(c, f"-2*{c}/r")), [0.5, 2.0]) == [mm.PDVerdict.INDEFINITE] * 2
+        assert pd(riemann(mm.riemann_profile(f"{c}/r", f"-{c}/(r^2)")), [0.5, 2.0]) == \
+            [mm.PDVerdict.SEMI_DEFINITE_DEGENERATE] * 2
+    # a zero profile is degenerate, not PD
+    assert pd(riemann(mm.riemann_profile("0", "0")), [1.0]) == [mm.PDVerdict.SEMI_DEFINITE_DEGENERATE]
+
+
+def gram_min_eigenvalue(spec, r2, seed):
     """Independent oracle: smallest eigenvalue of the Gram matrix of sigma_g
     on a random orthonormal basis, with |g|^2 = r2."""
+    dim, field = spec.dim, spec.field
     u = la.random_unitary(dim, field, seed)
     cols = [la.Vector(np.ascontiguousarray(u.entries[:, i]), field) for i in range(dim)]
     rng = np.random.default_rng(seed + 1)
     g = la.random_vector_with_norm(dim, field, math.sqrt(r2), rng)
-    m = np.array([[mm.eval_sesquilinear(profile, g, ci, cj) for cj in cols] for ci in cols])
+    m = np.array([[mm.eval_sesquilinear(spec, g, ci, cj) for cj in cols] for ci in cols])
     return float(np.linalg.eigvalsh(m).min())
 
 
@@ -466,8 +567,9 @@ def test_pd_criterion_matches_eigenvalue_oracle(field):
         else:
             a, b = rng.uniform(-2, 2, size=2)
             profile = mm.RiemannProfile(lambda r, a=a: a, lambda r, b=b: b)
-        verdict = mm.check_positive_definite(profile, [r2])[0]
-        eig = gram_min_eigenvalue(profile, r2, dim, field, 100 + case)
+        spec = riemann(profile, dim, field)
+        verdict = mm.check_positive_definite(spec, [r2])[0]
+        eig = gram_min_eigenvalue(spec, r2, 100 + case)
         if eig > 1e-8:
             assert verdict is mm.PDVerdict.POSITIVE_DEFINITE
         elif eig >= -1e-8:
@@ -480,20 +582,23 @@ def test_pd_criterion_matches_eigenvalue_oracle(field):
 # Kaehler criterion
 
 def test_kaehler_examples():
-    assert all(mm.check_kaehler(mm.fubini_study_profile(), [0.5, 1.0, 2.0, 5.0]))
-    assert all(mm.check_kaehler(mm.riemann_profile("1", "0"), [1.0, 2.0]))
-    assert not any(mm.check_kaehler(mm.riemann_profile("1", "1"), [1.0, 2.0]))
+    assert all(mm.check_kaehler(mm.fubini_study(2, C), [0.5, 1.0, 2.0, 5.0]))
+    assert all(mm.check_kaehler(riemann(mm.riemann_profile("1", "0")), [1.0, 2.0]))
+    assert not any(mm.check_kaehler(riemann(mm.riemann_profile("1", "1")), [1.0, 2.0]))
 
 
 def test_kaehler_near_boundary_rejected():
-    prof = mm.RiemannProfile(lambda r: r, lambda r: 1.0, mm.RadiusDomain(((1.0, 2.0),)))
+    # |g| in (1, sqrt 2): |g|^2 in (1, 2)
+    spec = riemann(mm.RiemannProfile(lambda r: r, lambda r: 1.0),
+                   domain=mm.RadiusDomain(((1.0, math.sqrt(2.0)),)))
     with pytest.raises(ValueError):
-        mm.check_kaehler(prof, [1.0 + 1e-9])
+        mm.check_kaehler(spec, [1.0 + 1e-9])
 
 
 def test_congruence_invariant_kaehler_iff_opposite():
-    assert all(mm.check_kaehler(mm.congruence_invariant_riemann(1.3, -1.3), [0.5, 1.0, 3.0]))
-    assert not any(mm.check_kaehler(mm.congruence_invariant_riemann(1.0, -0.5), [0.5, 1.0, 3.0]))
+    assert all(mm.check_kaehler(riemann(mm.congruence_invariant_riemann(1.3, -1.3)), [0.5, 1.0, 3.0]))
+    assert not any(mm.check_kaehler(riemann(mm.congruence_invariant_riemann(1.0, -0.5)),
+                                    [0.5, 1.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +620,16 @@ def test_homothety_euclidean_fails_with_witness():
     v = mm.check_homothety_invariance(mm.euclidean(3), 2.0, 100, seed=2)
     assert not v.invariant and v.witness is not None
     g, h = v.witness
-    # scaling doubles the value, so the worst deviation is |h| itself
-    assert v.max_deviation == pytest.approx(la.norm(h), rel=1e-9)
+    # scaling doubles the value |h|, so the worst relative deviation is |h| / (1 + |h|)
+    assert v.max_deviation == pytest.approx(la.norm(h) / (1.0 + la.norm(h)), rel=1e-9)
+
+
+@pytest.mark.parametrize("c", ["1", "1e6", "1e8"])
+def test_homothety_verdict_does_not_change_with_the_metric_scale(c):
+    # rho = |h| c (2 + sin^2 tau) / r is homothety-invariant for every c
+    spec = mm.FromTheta(3, R, POS, mm.theta_profile(f"{c}*(2+sin(tau)^2)/r"))
+    v = mm.check_homothety_invariance(spec, 3.0)
+    assert v.invariant and v.witness is None, v.max_deviation
 
 
 def test_homothety_skips_and_rejects_bad_alpha():
@@ -685,7 +798,7 @@ def test_a_bare_callable_profile_is_not_serializable(spec):
 
 
 def test_congruence_invariant_family_b_zero():
-    prof = mm.congruence_invariant_riemann(1.0, 0.0)
+    prof = riemann(mm.congruence_invariant_riemann(1.0, 0.0))
     rng = np.random.default_rng(14)
     for _ in range(20):
         g = la.random_gaussian_vector(3, C, rng)
