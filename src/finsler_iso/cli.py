@@ -370,8 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="extract theta(r,tau) or (phi,psi) as CSV")
     _add_metric(p)
     p.add_argument("--as", dest="form", choices=["auto", "finsler", "riemann"], default="auto")
-    p.add_argument("--r-min", type=float, default=0.5)
-    p.add_argument("--r-max", type=float, default=2.0)
+    units = ("|g| under --as finsler, |g|^2 under --as riemann "
+             "(auto's form for a Riemann-backed metric)")
+    p.add_argument("--r-min", type=float, default=0.5, help=f"first r of the table: {units}")
+    p.add_argument("--r-max", type=float, default=2.0, help=f"last r of the table: {units}")
     p.add_argument("--r-steps", type=int, default=5)
     p.add_argument("--tau-steps", type=int, default=5)
     p.add_argument("--output", help="CSV output path (default stdout)")

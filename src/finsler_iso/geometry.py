@@ -1,18 +1,20 @@
 """Curve lengths, projective pseudodistances and numerical geodesics.
 
 Lengths integrate rho along a curve (composite Simpson for parametric
-curves, per-segment midpoint sums for polylines).  Geodesic distance is
-estimated by derivative-free coordinate descent over the interior vertices
-of a polyline, which yields an upper bound on the infimum.  Each sweep of
-the descent draws its directions at once, tabulates every position a vertex
-can reach and measures them in one eval_batch call, plus one call that
-measures again the 15 left segments of each vertex whose left neighbour
-moved; its result equals the one-vertex-at-a-time descent's bit for bit.
+curves, on nested grids until two levels agree; per-segment midpoint sums
+for polylines).  Geodesic distance is estimated by derivative-free
+coordinate descent over the interior vertices of a polyline, which yields
+an upper bound on the infimum.  Each sweep of the descent draws its
+directions at once, tabulates every position a vertex can reach and
+measures them in one eval_batch call, plus one call that measures again the
+15 left segments of each vertex whose left neighbour moved; its result
+equals the one-vertex-at-a-time descent's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -83,13 +85,27 @@ def _warn_if_negative(values: np.ndarray) -> None:
                       "integral is signed", RuntimeWarning, stacklevel=3)
 
 
-def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline, n_nodes: int = 1001) -> float:
+# The default Simpson rule: nested grids from _SIMPSON_START nodes, each level
+# doubling the intervals, until two levels agree to _SIMPSON_TOL relative (the
+# 15 is Simpson's error ratio between levels) or the grid reaches _SIMPSON_CAP.
+_SIMPSON_START, _SIMPSON_CAP, _SIMPSON_TOL = 33, 1025, 1e-10
+
+
+def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline,
+                 n_nodes: int | None = None) -> float:
     """Length of the curve under the metric.
 
-    Parametric curves use composite Simpson quadrature on n_nodes (odd,
-    >= 3); polylines use the exact sum of per-segment midpoint evaluations
-    rho_mid(delta), all segments in one eval_batch call.  Negative integrand
-    values raise a warning but still integrate.
+    Parametric curves use composite Simpson quadrature.  By default it runs
+    on nested grids of 33, 65, 129, ... nodes, each level evaluating only its
+    new nodes, and returns the first level S_2n with |S_2n - S_n| <=
+    15e-10 max(1, |S_2n|), or the 1025-node level when none converges.  An
+    integrand that oscillates at a power-of-two frequency of [a, b] can
+    agree with itself on two such grids and fool the test: pass n_nodes
+    then.  An explicit n_nodes (odd, >= 3, any value operator.index takes,
+    else ValueError) keeps that one fixed grid.  Polylines use the exact sum
+    of per-segment midpoint evaluations rho_mid(delta), all segments in one
+    eval_batch call.  Negative integrand values raise one warning but still
+    integrate.
     """
     if isinstance(curve, Polyline):
         V = curve.vertices
@@ -98,21 +114,47 @@ def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline, n_nodes: i
             raise OutOfDomainError("a segment midpoint is outside the metric's domain")
         _warn_if_negative(values)
         return float(values.sum())
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise ValueError("Simpson quadrature needs an odd node count >= 3")
-    ts = np.linspace(curve.a, curve.b, n_nodes)
+    if n_nodes is None:
+        n, cap = _SIMPSON_START, _SIMPSON_CAP
+    else:
+        try:
+            n = cap = operator.index(n_nodes)
+        except TypeError:
+            raise ValueError("Simpson quadrature needs an integer node count, "
+                             f"got {n_nodes!r}") from None
+        if n < 3 or n % 2 == 0:
+            raise ValueError("Simpson quadrature needs an odd node count >= 3")
+    values = _node_values(spec, curve, np.linspace(curve.a, curve.b, n))
+    length = _simpson(values, curve)
+    while n < cap:
+        n = 2 * n - 1
+        finer = np.empty(n)
+        finer[::2] = values
+        finer[1::2] = _node_values(spec, curve, np.linspace(curve.a, curve.b, n)[1::2])
+        values, previous, length = finer, length, _simpson(finer, curve)
+        if abs(length - previous) <= 15.0 * _SIMPSON_TOL * max(1.0, abs(length)):
+            break
+    _warn_if_negative(values)
+    return length
+
+
+def _node_values(spec: MetricSpec, curve: ParametricCurve, ts: np.ndarray) -> np.ndarray:
+    """rho at the curve's point and velocity, one eval_finsler call per node, not
+    eval_batch: see FOUND in CHANGES.md on perfbench/tests/test_tracer.py, which
+    counts these calls."""
     P, D = curve.points(ts), curve.velocities(ts)
     field = Field.COMPLEX if P.dtype.kind == "c" else Field.REAL
-    # One eval_finsler call per node, not eval_batch: see FOUND in CHANGES.md
-    # on perfbench/tests/test_tracer.py, which counts these calls.
-    values = np.array([eval_finsler(spec, Vector(p, field), Vector(d, field))
-                       for p, d in zip(P, D)])
-    _warn_if_negative(values)
-    hstep = (curve.b - curve.a) / (n_nodes - 1)
-    weights = np.ones(n_nodes)
+    return np.array([eval_finsler(spec, Vector(p, field), Vector(d, field))
+                     for p, d in zip(P, D)])
+
+
+def _simpson(values: np.ndarray, curve: ParametricCurve) -> float:
+    """Composite Simpson sum of values on the uniform grid of [a, b]."""
+    n = len(values)
+    weights = np.ones(n)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(hstep / 3.0 * np.dot(weights, values))
+    return float((curve.b - curve.a) / (n - 1) / 3.0 * np.dot(weights, values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 from finsler_iso.errors import (MismatchError, NonPositiveMetricError, OutOfDomainError,
                                  ZeroVectorError)
-from helpers import POS, family_specs
+from helpers import POS, battery, family_specs
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 HALF_PI = 0.5 * math.pi
@@ -39,6 +40,11 @@ def test_simpson_node_validation():
         ge.curve_length(mm.euclidean(2), seg, 2)
     with pytest.raises(ValueError):
         ge.curve_length(mm.euclidean(2), seg, 100)
+    for bad in (11.0, "11", np.float64(11.0)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            ge.curve_length(mm.euclidean(2), seg, bad)
+    assert ge.curve_length(mm.euclidean(2), seg, np.int64(11)) == ge.curve_length(
+        mm.euclidean(2), seg, 11)
 
 
 def test_negative_metric_warns_but_integrates():
@@ -93,6 +99,123 @@ def test_batched_lengths_equal_the_scalar_sums(field):
         want = sum(mm.eval_finsler(spec, la.Vector(0.5 * (u + v), field), la.Vector(v - u, field))
                    for u, v in zip(verts, verts[1:]))
         assert ge.curve_length(spec, poly) == pytest.approx(want, rel=1e-12), spec.family
+
+
+def _counted_length(monkeypatch, spec, curve, n_nodes=None):
+    """curve_length and the number of eval_finsler calls it made."""
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return mm.eval_finsler(*args)
+    with monkeypatch.context() as m:
+        m.setattr(ge, "eval_finsler", counting)
+        return ge.curve_length(spec, curve, n_nodes), len(calls)
+
+
+def _simpson_reference(spec, curve, n_nodes=20001):
+    """Simpson on a fine fixed grid, every node in one eval_batch call."""
+    ts = np.linspace(curve.a, curve.b, n_nodes)
+    values, inside = mm.eval_batch(spec, curve.points(ts), curve.velocities(ts))
+    assert inside.all()
+    weights = np.ones(n_nodes)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    return float((curve.b - curve.a) / (n_nodes - 1) / 3.0 * np.dot(weights, values))
+
+
+# Every family the sweep benchmark integrates along circle_arc, with its
+# rho_{e1}(e2): along the arc r = 1, p = 0, q = 1 and tau = pi/2, so by
+# isometry invariance the integrand is that constant.
+SWEEP_ARCS = [
+    ("theta", {"theta": "1+cos(tau)"}, None, 1.0),
+    ("theta", {"theta": "(2+sin(tau)^2)/r"}, None, 3.0),
+    ("lambda", {"lam": "sqrt(p^2+2*q^2)"}, None, math.sqrt(2.0)),
+    ("lambda", {"lam": "sqrt(p^2+q^2)/(r^2)"}, None, 1.0),
+    ("congruence-invariant", {"vartheta": "1+sin(tau)^2"}, None, 2.0),
+    ("congruence-invariant", {"vartheta": "2+cos(tau)"}, None, 2.0),
+    ("riemann", {"phi": "1+r", "psi": "1"}, None, math.sqrt(2.0)),
+    ("riemann", {"phi": "1/r", "psi": "1/(r^2)"}, None, 1.0),
+    ("nonsym-lambda", {"lam": "sqrt(p^2+q^2)+p"}, {"lam": "sqrt(pre^2+pim^2+q^2)+pre"}, 1.0),
+    ("nonsym-lambda", {"lam": "(sqrt(p^2+q^2)+p/2)/(r^2)"},
+     {"lam": "(sqrt(pre^2+pim^2+q^2)+pre/2)/(r^2)"}, 1.0),
+]
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("family,params,complex_params,rho", SWEEP_ARCS)
+def test_default_simpson_stops_at_65_nodes_on_the_sweep_arcs(monkeypatch, family, params,
+                                                              complex_params, rho, field):
+    for dim in (3, 5):
+        spec = mm.spec_from_json({"family": family, "dim": dim, "field": field.value,
+                                  "params": complex_params if field is C and complex_params
+                                  else params})
+        length, calls = _counted_length(monkeypatch, spec, ge.circle_arc(dim, field))
+        assert calls == 65
+        assert length == pytest.approx(HALF_PI * rho, abs=1e-9)
+
+
+def _spiral(field):
+    def rows(ts):
+        P = np.zeros((len(ts), 3), dtype=field.dtype)
+        P[:, 0] = np.exp(0.25 * ts) * np.cos(ts)
+        P[:, 1] = np.exp(0.25 * ts) * np.sin(ts)
+        P[:, 2] = 0.3 * ts
+        return P
+    return ge.ParametricCurve(rows, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_default_simpson_converges_on_smooth_curves(monkeypatch, field):
+    # <g, g'> > 0 along both curves, so p never changes sign and every
+    # profile of the battery is smooth along them
+    curves = [ge.segment_curve(la.vector([1.0, 0.5, -0.25], field),
+                               la.vector([2.2, 1.5, 0.75], field)), _spiral(field)]
+    for name, spec in battery(3, field):
+        for curve in curves:
+            length, calls = _counted_length(monkeypatch, spec, curve)
+            want = _simpson_reference(spec, curve)
+            assert length == pytest.approx(want, rel=1e-9), name
+            assert calls < 1025, name
+
+
+def test_default_simpson_stops_at_the_cap_on_a_kink(monkeypatch):
+    # tau is the acute angle, so 1 + cos(tau) has a kink where p = 0 along the
+    # segment, and Simpson's error falls only as the step squared
+    spec = mm.FromTheta(3, R, POS, mm.theta_profile("1+cos(tau)"))
+    kink = ge.segment_curve(la.vector([1, 0.2, -0.3]), la.vector([-0.5, 1.4, 0.8]))
+    length, calls = _counted_length(monkeypatch, spec, kink)
+    assert calls == 1025
+    assert length == ge.curve_length(spec, kink, 1025)
+    want = _simpson_reference(spec, kink)
+    assert abs(length - want) <= 1e-6
+    assert abs(ge.curve_length(spec, kink, 1001) - want) <= 1e-6
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_explicit_nodes_are_one_fixed_simpson_sum(monkeypatch, field):
+    curve = ge.circle_arc(3, field, 2.0, 0.3, 2.0)
+    for spec in (mm.fubini_study(3, field), mm.FromTheta(3, field, POS, mm.theta_profile(
+            "(2+sin(tau)^3)*exp(0-r)"))):
+        for n_nodes in (3, 11, 101, 1001):
+            ts = np.linspace(curve.a, curve.b, n_nodes)
+            values = np.array([mm.eval_finsler(spec, la.Vector(p, field), la.Vector(d, field))
+                               for p, d in zip(curve.points(ts), curve.velocities(ts))])
+            weights = np.ones(n_nodes)
+            weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+            want = float((curve.b - curve.a) / (n_nodes - 1) / 3.0 * np.dot(weights, values))
+            assert _counted_length(monkeypatch, spec, curve, n_nodes) == (want, n_nodes)
+
+
+def test_negative_metric_warns_once_on_the_default_rule():
+    with pytest.warns(RuntimeWarning):
+        spec = mm.induced_finsler(mm.riemann_profile("-1", "0"), 2)
+    seg = ge.segment_curve(la.vector([1.0, 0.0]), la.vector([2.0, 0.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = ge.curve_length(spec, seg)
+    assert [str(w.message) for w in caught] == [
+        "metric takes negative values along the curve; the integral is signed"]
+    assert value == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_length_reversal_invariance():
