@@ -139,7 +139,7 @@ def extract_lambda(spec: MetricSpec, frame: tuple[Vector, Vector] | None = None,
     alpha, real = spec.alpha, spec.field is Field.REAL
 
     def rows(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        _require_radii(r, (r > 0.0) & spec.domain.contains_rows(r))
+        _require_radii(r, (r > 0.0) & spec.domain.contains(r))
         if real:
             p = np.real(p)
         return _rows(spec, r[:, None] * e, p[:, None] * e + q[:, None] * f) / (r ** alpha)

@@ -201,23 +201,11 @@ def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
 
 
 def compile_positional(text: str, names: tuple[str, ...]) -> Callable[..., float]:
-    """Parse text over one to four variables once; the callable evaluates it with
-    its arguments bound to names in order (a dict display: dict(zip) costs more).
-    It carries its text as .text and its array form, compile_rows(text, names),
-    as .rows."""
+    """Parse text once; the callable evaluates it with its arguments bound to
+    names in order.  It carries its text as .text and its array form,
+    compile_rows(text, names), as .rows."""
     expr = parse(text, names)
-    if len(names) == 1:
-        (a,) = names
-        fn = lambda x: evaluate(expr, {a: x})
-    elif len(names) == 2:
-        a, b = names
-        fn = lambda x, y: evaluate(expr, {a: x, b: y})
-    elif len(names) == 3:
-        a, b, c = names
-        fn = lambda x, y, z: evaluate(expr, {a: x, b: y, c: z})
-    else:
-        a, b, c, d = names
-        fn = lambda x, y, z, w: evaluate(expr, {a: x, b: y, c: z, d: w})
+    fn = lambda *args: evaluate(expr, dict(zip(names, args)))
     fn.text, fn.rows = text, compile_rows(text, names)
     return fn
 
@@ -342,8 +330,13 @@ def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]
     value of a text without a variable, and None for any other text.
     """
     tree = parse(text, names)
+    read: list[str] = []  # the variables the walk meets
+
+    def column(name: str) -> Callable:
+        read.append(name)
+        return operator.itemgetter(names.index(name))
     node = _compile(tree, lambda value: lambda cols: np.full(cols[0].shape, value),
-                    lambda name: operator.itemgetter(names.index(name)), _ROW_OPS, _ROW_CALLS)
+                    column, _ROW_OPS, _ROW_CALLS)
 
     def rows(*columns):
         cols = tuple(np.asarray(c, dtype=float) for c in columns)
@@ -353,19 +346,12 @@ def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]
             raise EvalError("expression is undefined here (evaluates to NaN)")
         return out
     rows.constant = None  # a tree without a variable carries its value: callers need no column
-    if not _has_variable(tree):
+    if not read:
         try:  # such a tree reads only a column's shape
             rows.constant = float(rows(np.zeros(1))[0])
         except EvalError:  # no value: every non-empty call raises
             pass
     return rows
-
-
-def _has_variable(e: Expr) -> bool:
-    if isinstance(e, (Num, Var)):
-        return isinstance(e, Var)
-    return any(map(_has_variable, (e.operand,) if isinstance(e, Neg)
-                   else (e.left, e.right) if isinstance(e, BinOp) else e.args))
 
 
 def _require(bad: np.ndarray, message: str, *values: np.ndarray) -> None:

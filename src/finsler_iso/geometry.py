@@ -31,7 +31,7 @@ from .linalg import (
     row_norms,
 )
 from .metrics import (MetricSpec, _check_compatible, _eval_rows, _inside_rows, eval_batch,
-                      eval_finsler)
+                      eval_finsler, fubini_study)
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,9 @@ def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline,
     15e-10 max(1, |S_2n|), or the 1025-node level when none converges.  An
     integrand that oscillates at a power-of-two frequency of [a, b] can
     agree with itself on two such grids and fool the test: pass n_nodes
-    then.  An explicit n_nodes (odd, >= 3, any value operator.index takes,
-    else ValueError) keeps that one fixed grid.  Polylines use the exact sum
+    then.  Stopping at the cap raises one RuntimeWarning.  An explicit
+    n_nodes (odd, >= 3, any value operator.index takes, else ValueError)
+    keeps that one fixed grid and never warns.  Polylines use the exact sum
     of per-segment midpoint evaluations rho_mid(delta), all segments in one
     eval_batch call.  Negative integrand values raise one warning but still
     integrate.
@@ -134,6 +135,11 @@ def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline,
         values, previous, length = finer, length, _simpson(finer, curve)
         if abs(length - previous) <= 15.0 * _SIMPSON_TOL * max(1.0, abs(length)):
             break
+    else:
+        if n_nodes is None:  # the default rule reached its cap without converging
+            warnings.warn(f"Simpson quadrature stopped at the {cap}-node cap before two "
+                          "levels agreed; the length may be inaccurate", RuntimeWarning,
+                          stacklevel=2)
     _warn_if_negative(values)
     return length
 
@@ -219,8 +225,7 @@ def intrinsification_ratio(curve: ParametricCurve, t: float,
         raise ZeroVectorError("intrinsification needs gamma(t) != 0")
     vel = curve.velocity(t)
     degenerate = norm(vel) == 0.0
-    r, _, q = canonical_invariants(base, vel)
-    sigma_value = q / (r * r)
+    sigma_value = eval_finsler(fubini_study(base.dim, base.field), base, vel)
     rows = []
     for s in s_steps:
         u = t + s if t + s <= curve.b else t - s

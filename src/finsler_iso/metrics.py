@@ -59,22 +59,15 @@ class RadiusDomain:
     def positive() -> "RadiusDomain":
         return RadiusDomain(((0.0, math.inf),))
 
-    def contains(self, r: float) -> bool:
-        if r == 0.0:
-            return self.includes_zero
-        for lo, hi in self.intervals:
-            if lo < r < hi:
-                return True
-        return False
-
-    def contains_rows(self, r: np.ndarray) -> np.ndarray:
-        """contains() for each entry of an array of radii."""
+    def contains(self, r: float | np.ndarray) -> bool | np.ndarray:
+        """Whether the radius r lies in the domain, or for an array of radii
+        the mask of those that do (NaN lies nowhere)."""
         if len(self.intervals) == 1 and not self.includes_zero:
             ((lo, hi),) = self.intervals
             return (lo < r) & (r < hi)
-        inside = r == 0.0 if self.includes_zero else np.zeros(r.shape, dtype=bool)
+        inside = (r == 0.0) & self.includes_zero
         for lo, hi in self.intervals:
-            inside |= (lo < r) & (r < hi)
+            inside = inside | (lo < r) & (r < hi)
         return inside
 
 
@@ -88,22 +81,14 @@ def _radius_range(lo: float, hi: float) -> tuple[float, float, bool]:
     return math.log(lo_eff), math.log(max(8.0, 4.0 * lo_eff)), True
 
 
-def sample_radius(domain: RadiusDomain, rng: np.random.Generator) -> float:
-    """A reproducible radius strictly inside one of the domain's intervals."""
-    a, b, log_scale = _radius_range(*domain.intervals[int(rng.integers(len(domain.intervals)))])
-    x = float(rng.uniform(a, b))
-    return math.exp(x) if log_scale else x
-
-
 def sample_pairs(spec: MetricSpec, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n pairs (g, h) as the rows of two (n, dim) arrays of the spec's dtype.
 
     Only the spec's dim, field and domain are read, so a
-    decompose.SesquiOracle serves as well.  |g| is drawn inside the domain by
-    sample_radius's rules, g's direction and h are Gaussian.  The draws are
-    batched, so a seed gives other points than n calls of sample_radius and
-    random_vector_with_norm would.
+    decompose.SesquiOracle serves as well.  |g| is drawn strictly inside an
+    interval of the domain, chosen uniformly, by _radius_range's rules; g's
+    direction and h are Gaussian.
     """
     ranges = np.array([_radius_range(lo, hi) for lo, hi in spec.domain.intervals])
     a, b, log_scale = ranges[rng.integers(len(ranges), size=n)].T
@@ -425,13 +410,14 @@ class ZeroExtended(MetricSpec):
             raise ValueError("zero extension needs an inner spec")
         if not self.domain.includes_zero:
             raise ValueError("zero extension requires a domain including 0")
-        if self.inner_spec.domain.includes_zero:
-            raise ValueError("the wrapped spec must exclude 0")
+        inner = self.inner_spec
+        if (inner.dim, inner.field, inner.domain) != (self.dim, self.field,
+                                                      replace(self.domain, includes_zero=False)):
+            raise ValueError("the wrapped spec must have the dimension, field and radius "
+                             "intervals of its extension, and exclude 0")
 
-    def _eval(self, g, h, r):
-        if r == 0.0:
-            return self.b * norm(h)
-        return eval_finsler(self.inner_spec, g, h)
+    def _eval(self, g, h, r):  # eval_finsler's checks on the extension hold for the inner spec
+        return self.b * norm(h) if r == 0.0 else self.inner_spec._eval(g, h, r)
 
     def _values(self, r, ip, q, G, H):
         k = r != 0.0  # the others are rows at g = 0, where rho_0(h) = b |h|
@@ -503,10 +489,11 @@ def eval_finsler(spec: MetricSpec, g: Vector, h: Vector) -> float:
     if not (g.field is spec.field is h.field and len(g.entries) == spec.dim == len(h.entries)):
         _check_compatible(spec, g, h)
     r = norm(g)
-    if r == 0.0 or not spec.domain.contains(r):
+    inside = spec.domain.contains(r)
+    if r == 0.0 or not inside:
         if (r == math.inf or r == 0.0 and not isinstance(spec, Custom)) and g.entries.any():
             raise norm_range_error(r)
-        if not spec.domain.contains(r):
+        if not inside:
             raise OutOfDomainError(f"|g| = {r} is outside the radius domain")
         if not spec.defined_at_zero:
             raise OutOfDomainError("base point g = 0 is outside the metric's domain")
@@ -534,7 +521,7 @@ def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
 def _inside_rows(spec: MetricSpec, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|g| per row of G and eval_batch's inside mask (|g| may overflow to inf: outside)."""
     r = row_norms(G)
-    inside = spec.domain.contains_rows(r)
+    inside = spec.domain.contains(r)
     if spec.domain.includes_zero and (zero := r == 0.0).any():  # g = 0, or |g| underflows
         inside &= ~zero | (spec.defined_at_zero & (isinstance(spec, Custom) | ~G.any(axis=1)))
     return r, inside
@@ -644,7 +631,7 @@ def _roots_inside(spec: MetricSpec, r: np.ndarray) -> np.ndarray:
     """Whether each |g|^2 = r > 0 has its root in the radius domain (of a
     spec, or of anything with a domain, such as a decompose.SesquiOracle)."""
     with np.errstate(invalid="ignore"):  # r < 0 has no root: NaN is outside
-        return (r > 0.0) & spec.domain.contains_rows(np.sqrt(r))
+        return (r > 0.0) & spec.domain.contains(np.sqrt(r))
 
 
 def check_positive_definite(spec: MetricSpec, r_samples: list[float],

@@ -137,9 +137,8 @@ def near_pair(dim: int, field: la.Field, seed: int, ng: float, nh: float, kind: 
 
 
 def sample_pair(spec: mm.MetricSpec, rng: np.random.Generator):
-    g = la.random_vector_with_norm(spec.dim, spec.field, mm.sample_radius(spec.domain, rng), rng)
-    h = la.random_gaussian_vector(spec.dim, spec.field, rng)
-    return g, h
+    (g,), (h,) = mm.sample_pairs(spec, 1, rng)
+    return la.Vector(g, spec.field), la.Vector(h, spec.field)
 
 
 def knn_graph_distance(n_points: int = 2000, k: int = 56, seed: int = 0,

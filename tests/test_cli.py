@@ -193,6 +193,47 @@ def test_metric_from_json_file(capsys, tmp_path):
     assert code == 0 and json.loads(out)["value"] == 3
 
 
+def test_a_named_metric_needs_dim(capsys):
+    code, out, err = run(capsys, "eval", "--metric", "euclidean", "--g", "1,0", "--h", "0,1")
+    assert (code, out, err) == (2, "", "error: --dim is required with a named metric\n")
+
+
+def test_an_unreadable_spec_file_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "eval", "--metric", f"@{tmp_path / 'missing.json'}",
+                         "--g", "1,0", "--h", "0,1")
+    assert code == 2 and out == "" and err.startswith("error: cannot read metric spec: ")
+
+
+def test_riemann_constructor_needs_a_semicolon(capsys):
+    code, _, err = run(capsys, "eval", "--metric", "riemann:1/r", "--dim", "2",
+                       "--g", "1,0", "--h", "0,1")
+    assert (code, err) == (2, "error: riemann metric needs 'riemann:PHI;PSI'\n")
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--dim", "3", "--dim 3 conflicts with spec dim 2"),
+    ("--field", "complex", "--field complex conflicts with the spec's field")])
+def test_dim_or_field_conflicting_with_a_spec_file_is_usage_error(capsys, tmp_path, option,
+                                                                   value, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "euclidean", "dim": 2, "field": "real"}))
+    code, _, err = run(capsys, "eval", "--metric", f"@{path}", option, value,
+                       "--g", "1,0", "--h", "0,1")
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_decompose_as_riemann_needs_a_sesquilinear_form(capsys):
+    code, out, err = run(capsys, "decompose", "--metric", "euclidean", "--dim", "2",
+                         "--as", "riemann")
+    assert (code, out, err) == (
+        2, "", "error: this metric has no sesquilinear form; use --as finsler\n")
+
+
+def test_check_pd_needs_a_riemann_backed_metric(capsys):
+    code, out, err = run(capsys, "check", "pd", "--metric", "euclidean", "--dim", "2")
+    assert (code, out, err) == (2, "", "error: check pd needs a Riemann-backed metric\n")
+
+
 @pytest.mark.parametrize("text", [
     '{"family":"theta","dim":2,"field":"real"}',
     '{"family":"euclidean"}',
@@ -510,6 +551,29 @@ def test_distance_command(capsys, tmp_path):
     assert json.loads(out)["value"] == pytest.approx(math.pi / 2, abs=1e-2)
     lines = path.read_text().strip().splitlines()
     assert lines[0].rstrip("\r") == "t,x1,x2" and len(lines) == 8
+
+
+def test_complex_distance_path_has_real_and_imaginary_columns(capsys, tmp_path):
+    path = tmp_path / "path.csv"
+    code, _, _ = run(capsys, "distance", "--metric", "fubini-study", "--dim", "2",
+                     "--field", "complex", "--g", "1:0,0:0", "--h", "0:0.5,1:0",
+                     "--iterations", "5", "--vertices", "5", "--path-out", str(path))
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,x1,x2,y1,y2" and len(lines) == 6
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert rows[0][1:] == [1.0, 0.0, 0.0, 0.0] and rows[-1][1:] == [0.0, 1.0, 0.5, 0.0]
+
+
+def test_complex_homothety_witness_is_re_im_pairs(capsys):
+    code, out, _ = run(capsys, "check", "homothety", "--alpha", "2", "--metric", "euclidean",
+                       "--dim", "2", "--field", "complex", "--samples", "20")
+    witness = json.loads(out)["witness"]
+    verdict = mm.check_homothety_invariance(mm.euclidean(2, la.Field.COMPLEX), 2.0, 20)
+    assert code == 1 and witness == {
+        name: [[v.real, v.imag] for v in vec.entries.tolist()]
+        for name, vec in zip("gh", verdict.witness)}
 
 
 def test_distance_nonpositive_metric_exit_3(capsys):

@@ -11,7 +11,7 @@ from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 from finsler_iso.errors import (MismatchError, NonPositiveMetricError, OutOfDomainError,
                                  ZeroVectorError)
-from helpers import POS, battery, family_specs
+from helpers import OVERFLOWING_THETA, POS, battery, family_specs
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 HALF_PI = 0.5 * math.pi
@@ -183,12 +183,29 @@ def test_default_simpson_stops_at_the_cap_on_a_kink(monkeypatch):
     # segment, and Simpson's error falls only as the step squared
     spec = mm.FromTheta(3, R, POS, mm.theta_profile("1+cos(tau)"))
     kink = ge.segment_curve(la.vector([1, 0.2, -0.3]), la.vector([-0.5, 1.4, 0.8]))
-    length, calls = _counted_length(monkeypatch, spec, kink)
-    assert calls == 1025
-    assert length == ge.curve_length(spec, kink, 1025)
+    with pytest.warns(RuntimeWarning, match="the 1025-node cap") as caught:
+        length, calls = _counted_length(monkeypatch, spec, kink)
+    assert calls == 1025 and len(caught) == 1
+    assert length == ge.curve_length(spec, kink, 1025)  # an explicit grid never warns
     want = _simpson_reference(spec, kink)
     assert abs(length - want) <= 1e-6
     assert abs(ge.curve_length(spec, kink, 1001) - want) <= 1e-6
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_default_simpson_warns_once_when_it_stops_unconverged(monkeypatch, field):
+    # a fast-growing theta along the spiral and a max/min lambda along a
+    # segment: neither has two levels agree below the cap
+    seg = ge.segment_curve(la.vector([1, 0.5, -0.25], field), la.vector([0.2, 1.5, 0.75], field))
+    for spec, curve in [
+            (mm.FromTheta(3, field, POS, mm.theta_profile(OVERFLOWING_THETA)), _spiral(field)),
+            (mm.FromLambda(3, field, POS, mm.lambda_profile("max(p,q)+min(p,q)^2/(p+q+r)")), seg)]:
+        with pytest.warns(RuntimeWarning) as caught:
+            length, calls = _counted_length(monkeypatch, spec, curve)
+        assert calls == 1025 and [str(w.message) for w in caught] == [
+            "Simpson quadrature stopped at the 1025-node cap before two levels agreed; "
+            "the length may be inaccurate"]
+        assert length == ge.curve_length(spec, curve, 1025)  # an explicit grid never warns
 
 
 @pytest.mark.parametrize("field", [R, C])
@@ -393,6 +410,8 @@ def test_intrinsification_sphere_curve_matches_sesquilinear():
     sigma = mm.eval_sesquilinear(mm.fubini_study(3), curve.point(t0),
                                  curve.velocity(t0), curve.velocity(t0))
     assert table.sigma_value == pytest.approx(math.sqrt(sigma), abs=1e-6)
+    r, _, q = la.canonical_invariants(curve.point(t0), curve.velocity(t0))
+    assert table.sigma_value == q / (r * r)  # the canonical Fubini-Study value, bit for bit
     assert abs(table.rows[-1][1] - table.sigma_value) <= 1e-3
     assert abs(table.rows[-1][2] - table.sigma_value) <= 1e-3
 

@@ -39,6 +39,13 @@ def test_vector_rejects_nonfinite():
         la.vector([float("inf"), 0.0])
 
 
+def test_real_vector_takes_complex_entries_only_with_zero_imaginary_parts():
+    v = la.vector([1 + 0j, 2], R)
+    assert v.field is R and v.entries.dtype == np.float64 and v.entries.tolist() == [1.0, 2.0]
+    with pytest.raises(MismatchError, match="real vector cannot have complex entries"):
+        la.vector([1 + 1j], R)
+
+
 def test_norm_examples():
     assert la.norm(la.vector([3, 4, 0])) == pytest.approx(5.0)
     assert la.norm(la.vector([0, 0, 0])) == 0.0

@@ -54,6 +54,36 @@ def test_zero_extension():
         mm.eval_finsler(mm.euclidean(2), la.vector([0, 0]), la.vector([1, 0]))
 
 
+def test_eval_finsler_refuses_a_vector_of_another_dimension_or_field():
+    spec = mm.euclidean(3)
+    g, h = la.vector([1, 0, 0]), la.vector([0, 1, 0])
+    for args in ((la.vector([1, 0]), h), (g, la.vector([0, 1, 0, 0]))):
+        with pytest.raises(MismatchError, match="vector dimension [24] != spec dimension 3"):
+            mm.eval_finsler(spec, *args)
+    for args in ((la.vector([1, 0, 0], C), h), (g, la.vector([0, 1, 0], C))):
+        with pytest.raises(MismatchError, match="vector field complex != spec field real"):
+            mm.eval_finsler(spec, *args)
+
+
+def test_eval_finsler_at_zero_needs_an_extension_even_when_the_domain_holds_0():
+    spec = mm.Euclidean(2, R, mm.RadiusDomain(((0.0, math.inf),), includes_zero=True))
+    g, h = la.vector([0, 0]), la.vector([1, 0])
+    with pytest.raises(OutOfDomainError, match="base point g = 0 is outside the metric's domain"):
+        mm.eval_finsler(spec, g, h)
+    assert mm.eval_batch(spec, g.entries[None], h.entries[None])[1].tolist() == [False]
+
+
+@pytest.mark.parametrize("inner", [mm.euclidean(3), mm.euclidean(2, C),
+                                   mm.Euclidean(2, R, mm.RadiusDomain(((1.0, 2.0),))),
+                                   mm.Custom(2, R, mm.RadiusDomain(((0.0, math.inf),), True),
+                                             fn=lambda g, h: 1.0)],
+                         ids=["dim", "field", "intervals", "zero"])
+def test_a_zero_extension_shares_its_inner_specs_dim_field_and_intervals(inner):
+    # eval_finsler checks the extension only, so the inner spec must agree with it
+    with pytest.raises(ValueError, match="must have the dimension, field and radius intervals"):
+        mm.ZeroExtended(2, R, mm.RadiusDomain(((0.0, math.inf),), includes_zero=True), 1.0, inner)
+
+
 def test_constant_theta_profile_gives_norm():
     spec = mm.FromTheta(3, R, POS, lambda r, tau: 1.0)
     rng = np.random.default_rng(0)
@@ -871,15 +901,20 @@ _DOMAINS = [
 
 
 @pytest.mark.parametrize("domain", _DOMAINS)
-def test_contains_rows_equals_contains_entry_by_entry(domain):
+def test_contains_takes_a_radius_or_an_array(domain):
     # a single interval without 0 takes the fast case; the others the general one
     rng = np.random.default_rng(3)
     edges = [0.0, -0.0, 0.5, 1.0, 2.0, 3.0, np.nextafter(0.5, 1), np.nextafter(3.0, 0),
              1e-320, math.inf, math.nan]
     r = np.concatenate([edges, rng.uniform(0.0, 4.0, 60)])
-    got = domain.contains_rows(r)
-    assert got.dtype == bool and got.tolist() == [domain.contains(x) for x in r.tolist()]
-    general = mm.RadiusDomain(domain.intervals, includes_zero=True).contains_rows(r)
+    want = [x == 0.0 and domain.includes_zero or any(lo < x < hi for lo, hi in domain.intervals)
+            for x in r.tolist()]
+    got = domain.contains(r)
+    assert got.dtype == bool and got.shape == r.shape and got.tolist() == want
+    singles = [domain.contains(x) for x in r.tolist()]
+    assert all(type(x) is bool for x in singles) and singles == want
+    assert [bool(domain.contains(x)) for x in r] == want  # numpy float64 radii
+    general = mm.RadiusDomain(domain.intervals, includes_zero=True).contains(r)
     assert (got == general)[r != 0.0].all()
 
 
