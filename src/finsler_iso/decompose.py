@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,8 +40,7 @@ from .metrics import (
 )
 
 
-@dataclass(frozen=True)
-class SesquiOracle:
+class SesquiOracle(NamedTuple):
     """A black-box conjugate-symmetric sesquilinear sigma(g, f, h), and
     optionally its rows form rows(G, F, H)."""
 
@@ -197,8 +195,7 @@ def _validate_conjugate_symmetry(oracle: SesquiOracle, n_samples: int = 16,
 # ---------------------------------------------------------------------------
 # Round-trip verification
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(NamedTuple):
     max_relative_deviation: float
     witness: tuple[Vector, ...] | None
     samples: int

@@ -17,8 +17,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -33,30 +32,25 @@ class EvalError(ValueError):
     """Missing binding, or a domain error such as log of a negative number."""
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     args: tuple["Expr", ...]
 
@@ -202,10 +196,16 @@ def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
 
 def compile_positional(text: str, names: tuple[str, ...]) -> Callable[..., float]:
     """Parse text once; the callable evaluates it with its arguments bound to
-    names in order.  It carries its text as .text and its array form,
-    compile_rows(text, names), as .rows."""
-    expr = parse(text, names)
-    fn = lambda *args: evaluate(expr, dict(zip(names, args)))
+    names in order, and raises TypeError unless it gets one per name.  It
+    carries its text as .text and its array form, compile_rows(text, names),
+    as .rows."""
+    expr, n = parse(text, names), len(names)
+
+    def fn(*args):
+        if len(args) != n:  # zip would drop an extra argument or leave a name unbound
+            raise TypeError(f"profile {text!r} takes {n} argument(s) ({', '.join(names)}), "
+                            f"got {len(args)}")
+        return evaluate(expr, dict(zip(names, args)))
     fn.text, fn.rows = text, compile_rows(text, names)
     return fn
 
@@ -255,8 +255,8 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
     return value
 
 
-# id(tree) -> (tree, closure), keyed by identity: a frozen dataclass's hash walks
-# the whole tree every call.  Holding the tree keeps its id from being reused.
+# id(tree) -> (tree, closure), keyed by identity: a tree's hash walks the whole
+# tree every call.  Holding the tree keeps its id from being reused.
 _compiled: dict[int, tuple[Expr, Callable[[Mapping[str, float]], float]]] = {}
 
 

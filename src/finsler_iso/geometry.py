@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .metrics import (MetricSpec, _check_compatible, _eval_rows, _inside_rows, e
                       eval_finsler, fubini_study)
 
 
-@dataclass(frozen=True)
 class ParametricCurve:
     """t -> gamma(t) on [a, b], given by its rows form: points(ts) is the
     (N, dim) array of gamma at each entry of ts.  Velocities are centred
@@ -42,13 +40,10 @@ class ParametricCurve:
     step beyond the endpoints.  point and velocity are one-row views.
     """
 
-    points: Callable[[np.ndarray], np.ndarray]
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+    def __init__(self, points: Callable[[np.ndarray], np.ndarray], a: float, b: float):
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError("curve needs finite a < b")
+        self.points, self.a, self.b = points, a, b
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
         s = 1e-6 * np.maximum(1.0, np.abs(ts))
@@ -67,16 +62,14 @@ def _vectors(rows: np.ndarray) -> list[Vector]:
     return [Vector(row, field) for row in rows]
 
 
-@dataclass(frozen=True, eq=False)
 class Polyline:
     """Ordered vertices, the rows of an (n, dim) array; vertex i of n sits at
     the parameter i/(n-1) of [0, 1]."""
 
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        if getattr(self.vertices, "ndim", None) != 2 or len(self.vertices) < 2:
+    def __init__(self, vertices: np.ndarray):
+        if getattr(vertices, "ndim", None) != 2 or len(vertices) < 2:
             raise ValueError("polyline needs an (n, dim) array of n >= 2 vertices")
+        self.vertices = vertices
 
 
 def _warn_if_negative(values: np.ndarray) -> None:
@@ -200,8 +193,7 @@ def polygonal_delta_length(which: str, curve: ParametricCurve, n_segments: int =
     return float(sum(fn(u, v) for u, v in zip(points, points[1:])))
 
 
-@dataclass(frozen=True)
-class IntrinsificationTable:
+class IntrinsificationTable(NamedTuple):
     rows: tuple[tuple[float, float, float], ...]  # (step, delta1 ratio, delta2 ratio)
     sigma_value: float
     degenerate: bool
@@ -237,8 +229,7 @@ def intrinsification_ratio(curve: ParametricCurve, t: float,
 # ---------------------------------------------------------------------------
 # Geodesic distance by polyline descent
 
-@dataclass(frozen=True)
-class GeodesicResult:
+class GeodesicResult(NamedTuple):
     distance: float
     path: Polyline
     initial_length: float
@@ -432,7 +423,7 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
             cur = 0  # the bitmask of the moves accepted so far, tried in move order
             for j in range(4):
                 s = cur | 1 << j
-                if ok_a[s - 1] and ok_b[s - 1] and a[s - 1] + b[s - 1] < local - 1e-15 * (1.0 + local):
+                if ok_a[s - 1] and ok_b[s - 1] and a[s - 1] + b[s - 1] < local - 1e-15 * local:
                     cur, local = s, a[s - 1] + b[s - 1]
             moved = cur > 0
             if moved:

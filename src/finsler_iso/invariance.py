@@ -10,7 +10,7 @@ to that statement and check the known dimension-2 exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .metrics import MetricSpec, area_dim2, deviations, eval_batch, sample_pairs
 # assertion deletes this import.
 from .metrics import eval_finsler  # noqa: F401
 
-@dataclass(frozen=True)
-class SymmetryVerdict:
+
+class SymmetryVerdict(NamedTuple):
     is_symmetry: bool
     max_deviation: float
     witness: tuple[Vector, Vector] | None
@@ -38,8 +38,7 @@ class SymmetryVerdict:
     skipped: int
 
 
-@dataclass(frozen=True)
-class CongruenceClass:
+class CongruenceClass(NamedTuple):
     kind: str  # "isometry" | "congruence" | "not-congruence"
     c: float | None = None
     sv_ratio: float | None = None
@@ -177,8 +176,7 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Theorem probes
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     maps_tested: int
     all_failed: bool
     weakest_deviation: float          # smallest max-deviation among tested maps
@@ -277,8 +275,7 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     )
 
 
-@dataclass(frozen=True)
-class Dim2Report:
+class Dim2Report(NamedTuple):
     maps_tested: int
     all_passed: bool
     max_deviation: float
@@ -318,8 +315,7 @@ def random_unimodular(seed: int, dim: int = 2) -> LinearMap:
             return LinearMap(m / d ** (1.0 / dim), Field.REAL)
 
 
-@dataclass(frozen=True)
-class RotationSufficiencyReport:
+class RotationSufficiencyReport(NamedTuple):
     rotation_max_deviation: float
     orthogonal_max_deviation: float
     rotations_pass: bool

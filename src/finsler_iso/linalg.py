@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,12 +30,13 @@ class Field(enum.Enum):
         return np.dtype(np.float64) if self is Field.REAL else np.dtype(np.complex128)
 
 
-@dataclass(frozen=True, eq=False)
 class Vector:
     """A point or direction in F^n.  Build through :func:`vector`."""
 
-    entries: np.ndarray
-    field: Field
+    __slots__ = ("entries", "field")
+
+    def __init__(self, entries: np.ndarray, field: Field):
+        self.entries, self.field = entries, field
 
     @property
     def dim(self) -> int:
@@ -46,12 +46,13 @@ class Vector:
         return f"Vector({self.entries.tolist()!r}, {self.field.value})"
 
 
-@dataclass(frozen=True, eq=False)
 class LinearMap:
     """A dense dim_out x dim_in matrix over F.  Build through :func:`linear_map`."""
 
-    entries: np.ndarray
-    field: Field
+    __slots__ = ("entries", "field")
+
+    def __init__(self, entries: np.ndarray, field: Field):
+        self.entries, self.field = entries, field
 
     @property
     def dim_out(self) -> int:

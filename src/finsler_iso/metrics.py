@@ -15,8 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, ClassVar
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,25 +34,31 @@ from .linalg import (
 )
 
 
+class _Value:
+    """Equality and hashing by value: over the type and the instance's attributes."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), *vars(self).values()))
+
+
 # ---------------------------------------------------------------------------
 # Radius domains
 
-@dataclass(frozen=True)
-class RadiusDomain:
+class RadiusDomain(_Value):
     """A union of open intervals in [0, inf), with an optional zero point."""
 
-    intervals: tuple[tuple[float, float], ...]
-    includes_zero: bool = False
-
-    def __post_init__(self):
-        ivs = tuple(sorted((float(lo), float(hi)) for lo, hi in self.intervals))
+    def __init__(self, intervals: tuple[tuple[float, float], ...], includes_zero: bool = False):
+        ivs = tuple(sorted((float(lo), float(hi)) for lo, hi in intervals))
         for lo, hi in ivs:
             if lo < 0.0 or not lo < hi:
                 raise ValueError(f"invalid radius interval ({lo}, {hi})")
         for (_, hi1), (lo2, _) in zip(ivs, ivs[1:]):
             if hi1 > lo2:
                 raise ValueError("radius intervals must be pairwise disjoint")
-        object.__setattr__(self, "intervals", ivs)
+        self.intervals, self.includes_zero = ivs, includes_zero
 
     @staticmethod
     def positive() -> "RadiusDomain":
@@ -119,8 +124,7 @@ def domain_grid(domain: RadiusDomain, points_per_interval: int = 4) -> list[floa
 # ---------------------------------------------------------------------------
 # Profiles
 
-@dataclass(frozen=True)
-class RiemannProfile:
+class RiemannProfile(NamedTuple):
     """The (phi, psi) pair of an invariant sesquilinear form; arguments are |g|^2."""
 
     phi: Callable[[float], float]
@@ -191,20 +195,16 @@ def fubini_study_profile() -> RiemannProfile:
 # ---------------------------------------------------------------------------
 # Metric specs
 
-@dataclass(frozen=True)
-class MetricSpec:
-    dim: int
-    field: Field
-    domain: RadiusDomain
+class MetricSpec(_Value):
+    family = "?"
+    congruence_invariant = False
+    defined_at_zero = False  # rho_0 exists (zero extensions, custom metrics)
+    alpha = 1.0  # the degree in h; lambda and custom specs set their own
 
-    family: ClassVar[str] = "?"
-    congruence_invariant: ClassVar[bool] = False
-    defined_at_zero: ClassVar[bool] = False  # rho_0 exists (zero extensions, custom metrics)
-    alpha = 1.0  # the degree in h: not a field, so lambda and custom specs end with theirs
-
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain):
+        if dim < 1:
             raise ValueError("dim must be >= 1")
+        self.dim, self.field, self.domain = dim, field, domain
 
     def _eval(self, g: Vector, h: Vector, r: float) -> float:
         """rho_g(h) for checked vectors whose radius r = |g| lies in the domain
@@ -222,9 +222,8 @@ class MetricSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Euclidean(MetricSpec):
-    family: ClassVar[str] = "euclidean"
+    family = "euclidean"
 
     def _value(self, r, ip, q):
         return math.hypot(abs(ip), q) / r
@@ -233,7 +232,6 @@ class Euclidean(MetricSpec):
         return np.hypot(np.abs(ip), q) / r
 
 
-@dataclass(frozen=True)
 class FubiniStudy(MetricSpec):
     """Fubini-Study on the punctured space, evaluated in canonical form.
 
@@ -242,9 +240,9 @@ class FubiniStudy(MetricSpec):
     cancels catastrophically.
     """
 
-    family: ClassVar[str] = "fubini-study"
-    congruence_invariant: ClassVar[bool] = True
-    profile: ClassVar[RiemannProfile] = congruence_invariant_riemann(1.0, -1.0)  # sigma's, built once
+    family = "fubini-study"
+    congruence_invariant = True
+    profile = congruence_invariant_riemann(1.0, -1.0)  # sigma's, built once
 
     def _value(self, r, ip, q):
         return q / (r * r)
@@ -264,13 +262,15 @@ def _where_nonzero(nh: np.ndarray, value: Callable) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class FromLambda(MetricSpec):
     """lambda(r, p, q): even in p and in q, homogeneous of degree alpha in (p, q)."""
 
-    lam: Callable[[float, float, float], float]
-    alpha: float = 1.0
-    family: ClassVar[str] = "lambda"
+    family = "lambda"
+
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain,
+                 lam: Callable[[float, float, float], float], alpha: float = 1.0):
+        super().__init__(dim, field, domain)
+        self.lam, self.alpha = lam, alpha
 
     def _value(self, r, ip, q):
         return float(self.lam(r, abs(ip), q))
@@ -279,12 +279,15 @@ class FromLambda(MetricSpec):
         return _array_form(self.lam)(r, np.abs(ip), q)
 
 
-@dataclass(frozen=True)
 class FromTheta(MetricSpec):
     """rho_g(h) = |h| theta(|g|, tau) with tau = angle(g, h) in [0, pi/2]."""
 
-    theta: Callable[[float, float], float]
-    family: ClassVar[str] = "theta"
+    family = "theta"
+
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain,
+                 theta: Callable[[float, float], float]):
+        super().__init__(dim, field, domain)
+        self.theta = theta
 
     def _value(self, r, ip, q):
         p = abs(ip)
@@ -300,12 +303,15 @@ class FromTheta(MetricSpec):
             fn(r[k], np.arctan2(q[k], p[k])) if c is None else c))
 
 
-@dataclass(frozen=True)
 class FromNonSymLambda(MetricSpec):
     """lambda(r, p, q) with p = <h, g> a scalar in F; positively homogeneous, even in q."""
 
-    lam: Callable[[float, complex, float], float]
-    family: ClassVar[str] = "nonsym-lambda"
+    family = "nonsym-lambda"
+
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain,
+                 lam: Callable[[float, complex, float], float]):
+        super().__init__(dim, field, domain)
+        self.lam = lam
 
     def _value(self, r, ip, q):
         return float(self.lam(r, ip, q))
@@ -318,13 +324,15 @@ _UNDEFINED_SIGMA = ("riemann value is undefined: phi(|g|^2)|h|^2 + psi(|g|^2)|<h
                     "NaN (its terms overflow to opposite infinities, or a profile value is NaN)")
 
 
-@dataclass(frozen=True)
 class FromRiemann(MetricSpec):
     """Finsler metric induced by a sesquilinear profile: sign(v) sqrt|v|."""
 
-    profile: RiemannProfile
-    indefinite_warning: bool = False
-    family: ClassVar[str] = "riemann"
+    family = "riemann"
+
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain, profile: RiemannProfile,
+                 indefinite_warning: bool = False):
+        super().__init__(dim, field, domain)
+        self.profile, self.indefinite_warning = profile, indefinite_warning
 
     def _value(self, r, ip, q):
         r2, p = r * r, abs(ip)
@@ -350,13 +358,16 @@ class FromRiemann(MetricSpec):
         return np.where(v == 0.0, 0.0, np.copysign(np.sqrt(np.abs(v)), v))
 
 
-@dataclass(frozen=True)
 class CongruenceInvariant(MetricSpec):
     """rho_g(h) = (|h|/|g|) vartheta(angle(g, h)); invariant under all congruences."""
 
-    vartheta: Callable[[float], float]
-    family: ClassVar[str] = "congruence-invariant"
-    congruence_invariant: ClassVar[bool] = True
+    family = "congruence-invariant"
+    congruence_invariant = True
+
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain,
+                 vartheta: Callable[[float], float]):
+        super().__init__(dim, field, domain)
+        self.vartheta = vartheta
 
     def _value(self, r, ip, q):
         p = abs(ip)
@@ -372,7 +383,6 @@ class CongruenceInvariant(MetricSpec):
             fn(np.arctan2(q[k], p[k])) if c is None else c))
 
 
-@dataclass(frozen=True)
 class AreaDim2(MetricSpec):
     """b * |g| |h| sin(angle): b times the parallelogram area over R^2.
 
@@ -380,13 +390,13 @@ class AreaDim2(MetricSpec):
     angle near collinear pairs.
     """
 
-    b: float = 1.0
-    family: ClassVar[str] = "area"
+    family = "area"
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.dim != 2:
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain, b: float = 1.0):
+        super().__init__(dim, field, domain)
+        if dim != 2:
             raise ValueError("the area metric is defined in dimension 2 only")
+        self.b = b
 
     def _value(self, r, ip, q):
         return self.b * q
@@ -395,26 +405,24 @@ class AreaDim2(MetricSpec):
         return self.b * q
 
 
-@dataclass(frozen=True)
 class ZeroExtended(MetricSpec):
     """An invariant metric on the punctured space extended by rho_0(h) = b |h|."""
 
-    b: float = 0.0
-    inner_spec: MetricSpec | None = None
-    family: ClassVar[str] = "zero-extended"
-    defined_at_zero: ClassVar[bool] = True
+    family = "zero-extended"
+    defined_at_zero = True
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.inner_spec is None:
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain, b: float = 0.0,
+                 inner_spec: MetricSpec | None = None):
+        super().__init__(dim, field, domain)
+        if inner_spec is None:
             raise ValueError("zero extension needs an inner spec")
-        if not self.domain.includes_zero:
+        if not domain.includes_zero:
             raise ValueError("zero extension requires a domain including 0")
-        inner = self.inner_spec
-        if (inner.dim, inner.field, inner.domain) != (self.dim, self.field,
-                                                      replace(self.domain, includes_zero=False)):
+        if (inner_spec.dim, inner_spec.field, inner_spec.domain) != (
+                dim, field, RadiusDomain(domain.intervals)):
             raise ValueError("the wrapped spec must have the dimension, field and radius "
                              "intervals of its extension, and exclude 0")
+        self.b, self.inner_spec = b, inner_spec
 
     def _eval(self, g, h, r):  # eval_finsler's checks on the extension hold for the inner spec
         return self.b * norm(h) if r == 0.0 else self.inner_spec._eval(g, h, r)
@@ -426,20 +434,19 @@ class ZeroExtended(MetricSpec):
         return out
 
 
-@dataclass(frozen=True)
 class Custom(MetricSpec):
     """A black-box metric callable of declared degree alpha in h; usable
     everywhere but not serializable."""
 
-    fn: Callable[[Vector, Vector], float] = None  # type: ignore[assignment]
-    alpha: float = 1.0
-    family: ClassVar[str] = "custom"
-    defined_at_zero: ClassVar[bool] = True
+    family = "custom"
+    defined_at_zero = True
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.fn is None:
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain,
+                 fn: Callable[[Vector, Vector], float] | None = None, alpha: float = 1.0):
+        super().__init__(dim, field, domain)
+        if fn is None:
             raise ValueError("a custom metric needs its callable")
+        self.fn, self.alpha = fn, alpha
 
     def _eval(self, g, h, r):
         return float(self.fn(g, h))
@@ -467,7 +474,7 @@ def area_dim2(b: float = 1.0, field: Field = Field.REAL) -> AreaDim2:
 
 
 def zero_extended(b: float, inner_spec: MetricSpec) -> ZeroExtended:
-    domain = replace(inner_spec.domain, includes_zero=True)
+    domain = RadiusDomain(inner_spec.domain.intervals, includes_zero=True)
     return ZeroExtended(inner_spec.dim, inner_spec.field, domain, b, inner_spec)
 
 
@@ -614,7 +621,7 @@ def induced_finsler(profile: RiemannProfile, dim: int, field: Field = Field.REAL
     if (values < -1e-6).any():
         warnings.warn("sesquilinear profile takes negative values; induced "
                       "metric uses sign(v) sqrt|v|", RuntimeWarning, stacklevel=2)
-        return replace(spec, indefinite_warning=True)
+        return FromRiemann(dim, field, domain, profile, indefinite_warning=True)
     return spec
 
 
@@ -695,8 +702,7 @@ def deviations(got: np.ndarray, want: np.ndarray, ref: np.ndarray) -> np.ndarray
     return dev
 
 
-@dataclass(frozen=True)
-class HomothetyVerdict:
+class HomothetyVerdict(NamedTuple):
     invariant: bool
     max_deviation: float
     witness: tuple[Vector, Vector] | None
@@ -735,8 +741,7 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
 # ---------------------------------------------------------------------------
 # Profile validation (sampling-based; profiles are black-box callables)
 
-@dataclass(frozen=True)
-class ProfileValidation:
+class ProfileValidation(NamedTuple):
     ok: bool
     worst_homogeneity: float
     worst_evenness: float

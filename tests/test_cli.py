@@ -752,7 +752,8 @@ def test_decompose_rejects_nonsym(capsys):
 
 
 # Which of the optional modules each README command loads: the start-up of
-# finsler_iso.cli loads cli, metrics, expressions, linalg and errors only.
+# finsler_iso.cli loads cli, metrics, expressions, linalg and errors only, and
+# no module of the package loads dataclasses.
 COMMAND_MODULES = {("eval",): set(), ("check", "pd"): set(), ("check", "kaehler"): set(),
                    ("check", "invariance"): {"invariance"}, ("check", "homothety"): set(),
                    ("probe-main",): {"invariance"}, ("decompose",): {"decompose"},
@@ -761,7 +762,8 @@ CHILD = """import sys
 from finsler_iso import cli
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
-sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith("finsler_iso."))) + "\\n")
+sys.stderr.write(repr((sorted(m for m in sys.modules if m.startswith("finsler_iso.")),
+                        "dataclasses" in sys.modules)) + "\\n")
 sys.exit(code)
 """
 
@@ -777,10 +779,22 @@ def test_each_readme_command_loads_only_its_own_module(tmp_path):
     commands = readme_commands()
     assert len(commands) == 12
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def loads_dataclasses(code: str) -> bool:
+        out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n"
+                              "print('dataclasses' in sys.modules)"], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        return ast.literal_eval(out)
+    # a site hook of the environment may load it before the package does
+    bare = loads_dataclasses("pass")
+    assert loads_dataclasses("import finsler_iso.decompose, finsler_iso.invariance, "
+                             "finsler_iso.geometry") == bare
     for argv in commands:
         key = tuple(argv[:2]) if argv[0] == "check" else (argv[0],)
         proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode in (0, 1), (argv, proc.stderr)
-        loaded = {m.split(".")[1] for m in ast.literal_eval(proc.stderr.splitlines()[-1])}
+        modules, dataclasses = ast.literal_eval(proc.stderr.splitlines()[-1])
+        loaded = {m.split(".")[1] for m in modules}
         assert loaded == {"cli", "metrics", "expressions", "linalg", "errors"} | COMMAND_MODULES[key], argv
+        assert dataclasses == bare, argv

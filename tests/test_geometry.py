@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import math
 import re
 import warnings
@@ -455,6 +455,28 @@ def test_geodesic_monotone_improvement():
     assert res.distance <= res.initial_length + 1e-12
 
 
+# Specs homogeneous under (g, h) -> (s g, s h), with their degree: rho_{sg}(sh) = s^deg rho_g(h).
+HOMOGENEOUS_SPECS = [
+    (mm.euclidean(3), 1), (mm.fubini_study(3), 0), (mm.fubini_study(3, C), 0),
+    (mm.norm_quotient(3), 0), (mm.FromTheta(3, R, POS, mm.theta_profile("1+cos(tau)")), 1),
+    (mm.CongruenceInvariant(3, R, POS, mm.vartheta_profile("1+0.5*sin(tau)^2")), 0)]
+
+
+@pytest.mark.parametrize("spec, degree", HOMOGENEOUS_SPECS, ids=[
+    "euclidean", "fubini-study-real", "fubini-study-complex", "norm-quotient", "theta",
+    "vartheta"])
+def test_geodesic_distance_scales_exactly_under_powers_of_two(spec, degree):
+    # scaling by 2^k is exact in floating point, so a descent whose thresholds
+    # are all relative takes the same steps at every scale, bit for bit
+    rng = np.random.default_rng(11)
+    g, h = (la.random_gaussian_vector(3, spec.field, rng) for _ in range(2))
+    want = ge.geodesic_distance(spec, g, h, n_iterations=60, seed=0).distance
+    for k in (-400, -100, -40, 100, 400):
+        g_k, h_k = (la.Vector(math.ldexp(1.0, k) * v.entries, spec.field) for v in (g, h))
+        got = ge.geodesic_distance(spec, g_k, h_k, n_iterations=60, seed=0).distance
+        assert got == math.ldexp(want, k * degree), k
+
+
 @pytest.mark.parametrize("kwargs", [{"n_iterations": -1}, {"n_vertices": 2}])
 def test_geodesic_refuses_runs_that_cannot_do_anything(kwargs):
     with pytest.raises(ValueError):
@@ -556,7 +578,7 @@ def test_path_rows_and_export_shape():
 def test_a_polyline_sits_on_uniform_parameters():
     # vertex i of n is at t = i/(n-1), and path_rows writes those parameters
     poly = ge.Polyline(np.array([[float(i), float(i * i)] for i in range(7)]))
-    assert "params" not in {f.name for f in dataclasses.fields(ge.Polyline)}
+    assert "params" not in inspect.signature(ge.Polyline).parameters
     assert [row[0] for row in ge.path_rows(poly)] == [i / 6 for i in range(7)]
 
 
@@ -780,7 +802,7 @@ def _per_vertex_descend(spec, g, h, n_vertices, n_iterations, rng):
                 resolved = (status[:n] == _RESOLVED) & (status[n:] == _RESOLVED)
                 a, b = lengths[:n].tolist(), lengths[n:].tolist()
                 for c in range(n):
-                    if resolved[c] and a[c] + b[c] < local - 1e-15 * (1.0 + local):
+                    if resolved[c] and a[c] + b[c] < local - 1e-15 * local:
                         verts[i] = cands[c]
                         seglen[i - 1], seglen[i] = a[c], b[c]
                         local = a[c] + b[c]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,23 @@ def test_domain_rejects_overlap_and_negatives():
         mm.RadiusDomain(((-1.0, 2.0),))
     with pytest.raises(ValueError):
         mm.RadiusDomain(((2.0, 2.0),))
+
+
+def test_specs_and_domains_compare_and_hash_by_value():
+    split = mm.RadiusDomain(((2, 3), (0, 1)))
+    assert split == mm.RadiusDomain(((0.0, 1.0), (2.0, 3.0)))  # intervals sorted, as floats
+    assert hash(split) == hash(mm.RadiusDomain(((0.0, 1.0), (2.0, 3.0))))
+    assert split != mm.RadiusDomain(split.intervals, includes_zero=True)
+    assert mm.euclidean(3) == mm.euclidean(3) and hash(mm.euclidean(3)) == hash(mm.euclidean(3))
+    assert mm.euclidean(3) not in (mm.euclidean(4), mm.euclidean(3, C), mm.fubini_study(3),
+                                   mm.Euclidean(3, R, split))
+    theta = mm.theta_profile("1")
+    assert {mm.FromTheta(3, R, POS, theta), mm.FromTheta(3, R, POS, theta)} == {
+        mm.FromTheta(3, R, POS, theta)}
+    assert mm.FromTheta(3, R, POS, theta) != mm.FromTheta(3, R, POS, mm.theta_profile("1"))
+    assert mm.FromLambda(3, R, POS, theta) != mm.FromLambda(3, R, POS, theta, alpha=2.0)
+    phi, psi = mm.fubini_study_profile()  # a RiemannProfile is a named tuple
+    assert (phi, psi) == (mm.FubiniStudy.profile.phi, mm.FubiniStudy.profile.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +112,18 @@ def test_constant_theta_profile_gives_norm():
     tau_spec = mm.FromTheta(2, R, POS, mm.theta_profile("tau"))
     value = mm.eval_finsler(tau_spec, la.vector([1, 0]), la.vector([1, 1e-9]))
     assert value == pytest.approx(1e-9, rel=1e-12)
+
+
+@pytest.mark.parametrize("profile, names, args, want", [
+    (mm.theta_profile("1+cos(tau)"), "r, tau", (1.0, 0.5), 1.0 + math.cos(0.5)),
+    (mm.lambda_profile("sqrt(p^2+q^2)"), "r, p, q", (1.0, 3.0, 4.0), 5.0),
+    (mm.riemann_profile("1/r", "-1/(r^2)").phi, "r", (2.0,), 0.5)],
+    ids=["theta", "lambda", "riemann-phi"])
+def test_a_profile_takes_exactly_its_arguments(profile, names, args, want):
+    assert profile(*args) == want
+    for wrong in (args[:-1], args + (99.0,)):
+        with pytest.raises(TypeError, match=re.escape(f"({names}), got {len(wrong)}")):
+            profile(*wrong)
 
 
 def test_out_of_domain_is_an_error():
