@@ -203,11 +203,16 @@ def compile_positional(text: str, names: tuple[str, ...]) -> Callable[..., float
 
     def fn(*args):
         if len(args) != n:  # zip would drop an extra argument or leave a name unbound
-            raise TypeError(f"profile {text!r} takes {n} argument(s) ({', '.join(names)}), "
-                            f"got {len(args)}")
+            raise _arity_error(text, names, len(args))
         return evaluate(expr, dict(zip(names, args)))
     fn.text, fn.rows = text, compile_rows(text, names)
     return fn
+
+
+def _arity_error(text: str, names: tuple[str, ...], got: int) -> TypeError:
+    """The error for a profile call with got arguments (or columns), not one per name."""
+    return TypeError(f"profile {text!r} takes {len(names)} argument(s) ({', '.join(names)}), "
+                     f"got {got}")
 
 
 def _pow(x: float, y: float) -> float:
@@ -318,7 +323,8 @@ _CALLS = {
 @functools.lru_cache(maxsize=256)
 def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]:
     """Parse text once into a closure over equal-shape float arrays bound to
-    names in order.  Cached: a profile's text compiles once, when
+    names in order, raising compile_positional's TypeError unless it gets one
+    array per name.  Cached: a profile's text compiles once, when
     compile_positional builds the profile, and is looked up after that.
 
     Element i of its result is, bit for bit, the tree walk of element i
@@ -339,6 +345,8 @@ def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]
                     column, _ROW_OPS, _ROW_CALLS)
 
     def rows(*columns):
+        if len(columns) != len(names):  # an extra column would be ignored, a missing one unread
+            raise _arity_error(text, names, len(columns))
         cols = tuple(np.asarray(c, dtype=float) for c in columns)
         with np.errstate(all="ignore"):  # inf and NaN are handled as evaluate does
             out = node(cols)
@@ -346,9 +354,9 @@ def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]
             raise EvalError("expression is undefined here (evaluates to NaN)")
         return out
     rows.constant = None  # a tree without a variable carries its value: callers need no column
-    if not read:
+    if not read and names:
         try:  # such a tree reads only a column's shape
-            rows.constant = float(rows(np.zeros(1))[0])
+            rows.constant = float(rows(*[np.zeros(1)] * len(names))[0])
         except EvalError:  # no value: every non-empty call raises
             pass
     return rows

@@ -6,9 +6,11 @@ for polylines).  Geodesic distance is estimated by derivative-free
 coordinate descent over the interior vertices of a polyline, which yields
 an upper bound on the infimum.  Each sweep of the descent draws its
 directions at once, tabulates every position a vertex can reach and
-measures them in one eval_batch call, plus one call that measures again the
-15 left segments of each vertex whose left neighbour moved; its result
-equals the one-vertex-at-a-time descent's bit for bit.
+measures them in one _segment_length call, plus one call that measures
+again the 15 left segments of each vertex whose left neighbour moved; its
+result equals the one-vertex-at-a-time descent's bit for bit.  The segment
+kernel evaluates each chunk from its segment's invariants, without building
+chunk rows (only specs that read vectors get them).
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from .linalg import (
     canonical_invariants,
     checked_norm,
     norm,
+    pair_invariants_rows,
     row_norms,
 )
-from .metrics import (MetricSpec, _check_compatible, _eval_rows, _inside_rows, eval_batch,
-                      eval_finsler, fubini_study)
+from .metrics import (Custom, MetricSpec, ZeroExtended, _check_compatible, _eval_rows,
+                      _inside_rows, eval_batch, eval_finsler, fubini_study)
 
 
 class ParametricCurve:
@@ -243,6 +246,9 @@ _CHUNK_CAP = 4096
 # What _segment_length reports for each segment.
 _RESOLVED, _LEFT_DOMAIN, _NEGATIVE = 0, 1, 2
 
+# The specs whose values read the vectors themselves: they are measured on chunk rows.
+_READS_VECTORS = (Custom, ZeroExtended)
+
 
 def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
                     ell0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +262,9 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     chunks would miss and undercount).  Segments that would need more than
     _CHUNK_CAP chunks are refused as unresolvable.
 
-    Every chunk of every segment is evaluated in one eval_batch call.
+    Every chunk of every segment is evaluated in one call of the spec's
+    family kernel, from the chunk's invariants (see _chunk_values); a Custom
+    or ZeroExtended spec, which reads vectors, is evaluated on _chunk_rows.
     Returns (lengths, status): status[k] is _RESOLVED, or the first failure in
     chunk order, _LEFT_DOMAIN (refused, or a chunk midpoint outside the
     domain) or _NEGATIVE (a negative chunk value); lengths[k] is meaningful
@@ -267,7 +275,8 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     moving = length > 0.0
     t_star = np.minimum(np.maximum(
         -np.vecdot(D, U).real / np.where(moving, length * length, 1.0), 0.0), 1.0)
-    origin_gap = row_norms(U + t_star[:, None] * D)
+    P = U + t_star[:, None] * D  # the point of the segment nearest to the origin
+    origin_gap = row_norms(P)
     # chunk <= gap/16 keeps the midpoint bias of a near-origin sweep below
     # ~5e-4 even when the descent adversarially seeks quadrature error
     needed = np.maximum(length / ell0, 16.0 * length / np.maximum(origin_gap, 1e-300))
@@ -275,7 +284,10 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     # a segment that is not refused needs at most _CHUNK_CAP chunks
     m = np.where(moving & ~refused, np.maximum(np.ceil(needed), 4.0), 0.0).astype(np.intp)
     seg = np.arange(len(m)).repeat(m)
-    values, inside = _eval_rows(spec, *_chunk_rows(U, D, m))  # rows of the spec's dtype
+    if isinstance(spec, _READS_VECTORS):
+        values, inside = _eval_rows(spec, *_chunk_rows(U, D, m))  # rows of the spec's dtype
+    else:
+        values, inside = _chunk_values(spec, P, D, origin_gap, length, t_star, m)
     # bincount adds each segment's chunks in order, from 0 for a segment without
     # any; it gives int zeros when no segment has a chunk
     lengths = np.bincount(seg, weights=values, minlength=len(m)).astype(float, copy=False)
@@ -287,10 +299,43 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     return lengths, status
 
 
+def _chunk_values(spec: MetricSpec, P: np.ndarray, D: np.ndarray, gap: np.ndarray,
+                  length: np.ndarray, t_star: np.ndarray,
+                  m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho at the chunks' (midpoint, step) pairs and eval_batch's inside mask,
+    segment k's m[k] chunks in order, from each segment's own invariants.
+
+    Chunk j of m has midpoint P + tau D and step D/m, with tau = (j + 0.5)/m
+    - t*, P the segment's point nearest to 0 and gap = |P|.  With (c0, q0) the
+    invariants of (P, D) and C = |D|^2, its invariants are r^2 = gap^2 +
+    tau (2 Re c0 + tau C), <h, g> = (c0 + tau C)/m and q = q0/m (the Gram
+    determinant does not change when g moves along h).  Nothing in r^2
+    cancels: Re c0 and tau share a sign wherever t* is clamped to 0 or 1, and
+    where it is not, Re c0 is 0 up to rounding, far below gap^2 (a segment
+    that is not refused has gap >= |D|/256).  So r > 0 on every chunk.
+    """
+    m_rows = m.astype(float).repeat(m)
+    tau = (np.arange(0.5, len(m_rows)) - (m.cumsum() - m).repeat(m)) / m_rows - t_star.repeat(m)
+    # the invariants, r and rho overflow to inf silently, as in eval_finsler
+    with np.errstate(over="ignore"):
+        c0, q0 = pair_invariants_rows(P, D, gap)
+        tau_c = tau * (length * length).repeat(m)
+        r = np.sqrt((gap * gap).repeat(m) + tau * ((2.0 * c0.real).repeat(m) + tau_c))
+        ip = (c0.repeat(m) + tau_c) / m_rows
+        q = q0.repeat(m) / m_rows
+        inside = spec.domain.contains(r)
+        if inside.all():
+            return spec._values(r, ip, q, None, None), inside
+        values = np.zeros(len(r))
+        values[inside] = spec._values(r[inside], ip[inside], q[inside], None, None)
+    return values, inside
+
+
 def _chunk_rows(U: np.ndarray, D: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and steps of the chunks, segment k's m[k] rows in order: chunk
-    j of m sits at U + ((j + 0.5)/m) D with step D/m.  A function of its own,
-    so that its row-sized temporaries are freed before eval_batch runs."""
+    j of m sits at U + ((j + 0.5)/m) D with step D/m.  Only the specs that read
+    vectors need them; a function of its own, so that its row-sized
+    temporaries are freed before _eval_rows runs."""
     m_rows, steps = m.repeat(m)[:, None], D.repeat(m, axis=0)
     half_j = np.arange(0.5, len(steps)) - (m.cumsum() - m).repeat(m)
     mids = U.repeat(m, axis=0) + (half_j[:, None] / m_rows) * steps

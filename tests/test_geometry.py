@@ -674,6 +674,25 @@ def test_descent_is_an_upper_bound_on_closed_form_distances(field):
                 assert res.distance == pytest.approx(want, abs=1e-3), dim
 
 
+@pytest.mark.parametrize("field", [R, C])
+def test_descent_over_specs_that_read_vectors(field):
+    # Custom and ZeroExtended are the specs the segment kernel still measures
+    # on chunk rows: a custom |h| is the euclidean metric, and away from 0 a
+    # zero extension is the metric it wraps
+    rng = np.random.default_rng(13)
+    g, h = (la.random_vector_with_norm(3, field, rng.uniform(0.6, 2.0), rng) for _ in range(2))
+    custom = mm.Custom(3, field, POS, fn=lambda g, h: la.norm(h))
+    res = ge.geodesic_distance(custom, g, h, n_vertices=5, n_iterations=30)
+    assert res.distance == pytest.approx(_closed_form("euclidean", g.entries, h.entries),
+                                         rel=MIDPOINT_BIAS)
+    extended = ge.geodesic_distance(mm.zero_extended(2.0, mm.norm_quotient(3, field)), g, h,
+                                    n_vertices=5, n_iterations=30)
+    inner = ge.geodesic_distance(mm.norm_quotient(3, field), g, h, n_vertices=5, n_iterations=30)
+    assert extended.distance >= _closed_form("norm-quotient", g.entries, h.entries) * (
+        1.0 - MIDPOINT_BIAS)
+    assert extended.distance == pytest.approx(inner.distance, rel=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # The segment kernel: chunk rows, refinement rules and statuses
 
@@ -688,16 +707,18 @@ SEGMENTS = [  # (U, V) in R^3 and the status each gets; the first two take no ch
 ]
 
 
-def _counted_rows(monkeypatch):
-    """The row count of each call that geometry's segment kernel makes from
-    here on to metrics._eval_rows, eval_batch past its shape and dtype checks."""
+def _counted_rows(monkeypatch, spec):
+    """The row count of each call that the spec's family kernel, the _values of
+    its class, gets from here on: one call per geometry._segment_length, over
+    every chunk of the batch whose midpoint lies in the domain."""
     rows = []
+    values = type(spec)._values
 
-    def counting(spec, G, H):
-        rows.append(len(G))
-        return mm._eval_rows(spec, G, H)
+    def counting(self, r, ip, q, G, H):
+        rows.append(len(r))
+        return values(self, r, ip, q, G, H)
 
-    monkeypatch.setattr(ge, "_eval_rows", counting)
+    monkeypatch.setattr(type(spec), "_values", counting)
     return rows
 
 
@@ -713,7 +734,7 @@ def test_each_segment_measures_alone_as_inside_any_batch(field, monkeypatch):
     # theta = r - 1 on 0.5 < r < 3: negative inside the unit sphere
     spec = mm.FromTheta(3, field, mm.RadiusDomain(((0.5, 3.0),)), mm.theta_profile("r-1"))
     U, V = _kernel_segments(field)
-    rows = _counted_rows(monkeypatch)
+    rows = _counted_rows(monkeypatch, spec)
     alone = [ge._segment_length(spec, U[k:k + 1], V[k:k + 1], 0.05) for k in range(len(U))]
     assert [status[0] for _, status in alone] == [s for _, _, s in SEGMENTS]
     assert rows[:2] == [0, 0] and min(rows[2:]) >= 4
@@ -738,13 +759,77 @@ def test_a_batch_without_chunks_has_float_lengths(field):
     assert status.tolist() == [ge._RESOLVED] * 2
 
 
+def _kernel_cases(dim, field, rng):
+    """(U, V) rows at unit scale: generic segments, segments that pass the
+    origin at a gap of |D|/200 with t* inside (0, 1), segments that move away
+    from the origin (t* clamped to 0) and towards it (t* clamped to 1), and a
+    nearly radial one."""
+    def unit():
+        return la.random_vector_with_norm(dim, field, 1.0, rng).entries
+
+    def unit_orthogonal(d):
+        w = unit()
+        w = w - np.vdot(d, w) * d
+        return w / np.linalg.norm(w)
+
+    pairs = [(rng.uniform(0.5, 2.0) * unit(), rng.uniform(0.5, 2.0) * unit()) for _ in range(4)]
+    for _ in range(3):
+        d = unit()
+        length, s = rng.uniform(0.5, 2.0), rng.uniform(0.2, 0.8)
+        P = (length / 200.0) * unit_orthogonal(d)
+        pairs.append((P - s * length * d, P + (1.0 - s) * length * d))
+    for _ in range(2):
+        u = unit()
+        away = rng.uniform(1.2, 2.0) * u + rng.uniform(0.2, 1.0) * unit_orthogonal(u)
+        pairs += [(u, away), (away, u)]
+    u = unit()
+    pairs.append((u, 2.0 * u + 1e-9 * unit_orthogonal(u)))
+    U, V = (np.array(side) for side in zip(*pairs))
+    return U, V
+
+
+def _rows_lengths(spec, U, V, ell0):
+    """The segment kernel's lengths and chunk counts redone on chunk rows: one
+    eval_batch call on _chunk_rows, summed per segment, with the kernel's
+    refinement rules; every chunk must lie in the domain."""
+    D = V - U
+    length = la.row_norms(D)
+    t_star = np.minimum(np.maximum(-np.vecdot(D, U).real / (length * length), 0.0), 1.0)
+    gap = la.row_norms(U + t_star[:, None] * D)
+    m = np.maximum(np.ceil(np.maximum(length / ell0, 16.0 * length / gap)), 4.0).astype(np.intp)
+    values, inside = mm.eval_batch(spec, *ge._chunk_rows(U, D, m))
+    assert inside.all() and (values >= 0.0).all()
+    return np.bincount(np.arange(len(m)).repeat(m), weights=values), t_star, length / gap
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("field", [R, C])
+def test_the_kernel_measures_from_invariants_what_chunk_rows_measure(field, dim):
+    # the kernel's chunk invariants are exact functions of the segment's; the
+    # rows' rounding grows as |D|/gap, and a nearly radial Fubini-Study length
+    # (about 5e-10 here) is good to about 1e-16 absolute in either form, so the
+    # bound is 1e-12 |D|/gap at unit scale, relative only where rho is large
+    rng = np.random.default_rng([dim, field is C])
+    U, V = _kernel_cases(dim, field, rng)
+    for spec in family_specs(dim, field):
+        want, t_star, conditioning = _rows_lengths(spec, U, V, 0.05)
+        assert t_star[7:].tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]  # clamped, then radial
+        assert ((0.0 < t_star[4:7]) & (t_star[4:7] < 1.0)).all()  # near the origin
+        got, status = ge._segment_length(spec, U, V, 0.05)
+        assert (status == ge._RESOLVED).all(), spec.family
+        bound = 1e-12 * conditioning * np.maximum(1.0, np.abs(want))
+        assert ((got == want) | (np.abs(got - want) <= bound)).all(), (
+            spec.family, np.abs(got - want).tolist())
+
+
 def test_a_seeded_solve_makes_the_same_eval_batch_calls_and_rows(monkeypatch):
     # one batch per sweep plus one 15-segment re-measure per vertex whose left
     # neighbour moved: a rewrite of the kernel may neither add a call nor skip a row
-    rows = _counted_rows(monkeypatch)
+    spec = mm.fubini_study(3, C)
+    rows = _counted_rows(monkeypatch, spec)
     rng = np.random.default_rng(5)
     g, h = la.random_gaussian_vector(3, C, rng), la.random_gaussian_vector(3, C, rng)
-    res = ge.geodesic_distance(mm.fubini_study(3, C), g, h, seed=3)
+    res = ge.geodesic_distance(spec, g, h, seed=3)
     assert (res.iterations, res.stop_reason) == (150, "iteration-cap")
     assert (len(rows), sum(rows)) == (821, 270695)
 

@@ -117,13 +117,18 @@ def test_constant_theta_profile_gives_norm():
 @pytest.mark.parametrize("profile, names, args, want", [
     (mm.theta_profile("1+cos(tau)"), "r, tau", (1.0, 0.5), 1.0 + math.cos(0.5)),
     (mm.lambda_profile("sqrt(p^2+q^2)"), "r, p, q", (1.0, 3.0, 4.0), 5.0),
-    (mm.riemann_profile("1/r", "-1/(r^2)").phi, "r", (2.0,), 0.5)],
-    ids=["theta", "lambda", "riemann-phi"])
+    (mm.riemann_profile("1/r", "-1/(r^2)").phi, "r", (2.0,), 0.5),
+    (mm.vartheta_profile("2"), "tau", (0.5,), 2.0)],
+    ids=["theta", "lambda", "riemann-phi", "constant-vartheta"])
 def test_a_profile_takes_exactly_its_arguments(profile, names, args, want):
-    assert profile(*args) == want
+    # the scalar profile and its array form, one column per argument
+    columns = tuple(np.full(2, x) for x in args)
+    assert profile(*args) == want and profile.rows(*columns).tolist() == [want, want]
     for wrong in (args[:-1], args + (99.0,)):
         with pytest.raises(TypeError, match=re.escape(f"({names}), got {len(wrong)}")):
             profile(*wrong)
+        with pytest.raises(TypeError, match=re.escape(f"({names}), got {len(wrong)}")):
+            profile.rows(*(np.full(2, x) for x in wrong))
 
 
 def test_out_of_domain_is_an_error():
