@@ -9,8 +9,8 @@ directions at once, tabulates every position a vertex can reach and
 measures them in one _segment_length call, plus one call that measures
 again the 15 left segments of each vertex whose left neighbour moved; its
 result equals the one-vertex-at-a-time descent's bit for bit.  The segment
-kernel evaluates each chunk from its segment's invariants, without building
-chunk rows (only specs that read vectors get them).
+kernel evaluates every chunk of every spec from its segment's invariants, in
+one call; only a spec that reads_vectors also gets the chunk rows.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .linalg import (
     pair_invariants_rows,
     row_norms,
 )
-from .metrics import (Custom, MetricSpec, ZeroExtended, _check_compatible, _eval_rows,
-                      _inside_rows, eval_batch, eval_finsler, fubini_study)
+from .metrics import (MetricSpec, _check_compatible, _inside_rows, eval_batch, eval_finsler,
+                      fubini_study)
 
 
 class ParametricCurve:
@@ -246,9 +246,6 @@ _CHUNK_CAP = 4096
 # What _segment_length reports for each segment.
 _RESOLVED, _LEFT_DOMAIN, _NEGATIVE = 0, 1, 2
 
-# The specs whose values read the vectors themselves: they are measured on chunk rows.
-_READS_VECTORS = (Custom, ZeroExtended)
-
 
 def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
                     ell0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -262,9 +259,8 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     chunks would miss and undercount).  Segments that would need more than
     _CHUNK_CAP chunks are refused as unresolvable.
 
-    Every chunk of every segment is evaluated in one call of the spec's
-    family kernel, from the chunk's invariants (see _chunk_values); a Custom
-    or ZeroExtended spec, which reads vectors, is evaluated on _chunk_rows.
+    Every chunk of every segment, whatever the spec, is evaluated in one call
+    of the spec's family kernel, from the chunk's invariants (see _chunk_values).
     Returns (lengths, status): status[k] is _RESOLVED, or the first failure in
     chunk order, _LEFT_DOMAIN (refused, or a chunk midpoint outside the
     domain) or _NEGATIVE (a negative chunk value); lengths[k] is meaningful
@@ -284,10 +280,7 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     # a segment that is not refused needs at most _CHUNK_CAP chunks
     m = np.where(moving & ~refused, np.maximum(np.ceil(needed), 4.0), 0.0).astype(np.intp)
     seg = np.arange(len(m)).repeat(m)
-    if isinstance(spec, _READS_VECTORS):
-        values, inside = _eval_rows(spec, *_chunk_rows(U, D, m))  # rows of the spec's dtype
-    else:
-        values, inside = _chunk_values(spec, P, D, origin_gap, length, t_star, m)
+    values, inside = _chunk_values(spec, P, D, origin_gap, length, t_star, m)
     # bincount adds each segment's chunks in order, from 0 for a segment without
     # any; it gives int zeros when no segment has a chunk
     lengths = np.bincount(seg, weights=values, minlength=len(m)).astype(float, copy=False)
@@ -312,7 +305,9 @@ def _chunk_values(spec: MetricSpec, P: np.ndarray, D: np.ndarray, gap: np.ndarra
     determinant does not change when g moves along h).  Nothing in r^2
     cancels: Re c0 and tau share a sign wherever t* is clamped to 0 or 1, and
     where it is not, Re c0 is 0 up to rounding, far below gap^2 (a segment
-    that is not refused has gap >= |D|/256).  So r > 0 on every chunk.
+    that is not refused has gap >= |D|/256).  So r > 0 on every chunk, where a
+    zero extension is its inner spec.  A spec that reads_vectors also gets the
+    chunk rows, midpoints P + tau D and steps D/m.
     """
     m_rows = m.astype(float).repeat(m)
     tau = (np.arange(0.5, len(m_rows)) - (m.cumsum() - m).repeat(m)) / m_rows - t_star.repeat(m)
@@ -324,23 +319,16 @@ def _chunk_values(spec: MetricSpec, P: np.ndarray, D: np.ndarray, gap: np.ndarra
         ip = (c0.repeat(m) + tau_c) / m_rows
         q = q0.repeat(m) / m_rows
         inside = spec.domain.contains(r)
+        G = H = None
+        if spec.reads_vectors:  # the chunk rows
+            H = D.repeat(m, axis=0)
+            G, H = P.repeat(m, axis=0) + tau[:, None] * H, H / m_rows[:, None]
         if inside.all():
-            return spec._values(r, ip, q, None, None), inside
+            return spec._values(r, ip, q, G, H), inside
         values = np.zeros(len(r))
-        values[inside] = spec._values(r[inside], ip[inside], q[inside], None, None)
+        rows = (None, None) if G is None else (G[inside], H[inside])
+        values[inside] = spec._values(r[inside], ip[inside], q[inside], *rows)
     return values, inside
-
-
-def _chunk_rows(U: np.ndarray, D: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints and steps of the chunks, segment k's m[k] rows in order: chunk
-    j of m sits at U + ((j + 0.5)/m) D with step D/m.  Only the specs that read
-    vectors need them; a function of its own, so that its row-sized
-    temporaries are freed before _eval_rows runs."""
-    m_rows, steps = m.repeat(m)[:, None], D.repeat(m, axis=0)
-    half_j = np.arange(0.5, len(steps)) - (m.cumsum() - m).repeat(m)
-    mids = U.repeat(m, axis=0) + (half_j[:, None] / m_rows) * steps
-    steps /= m_rows
-    return mids, steps
 
 
 def _directions(rng: np.random.Generator, count: int, dim: int, field: Field) -> np.ndarray:

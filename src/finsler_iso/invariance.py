@@ -129,10 +129,14 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
         raise MismatchError(f"map dimension {T.dim_in} != spec dimension {spec.dim}")
     if T.field is not spec.field:
         raise MismatchError("map/spec field mismatch")
-    if n_samples < 1:
-        raise ValueError("a symmetry test needs at least one sample (n_samples >= 1)")
+    _check_samples(n_samples)
     G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
     return _symmetry_verdicts(spec, T.entries[None], G, H, tol)[0]
+
+
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 1:
+        raise ValueError("a symmetry test needs at least one sample (n_samples >= 1)")
 
 
 def classify_congruence(T: LinearMap, tol: float = 1e-9) -> CongruenceClass:
@@ -221,7 +225,7 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
                        control_tol: float = 1e-9) -> ProbeReport:
     """Falsification probe: every sampled non-congruence map must fail symmetry.
 
-    Requires dim >= 3, at least one map and a finite min_sv_ratio >= 1; a
+    Requires dim >= 3, a map, a sample and a finite min_sv_ratio >= 1; a
     ratio the Gaussian maps do not reach in _MAX_DRAW_ROUNDS rounds of draws
     is a ValueError.  Controls are random unitaries, scaled by a random
     positive constant when the spec is invariant under all congruences; they
@@ -238,6 +242,7 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
         raise ValueError("the probe applies in dimension >= 3")
     if n_maps < 1:
         raise ValueError("the probe needs at least one map (n_maps >= 1)")
+    _check_samples(n_samples)
     if not 1.0 <= min_sv_ratio < math.inf:
         raise ValueError(f"min_sv_ratio must be a finite number >= 1, got {min_sv_ratio}")
     aux, map_ss, control_ss = np.random.SeedSequence(seed).spawn(3)
@@ -292,6 +297,7 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
     """
     if not maps:
         raise ValueError("the dim-2 exception check needs at least one map")
+    _check_samples(n_samples)
     spec = area_dim2(b)
     for T in maps:
         if T.field is not Field.REAL or T.dim_in != 2 or T.dim_out != 2:
@@ -340,6 +346,7 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
         raise ValueError("rotation sufficiency needs dimension >= 3")
     if n_rotations < 1:
         raise ValueError("rotation sufficiency needs at least one rotation")
+    _check_samples(n_samples)
     rng = np.random.default_rng(seed)
     orth = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)
     rot = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)

@@ -4,10 +4,10 @@ A MetricSpec is a metric built from a canonical profile (lambda, theta,
 vartheta or a sesquilinear phi/psi pair), a named built-in (Euclidean,
 Fubini-Study, the dim-2 area metric, the norm quotient) or a zero extension.
 eval_finsler forms the invariants r = |g|, ip = <h, g> and q once; each family
-is a function of them (p = |ip|, |h| = hypot(p, q)/r, angle atan2(q, p)), and
-only Custom and ZeroExtended see vectors.  eval_batch does the same for the
-rows of two arrays in one pass, and sample_pairs draws such rows.  Pointwise
-criteria live here too.
+is a function of them (p = |ip|, |h| = hypot(p, q)/r, angle atan2(q, p)); only
+a spec that reads_vectors (Custom, or a zero extension of one) sees vectors.
+eval_batch does the same for the rows of two arrays in one pass, and
+sample_pairs draws such rows.  Pointwise criteria live here too.
 """
 
 from __future__ import annotations
@@ -199,6 +199,7 @@ class MetricSpec(_Value):
     family = "?"
     congruence_invariant = False
     defined_at_zero = False  # rho_0 exists (zero extensions, custom metrics)
+    reads_vectors = False  # _values reads the rows G and H, not the invariants alone
     alpha = 1.0  # the degree in h; lambda and custom specs set their own
 
     def __init__(self, dim: int, field: Field, domain: RadiusDomain):
@@ -217,8 +218,9 @@ class MetricSpec(_Value):
         raise NotImplementedError
 
     def _values(self, r: np.ndarray, ip: np.ndarray, q: np.ndarray,
-                G: np.ndarray, H: np.ndarray) -> np.ndarray:
-        """rho on rows whose base points lie in the domain, from their invariants."""
+                G: np.ndarray | None, H: np.ndarray | None) -> np.ndarray:
+        """rho on rows whose base points lie in the domain, from their invariants
+        (G and H, the rows, may be None unless the spec reads_vectors)."""
         raise NotImplementedError
 
 
@@ -383,6 +385,12 @@ class CongruenceInvariant(MetricSpec):
             fn(np.arctan2(q[k], p[k])) if c is None else c))
 
 
+def _finite_coefficient(b: float) -> float:
+    if not math.isfinite(b):  # a NaN or infinite b gives NaN values (inf * 0)
+        raise ValueError(f"the coefficient b must be finite, got {b}")
+    return b
+
+
 class AreaDim2(MetricSpec):
     """b * |g| |h| sin(angle): b times the parallelogram area over R^2.
 
@@ -396,7 +404,7 @@ class AreaDim2(MetricSpec):
         super().__init__(dim, field, domain)
         if dim != 2:
             raise ValueError("the area metric is defined in dimension 2 only")
-        self.b = b
+        self.b = _finite_coefficient(b)
 
     def _value(self, r, ip, q):
         return self.b * q
@@ -411,24 +419,26 @@ class ZeroExtended(MetricSpec):
     family = "zero-extended"
     defined_at_zero = True
 
-    def __init__(self, dim: int, field: Field, domain: RadiusDomain, b: float = 0.0,
-                 inner_spec: MetricSpec | None = None):
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain, b: float,
+                 inner_spec: MetricSpec):
         super().__init__(dim, field, domain)
-        if inner_spec is None:
-            raise ValueError("zero extension needs an inner spec")
         if not domain.includes_zero:
             raise ValueError("zero extension requires a domain including 0")
         if (inner_spec.dim, inner_spec.field, inner_spec.domain) != (
                 dim, field, RadiusDomain(domain.intervals)):
             raise ValueError("the wrapped spec must have the dimension, field and radius "
                              "intervals of its extension, and exclude 0")
-        self.b, self.inner_spec = b, inner_spec
+        self.b, self.inner_spec = _finite_coefficient(b), inner_spec
+
+    reads_vectors = property(lambda self: self.inner_spec.reads_vectors)  # no setter
 
     def _eval(self, g, h, r):  # eval_finsler's checks on the extension hold for the inner spec
         return self.b * norm(h) if r == 0.0 else self.inner_spec._eval(g, h, r)
 
     def _values(self, r, ip, q, G, H):
         k = r != 0.0  # the others are rows at g = 0, where rho_0(h) = b |h|
+        if k.all():  # elementwise kernels: the inner spec's values, bit for bit
+            return self.inner_spec._values(r, ip, q, G, H)
         out = self.b * row_norms(H)
         out[k] = self.inner_spec._values(r[k], ip[k], q[k], G[k], H[k])
         return out
@@ -440,12 +450,11 @@ class Custom(MetricSpec):
 
     family = "custom"
     defined_at_zero = True
+    reads_vectors = True
 
     def __init__(self, dim: int, field: Field, domain: RadiusDomain,
-                 fn: Callable[[Vector, Vector], float] | None = None, alpha: float = 1.0):
+                 fn: Callable[[Vector, Vector], float], alpha: float = 1.0):
         super().__init__(dim, field, domain)
-        if fn is None:
-            raise ValueError("a custom metric needs its callable")
         self.fn, self.alpha = fn, alpha
 
     def _eval(self, g, h, r):
@@ -522,20 +531,6 @@ def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
     if G.dtype != (dtype := spec.field.dtype) or H.dtype != dtype:
         raise MismatchError(f"array dtypes {G.dtype} and {H.dtype} are not the "
                             f"{spec.field.value} field's {dtype}")
-    return _eval_rows(spec, G, H)
-
-
-def _inside_rows(spec: MetricSpec, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|g| per row of G and eval_batch's inside mask (|g| may overflow to inf: outside)."""
-    r = row_norms(G)
-    inside = spec.domain.contains(r)
-    if spec.domain.includes_zero and (zero := r == 0.0).any():  # g = 0, or |g| underflows
-        inside &= ~zero | (spec.defined_at_zero & (isinstance(spec, Custom) | ~G.any(axis=1)))
-    return r, inside
-
-
-def _eval_rows(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eval_batch on arrays already known to be rows of the spec's dimension and dtype."""
     # |g| (then outside), <h, g>, q and rho overflow to inf silently, as in eval_finsler
     with np.errstate(over="ignore"):
         r, inside = _inside_rows(spec, G)
@@ -545,6 +540,15 @@ def _eval_rows(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
         G, H, r = G[inside], H[inside], r[inside]
         values[inside] = spec._values(r, *pair_invariants_rows(G, H, r), G, H)
     return values, inside
+
+
+def _inside_rows(spec: MetricSpec, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|g| per row of G and eval_batch's inside mask (|g| may overflow to inf: outside)."""
+    r = row_norms(G)
+    inside = spec.domain.contains(r)
+    if spec.domain.includes_zero and (zero := r == 0.0).any():  # g = 0, or |g| underflows
+        inside &= ~zero | (spec.defined_at_zero & (isinstance(spec, Custom) | ~G.any(axis=1)))
+    return r, inside
 
 
 def eval_sesquilinear(spec: MetricSpec, g: Vector, f: Vector, h: Vector):

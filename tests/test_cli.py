@@ -239,12 +239,28 @@ def test_check_pd_needs_a_riemann_backed_metric(capsys):
     '{"family":"euclidean"}',
     '{"family":"theta","dim":2,"field":"real","params":{"theta":5}}',
     '[1,2]',
+    # a NaN b printed a null value at g = 0
+    '{"family":"zero-extended","dim":2,"field":"real","domain":{"intervals":[[0,null]],'
+    '"includes_zero":true},"params":{"b":NaN,"inner":{"family":"euclidean","dim":2,'
+    '"field":"real"}}}',
 ])
 def test_malformed_json_spec_is_usage_error(capsys, tmp_path, text):
     path = tmp_path / "spec.json"
     path.write_text(text)
     code, out, err = run(capsys, "eval", "--metric", f"@{path}", "--g", "1,0", "--h", "0,1")
     assert code == 2 and out == "" and "bad metric spec" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "distance"])
+def test_a_non_finite_area_coefficient_is_usage_error(capsys, command):
+    # they printed null values: NaN everywhere, or inf * 0 at collinear pairs
+    for metric in ("area:nan", "area:inf"):
+        code, out, err = run(capsys, command, "--metric", metric, "--dim", "2",
+                             "--g", "1,0", "--h", "0,1")
+        assert code == 2 and out == "" and "bad metric spec" in err and "finite" in err
+    code, out, _ = run(capsys, "eval", "--metric", "area:-2", "--dim", "2",
+                       "--g", "1,0", "--h", "0,1")
+    assert code == 0 and json.loads(out)["value"] == -2  # a negative b stays valid
 
 
 def test_json_output_is_deterministic(capsys):

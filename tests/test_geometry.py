@@ -676,21 +676,23 @@ def test_descent_is_an_upper_bound_on_closed_form_distances(field):
 
 @pytest.mark.parametrize("field", [R, C])
 def test_descent_over_specs_that_read_vectors(field):
-    # Custom and ZeroExtended are the specs the segment kernel still measures
-    # on chunk rows: a custom |h| is the euclidean metric, and away from 0 a
-    # zero extension is the metric it wraps
+    # a Custom spec reads vectors, so the segment kernel also gives it chunk
+    # rows: a custom |h| is the euclidean metric.  No chunk sits at 0, where
+    # alone a zero extension differs from the metric it wraps, so its descent
+    # is its inner spec's, distance and history, bit for bit
     rng = np.random.default_rng(13)
     g, h = (la.random_vector_with_norm(3, field, rng.uniform(0.6, 2.0), rng) for _ in range(2))
     custom = mm.Custom(3, field, POS, fn=lambda g, h: la.norm(h))
     res = ge.geodesic_distance(custom, g, h, n_vertices=5, n_iterations=30)
     assert res.distance == pytest.approx(_closed_form("euclidean", g.entries, h.entries),
                                          rel=MIDPOINT_BIAS)
-    extended = ge.geodesic_distance(mm.zero_extended(2.0, mm.norm_quotient(3, field)), g, h,
-                                    n_vertices=5, n_iterations=30)
-    inner = ge.geodesic_distance(mm.norm_quotient(3, field), g, h, n_vertices=5, n_iterations=30)
-    assert extended.distance >= _closed_form("norm-quotient", g.entries, h.entries) * (
-        1.0 - MIDPOINT_BIAS)
-    assert extended.distance == pytest.approx(inner.distance, rel=1e-3)
+    for name, build in (("norm-quotient", mm.norm_quotient), ("fubini-study", mm.fubini_study)):
+        extended = ge.geodesic_distance(mm.zero_extended(2.0, build(3, field)), g, h,
+                                        n_vertices=5, n_iterations=30)
+        inner = ge.geodesic_distance(build(3, field), g, h, n_vertices=5, n_iterations=30)
+        assert extended.distance >= _closed_form(name, g.entries, h.entries) * (
+            1.0 - MIDPOINT_BIAS)
+        assert (extended.distance, extended.history) == (inner.distance, inner.history), name
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +750,21 @@ def test_each_segment_measures_alone_as_inside_any_batch(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [R, C])
+def test_a_spec_that_reads_vectors_gets_the_chunk_rows_inside_the_domain(field):
+    # |h| (|g| - 1) read from the chunk rows is theta = r - 1 read from the
+    # invariants: the same statuses, and the same lengths up to rounding
+    domain = mm.RadiusDomain(((0.5, 3.0),))
+    theta = mm.FromTheta(3, field, domain, mm.theta_profile("r-1"))
+    custom = mm.Custom(3, field, domain, fn=lambda g, h: la.norm(h) * (la.norm(g) - 1.0))
+    U, V = _kernel_segments(field)
+    want, want_status = ge._segment_length(theta, U, V, 0.05)
+    got, status = ge._segment_length(custom, U, V, 0.05)
+    assert status.tolist() == want_status.tolist() == [s for _, _, s in SEGMENTS]
+    resolved = status == ge._RESOLVED
+    assert got[resolved] == pytest.approx(want[resolved], rel=1e-12)
+
+
+@pytest.mark.parametrize("field", [R, C])
 def test_a_batch_without_chunks_has_float_lengths(field):
     spec = mm.fubini_study(3, field)
     empty = np.zeros((0, 3), dtype=field.dtype)
@@ -790,14 +807,18 @@ def _kernel_cases(dim, field, rng):
 
 def _rows_lengths(spec, U, V, ell0):
     """The segment kernel's lengths and chunk counts redone on chunk rows: one
-    eval_batch call on _chunk_rows, summed per segment, with the kernel's
-    refinement rules; every chunk must lie in the domain."""
+    eval_batch call on the chunks' midpoints U + ((j + 1/2)/m) D and steps D/m,
+    summed per segment, with the kernel's refinement rules; every chunk must
+    lie in the domain.  The rows are placed from U, not from the kernel's tau."""
     D = V - U
     length = la.row_norms(D)
     t_star = np.minimum(np.maximum(-np.vecdot(D, U).real / (length * length), 0.0), 1.0)
     gap = la.row_norms(U + t_star[:, None] * D)
     m = np.maximum(np.ceil(np.maximum(length / ell0, 16.0 * length / gap)), 4.0).astype(np.intp)
-    values, inside = mm.eval_batch(spec, *ge._chunk_rows(U, D, m))
+    m_rows, steps = m.repeat(m)[:, None], D.repeat(m, axis=0)
+    half_j = np.arange(0.5, len(steps)) - (m.cumsum() - m).repeat(m)
+    mids = U.repeat(m, axis=0) + (half_j[:, None] / m_rows) * steps
+    values, inside = mm.eval_batch(spec, mids, steps / m_rows)
     assert inside.all() and (values >= 0.0).all()
     return np.bincount(np.arange(len(m)).repeat(m), weights=values), t_star, length / gap
 

@@ -126,8 +126,13 @@ def test_theorem_probe_rejects_zero_maps():
 
 def test_checks_of_nothing_raise():
     spec = mm.euclidean(3)
-    with pytest.raises(ValueError, match="at least one sample"):
-        iv.is_symmetry(la.linear_map(np.eye(3)), spec, 0)
+    for check_of_no_sample in (
+            lambda: iv.is_symmetry(la.linear_map(np.eye(3)), spec, 0),
+            lambda: iv.congruence_theorem_probe(spec, n_samples=0),
+            lambda: iv.dim2_exception_check(1.0, [iv.random_unimodular(0)], n_samples=0),
+            lambda: iv.rotation_sufficiency_check(spec, n_samples=0)):
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_of_no_sample()
     with pytest.raises(ValueError, match="at least one unitary"):
         iv.invariance_suite(spec, 0)
     with pytest.raises(ValueError, match="at least one map"):

@@ -837,6 +837,13 @@ def test_zero_extended_json_includes_zero():
      "b has the wrong type: bool, not a number"),
     ({"family": "lambda", "dim": 2, "field": "real", "params": {"lam": "p", "alpha": "2"}},
      "alpha has the wrong type: str, not a number"),
+    # a NaN or infinite coefficient would give NaN values (inf * 0); a negative one is valid
+    *(({"family": "area", "dim": 2, "field": "real", "params": {"b": b}},
+       "b must be finite") for b in (math.nan, math.inf, -math.inf)),
+    *(({"family": "zero-extended", "dim": 2, "field": "real",
+        "domain": {"intervals": [[0, None]], "includes_zero": True},
+        "params": {"b": b, "inner": {"family": "euclidean", "dim": 2, "field": "real"}}},
+       "b must be finite") for b in (math.nan, math.inf)),
 ])
 def test_a_malformed_spec_is_a_value_error(obj, words):
     with pytest.raises(ValueError, match=words):
