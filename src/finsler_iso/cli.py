@@ -19,7 +19,8 @@ import numpy as np
 
 import finsler_iso.metrics as mm
 
-from .errors import MismatchError, NonPositiveMetricError, OutOfDomainError, ZeroVectorError
+from .errors import (InvalidArgumentError, MismatchError, NonPositiveMetricError,
+                     OutOfDomainError, ZeroVectorError)
 from .expressions import EvalError, ParseError
 from .linalg import Field, Vector
 
@@ -433,7 +434,7 @@ def main(argv=None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
-    except (UsageError, ParseError, MismatchError) as exc:
+    except (UsageError, ParseError, MismatchError, InvalidArgumentError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (OutOfDomainError, NonPositiveMetricError, ZeroVectorError, EvalError, ValueError) as exc:

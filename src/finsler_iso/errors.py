@@ -15,3 +15,7 @@ class OutOfDomainError(ValueError):
 
 class NonPositiveMetricError(ValueError):
     """Distance computation refused: the metric takes negative values."""
+
+
+class InvalidArgumentError(ValueError):
+    """A tolerance or homothety alpha under which a sampled check's verdict is void."""

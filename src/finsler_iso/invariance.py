@@ -23,7 +23,8 @@ from .linalg import (
     random_unitaries,
     singular_values,
 )
-from .metrics import MetricSpec, area_dim2, deviations, eval_batch, sample_pairs
+from .metrics import (MetricSpec, _check_tolerance, area_dim2, deviations, eval_batch,
+                      sample_pairs)
 # Unused here; kept while perfbench/tests/test_tracer.py asserts a wrapper on
 # this name, see FOUND in CHANGES.md.  The benchmark change that drops that
 # assertion deletes this import.
@@ -129,14 +130,16 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
         raise MismatchError(f"map dimension {T.dim_in} != spec dimension {spec.dim}")
     if T.field is not spec.field:
         raise MismatchError("map/spec field mismatch")
-    _check_samples(n_samples)
+    _check_samples(n_samples, tol=tol)
     G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
     return _symmetry_verdicts(spec, T.entries[None], G, H, tol)[0]
 
 
-def _check_samples(n_samples: int) -> None:
+def _check_samples(n_samples: int, **tolerances: float) -> None:
     if n_samples < 1:
         raise ValueError("a symmetry test needs at least one sample (n_samples >= 1)")
+    for name, tol in tolerances.items():
+        _check_tolerance(tol, name)
 
 
 def classify_congruence(T: LinearMap, tol: float = 1e-9) -> CongruenceClass:
@@ -167,6 +170,7 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
     """
     if n_unitaries < 1:
         raise ValueError("the invariance suite needs at least one unitary")
+    _check_tolerance(tol)
     rng = np.random.default_rng(seed)
     U = random_unitaries(n_unitaries, spec.dim, spec.field, rng)
     G, H = sample_pairs(spec, len(U), rng)
@@ -242,7 +246,7 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
         raise ValueError("the probe applies in dimension >= 3")
     if n_maps < 1:
         raise ValueError("the probe needs at least one map (n_maps >= 1)")
-    _check_samples(n_samples)
+    _check_samples(n_samples, deviation_threshold=deviation_threshold, control_tol=control_tol)
     if not 1.0 <= min_sv_ratio < math.inf:
         raise ValueError(f"min_sv_ratio must be a finite number >= 1, got {min_sv_ratio}")
     aux, map_ss, control_ss = np.random.SeedSequence(seed).spawn(3)
@@ -297,7 +301,7 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
     """
     if not maps:
         raise ValueError("the dim-2 exception check needs at least one map")
-    _check_samples(n_samples)
+    _check_samples(n_samples, tol=tol)
     spec = area_dim2(b)
     for T in maps:
         if T.field is not Field.REAL or T.dim_in != 2 or T.dim_out != 2:
@@ -346,7 +350,7 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
         raise ValueError("rotation sufficiency needs dimension >= 3")
     if n_rotations < 1:
         raise ValueError("rotation sufficiency needs at least one rotation")
-    _check_samples(n_samples)
+    _check_samples(n_samples, tol=tol)
     rng = np.random.default_rng(seed)
     orth = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)
     rot = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)

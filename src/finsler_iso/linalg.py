@@ -5,7 +5,8 @@ operations are rejected.  The inner product is linear in the first slot and
 conjugate-linear in the second, and that convention is used consistently
 everywhere else in the package.  Every row-wise inner product is
 np.vecdot(a, b), which conjugates a and runs np.vdot's dot routine, so row i
-equals np.vdot(a[i], b[i]) bit for bit.
+equals np.vdot(a[i], b[i]) bit for bit; every squared norm is one real dot
+of a float64 view, over C of the interleaved parts (re_0, im_0, re_1, ...).
 """
 
 from __future__ import annotations
@@ -114,17 +115,19 @@ def inner(f: Vector, h: Vector) -> complex | float:
     return float(v.real) if f.field is Field.REAL else complex(v)
 
 
+def _float_view(x: np.ndarray) -> np.ndarray:
+    """x as float64s, a complex entry as its (re, im) pair; a complex x whose
+    last axis is strided, such as a matrix column, is copied first."""
+    return (x.copy() if x.dtype.kind == "c" and x.strides[-1] != x.itemsize else x).view(float)
+
+
 def norm(h: Vector) -> float:
-    """np.linalg.norm's own formula, bit for bit, without its overhead, except
-    where |h|^2 is subnormal (see row_norms).  np.vdot overflows to inf without
-    the RuntimeWarning that ndarray.dot gives."""
-    x = h.entries
-    if h.field is Field.REAL:
-        s = float(np.vdot(x, x))
-    else:
-        re, im = x.real, x.imag
-        s = float(np.vdot(re, re) + np.vdot(im, im))
-    return float(row_norms(x[None])[0]) if 0.0 < s < _TINY else math.sqrt(s)
+    """row_norms' formula for one vector (over R np.linalg.norm's, bit for bit)
+    without its overhead.  np.vdot overflows to inf without the RuntimeWarning
+    that ndarray.dot gives."""
+    x = _float_view(h.entries)
+    s = float(np.vdot(x, x))
+    return float(row_norms(h.entries[None])[0]) if 0.0 < s < _TINY else math.sqrt(s)
 
 
 def apply_map(T: LinearMap, v: Vector) -> Vector:
@@ -157,19 +160,17 @@ def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, fl
     ip = np.vdot(g.entries, h.entries)
     if real:  # Python floats round as numpy's do, at less cost; complex ones do not
         ip = float(ip)
-    perp = h.entries - (ip / (r * r)) * g.entries
-    q = r * math.sqrt(np.vdot(perp, perp).real)
+    perp = (h.entries - (ip / (r * r)) * g.entries).view(float)  # fresh, so contiguous: _float_view
+    q = r * math.sqrt(np.vdot(perp, perp))
     return (ip if real else complex(ip)), q
 
 
 def row_norms(G: np.ndarray) -> np.ndarray:
-    """|g| for each row of an (N, n) array, equal to norm() row by row.  A row
-    whose |g|^2 is subnormal but not 0 is measured again as m |g/m|, with
-    m = max |g_i|, which keeps the bits its sum of squares lost."""
-    if G.dtype.kind == "c":
-        s = np.vecdot(G.real, G.real) + np.vecdot(G.imag, G.imag)
-    else:
-        s = np.vecdot(G, G)
+    """|g| = sqrt(x . x) for each row x of an (N, n) array's float view, equal
+    to norm() row by row.  A row whose |g|^2 is subnormal but not 0 is measured
+    again as m |g/m|, with m = max |g_i|, which keeps the bits it lost."""
+    X = _float_view(G)
+    s = np.vecdot(X, X)
     r = np.sqrt(s)
     if s.size and s.min() < _TINY:
         k = np.flatnonzero((s > 0.0) & (s < _TINY))
@@ -194,8 +195,8 @@ def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
         r[k] = 1.0
     ip = np.vecdot(G, H)
     c = ip / (r * r) if plain else np.divide(ip, r * r, out=np.zeros_like(ip), where=r > 0.0)
-    perp = H - c[:, None] * G
-    q = r * np.sqrt(np.vecdot(perp, perp).real)
+    perp = (H - c[:, None] * G).view(float)  # fresh, so contiguous: _float_view
+    q = r * np.sqrt(np.vecdot(perp, perp))
     if k is not None:  # and scale their invariants back by r
         ip[k] *= rk
         q[k] *= rk
@@ -288,12 +289,7 @@ def random_unitaries(n: int, dim: int, field: Field, rng: np.random.Generator) -
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if field is Field.REAL:
-        a = rng.standard_normal((n, dim, dim))
-    else:
-        a = (rng.standard_normal((n, dim, dim))
-             + 1j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(a)
+    q, r = np.linalg.qr(random_gaussian_rows(n * dim, dim, field, rng).reshape(n, dim, dim))
     d = np.diagonal(r, axis1=1, axis2=2)
     absd = np.abs(d)
     ph = np.where(absd == 0.0, 1.0, d / np.where(absd == 0.0, 1.0, absd))
@@ -325,10 +321,17 @@ def singular_values(T: LinearMap) -> np.ndarray:
 
 
 def random_gaussian_rows(n: int, dim: int, field: Field, rng: np.random.Generator) -> np.ndarray:
-    """An (n, dim) array of standard Gaussian entries over the field."""
+    """An (n, dim) array of standard Gaussian entries over the field; over C
+    (A + 1j B) / sqrt(2) bit for bit, which numpy forms as a multiply by
+    1/sqrt(2), drawn into one buffer without that form's complex temporaries."""
     if field is Field.REAL:
         return rng.standard_normal((n, dim))
-    return (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))) / np.sqrt(2.0)
+    out = np.empty((n, dim), np.complex128)
+    out.real = rng.standard_normal((n, dim))  # all real parts, then all imaginary parts
+    out.imag = rng.standard_normal((n, dim))
+    parts = out.view(np.float64)
+    parts *= 1.0 / np.sqrt(2.0)
+    return out
 
 
 def random_gaussian_vector(dim: int, field: Field, rng: np.random.Generator) -> Vector:

@@ -21,7 +21,7 @@ import numpy as np
 
 import finsler_iso.expressions as expressions  # dotted: -X importtime reports it
 
-from .errors import MismatchError, OutOfDomainError, ZeroVectorError
+from .errors import InvalidArgumentError, MismatchError, OutOfDomainError, ZeroVectorError
 from .linalg import (
     Field,
     Vector,
@@ -272,7 +272,7 @@ class FromLambda(MetricSpec):
     def __init__(self, dim: int, field: Field, domain: RadiusDomain,
                  lam: Callable[[float, float, float], float], alpha: float = 1.0):
         super().__init__(dim, field, domain)
-        self.lam, self.alpha = lam, alpha
+        self.lam, self.alpha = lam, _finite_coefficient(alpha, "alpha")
 
     def _value(self, r, ip, q):
         return float(self.lam(r, abs(ip), q))
@@ -385,10 +385,10 @@ class CongruenceInvariant(MetricSpec):
             fn(np.arctan2(q[k], p[k])) if c is None else c))
 
 
-def _finite_coefficient(b: float) -> float:
-    if not math.isfinite(b):  # a NaN or infinite b gives NaN values (inf * 0)
-        raise ValueError(f"the coefficient b must be finite, got {b}")
-    return b
+def _finite_coefficient(value: float, name: str) -> float:
+    if not math.isfinite(value):  # b: NaN values (inf * 0); alpha: void degree checks
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 class AreaDim2(MetricSpec):
@@ -404,7 +404,7 @@ class AreaDim2(MetricSpec):
         super().__init__(dim, field, domain)
         if dim != 2:
             raise ValueError("the area metric is defined in dimension 2 only")
-        self.b = _finite_coefficient(b)
+        self.b = _finite_coefficient(b, "b")
 
     def _value(self, r, ip, q):
         return self.b * q
@@ -428,7 +428,7 @@ class ZeroExtended(MetricSpec):
                 dim, field, RadiusDomain(domain.intervals)):
             raise ValueError("the wrapped spec must have the dimension, field and radius "
                              "intervals of its extension, and exclude 0")
-        self.b, self.inner_spec = _finite_coefficient(b), inner_spec
+        self.b, self.inner_spec = _finite_coefficient(b, "b"), inner_spec
 
     reads_vectors = property(lambda self: self.inner_spec.reads_vectors)  # no setter
 
@@ -455,7 +455,7 @@ class Custom(MetricSpec):
     def __init__(self, dim: int, field: Field, domain: RadiusDomain,
                  fn: Callable[[Vector, Vector], float], alpha: float = 1.0):
         super().__init__(dim, field, domain)
-        self.fn, self.alpha = fn, alpha
+        self.fn, self.alpha = fn, _finite_coefficient(alpha, "alpha")
 
     def _eval(self, g, h, r):
         return float(self.fn(g, h))
@@ -714,6 +714,11 @@ class HomothetyVerdict(NamedTuple):
     skipped: int
 
 
+def _check_tolerance(tol: float, name: str = "tol") -> None:
+    if not tol >= 0.0:  # no deviation passes a NaN or negative tol
+        raise InvalidArgumentError(f"{name} must be a number >= 0, got {tol}")
+
+
 def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 200,
                                seed: int = 0, tol: float = 1e-10) -> HomothetyVerdict:
     """Test rho_{alpha g}(alpha h) = rho_g(h) on seeded samples.
@@ -723,8 +728,9 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
     the check fails loudly if every sample is skipped.  The witness is the
     first sample with the largest deviation, by the rule of deviations().
     """
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError("alpha must be positive and != 1")
+    if not 0.0 < alpha < math.inf or alpha == 1.0:
+        raise InvalidArgumentError(f"alpha must be a finite positive number != 1, got {alpha}")
+    _check_tolerance(tol)
     if n_samples < 1:
         raise ValueError("the homothety check needs at least one sample")
     G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))

@@ -243,6 +243,10 @@ def test_check_pd_needs_a_riemann_backed_metric(capsys):
     '{"family":"zero-extended","dim":2,"field":"real","domain":{"intervals":[[0,null]],'
     '"includes_zero":true},"params":{"b":NaN,"inner":{"family":"euclidean","dim":2,'
     '"field":"real"}}}',
+    # a NaN degree evaluated; check homothety echoed it as null and decompose exited 3
+    '{"family":"lambda","dim":2,"field":"real","params":{"lam":"sqrt(p^2+q^2)","alpha":NaN}}',
+    '{"family":"lambda","dim":2,"field":"real","params":{"lam":"sqrt(p^2+q^2)",'
+    '"alpha":Infinity}}',
 ])
 def test_malformed_json_spec_is_usage_error(capsys, tmp_path, text):
     path = tmp_path / "spec.json"
@@ -460,6 +464,24 @@ def test_probe_main_tol_is_the_controls_tolerance(capsys):
         obj = json.loads(out)
         assert obj["controls_passed"] is report.controls_passed is passed, tol
         assert obj["control_samples"] == report.control_samples and code == (0 if passed else 1)
+
+
+@pytest.mark.parametrize("argv,option,name", [
+    *[(("check", "invariance", "--metric", "euclidean", "--dim", "3"), f"--tol={tol}", "tol")
+      for tol in ("nan", "-1")],
+    # the controls' tolerance: nan reported "controls_passed": false
+    (("probe-main", "--metric", "euclidean", "--dim", "3", "--maps", "5"), "--tol=nan",
+     "control_tol"),
+    (("probe-main", "--metric", "area", "--dim", "2", "--sl2", "2"), "--tol=-1e-9", "tol"),
+    (("check", "homothety", "--alpha", "2", "--metric", "norm-quotient", "--dim", "3"),
+     "--tol=nan", "tol"),
+    # nan and inf skipped every sample and exited 3, reported as that
+    *[(("check", "homothety", "--metric", "norm-quotient", "--dim", "3"), f"--alpha={alpha}",
+       "alpha") for alpha in ("nan", "inf", "-inf", "0", "-2", "1")],
+])
+def test_a_nan_or_negative_tolerance_or_a_bad_alpha_is_usage_error(capsys, argv, option, name):
+    code, out, err = run(capsys, *argv, option)
+    assert code == 2 and out == "" and err.startswith(f"error: {name} must be a ")
 
 
 def test_probe_main_sl2_tests_only_the_real_positive_area_metric(capsys, tmp_path):

@@ -143,6 +143,31 @@ def test_checks_of_nothing_raise():
         mm.check_homothety_invariance(spec, 2.0, 0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+def test_a_nan_or_negative_tolerance_raises(tol):
+    # no deviation is <= a NaN or negative tol, so such a tol failed every
+    # verdict whatever the deviations, where it should be refused
+    spec = mm.euclidean(3)
+    for name, check in (
+            ("tol", lambda: iv.is_symmetry(la.linear_map(np.eye(3)), spec, 5, tol=tol)),
+            ("tol", lambda: iv.invariance_suite(spec, 5, tol=tol)),
+            ("deviation_threshold",
+             lambda: iv.congruence_theorem_probe(spec, 2, 5, deviation_threshold=tol)),
+            ("control_tol", lambda: iv.congruence_theorem_probe(spec, 2, 5, control_tol=tol)),
+            ("tol", lambda: iv.dim2_exception_check(1.0, [iv.random_unimodular(0)], 5, tol=tol)),
+            ("tol", lambda: iv.rotation_sufficiency_check(spec, 2, 5, tol=tol)),
+            ("tol", lambda: mm.check_homothety_invariance(spec, 2.0, 5, tol=tol))):
+        with pytest.raises(ValueError, match=f"^{name} must be a number >= 0"):
+            check()
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -2.0, 1.0])
+def test_a_homothety_alpha_not_finite_positive_raises(alpha):
+    # a NaN or infinite alpha skipped every sample and was reported as that
+    with pytest.raises(ValueError, match="alpha must be a finite positive number != 1"):
+        mm.check_homothety_invariance(mm.norm_quotient(3), alpha, 5)
+
+
 def test_theorem_probe_vacuous_spec_reported():
     spec = mm.Custom(3, R, POS, fn=lambda g, h: 0.0)
     report = iv.congruence_theorem_probe(spec, n_maps=5, n_samples=10, seed=0, n_controls=5)

@@ -283,11 +283,23 @@ def test_singular_values_of_congruence():
 # ---------------------------------------------------------------------------
 # The scalar forms against the numpy forms they replace, bit for bit
 
+def _squared_norm(v):
+    """|v|^2 as np.vdot forms it over R; over C the real dot of the
+    interleaved parts (re_0, im_0, re_1, im_1, ...) of a contiguous copy."""
+    x = np.ascontiguousarray(v).view(np.float64)
+    return np.vdot(x, x)
+
+
+def _numpy_norm(v):
+    """The reference |v|: np.linalg.norm over R, sqrt(_squared_norm) over C."""
+    return float(np.linalg.norm(v)) if v.dtype.kind == "f" else math.sqrt(_squared_norm(v))
+
+
 def _numpy_pair_invariants(g, h, r):
     """pair_invariants as it was written with numpy scalars: the reference."""
     ip = np.vdot(g.entries, h.entries)
     perp = h.entries - (ip / (r * r)) * g.entries
-    q = r * math.sqrt(np.vdot(perp, perp).real)
+    q = r * math.sqrt(_squared_norm(perp))
     return (float(ip.real) if g.field is la.Field.REAL else complex(ip)), q
 
 
@@ -306,12 +318,41 @@ def test_norm_and_pair_invariants_equal_the_numpy_forms_bit_for_bit(field, dim):
                     for s in (sg, sh))
             near = la.Vector(g.entries * (sh / sg) * (1.0 + 1e-12) + 1e-9 * h.entries, field)
             r = la.norm(g)
-            assert _bits(r) == _bits(float(np.linalg.norm(g.entries)))
-            assert _bits(la.norm(h)) == _bits(float(np.linalg.norm(h.entries)))
+            assert _bits(r) == _bits(_numpy_norm(g.entries))
+            assert _bits(la.norm(h)) == _bits(_numpy_norm(h.entries))
             for other in (h, near):  # generic, and nearly collinear with g
                 got, want = la.pair_invariants(g, other, r), _numpy_pair_invariants(g, other, r)
                 assert [type(x) for x in got] == [type(x) for x in want]
                 assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_complex_norms_are_one_dot_of_the_interleaved_parts(dim):
+    # over C, |g|^2 is the real dot of (re_0, im_0, re_1, im_1, ...): row_norms
+    # equals norm row by row, both equal that dot bit for bit, and a strided
+    # column gives the bits of its contiguous copy
+    rng = np.random.default_rng([dim, 29])
+    scales = 10.0 ** np.arange(-150.0, 151.0, 15.0)
+    G = la.random_gaussian_rows(len(scales) * 8, dim, C, rng) * scales.repeat(8)[:, None]
+    want = [math.sqrt(np.vdot(x, x)) for x in G.view(np.float64)]
+    assert la.row_norms(G).tolist() == want
+    assert [la.norm(la.Vector(g, C)) for g in G] == want
+    M = np.ascontiguousarray(G.T)  # row k of G as column k, a strided view
+    assert dim == 1 or M[:, 0].strides[-1] != M.itemsize
+    assert [la.norm(la.Vector(M[:, k], C)) for k in range(len(G))] == want
+    assert la.row_norms(M.T).tolist() == want
+
+
+@pytest.mark.parametrize("n,dim", [(1, 1), (40, 3), (1000, 3), (4000, 5), (7, 8)])
+def test_complex_gaussian_rows_are_the_two_part_draw(n, dim):
+    # the real parts, then the imaginary parts, over sqrt(2): the same bits
+    # and the same stream position as (A + 1j B) / sqrt(2)
+    rng, ref = np.random.default_rng(n * dim), np.random.default_rng(n * dim)
+    got = la.random_gaussian_rows(n, dim, C, rng)
+    A, B = ref.standard_normal((n, dim)), ref.standard_normal((n, dim))
+    want = (A + 1j * B) / np.sqrt(2.0)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
 
 
 def test_norm_overflows_and_underflows_without_warnings():

@@ -844,10 +844,22 @@ def test_zero_extended_json_includes_zero():
         "domain": {"intervals": [[0, None]], "includes_zero": True},
         "params": {"b": b, "inner": {"family": "euclidean", "dim": 2, "field": "real"}}},
        "b must be finite") for b in (math.nan, math.inf)),
+    # a NaN degree evaluated, and check homothety echoed it as null
+    *(({"family": "lambda", "dim": 3, "field": "real",
+        "params": {"lam": "sqrt(p^2+q^2)", "alpha": alpha}},
+       "alpha must be finite") for alpha in (math.nan, math.inf, -math.inf)),
 ])
 def test_a_malformed_spec_is_a_value_error(obj, words):
     with pytest.raises(ValueError, match=words):
         mm.spec_from_json(obj)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_degree_is_a_value_error(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        mm.FromLambda(3, R, POS, lambda r, p, q: math.hypot(p, q), alpha)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        mm.Custom(3, R, POS, fn=lambda g, h: 0.0, alpha=alpha)
 
 
 def test_callable_profile_not_serializable():
