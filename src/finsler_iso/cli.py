@@ -197,8 +197,6 @@ def cmd_eval(args) -> int:
     g = parse_vector(args.g, spec.dim, spec.field)
     h = parse_vector(args.h, spec.dim, spec.field)
     if args.f is not None:
-        if not isinstance(spec, mm.RIEMANN_BACKED):
-            raise UsageError("--f needs a Riemann-backed metric")
         f = parse_vector(args.f, spec.dim, spec.field)
         value = mm.eval_sesquilinear(spec, g, f, h)
         _emit({"value": [value.real, value.imag] if isinstance(value, complex) else value})
@@ -220,10 +218,7 @@ def cmd_decompose(args) -> int:
         raise UsageError("the theta form loses the sign of the inner product; "
                          "non-symmetric metrics have no symmetric decomposition")
     r_values = [float(r) for r in np.linspace(args.r_min, args.r_max, args.r_steps)]
-    riemann_backed = isinstance(spec, mm.RIEMANN_BACKED)
-    if args.form == "riemann" or (args.form == "auto" and riemann_backed):
-        if not riemann_backed:
-            raise UsageError("this metric has no sesquilinear form; use --as finsler")
+    if args.form == "riemann" or (args.form == "auto" and isinstance(spec, mm.RIEMANN_BACKED)):
         extracted = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(spec))
         _write_csv(dc.tabulate_phi_psi(extracted, r_values), ["r", "phi", "psi"], args.output)
     else:
@@ -255,8 +250,6 @@ def cmd_check(args) -> int:
                "max_deviation": verdict.max_deviation, "passed": verdict.invariant,
                "skipped": verdict.skipped, "witness": witness_json(verdict.witness)})
         return 0 if verdict.invariant else 1
-    if not isinstance(spec, mm.RIEMANN_BACKED):
-        raise UsageError(f"check {args.which} needs a Riemann-backed metric")
     r2 = [r * r for r in np.linspace(args.r_min, args.r_max, args.samples).tolist()]
     if args.which == "pd":
         verdicts = mm.check_positive_definite(spec, r2)
@@ -278,10 +271,6 @@ def cmd_check(args) -> int:
 def cmd_probe_main(args) -> int:
     import finsler_iso.invariance as iv
 
-    if args.maps < 1 or args.samples < 1 or (args.sl2 is not None and args.sl2 < 1):
-        raise UsageError("--maps, --samples and --sl2 must be >= 1: a probe of none tests nothing")
-    if not 1.0 <= args.min_sv_ratio < math.inf:
-        raise UsageError(f"--min-sv-ratio must be a finite number >= 1, got {args.min_sv_ratio}")
     spec = metric_from_args(args)
     spec_obj = mm.spec_to_json(spec)
     if spec.dim < 3:
@@ -322,8 +311,6 @@ def cmd_probe_main(args) -> int:
 def cmd_distance(args) -> int:
     import finsler_iso.geometry as ge
 
-    if args.vertices < 3 or args.iterations < 0:
-        raise UsageError("--vertices must be >= 3 and --iterations >= 0")
     spec = metric_from_args(args)
     g = parse_vector(args.g, spec.dim, spec.field)
     h = parse_vector(args.h, spec.dim, spec.field)

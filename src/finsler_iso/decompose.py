@@ -15,13 +15,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import MismatchError, OutOfDomainError
+from .errors import MismatchError, OutOfDomainError, check_counts
 from .linalg import (
     Field,
     Vector,
     basis_vector,
-    inner,
-    norm,
+    check_orthonormal,
     random_gaussian_rows,
     row_norms,
 )
@@ -59,7 +58,7 @@ class SesquiOracle(NamedTuple):
 
 
 def sesqui_oracle_from_spec(spec: MetricSpec) -> SesquiOracle:
-    sesquilinear_profile(spec)  # ValueError unless the spec is Riemann-backed
+    sesquilinear_profile(spec)  # InvalidArgumentError unless the spec is Riemann-backed
     return SesquiOracle(lambda g, f, h: eval_sesquilinear(spec, g, f, h),
                         spec.dim, spec.field, spec.domain,
                         rows=lambda G, F, H: eval_sesquilinear_rows(spec, G, F, H))
@@ -80,8 +79,7 @@ def _check_frame(metric, frame) -> tuple[Vector, Vector]:
     if frame is None:
         return basis_vector(metric.dim, 0, metric.field), basis_vector(metric.dim, 1, metric.field)
     e, f = frame
-    if abs(norm(e) - 1.0) > 1e-10 or abs(norm(f) - 1.0) > 1e-10 or abs(inner(e, f)) > 1e-10:
-        raise ValueError("extraction frame must be an orthonormal pair")
+    check_orthonormal(e, f)
     return e, f
 
 
@@ -109,8 +107,7 @@ def validate_alpha(spec: MetricSpec, n_samples: int = 24, seed: int = 0,
 
     The samples are drawn in one batch and each side is one eval_batch call.
     """
-    if n_samples < 1:
-        raise ValueError("the homogeneity check needs at least one sample (n_samples >= 1)")
+    check_counts(n_samples=n_samples)
     rng = np.random.default_rng(seed)
     G, H = sample_pairs(spec, n_samples, rng)
     t = rng.uniform(0.2, 3.0, n_samples)
@@ -182,8 +179,7 @@ def extract_phi_psi(oracle: SesquiOracle,
 
 def _validate_conjugate_symmetry(oracle: SesquiOracle, n_samples: int = 16,
                                  seed: int = 0, tol: float = 1e-8) -> None:
-    if n_samples < 1:
-        raise ValueError("the symmetry check needs at least one sample (n_samples >= 1)")
+    check_counts(n_samples=n_samples)
     rng = np.random.default_rng(seed)
     G, F = sample_pairs(oracle, n_samples, rng)
     H = random_gaussian_rows(n_samples, oracle.dim, oracle.field, rng)
@@ -233,8 +229,7 @@ def roundtrip_check(metric: MetricSpec | SesquiOracle, extracted_spec: MetricSpe
     batch and each side is one rows call; the witness is the first sample
     with the largest deviation.
     """
-    if n_samples < 1:
-        raise ValueError("a round-trip needs at least one sample (n_samples >= 1)")
+    check_counts(n_samples=n_samples)
     rows = _roundtrip_rows(metric, n_samples, np.random.default_rng(seed))
     if isinstance(metric, SesquiOracle):  # against the sigma of the Riemann-backed rebuilt spec
         got, want = metric.eval_rows(*rows), eval_sesquilinear_rows(extracted_spec, *rows)

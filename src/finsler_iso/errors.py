@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the refusals of arguments under which a call means nothing."""
 
 
 class MismatchError(ValueError):
@@ -18,4 +18,24 @@ class NonPositiveMetricError(ValueError):
 
 
 class InvalidArgumentError(ValueError):
-    """A tolerance or homothety alpha under which a sampled check's verdict is void."""
+    """An argument under which a call means nothing, named in the message: a
+    count below its least value (a sampled check of no samples, maps or radii
+    tests nothing), a NaN or negative tolerance, a homothety alpha or
+    singular-value ratio out of range, a frame that is not orthonormal, or a
+    spec that is not Riemann-backed where a sesquilinear form is needed.  The
+    CLI prints the message at exit code 2."""
+
+
+def check_counts(least: int = 1, /, **counts: int) -> None:
+    """InvalidArgumentError naming the first of counts below least."""
+    for name, n in counts.items():
+        if n < least:
+            raise InvalidArgumentError(f"{name}: got {n}, need at least {least}")
+
+
+def check_tolerances(**tolerances: float) -> None:
+    """InvalidArgumentError naming the first tolerance that is NaN or negative,
+    which no deviation passes."""
+    for name, tol in tolerances.items():
+        if not tol >= 0.0:
+            raise InvalidArgumentError(f"{name} must be a number >= 0, got {tol}")

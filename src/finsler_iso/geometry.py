@@ -22,7 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NonPositiveMetricError, OutOfDomainError, ZeroVectorError
+from .errors import (InvalidArgumentError, NonPositiveMetricError, OutOfDomainError,
+                     ZeroVectorError, check_counts)
 from .linalg import (
     Field,
     Vector,
@@ -98,11 +99,11 @@ def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline,
     integrand that oscillates at a power-of-two frequency of [a, b] can
     agree with itself on two such grids and fool the test: pass n_nodes
     then.  Stopping at the cap raises one RuntimeWarning.  An explicit
-    n_nodes (odd, >= 3, any value operator.index takes, else ValueError)
-    keeps that one fixed grid and never warns.  Polylines use the exact sum
-    of per-segment midpoint evaluations rho_mid(delta), all segments in one
-    eval_batch call.  Negative integrand values raise one warning but still
-    integrate.
+    n_nodes (odd, >= 3, any value operator.index takes, else
+    InvalidArgumentError) keeps that one fixed grid and never warns.
+    Polylines use the exact sum of per-segment midpoint evaluations
+    rho_mid(delta), all segments in one eval_batch call.  Negative integrand
+    values raise one warning but still integrate.
     """
     if isinstance(curve, Polyline):
         V = curve.vertices
@@ -117,10 +118,11 @@ def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline,
         try:
             n = cap = operator.index(n_nodes)
         except TypeError:
-            raise ValueError("Simpson quadrature needs an integer node count, "
-                             f"got {n_nodes!r}") from None
-        if n < 3 or n % 2 == 0:
-            raise ValueError("Simpson quadrature needs an odd node count >= 3")
+            raise InvalidArgumentError("Simpson quadrature needs an integer node count, "
+                                       f"got {n_nodes!r}") from None
+        check_counts(3, n_nodes=n)
+        if n % 2 == 0:
+            raise InvalidArgumentError(f"Simpson quadrature needs an odd n_nodes, got {n}")
     values = _node_values(spec, curve, np.linspace(curve.a, curve.b, n))
     length = _simpson(values, curve)
     while n < cap:
@@ -190,8 +192,7 @@ def polygonal_delta_length(which: str, curve: ParametricCurve, n_segments: int =
     fn = {"delta1": delta1, "delta2": delta2}.get(which)
     if fn is None:
         raise ValueError("which must be 'delta1' or 'delta2'")
-    if n_segments < 1:
-        raise ValueError("need n_segments >= 1")
+    check_counts(n_segments=n_segments)
     points = _vectors(curve.points(np.linspace(curve.a, curve.b, n_segments + 1)))
     return float(sum(fn(u, v) for u, v in zip(points, points[1:])))
 
@@ -398,16 +399,14 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     Each sweep is measured in batches (see _sweep_positions).  The length
     sequence is non-increasing; negative metrics are refused.  The result
     says why the descent stopped: a zero chord (g = h), the step floor, or
-    the iteration cap.  Raises ValueError unless n_vertices >= 3 and
-    n_iterations >= 0, or when g != h and the chord's length under- or
-    overflows; MismatchError unless g and h have the spec's dimension and
-    field; OutOfDomainError naming an endpoint outside the domain (one on
-    the boundary of a radius interval is a valid start).
+    the iteration cap.  Raises InvalidArgumentError unless n_vertices >= 3
+    and n_iterations >= 0, ValueError when g != h and the chord's length
+    under- or overflows; MismatchError unless g and h have the spec's
+    dimension and field; OutOfDomainError naming an endpoint outside the
+    domain (one on the boundary of a radius interval is a valid start).
     """
-    if n_vertices < 3:
-        raise ValueError("need at least one interior vertex")
-    if n_iterations < 0:
-        raise ValueError("need n_iterations >= 0")
+    check_counts(3, n_vertices=n_vertices)
+    check_counts(0, n_iterations=n_iterations)
     _check_compatible(spec, g, h)
     with np.errstate(over="ignore"):  # |g|, |h| or the chord may overflow: each is named below
         r, inside = _inside_rows(spec, np.stack([g.entries, h.entries]))

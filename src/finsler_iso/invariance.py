@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MismatchError, OutOfDomainError
+from .errors import (InvalidArgumentError, MismatchError, OutOfDomainError, check_counts,
+                     check_tolerances)
 from .linalg import (
     Field,
     LinearMap,
@@ -23,8 +24,7 @@ from .linalg import (
     random_unitaries,
     singular_values,
 )
-from .metrics import (MetricSpec, _check_tolerance, area_dim2, deviations, eval_batch,
-                      sample_pairs)
+from .metrics import MetricSpec, area_dim2, deviations, eval_batch, sample_pairs
 # Unused here; kept while perfbench/tests/test_tracer.py asserts a wrapper on
 # this name, see FOUND in CHANGES.md.  The benchmark change that drops that
 # assertion deletes this import.
@@ -130,16 +130,10 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
         raise MismatchError(f"map dimension {T.dim_in} != spec dimension {spec.dim}")
     if T.field is not spec.field:
         raise MismatchError("map/spec field mismatch")
-    _check_samples(n_samples, tol=tol)
+    check_counts(n_samples=n_samples)
+    check_tolerances(tol=tol)
     G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
     return _symmetry_verdicts(spec, T.entries[None], G, H, tol)[0]
-
-
-def _check_samples(n_samples: int, **tolerances: float) -> None:
-    if n_samples < 1:
-        raise ValueError("a symmetry test needs at least one sample (n_samples >= 1)")
-    for name, tol in tolerances.items():
-        _check_tolerance(tol, name)
 
 
 def classify_congruence(T: LinearMap, tol: float = 1e-9) -> CongruenceClass:
@@ -168,9 +162,8 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
     stacked matmul and each side is one eval_batch call.  Every pair counts;
     a unitary that takes a base point out of the domain is an OutOfDomainError.
     """
-    if n_unitaries < 1:
-        raise ValueError("the invariance suite needs at least one unitary")
-    _check_tolerance(tol)
+    check_counts(n_unitaries=n_unitaries)
+    check_tolerances(tol=tol)
     rng = np.random.default_rng(seed)
     U = random_unitaries(n_unitaries, spec.dim, spec.field, rng)
     G, H = sample_pairs(spec, len(U), rng)
@@ -229,12 +222,12 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
                        control_tol: float = 1e-9) -> ProbeReport:
     """Falsification probe: every sampled non-congruence map must fail symmetry.
 
-    Requires dim >= 3, a map, a sample and a finite min_sv_ratio >= 1; a
-    ratio the Gaussian maps do not reach in _MAX_DRAW_ROUNDS rounds of draws
-    is a ValueError.  Controls are random unitaries, scaled by a random
-    positive constant when the spec is invariant under all congruences; they
-    must pass at control_tol.  Absence of a counterexample is the assertion,
-    not a proof.
+    Requires dim >= 3, a map, a sample, a control and a finite min_sv_ratio
+    >= 1 (else InvalidArgumentError); a ratio the Gaussian maps do not reach
+    in _MAX_DRAW_ROUNDS rounds of draws is a ValueError.  Controls are
+    random unitaries, scaled by a random positive constant when the spec is
+    invariant under all congruences; they must pass at control_tol.  Absence
+    of a counterexample is the assertion, not a proof.
 
     The seed spawns three streams: one for the test of a metric that is 0
     everywhere, one from which all the maps and then all their n_maps *
@@ -244,11 +237,11 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     """
     if spec.dim < 3:
         raise ValueError("the probe applies in dimension >= 3")
-    if n_maps < 1:
-        raise ValueError("the probe needs at least one map (n_maps >= 1)")
-    _check_samples(n_samples, deviation_threshold=deviation_threshold, control_tol=control_tol)
+    check_counts(n_maps=n_maps, n_samples=n_samples, n_controls=n_controls)
+    check_tolerances(deviation_threshold=deviation_threshold, control_tol=control_tol)
     if not 1.0 <= min_sv_ratio < math.inf:
-        raise ValueError(f"min_sv_ratio must be a finite number >= 1, got {min_sv_ratio}")
+        raise InvalidArgumentError(f"min_sv_ratio must be a finite number >= 1, "
+                                   f"got {min_sv_ratio}")
     aux, map_ss, control_ss = np.random.SeedSequence(seed).spawn(3)
     if _spec_is_vacuous(spec, np.random.default_rng(aux)):
         return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True,
@@ -263,13 +256,12 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), n_controls))
     if spec.congruence_invariant:
         controls *= scales[:, None, None]
-    control_verdicts = (_symmetry_verdicts(spec, controls,
-                                           *sample_pairs(spec, n_controls * n_samples, rng),
-                                           control_tol)
-                        if n_controls else [])
+    control_verdicts = _symmetry_verdicts(spec, controls,
+                                          *sample_pairs(spec, n_controls * n_samples, rng),
+                                          control_tol)
     weakest = min(range(n_maps), key=lambda i: verdicts[i].max_deviation)
     weakest_deviation = verdicts[weakest].max_deviation
-    control_worst = max((v.max_deviation for v in control_verdicts), default=0.0)
+    control_worst = max(v.max_deviation for v in control_verdicts)
     return ProbeReport(
         maps_tested=n_maps,
         all_failed=weakest_deviation > deviation_threshold,
@@ -299,9 +291,8 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
     pairs are drawn at once from the seed, and each map is tested on its own
     n_samples of them by is_symmetry's rule, in one stacked test per side.
     """
-    if not maps:
-        raise ValueError("the dim-2 exception check needs at least one map")
-    _check_samples(n_samples, tol=tol)
+    check_counts(maps=len(maps), n_samples=n_samples)
+    check_tolerances(tol=tol)
     spec = area_dim2(b)
     for T in maps:
         if T.field is not Field.REAL or T.dim_in != 2 or T.dim_out != 2:
@@ -348,9 +339,8 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
         raise MismatchError("rotation sufficiency is a real-field statement")
     if spec.dim < 3:
         raise ValueError("rotation sufficiency needs dimension >= 3")
-    if n_rotations < 1:
-        raise ValueError("rotation sufficiency needs at least one rotation")
-    _check_samples(n_samples, tol=tol)
+    check_counts(n_rotations=n_rotations, n_samples=n_samples)
+    check_tolerances(tol=tol)
     rng = np.random.default_rng(seed)
     orth = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)
     rot = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)

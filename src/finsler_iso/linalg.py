@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MismatchError, OutOfDomainError, ZeroVectorError
+from .errors import InvalidArgumentError, MismatchError, OutOfDomainError, ZeroVectorError
 
 DEFAULT_TOL = 1e-10
 
@@ -195,7 +195,8 @@ def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
         r[k] = 1.0
     ip = np.vecdot(G, H)
     c = ip / (r * r) if plain else np.divide(ip, r * r, out=np.zeros_like(ip), where=r > 0.0)
-    perp = (H - c[:, None] * G).view(float)  # fresh, so contiguous: _float_view
+    cG = c[:, None] * G
+    perp = np.subtract(H, cG, out=cG).view(float)  # in place; fresh, so contiguous: _float_view
     q = r * np.sqrt(np.vecdot(perp, perp))
     if k is not None:  # and scale their invariants back by r
         ip[k] *= rk
@@ -252,6 +253,12 @@ def _complete_frame(cols: list[np.ndarray]) -> np.ndarray:
     return Q
 
 
+def check_orthonormal(e: Vector, f: Vector, tol: float = DEFAULT_TOL) -> None:
+    """InvalidArgumentError unless (e, f) is an orthonormal pair to within tol."""
+    if abs(norm(e) - 1.0) > tol or abs(norm(f) - 1.0) > tol or abs(inner(e, f)) > tol:
+        raise InvalidArgumentError("(e, f) must be an orthonormal pair")
+
+
 def build_canonical_isometry(g: Vector, h: Vector, e: Vector, f: Vector,
                              tol: float = DEFAULT_TOL) -> LinearMap:
     """An isometry U with U g = |g| e and U h inside span{e, f}.
@@ -267,8 +274,7 @@ def build_canonical_isometry(g: Vector, h: Vector, e: Vector, f: Vector,
     if g.dim < 2:
         raise MismatchError("canonical isometry needs dimension >= 2")
     ng = checked_norm(g)
-    if abs(norm(e) - 1.0) > tol or abs(norm(f) - 1.0) > tol or abs(inner(e, f)) > tol:
-        raise ValueError("(e, f) must be an orthonormal pair")
+    check_orthonormal(e, f, tol)
 
     u1 = g.entries / ng
     ip = inner(h, g)

@@ -21,7 +21,8 @@ import numpy as np
 
 import finsler_iso.expressions as expressions  # dotted: -X importtime reports it
 
-from .errors import InvalidArgumentError, MismatchError, OutOfDomainError, ZeroVectorError
+from .errors import (InvalidArgumentError, MismatchError, OutOfDomainError, ZeroVectorError,
+                     check_counts, check_tolerances)
 from .linalg import (
     Field,
     Vector,
@@ -199,7 +200,7 @@ class MetricSpec(_Value):
     family = "?"
     congruence_invariant = False
     defined_at_zero = False  # rho_0 exists (zero extensions, custom metrics)
-    reads_vectors = False  # _values reads the rows G and H, not the invariants alone
+    reads_vectors = False  # _value and _values read the vectors, not the invariants alone
     alpha = 1.0  # the degree in h; lambda and custom specs set their own
 
     def __init__(self, dim: int, field: Field, domain: RadiusDomain):
@@ -207,14 +208,10 @@ class MetricSpec(_Value):
             raise ValueError("dim must be >= 1")
         self.dim, self.field, self.domain = dim, field, domain
 
-    def _eval(self, g: Vector, h: Vector, r: float) -> float:
-        """rho_g(h) for checked vectors whose radius r = |g| lies in the domain
-        (r > 0 unless the spec is defined at 0)."""
-        ip, q = pair_invariants(g, h, r)
-        return self._value(r, ip, q)
-
-    def _value(self, r: float, ip: float | complex, q: float) -> float:
-        """rho from the invariants r = |g|, ip = <h, g> and q, with r > 0."""
+    def _value(self, r: float, ip: float | complex, q: float, g: Vector, h: Vector) -> float:
+        """rho_g(h) from the invariants r = |g|, ip = <h, g> and q of checked
+        vectors whose radius lies in the domain (r > 0 unless the spec is
+        defined at 0); only a spec that reads_vectors reads g and h."""
         raise NotImplementedError
 
     def _values(self, r: np.ndarray, ip: np.ndarray, q: np.ndarray,
@@ -227,7 +224,7 @@ class MetricSpec(_Value):
 class Euclidean(MetricSpec):
     family = "euclidean"
 
-    def _value(self, r, ip, q):
+    def _value(self, r, ip, q, g, h):
         return math.hypot(abs(ip), q) / r
 
     def _values(self, r, ip, q, G, H):
@@ -246,11 +243,10 @@ class FubiniStudy(MetricSpec):
     congruence_invariant = True
     profile = congruence_invariant_riemann(1.0, -1.0)  # sigma's, built once
 
-    def _value(self, r, ip, q):
+    def _value(self, r, ip, q, g, h):
         return q / (r * r)
 
-    def _values(self, r, ip, q, G, H):
-        return q / (r * r)
+    _values = _value  # the same expression over scalars and over rows
 
 
 def _where_nonzero(nh: np.ndarray, value: Callable) -> np.ndarray:
@@ -274,7 +270,7 @@ class FromLambda(MetricSpec):
         super().__init__(dim, field, domain)
         self.lam, self.alpha = lam, _finite_coefficient(alpha, "alpha")
 
-    def _value(self, r, ip, q):
+    def _value(self, r, ip, q, g, h):
         return float(self.lam(r, abs(ip), q))
 
     def _values(self, r, ip, q, G, H):
@@ -291,7 +287,7 @@ class FromTheta(MetricSpec):
         super().__init__(dim, field, domain)
         self.theta = theta
 
-    def _value(self, r, ip, q):
+    def _value(self, r, ip, q, g, h):
         p = abs(ip)
         nh = math.hypot(p, q) / r
         return 0.0 if nh == 0.0 else nh * float(self.theta(r, math.atan2(q, p)))
@@ -315,7 +311,7 @@ class FromNonSymLambda(MetricSpec):
         super().__init__(dim, field, domain)
         self.lam = lam
 
-    def _value(self, r, ip, q):
+    def _value(self, r, ip, q, g, h):
         return float(self.lam(r, ip, q))
 
     def _values(self, r, ip, q, G, H):
@@ -336,7 +332,7 @@ class FromRiemann(MetricSpec):
         super().__init__(dim, field, domain)
         self.profile, self.indefinite_warning = profile, indefinite_warning
 
-    def _value(self, r, ip, q):
+    def _value(self, r, ip, q, g, h):
         r2, p = r * r, abs(ip)
         p2 = p * p  # |h|^2 = (p^2 + q^2) / r^2; a Python float's ** raises on overflow
         phi, psi = float(self.profile.phi(r2)), float(self.profile.psi(r2))
@@ -371,7 +367,7 @@ class CongruenceInvariant(MetricSpec):
         super().__init__(dim, field, domain)
         self.vartheta = vartheta
 
-    def _value(self, r, ip, q):
+    def _value(self, r, ip, q, g, h):
         p = abs(ip)
         nh = math.hypot(p, q) / r
         return 0.0 if nh == 0.0 else (nh / r) * float(self.vartheta(math.atan2(q, p)))
@@ -406,11 +402,10 @@ class AreaDim2(MetricSpec):
             raise ValueError("the area metric is defined in dimension 2 only")
         self.b = _finite_coefficient(b, "b")
 
-    def _value(self, r, ip, q):
+    def _value(self, r, ip, q, g, h):
         return self.b * q
 
-    def _values(self, r, ip, q, G, H):
-        return self.b * q
+    _values = _value  # the same expression over scalars and over rows
 
 
 class ZeroExtended(MetricSpec):
@@ -432,8 +427,8 @@ class ZeroExtended(MetricSpec):
 
     reads_vectors = property(lambda self: self.inner_spec.reads_vectors)  # no setter
 
-    def _eval(self, g, h, r):  # eval_finsler's checks on the extension hold for the inner spec
-        return self.b * norm(h) if r == 0.0 else self.inner_spec._eval(g, h, r)
+    def _value(self, r, ip, q, g, h):  # eval_finsler's checks on the extension hold inside
+        return self.b * norm(h) if r == 0.0 else self.inner_spec._value(r, ip, q, g, h)
 
     def _values(self, r, ip, q, G, H):
         k = r != 0.0  # the others are rows at g = 0, where rho_0(h) = b |h|
@@ -457,13 +452,12 @@ class Custom(MetricSpec):
         super().__init__(dim, field, domain)
         self.fn, self.alpha = fn, _finite_coefficient(alpha, "alpha")
 
-    def _eval(self, g, h, r):
+    def _value(self, r, ip, q, g, h):
         return float(self.fn(g, h))
 
     def _values(self, r, ip, q, G, H):  # the callable sees vectors: row by row
         f = self.field
-        return np.array([self._eval(Vector(g, f), Vector(h, f), x)
-                         for g, h, x in zip(G, H, r.tolist())], dtype=float)
+        return np.array([float(self.fn(Vector(g, f), Vector(h, f))) for g, h in zip(G, H)])
 
 
 def euclidean(dim: int, field: Field = Field.REAL) -> Euclidean:
@@ -513,7 +507,9 @@ def eval_finsler(spec: MetricSpec, g: Vector, h: Vector) -> float:
             raise OutOfDomainError(f"|g| = {r} is outside the radius domain")
         if not spec.defined_at_zero:
             raise OutOfDomainError("base point g = 0 is outside the metric's domain")
-    return spec._eval(g, h, r)
+    # a spec that reads_vectors, or a zero extension at g = 0, reads no invariant
+    ip, q = (0.0, 0.0) if r == 0.0 or spec.reads_vectors else pair_invariants(g, h, r)
+    return spec._value(r, ip, q, g, h)
 
 
 def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -605,9 +601,10 @@ RIEMANN_BACKED = (FromRiemann, FubiniStudy)  # the specs with a sigma, and a (ph
 
 
 def sesquilinear_profile(spec: MetricSpec) -> RiemannProfile:
-    """The (phi, psi) pair of a Riemann-backed spec; ValueError for any other."""
+    """The (phi, psi) pair of a Riemann-backed spec; InvalidArgumentError for any other."""
     if not isinstance(spec, RIEMANN_BACKED):
-        raise ValueError(f"family {spec.family!r} has no sesquilinear form")
+        raise InvalidArgumentError(f"family {spec.family!r} has no sesquilinear form: "
+                                   "it is not Riemann-backed")
     return spec.profile
 
 
@@ -655,6 +652,7 @@ def check_positive_definite(spec: MetricSpec, r_samples: list[float],
     magnitude, so scaling the profile does not change a verdict.
     """
     profile = sesquilinear_profile(spec)
+    check_counts(r_samples=len(r_samples))
     r = np.array(r_samples, dtype=float)
     outside = ~_roots_inside(spec, r)
     if outside.any():
@@ -677,6 +675,7 @@ def check_kaehler(spec: MetricSpec, r_samples: list[float],
     property of the invariant Hermitean metric.
     """
     profile = sesquilinear_profile(spec)
+    check_counts(r_samples=len(r_samples))
     r = np.array(r_samples, dtype=float)
     step = np.maximum(1e-5, 1e-5 * r)
     near = ~(_roots_inside(spec, r - step) & _roots_inside(spec, r + step))
@@ -714,11 +713,6 @@ class HomothetyVerdict(NamedTuple):
     skipped: int
 
 
-def _check_tolerance(tol: float, name: str = "tol") -> None:
-    if not tol >= 0.0:  # no deviation passes a NaN or negative tol
-        raise InvalidArgumentError(f"{name} must be a number >= 0, got {tol}")
-
-
 def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 200,
                                seed: int = 0, tol: float = 1e-10) -> HomothetyVerdict:
     """Test rho_{alpha g}(alpha h) = rho_g(h) on seeded samples.
@@ -730,9 +724,8 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
     """
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise InvalidArgumentError(f"alpha must be a finite positive number != 1, got {alpha}")
-    _check_tolerance(tol)
-    if n_samples < 1:
-        raise ValueError("the homothety check needs at least one sample")
+    check_tolerances(tol=tol)
+    check_counts(n_samples=n_samples)
     G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
     base, _ = eval_batch(spec, G, H)
     mapped, kept = eval_batch(spec, alpha * G, alpha * H)
@@ -771,6 +764,7 @@ def validate_profile(spec: MetricSpec, grid_size: int = 4, tol: float = 1e-9) ->
     """
     if not isinstance(spec, (FromLambda, FromNonSymLambda)):
         raise ValueError(f"family {spec.family!r} has no lambda profile to validate")
+    check_counts(grid_size=grid_size)
     radii = domain_grid(spec.domain, grid_size)
     ang = 0.5 * math.pi * (np.arange(grid_size) + 0.5) / grid_size
     rho = np.array([[0.3], [1.0], [3.0]])

@@ -226,12 +226,13 @@ def test_decompose_as_riemann_needs_a_sesquilinear_form(capsys):
     code, out, err = run(capsys, "decompose", "--metric", "euclidean", "--dim", "2",
                          "--as", "riemann")
     assert (code, out, err) == (
-        2, "", "error: this metric has no sesquilinear form; use --as finsler\n")
+        2, "", "error: family 'euclidean' has no sesquilinear form: it is not Riemann-backed\n")
 
 
 def test_check_pd_needs_a_riemann_backed_metric(capsys):
     code, out, err = run(capsys, "check", "pd", "--metric", "euclidean", "--dim", "2")
-    assert (code, out, err) == (2, "", "error: check pd needs a Riemann-backed metric\n")
+    assert (code, out, err) == (
+        2, "", "error: family 'euclidean' has no sesquilinear form: it is not Riemann-backed\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -417,16 +418,47 @@ def test_probe_main_exit_codes(capsys):
 
 def test_probe_main_rejects_zero_maps(capsys):
     # a probe of no maps or no samples tests nothing, so it gives no verdict
-    for argv, flag in ((("euclidean", "--dim", "3", "--maps", "0"), "--maps"),
-                       (("euclidean", "--dim", "3", "--samples", "0"), "--samples"),
-                       (("area", "--dim", "2", "--sl2", "0"), "--sl2"),
-                       (("area", "--dim", "2", "--sl2", "5", "--samples", "0"), "--samples"),
-                       # a ratio the maps must reach: nan would turn the filter off,
-                       # inf would redraw forever, one below 1 filters nothing
-                       *((("euclidean", "--dim", "3", "--min-sv-ratio", ratio), "--min-sv-ratio")
-                         for ratio in ("nan", "inf", "0.5", "-2"))):
+    # (the library refuses each, naming its own parameter)
+    for argv, param in ((("euclidean", "--dim", "3", "--maps", "0"), "n_maps"),
+                        (("euclidean", "--dim", "3", "--samples", "0"), "n_samples"),
+                        (("area", "--dim", "2", "--sl2", "0"), "maps"),
+                        (("area", "--dim", "2", "--sl2", "5", "--samples", "0"), "n_samples"),
+                        # a ratio the maps must reach: nan would turn the filter off,
+                        # inf would redraw forever, one below 1 filters nothing
+                        *((("euclidean", "--dim", "3", "--min-sv-ratio", ratio), "min_sv_ratio")
+                          for ratio in ("nan", "inf", "0.5", "-2"))):
         code, out, err = run(capsys, "probe-main", "--metric", *argv)
-        assert code == 2 and out == "" and flag in err, argv
+        assert code == 2 and out == "" and err.startswith(f"error: {param}"), argv
+
+
+NOT_RIEMANN = "family 'euclidean' has no sesquilinear form: it is not Riemann-backed"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("eval", "--metric", "euclidean", "--dim", "2", "--g", "1,0", "--h", "0,1", "--f", "0,1"),
+     NOT_RIEMANN),
+    (("decompose", "--metric", "euclidean", "--dim", "2", "--as", "riemann"), NOT_RIEMANN),
+    (("check", "pd", "--metric", "euclidean", "--dim", "2"), NOT_RIEMANN),
+    (("check", "kaehler", "--metric", "euclidean", "--dim", "2"), NOT_RIEMANN),
+    (("probe-main", "--metric", "euclidean", "--dim", "3", "--maps", "0"),
+     "n_maps: got 0, need at least 1"),
+    (("probe-main", "--metric", "euclidean", "--dim", "3", "--samples", "-1"),
+     "n_samples: got -1, need at least 1"),
+    (("probe-main", "--metric", "area", "--dim", "2", "--sl2", "0"),
+     "maps: got 0, need at least 1"),
+    (("probe-main", "--metric", "area", "--dim", "2", "--sl2", "5", "--samples", "0"),
+     "n_samples: got 0, need at least 1"),
+    (("probe-main", "--metric", "euclidean", "--dim", "3", "--min-sv-ratio", "0.5"),
+     "min_sv_ratio must be a finite number >= 1, got 0.5"),
+    (("distance", "--metric", "euclidean", "--dim", "2", "--g", "1,0", "--h", "0,1",
+      "--vertices", "2"), "n_vertices: got 2, need at least 3"),
+    (("distance", "--metric", "euclidean", "--dim", "2", "--g", "1,0", "--h", "0,1",
+      "--iterations", "-1"), "n_iterations: got -1, need at least 0"),
+])
+def test_the_library_refusals_are_usage_errors_with_its_message(capsys, argv, message):
+    # the CLI does not check these itself: the library's InvalidArgumentError
+    # exits 2 and its message is the one printed
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_probe_main_of_an_unreachable_min_sv_ratio_is_exit_3(capsys):
@@ -703,11 +735,13 @@ def test_decompose_below_radius_0_is_a_domain_error(capsys):
             "error: r = -1.0 is outside the extracted profile's domain\n"), form
 
 
-@pytest.mark.parametrize("option,value", [("--iterations", "-3"), ("--vertices", "2")])
-def test_distance_that_cannot_run_is_usage_error(capsys, option, value):
+@pytest.mark.parametrize("option,value,param", [("--iterations", "-3", "n_iterations"),
+                                                ("--vertices", "2", "n_vertices")])
+def test_distance_that_cannot_run_is_usage_error(capsys, option, value, param):
+    # the library refuses each, naming its own parameter
     code, out, err = run(capsys, "distance", "--metric", "euclidean", "--dim", "2",
                          "--g", "1,0", "--h", "0,1", option, value)
-    assert code == 2 and out == "" and option in err
+    assert code == 2 and out == "" and err.startswith(f"error: {param}: got {value}")
 
 
 def test_distance_of_no_iterations_reports_the_initial_path(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from finsler_iso import decompose as dc
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
-from finsler_iso.errors import MismatchError, OutOfDomainError
+from finsler_iso.errors import InvalidArgumentError, MismatchError, OutOfDomainError
 from helpers import POS, battery, family_specs, near_pair, nonsym_lambda, pair_cases, theta_angular
 
 R, C = la.Field.REAL, la.Field.COMPLEX
@@ -194,12 +194,22 @@ def test_tabulation_rows():
 def test_checks_of_nothing_raise():
     spec = mm.euclidean(3)
     rebuilt = mm.FromLambda(3, R, POS, dc.extract_lambda(spec))
-    with pytest.raises(ValueError, match="round-trip needs at least one sample"):
-        dc.roundtrip_check(spec, rebuilt, 0)
-    with pytest.raises(ValueError, match="homogeneity check needs at least one sample"):
-        dc.validate_alpha(spec, n_samples=0)
-    with pytest.raises(ValueError, match="symmetry check needs at least one sample"):
-        dc._validate_conjugate_symmetry(dc.sesqui_oracle_from_spec(mm.fubini_study(3)), 0)
+    for check_of_no_sample in (
+            lambda: dc.roundtrip_check(spec, rebuilt, 0),
+            lambda: dc.validate_alpha(spec, n_samples=0),
+            lambda: dc._validate_conjugate_symmetry(dc.sesqui_oracle_from_spec(mm.fubini_study(3)),
+                                                    0)):
+        with pytest.raises(InvalidArgumentError, match="^n_samples: got 0, need at least 1$"):
+            check_of_no_sample()
+
+
+def test_extraction_refuses_a_frame_that_is_not_orthonormal():
+    # the frame test is linalg's, with build_canonical_isometry's message and tolerance
+    e, f = la.vector([1.0, 0.0]), la.vector([1e-9, 1.0])
+    with pytest.raises(InvalidArgumentError, match=r"^\(e, f\) must be an orthonormal pair$"):
+        dc.extract_lambda(mm.euclidean(2), frame=(e, f))
+    with pytest.raises(InvalidArgumentError, match="orthonormal"):
+        dc.extract_phi_psi(dc.sesqui_oracle_from_spec(mm.fubini_study(2)), frame=(f, f))
 
 
 @pytest.mark.parametrize("field", [R, C])

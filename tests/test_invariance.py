@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from finsler_iso import invariance as iv
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
-from finsler_iso.errors import MismatchError
+from finsler_iso.errors import InvalidArgumentError, MismatchError
 from helpers import (OVERFLOWING_THETA, POS, family_specs, near_pair, pair_cases,
                      probe_battery, theta_angular)
 
@@ -120,7 +120,7 @@ def test_theorem_probe_requires_dim3():
 
 
 def test_theorem_probe_rejects_zero_maps():
-    with pytest.raises(ValueError, match="at least one map"):
+    with pytest.raises(InvalidArgumentError, match="^n_maps: got 0, need at least 1$"):
         iv.congruence_theorem_probe(mm.euclidean(3), n_maps=0)
 
 
@@ -131,15 +131,15 @@ def test_checks_of_nothing_raise():
             lambda: iv.congruence_theorem_probe(spec, n_samples=0),
             lambda: iv.dim2_exception_check(1.0, [iv.random_unimodular(0)], n_samples=0),
             lambda: iv.rotation_sufficiency_check(spec, n_samples=0)):
-        with pytest.raises(ValueError, match="at least one sample"):
+        with pytest.raises(InvalidArgumentError, match="^n_samples: got 0, need at least 1$"):
             check_of_no_sample()
-    with pytest.raises(ValueError, match="at least one unitary"):
+    with pytest.raises(InvalidArgumentError, match="^n_unitaries: got 0, need at least 1$"):
         iv.invariance_suite(spec, 0)
-    with pytest.raises(ValueError, match="at least one map"):
+    with pytest.raises(InvalidArgumentError, match="^maps: got 0, need at least 1$"):
         iv.dim2_exception_check(1.0, [])
-    with pytest.raises(ValueError, match="at least one rotation"):
+    with pytest.raises(InvalidArgumentError, match="^n_rotations: got 0, need at least 1$"):
         iv.rotation_sufficiency_check(spec, 0)
-    with pytest.raises(ValueError, match="homothety check needs at least one sample"):
+    with pytest.raises(InvalidArgumentError, match="^n_samples: got 0, need at least 1$"):
         mm.check_homothety_invariance(spec, 2.0, 0)
 
 

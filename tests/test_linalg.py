@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from finsler_iso import linalg as la
-from finsler_iso.errors import MismatchError, OutOfDomainError, ZeroVectorError
+from finsler_iso.errors import (InvalidArgumentError, MismatchError, OutOfDomainError,
+                                ZeroVectorError)
 
 R, C = la.Field.REAL, la.Field.COMPLEX
 
@@ -204,7 +205,7 @@ def test_canonical_isometry_preserves_probe_norms():
 
 def test_canonical_isometry_rejects_bad_frame():
     g, h = la.vector([1, 0]), la.vector([0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError, match=r"^\(e, f\) must be an orthonormal pair$"):
         la.build_canonical_isometry(g, h, la.vector([1, 1]), la.vector([0, 1]))
     with pytest.raises(MismatchError):
         la.build_canonical_isometry(la.vector([1]), la.vector([1]),
