@@ -212,8 +212,6 @@ def cmd_decompose(args) -> int:
         if steps < 1:
             raise UsageError(f"{flag} must be >= 1, got {steps}: a table of no rows shows nothing")
     spec = metric_from_args(args)
-    if spec.dim < 2:
-        raise ValueError("decomposition requires dim >= 2")
     if spec.family == "nonsym-lambda":
         raise UsageError("the theta form loses the sign of the inner product; "
                          "non-symmetric metrics have no symmetric decomposition")

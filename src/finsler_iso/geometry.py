@@ -33,8 +33,8 @@ from .linalg import (
     pair_invariants_rows,
     row_norms,
 )
-from .metrics import (MetricSpec, _check_compatible, _inside_rows, eval_batch, eval_finsler,
-                      fubini_study)
+from .metrics import (MetricSpec, _check_compatible, _inside_rows, _refuse_nan, eval_batch,
+                      eval_finsler, fubini_study)
 
 
 class ParametricCurve:
@@ -265,7 +265,7 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     Returns (lengths, status): status[k] is _RESOLVED, or the first failure in
     chunk order, _LEFT_DOMAIN (refused, or a chunk midpoint outside the
     domain) or _NEGATIVE (a negative chunk value); lengths[k] is meaningful
-    only for a resolved segment.
+    only for a resolved segment.  A NaN chunk value raises as in eval_batch.
     """
     D = V - U
     length = row_norms(D)
@@ -286,7 +286,8 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     # any; it gives int zeros when no segment has a chunk
     lengths = np.bincount(seg, weights=values, minlength=len(m)).astype(float, copy=False)
     status = refused * _LEFT_DOMAIN  # _RESOLVED = 0 elsewhere
-    if not inside.all() or (values < 0.0).any():
+    if not inside.all() or not (values >= 0.0).all():  # a NaN value fails here too
+        _refuse_nan(values)
         failed = np.flatnonzero(~inside | (values < 0.0))
         segs, first = np.unique(seg[failed], return_index=True)
         status[segs] = np.where(inside[failed[first]], _NEGATIVE, _LEFT_DOMAIN)
@@ -312,8 +313,8 @@ def _chunk_values(spec: MetricSpec, P: np.ndarray, D: np.ndarray, gap: np.ndarra
     """
     m_rows = m.astype(float).repeat(m)
     tau = (np.arange(0.5, len(m_rows)) - (m.cumsum() - m).repeat(m)) / m_rows - t_star.repeat(m)
-    # the invariants, r and rho overflow to inf silently, as in eval_finsler
-    with np.errstate(over="ignore"):
+    # the invariants, r and rho overflow to inf silently; a NaN raises in _segment_length
+    with np.errstate(over="ignore", invalid="ignore"):
         c0, q0 = pair_invariants_rows(P, D, gap)
         tau_c = tau * (length * length).repeat(m)
         r = np.sqrt((gap * gap).repeat(m) + tau * ((2.0 * c0.real).repeat(m) + tau_c))

@@ -143,6 +143,7 @@ def apply_map(T: LinearMap, v: Vector) -> Vector:
 # bits; over C numpy forms it as ip * (1/r^2), which overflows below 7.46e-155.
 _TINY = float(np.finfo(float).tiny)
 _R_MIN = math.sqrt(_TINY)
+_SAFE = 2.0 ** 968  # |<h,g>| < _SAFE r min(r, 1) keeps q's steps below 2^969, and so finite
 
 
 def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, float]:
@@ -150,19 +151,20 @@ def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, fl
 
     q = sqrt(|h|^2 |g|^2 - |<h, g>|^2) is formed as r |h - (<h,g>/r^2) g|,
     which stays accurate when h is nearly collinear with g.  <h, g> is a
-    float over R and a complex over C.  An r below _R_MIN forms both from
-    (g/r, h) and scales them back by r.
+    float over R and a complex over C.  An r below _R_MIN, or a step that may
+    overflow (q is then inf or NaN), takes pair_invariants_rows, with no warning.
     """
     real = g.field is Field.REAL
-    if r < _R_MIN:  # as in pair_invariants_rows
-        ip, q = pair_invariants_rows(g.entries[None], h.entries[None], np.array([r]))
-        return (float(ip[0]) if real else complex(ip[0])), float(q[0])
-    ip = np.vdot(g.entries, h.entries)
+    z = complex(ip := np.vdot(g.entries, h.entries))  # Python's parts: no numpy warning
     if real:  # Python floats round as numpy's do, at less cost; complex ones do not
-        ip = float(ip)
+        ip = z.real
+    if r < _R_MIN or not abs(z.real) + abs(z.imag) < _SAFE * (r if r >= 1.0 else r * r):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ip, q = pair_invariants_rows(g.entries[None], h.entries[None], np.array([r]))
+        return (float(ip[0]) if real else complex(ip[0])), float(q[0])
     perp = (h.entries - (ip / (r * r)) * g.entries).view(float)  # fresh, so contiguous: _float_view
     q = r * math.sqrt(np.vdot(perp, perp))
-    return (ip if real else complex(ip)), q
+    return (ip if real else z), q
 
 
 def row_norms(G: np.ndarray) -> np.ndarray:
@@ -197,7 +199,8 @@ def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
     c = ip / (r * r) if plain else np.divide(ip, r * r, out=np.zeros_like(ip), where=r > 0.0)
     cG = c[:, None] * G
     perp = np.subtract(H, cG, out=cG).view(float)  # in place; fresh, so contiguous: _float_view
-    q = r * np.sqrt(np.vecdot(perp, perp))
+    s = np.sqrt(np.vecdot(perp, perp))
+    q = r * s if plain else np.multiply(r, s, out=np.zeros_like(s), where=r > 0.0)
     if k is not None:  # and scale their invariants back by r
         ip[k] *= rk
         q[k] *= rk

@@ -249,14 +249,14 @@ class FubiniStudy(MetricSpec):
     _values = _value  # the same expression over scalars and over rows
 
 
-def _where_nonzero(nh: np.ndarray, value: Callable) -> np.ndarray:
-    """value(k) on the rows k with |h| != 0 and 0 on the others, as in the
-    scalar forms, which skip the profile there."""
-    if nh.all():
-        return value(slice(None))
-    out = np.zeros(nh.shape)
-    k = nh != 0.0
-    out[k] = value(k)
+def _where_nonzero(mask: np.ndarray, value: Callable, *rows: np.ndarray) -> np.ndarray:
+    """value(*rows) on the rows where mask (a |h|, or eval_batch's inside) is not 0,
+    and 0 on the others, as in the scalar forms, which skip the profile at |h| = 0."""
+    if mask.all():
+        return value(*rows)
+    out = np.zeros(mask.shape)
+    k = mask != 0.0
+    out[k] = value(*(a[k] for a in rows))
     return out
 
 
@@ -297,8 +297,8 @@ class FromTheta(MetricSpec):
         c = getattr(fn, "constant", None)  # a constant theta needs no angle
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
-        return _where_nonzero(nh, lambda k: nh[k] * (
-            fn(r[k], np.arctan2(q[k], p[k])) if c is None else c))
+        return _where_nonzero(nh, lambda nh, r, q, p: nh * (
+            fn(r, np.arctan2(q, p)) if c is None else c), nh, r, q, p)
 
 
 class FromNonSymLambda(MetricSpec):
@@ -318,10 +318,6 @@ class FromNonSymLambda(MetricSpec):
         return _array_form(self.lam)(r, ip, q)
 
 
-_UNDEFINED_SIGMA = ("riemann value is undefined: phi(|g|^2)|h|^2 + psi(|g|^2)|<h, g>|^2 is "
-                    "NaN (its terms overflow to opposite infinities, or a profile value is NaN)")
-
-
 class FromRiemann(MetricSpec):
     """Finsler metric induced by a sesquilinear profile: sign(v) sqrt|v|."""
 
@@ -337,22 +333,13 @@ class FromRiemann(MetricSpec):
         p2 = p * p  # |h|^2 = (p^2 + q^2) / r^2; a Python float's ** raises on overflow
         phi, psi = float(self.profile.phi(r2)), float(self.profile.psi(r2))
         v = (0.0 if phi == 0.0 else phi * (p2 + q * q) / r2) + (0.0 if psi == 0.0 else psi * p2)
-        if math.isnan(v):
-            raise expressions.EvalError(_UNDEFINED_SIGMA)
-        if v == 0.0:
-            return 0.0
-        return math.copysign(math.sqrt(abs(v)), v)
+        return 0.0 if v == 0.0 else math.copysign(math.sqrt(abs(v)), v)
 
     def _values(self, r, ip, q, G, H):
-        prof = self.profile
         r2 = r * r
-        phi, psi = prof.phi_rows(r2), prof.psi_rows(r2)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf as in _value; NaN raises below
-            p2 = np.abs(ip) ** 2
-            v = (np.where(phi == 0.0, 0.0, phi * (p2 + q * q) / r2)
-                 + np.where(psi == 0.0, 0.0, psi * p2))
-        if np.isnan(v).any():
-            raise expressions.EvalError(_UNDEFINED_SIGMA)
+        phi, psi = self.profile.phi_rows(r2), self.profile.psi_rows(r2)
+        p2 = np.abs(ip) ** 2
+        v = np.where(phi == 0.0, 0.0, phi * (p2 + q * q) / r2) + np.where(psi == 0.0, 0.0, psi * p2)
         return np.where(v == 0.0, 0.0, np.copysign(np.sqrt(np.abs(v)), v))
 
 
@@ -377,8 +364,8 @@ class CongruenceInvariant(MetricSpec):
         c = getattr(fn, "constant", None)  # a constant vartheta needs no angle
         p = np.abs(ip)
         nh = np.hypot(p, q) / r
-        return _where_nonzero(nh, lambda k: (nh[k] / r[k]) * (
-            fn(np.arctan2(q[k], p[k])) if c is None else c))
+        return _where_nonzero(nh, lambda nh, r, q, p: (nh / r) * (
+            fn(np.arctan2(q, p)) if c is None else c), nh, r, q, p)
 
 
 def _finite_coefficient(value: float, name: str) -> float:
@@ -495,7 +482,8 @@ def _check_compatible(spec: MetricSpec, *vs: Vector) -> None:
 def eval_finsler(spec: MetricSpec, g: Vector, h: Vector) -> float:
     """rho_g(h).  g = 0 is allowed only when the spec extends through zero; a
     g != 0 whose |g| underflows to 0 or overflows to inf is out of domain
-    (unless a Custom metric, which sees the vectors, takes g there)."""
+    (unless a Custom metric, which sees the vectors, takes g there).  Where
+    the scalar path gives NaN or |<h, g>| overflows, eval_batch's value stands."""
     if not (g.field is spec.field is h.field and len(g.entries) == spec.dim == len(h.entries)):
         _check_compatible(spec, g, h)
     r = norm(g)
@@ -509,7 +497,13 @@ def eval_finsler(spec: MetricSpec, g: Vector, h: Vector) -> float:
             raise OutOfDomainError("base point g = 0 is outside the metric's domain")
     # a spec that reads_vectors, or a zero extension at g = 0, reads no invariant
     ip, q = (0.0, 0.0) if r == 0.0 or spec.reads_vectors else pair_invariants(g, h, r)
-    return spec._value(r, ip, q, g, h)
+    try:
+        value = spec._value(r, ip, q, g, h)
+    except OverflowError:  # abs of a complex <h, g> whose modulus overflows
+        value = math.nan
+    if value != value:  # eval_batch settles the one row: inf, or its EvalError
+        value = float(eval_batch(spec, g.entries[None], h.entries[None])[0][0])
+    return value
 
 
 def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -527,15 +521,19 @@ def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
     if G.dtype != (dtype := spec.field.dtype) or H.dtype != dtype:
         raise MismatchError(f"array dtypes {G.dtype} and {H.dtype} are not the "
                             f"{spec.field.value} field's {dtype}")
-    # |g| (then outside), <h, g>, q and rho overflow to inf silently, as in eval_finsler
-    with np.errstate(over="ignore"):
+    # |g| (then outside), <h, g>, q and rho overflow to inf silently; a NaN value raises
+    with np.errstate(over="ignore", invalid="ignore"):
         r, inside = _inside_rows(spec, G)
-        if inside.all():
-            return spec._values(r, *pair_invariants_rows(G, H, r), G, H), inside
-        values = np.zeros(len(r))
-        G, H, r = G[inside], H[inside], r[inside]
-        values[inside] = spec._values(r, *pair_invariants_rows(G, H, r), G, H)
-    return values, inside
+        values = _where_nonzero(inside, lambda r, G, H: spec._values(
+            r, *pair_invariants_rows(G, H, r), G, H), r, G, H)
+    return _refuse_nan(values), inside
+
+
+def _refuse_nan(values: np.ndarray) -> np.ndarray:
+    """values, unless one is NaN: then np.vdot's sum of squares is NaN, with no warning."""
+    if math.isnan(np.vdot(values, values)):
+        raise expressions.EvalError("metric value is undefined here (evaluates to NaN)")
+    return values
 
 
 def _inside_rows(spec: MetricSpec, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -693,9 +691,9 @@ def check_kaehler(spec: MetricSpec, r_samples: list[float],
 def deviations(got: np.ndarray, want: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """|got - want| / (1 + |ref|) per row: every sampled check's relative deviation.
 
-    A NaN deviation comes from an infinite (or NaN) value: it counts as 0
-    where got and want are the same infinity and as inf otherwise, so a
-    sample that is infinite on one side only fails a tolerance.
+    A NaN deviation can come only from infinite values (eval_batch has no NaN):
+    it counts as 0 where got and want are the same infinity and as inf
+    otherwise, so a sample that is infinite on one side only fails a tolerance.
     """
     with np.errstate(invalid="ignore"):
         dev = np.abs(got - want) / (1.0 + np.abs(ref))

@@ -170,3 +170,93 @@ def knn_graph_distance(n_points: int = 2000, k: int = 56, seed: int = 0,
                 dist[v] = nd
                 heapq.heappush(pq, (nd, int(v)))
     return float(dist[1])
+
+
+# ---------------------------------------------------------------------------
+# CLI argument vectors for the contract property test
+
+# Vector entries at the edges of IEEE doubles, beside ordinary ones, then
+# counts and numbers; the ones a command runs with are drawn more often than
+# the ones it refuses (a nan or inf entry is a usage error).
+_ENTRIES = st.sampled_from(("0", "1", "-1", "0.5", "-2")) | st.sampled_from((
+    "0", "1e200", "-1e200", "1e-200", "-1e-200", "1e308", "1e-308", "1e-320"))
+_NON_FINITE = st.sampled_from(("nan", "inf", "-inf"))
+_COUNTS = st.sampled_from(("1", "2", "3") * 6 + ("0", "-1"))
+_REALS = st.sampled_from(("0.5", "2", "1e-9", "1e200") * 3 + ("nan", "-1", "0", "inf"))
+_NAMED = ("euclidean", "fubini-study", "norm-quotient", "area", "area:2", "theta:1+cos(tau)",
+          "theta:exp(exp(2*r))", "vartheta:1+sin(tau)^2", "lambda:sqrt(p^2+2*q^2)/r",
+          "lambda:max(p,q)+min(p,q)^2/(p+q+r)", "nonsym-lambda:sqrt(p^2+q^2)+0.5*p",
+          "nonsym-lambda:sqrt(pre^2+pim^2+q^2)+0.5*pre", "riemann:1/r;-1/(r^2)",
+          "riemann:1;-0.5/r", "riemann:1e308;-1e308", "riemann:1+r;1")
+_SPEC_FILES = (
+    {"family": "zero-extended", "domain": {"intervals": [[0.0, None]], "includes_zero": True},
+     "params": {"b": 2.0, "inner": {"family": "euclidean"}}},
+    {"family": "theta", "domain": {"intervals": [[0.5, 2.0]]}, "params": {"theta": "2+cos(tau)"}},
+    {"family": "lambda", "params": {"lam": "p^2+q^2", "alpha": 2.0}},
+    {"family": "riemann", "domain": {"intervals": [[0.5, None]]},
+     "params": {"phi": "1/r", "psi": "-0.5/(r^2)"}},
+    {"family": "theta", "params": {}},  # lacks its profile: a usage error
+    {"family": "fubini-study"},
+)
+
+
+@st.composite
+def _vector(draw, dim: int, field: str) -> str:
+    """A vector's entries as the CLI reads them; one in ten holds a non-finite one."""
+    entries = draw(st.lists(_ENTRIES, min_size=2 * dim, max_size=2 * dim))
+    if draw(st.integers(0, 9)) == 0:
+        entries[draw(st.integers(0, 2 * dim - 1))] = draw(_NON_FINITE)
+    if field == "real":
+        return ",".join(entries[:dim])
+    return ",".join(f"{a}:{b}" for a, b in zip(entries[::2], entries[1::2]))
+
+
+def _spec_file(dim: int, field: str):
+    """A spec object for an @file metric, its inner spec (if any) of the same
+    dim and field."""
+    def build(obj):
+        obj = {**obj, "dim": dim, "field": field}
+        if obj["family"] == "zero-extended":
+            inner = {**obj["params"]["inner"], "dim": dim, "field": field}
+            obj["params"] = {**obj["params"], "inner": inner}
+        return obj
+    return st.sampled_from(_SPEC_FILES).map(build)
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, spec): a finsler-iso command line over every command and check
+    mode, and the spec object that its @SPEC metric stands for (None for a
+    named or expression metric)."""
+    dim, field = draw(st.integers(1, 5)), draw(st.sampled_from(("real", "complex")))
+    spec = draw(st.none() | _spec_file(dim, field))
+    metric = ["--metric", "@SPEC"] if spec else ["--metric", draw(st.sampled_from(_NAMED)),
+                                                  "--dim", str(dim)]
+    if field == "complex" or draw(st.booleans()):  # --field real is the default
+        metric += ["--field", field]
+    command = draw(st.sampled_from(("eval", "decompose", "check", "probe-main", "distance")))
+    # --g=V, as a vector that starts with "-" would read as an option
+    g, h = (f"--{name}={draw(_vector(dim, field))}" for name in "gh")
+    if command == "eval":
+        f = [f"--f={draw(_vector(dim, field))}"] if draw(st.booleans()) else []
+        return ["eval", *metric, g, h, *f], spec
+    if command == "distance":
+        return ["distance", *metric, g, h, "--vertices", draw(st.sampled_from(("3", "5", "2"))),
+                "--iterations", draw(_COUNTS), "--seed", "1"], spec
+    if command == "decompose":
+        return ["decompose", *metric, "--as", draw(st.sampled_from(("auto", "finsler", "riemann"))),
+                "--r-min", draw(_REALS), "--r-max", draw(_REALS), "--r-steps", draw(_COUNTS),
+                "--tau-steps", draw(_COUNTS)], spec
+    if command == "probe-main":
+        sl2 = ["--sl2", draw(_COUNTS)] if draw(st.booleans()) else []
+        return ["probe-main", *metric, "--maps", draw(_COUNTS), "--samples", draw(_COUNTS),
+                "--tol", draw(_REALS), "--min-sv-ratio", draw(_REALS), *sl2], spec
+    which = draw(st.sampled_from(("invariance", "pd", "kaehler", "homothety")))
+    rest = ["--samples", draw(_COUNTS)]
+    if which in ("pd", "kaehler"):
+        rest += ["--r-min", draw(_REALS), "--r-max", draw(_REALS)]
+    else:
+        rest += ["--seed", "1", "--tol", draw(_REALS)]
+    if which == "homothety":
+        rest += ["--alpha", draw(_REALS)]
+    return ["check", which, *metric, *rest], spec

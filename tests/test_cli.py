@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -7,13 +10,16 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
 
 from finsler_iso import cli
 from finsler_iso import invariance as iv
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
+from helpers import cli_cases
 
 
 def run(capsys, *argv):
@@ -371,9 +377,10 @@ def test_decompose_of_no_steps_is_a_usage_error(capsys, option):
         assert code == 2 and out == "" and f"{option} must be >= 1, got {value}" in err, value
 
 
-def test_decompose_dim1_is_exit_3(capsys):
-    code, _, err = run(capsys, "decompose", "--metric", "euclidean", "--dim", "1")
-    assert code == 3 and err == "error: decomposition requires dim >= 2\n"
+def test_decompose_dim1_is_a_mismatch(capsys):
+    # the library's refusal (decompose's frame check), not one of the CLI's own
+    code, out, err = run(capsys, "decompose", "--metric", "euclidean", "--dim", "1")
+    assert code == 2 and out == "" and err == "error: extraction needs dimension >= 2\n"
 
 
 def test_probe_report_serializes():
@@ -870,3 +877,52 @@ def test_each_readme_command_loads_only_its_own_module(tmp_path):
         loaded = {m.split(".")[1] for m in modules}
         assert loaded == {"cli", "metrics", "expressions", "linalg", "errors"} | COMMAND_MODULES[key], argv
         assert dataclasses == bare, argv
+
+
+# The package's own warnings; any other warning, such as numpy's "overflow
+# encountered in ...", breaks the contract on a success.
+PACKAGE_WARNINGS = ("sesquilinear profile takes negative values",
+                    "metric takes negative values along the curve",
+                    "Simpson quadrature stopped")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cli_cases())
+# a complex <h, g> that is inf and a q that is NaN: inf prints as null, with no warning
+@example((["eval", "--metric", "euclidean", "--dim", "5", "--field", "complex",
+           "--g", "2:-0.7,1e-200:1.5,2:0.5,-1,-1:1.5", "--h", "0.5:1e308,1:2,1:2,1.5,0.3"], None))
+# |<h, g>| overflows, though its parts do not: no OverflowError, and inf - inf is undefined
+@example((["eval", "--metric", "riemann:1;-0.5/r", "--dim", "2", "--field", "complex",
+           "--g", "1:1,0", "--h", "1.5e308,0"], None))
+def test_the_cli_contract_holds_at_the_edges(tmp_path_factory, case):
+    # exit 0-3; output that parses exactly when the code is 0 or 1; no exception
+    # out of main (a Traceback from the console script); on a success, no
+    # warning but the package's own (recorded here: the test configuration
+    # would raise them, where the console script prints each as a line)
+    argv, spec = case
+    if spec is not None:
+        path = tmp_path_factory.getbasetemp() / "cli_contract_spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [f"@{path}" if a == "@SPEC" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (code, err)
+    if code in (0, 1):
+        if argv[0] == "decompose":
+            assert len(list(csv.reader(io.StringIO(out)))) >= 2, out
+        else:
+            json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == "", out
+    assert "Traceback" not in err
+    if code == 0:
+        stray = [str(w.message) for w in caught if not str(w.message).startswith(PACKAGE_WARNINGS)]
+        assert not stray, stray

@@ -11,6 +11,7 @@ from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
 from finsler_iso.errors import (MismatchError, NonPositiveMetricError, OutOfDomainError,
                                  ZeroVectorError)
+from finsler_iso.expressions import EvalError
 from helpers import OVERFLOWING_THETA, POS, battery, family_specs
 
 R, C = la.Field.REAL, la.Field.COMPLEX
@@ -993,3 +994,18 @@ def test_sweep_direction_draw_is_the_stacked_per_vertex_draws(field):
     want = np.stack([_direction(per_vertex, 4, field) for _ in range(14)])
     assert D.tobytes() == want.tobytes()
     assert sweep.standard_normal() == per_vertex.standard_normal()  # the same stream position
+
+
+def test_a_nan_value_is_the_one_eval_error_on_every_path():
+    # a bare callable's NaN (whose length was NaN) and riemann terms that
+    # overflow to opposite infinities: the segment kernel, the Simpson nodes
+    # and a polyline raise eval_batch's EvalError, with no numpy warning
+    nan_lambda = mm.FromLambda(2, R, POS, lambda r, p, q: math.nan)
+    opposite = mm.FromRiemann(2, R, POS, mm.riemann_profile("1e308", "-1e308"))
+    g, h = la.vector([10.0, 0.0]), la.vector([30.0, 0.0])
+    for spec in (nan_lambda, opposite):
+        for measure in (lambda: ge.geodesic_distance(spec, g, h, n_vertices=3, n_iterations=2),
+                        lambda: ge.curve_length(spec, ge.segment_curve(g, h), 5),
+                        lambda: ge.curve_length(spec, ge.Polyline(np.stack([g.entries, h.entries])))):
+            with pytest.raises(EvalError, match=r"^metric value is undefined here"):
+                measure()

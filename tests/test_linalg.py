@@ -451,6 +451,33 @@ def test_pair_invariants_rows_fast_case_equals_the_masked_divide(field):
 
 
 @pytest.mark.parametrize("field", [R, C])
+def test_a_row_at_g_zero_has_q_zero_where_its_h_squared_overflows(field):
+    # q = r |h - c g| with r = 0 was 0 * inf = NaN once |h|^2 overflowed
+    with np.errstate(over="ignore"):
+        ip, q = la.pair_invariants_rows(np.zeros((1, 2), field.dtype),
+                                        np.array([[1e200, 1e200]], field.dtype), np.array([0.0]))
+    assert ip.tolist() == [0.0] and q.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("g,h", [
+    ([1.0, 1.0, 1.0], [1.7e308, -1.7e308, -1.7e308]),  # h - c g overflows
+    ([0.3, 0.0], [1e308, 0.0]),  # <h,g>/|g|^2 overflows, and inf * 0 is NaN
+    ([1e-160, 0.0], [1e308, 1e308]),  # a tiny |g|, and |h_perp|^2 overflows
+    ([2 - 0.7j, 1e-200 + 1.5j, 2 + 0.5j, -1, -1 + 1.5j],  # <h, g> is inf + inf i
+     [0.5 + 1e308j, 1 + 2j, 1 + 2j, 1.5, 0.3])])
+def test_pair_invariants_at_the_edge_warn_nowhere_and_equal_the_rows_form(g, h):
+    # the test configuration makes a numpy warning an error; q is inf or NaN,
+    # bit for bit the rows form's
+    g, h = la.vector(g), la.vector(h)
+    r = la.norm(g)
+    ip, q = la.pair_invariants(g, h, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ip_rows, q_rows = la.pair_invariants_rows(g.entries[None], h.entries[None], np.array([r]))
+    assert not math.isfinite(q)
+    assert np.array([ip, q]).tobytes() == np.array([ip_rows[0], q_rows[0]]).tobytes()
+
+
+@pytest.mark.parametrize("field", [R, C])
 def test_vecdot_rows_equal_vdot_bit_for_bit(field):
     # np.vecdot is the package's one row-wise inner product: row i of
     # np.vecdot(A, B) is np.vdot(A[i], B[i]), which conjugates A[i], to the bit

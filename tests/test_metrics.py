@@ -313,6 +313,32 @@ def test_eval_batch_overflows_in_the_pair_invariants_as_the_scalar_path_does(bui
     assert mm.eval_finsler(spec, la.Vector(G[0], field), la.Vector(H[0], field)) == math.inf
 
 
+# A complex <h, g> that is inf + inf i, so q is NaN (dim 5), and one whose
+# parts are finite but whose modulus overflows, which Python's abs raises on (dim 2)
+EDGE_PAIRS = [(np.array([2 - 0.7j, 1e-200 + 1.5j, 2 + 0.5j, -1, -1 + 1.5j]),
+               np.array([0.5 + 1e308j, 1 + 2j, 1 + 2j, 1.5, 0.3])),
+              (np.array([1 + 1j, 0]), np.array([1.5e308, 0], complex))]
+
+
+def _outcome(evaluate):
+    """evaluate()'s value, or the type of the exception it raises."""
+    try:
+        return float(evaluate())
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("g,h", EDGE_PAIRS, ids=["dim5", "dim2"])
+def test_eval_batch_overflows_to_inf_or_raises_as_the_scalar_path_does(g, h):
+    # every family: the same inf or the same exception from both paths, never
+    # NaN, and no numpy warning (the test configuration raises one); a bare
+    # callable's own OverflowError, which abs(p) ** 2 raises, passes through both
+    for spec in family_specs(len(g), C):
+        batch = _outcome(lambda: mm.eval_batch(spec, g[None], h[None])[0][0])
+        scalar = _outcome(lambda: mm.eval_finsler(spec, la.Vector(g, C), la.Vector(h, C)))
+        assert batch == scalar and batch in (math.inf, EvalError, OverflowError), (spec, batch)
+
+
 @pytest.mark.parametrize("build", [mm.euclidean, mm.fubini_study])
 def test_a_complex_g_whose_inverse_square_norm_overflows_has_a_value(build):
     # |g| = 3.7e-155 is in the domain, but 1/|g|^2 overflows, so <h,g>/|g|^2
