@@ -20,7 +20,7 @@ import numpy as np
 import finsler_iso.metrics as mm
 
 from .errors import (InvalidArgumentError, MismatchError, NonPositiveMetricError,
-                     OutOfDomainError, ZeroVectorError)
+                     OutOfDomainError, ZeroVectorError, check_finite)
 from .expressions import EvalError, ParseError
 from .linalg import Field, Vector
 
@@ -208,6 +208,7 @@ def cmd_eval(args) -> int:
 def cmd_decompose(args) -> int:
     import finsler_iso.decompose as dc
 
+    check_finite(r_min=args.r_min, r_max=args.r_max)
     for flag, steps in (("--r-steps", args.r_steps), ("--tau-steps", args.tau_steps)):
         if steps < 1:
             raise UsageError(f"{flag} must be >= 1, got {steps}: a table of no rows shows nothing")
@@ -228,6 +229,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.which in ("pd", "kaehler"):  # the table's radii, refused before the metric is built
+        check_finite(r_min=args.r_min, r_max=args.r_max)
     spec = metric_from_args(args)
     spec_obj = mm.spec_to_json(spec)
     if args.samples < 1:

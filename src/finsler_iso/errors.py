@@ -1,5 +1,7 @@
 """Shared exception types, and the refusals of arguments under which a call means nothing."""
 
+import math
+
 
 class MismatchError(ValueError):
     """Dimension or scalar-field mismatch between operands."""
@@ -20,10 +22,10 @@ class NonPositiveMetricError(ValueError):
 class InvalidArgumentError(ValueError):
     """An argument under which a call means nothing, named in the message: a
     count below its least value (a sampled check of no samples, maps or radii
-    tests nothing), a NaN or negative tolerance, a homothety alpha or
-    singular-value ratio out of range, a frame that is not orthonormal, or a
-    spec that is not Riemann-backed where a sesquilinear form is needed.  The
-    CLI prints the message at exit code 2."""
+    tests nothing), a NaN or negative tolerance, a radius bound that is not
+    finite, a homothety alpha or singular-value ratio out of range, a frame
+    that is not orthonormal, or a spec that is not Riemann-backed where a
+    sesquilinear form is needed.  The CLI prints the message at exit code 2."""
 
 
 def check_counts(least: int = 1, /, **counts: int) -> None:
@@ -39,3 +41,10 @@ def check_tolerances(**tolerances: float) -> None:
     for name, tol in tolerances.items():
         if not tol >= 0.0:
             raise InvalidArgumentError(f"{name} must be a number >= 0, got {tol}")
+
+
+def check_finite(**values: float) -> None:
+    """InvalidArgumentError naming the first of values that is NaN or infinite."""
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise InvalidArgumentError(f"{name} must be a finite number, got {x}")

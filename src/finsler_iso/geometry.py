@@ -6,11 +6,11 @@ for polylines).  Geodesic distance is estimated by derivative-free
 coordinate descent over the interior vertices of a polyline, which yields
 an upper bound on the infimum.  Each sweep of the descent draws its
 directions at once, tabulates every position a vertex can reach and
-measures them in one _segment_length call, plus one call that measures
-again the 15 left segments of each vertex whose left neighbour moved; its
-result equals the one-vertex-at-a-time descent's bit for bit.  The segment
-kernel evaluates every chunk of every spec from its segment's invariants, in
-one call; only a spec that reads_vectors also gets the chunk rows.
+measures them in one _segment_length call, then settles the vertices whose
+left neighbour moved in rounds of one call each; its result equals the
+one-vertex-at-a-time descent's bit for bit.  The segment kernel evaluates
+every chunk of every spec from its segment's invariants, in one call; only
+a spec that reads_vectors also gets the chunk rows.
 """
 
 from __future__ import annotations
@@ -400,7 +400,22 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     Each sweep is measured in batches (see _sweep_positions).  The length
     sequence is non-increasing; negative metrics are refused.  The result
     says why the descent stopped: a zero chord (g = h), the step floor, or
-    the iteration cap.  Raises InvalidArgumentError unless n_vertices >= 3
+    the iteration cap.
+
+    A vertex's choice in a sweep depends only on the moves its left
+    neighbour accepted, since its right neighbour has not moved yet.  The
+    sweep's first call measures both segments of every candidate against the
+    path as the sweep found it.  Then, in rounds, each vertex's left
+    neighbour is guessed to make the moves it chose in the previous round
+    (none at first); one call measures the left segments from every guessed
+    position not measured yet, and every choice is made again, until no
+    choice changes.  Vertex 1's neighbour is fixed and each round makes one
+    more link exact, so the moves are those of the walk in vertex order, in
+    no more calls than one per vertex whose left neighbour moved.  A round
+    may measure segments from positions that the walk never takes; like the
+    first call's unused left segments, none of them may have a NaN value.
+
+    Raises InvalidArgumentError unless n_vertices >= 3
     and n_iterations >= 0, ValueError when g != h and the chord's length
     under- or overflows; MismatchError unless g and h have the spec's
     dimension and field; OutOfDomainError naming an endpoint outside the
@@ -445,24 +460,45 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
             np.concatenate([cands, verts[2:].repeat(15, axis=0)]), ell0)
         lengths = lengths.reshape(2, -1, 15).tolist()
         ok = (status == _RESOLVED).reshape(2, -1, 15).tolist()
-        improved = moved = False
-        for i in range(1, n_vertices - 1):
-            a, b, ok_a, ok_b = lengths[0][i - 1], lengths[1][i - 1], ok[0][i - 1], ok[1][i - 1]
-            if moved:  # the previous vertex moved, so every left segment starts there now
-                a, status = _segment_length(spec, verts[i - 1:i].repeat(15, axis=0),
-                                            P[i - 1, 1:], ell0)
-                a, ok_a = a.tolist(), (status == _RESOLVED).tolist()
-            local = seglen[i - 1] + seglen[i]
-            cur = 0  # the bitmask of the moves accepted so far, tried in move order
+        b, ok_b = lengths[1], ok[1]
+        # left[k][c]: vertex k+1's left lengths and flags when vertex k accepted
+        # the moves c, so that its left segments start at P[k-1, c]
+        left = [{0: pair} for pair in zip(lengths[0], ok[0])]
+
+        def decide(k: int, c: int) -> int:
+            """Vertex k+1's greedy moves, as a bitmask tried in move order."""
+            a, ok_a = left[k][c]
+            local = (b[k - 1][c - 1] if c else seglen[k]) + seglen[k + 1]
+            cur = 0
             for j in range(4):
                 s = cur | 1 << j
-                if ok_a[s - 1] and ok_b[s - 1] and a[s - 1] + b[s - 1] < local - 1e-15 * local:
-                    cur, local = s, a[s - 1] + b[s - 1]
-            moved = cur > 0
-            if moved:
-                verts[i] = P[i - 1, cur]
-                seglen[i - 1], seglen[i] = a[cur - 1], b[cur - 1]
-                improved = True
+                if ok_a[s - 1] and ok_b[k][s - 1] and a[s - 1] + b[k][s - 1] < local - 1e-15 * local:
+                    cur, local = s, a[s - 1] + b[k][s - 1]
+            return cur
+
+        # rounds (see the docstring): guess[k] is the moves vertex k+1's left
+        # neighbour is taken to accept, moves[k] vertex k+1's choice given it
+        ni = n_vertices - 2
+        guess = [0] * ni
+        moves = [decide(k, 0) for k in range(ni)]
+        while stale := [k for k in range(1, ni) if moves[k - 1] != guess[k]]:
+            for k in stale:
+                guess[k] = moves[k - 1]
+            new = [k for k in stale if guess[k] not in left[k]]
+            if new:
+                U = P[[k - 1 for k in new], [guess[k] for k in new]]
+                a, status = _segment_length(spec, U.repeat(15, axis=0),
+                                            P[new, 1:].reshape(-1, spec.dim), ell0)
+                ok_a = (status == _RESOLVED).reshape(-1, 15).tolist()
+                for k, pair in zip(new, zip(a.reshape(-1, 15).tolist(), ok_a)):
+                    left[k][guess[k]] = pair
+            for k in stale:
+                moves[k] = decide(k, guess[k])
+        for k, cur in enumerate(moves):
+            if cur:
+                verts[k + 1] = P[k, cur]
+                seglen[k], seglen[k + 1] = left[k][guess[k]][0][cur - 1], b[k][cur - 1]
+        improved = any(moves)
         total = sum(seglen)
         history.append(total)
         if not improved:

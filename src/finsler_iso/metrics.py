@@ -676,7 +676,8 @@ def check_kaehler(spec: MetricSpec, r_samples: list[float],
     check_counts(r_samples=len(r_samples))
     r = np.array(r_samples, dtype=float)
     step = np.maximum(1e-5, 1e-5 * r)
-    near = ~(_roots_inside(spec, r - step) & _roots_inside(spec, r + step))
+    with np.errstate(invalid="ignore"):  # an infinite sample's r - step is NaN, in no domain
+        near = ~(_roots_inside(spec, r - step) & _roots_inside(spec, r + step))
     if near.any():
         k = int(np.argmax(near))
         raise ValueError(f"sample |g|^2 = {r[k]} is outside the radius domain or closer "

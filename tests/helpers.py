@@ -223,11 +223,17 @@ def _spec_file(dim: int, field: str):
     return st.sampled_from(_SPEC_FILES).map(build)
 
 
+def _out(flag: str):
+    """No argument, or flag and the @OUT file, half the time each."""
+    return st.sampled_from(([], [flag, "@OUT"]))
+
+
 @st.composite
 def cli_cases(draw):
     """(argv, spec): a finsler-iso command line over every command and check
     mode, and the spec object that its @SPEC metric stands for (None for a
-    named or expression metric)."""
+    named or expression metric).  Half the distance and decompose lines write
+    their CSV to a file, @OUT, through --path-out or --output."""
     dim, field = draw(st.integers(1, 5)), draw(st.sampled_from(("real", "complex")))
     spec = draw(st.none() | _spec_file(dim, field))
     metric = ["--metric", "@SPEC"] if spec else ["--metric", draw(st.sampled_from(_NAMED)),
@@ -242,11 +248,11 @@ def cli_cases(draw):
         return ["eval", *metric, g, h, *f], spec
     if command == "distance":
         return ["distance", *metric, g, h, "--vertices", draw(st.sampled_from(("3", "5", "2"))),
-                "--iterations", draw(_COUNTS), "--seed", "1"], spec
+                "--iterations", draw(_COUNTS), "--seed", "1", *draw(_out("--path-out"))], spec
     if command == "decompose":
         return ["decompose", *metric, "--as", draw(st.sampled_from(("auto", "finsler", "riemann"))),
                 "--r-min", draw(_REALS), "--r-max", draw(_REALS), "--r-steps", draw(_COUNTS),
-                "--tau-steps", draw(_COUNTS)], spec
+                "--tau-steps", draw(_COUNTS), *draw(_out("--output"))], spec
     if command == "probe-main":
         sl2 = ["--sl2", draw(_COUNTS)] if draw(st.booleans()) else []
         return ["probe-main", *metric, "--maps", draw(_COUNTS), "--samples", draw(_COUNTS),

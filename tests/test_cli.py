@@ -890,6 +890,29 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _run_main(argv, out_file):
+    """cli.main(argv) in-process, from a fresh @OUT file: its return, stdout,
+    stderr, the @OUT file's text (None when it was not written) and the
+    warnings it raised (recorded: the test configuration would raise them,
+    where the console script prints each as a line)."""
+    out_file.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    written = out_file.read_text(encoding="utf-8") if out_file.exists() else None
+    return code, out.getvalue(), err.getvalue(), written, [str(w.message) for w in caught]
+
+
+def _assert_csv(text):
+    """A header and at least one row, each row of the header's width, every
+    entry a number that is not NaN."""
+    header, *rows = csv.reader(io.StringIO(text))
+    assert rows and all(len(row) == len(header) for row in rows), text
+    assert not any(math.isnan(float(x)) for row in rows for x in row), text
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(cli_cases())
 # a complex <h, g> that is inf and a q that is NaN: inf prints as null, with no warning
@@ -898,31 +921,47 @@ def _reject_constant(name):
 # |<h, g>| overflows, though its parts do not: no OverflowError, and inf - inf is undefined
 @example((["eval", "--metric", "riemann:1;-0.5/r", "--dim", "2", "--field", "complex",
            "--g", "1:1,0", "--h", "1.5e308,0"], None))
+# a radius bound that is not finite: exit 2 naming it, not a NaN radius grid
+@example((["check", "kaehler", "--metric", "fubini-study", "--dim", "2", "--samples", "3",
+           "--r-min", "inf", "--r-max", "0"], None))
+@example((["check", "pd", "--metric", "riemann:1+r;1", "--dim", "2", "--r-min", "nan",
+           "--r-max", "2"], None))
+@example((["decompose", "--metric", "fubini-study", "--dim", "2", "--r-min", "1",
+           "--r-max", "inf"], None))
 def test_the_cli_contract_holds_at_the_edges(tmp_path_factory, case):
-    # exit 0-3; output that parses exactly when the code is 0 or 1; no exception
-    # out of main (a Traceback from the console script); on a success, no
-    # warning but the package's own (recorded here: the test configuration
-    # would raise them, where the console script prints each as a line)
+    # exit 0-3; output, on stdout or in the --path-out or --output file, exactly
+    # when the code is 0 or 1, and then JSON or CSV that parses; no exception out
+    # of main (a Traceback from the console script); on a success, no warning
+    # but the package's own; a second run of the same argv gives the same bytes;
+    # a radius bound that is not finite is exit 2, naming it
     argv, spec = case
+    base = tmp_path_factory.getbasetemp()
+    out_file = base / "cli_contract_out.csv"
     if spec is not None:
-        path = tmp_path_factory.getbasetemp() / "cli_contract_spec.json"
+        path = base / "cli_contract_spec.json"
         path.write_text(json.dumps(spec))
-        argv = [f"@{path}" if a == "@SPEC" else a for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = cli.main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    argv = [f"@{path}" if a == "@SPEC" else str(out_file) if a == "@OUT" else a for a in argv]
+    code, out, err, written, caught = first = _run_main(argv, out_file)
     assert code in (0, 1, 2, 3), (code, err)
     if code in (0, 1):
-        if argv[0] == "decompose":
-            assert len(list(csv.reader(io.StringIO(out)))) >= 2, out
-        else:
+        to_file = "@OUT" in case[0]
+        if to_file:
+            _assert_csv(written)
+        if argv[0] != "decompose":
             json.loads(out, parse_constant=_reject_constant)
+        elif to_file:
+            assert out == "", out
+        else:
+            _assert_csv(out)
     else:
-        assert out == "", out
+        assert out == "" and written is None, (out, written)
     assert "Traceback" not in err
     if code == 0:
-        stray = [str(w.message) for w in caught if not str(w.message).startswith(PACKAGE_WARNINGS)]
+        stray = [m for m in caught if not m.startswith(PACKAGE_WARNINGS)]
         assert not stray, stray
+    radii = [(flag[2:].replace("-", "_"), float(argv[argv.index(flag) + 1]))
+             for flag in ("--r-min", "--r-max") if flag in argv]
+    bad = [(name, r) for name, r in radii if not math.isfinite(r)]
+    if bad:
+        assert (code, err) == (2, f"error: {bad[0][0]} must be a finite number, got {bad[0][1]}\n")
+    assert _run_main(argv, out_file) == first

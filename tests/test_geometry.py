@@ -845,15 +845,16 @@ def test_the_kernel_measures_from_invariants_what_chunk_rows_measure(field, dim)
 
 
 def test_a_seeded_solve_makes_the_same_eval_batch_calls_and_rows(monkeypatch):
-    # one batch per sweep plus one 15-segment re-measure per vertex whose left
-    # neighbour moved: a rewrite of the kernel may neither add a call nor skip a row
+    # one batch per sweep plus one call per round that measures the left
+    # segments its guessed neighbour moves need: a rewrite of the kernel may
+    # neither add a call nor skip a row
     spec = mm.fubini_study(3, C)
     rows = _counted_rows(monkeypatch, spec)
     rng = np.random.default_rng(5)
     g, h = la.random_gaussian_vector(3, C, rng), la.random_gaussian_vector(3, C, rng)
     res = ge.geodesic_distance(spec, g, h, seed=3)
     assert (res.iterations, res.stop_reason) == (150, "iteration-cap")
-    assert (len(rows), sum(rows)) == (821, 270693)
+    assert (len(rows), sum(rows)) == (434, 278827)
 
 
 # ---------------------------------------------------------------------------

@@ -686,6 +686,12 @@ def test_kaehler_near_boundary_rejected():
         mm.check_kaehler(spec, [1.0 + 1e-9])
 
 
+def test_an_infinite_kaehler_sample_is_outside_the_domain_without_a_warning():
+    # |g| = 1e200 squares to inf, whose r - step is NaN: in no domain, and no numpy warning
+    with pytest.raises(ValueError, match=r"^sample \|g\|\^2 = inf is outside the radius domain"):
+        mm.check_kaehler(mm.fubini_study(2, C), [4.0, 1e200 * 1e200])
+
+
 def test_congruence_invariant_kaehler_iff_opposite():
     assert all(mm.check_kaehler(riemann(mm.congruence_invariant_riemann(1.3, -1.3)), [0.5, 1.0, 3.0]))
     assert not any(mm.check_kaehler(riemann(mm.congruence_invariant_riemann(1.0, -0.5)),
