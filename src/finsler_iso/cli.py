@@ -213,9 +213,6 @@ def cmd_decompose(args) -> int:
         if steps < 1:
             raise UsageError(f"{flag} must be >= 1, got {steps}: a table of no rows shows nothing")
     spec = metric_from_args(args)
-    if spec.family == "nonsym-lambda":
-        raise UsageError("the theta form loses the sign of the inner product; "
-                         "non-symmetric metrics have no symmetric decomposition")
     r_values = [float(r) for r in np.linspace(args.r_min, args.r_max, args.r_steps)]
     if args.form == "riemann" or (args.form == "auto" and isinstance(spec, mm.RIEMANN_BACKED)):
         extracted = dc.extract_phi_psi(dc.sesqui_oracle_from_spec(spec))
@@ -230,7 +227,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_check(args) -> int:
     if args.which in ("pd", "kaehler"):  # the table's radii, refused before the metric is built
-        check_finite(r_min=args.r_min, r_max=args.r_max)
+        check_finite(r_min=args.r_min, r_max=args.r_max,  # then |g|^2, which may overflow
+                     r_min_squared=args.r_min * args.r_min, r_max_squared=args.r_max * args.r_max)
     spec = metric_from_args(args)
     spec_obj = mm.spec_to_json(spec)
     if args.samples < 1:

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import MismatchError, OutOfDomainError, check_counts
+from .errors import InvalidArgumentError, MismatchError, OutOfDomainError, check_counts
 from .linalg import (
     Field,
     Vector,
@@ -103,7 +103,9 @@ def _require_radii(r: np.ndarray, inside: np.ndarray) -> None:
 def validate_alpha(spec: MetricSpec, n_samples: int = 24, seed: int = 0,
                    tol: float = 1e-8) -> float:
     """Worst relative violation of rho_g(t h) = |t|^alpha rho_g(h) on samples,
-    alpha being the spec's degree.
+    alpha being the spec's degree and t a scalar: |t| in (0.2, 3), times -1 on
+    every other sample over R and a phase spread around the circle over C.  So
+    a metric not even in h (lambda and theta assume it is) fails here too.
 
     The samples are drawn in one batch and each side is one eval_batch call.
     """
@@ -111,11 +113,15 @@ def validate_alpha(spec: MetricSpec, n_samples: int = 24, seed: int = 0,
     rng = np.random.default_rng(seed)
     G, H = sample_pairs(spec, n_samples, rng)
     t = rng.uniform(0.2, 3.0, n_samples)
+    k = np.arange(n_samples)
+    unit = (1.0 - 2.0 * (k % 2) if spec.field is Field.REAL
+            else np.exp(2j * math.pi * k / n_samples))
     want = (t ** spec.alpha) * _rows(spec, G, H)
-    worst = float(deviations(_rows(spec, G, t[:, None] * H), want, want).max())
+    worst = float(deviations(_rows(spec, G, (unit * t)[:, None] * H), want, want).max())
     if worst > tol:
-        raise ValueError(f"declared homogeneity degree {spec.alpha} violated "
-                         f"by {worst:g} on samples")
+        raise InvalidArgumentError(f"homogeneity of degree {spec.alpha} violated by {worst:g} "
+                                   f"on samples: the metric is non-symmetric or not of degree "
+                                   f"{spec.alpha}")
     return worst
 
 
@@ -125,8 +131,8 @@ def extract_lambda(spec: MetricSpec, frame: tuple[Vector, Vector] | None = None,
     alpha being the spec's degree.
 
     p may be a scalar of the field: a non-symmetric metric's profile keeps
-    the full <h, g> (extract it with check_alpha=False, as its degree holds
-    for t > 0 only); over R only p's real part is read.
+    the full <h, g> (extract it with check_alpha=False, as validate_alpha
+    refuses it); over R only p's real part is read.
     """
     e, f = (v.entries for v in _check_frame(spec, frame))
     if check_alpha:
@@ -146,7 +152,7 @@ def extract_theta(spec: MetricSpec,
                   frame: tuple[Vector, Vector] | None = None) -> Callable[[float, float], float]:
     """theta(r, tau) = r lambda(r, cos tau, sin tau); needs alpha = 1."""
     if abs(spec.alpha - 1.0) > 1e-12:
-        raise ValueError("theta extraction needs a degree-1 metric")
+        raise InvalidArgumentError("theta extraction needs a degree-1 metric")
     lam = extract_lambda(spec, frame).rows
     return _profile_fn(lambda r, tau: r * lam(r, np.cos(tau), np.sin(tau)))
 

@@ -24,8 +24,10 @@ class InvalidArgumentError(ValueError):
     count below its least value (a sampled check of no samples, maps or radii
     tests nothing), a NaN or negative tolerance, a radius bound that is not
     finite, a homothety alpha or singular-value ratio out of range, a frame
-    that is not orthonormal, or a spec that is not Riemann-backed where a
-    sesquilinear form is needed.  The CLI prints the message at exit code 2."""
+    that is not orthonormal, a spec that is not Riemann-backed where a
+    sesquilinear form is needed, or a metric that is non-symmetric or not of
+    its degree (validate_alpha) where a profile of p = |<h, g>| is extracted.
+    The CLI prints the message at exit code 2."""
 
 
 def check_counts(least: int = 1, /, **counts: int) -> None:

@@ -33,8 +33,8 @@ from .linalg import (
     pair_invariants_rows,
     row_norms,
 )
-from .metrics import (MetricSpec, _check_compatible, _inside_rows, _refuse_nan, eval_batch,
-                      eval_finsler, fubini_study)
+from .metrics import (MetricSpec, _check_compatible, _inside_rows, _refuse_nan, _where_nonzero,
+                      eval_batch, eval_finsler, fubini_study)
 
 
 class ParametricCurve:
@@ -321,16 +321,12 @@ def _chunk_values(spec: MetricSpec, P: np.ndarray, D: np.ndarray, gap: np.ndarra
         ip = (c0.repeat(m) + tau_c) / m_rows
         q = q0.repeat(m) / m_rows
         inside = spec.domain.contains(r)
-        G = H = None
+        rows = (r, ip, q)
         if spec.reads_vectors:  # the chunk rows
             H = D.repeat(m, axis=0)
-            G, H = P.repeat(m, axis=0) + tau[:, None] * H, H / m_rows[:, None]
-        if inside.all():
-            return spec._values(r, ip, q, G, H), inside
-        values = np.zeros(len(r))
-        rows = (None, None) if G is None else (G[inside], H[inside])
-        values[inside] = spec._values(r[inside], ip[inside], q[inside], *rows)
-    return values, inside
+            rows += (P.repeat(m, axis=0) + tau[:, None] * H, H / m_rows[:, None])
+        return _where_nonzero(inside, lambda r, ip, q, G=None, H=None: spec._values(
+            r, ip, q, G, H), *rows), inside
 
 
 def _directions(rng: np.random.Generator, count: int, dim: int, field: Field) -> np.ndarray:

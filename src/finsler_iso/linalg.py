@@ -311,10 +311,8 @@ def random_unitary(dim: int, field: Field, seed: int) -> LinearMap:
     return LinearMap(random_unitaries(1, dim, field, np.random.default_rng(seed))[0], field)
 
 
-def random_rotation(dim: int, seed: int, field: Field = Field.REAL) -> LinearMap:
+def random_rotation(dim: int, seed: int) -> LinearMap:
     """Haar-random real isometry of determinant +1."""
-    if field is not Field.REAL:
-        raise MismatchError("rotations are defined over the real field")
     if dim < 2:
         raise ValueError("rotation needs dim >= 2")
     u = random_unitary(dim, Field.REAL, seed)

@@ -323,10 +323,9 @@ class FromRiemann(MetricSpec):
 
     family = "riemann"
 
-    def __init__(self, dim: int, field: Field, domain: RadiusDomain, profile: RiemannProfile,
-                 indefinite_warning: bool = False):
+    def __init__(self, dim: int, field: Field, domain: RadiusDomain, profile: RiemannProfile):
         super().__init__(dim, field, domain)
-        self.profile, self.indefinite_warning = profile, indefinite_warning
+        self.profile, self.indefinite_warning = profile, False  # induced_finsler sets it
 
     def _value(self, r, ip, q, g, h):
         r2, p = r * r, abs(ip)
@@ -620,7 +619,7 @@ def induced_finsler(profile: RiemannProfile, dim: int, field: Field = Field.REAL
     if (values < -1e-6).any():
         warnings.warn("sesquilinear profile takes negative values; induced "
                       "metric uses sign(v) sqrt|v|", RuntimeWarning, stacklevel=2)
-        return FromRiemann(dim, field, domain, profile, indefinite_warning=True)
+        spec.indefinite_warning = True
     return spec
 
 

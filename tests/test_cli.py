@@ -609,7 +609,7 @@ def test_a_spec_file_carries_the_lambda_degree(capsys, tmp_path):
                                           "--g", "1,0,0", "--h", "0,1,0"])
     assert cli.metric_from_args(args).alpha == 2.0
     code, out, err = run(capsys, "decompose", "--metric", f"@{path}")
-    assert code == 3 and out == "" and "degree-1" in err
+    assert code == 2 and out == "" and "degree-1" in err
 
 
 def test_distance_command(capsys, tmp_path):
@@ -928,12 +928,20 @@ def _assert_csv(text):
            "--r-max", "2"], None))
 @example((["decompose", "--metric", "fubini-study", "--dim", "2", "--r-min", "1",
            "--r-max", "inf"], None))
+# a finite radius bound whose square overflows: exit 2 naming it, not |g|^2 = inf outside
+@example((["check", "pd", "--metric", "riemann:1+r;1", "--dim", "2", "--samples", "3",
+           "--r-min", "2", "--r-max", "1e200"], None))
+# non-symmetric metrics: refused by validate_alpha's sign flips, exit 2
+@example((["decompose", "--metric", "nonsym-lambda:sqrt(p^2+q^2)+p", "--dim", "3"], None))
+@example((["decompose", "--metric", "nonsym-lambda:(sqrt(p^2+q^2)+p/2)/(r^2)", "--dim", "3"],
+          None))
 def test_the_cli_contract_holds_at_the_edges(tmp_path_factory, case):
     # exit 0-3; output, on stdout or in the --path-out or --output file, exactly
     # when the code is 0 or 1, and then JSON or CSV that parses; no exception out
     # of main (a Traceback from the console script); on a success, no warning
     # but the package's own; a second run of the same argv gives the same bytes;
-    # a radius bound that is not finite is exit 2, naming it
+    # a radius bound that is not finite, or of check whose square overflows, is
+    # exit 2, naming it; decompose of a non-symmetric metric is exit 2
     argv, spec = case
     base = tmp_path_factory.getbasetemp()
     out_file = base / "cli_contract_out.csv"
@@ -962,6 +970,11 @@ def test_the_cli_contract_holds_at_the_edges(tmp_path_factory, case):
     radii = [(flag[2:].replace("-", "_"), float(argv[argv.index(flag) + 1]))
              for flag in ("--r-min", "--r-max") if flag in argv]
     bad = [(name, r) for name, r in radii if not math.isfinite(r)]
+    squares = [(name, r) for name, r in radii if math.isinf(r * r)]
     if bad:
         assert (code, err) == (2, f"error: {bad[0][0]} must be a finite number, got {bad[0][1]}\n")
+    elif squares and argv[0] == "check":
+        assert (code, err) == (2, f"error: {squares[0][0]}_squared must be a finite number, got inf\n")
+    if argv[0] == "decompose" and any(a.startswith("nonsym-lambda:") for a in argv):
+        assert code == 2, err
     assert _run_main(argv, out_file) == first

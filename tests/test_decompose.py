@@ -51,7 +51,7 @@ def _black_box(spec, alpha=1.0):
 
 
 def test_extract_theta_requires_degree_one():
-    with pytest.raises(ValueError, match="degree-1"):
+    with pytest.raises(InvalidArgumentError, match="degree-1"):
         dc.extract_theta(_black_box(mm.euclidean(3), alpha=2.0))
 
 
@@ -72,8 +72,43 @@ def test_a_spec_carries_its_degree():
 
 
 def test_alpha_validation_rejects_wrong_degree():
-    with pytest.raises(ValueError, match="homogeneity"):
+    with pytest.raises(InvalidArgumentError, match="homogeneity"):
         dc.extract_lambda(_black_box(mm.euclidean(3), alpha=2.0))
+
+
+def _not_of_degree_1(spec):
+    """The one family_specs entry whose lambda text is not of degree 1 in (p, q)."""
+    return spec.family == "lambda" and "max(p,q)" in getattr(spec.lam, "text", "")
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_validate_alpha_refuses_exactly_the_non_symmetric_or_inhomogeneous(dim, field):
+    # t h with t a negative real or a complex phase: the symmetric specs hold
+    # rho_g(t h) = |t| rho_g(h) to rounding, the nonsym ones miss by far
+    specs = [(s.family, s) for s in family_specs(dim, field)] + battery(dim, field)
+    for name, spec in specs:
+        if name in ("nonsym", "nonsym-lambda") or _not_of_degree_1(spec):
+            with pytest.raises(InvalidArgumentError, match="non-symmetric or not of degree 1"):
+                dc.validate_alpha(spec)
+        else:
+            assert dc.validate_alpha(spec) <= 1e-14, name
+
+
+def _skewed(g, h):
+    """|h| + 0.5 Re<h, g>/|g|: homogeneous for t > 0, not even in h."""
+    return la.norm(h) + 0.5 * complex(la.inner(h, g)).real / la.norm(g)
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_both_extractors_refuse_a_non_symmetric_black_box(field):
+    spec = mm.Custom(3, field, POS, _skewed)
+    for extract in (dc.extract_lambda, dc.extract_theta):
+        with pytest.raises(InvalidArgumentError, match="non-symmetric"):
+            extract(spec)
+    # without the check its profile keeps the full <h, g>, as a nonsym lambda does
+    lam = dc.extract_lambda(spec, check_alpha=False)
+    assert lam(2.0, -1.0, 1.0) == pytest.approx(math.sqrt(2.0) / 2.0 - 0.25, rel=1e-12)
 
 
 def test_extraction_needs_dim2():

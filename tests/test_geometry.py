@@ -102,16 +102,17 @@ def test_batched_lengths_equal_the_scalar_sums(field):
         assert ge.curve_length(spec, poly) == pytest.approx(want, rel=1e-12), spec.family
 
 
-def _counted_length(monkeypatch, spec, curve, n_nodes=None):
-    """curve_length and the number of eval_finsler calls it made."""
+def _counted_length(spec, curve, n_nodes=None):
+    """curve_length and the number of Simpson nodes it evaluated, counted as
+    the calls of a black box whose fn is the spec's eval_finsler: a per-node
+    path calls fn once per node, and so would a batched one, once per row."""
     calls = []
 
-    def counting(*args):
+    def counting(g, h):
         calls.append(None)
-        return mm.eval_finsler(*args)
-    with monkeypatch.context() as m:
-        m.setattr(ge, "eval_finsler", counting)
-        return ge.curve_length(spec, curve, n_nodes), len(calls)
+        return mm.eval_finsler(spec, g, h)
+    counted = mm.Custom(spec.dim, spec.field, spec.domain, counting, spec.alpha)
+    return ge.curve_length(counted, curve, n_nodes), len(calls)
 
 
 def _simpson_reference(spec, curve, n_nodes=20001):
@@ -144,13 +145,13 @@ SWEEP_ARCS = [
 
 @pytest.mark.parametrize("field", [R, C])
 @pytest.mark.parametrize("family,params,complex_params,rho", SWEEP_ARCS)
-def test_default_simpson_stops_at_65_nodes_on_the_sweep_arcs(monkeypatch, family, params,
-                                                              complex_params, rho, field):
+def test_default_simpson_stops_at_65_nodes_on_the_sweep_arcs(family, params, complex_params,
+                                                              rho, field):
     for dim in (3, 5):
         spec = mm.spec_from_json({"family": family, "dim": dim, "field": field.value,
                                   "params": complex_params if field is C and complex_params
                                   else params})
-        length, calls = _counted_length(monkeypatch, spec, ge.circle_arc(dim, field))
+        length, calls = _counted_length(spec, ge.circle_arc(dim, field))
         assert calls == 65
         assert length == pytest.approx(HALF_PI * rho, abs=1e-9)
 
@@ -166,35 +167,35 @@ def _spiral(field):
 
 
 @pytest.mark.parametrize("field", [R, C])
-def test_default_simpson_converges_on_smooth_curves(monkeypatch, field):
+def test_default_simpson_converges_on_smooth_curves(field):
     # <g, g'> > 0 along both curves, so p never changes sign and every
     # profile of the battery is smooth along them
     curves = [ge.segment_curve(la.vector([1.0, 0.5, -0.25], field),
                                la.vector([2.2, 1.5, 0.75], field)), _spiral(field)]
     for name, spec in battery(3, field):
         for curve in curves:
-            length, calls = _counted_length(monkeypatch, spec, curve)
+            length, calls = _counted_length(spec, curve)
             want = _simpson_reference(spec, curve)
             assert length == pytest.approx(want, rel=1e-9), name
             assert calls < 1025, name
 
 
-def test_default_simpson_stops_at_the_cap_on_a_kink(monkeypatch):
+def test_default_simpson_stops_at_the_cap_on_a_kink():
     # tau is the acute angle, so 1 + cos(tau) has a kink where p = 0 along the
     # segment, and Simpson's error falls only as the step squared
     spec = mm.FromTheta(3, R, POS, mm.theta_profile("1+cos(tau)"))
     kink = ge.segment_curve(la.vector([1, 0.2, -0.3]), la.vector([-0.5, 1.4, 0.8]))
     with pytest.warns(RuntimeWarning, match="the 1025-node cap") as caught:
-        length, calls = _counted_length(monkeypatch, spec, kink)
+        length, calls = _counted_length(spec, kink)
     assert calls == 1025 and len(caught) == 1
-    assert length == ge.curve_length(spec, kink, 1025)  # an explicit grid never warns
+    assert _counted_length(spec, kink, 1025) == (length, 1025)  # an explicit grid never warns
     want = _simpson_reference(spec, kink)
     assert abs(length - want) <= 1e-6
     assert abs(ge.curve_length(spec, kink, 1001) - want) <= 1e-6
 
 
 @pytest.mark.parametrize("field", [R, C])
-def test_default_simpson_warns_once_when_it_stops_unconverged(monkeypatch, field):
+def test_default_simpson_warns_once_when_it_stops_unconverged(field):
     # a fast-growing theta along the spiral and a max/min lambda along a
     # segment: neither has two levels agree below the cap
     seg = ge.segment_curve(la.vector([1, 0.5, -0.25], field), la.vector([0.2, 1.5, 0.75], field))
@@ -202,15 +203,15 @@ def test_default_simpson_warns_once_when_it_stops_unconverged(monkeypatch, field
             (mm.FromTheta(3, field, POS, mm.theta_profile(OVERFLOWING_THETA)), _spiral(field)),
             (mm.FromLambda(3, field, POS, mm.lambda_profile("max(p,q)+min(p,q)^2/(p+q+r)")), seg)]:
         with pytest.warns(RuntimeWarning) as caught:
-            length, calls = _counted_length(monkeypatch, spec, curve)
+            length, calls = _counted_length(spec, curve)
         assert calls == 1025 and [str(w.message) for w in caught] == [
             "Simpson quadrature stopped at the 1025-node cap before two levels agreed; "
             "the length may be inaccurate"]
-        assert length == ge.curve_length(spec, curve, 1025)  # an explicit grid never warns
+        assert _counted_length(spec, curve, 1025) == (length, 1025)  # an explicit grid never warns
 
 
 @pytest.mark.parametrize("field", [R, C])
-def test_explicit_nodes_are_one_fixed_simpson_sum(monkeypatch, field):
+def test_explicit_nodes_are_one_fixed_simpson_sum(field):
     curve = ge.circle_arc(3, field, 2.0, 0.3, 2.0)
     for spec in (mm.fubini_study(3, field), mm.FromTheta(3, field, POS, mm.theta_profile(
             "(2+sin(tau)^3)*exp(0-r)"))):
@@ -221,7 +222,7 @@ def test_explicit_nodes_are_one_fixed_simpson_sum(monkeypatch, field):
             weights = np.ones(n_nodes)
             weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
             want = float((curve.b - curve.a) / (n_nodes - 1) / 3.0 * np.dot(weights, values))
-            assert _counted_length(monkeypatch, spec, curve, n_nodes) == (want, n_nodes)
+            assert _counted_length(spec, curve, n_nodes) == (want, n_nodes)
 
 
 def test_negative_metric_warns_once_on_the_default_rule():

@@ -261,8 +261,6 @@ def test_random_rotation():
         rot = la.random_rotation(3, seed)
         assert np.linalg.det(rot.entries) == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(rot.entries.T @ rot.entries - np.eye(3))) <= 1e-12
-    with pytest.raises(MismatchError):
-        la.random_rotation(3, 0, field=C)
 
 
 def test_singular_values():
