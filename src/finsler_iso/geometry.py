@@ -8,9 +8,11 @@ an upper bound on the infimum.  Each sweep of the descent draws its
 directions at once, tabulates every position a vertex can reach and
 measures them in one _segment_length call, then settles the vertices whose
 left neighbour moved in rounds of one call each; its result equals the
-one-vertex-at-a-time descent's bit for bit.  The segment kernel evaluates
-every chunk of every spec from its segment's invariants, in one call; only
-a spec that reads_vectors also gets the chunk rows.
+one-vertex-at-a-time descent's bit for bit.  One function, the segment
+kernel, forms every chunk's invariants from its segment's and evaluates
+every chunk of every spec in one call; only a spec that reads_vectors also
+gets the chunk rows.  An unresolved segment measures inf, so the descent
+compares lengths alone.
 """
 
 from __future__ import annotations
@@ -261,47 +263,9 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     _CHUNK_CAP chunks are refused as unresolvable.
 
     Every chunk of every segment, whatever the spec, is evaluated in one call
-    of the spec's family kernel, from the chunk's invariants (see _chunk_values).
-    Returns (lengths, status): status[k] is _RESOLVED, or the first failure in
-    chunk order, _LEFT_DOMAIN (refused, or a chunk midpoint outside the
-    domain) or _NEGATIVE (a negative chunk value); lengths[k] is meaningful
-    only for a resolved segment.  A NaN chunk value raises as in eval_batch.
-    """
-    D = V - U
-    length = row_norms(D)
-    moving = length > 0.0
-    t_star = np.minimum(np.maximum(
-        -np.vecdot(D, U).real / np.where(moving, length * length, 1.0), 0.0), 1.0)
-    P = U + t_star[:, None] * D  # the point of the segment nearest to the origin
-    origin_gap = row_norms(P)
-    # chunk <= gap/16 keeps the midpoint bias of a near-origin sweep below
-    # ~5e-4 even when the descent adversarially seeks quadrature error
-    needed = np.maximum(length / ell0, 16.0 * length / np.maximum(origin_gap, 1e-300))
-    refused = needed > _CHUNK_CAP
-    # a segment that is not refused needs at most _CHUNK_CAP chunks
-    m = np.where(moving & ~refused, np.maximum(np.ceil(needed), 4.0), 0.0).astype(np.intp)
-    seg = np.arange(len(m)).repeat(m)
-    values, inside = _chunk_values(spec, P, D, origin_gap, length, t_star, m)
-    # bincount adds each segment's chunks in order, from 0 for a segment without
-    # any; it gives int zeros when no segment has a chunk
-    lengths = np.bincount(seg, weights=values, minlength=len(m)).astype(float, copy=False)
-    status = refused * _LEFT_DOMAIN  # _RESOLVED = 0 elsewhere
-    if not inside.all() or not (values >= 0.0).all():  # a NaN value fails here too
-        _refuse_nan(values)
-        failed = np.flatnonzero(~inside | (values < 0.0))
-        segs, first = np.unique(seg[failed], return_index=True)
-        status[segs] = np.where(inside[failed[first]], _NEGATIVE, _LEFT_DOMAIN)
-    return lengths, status
-
-
-def _chunk_values(spec: MetricSpec, P: np.ndarray, D: np.ndarray, gap: np.ndarray,
-                  length: np.ndarray, t_star: np.ndarray,
-                  m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho at the chunks' (midpoint, step) pairs and eval_batch's inside mask,
-    segment k's m[k] chunks in order, from each segment's own invariants.
-
-    Chunk j of m has midpoint P + tau D and step D/m, with tau = (j + 0.5)/m
-    - t*, P the segment's point nearest to 0 and gap = |P|.  With (c0, q0) the
+    of the spec's family kernel, from the segment's own invariants.  Chunk j
+    of m has midpoint P + tau D and step D/m, with tau = (j + 0.5)/m - t*, P
+    the segment's point nearest to 0 and gap = |P|.  With (c0, q0) the
     invariants of (P, D) and C = |D|^2, its invariants are r^2 = gap^2 +
     tau (2 Re c0 + tau C), <h, g> = (c0 + tau C)/m and q = q0/m (the Gram
     determinant does not change when g moves along h).  Nothing in r^2
@@ -310,23 +274,56 @@ def _chunk_values(spec: MetricSpec, P: np.ndarray, D: np.ndarray, gap: np.ndarra
     that is not refused has gap >= |D|/256).  So r > 0 on every chunk, where a
     zero extension is its inner spec.  A spec that reads_vectors also gets the
     chunk rows, midpoints P + tau D and steps D/m.
+
+    Returns (lengths, status): status[k] is _RESOLVED, or the first failure in
+    chunk order, _LEFT_DOMAIN (refused, or a chunk midpoint outside the
+    domain) or _NEGATIVE (a negative chunk value); lengths[k] is inf exactly
+    where status[k] is not _RESOLVED, so a sum of lengths that includes an
+    unresolved segment never shortens a path.  A NaN chunk value raises as in
+    eval_batch.
     """
-    m_rows = m.astype(float).repeat(m)
-    tau = (np.arange(0.5, len(m_rows)) - (m.cumsum() - m).repeat(m)) / m_rows - t_star.repeat(m)
-    # the invariants, r and rho overflow to inf silently; a NaN raises in _segment_length
+    D = V - U
+    length = row_norms(D)
+    C = length * length
+    moving = length > 0.0
+    t_star = np.minimum(np.maximum(-np.vecdot(D, U).real / np.where(moving, C, 1.0), 0.0), 1.0)
+    P = U + t_star[:, None] * D  # the point of the segment nearest to the origin
+    gap = row_norms(P)
+    # chunk <= gap/16 keeps the midpoint bias of a near-origin sweep below
+    # ~5e-4 even when the descent adversarially seeks quadrature error
+    needed = np.maximum(length / ell0, 16.0 * length / np.maximum(gap, 1e-300))
+    refused = needed > _CHUNK_CAP
+    # m chunks, a float; k, the same count as a repeat count, spreads each
+    # segment's values over its chunks.  A segment that is not refused needs
+    # at most _CHUNK_CAP chunks
+    m = np.where(moving & ~refused, np.maximum(np.ceil(needed), 4.0), 0.0)
+    k = m.astype(np.intp)
+    m_rows = m.repeat(k)
+    tau = (np.arange(0.5, len(m_rows)) - (m.cumsum() - m).repeat(k)) / m_rows - t_star.repeat(k)
+    # the invariants, r and rho overflow to inf silently; a NaN raises below
     with np.errstate(over="ignore", invalid="ignore"):
         c0, q0 = pair_invariants_rows(P, D, gap)
-        tau_c = tau * (length * length).repeat(m)
-        r = np.sqrt((gap * gap).repeat(m) + tau * ((2.0 * c0.real).repeat(m) + tau_c))
-        ip = (c0.repeat(m) + tau_c) / m_rows
-        q = q0.repeat(m) / m_rows
+        tau_c = tau * C.repeat(k)
+        r = np.sqrt((gap * gap).repeat(k) + tau * ((2.0 * c0.real).repeat(k) + tau_c))
+        ip = (c0.repeat(k) + tau_c) / m_rows
+        q = (q0 / np.where(k > 0, m, 1.0)).repeat(k)
         inside = spec.domain.contains(r)
         rows = (r, ip, q)
         if spec.reads_vectors:  # the chunk rows
-            H = D.repeat(m, axis=0)
-            rows += (P.repeat(m, axis=0) + tau[:, None] * H, H / m_rows[:, None])
-        return _where_nonzero(inside, lambda r, ip, q, G=None, H=None: spec._values(
-            r, ip, q, G, H), *rows), inside
+            H = D.repeat(k, axis=0)
+            rows += (P.repeat(k, axis=0) + tau[:, None] * H, H / m_rows[:, None])
+        values = _where_nonzero(inside, lambda r, ip, q, G=None, H=None: spec._values(
+            r, ip, q, G, H), *rows)
+    seg = np.arange(len(m)).repeat(k)
+    status = refused * _LEFT_DOMAIN  # _RESOLVED = 0 elsewhere
+    if not inside.all() or not (values >= 0.0).all():  # a NaN value fails here too
+        _refuse_nan(values)
+        failed = np.flatnonzero(~inside | (values < 0.0))
+        segs, first = np.unique(seg[failed], return_index=True)
+        status[segs] = np.where(inside[failed[first]], _NEGATIVE, _LEFT_DOMAIN)
+    # bincount adds each segment's chunks in order, from 0 for a segment without any
+    return np.where(status == _RESOLVED, np.bincount(seg, weights=values, minlength=len(m)),
+                    np.inf), status
 
 
 def _directions(rng: np.random.Generator, count: int, dim: int, field: Field) -> np.ndarray:
@@ -426,8 +423,8 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     # a path may start on the boundary of a radius interval: only chunk midpoints are evaluated
     inside |= (0.0 < r) & (r < math.inf) & np.any(
         [(lo <= r) & (r <= hi) for lo, hi in spec.domain.intervals], axis=0)
-    for name, radius, ok in zip("gh", r.tolist(), inside.tolist()):
-        if not ok:
+    for name, radius, within in zip("gh", r.tolist(), inside.tolist()):
+        if not within:
             raise OutOfDomainError(f"endpoint {name} is outside the metric's domain "
                                    f"(|{name}| = {radius})")
     if np.array_equal(g.entries, h.entries):
@@ -451,24 +448,23 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
         # Both segments of every candidate, measured against the vertices as
         # the sweep found them: prev -> cand first, then cand -> next.
         cands = P[:, 1:].reshape(-1, spec.dim)
-        lengths, status = _segment_length(
+        lengths, _ = _segment_length(
             spec, np.concatenate([verts[:-2].repeat(15, axis=0), cands]),
             np.concatenate([cands, verts[2:].repeat(15, axis=0)]), ell0)
-        lengths = lengths.reshape(2, -1, 15).tolist()
-        ok = (status == _RESOLVED).reshape(2, -1, 15).tolist()
-        b, ok_b = lengths[1], ok[1]
-        # left[k][c]: vertex k+1's left lengths and flags when vertex k accepted
-        # the moves c, so that its left segments start at P[k-1, c]
-        left = [{0: pair} for pair in zip(lengths[0], ok[0])]
+        a, b = lengths.reshape(2, -1, 15).tolist()
+        # left[k][c]: vertex k+1's left lengths when vertex k accepted the
+        # moves c, so that its left segments start at P[k-1, c]
+        left = [{0: row} for row in a]
 
         def decide(k: int, c: int) -> int:
-            """Vertex k+1's greedy moves, as a bitmask tried in move order."""
-            a, ok_a = left[k][c]
+            """Vertex k+1's greedy moves, as a bitmask tried in move order; an
+            unresolved segment measures inf, so no move through one passes."""
+            a = left[k][c]
             local = (b[k - 1][c - 1] if c else seglen[k]) + seglen[k + 1]
             cur = 0
             for j in range(4):
                 s = cur | 1 << j
-                if ok_a[s - 1] and ok_b[k][s - 1] and a[s - 1] + b[k][s - 1] < local - 1e-15 * local:
+                if a[s - 1] + b[k][s - 1] < local - 1e-15 * local:
                     cur, local = s, a[s - 1] + b[k][s - 1]
             return cur
 
@@ -483,17 +479,16 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
             new = [k for k in stale if guess[k] not in left[k]]
             if new:
                 U = P[[k - 1 for k in new], [guess[k] for k in new]]
-                a, status = _segment_length(spec, U.repeat(15, axis=0),
-                                            P[new, 1:].reshape(-1, spec.dim), ell0)
-                ok_a = (status == _RESOLVED).reshape(-1, 15).tolist()
-                for k, pair in zip(new, zip(a.reshape(-1, 15).tolist(), ok_a)):
-                    left[k][guess[k]] = pair
+                lengths, _ = _segment_length(spec, U.repeat(15, axis=0),
+                                             P[new, 1:].reshape(-1, spec.dim), ell0)
+                for k, row in zip(new, lengths.reshape(-1, 15).tolist()):
+                    left[k][guess[k]] = row
             for k in stale:
                 moves[k] = decide(k, guess[k])
         for k, cur in enumerate(moves):
             if cur:
                 verts[k + 1] = P[k, cur]
-                seglen[k], seglen[k + 1] = left[k][guess[k]][0][cur - 1], b[k][cur - 1]
+                seglen[k], seglen[k + 1] = left[k][guess[k]][cur - 1], b[k][cur - 1]
         improved = any(moves)
         total = sum(seglen)
         history.append(total)

@@ -858,6 +858,110 @@ def test_a_seeded_solve_makes_the_same_eval_batch_calls_and_rows(monkeypatch):
     assert (len(rows), sum(rows)) == (434, 278827)
 
 
+def _reference_segment_length(spec, U, V, ell0):
+    """The segment kernel as it ran in two functions, with lengths meaningful
+    only where status is _RESOLVED, kept verbatim as the reference for its
+    bits."""
+    _CHUNK_CAP, _LEFT_DOMAIN, _NEGATIVE = ge._CHUNK_CAP, ge._LEFT_DOMAIN, ge._NEGATIVE
+    row_norms, _refuse_nan = la.row_norms, mm._refuse_nan
+    D = V - U
+    length = row_norms(D)
+    moving = length > 0.0
+    t_star = np.minimum(np.maximum(
+        -np.vecdot(D, U).real / np.where(moving, length * length, 1.0), 0.0), 1.0)
+    P = U + t_star[:, None] * D  # the point of the segment nearest to the origin
+    origin_gap = row_norms(P)
+    # chunk <= gap/16 keeps the midpoint bias of a near-origin sweep below
+    # ~5e-4 even when the descent adversarially seeks quadrature error
+    needed = np.maximum(length / ell0, 16.0 * length / np.maximum(origin_gap, 1e-300))
+    refused = needed > _CHUNK_CAP
+    # a segment that is not refused needs at most _CHUNK_CAP chunks
+    m = np.where(moving & ~refused, np.maximum(np.ceil(needed), 4.0), 0.0).astype(np.intp)
+    seg = np.arange(len(m)).repeat(m)
+    values, inside = _reference_chunk_values(spec, P, D, origin_gap, length, t_star, m)
+    # bincount adds each segment's chunks in order, from 0 for a segment without
+    # any; it gives int zeros when no segment has a chunk
+    lengths = np.bincount(seg, weights=values, minlength=len(m)).astype(float, copy=False)
+    status = refused * _LEFT_DOMAIN  # _RESOLVED = 0 elsewhere
+    if not inside.all() or not (values >= 0.0).all():  # a NaN value fails here too
+        _refuse_nan(values)
+        failed = np.flatnonzero(~inside | (values < 0.0))
+        segs, first = np.unique(seg[failed], return_index=True)
+        status[segs] = np.where(inside[failed[first]], _NEGATIVE, _LEFT_DOMAIN)
+    return lengths, status
+
+
+def _reference_chunk_values(spec, P, D, gap, length, t_star, m):
+    """The chunk stage of _reference_segment_length, kept verbatim."""
+    pair_invariants_rows, _where_nonzero = la.pair_invariants_rows, mm._where_nonzero
+    m_rows = m.astype(float).repeat(m)
+    tau = (np.arange(0.5, len(m_rows)) - (m.cumsum() - m).repeat(m)) / m_rows - t_star.repeat(m)
+    # the invariants, r and rho overflow to inf silently; a NaN raises in _segment_length
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0, q0 = pair_invariants_rows(P, D, gap)
+        tau_c = tau * (length * length).repeat(m)
+        r = np.sqrt((gap * gap).repeat(m) + tau * ((2.0 * c0.real).repeat(m) + tau_c))
+        ip = (c0.repeat(m) + tau_c) / m_rows
+        q = q0.repeat(m) / m_rows
+        inside = spec.domain.contains(r)
+        rows = (r, ip, q)
+        if spec.reads_vectors:  # the chunk rows
+            H = D.repeat(m, axis=0)
+            rows += (P.repeat(m, axis=0) + tau[:, None] * H, H / m_rows[:, None])
+        return _where_nonzero(inside, lambda r, ip, q, G=None, H=None: spec._values(
+            r, ip, q, G, H), *rows), inside
+
+
+def _sweep_batches(field):
+    """A seeded sweep's first call (330 segments) and one round (45: the left
+    segments of three vertices from their left neighbours' first moves), built
+    as the descent builds them from a 13-vertex chord in dimension 3."""
+    rng = np.random.default_rng(7)
+    g, h = (la.random_vector_with_norm(3, field, r, rng).entries for r in (1.0, 1.5))
+    verts = ge._segment_rows(g, h, np.linspace(0.0, 1.0, 13))
+    chord = float(np.linalg.norm(h - g))
+    P = ge._sweep_positions(verts, chord / 12, rng, field)
+    cands = P[:, 1:].reshape(-1, 3)
+    first = (np.concatenate([verts[:-2].repeat(15, axis=0), cands]),
+             np.concatenate([cands, verts[2:].repeat(15, axis=0)]))
+    return [first, (P[[0, 1, 2], 1].repeat(15, axis=0), P[1:4, 1:].reshape(-1, 3))], chord / 48
+
+
+def _kernel_reference_cases():
+    """(spec, U, V, ell0) for every case the kernel is held to."""
+    for field in (R, C):
+        domain = mm.RadiusDomain(((0.5, 3.0),))
+        custom = mm.Custom(3, field, domain, fn=lambda g, h: la.norm(h) * (la.norm(g) - 1.0))
+        U, V = _kernel_segments(field)
+        for spec in (mm.FromTheta(3, field, domain, mm.theta_profile("r-1")), custom,
+                     mm.zero_extended(2.0, custom)):
+            yield spec, U, V, 0.05
+        for dim in (2, 3):
+            U, V = _kernel_cases(dim, field, np.random.default_rng([dim, field is C]))
+            for spec in family_specs(dim, field):
+                yield spec, U, V, 0.05
+        batches, ell0 = _sweep_batches(field)
+        for spec in (mm.fubini_study(3, field), mm.norm_quotient(3, field),
+                     mm.zero_extended(1.0, mm.fubini_study(3, field))):
+            for U, V in batches:
+                yield spec, U, V, ell0
+
+
+def test_the_kernel_keeps_the_reference_bits_and_measures_inf_where_unresolved():
+    # the same statuses, bit-equal resolved lengths and inf on every other
+    # segment; the SEGMENTS cases give every status
+    seen = set()
+    for spec, U, V, ell0 in _kernel_reference_cases():
+        want, want_status = _reference_segment_length(spec, U, V, ell0)
+        got, status = ge._segment_length(spec, U, V, ell0)
+        assert status.tolist() == want_status.tolist(), spec.family
+        resolved = status == ge._RESOLVED
+        assert got[resolved].tobytes() == want[resolved].tobytes(), spec.family
+        assert (got[~resolved] == math.inf).all(), spec.family
+        seen.update(status.tolist())
+    assert seen == {ge._RESOLVED, ge._LEFT_DOMAIN, ge._NEGATIVE}
+
+
 # ---------------------------------------------------------------------------
 # The per-sweep descent against the per-vertex descent it replaced
 
