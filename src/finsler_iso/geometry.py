@@ -4,15 +4,17 @@ Lengths integrate rho along a curve (composite Simpson for parametric
 curves, on nested grids until two levels agree; per-segment midpoint sums
 for polylines).  Geodesic distance is estimated by derivative-free
 coordinate descent over the interior vertices of a polyline, which yields
-an upper bound on the infimum.  Each sweep of the descent draws its
-directions at once, tabulates every position a vertex can reach and
-measures them in one _segment_length call, then settles the vertices whose
-left neighbour moved in rounds of one call each; its result equals the
-one-vertex-at-a-time descent's bit for bit.  One function, the segment
-kernel, forms every chunk's invariants from its segment's and evaluates
-every chunk of every spec in one call; only a spec that reads_vectors also
-gets the chunk rows.  An unresolved segment measures inf, so the descent
-compares lengths alone.
+an upper bound on the infimum.  The descent starts from the shortest of the
+named families' exact geodesics (the chord, the log-polar arc and, over C,
+the phase-aligned arc).  Each sweep of the descent draws its directions at
+once, tabulates every position a vertex can reach and measures them in one
+_segment_length call, then settles the vertices whose left neighbour moved
+in rounds of one call each; its result equals the one-vertex-at-a-time
+descent's bit for bit.  One function, the segment kernel, measures each
+segment by two Gauss-Legendre nodes per chunk, forms every node's
+invariants from its segment's and evaluates every node of every spec in
+one call; only a spec that reads_vectors also gets the node rows.  An
+unresolved segment measures inf, so the descent compares lengths alone.
 """
 
 from __future__ import annotations
@@ -249,37 +251,43 @@ _CHUNK_CAP = 4096
 # What _segment_length reports for each segment.
 _RESOLVED, _LEFT_DOMAIN, _NEGATIVE = 0, 1, 2
 
+# The two Gauss-Legendre nodes of [0, 1], each of weight 1/2: exact for cubics.
+_GAUSS_NODES = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)
+
 
 def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
                     ell0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Refined midpoint lengths of the straight segments U[k] -> V[k].
+    """Lengths of the straight segments U[k] -> V[k] by a composite two-point
+    Gauss-Legendre rule, of order 4.
 
     Two refinement rules guard the descent against quadrature exploits: a
-    floor of chunks per unit ell0 (a single midpoint has spurious minimizers
-    that collapse interior vertices onto the endpoints), and chunks no longer
-    than 1/16 of the segment's distance to the origin (metrics can sweep
-    their whole angular variation inside a near-origin passage, which coarse
-    chunks would miss and undercount).  Segments that would need more than
-    _CHUNK_CAP chunks are refused as unresolvable.
+    floor of nodes per unit ell0 (a coarse rule has spurious minimizers that
+    collapse interior vertices onto the endpoints), and nodes no further
+    apart than 1/16 of the segment's distance to the origin (metrics can
+    sweep their whole angular variation inside a near-origin passage, which
+    coarse chunks would miss and undercount).  A segment takes about as many
+    nodes as the rules need, and at least 4: m = max(ceil(needed/2), 2)
+    chunks of two nodes.  Segments that would need more than _CHUNK_CAP nodes
+    are refused as unresolvable, also where that need overflows.
 
-    Every chunk of every segment, whatever the spec, is evaluated in one call
+    Every node of every segment, whatever the spec, is evaluated in one call
     of the spec's family kernel, from the segment's own invariants.  Chunk j
-    of m has midpoint P + tau D and step D/m, with tau = (j + 0.5)/m - t*, P
-    the segment's point nearest to 0 and gap = |P|.  With (c0, q0) the
-    invariants of (P, D) and C = |D|^2, its invariants are r^2 = gap^2 +
-    tau (2 Re c0 + tau C), <h, g> = (c0 + tau C)/m and q = q0/m (the Gram
-    determinant does not change when g moves along h).  Nothing in r^2
-    cancels: Re c0 and tau share a sign wherever t* is clamped to 0 or 1, and
-    where it is not, Re c0 is 0 up to rounding, far below gap^2 (a segment
-    that is not refused has gap >= |D|/256).  So r > 0 on every chunk, where a
-    zero extension is its inner spec.  A spec that reads_vectors also gets the
-    chunk rows, midpoints P + tau D and steps D/m.
+    of m has nodes P + tau D and step D/m, with tau = (j + 1/2 -+ 1/(2 sqrt
+    3))/m - t*, P the segment's point nearest to 0 and gap = |P|; each node
+    has weight 1/2.  With (c0, q0) the invariants of (P, D) and C = |D|^2, a
+    node's invariants are r^2 = gap^2 + tau (2 Re c0 + tau C), <h, g> = (c0 +
+    tau C)/m and q = q0/m (the Gram determinant does not change when g moves
+    along h).  Nothing in r^2 cancels: Re c0 and tau share a sign wherever t*
+    is clamped to 0 or 1, and where it is not, Re c0 is 0 up to rounding, far
+    below gap^2 (a segment that is not refused has gap >= |D|/256).  So r > 0
+    at every node, where a zero extension is its inner spec.  A spec that
+    reads_vectors also gets the node rows, points P + tau D and steps D/m.
 
     Returns (lengths, status): status[k] is _RESOLVED, or the first failure in
-    chunk order, _LEFT_DOMAIN (refused, or a chunk midpoint outside the
-    domain) or _NEGATIVE (a negative chunk value); lengths[k] is inf exactly
-    where status[k] is not _RESOLVED, so a sum of lengths that includes an
-    unresolved segment never shortens a path.  A NaN chunk value raises as in
+    node order, _LEFT_DOMAIN (refused, or a node outside the domain) or
+    _NEGATIVE (a negative node value); lengths[k] is inf exactly where
+    status[k] is not _RESOLVED, so a sum of lengths that includes an
+    unresolved segment never shortens a path.  A NaN node value raises as in
     eval_batch.
     """
     D = V - U
@@ -289,17 +297,20 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     t_star = np.minimum(np.maximum(-np.vecdot(D, U).real / np.where(moving, C, 1.0), 0.0), 1.0)
     P = U + t_star[:, None] * D  # the point of the segment nearest to the origin
     gap = row_norms(P)
-    # chunk <= gap/16 keeps the midpoint bias of a near-origin sweep below
-    # ~5e-4 even when the descent adversarially seeks quadrature error
-    needed = np.maximum(length / ell0, 16.0 * length / np.maximum(gap, 1e-300))
+    # nodes <= gap/16 apart keep the bias of a near-origin sweep small even when
+    # the descent adversarially seeks quadrature error; a need that overflows
+    # to inf is refused below
+    with np.errstate(over="ignore"):
+        needed = np.maximum(length / ell0, 16.0 * length / np.maximum(gap, 1e-300))
     refused = needed > _CHUNK_CAP
-    # m chunks, a float; k, the same count as a repeat count, spreads each
-    # segment's values over its chunks.  A segment that is not refused needs
-    # at most _CHUNK_CAP chunks
-    m = np.where(moving & ~refused, np.maximum(np.ceil(needed), 4.0), 0.0)
-    k = m.astype(np.intp)
+    # m chunks, a float; k = 2m, the node count as a repeat count, spreads each
+    # segment's values over its nodes.  A segment that is not refused has at
+    # most _CHUNK_CAP + 1 nodes
+    m = np.where(moving & ~refused, np.maximum(np.ceil(0.5 * needed), 2.0), 0.0)
+    k = 2 * m.astype(np.intp)
     m_rows = m.repeat(k)
-    tau = (np.arange(0.5, len(m_rows)) - (m.cumsum() - m).repeat(k)) / m_rows - t_star.repeat(k)
+    node = np.arange(len(m_rows)) - (k.cumsum() - k).repeat(k)  # a row's node in its segment
+    tau = (node // 2 + _GAUSS_NODES[node % 2]) / m_rows - t_star.repeat(k)
     # the invariants, r and rho overflow to inf silently; a NaN raises below
     with np.errstate(over="ignore", invalid="ignore"):
         c0, q0 = pair_invariants_rows(P, D, gap)
@@ -309,7 +320,7 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
         q = (q0 / np.where(k > 0, m, 1.0)).repeat(k)
         inside = spec.domain.contains(r)
         rows = (r, ip, q)
-        if spec.reads_vectors:  # the chunk rows
+        if spec.reads_vectors:  # the node rows
             H = D.repeat(k, axis=0)
             rows += (P.repeat(k, axis=0) + tau[:, None] * H, H / m_rows[:, None])
         values = _where_nonzero(inside, lambda r, ip, q, G=None, H=None: spec._values(
@@ -321,9 +332,10 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
         failed = np.flatnonzero(~inside | (values < 0.0))
         segs, first = np.unique(seg[failed], return_index=True)
         status[segs] = np.where(inside[failed[first]], _NEGATIVE, _LEFT_DOMAIN)
-    # bincount adds each segment's chunks in order, from 0 for a segment without any
-    return np.where(status == _RESOLVED, np.bincount(seg, weights=values, minlength=len(m)),
-                    np.inf), status
+    # bincount adds each segment's nodes in order, from 0 for a segment without
+    # any; halving the sum weights each node 1/2
+    return np.where(status == _RESOLVED,
+                    0.5 * np.bincount(seg, weights=values, minlength=len(m)), np.inf), status
 
 
 def _directions(rng: np.random.Generator, count: int, dim: int, field: Field) -> np.ndarray:
@@ -358,18 +370,76 @@ def _sweep_positions(verts: np.ndarray, step: float, rng: np.random.Generator,
 
 def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
                       rng: np.random.Generator, ell0: float) -> tuple[np.ndarray, list[float]]:
-    """Straight chord, or an arc through a perturbed midpoint when the chord
-    leaves the domain; returns the vertices and their segment lengths."""
-    for attempt in range(8):
-        verts = (_segment_rows(g.entries, h.entries, np.linspace(0.0, 1.0, n_vertices))
-                 if attempt == 0 else _lifted_chord(g, h, n_vertices, rng))
-        lengths, status = _segment_length(spec, verts[:-1], verts[1:], ell0)
-        failed = np.flatnonzero(status)
-        if len(failed) == 0:
-            return verts, lengths.tolist()
-        if status[failed[0]] == _NEGATIVE:
+    """The shortest start whose segments all resolve, with its segment lengths.
+
+    The candidates, measured in one _segment_length call, are the exact
+    geodesics of the named families: the chord; the log-polar arc in the
+    real plane of g and h, unless their real angle is 0 or pi; and over C
+    the phase-aligned arc, which turns g to g e^{i phi} (phi = arg <h, g>)
+    on g's own complex line, where Fubini-Study is 0, then takes the
+    log-polar arc to h.  The choice reads measured lengths only.  When none
+    resolves, arcs through a randomly lifted midpoint are tried, the only
+    draws from rng.  A negative segment on any path measured raises
+    NonPositiveMetricError.
+    """
+    u, v, n_seg = g.entries, h.entries, n_vertices - 1
+    ts = np.linspace(0.0, 1.0, n_vertices)
+    starts = [_segment_rows(u, v, ts), _log_polar_rows(u, v, ts)]
+    if g.field is Field.COMPLEX:
+        starts.append(_phase_aligned_rows(u, v, n_seg))
+    starts = [verts for verts in starts if verts is not None]
+    for _ in range(8):
+        lengths, status = _segment_length(spec, np.concatenate([P[:-1] for P in starts]),
+                                          np.concatenate([P[1:] for P in starts]), ell0)
+        if (status == _NEGATIVE).any():
             raise NonPositiveMetricError("metric is negative along the path")
+        rows, status = lengths.reshape(-1, n_seg).tolist(), status.reshape(-1, n_seg)
+        resolved = [i for i in range(len(starts)) if not status[i].any()]
+        if resolved:
+            best = min(resolved, key=lambda i: sum(rows[i]))
+            return starts[best], rows[best]
+        starts = [_lifted_chord(g, h, n_vertices, rng)]
     raise ValueError("no valid initialization found inside the metric's domain")
+
+
+def _log_polar_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
+    """The log-polar arc from u to v at each entry of ts, from 0 to 1, or None
+    where the real angle theta between them is 0 or pi: the radius |u|
+    (|v|/|u|)^t times the unit direction at the angle t theta in their real
+    plane.  It takes no exp or log, so its rows scale with u and v exactly
+    under powers of 2.  Its ends are u and v.  None too where |v|/|u|
+    overflows."""
+    nu, nv = row_norms(np.stack([u, v])).tolist()
+    a, b = u / nu, v / nv
+    c = np.vdot(a, b).real
+    w = b - c * a  # the part of v's direction orthogonal to a over R
+    s = float(row_norms(w[None])[0])
+    if s == 0.0 or nv / nu == math.inf:
+        return None
+    angle = math.atan2(s, c) * ts
+    rows = (nu * (nv / nu) ** ts)[:, None] * (np.cos(angle)[:, None] * a
+                                              + np.sin(angle)[:, None] * (w / s))
+    rows[0], rows[-1] = u, v
+    return rows
+
+
+def _phase_aligned_rows(u: np.ndarray, v: np.ndarray, n_seg: int) -> np.ndarray | None:
+    """u e^{i phi t}, phi = arg <v, u>, then the log-polar arc from u e^{i phi}
+    to v, in n_seg segments split between the legs by the Euclidean lengths
+    of their chords, with a vertex on the junction; None where phi is 0 (the
+    log-polar arc itself) or the second leg is not defined."""
+    nu, nv = row_norms(np.stack([u, v])).tolist()
+    phi = float(np.angle(np.vdot(u / nu, v / nv)))  # unit vectors: <v, u> cannot underflow
+    if phi == 0.0:
+        return None
+    turned = u * np.exp(1j * phi)
+    legs = row_norms(np.stack([turned - u, v - turned]))
+    n1 = min(max(round(n_seg * legs[0] / legs.sum()), 1), n_seg - 1)
+    arc = _log_polar_rows(turned, v, np.linspace(0.0, 1.0, n_seg - n1 + 1))
+    if arc is None:
+        return None
+    turn = u * np.exp(1j * phi * np.linspace(0.0, 1.0, n1 + 1))[:, None]
+    return np.concatenate([turn[:-1], arc])
 
 
 def _lifted_chord(g: Vector, h: Vector, n_vertices: int,
@@ -386,8 +456,13 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
                       n_iterations: int = 150, seed: int = 0) -> GeodesicResult:
     """Upper bound on the geodesic distance between g and h.
 
-    Coordinate descent over the interior vertices of a polyline, on the one
-    random stream SeedSequence(seed).spawn(1)[0]: each vertex in turn tries
+    The polyline starts on the shortest exact geodesic of the named families
+    that resolves (see _initial_vertices), so a Fubini-Study, euclidean or
+    norm-quotient pair starts at its distance up to the polyline's and the
+    quadrature's error.  Then coordinate descent over its interior
+    vertices, on the one random stream SeedSequence(seed).spawn(1)[0],
+    which only a start through a lifted midpoint draws from before the
+    sweeps: each vertex in turn tries
     the moves +-step along two random directions and keeps each one that
     shortens the path; the step halves after a sweep without improvement.
     Each sweep is measured in batches (see _sweep_positions).  The length

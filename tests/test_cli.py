@@ -935,6 +935,9 @@ def _assert_csv(text):
 @example((["decompose", "--metric", "nonsym-lambda:sqrt(p^2+q^2)+p", "--dim", "3"], None))
 @example((["decompose", "--metric", "nonsym-lambda:(sqrt(p^2+q^2)+p/2)/(r^2)", "--dim", "3"],
           None))
+# a chord through the origin whose node count overflows: refused without a warning, exit 0
+@example((["distance", "--metric", "norm-quotient", "--dim", "2", "--g", "1e153,0",
+           "--h=-1e153,0"], None))
 def test_the_cli_contract_holds_at_the_edges(tmp_path_factory, case):
     # exit 0-3; output, on stdout or in the --path-out or --output file, exactly
     # when the code is 0 or 1, and then JSON or CSV that parses; no exception out
