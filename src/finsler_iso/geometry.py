@@ -407,9 +407,11 @@ def _log_polar_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray 
     where the real angle theta between them is 0 or pi: the radius |u|
     (|v|/|u|)^t times the unit direction at the angle t theta in their real
     plane.  It takes no exp or log, so its rows scale with u and v exactly
-    under powers of 2.  Its ends are u and v.  None too where |v|/|u|
-    overflows."""
+    under powers of 2.  Its ends are u and v.  None too where either end is
+    0 or |v|/|u| overflows."""
     nu, nv = row_norms(np.stack([u, v])).tolist()
+    if nu == 0.0 or nv == 0.0:
+        return None
     a, b = u / nu, v / nv
     c = np.vdot(a, b).real
     w = b - c * a  # the part of v's direction orthogonal to a over R
@@ -427,8 +429,11 @@ def _phase_aligned_rows(u: np.ndarray, v: np.ndarray, n_seg: int) -> np.ndarray 
     """u e^{i phi t}, phi = arg <v, u>, then the log-polar arc from u e^{i phi}
     to v, in n_seg segments split between the legs by the Euclidean lengths
     of their chords, with a vertex on the junction; None where phi is 0 (the
-    log-polar arc itself) or the second leg is not defined."""
+    log-polar arc itself), where either end is 0, or where the second leg is
+    not defined."""
     nu, nv = row_norms(np.stack([u, v])).tolist()
+    if nu == 0.0 or nv == 0.0:
+        return None
     phi = float(np.angle(np.vdot(u / nu, v / nv)))  # unit vectors: <v, u> cannot underflow
     if phi == 0.0:
         return None

@@ -938,6 +938,14 @@ def _assert_csv(text):
 # a chord through the origin whose node count overflows: refused without a warning, exit 0
 @example((["distance", "--metric", "norm-quotient", "--dim", "2", "--g", "1e153,0",
            "--h=-1e153,0"], None))
+# a distance from 0 under a zero extension: no start resolves, exit 3 without a warning
+@example((["distance", "--metric", "@SPEC", "--g", "0,0", "--h", "1,0"],
+          {"family": "zero-extended", "dim": 2, "field": "real",
+           "domain": {"intervals": [[0, None]], "includes_zero": True},
+           "params": {"b": 1.0, "inner": {"family": "fubini-study", "dim": 2, "field": "real",
+                                          "domain": {"intervals": [[0, None]],
+                                                     "includes_zero": False},
+                                          "params": {}}}}))
 def test_the_cli_contract_holds_at_the_edges(tmp_path_factory, case):
     # exit 0-3; output, on stdout or in the --path-out or --output file, exactly
     # when the code is 0 or 1, and then JSON or CSV that parses; no exception out

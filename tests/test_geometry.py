@@ -508,6 +508,32 @@ def test_geodesic_refuses_negative_metric():
         ge.geodesic_distance(spec, la.vector([1.0, 0.0]), la.vector([2.0, 0.0]), seed=0)
 
 
+def test_geodesic_refuses_a_metric_negative_only_off_the_chord():
+    # negative only where g_1 > 0.5: the chord (g_1 <= 0.1) resolves, but the
+    # log-polar arc passes near (0, 1), and a negative segment on any start
+    # measured refuses the metric
+    spec = mm.Custom(2, R, POS, fn=lambda g, h: la.norm(h) * (0.5 - g.entries[1]))
+    g, h = la.vector([1.0, 0.0]), la.vector([-1.0, 0.1])
+    chord = ge._segment_rows(g.entries, h.entries, np.linspace(0.0, 1.0, 13))
+    _, status = ge._segment_length(spec, chord[:-1], chord[1:], float(np.linalg.norm(h.entries - g.entries)) / 48)
+    assert not status.any()
+    with pytest.raises(NonPositiveMetricError):
+        ge.geodesic_distance(spec, g, h)
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_geodesic_from_or_to_zero_finds_no_start(field):
+    # every start from or to 0 has a segment of gap 0, which is refused; the
+    # arcs, which divide by the ends' norms, are not built, so no warning
+    spec = mm.zero_extended(1.0, mm.fubini_study(2, field))
+    zero, e1 = la.vector([0.0, 0.0], field), la.vector([1.0, 0.0], field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for g, h in ((zero, e1), (e1, zero)):
+            with pytest.raises(ValueError, match="^no valid initialization"):
+                ge.geodesic_distance(spec, g, h)
+
+
 def test_geodesic_initialization_avoids_forbidden_origin():
     # the straight chord passes through 0; the optimizer must lift around it
     g, h = la.vector([1.0, 0.0, 0.0]), la.vector([-1.0, 0.0, 0.0])
