@@ -9,12 +9,16 @@ named families' exact geodesics (the chord, the log-polar arc and, over C,
 the phase-aligned arc).  Each sweep of the descent draws its directions at
 once, tabulates every position a vertex can reach and measures them in one
 _segment_length call, then settles the vertices whose left neighbour moved
-in rounds of one call each; its result equals the one-vertex-at-a-time
-descent's bit for bit.  One function, the segment kernel, measures each
-segment by two Gauss-Legendre nodes per chunk, forms every node's
-invariants from its segment's and evaluates every node of every spec in
-one call; only a spec that reads_vectors also gets the node rows.  An
-unresolved segment measures inf, so the descent compares lengths alone.
+in rounds of one call each.  Before the first sweep and after a failed one,
+a screen measures only the single moves of a window of the next sweeps in
+one call, since a sweep fails exactly when none of them shortens the path;
+only the first sweep that one does is tabulated.  The result equals the
+one-vertex-at-a-time descent's bit for bit.  One function, the segment
+kernel, measures each segment by two Gauss-Legendre nodes per chunk, forms
+every node's invariants from its segment's and evaluates every node of
+every spec in one call; only a spec that reads_vectors also gets the node
+rows.  An unresolved segment measures inf, so the descent compares lengths
+alone.
 """
 
 from __future__ import annotations
@@ -368,6 +372,37 @@ def _sweep_positions(verts: np.ndarray, step: float, rng: np.random.Generator,
     return P
 
 
+def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: float,
+            step_floor: float, rng: np.random.Generator, ell0: float,
+            window: int) -> list[tuple[np.ndarray, dict, bool]]:
+    """The next sweeps on the unchanged path, told apart by their single moves.
+
+    Draws up to window sweeps' positions at step, step/2, ..., stopping at
+    the one whose failure reaches the step floor, and measures both segments
+    of every single move (rows 1, 2, 4 and 8 of each vertex's block) against
+    the path in one _segment_length call.  Until a vertex moves, the greedy
+    walk tries single moves only, so a sweep moves a vertex exactly when one
+    of them passes.  Returns (positions, the RNG state right after their
+    draw, whether a single passes) per sweep drawn.
+    """
+    draws = []
+    for _ in range(window):
+        draws.append((_sweep_positions(verts, step, rng, spec.field), rng.bit_generator.state))
+        step *= 0.5
+        if step < step_floor:
+            break
+    singles = np.stack([P[:, [1, 2, 4, 8]] for P, _ in draws])
+    prev, after = (np.broadcast_to(V[:, None], singles.shape).reshape(-1, spec.dim)
+                   for V in (verts[:-2], verts[2:]))
+    singles = singles.reshape(-1, spec.dim)
+    lengths, _ = _segment_length(spec, np.concatenate([prev, singles]),
+                                 np.concatenate([singles, after]), ell0)
+    a, b = lengths.reshape(2, len(draws), -1)
+    local = np.add(seglen[:-1], seglen[1:]).repeat(4)
+    passes = (a + b < local - 1e-15 * local).any(axis=1).tolist()
+    return [(P, state, passed) for (P, state), passed in zip(draws, passes)]
+
+
 def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
                       rng: np.random.Generator, ell0: float) -> tuple[np.ndarray, list[float]]:
     """The shortest start whose segments all resolve, with its segment lengths.
@@ -488,6 +523,17 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     may measure segments from positions that the walk never takes; like the
     first call's unused left segments, none of them may have a NaN value.
 
+    Before the first sweep and after each failed one, a screen (see _screen)
+    takes a window of the next sweeps, as many as have failed in a row (at
+    least 1: 1, 1, 2, 4, 8, ...), never past n_iterations or the step floor.
+    Each that no single move passes fails and halves the step.  The first
+    that one passes runs in full on its drawn positions, with the random
+    stream back at its state right after them; the sweep after one that
+    moved runs in full directly.  So a failed sweep measures no multi-move
+    position, and a NaN there no longer raises; the single moves of the
+    window's later sweeps are measured though never taken, and none of them
+    may have a NaN value either.
+
     Raises InvalidArgumentError unless n_vertices >= 3
     and n_iterations >= 0, ValueError when g != h and the chord's length
     under- or overflows; MismatchError unless g and h have the spec's
@@ -523,56 +569,68 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     step_floor = 1e-6 * chord_len
     stop_reason = "iteration-cap"
 
+    fails, moved, screened = 0, False, []
     for _ in range(n_iterations):
-        P = _sweep_positions(verts, step, rng, spec.field)
-        # Both segments of every candidate, measured against the vertices as
-        # the sweep found them: prev -> cand first, then cand -> next.
-        cands = P[:, 1:].reshape(-1, spec.dim)
-        lengths, _ = _segment_length(
-            spec, np.concatenate([verts[:-2].repeat(15, axis=0), cands]),
-            np.concatenate([cands, verts[2:].repeat(15, axis=0)]), ell0)
-        a, b = lengths.reshape(2, -1, 15).tolist()
-        # left[k][c]: vertex k+1's left lengths when vertex k accepted the
-        # moves c, so that its left segments start at P[k-1, c]
-        left = [{0: row} for row in a]
+        if not (moved or screened):
+            screened = _screen(spec, verts, seglen, step, step_floor, rng, ell0,
+                               min(max(fails, 1), n_iterations + 1 - len(history)))
+        if screened:
+            P, state, full = screened.pop(0)
+            if full:  # the first screened sweep that a single move passes: rewind to its draws
+                rng.bit_generator.state, screened = state, []
+        else:
+            P, full = _sweep_positions(verts, step, rng, spec.field), True
+        moves = []
+        if full:
+            # Both segments of every candidate, measured against the vertices as
+            # the sweep found them: prev -> cand first, then cand -> next.
+            cands = P[:, 1:].reshape(-1, spec.dim)
+            lengths, _ = _segment_length(
+                spec, np.concatenate([verts[:-2].repeat(15, axis=0), cands]),
+                np.concatenate([cands, verts[2:].repeat(15, axis=0)]), ell0)
+            a, b = lengths.reshape(2, -1, 15).tolist()
+            # left[k][c]: vertex k+1's left lengths when vertex k accepted the
+            # moves c, so that its left segments start at P[k-1, c]
+            left = [{0: row} for row in a]
 
-        def decide(k: int, c: int) -> int:
-            """Vertex k+1's greedy moves, as a bitmask tried in move order; an
-            unresolved segment measures inf, so no move through one passes."""
-            a = left[k][c]
-            local = (b[k - 1][c - 1] if c else seglen[k]) + seglen[k + 1]
-            cur = 0
-            for j in range(4):
-                s = cur | 1 << j
-                if a[s - 1] + b[k][s - 1] < local - 1e-15 * local:
-                    cur, local = s, a[s - 1] + b[k][s - 1]
-            return cur
+            def decide(k: int, c: int) -> int:
+                """Vertex k+1's greedy moves, as a bitmask tried in move order; an
+                unresolved segment measures inf, so no move through one passes."""
+                a = left[k][c]
+                local = (b[k - 1][c - 1] if c else seglen[k]) + seglen[k + 1]
+                cur = 0
+                for j in range(4):
+                    s = cur | 1 << j
+                    if a[s - 1] + b[k][s - 1] < local - 1e-15 * local:
+                        cur, local = s, a[s - 1] + b[k][s - 1]
+                return cur
 
-        # rounds (see the docstring): guess[k] is the moves vertex k+1's left
-        # neighbour is taken to accept, moves[k] vertex k+1's choice given it
-        ni = n_vertices - 2
-        guess = [0] * ni
-        moves = [decide(k, 0) for k in range(ni)]
-        while stale := [k for k in range(1, ni) if moves[k - 1] != guess[k]]:
-            for k in stale:
-                guess[k] = moves[k - 1]
-            new = [k for k in stale if guess[k] not in left[k]]
-            if new:
-                U = P[[k - 1 for k in new], [guess[k] for k in new]]
-                lengths, _ = _segment_length(spec, U.repeat(15, axis=0),
-                                             P[new, 1:].reshape(-1, spec.dim), ell0)
-                for k, row in zip(new, lengths.reshape(-1, 15).tolist()):
-                    left[k][guess[k]] = row
-            for k in stale:
-                moves[k] = decide(k, guess[k])
-        for k, cur in enumerate(moves):
-            if cur:
-                verts[k + 1] = P[k, cur]
-                seglen[k], seglen[k + 1] = left[k][guess[k]][cur - 1], b[k][cur - 1]
-        improved = any(moves)
+            # rounds (see the docstring): guess[k] is the moves vertex k+1's left
+            # neighbour is taken to accept, moves[k] vertex k+1's choice given it
+            ni = n_vertices - 2
+            guess = [0] * ni
+            moves = [decide(k, 0) for k in range(ni)]
+            while stale := [k for k in range(1, ni) if moves[k - 1] != guess[k]]:
+                for k in stale:
+                    guess[k] = moves[k - 1]
+                new = [k for k in stale if guess[k] not in left[k]]
+                if new:
+                    U = P[[k - 1 for k in new], [guess[k] for k in new]]
+                    lengths, _ = _segment_length(spec, U.repeat(15, axis=0),
+                                                 P[new, 1:].reshape(-1, spec.dim), ell0)
+                    for k, row in zip(new, lengths.reshape(-1, 15).tolist()):
+                        left[k][guess[k]] = row
+                for k in stale:
+                    moves[k] = decide(k, guess[k])
+            for k, cur in enumerate(moves):
+                if cur:
+                    verts[k + 1] = P[k, cur]
+                    seglen[k], seglen[k + 1] = left[k][guess[k]][cur - 1], b[k][cur - 1]
+        moved = any(moves)
+        fails = 0 if moved else fails + 1
         total = sum(seglen)
         history.append(total)
-        if not improved:
+        if not moved:
             step *= 0.5
             if step < step_floor:
                 stop_reason = "step-floor"

@@ -910,14 +910,17 @@ def test_the_kernel_measures_from_invariants_what_chunk_rows_measure(field, dim)
 
 
 @pytest.mark.parametrize("spec, want", [
-    (mm.fubini_study(3, C), (17, "step-floor", 18, 34562)),
-    (mm.FromTheta(3, C, POS, mm.theta_profile("1+cos(tau)")), (150, "iteration-cap", 374, 287042))],
+    (mm.fubini_study(3, C), (17, "step-floor", 7, 9326)),
+    (mm.FromTheta(3, C, POS, mm.theta_profile("1+cos(tau)")), (150, "iteration-cap", 378, 284964))],
     ids=["fubini-study", "theta"])
 def test_a_seeded_solve_makes_the_same_eval_batch_calls_and_rows(monkeypatch, spec, want):
-    # one call for the starts, one batch per sweep plus one call per round that
-    # measures the left segments its guessed neighbour moves need: a rewrite of
-    # the kernel may neither add a call nor skip a row.  Fubini-Study starts on
-    # its exact geodesic and no vertex moves; theta's descent runs rounds
+    # one call for the starts; one screen call per window of sweeps, before the
+    # first sweep and after each failed one, that measures single moves only;
+    # one full batch per sweep that moves or follows a move, plus one call per
+    # round that measures the left segments its guessed neighbour moves need: a
+    # rewrite of the kernel may neither add a call nor skip a row.  Fubini-Study
+    # starts on its exact geodesic and no vertex moves, so its 17 sweeps take
+    # six screens of 1, 1, 2, 4, 8 and 1 sweeps; theta's descent runs rounds
     rows = _counted_rows(monkeypatch, spec)
     rng = np.random.default_rng(5)
     g, h = la.random_gaussian_vector(3, C, rng), la.random_gaussian_vector(3, C, rng)
@@ -1181,6 +1184,49 @@ def test_sweep_descent_equals_the_per_vertex_descent_at_the_edges():
         negative = mm.induced_finsler(mm.riemann_profile("-1", "0"), 2)
     assert _assert_same_descent(negative, la.vector([1.0, 0.0]), la.vector([2.0, 0.0]))[0] \
         == "NonPositiveMetricError"
+
+
+def _recorded_screens(monkeypatch):
+    """(window, whether a single passes in each sweep drawn) per _screen call."""
+    screens, screen = [], ge._screen
+
+    def recorded(*args):
+        out = screen(*args)
+        screens.append((args[-1], [passed for _, _, passed in out]))
+        return out
+    monkeypatch.setattr(ge, "_screen", recorded)
+    return screens
+
+
+def test_screened_sweeps_equal_the_per_vertex_descent_at_the_window_edges(monkeypatch):
+    screens = _recorded_screens(monkeypatch)
+    # the euclidean chord, which no move shortens: every sweep is screened, in
+    # windows of 1, 1, 2, 4, 8, ... cut by n_iterations and by the step floor,
+    # which the 17th sweep reaches
+    rng = np.random.default_rng(11)
+    g, h = la.random_gaussian_vector(3, R, rng), la.random_gaussian_vector(3, R, rng)
+    windows = {0: [], 1: [1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 1, 2], 5: [1, 1, 2, 1],
+               17: [1, 1, 2, 4, 8, 1], 18: [1, 1, 2, 4, 8, 2]}
+    for n_iterations, want in windows.items():
+        screens.clear()
+        got = _assert_same_descent(mm.euclidean(3), g, h, n_iterations=n_iterations)
+        assert len(set(got[1])) == 1  # no vertex moved
+        assert got[3] == ("step-floor" if n_iterations >= 17 else "iteration-cap")
+        assert [window for window, _ in screens] == want, n_iterations
+        assert not any(passed for _, verdicts in screens for passed in verdicts)
+    # at 18 the floor cuts the last window after its first draw
+    assert len(screens[-1][1]) == 1 < screens[-1][0]
+    # the benchmark's real Fubini-Study dim-3 solve at seed 1: 8 screened
+    # failures, then a window of 8 whose first sweep moves, so the stream is
+    # rewound over 7 draws and the moves that follow draw from the rewound state
+    g = la.vector([-0.8524176024530431, -1.2397270085587957, -0.31840676827707404])
+    h = la.vector([0.07441921946347585, -0.25380638770348696, -0.8416784505533427])
+    screens.clear()
+    history = _assert_same_descent(mm.fubini_study(3, R), g, h, n_iterations=20,
+                                   seed=1832998802)[1]
+    assert screens[:5] == [(1, [False]), (1, [False]), (2, [False] * 2), (4, [False] * 4),
+                           (8, [True] + screens[4][1][1:])]
+    assert len(set(history[:9])) == 1 and sum(b < a for a, b in zip(history, history[1:])) >= 5
 
 
 @pytest.mark.parametrize("field", [R, C])
