@@ -1,0 +1,100 @@
+"""bench/ab.py on a fake runner: the alternation, the summary and the JSON it writes."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "ab.py"
+_SPEC = importlib.util.spec_from_file_location("ab", _PATH)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+METRICS = {"wall_s": "lower", "task_p50_s": "lower"}
+
+
+def _fake(values, calls):
+    """A runner whose side's wall_s at seed s is values[side][s], recording each call."""
+    def run(side, seed):
+        calls.append((side, seed))
+        wall = values[side][seed]
+        return {"correct": side == "change" or seed != 3, "attempted": 20,
+                "failed": 4 if side == "change" else seed % 2,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                            "task_p50_s": {"value": wall / 10, "unit": "s"},
+                            "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}
+    return run
+
+
+def test_seeds_read_numbers_and_inclusive_ranges():
+    assert ab.parse_seeds("1-9,7349") == [1, 2, 3, 4, 5, 6, 7, 8, 9, 7349]
+    assert ab.parse_seeds(" 5 ") == [5]
+    for bad in ("", "1-", "a", "3,3", "1-3,2"):
+        with pytest.raises(ValueError):
+            ab.parse_seeds(bad)
+
+
+def test_the_sides_alternate_which_runs_first_per_seed():
+    calls = []
+    seeds = [1, 2, 3, 7349]
+    values = {side: dict.fromkeys(seeds, 1.0) for side in ab.SIDES}
+    pairs = ab.run_pairs(seeds, _fake(values, calls), list(METRICS))
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                     ("parent", 3), ("change", 3), ("change", 7349), ("parent", 7349)]
+    assert [p["first"] for p in pairs] == ["parent", "change", "parent", "change"]
+    assert pairs[0]["parent"] == {"correct": True, "attempted": 20, "failed": 1,
+                                  "wall_s": 1.0, "task_p50_s": 0.1}
+
+
+def test_quartiles_medians_wins_and_the_claim():
+    seeds = list(range(1, 11))
+    parent = {s: float(s) for s in seeds}  # 1..10: quartiles 3.25, 5.5, 7.75
+    change = {s: float(s) - 4.0 for s in seeds}
+    change[10] = 11.0  # one pair the change loses
+    doc = ab.compare("geodesic", seeds, _fake({"parent": parent, "change": change}, []),
+                     METRICS, "wall_s")
+    s = doc["summary"]["wall_s"]
+    assert s["parent"] == {"q1": 3.25, "median": 5.5, "q3": 7.75}
+    assert s["parent_iqr"] == 4.5 and s["change_better_in"] == 9 and s["pairs"] == 10
+    assert s["change"]["median"] == 1.5
+    assert doc["claim"]["wins"] == 9 and doc["claim"]["median_gap"] == 4.0
+    assert doc["claim"]["met"] is False  # a gap of 4.0 is inside the parent's IQR of 4.5
+    change = {s: v - 5.0 for s, v in parent.items()}
+    change[9] = change[10] = 20.0  # better in 8 of 10: too few, whatever the gap
+    doc = ab.compare("geodesic", seeds, _fake({"parent": parent, "change": change}, []),
+                     METRICS, "wall_s")
+    assert doc["claim"]["wins"] == 8 and doc["claim"]["met"] is False
+    change = {s: v - 5.0 for s, v in parent.items()}
+    change[10] = 10.0  # a tie counts for neither side
+    doc = ab.compare("geodesic", seeds, _fake({"parent": parent, "change": change}, []),
+                     METRICS, "wall_s")
+    assert doc["claim"]["wins"] == 9 and doc["claim"]["met"] is True
+
+
+def test_a_higher_is_better_metric_wins_where_the_change_is_higher():
+    pairs = [{"seed": s, "parent": {"rate": 1.0}, "change": {"rate": 2.0}} for s in (1, 2, 3)]
+    summary = ab.summarize(pairs, {"rate": "higher"})
+    assert summary["rate"]["change_better_in"] == 3
+    assert ab.claim(summary, "rate", "higher")["median_gap"] == 1.0
+
+
+def test_the_document_holds_every_pair_and_round_trips_through_json():
+    seeds = [1, 2, 3]
+    values = {"parent": {1: 2.0, 2: 2.5, 3: 3.0}, "change": {1: 1.0, 2: 1.5, 3: 1.0}}
+    doc = ab.compare("geodesic", seeds, _fake(values, []), METRICS)
+    assert set(doc) == {"workload", "seeds", "method", "failed_per_seed",
+                        "correct_everywhere", "summary", "pairs"}  # no claim asked for
+    assert doc["failed_per_seed"] == {"1": {"parent": 1, "change": 4},
+                                      "2": {"parent": 0, "change": 4},
+                                      "3": {"parent": 1, "change": 4}}
+    assert doc["correct_everywhere"] is False  # the parent's run at seed 3
+    assert [p["seed"] for p in doc["pairs"]] == seeds
+    assert set(doc["summary"]) == set(METRICS)
+    assert json.loads(json.dumps(doc)) == doc
+
+
+def test_the_machine_names_its_cpu_count_and_platform():
+    info = ab.machine()
+    assert set(info) == {"cpu", "logical_cpus", "platform"}
+    assert isinstance(info["cpu"], str) and info["logical_cpus"] >= 1
