@@ -1,9 +1,9 @@
-"""A/B runs of the benchmark: a parent revision against a change, into BENCH_<slug>.json.
+"""A/B runs of the benchmark: a parent revision against HEAD, into BENCH_<slug>.json.
 
-    python3 bench/ab.py --parent REV [--change REV] --workload W --seeds 1-9,7349 \\
+    python3 bench/ab.py --parent REV --workload W --seeds 1-9,7349 \\
         [--claim METRIC] [--slug SLUG]
 
-Exports each revision (the change defaults to HEAD) with `git archive REV |
+Exports the parent and the change, HEAD, with `git archive REV |
 tar -x -C DIR` into one temporary directory and runs each tree's own
 `perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds: one parent
 and one change run per seed, alternating which side goes first.  Each
@@ -163,7 +163,6 @@ def tree_runner(trees: dict[str, Path], workload: str, seconds: float) -> Runner
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
-    parser.add_argument("--change", default="HEAD")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--claim", help="the end-to-end metric the change claims a gain on")
@@ -178,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"no end-to-end metric {args.claim!r} in BENCHMARK.json")
     revisions = {side: git("rev-parse", f"{rev}^{{commit}}")
-                 for side, rev in zip(SIDES, (args.parent, args.change))}
+                 for side, rev in zip(SIDES, (args.parent, "HEAD"))}
     import numpy
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}

@@ -9,16 +9,15 @@ named families' exact geodesics (the chord, the log-polar arc and, over C,
 the phase-aligned arc).  Each sweep of the descent draws its directions at
 once, tabulates every position a vertex can reach and measures them in one
 _segment_length call, then settles the vertices whose left neighbour moved
-in rounds of one call each.  Before the first sweep and after a failed one,
-a screen measures only the single moves of a window of the next sweeps in
-one call, since a sweep fails exactly when none of them shortens the path;
-only the first sweep that one does is tabulated.  The result equals the
-one-vertex-at-a-time descent's bit for bit.  One function, the segment
-kernel, measures each segment by two Gauss-Legendre nodes per chunk, forms
-every node's invariants from its segment's and evaluates every node of
-every spec in one call; only a spec that reads_vectors also gets the node
-rows.  An unresolved segment measures inf, so the descent compares lengths
-alone.
+in rounds of one call each.  A sweep fails exactly when no single move
+shortens the path, so first and after a failed sweep one call screens the
+single moves of the next few; only the first that passes is tabulated.
+The result equals the one-vertex-at-a-time descent's bit for bit.  The
+segment kernel measures each segment by two Gauss-Legendre nodes per
+chunk, forms every node's invariants from its segment's and evaluates
+every node of every spec in one call; only a spec that reads_vectors also
+gets the node rows.  An unresolved segment measures inf, so the descent
+compares lengths alone.
 """
 
 from __future__ import annotations
@@ -372,6 +371,11 @@ def _sweep_positions(verts: np.ndarray, step: float, rng: np.random.Generator,
     return P
 
 
+def _shortens(length, local):
+    """The descent's one acceptance rule: whether a move to this local length is kept."""
+    return length < local - 1e-15 * local
+
+
 def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: float,
             step_floor: float, rng: np.random.Generator, ell0: float,
             window: int) -> list[tuple[np.ndarray, dict, bool]]:
@@ -382,8 +386,8 @@ def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: floa
     of every single move (rows 1, 2, 4 and 8 of each vertex's block) against
     the path in one _segment_length call.  Until a vertex moves, the greedy
     walk tries single moves only, so a sweep moves a vertex exactly when one
-    of them passes.  Returns (positions, the RNG state right after their
-    draw, whether a single passes) per sweep drawn.
+    of them _shortens the path.  Returns (positions, the RNG state right
+    after their draw, whether a single passes) per sweep drawn.
     """
     draws = []
     for _ in range(window):
@@ -398,9 +402,8 @@ def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: floa
     lengths, _ = _segment_length(spec, np.concatenate([prev, singles]),
                                  np.concatenate([singles, after]), ell0)
     a, b = lengths.reshape(2, len(draws), -1)
-    local = np.add(seglen[:-1], seglen[1:]).repeat(4)
-    passes = (a + b < local - 1e-15 * local).any(axis=1).tolist()
-    return [(P, state, passed) for (P, state), passed in zip(draws, passes)]
+    passes = _shortens(a + b, np.add(seglen[:-1], seglen[1:]).repeat(4)).any(axis=1)
+    return [(P, state, passed) for (P, state), passed in zip(draws, passes.tolist())]
 
 
 def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
@@ -524,15 +527,14 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     first call's unused left segments, none of them may have a NaN value.
 
     Before the first sweep and after each failed one, a screen (see _screen)
-    takes a window of the next sweeps, as many as have failed in a row (at
-    least 1: 1, 1, 2, 4, 8, ...), never past n_iterations or the step floor.
-    Each that no single move passes fails and halves the step.  The first
-    that one passes runs in full on its drawn positions, with the random
-    stream back at its state right after them; the sweep after one that
-    moved runs in full directly.  So a failed sweep measures no multi-move
-    position, and a NaN there no longer raises; the single moves of the
-    window's later sweeps are measured though never taken, and none of them
-    may have a NaN value either.
+    takes as many next sweeps as have failed in a row (at least 1: 1, 1, 2,
+    4, 8, ...), never past n_iterations or the step floor.  Each that no
+    single move passes fails and halves the step.  The first that one passes
+    runs in full on its drawn positions, with the random stream back at its
+    state right after them; a sweep after one that moved runs in full
+    directly.  So a failed sweep measures no multi-move position, and a NaN
+    there does not raise; the single moves of the window's later sweeps are
+    measured though never taken, and a NaN there raises.
 
     Raises InvalidArgumentError unless n_vertices >= 3
     and n_iterations >= 0, ValueError when g != h and the chord's length
@@ -601,8 +603,8 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
                 cur = 0
                 for j in range(4):
                     s = cur | 1 << j
-                    if a[s - 1] + b[k][s - 1] < local - 1e-15 * local:
-                        cur, local = s, a[s - 1] + b[k][s - 1]
+                    if _shortens(length := a[s - 1] + b[k][s - 1], local):
+                        cur, local = s, length
                 return cur
 
             # rounds (see the docstring): guess[k] is the moves vertex k+1's left

@@ -1186,6 +1186,13 @@ def test_sweep_descent_equals_the_per_vertex_descent_at_the_edges():
         == "NonPositiveMetricError"
 
 
+# the benchmark's real Fubini-Study dim-3 solve at seed 1, cut at 20 sweeps:
+# g, h and the solve's arguments
+_FS_REWOUND = (la.vector([-0.8524176024530431, -1.2397270085587957, -0.31840676827707404]),
+               la.vector([0.07441921946347585, -0.25380638770348696, -0.8416784505533427]),
+               {"n_vertices": 13, "n_iterations": 20, "seed": 1832998802})
+
+
 def _recorded_screens(monkeypatch):
     """(window, whether a single passes in each sweep drawn) per _screen call."""
     screens, screen = [], ge._screen
@@ -1219,14 +1226,78 @@ def test_screened_sweeps_equal_the_per_vertex_descent_at_the_window_edges(monkey
     # the benchmark's real Fubini-Study dim-3 solve at seed 1: 8 screened
     # failures, then a window of 8 whose first sweep moves, so the stream is
     # rewound over 7 draws and the moves that follow draw from the rewound state
-    g = la.vector([-0.8524176024530431, -1.2397270085587957, -0.31840676827707404])
-    h = la.vector([0.07441921946347585, -0.25380638770348696, -0.8416784505533427])
+    g, h, kwargs = _FS_REWOUND
     screens.clear()
-    history = _assert_same_descent(mm.fubini_study(3, R), g, h, n_iterations=20,
-                                   seed=1832998802)[1]
+    history = _assert_same_descent(mm.fubini_study(3, R), g, h, **kwargs)[1]
     assert screens[:5] == [(1, [False]), (1, [False]), (2, [False] * 2), (4, [False] * 4),
                            (8, [True] + screens[4][1][1:])]
     assert len(set(history[:9])) == 1 and sum(b < a for a, b in zip(history, history[1:])) >= 5
+
+
+def _recorded_windows(monkeypatch):
+    """(the path as screened, ell0, the sweeps drawn) per _screen call."""
+    windows, screen = [], ge._screen
+
+    def recorded(*args):
+        out = screen(*args)
+        windows.append((args[1].copy(), args[-2], list(out)))
+        return out
+    monkeypatch.setattr(ge, "_screen", recorded)
+    return windows
+
+
+def _nan_shell(spec, segment, ell0):
+    """A lambda copy of spec's q/r^2 (Fubini-Study) or |h| (euclidean) value that
+    is NaN on a shell 1e-12 thin around the radius of one node of segment
+    (a (start, end) pair of rows), and nowhere else."""
+    fs = spec == "fubini-study"
+    radii = []
+    value = (lambda r, p, q: q / (r * r)) if fs else (lambda r, p, q: math.hypot(p, q) / r)
+    ge._segment_length(mm.FromLambda(3, R, POS, lambda r, p, q: radii.append(r) or 1.0),
+                       *(row[None] for row in segment), ell0)
+    r0 = radii[len(radii) // 2]
+    shell = mm.FromLambda(3, R, POS, lambda r, p, q: math.nan if abs(r - r0) < 1e-12 * r0
+                          else value(r, p, q))
+    with pytest.raises(EvalError):  # the segment meets the shell
+        ge._segment_length(shell, *(row[None] for row in segment), ell0)
+    return shell
+
+
+def test_a_nan_only_at_a_screened_but_untaken_single_move_raises(monkeypatch):
+    # the Fubini-Study solve whose window of 8 moves at its first sweep: the
+    # single moves of the other 7, drawn at step/2 ... step/128 on the
+    # unmoved path, are measured but never taken, since the stream is
+    # rewound over their draws.  A NaN on one of their segments raises,
+    # though the vertex-at-a-time descent, which never draws them, does not
+    # meet it
+    g, h, kwargs = _FS_REWOUND
+    windows = _recorded_windows(monkeypatch)
+    ge.geodesic_distance(mm.fubini_study(3, R), g, h, **kwargs)
+    verts, ell0, draws = windows[4]
+    assert [passed for _, _, passed in draws][:1] == [True] and len(draws) == 8
+    k = 5  # vertex k's first single move in the window's last sweep
+    shell = _nan_shell("fubini-study", (verts[k], draws[-1][0][k, 1]), ell0)
+    want = _outcome(_per_vertex_distance, shell, g, h, **kwargs)
+    assert want == _outcome(_per_vertex_distance, mm.fubini_study(3, R), g, h, **kwargs)
+    with pytest.raises(EvalError, match=r"^metric value is undefined here"):
+        ge.geodesic_distance(shell, g, h, **kwargs)
+
+
+def test_a_nan_only_at_a_failed_sweeps_multi_move_does_not_raise(monkeypatch):
+    # the euclidean chord, where every sweep fails: the first sweep's
+    # position with moves 0 and 2 (row 5 of a vertex's block) is never
+    # measured, so a NaN on its segment from the left neighbour, which a
+    # tabulated sweep would meet, leaves the solve equal to the
+    # vertex-at-a-time descent's, which never measures it either
+    rng = np.random.default_rng(11)
+    g, h = la.random_gaussian_vector(3, R, rng), la.random_gaussian_vector(3, R, rng)
+    windows = _recorded_windows(monkeypatch)
+    ge.geodesic_distance(mm.euclidean(3), g, h, n_iterations=17)
+    verts, ell0, draws = windows[0]
+    k = 5
+    shell = _nan_shell("euclidean", (verts[k], draws[0][0][k, 5]), ell0)
+    got = _assert_same_descent(shell, g, h, n_iterations=17)
+    assert got[3] == "step-floor" and len(set(got[1])) == 1  # 17 failed sweeps, no raise
 
 
 @pytest.mark.parametrize("field", [R, C])
