@@ -12,11 +12,11 @@ _segment_length call, then settles the vertices whose left neighbour moved
 in rounds of one call each.  A sweep fails exactly when no single move
 shortens the path, so first and after a failed sweep one call screens the
 single moves of the next few; only the first that passes is tabulated.
-The result equals the one-vertex-at-a-time descent's bit for bit.  The
-segment kernel measures each segment by two Gauss-Legendre nodes per
-chunk, forms every node's invariants from its segment's and evaluates
-every node of every spec in one call; only a spec that reads_vectors also
-gets the node rows.  An unresolved segment measures inf, so the descent
+The result equals the one-vertex-at-a-time descent's bit for bit under the
+same acceptance rule, _shortens.  The segment kernel measures each segment
+by two Gauss-Legendre nodes per chunk, forms every node's invariants from
+its segment's and evaluates every node of every spec in one call; only a
+spec that reads_vectors also gets the node rows.  An unresolved segment measures inf, so the descent
 compares lengths alone.
 """
 
@@ -371,9 +371,19 @@ def _sweep_positions(verts: np.ndarray, step: float, rng: np.random.Generator,
     return P
 
 
+# A move must shorten its two segments by more than this fraction of their
+# length.  The exact starts already measure up to 1.8e-6 relative from their
+# closed forms, the error of the quadrature itself, so a smaller gain cannot be
+# told from that error: below it the descent only chases the rule (at 1e-8 a
+# Fubini-Study solve still ran up to 48 sweeps, at 1e-7 at most 29).  Being
+# relative, the test keeps a pair scaled by 2^k at exactly 2^(k deg) the distance.
+_MARGIN = 1e-7
+
+
 def _shortens(length, local):
-    """The descent's one acceptance rule: whether a move to this local length is kept."""
-    return length < local - 1e-15 * local
+    """The descent's one acceptance rule: whether a move to this local length
+    is kept, which it is when it beats local by more than _MARGIN of it."""
+    return length < local - _MARGIN * local
 
 
 def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: float,
@@ -507,7 +517,9 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     which only a start through a lifted midpoint draws from before the
     sweeps: each vertex in turn tries
     the moves +-step along two random directions and keeps each one that
-    shortens the path; the step halves after a sweep without improvement.
+    shortens its two segments by more than 1e-7 of their length (_shortens:
+    a smaller gain is within the quadrature's error, so it is not taken);
+    the step halves after a sweep without improvement.
     Each sweep is measured in batches (see _sweep_positions).  The length
     sequence is non-increasing; negative metrics are refused.  The result
     says why the descent stopped: a zero chord (g = h), the step floor, or

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import math
 import re
@@ -447,6 +448,17 @@ def test_geodesic_fubini_study_quarter():
     res = ge.geodesic_distance(mm.fubini_study(3), la.basis_vector(3, 0),
                                la.basis_vector(3, 1), seed=0, n_iterations=120)
     assert res.distance == pytest.approx(HALF_PI, abs=1e-2)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_a_move_must_beat_the_quadrature_error_on_an_exact_start(dim):
+    # Fubini-Study e1 -> e2 starts on its exact geodesic, whose length does not
+    # depend on the radius: a move could only lower the quadrature's error.
+    # With no acceptance margin, dim 2 ran 87 sweeps and ended 7.7e-7 below pi/2
+    res = ge.geodesic_distance(mm.fubini_study(dim), la.basis_vector(dim, 0),
+                               la.basis_vector(dim, 1))
+    assert (res.stop_reason, res.iterations) == ("step-floor", 17)
+    assert res.distance == res.initial_length == pytest.approx(HALF_PI, rel=1e-7)
 
 
 def test_geodesic_radial_log_distance():
@@ -911,7 +923,7 @@ def test_the_kernel_measures_from_invariants_what_chunk_rows_measure(field, dim)
 
 @pytest.mark.parametrize("spec, want", [
     (mm.fubini_study(3, C), (17, "step-floor", 7, 9326)),
-    (mm.FromTheta(3, C, POS, mm.theta_profile("1+cos(tau)")), (150, "iteration-cap", 378, 284964))],
+    (mm.FromTheta(3, C, POS, mm.theta_profile("1+cos(tau)")), (150, "iteration-cap", 378, 284874))],
     ids=["fubini-study", "theta"])
 def test_a_seeded_solve_makes_the_same_eval_batch_calls_and_rows(monkeypatch, spec, want):
     # one call for the starts; one screen call per window of sweeps, before the
@@ -1110,7 +1122,7 @@ def _per_vertex_descend(spec, g, h, n_vertices, n_iterations, rng):
                 resolved = (status[:n] == _RESOLVED) & (status[n:] == _RESOLVED)
                 a, b = lengths[:n].tolist(), lengths[n:].tolist()
                 for c in range(n):
-                    if resolved[c] and a[c] + b[c] < local - 1e-15 * local:
+                    if resolved[c] and ge._shortens(a[c] + b[c], local):
                         verts[i] = cands[c]
                         seglen[i - 1], seglen[i] = a[c], b[c]
                         local = a[c] + b[c]
@@ -1157,11 +1169,12 @@ def _assert_same_descent(spec, g, h, **kwargs):
 @pytest.mark.parametrize("dim", [2, 3, 5])
 @pytest.mark.parametrize("field", [R, C])
 def test_sweep_descent_equals_the_per_vertex_descent(field, dim, n_vertices):
-    # 4 specs in each of 18 settings: 72 solves, each compared bit for bit
+    # 5 specs in each of 18 settings: 90 solves, each compared bit for bit
     rng = np.random.default_rng([dim, n_vertices, field is C])
     specs = [mm.euclidean(dim, field), mm.fubini_study(dim, field), mm.norm_quotient(dim, field),
              mm.FromTheta(dim, field, mm.RadiusDomain(((0.5, 3.0),)),
-                          mm.theta_profile("1+cos(tau)"))]
+                          mm.theta_profile("1+cos(tau)")),
+             mm.FromLambda(dim, field, POS, mm.lambda_profile("sqrt(p^2+2*q^2)"))]
     moved = False
     for k, spec in enumerate(specs):
         g = la.random_vector_with_norm(dim, field, float(rng.uniform(0.6, 2.5)), rng)
@@ -1186,11 +1199,12 @@ def test_sweep_descent_equals_the_per_vertex_descent_at_the_edges():
         == "NonPositiveMetricError"
 
 
-# the benchmark's real Fubini-Study dim-3 solve at seed 1, cut at 20 sweeps:
-# g, h and the solve's arguments
-_FS_REWOUND = (la.vector([-0.8524176024530431, -1.2397270085587957, -0.31840676827707404]),
-               la.vector([0.07441921946347585, -0.25380638770348696, -0.8416784505533427]),
-               {"n_vertices": 13, "n_iterations": 20, "seed": 1832998802})
+# a theta solve whose start is no geodesic of the metric, cut at 20 sweeps:
+# the spec, g, h and the solve's arguments.  It fails 8 sweeps, then moves at
+# 1/256 of the first step, by more than the acceptance margin
+_REWOUND = (mm.FromTheta(3, R, POS, mm.theta_profile("1+cos(tau)")),
+            *(la.random_gaussian_vector(3, R, rng) for rng in [np.random.default_rng(40)] * 2),
+            {"n_vertices": 13, "n_iterations": 20, "seed": 0})
 
 
 def _recorded_screens(monkeypatch):
@@ -1223,12 +1237,12 @@ def test_screened_sweeps_equal_the_per_vertex_descent_at_the_window_edges(monkey
         assert not any(passed for _, verdicts in screens for passed in verdicts)
     # at 18 the floor cuts the last window after its first draw
     assert len(screens[-1][1]) == 1 < screens[-1][0]
-    # the benchmark's real Fubini-Study dim-3 solve at seed 1: 8 screened
-    # failures, then a window of 8 whose first sweep moves, so the stream is
-    # rewound over 7 draws and the moves that follow draw from the rewound state
-    g, h, kwargs = _FS_REWOUND
+    # the theta solve: 8 screened failures, then a window of 8 whose first
+    # sweep moves, so the stream is rewound over 7 draws and the moves that
+    # follow draw from the rewound state
+    spec, g, h, kwargs = _REWOUND
     screens.clear()
-    history = _assert_same_descent(mm.fubini_study(3, R), g, h, **kwargs)[1]
+    history = _assert_same_descent(spec, g, h, **kwargs)[1]
     assert screens[:5] == [(1, [False]), (1, [False]), (2, [False] * 2), (4, [False] * 4),
                            (8, [True] + screens[4][1][1:])]
     assert len(set(history[:9])) == 1 and sum(b < a for a, b in zip(history, history[1:])) >= 5
@@ -1247,38 +1261,40 @@ def _recorded_windows(monkeypatch):
 
 
 def _nan_shell(spec, segment, ell0):
-    """A lambda copy of spec's q/r^2 (Fubini-Study) or |h| (euclidean) value that
-    is NaN on a shell 1e-12 thin around the radius of one node of segment
-    (a (start, end) pair of rows), and nowhere else."""
-    fs = spec == "fubini-study"
+    """A copy of spec whose family kernel is NaN on a shell 1e-12 thin around
+    the radius of one node of segment (a (start, end) pair of rows), and
+    spec's own, bit for bit, everywhere else."""
     radii = []
-    value = (lambda r, p, q: q / (r * r)) if fs else (lambda r, p, q: math.hypot(p, q) / r)
     ge._segment_length(mm.FromLambda(3, R, POS, lambda r, p, q: radii.append(r) or 1.0),
                        *(row[None] for row in segment), ell0)
     r0 = radii[len(radii) // 2]
-    shell = mm.FromLambda(3, R, POS, lambda r, p, q: math.nan if abs(r - r0) < 1e-12 * r0
-                          else value(r, p, q))
+    values = type(spec)._values
+
+    class Shell(type(spec)):
+        def _values(self, r, ip, q, G, H):
+            return np.where(np.abs(r - r0) < 1e-12 * r0, np.nan, values(self, r, ip, q, G, H))
+    shell = copy.copy(spec)
+    shell.__class__ = Shell
     with pytest.raises(EvalError):  # the segment meets the shell
         ge._segment_length(shell, *(row[None] for row in segment), ell0)
     return shell
 
 
 def test_a_nan_only_at_a_screened_but_untaken_single_move_raises(monkeypatch):
-    # the Fubini-Study solve whose window of 8 moves at its first sweep: the
-    # single moves of the other 7, drawn at step/2 ... step/128 on the
-    # unmoved path, are measured but never taken, since the stream is
-    # rewound over their draws.  A NaN on one of their segments raises,
-    # though the vertex-at-a-time descent, which never draws them, does not
-    # meet it
-    g, h, kwargs = _FS_REWOUND
+    # the theta solve whose window of 8 moves at its first sweep: the single
+    # moves of the other 7, drawn at 1/2 ... 1/128 of its step on the unmoved
+    # path, are measured but never taken, since the stream is rewound over
+    # their draws.  A NaN on one of their segments raises, though the
+    # vertex-at-a-time descent, which never draws them, does not meet it
+    spec, g, h, kwargs = _REWOUND
     windows = _recorded_windows(monkeypatch)
-    ge.geodesic_distance(mm.fubini_study(3, R), g, h, **kwargs)
+    ge.geodesic_distance(spec, g, h, **kwargs)
     verts, ell0, draws = windows[4]
     assert [passed for _, _, passed in draws][:1] == [True] and len(draws) == 8
     k = 5  # vertex k's first single move in the window's last sweep
-    shell = _nan_shell("fubini-study", (verts[k], draws[-1][0][k, 1]), ell0)
+    shell = _nan_shell(spec, (verts[k], draws[-1][0][k, 1]), ell0)
     want = _outcome(_per_vertex_distance, shell, g, h, **kwargs)
-    assert want == _outcome(_per_vertex_distance, mm.fubini_study(3, R), g, h, **kwargs)
+    assert want == _outcome(_per_vertex_distance, spec, g, h, **kwargs)
     with pytest.raises(EvalError, match=r"^metric value is undefined here"):
         ge.geodesic_distance(shell, g, h, **kwargs)
 
@@ -1295,7 +1311,7 @@ def test_a_nan_only_at_a_failed_sweeps_multi_move_does_not_raise(monkeypatch):
     ge.geodesic_distance(mm.euclidean(3), g, h, n_iterations=17)
     verts, ell0, draws = windows[0]
     k = 5
-    shell = _nan_shell("euclidean", (verts[k], draws[0][0][k, 5]), ell0)
+    shell = _nan_shell(mm.euclidean(3), (verts[k], draws[0][0][k, 5]), ell0)
     got = _assert_same_descent(shell, g, h, n_iterations=17)
     assert got[3] == "step-floor" and len(set(got[1])) == 1  # 17 failed sweeps, no raise
 
