@@ -454,7 +454,7 @@ def test_geodesic_fubini_study_quarter():
 def test_a_move_must_beat_the_quadrature_error_on_an_exact_start(dim):
     # Fubini-Study e1 -> e2 starts on its exact geodesic, whose length does not
     # depend on the radius: a move could only lower the quadrature's error.
-    # With no acceptance margin, dim 2 ran 87 sweeps and ended 7.7e-7 below pi/2
+    # With a margin of 1e-15, dim 2 ran 87 sweeps and ended 7.7e-7 below pi/2
     res = ge.geodesic_distance(mm.fubini_study(dim), la.basis_vector(dim, 0),
                                la.basis_vector(dim, 1))
     assert (res.stop_reason, res.iterations) == ("step-floor", 17)
@@ -1199,11 +1199,15 @@ def test_sweep_descent_equals_the_per_vertex_descent_at_the_edges():
         == "NonPositiveMetricError"
 
 
+def _gaussian_pair(seed):
+    rng = np.random.default_rng(seed)
+    return la.random_gaussian_vector(3, R, rng), la.random_gaussian_vector(3, R, rng)
+
+
 # a theta solve whose start is no geodesic of the metric, cut at 20 sweeps:
 # the spec, g, h and the solve's arguments.  It fails 8 sweeps, then moves at
 # 1/256 of the first step, by more than the acceptance margin
-_REWOUND = (mm.FromTheta(3, R, POS, mm.theta_profile("1+cos(tau)")),
-            *(la.random_gaussian_vector(3, R, rng) for rng in [np.random.default_rng(40)] * 2),
+_REWOUND = (mm.FromTheta(3, R, POS, mm.theta_profile("1+cos(tau)")), *_gaussian_pair(40),
             {"n_vertices": 13, "n_iterations": 20, "seed": 0})
 
 
@@ -1224,8 +1228,7 @@ def test_screened_sweeps_equal_the_per_vertex_descent_at_the_window_edges(monkey
     # the euclidean chord, which no move shortens: every sweep is screened, in
     # windows of 1, 1, 2, 4, 8, ... cut by n_iterations and by the step floor,
     # which the 17th sweep reaches
-    rng = np.random.default_rng(11)
-    g, h = la.random_gaussian_vector(3, R, rng), la.random_gaussian_vector(3, R, rng)
+    g, h = _gaussian_pair(11)
     windows = {0: [], 1: [1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 1, 2], 5: [1, 1, 2, 1],
                17: [1, 1, 2, 4, 8, 1], 18: [1, 1, 2, 4, 8, 2]}
     for n_iterations, want in windows.items():
@@ -1305,8 +1308,7 @@ def test_a_nan_only_at_a_failed_sweeps_multi_move_does_not_raise(monkeypatch):
     # measured, so a NaN on its segment from the left neighbour, which a
     # tabulated sweep would meet, leaves the solve equal to the
     # vertex-at-a-time descent's, which never measures it either
-    rng = np.random.default_rng(11)
-    g, h = la.random_gaussian_vector(3, R, rng), la.random_gaussian_vector(3, R, rng)
+    g, h = _gaussian_pair(11)
     windows = _recorded_windows(monkeypatch)
     ge.geodesic_distance(mm.euclidean(3), g, h, n_iterations=17)
     verts, ell0, draws = windows[0]
