@@ -176,8 +176,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("quartiles need at least two seeds")
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"no end-to-end metric {args.claim!r} in BENCHMARK.json")
-    revisions = {side: git("rev-parse", f"{rev}^{{commit}}")
-                 for side, rev in zip(SIDES, (args.parent, "HEAD"))}
+    revisions = {}
+    for side, rev in zip(SIDES, (args.parent, "HEAD")):
+        try:
+            revisions[side] = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+        except subprocess.CalledProcessError:
+            parser.error(f"no commit {rev!r} in this repository")
     import numpy
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}

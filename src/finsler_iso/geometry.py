@@ -7,17 +7,18 @@ coordinate descent over the interior vertices of a polyline, which yields
 an upper bound on the infimum.  The descent starts from the shortest of the
 named families' exact geodesics (the chord, the log-polar arc and, over C,
 the phase-aligned arc).  Each sweep of the descent draws its directions at
-once, tabulates every position a vertex can reach and measures them in one
-_segment_length call, then settles the vertices whose left neighbour moved
-in rounds of one call each.  A sweep fails exactly when no single move
-shortens the path, so first and after a failed sweep one call screens the
-single moves of the next few; only the first that passes is tabulated.
-The result equals the one-vertex-at-a-time descent's bit for bit under the
-same acceptance rule, _shortens.  The segment kernel measures each segment
-by two Gauss-Legendre nodes per chunk, forms every node's invariants from
-its segment's and evaluates every node of every spec in one call; only a
-spec that reads_vectors also gets the node rows.  An unresolved segment measures inf, so the descent
-compares lengths alone.
+once and tabulates every position a vertex can reach; one _segment_length
+call measures the odd interior vertices' positions, which share no segment,
+and a second the even ones' against the moved odd ones.  A sweep fails
+exactly when no single move shortens the path, so first and after a failed
+sweep one call screens the single moves of the next few; only the first
+that passes is tabulated.  The result equals the one-vertex-at-a-time
+descent's in the same vertex order bit for bit under the same acceptance
+rule, _shortens.  The segment kernel measures each segment by two
+Gauss-Legendre nodes per chunk, forms every node's invariants from its
+segment's and evaluates every node of every spec in one call; only a spec
+that reads_vectors also gets the node rows.  An unresolved segment measures
+inf, so the descent compares lengths alone.
 """
 
 from __future__ import annotations
@@ -486,7 +487,8 @@ def _phase_aligned_rows(u: np.ndarray, v: np.ndarray, n_seg: int) -> np.ndarray 
     if phi == 0.0:
         return None
     turned = u * np.exp(1j * phi)
-    legs = row_norms(np.stack([turned - u, v - turned]))
+    # the legs over the larger end, whose squares cannot overflow
+    legs = row_norms(np.stack([turned - u, v - turned]) / max(nu, nv))
     n1 = min(max(round(n_seg * legs[0] / legs.sum()), 1), n_seg - 1)
     arc = _log_polar_rows(turned, v, np.linspace(0.0, 1.0, n_seg - n1 + 1))
     if arc is None:
@@ -515,28 +517,23 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     quadrature's error.  Then coordinate descent over its interior
     vertices, on the one random stream SeedSequence(seed).spawn(1)[0],
     which only a start through a lifted midpoint draws from before the
-    sweeps: each vertex in turn tries
-    the moves +-step along two random directions and keeps each one that
-    shortens its two segments by more than 1e-7 of their length (_shortens:
-    a smaller gain is within the quadrature's error, so it is not taken);
-    the step halves after a sweep without improvement.
-    Each sweep is measured in batches (see _sweep_positions).  The length
-    sequence is non-increasing; negative metrics are refused.  The result
-    says why the descent stopped: a zero chord (g = h), the step floor, or
-    the iteration cap.
+    sweeps.  A sweep draws two random directions per interior vertex, in
+    vertex order; then the odd vertices 1, 3, 5, ... and after them the even
+    ones 2, 4, ... each try the moves +-step along their two directions and
+    keep each one that shortens their two segments by more than 1e-7 of their
+    length (_shortens: a smaller gain is within the quadrature's error, so it
+    is not taken); the step halves after a sweep without improvement.  The
+    length sequence is non-increasing; negative metrics are refused.  The
+    result says why the descent stopped: a zero chord (g = h), the step
+    floor, or the iteration cap.
 
-    A vertex's choice in a sweep depends only on the moves its left
-    neighbour accepted, since its right neighbour has not moved yet.  The
-    sweep's first call measures both segments of every candidate against the
-    path as the sweep found it.  Then, in rounds, each vertex's left
-    neighbour is guessed to make the moves it chose in the previous round
-    (none at first); one call measures the left segments from every guessed
-    position not measured yet, and every choice is made again, until no
-    choice changes.  Vertex 1's neighbour is fixed and each round makes one
-    more link exact, so the moves are those of the walk in vertex order, in
-    no more calls than one per vertex whose left neighbour moved.  A round
-    may measure segments from positions that the walk never takes; like the
-    first call's unused left segments, none of them may have a NaN value.
+    Vertices of one parity share no segment, so each half is measured in one
+    _segment_length call: both segments of every position its vertices can
+    reach (see _sweep_positions), against neighbours that do not move in
+    that half.  A sweep that runs in full is two calls (one at three
+    vertices), however many vertices move, and gives the moves of the walk
+    one vertex at a time in that order.  Every segment a half measures must
+    not have a NaN value, whether its position is taken or not.
 
     Before the first sweep and after each failed one, a screen (see _screen)
     takes as many next sweeps as have failed in a row (at least 1: 1, 1, 2,
@@ -583,6 +580,10 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     step_floor = 1e-6 * chord_len
     stop_reason = "iteration-cap"
 
+    # the odd interior vertices, then the even (none at three vertices): the
+    # vertices of one half share no segment
+    halves = [i for i in (np.arange(1, n_vertices - 1, 2), np.arange(2, n_vertices - 1, 2))
+              if len(i)]
     fails, moved, screened = 0, False, []
     for _ in range(n_iterations):
         if not (moved or screened):
@@ -594,53 +595,25 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
                 rng.bit_generator.state, screened = state, []
         else:
             P, full = _sweep_positions(verts, step, rng, spec.field), True
-        moves = []
-        if full:
-            # Both segments of every candidate, measured against the vertices as
-            # the sweep found them: prev -> cand first, then cand -> next.
-            cands = P[:, 1:].reshape(-1, spec.dim)
+        moved = False
+        for i in halves if full else ():
+            # Both segments of each candidate of this half, against neighbours
+            # that do not move in it: prev -> cand first, then cand -> next.
+            cands = P[i - 1, 1:].reshape(-1, spec.dim)
             lengths, _ = _segment_length(
-                spec, np.concatenate([verts[:-2].repeat(15, axis=0), cands]),
-                np.concatenate([cands, verts[2:].repeat(15, axis=0)]), ell0)
-            a, b = lengths.reshape(2, -1, 15).tolist()
-            # left[k][c]: vertex k+1's left lengths when vertex k accepted the
-            # moves c, so that its left segments start at P[k-1, c]
-            left = [{0: row} for row in a]
-
-            def decide(k: int, c: int) -> int:
-                """Vertex k+1's greedy moves, as a bitmask tried in move order; an
-                unresolved segment measures inf, so no move through one passes."""
-                a = left[k][c]
-                local = (b[k - 1][c - 1] if c else seglen[k]) + seglen[k + 1]
-                cur = 0
+                spec, np.concatenate([verts[i - 1].repeat(15, axis=0), cands]),
+                np.concatenate([cands, verts[i + 1].repeat(15, axis=0)]), ell0)
+            for k, a, b in zip(i.tolist(), *lengths.reshape(2, -1, 15).tolist()):
+                # vertex k's greedy moves, as a bitmask tried in move order; an
+                # unresolved segment measures inf, so no move through one passes
+                local, cur = seglen[k - 1] + seglen[k], 0
                 for j in range(4):
                     s = cur | 1 << j
-                    if _shortens(length := a[s - 1] + b[k][s - 1], local):
+                    if _shortens(length := a[s - 1] + b[s - 1], local):
                         cur, local = s, length
-                return cur
-
-            # rounds (see the docstring): guess[k] is the moves vertex k+1's left
-            # neighbour is taken to accept, moves[k] vertex k+1's choice given it
-            ni = n_vertices - 2
-            guess = [0] * ni
-            moves = [decide(k, 0) for k in range(ni)]
-            while stale := [k for k in range(1, ni) if moves[k - 1] != guess[k]]:
-                for k in stale:
-                    guess[k] = moves[k - 1]
-                new = [k for k in stale if guess[k] not in left[k]]
-                if new:
-                    U = P[[k - 1 for k in new], [guess[k] for k in new]]
-                    lengths, _ = _segment_length(spec, U.repeat(15, axis=0),
-                                                 P[new, 1:].reshape(-1, spec.dim), ell0)
-                    for k, row in zip(new, lengths.reshape(-1, 15).tolist()):
-                        left[k][guess[k]] = row
-                for k in stale:
-                    moves[k] = decide(k, guess[k])
-            for k, cur in enumerate(moves):
                 if cur:
-                    verts[k + 1] = P[k, cur]
-                    seglen[k], seglen[k + 1] = left[k][guess[k]][cur - 1], b[k][cur - 1]
-        moved = any(moves)
+                    verts[k] = P[k - 1, cur]
+                    seglen[k - 1], seglen[k], moved = a[cur - 1], b[cur - 1], True
         fails = 0 if moved else fails + 1
         total = sum(seglen)
         history.append(total)

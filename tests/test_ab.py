@@ -98,3 +98,14 @@ def test_the_machine_names_its_cpu_count_and_platform():
     info = ab.machine()
     assert set(info) == {"cpu", "logical_cpus", "platform"}
     assert isinstance(info["cpu"], str) and info["logical_cpus"] >= 1
+
+
+def test_an_unknown_revision_is_a_usage_error(capsys):
+    # exit 2 naming it, as argparse reports a usage error, before anything is exported
+    before = sorted(ab.ROOT.glob("BENCH_*.json"))
+    with pytest.raises(SystemExit) as exit_info:
+        ab.main(["--parent", "no-such-rev", "--workload", "geodesic", "--seeds", "1-2"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "no commit 'no-such-rev'" in err and "Traceback" not in err
+    assert sorted(ab.ROOT.glob("BENCH_*.json")) == before

@@ -938,6 +938,9 @@ def _assert_csv(text):
 # a chord through the origin whose node count overflows: refused without a warning, exit 0
 @example((["distance", "--metric", "norm-quotient", "--dim", "2", "--g", "1e153,0",
            "--h=-1e153,0"], None))
+# a phase-aligned start whose first leg squares past the float range: exit 0, no warning
+@example((["distance", "--metric", "euclidean", "--dim", "2", "--field", "complex",
+           "--g", "1e154:0,0", "--h=-4.16e149:9.09e149,1e150"], None))
 # a distance from 0 under a zero extension: no start resolves, exit 3 without a warning
 @example((["distance", "--metric", "@SPEC", "--g", "0,0", "--h", "1,0"],
           {"family": "zero-extended", "dim": 2, "field": "real",

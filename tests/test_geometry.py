@@ -594,6 +594,21 @@ def test_geodesic_refuses_a_chord_that_under_or_overflows(field):
     assert math.isfinite(res.distance) and res.stop_reason == "iteration-cap"
 
 
+def test_the_phase_aligned_start_splits_its_legs_without_overflow():
+    # the phase-aligned arc's first leg, about 1.68e154, squares past the float
+    # range, though both ends are in the domain and the chord, 1.00004e154, is
+    # finite: its split between the legs must come with no warning
+    g, h = la.vector([1e154, 0.0], C), la.vector([-4.16e149 + 9.09e149j, 1e150], C)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fubini_study = ge.geodesic_distance(mm.fubini_study(2, C), g, h)
+        euclidean = ge.geodesic_distance(mm.euclidean(2, C), g, h)
+    want = _closed_form("fubini-study", g.entries, h.entries)
+    assert fubini_study.distance == pytest.approx(want, abs=1e-5)
+    chord = _closed_form("euclidean", g.entries, h.entries)
+    assert chord <= euclidean.distance <= chord * (1.0 + 1e-4)
+
+
 def test_geodesic_triangle_sanity_fubini_study():
     rng = np.random.default_rng(4)
     spec = mm.fubini_study(3)
@@ -923,21 +938,26 @@ def test_the_kernel_measures_from_invariants_what_chunk_rows_measure(field, dim)
 
 @pytest.mark.parametrize("spec, want", [
     (mm.fubini_study(3, C), (17, "step-floor", 7, 9326)),
-    (mm.FromTheta(3, C, POS, mm.theta_profile("1+cos(tau)")), (150, "iteration-cap", 378, 284874))],
+    (mm.FromTheta(3, C, POS, mm.theta_profile("1+cos(tau)")), (150, "iteration-cap", 301, 245136))],
     ids=["fubini-study", "theta"])
 def test_a_seeded_solve_makes_the_same_eval_batch_calls_and_rows(monkeypatch, spec, want):
     # one call for the starts; one screen call per window of sweeps, before the
     # first sweep and after each failed one, that measures single moves only;
-    # one full batch per sweep that moves or follows a move, plus one call per
-    # round that measures the left segments its guessed neighbour moves need: a
-    # rewrite of the kernel may neither add a call nor skip a row.  Fubini-Study
-    # starts on its exact geodesic and no vertex moves, so its 17 sweeps take
-    # six screens of 1, 1, 2, 4, 8 and 1 sweeps; theta's descent runs rounds
+    # two calls per sweep that runs in full (one that moves or follows a move),
+    # its odd vertices' candidates and then its even vertices': a rewrite of the
+    # kernel may neither add a call nor skip a row.  Fubini-Study starts on its
+    # exact geodesic and no vertex moves, so its 17 sweeps take six screens of
+    # 1, 1, 2, 4, 8 and 1 sweeps and no full sweep
     rows = _counted_rows(monkeypatch, spec)
+    screens = _recorded_screens(monkeypatch)
     rng = np.random.default_rng(5)
     g, h = la.random_gaussian_vector(3, C, rng), la.random_gaussian_vector(3, C, rng)
     res = ge.geodesic_distance(spec, g, h, seed=3)
     assert (res.iterations, res.stop_reason, len(rows), sum(rows)) == want
+    # a window's sweeps fail up to the first that a single passes, which runs in full
+    failed = sum(verdicts.index(True) if True in verdicts else len(verdicts)
+                 for _, verdicts in screens)
+    assert len(rows) == 1 + len(screens) + 2 * (res.iterations - failed)
 
 
 def _reference_segment_length(spec, U, V, ell0):
@@ -995,18 +1015,22 @@ def _reference_chunk_values(spec, P, D, gap, length, t_star, m):
 
 
 def _sweep_batches(field):
-    """A seeded sweep's first call (330 segments) and one round (45: the left
-    segments of three vertices from their left neighbours' first moves), built
-    as the descent builds them from a 13-vertex chord in dimension 3."""
+    """A seeded sweep's two half batches (180 segments for the odd vertices,
+    150 for the even ones against their odd neighbours' first moves), built as
+    the descent builds them from a 13-vertex chord in dimension 3."""
     rng = np.random.default_rng(7)
     g, h = (la.random_vector_with_norm(3, field, r, rng).entries for r in (1.0, 1.5))
     verts = ge._segment_rows(g, h, np.linspace(0.0, 1.0, 13))
     chord = float(np.linalg.norm(h - g))
     P = ge._sweep_positions(verts, chord / 12, rng, field)
-    cands = P[:, 1:].reshape(-1, 3)
-    first = (np.concatenate([verts[:-2].repeat(15, axis=0), cands]),
-             np.concatenate([cands, verts[2:].repeat(15, axis=0)]))
-    return [first, (P[[0, 1, 2], 1].repeat(15, axis=0), P[1:4, 1:].reshape(-1, 3))], chord / 48
+    batches = []
+    for i in (np.arange(1, 12, 2), np.arange(2, 12, 2)):
+        cands = P[i - 1, 1:].reshape(-1, 3)
+        batches.append((np.concatenate([verts[i - 1].repeat(15, axis=0), cands]),
+                        np.concatenate([cands, verts[i + 1].repeat(15, axis=0)])))
+        verts = verts.copy()
+        verts[i] = P[i - 1, 1]  # the half's first moves, taken
+    return batches, chord / 48
 
 
 def _fine_lengths(spec, U, V, ell0):
@@ -1083,10 +1107,11 @@ def _direction(rng, dim, field):
 
 
 def _per_vertex_descend(spec, g, h, n_vertices, n_iterations, rng):
-    """The geodesic descent as it ran one vertex visit at a time, kept verbatim
-    as the reference: each visit draws its two directions and measures its
-    remaining candidates from the current vertex, one _segment_length call per
-    accepted move and one more."""
+    """The geodesic descent one vertex visit at a time, the reference: each
+    sweep draws every vertex's two directions first, in vertex order, then
+    visits the odd interior vertices and then the even ones, and each visit
+    measures its remaining candidates from the current vertex, one
+    _segment_length call per accepted move and one more."""
     _RESOLVED, _segment_length = ge._RESOLVED, ge._segment_length
     Polyline, GeodesicResult = ge.Polyline, ge.GeodesicResult
     field = spec.field
@@ -1105,11 +1130,12 @@ def _per_vertex_descend(spec, g, h, n_vertices, n_iterations, rng):
 
     for _ in range(n_iterations):
         improved = False
-        for i in range(1, n_vertices - 1):
+        # Candidates draw nothing, so every direction can be drawn first.
+        dirs = {i: [_direction(rng, spec.dim, field) for _ in range(2)]
+                for i in range(1, n_vertices - 1)}
+        for i in [*range(1, n_vertices - 1, 2), *range(2, n_vertices - 1, 2)]:
             local = seglen[i - 1] + seglen[i]
-            # Candidates draw nothing, so both directions can be drawn first.
-            dirs = [_direction(rng, spec.dim, field) for _ in range(2)]
-            moves = np.array([sgn * step * d for d in dirs for sgn in (1.0, -1.0)])
+            moves = np.array([sgn * step * d for d in dirs[i] for sgn in (1.0, -1.0)])
             k = 0
             while k < len(moves):
                 # The remaining candidates, measured from the current vertex:
