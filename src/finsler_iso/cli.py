@@ -335,8 +335,23 @@ def _add_metric(p: argparse.ArgumentParser) -> None:
     p.add_argument("--field", choices=["real", "complex"])
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as numpy's SeedSequence takes it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_seed, default=0)
+
+
 def _add_seed_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed(p)
     p.add_argument("--tol", type=float, default=1e-9)
 
 
@@ -393,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="geodesic distance by polyline descent")
     _add_metric(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed(p)
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--vertices", type=int, default=13)

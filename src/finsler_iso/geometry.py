@@ -10,15 +10,16 @@ the phase-aligned arc).  Each sweep of the descent draws its directions at
 once and tabulates every position a vertex can reach; one _segment_length
 call measures the odd interior vertices' positions, which share no segment,
 and a second the even ones' against the moved odd ones.  A sweep fails
-exactly when no single move shortens the path, so first and after a failed
-sweep one call screens the single moves of the next few; only the first
-that passes is tabulated.  The result equals the one-vertex-at-a-time
-descent's in the same vertex order bit for bit under the same acceptance
-rule, _shortens.  The segment kernel measures each segment by two
-Gauss-Legendre nodes per chunk, forms every node's invariants from its
-segment's and evaluates every node of every spec in one call; only a spec
-that reads_vectors also gets the node rows.  An unresolved segment measures
-inf, so the descent compares lengths alone.
+exactly when no single move shortens the path, so one call screens the
+single moves of the whole step ladder before the first sweep, and of the
+next few after a failed one, all drawn at once; only the first that passes
+is tabulated.  The result equals the one-vertex-at-a-time descent's in the
+same vertex order bit for bit under the same acceptance rule, _shortens.
+The segment kernel measures each segment by two Gauss-Legendre nodes per
+chunk, forms every node's invariants from its segment's and evaluates every
+node of every spec in one call; only a spec that reads_vectors also gets
+the node rows.  An unresolved segment measures inf, so the descent compares
+lengths alone.
 """
 
 from __future__ import annotations
@@ -389,32 +390,44 @@ def _shortens(length, local):
 
 def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: float,
             step_floor: float, rng: np.random.Generator, ell0: float,
-            window: int) -> list[tuple[np.ndarray, dict, bool]]:
+            window: int) -> list[np.ndarray | None]:
     """The next sweeps on the unchanged path, told apart by their single moves.
 
-    Draws up to window sweeps' positions at step, step/2, ..., stopping at
-    the one whose failure reaches the step floor, and measures both segments
-    of every single move (rows 1, 2, 4 and 8 of each vertex's block) against
-    the path in one _segment_length call.  Until a vertex moves, the greedy
-    walk tries single moves only, so a sweep moves a vertex exactly when one
-    of them _shortens the path.  Returns (positions, the RNG state right
-    after their draw, whether a single passes) per sweep drawn.
+    Takes up to window sweeps at step, step/2, ..., stopping at the one whose
+    failure reaches the step floor, draws all their directions at once (the
+    stream of their draws one sweep at a time) and measures both segments of
+    every single move v +- step d (rows 1, 2, 4 and 8 of each vertex's
+    _sweep_positions block, bit for bit) against the path in one
+    _segment_length call.  Until a vertex moves, the greedy walk tries single
+    moves only, so a sweep moves a vertex exactly when one of them _shortens
+    the path.  Returns None per sweep up to the first that a single passes,
+    then that sweep's table: the stream is rewound and its failed sweeps'
+    draws replayed, so the table and the stream after it are those of
+    drawing one sweep at a time.  With no sweep passing, the stream stays
+    after the whole window's draws.
     """
-    draws = []
-    for _ in range(window):
-        draws.append((_sweep_positions(verts, step, rng, spec.field), rng.bit_generator.state))
-        step *= 0.5
-        if step < step_floor:
-            break
-    singles = np.stack([P[:, [1, 2, 4, 8]] for P, _ in draws])
-    prev, after = (np.broadcast_to(V[:, None], singles.shape).reshape(-1, spec.dim)
+    steps = [step]
+    while len(steps) < window and 0.5 * steps[-1] >= step_floor:
+        steps.append(0.5 * steps[-1])
+    n, ni, dim = len(steps), len(verts) - 2, spec.dim
+    state = rng.bit_generator.state
+    D = _directions(rng, n * 2 * ni, dim, spec.field).reshape(n, ni, 2, 1, dim)
+    # each sweep's +step d1, -step d1, +step d2, -step d2, formed as _sweep_positions forms them
+    moves = np.array(steps)[:, None, None, None, None] * np.array([1.0, -1.0])[:, None] * D
+    singles = verts[1:-1, None] + moves.reshape(n, ni, 4, dim)
+    prev, after = (np.broadcast_to(V[:, None], singles.shape).reshape(-1, dim)
                    for V in (verts[:-2], verts[2:]))
-    singles = singles.reshape(-1, spec.dim)
+    singles = singles.reshape(-1, dim)
     lengths, _ = _segment_length(spec, np.concatenate([prev, singles]),
                                  np.concatenate([singles, after]), ell0)
-    a, b = lengths.reshape(2, len(draws), -1)
+    a, b = lengths.reshape(2, n, -1)
     passes = _shortens(a + b, np.add(seglen[:-1], seglen[1:]).repeat(4)).any(axis=1)
-    return [(P, state, passed) for (P, state), passed in zip(draws, passes.tolist())]
+    if not passes.any():
+        return [None] * n
+    j = int(passes.argmax())
+    rng.bit_generator.state = state
+    _directions(rng, j * 2 * ni, dim, spec.field)  # the failed sweeps' draws
+    return [None] * j + [_sweep_positions(verts, steps[j], rng, spec.field)]
 
 
 def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
@@ -535,14 +548,16 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     one vertex at a time in that order.  Every segment a half measures must
     not have a NaN value, whether its position is taken or not.
 
-    Before the first sweep and after each failed one, a screen (see _screen)
-    takes as many next sweeps as have failed in a row (at least 1: 1, 1, 2,
-    4, 8, ...), never past n_iterations or the step floor.  Each that no
-    single move passes fails and halves the step.  The first that one passes
-    runs in full on its drawn positions, with the random stream back at its
-    state right after them; a sweep after one that moved runs in full
-    directly.  So a failed sweep measures no multi-move position, and a NaN
-    there does not raise; the single moves of the window's later sweeps are
+    Before the first sweep a screen (see _screen) takes every sweep down to
+    the step floor (17 at the default vertices), and after each failed one
+    as many next sweeps as have failed in a row (1, 2, 4, ...), never past
+    n_iterations.  Each that no single move passes fails and halves the
+    step.  The first that one passes runs in full on its table, with the
+    random stream where drawing one sweep at a time leaves it; a sweep after
+    one that moved runs in full directly.  So a solve that never moves makes
+    two _segment_length calls, the starts' and one screen's.  A failed sweep
+    measures no multi-move position, and a NaN there does not raise; the
+    single moves of the window's sweeps after the first that passes are
     measured though never taken, and a NaN there raises.
 
     Raises InvalidArgumentError unless n_vertices >= 3
@@ -586,17 +601,13 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
               if len(i)]
     fails, moved, screened = 0, False, []
     for _ in range(n_iterations):
-        if not (moved or screened):
+        if not (moved or screened):  # the whole ladder first, then as many as failed in a row
+            left = n_iterations + 1 - len(history)
             screened = _screen(spec, verts, seglen, step, step_floor, rng, ell0,
-                               min(max(fails, 1), n_iterations + 1 - len(history)))
-        if screened:
-            P, state, full = screened.pop(0)
-            if full:  # the first screened sweep that a single move passes: rewind to its draws
-                rng.bit_generator.state, screened = state, []
-        else:
-            P, full = _sweep_positions(verts, step, rng, spec.field), True
+                               min(fails, left) if fails else left)
+        P = screened.pop(0) if screened else _sweep_positions(verts, step, rng, spec.field)
         moved = False
-        for i in halves if full else ():
+        for i in halves if P is not None else ():
             # Both segments of each candidate of this half, against neighbours
             # that do not move in it: prev -> cand first, then cand -> next.
             cands = P[i - 1, 1:].reshape(-1, spec.dim)

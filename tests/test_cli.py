@@ -523,6 +523,21 @@ def test_a_nan_or_negative_tolerance_or_a_bad_alpha_is_usage_error(capsys, argv,
     assert code == 2 and out == "" and err.startswith(f"error: {name} must be a ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("distance", "--metric", "euclidean", "--dim", "2", "--g", "1,0", "--h", "0,1"),
+    ("check", "invariance", "--metric", "euclidean", "--dim", "3"),
+    ("check", "homothety", "--alpha", "2", "--metric", "norm-quotient", "--dim", "3"),
+    ("probe-main", "--metric", "euclidean", "--dim", "3", "--maps", "5")],
+    ids=["distance", "check-invariance", "check-homothety", "probe-main"])
+def test_a_negative_seed_is_a_usage_error_naming_it(capsys, argv):
+    # numpy's "expected non-negative integer" exited 3
+    for seed in ("-1", "-7349"):
+        code, out, err = run(capsys, *argv, "--seed", seed)
+        assert code == 2 and out == "" and f"argument --seed: must be >= 0, got {seed}" in err
+    code, out, err = run(capsys, *argv, "--seed", "1.5")
+    assert code == 2 and out == "" and "argument --seed: invalid int value: '1.5'" in err
+
+
 def test_probe_main_sl2_tests_only_the_real_positive_area_metric(capsys, tmp_path):
     # the dim-2 check builds the real area metric on the positive domain, so a
     # complex or domain-restricted spec would pass untested

@@ -937,26 +937,26 @@ def test_the_kernel_measures_from_invariants_what_chunk_rows_measure(field, dim)
 
 
 @pytest.mark.parametrize("spec, want", [
-    (mm.fubini_study(3, C), (17, "step-floor", 7, 9326)),
-    (mm.FromTheta(3, C, POS, mm.theta_profile("1+cos(tau)")), (150, "iteration-cap", 301, 245136))],
+    (mm.fubini_study(3, C), (17, "step-floor", 2, 9326)),
+    (mm.FromTheta(3, C, POS, mm.theta_profile("1+cos(tau)")), (150, "iteration-cap", 298, 249528))],
     ids=["fubini-study", "theta"])
 def test_a_seeded_solve_makes_the_same_eval_batch_calls_and_rows(monkeypatch, spec, want):
-    # one call for the starts; one screen call per window of sweeps, before the
-    # first sweep and after each failed one, that measures single moves only;
-    # two calls per sweep that runs in full (one that moves or follows a move),
-    # its odd vertices' candidates and then its even vertices': a rewrite of the
-    # kernel may neither add a call nor skip a row.  Fubini-Study starts on its
-    # exact geodesic and no vertex moves, so its 17 sweeps take six screens of
-    # 1, 1, 2, 4, 8 and 1 sweeps and no full sweep
+    # one call for the starts; one screen call per window of sweeps, the whole
+    # step ladder before the first sweep and 1, 2, 4, ... after a failed one,
+    # that measures single moves only; two calls per sweep that runs in full
+    # (one that a screen passes or that follows a move), its odd vertices'
+    # candidates and then its even vertices': a rewrite of the kernel may
+    # neither add a call nor skip a row.  Fubini-Study starts on its exact
+    # geodesic and no vertex moves, so its 17 sweeps take one screen and no
+    # full sweep
     rows = _counted_rows(monkeypatch, spec)
     screens = _recorded_screens(monkeypatch)
     rng = np.random.default_rng(5)
     g, h = la.random_gaussian_vector(3, C, rng), la.random_gaussian_vector(3, C, rng)
     res = ge.geodesic_distance(spec, g, h, seed=3)
     assert (res.iterations, res.stop_reason, len(rows), sum(rows)) == want
-    # a window's sweeps fail up to the first that a single passes, which runs in full
-    failed = sum(verdicts.index(True) if True in verdicts else len(verdicts)
-                 for _, verdicts in screens)
+    # a screen's sweeps fail up to the first that a single passes, which runs in full
+    failed = sum(not runs for _, settled in screens for runs in settled)
     assert len(rows) == 1 + len(screens) + 2 * (res.iterations - failed)
 
 
@@ -1238,12 +1238,12 @@ _REWOUND = (mm.FromTheta(3, R, POS, mm.theta_profile("1+cos(tau)")), *_gaussian_
 
 
 def _recorded_screens(monkeypatch):
-    """(window, whether a single passes in each sweep drawn) per _screen call."""
+    """(window, whether each sweep it settles runs in full) per _screen call."""
     screens, screen = [], ge._screen
 
     def recorded(*args):
         out = screen(*args)
-        screens.append((args[-1], [passed for _, _, passed in out]))
+        screens.append((args[-1], [P is not None for P in out]))
         return out
     monkeypatch.setattr(ge, "_screen", recorded)
     return screens
@@ -1252,39 +1252,42 @@ def _recorded_screens(monkeypatch):
 def test_screened_sweeps_equal_the_per_vertex_descent_at_the_window_edges(monkeypatch):
     screens = _recorded_screens(monkeypatch)
     # the euclidean chord, which no move shortens: every sweep is screened, in
-    # windows of 1, 1, 2, 4, 8, ... cut by n_iterations and by the step floor,
-    # which the 17th sweep reaches
+    # one window of the whole step ladder, cut by n_iterations and by the step
+    # floor, which the 17th sweep reaches
     g, h = _gaussian_pair(11)
-    windows = {0: [], 1: [1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 1, 2], 5: [1, 1, 2, 1],
-               17: [1, 1, 2, 4, 8, 1], 18: [1, 1, 2, 4, 8, 2]}
-    for n_iterations, want in windows.items():
+    for n_iterations in (0, 1, 2, 3, 4, 5, 17, 18):
         screens.clear()
         got = _assert_same_descent(mm.euclidean(3), g, h, n_iterations=n_iterations)
         assert len(set(got[1])) == 1  # no vertex moved
         assert got[3] == ("step-floor" if n_iterations >= 17 else "iteration-cap")
-        assert [window for window, _ in screens] == want, n_iterations
-        assert not any(passed for _, verdicts in screens for passed in verdicts)
-    # at 18 the floor cuts the last window after its first draw
-    assert len(screens[-1][1]) == 1 < screens[-1][0]
-    # the theta solve: 8 screened failures, then a window of 8 whose first
-    # sweep moves, so the stream is rewound over 7 draws and the moves that
-    # follow draw from the rewound state
+        assert screens == ([(n_iterations, [False] * min(n_iterations, 17))]
+                           if n_iterations else []), n_iterations
+    # the theta solve: its ladder fails 8 sweeps and passes at the 9th, so the
+    # stream is rewound over the 17 sweeps drawn, the 8 failed draws are
+    # replayed, and the moves that follow draw from there; the full sweep
+    # after a failed one is screened alone
     spec, g, h, kwargs = _REWOUND
     screens.clear()
     history = _assert_same_descent(spec, g, h, **kwargs)[1]
-    assert screens[:5] == [(1, [False]), (1, [False]), (2, [False] * 2), (4, [False] * 4),
-                           (8, [True] + screens[4][1][1:])]
+    assert screens[0] == (20, [False] * 8 + [True]) and screens[1][0] == 1
     assert len(set(history[:9])) == 1 and sum(b < a for a, b in zip(history, history[1:])) >= 5
 
 
 def _recorded_windows(monkeypatch):
-    """(the path as screened, ell0, the sweeps drawn) per _screen call."""
+    """(the path as screened, ell0, the tables of the sweeps it draws) per
+    _screen call, the tables replayed one sweep at a time by _sweep_positions
+    from the stream as the screen finds it."""
     windows, screen = [], ge._screen
 
-    def recorded(*args):
-        out = screen(*args)
-        windows.append((args[1].copy(), args[-2], list(out)))
-        return out
+    def recorded(spec, verts, seglen, step, step_floor, rng, ell0, window):
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        tables, s = [ge._sweep_positions(verts, step, replay, spec.field)], step
+        while len(tables) < window and 0.5 * s >= step_floor:
+            s *= 0.5
+            tables.append(ge._sweep_positions(verts, s, replay, spec.field))
+        windows.append((verts.copy(), ell0, tables))
+        return screen(spec, verts, seglen, step, step_floor, rng, ell0, window)
     monkeypatch.setattr(ge, "_screen", recorded)
     return windows
 
@@ -1310,18 +1313,18 @@ def _nan_shell(spec, segment, ell0):
 
 
 def test_a_nan_only_at_a_screened_but_untaken_single_move_raises(monkeypatch):
-    # the theta solve whose window of 8 moves at its first sweep: the single
-    # moves of the other 7, drawn at 1/2 ... 1/128 of its step on the unmoved
-    # path, are measured but never taken, since the stream is rewound over
-    # their draws.  A NaN on one of their segments raises, though the
-    # vertex-at-a-time descent, which never draws them, does not meet it
+    # the theta solve whose ladder passes at its 9th sweep: the single moves
+    # of the 8 sweeps drawn after it, at 1/512 ... 1/65536 of the first step
+    # on the unmoved path, are measured but never taken, since the stream is
+    # rewound over their draws.  A NaN on one of their segments raises, though
+    # the vertex-at-a-time descent, which never draws them, does not meet it
     spec, g, h, kwargs = _REWOUND
     windows = _recorded_windows(monkeypatch)
     ge.geodesic_distance(spec, g, h, **kwargs)
-    verts, ell0, draws = windows[4]
-    assert [passed for _, _, passed in draws][:1] == [True] and len(draws) == 8
-    k = 5  # vertex k's first single move in the window's last sweep
-    shell = _nan_shell(spec, (verts[k], draws[-1][0][k, 1]), ell0)
+    verts, ell0, tables = windows[0]
+    assert len(tables) == 17
+    k = 5  # vertex k + 1's first single move in the ladder's last sweep, from vertex k
+    shell = _nan_shell(spec, (verts[k], tables[-1][k, 1]), ell0)
     want = _outcome(_per_vertex_distance, shell, g, h, **kwargs)
     assert want == _outcome(_per_vertex_distance, spec, g, h, **kwargs)
     with pytest.raises(EvalError, match=r"^metric value is undefined here"):
@@ -1330,18 +1333,81 @@ def test_a_nan_only_at_a_screened_but_untaken_single_move_raises(monkeypatch):
 
 def test_a_nan_only_at_a_failed_sweeps_multi_move_does_not_raise(monkeypatch):
     # the euclidean chord, where every sweep fails: the first sweep's
-    # position with moves 0 and 2 (row 5 of a vertex's block) is never
-    # measured, so a NaN on its segment from the left neighbour, which a
-    # tabulated sweep would meet, leaves the solve equal to the
-    # vertex-at-a-time descent's, which never measures it either
+    # position with moves 0 and 2 (row 5 of a vertex's block), replayed from
+    # the stream, is never measured, so a NaN on its segment from the left
+    # neighbour, which a tabulated sweep would meet, leaves the solve equal to
+    # the vertex-at-a-time descent's, which never measures it either
     g, h = _gaussian_pair(11)
     windows = _recorded_windows(monkeypatch)
     ge.geodesic_distance(mm.euclidean(3), g, h, n_iterations=17)
-    verts, ell0, draws = windows[0]
+    verts, ell0, tables = windows[0]
     k = 5
-    shell = _nan_shell(mm.euclidean(3), (verts[k], draws[0][0][k, 5]), ell0)
+    shell = _nan_shell(mm.euclidean(3), (verts[k], tables[0][k, 5]), ell0)
     got = _assert_same_descent(shell, g, h, n_iterations=17)
     assert got[3] == "step-floor" and len(set(got[1])) == 1  # 17 failed sweeps, no raise
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_a_screen_draws_and_rewinds_as_per_sweep_draws_do(monkeypatch, field):
+    # the euclidean chord at 13 vertices, with vertex 6's two segments given
+    # 1e-4 of their length more than they measure: a single move passes once
+    # the step is small enough that it lengthens them by less, a few sweeps
+    # down the ladder.  The screen's single moves, its one table and the
+    # stream after it equal those of drawing one sweep at a time by
+    # _sweep_positions, bit for bit; with the path's own lengths no sweep
+    # passes, and the stream ends after every sweep's draws
+    rng = np.random.default_rng(3)
+    g, h = (la.random_vector_with_norm(3, field, r, rng).entries for r in (1.0, 1.5))
+    verts = ge._segment_rows(g, h, np.linspace(0.0, 1.0, 13))
+    chord = float(np.linalg.norm(h - g))
+    seglen = ge._segment_length(mm.euclidean(3, field), verts[:-1], verts[1:], chord / 48)[0]
+    singles, measure = [], ge._segment_length
+
+    def recorded(spec, U, V, ell0):
+        singles.append(V[:len(V) // 2].copy())
+        return measure(spec, U, V, ell0)
+    monkeypatch.setattr(ge, "_segment_length", recorded)
+    for bump, passing in ((1e-4, True), (0.0, False)):
+        lengths = seglen.tolist()
+        lengths[5] += bump * lengths[5]
+        singles.clear()
+        rng, replay = np.random.default_rng(9), np.random.default_rng(9)
+        out = ge._screen(mm.euclidean(3, field), verts, lengths, chord / 12, 1e-6 * chord,
+                         rng, chord / 48, 20)
+        tables, states = [], []  # the floor cuts the window of 20 at 17 sweeps
+        for s in range(17):
+            tables.append(ge._sweep_positions(verts, chord / 12 * 0.5 ** s, replay, field))
+            states.append(replay.bit_generator.state)
+        assert len(singles) == 1
+        assert singles[0].tobytes() == np.stack([P[:, [1, 2, 4, 8]] for P in tables]).tobytes()
+        j = len(out) - 1 if passing else 16  # the sweep the stream ends after
+        assert out[:j] == [None] * j and len(out) == j + 1
+        if passing:
+            assert 0 < j < 16 and out[j].tobytes() == tables[j].tobytes()
+        else:
+            assert out[j] is None
+        assert rng.bit_generator.state == states[j]
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_a_solve_that_never_moves_makes_two_kernel_calls(monkeypatch, field):
+    # the starts, then one screen of the whole ladder of 17 sweeps, 88 single
+    # moves' segments each at 13 vertices, down to the step floor
+    calls, measure = [], ge._segment_length
+
+    def counted(spec, U, V, ell0):
+        calls.append(len(U))
+        return measure(spec, U, V, ell0)
+    monkeypatch.setattr(ge, "_segment_length", counted)
+    g, h = _gaussian_pair(11)
+    solves = [(mm.euclidean(3, field), la.vector(g.entries, field), la.vector(h.entries, field))]
+    solves += [(mm.fubini_study(dim, field), la.basis_vector(dim, 0, field),
+                la.basis_vector(dim, 1, field)) for dim in (2, 3, 5)]
+    for spec, g, h in solves:
+        calls.clear()
+        res = ge.geodesic_distance(spec, g, h)
+        assert (res.stop_reason, res.iterations, len(set(res.history))) == ("step-floor", 17, 1)
+        assert len(calls) == 2 and calls[1] == 17 * 88, (spec.family, spec.dim)
 
 
 @pytest.mark.parametrize("field", [R, C])
