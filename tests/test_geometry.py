@@ -1271,6 +1271,16 @@ def test_screened_sweeps_equal_the_per_vertex_descent_at_the_window_edges(monkey
     history = _assert_same_descent(spec, g, h, **kwargs)[1]
     assert screens[0] == (20, [False] * 8 + [True]) and screens[1][0] == 1
     assert len(set(history[:9])) == 1 and sum(b < a for a, b in zip(history, history[1:])) >= 5
+    # a real Fubini-Study solve at 3 vertices, one of the 90 above, whose
+    # ladder moves at once; after its last move the windows double, 1, 2, 4
+    # and 8 failed sweeps, and the last is cut at n_iterations
+    rng = np.random.default_rng([2, 3, False])
+    _, _, g, h = (la.random_vector_with_norm(2, R, float(rng.uniform(0.6, 2.5)), rng)
+                  for _ in range(4))
+    screens.clear()
+    _assert_same_descent(mm.fubini_study(2), g, h, n_vertices=3, n_iterations=30, seed=1)
+    assert [window for window, _ in screens] == [30, 1, 2, 4, 8, 13]
+    assert screens[0][1] == [True] and not any(screens[-1][1] + screens[-2][1])
 
 
 def _recorded_windows(monkeypatch):
