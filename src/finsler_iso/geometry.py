@@ -6,20 +6,17 @@ for polylines).  Geodesic distance is estimated by derivative-free
 coordinate descent over the interior vertices of a polyline, which yields
 an upper bound on the infimum.  The descent starts from the shortest of the
 named families' exact geodesics (the chord, the log-polar arc and, over C,
-the phase-aligned arc).  Each sweep of the descent draws its directions at
-once and tabulates every position a vertex can reach; one _segment_length
-call measures the odd interior vertices' positions, which share no segment,
-and a second the even ones' against the moved odd ones.  A sweep fails
-exactly when no single move shortens the path, so one call screens the
-single moves of the whole step ladder before the first sweep, and of the
-next few after a failed one, all drawn at once; only the first that passes
-is tabulated.  The result equals the one-vertex-at-a-time descent's in the
-same vertex order bit for bit under the same acceptance rule, _shortens.
-The segment kernel measures each segment by two Gauss-Legendre nodes per
-chunk, forms every node's invariants from its segment's and evaluates every
-node of every spec in one call; only a spec that reads_vectors also gets
-the node rows.  An unresolved segment measures inf, so the descent compares
-lengths alone.
+the phase-aligned arc).  A sweep tabulates every position a vertex can
+reach; one _segment_length call measures the odd interior vertices', which
+share no segment, and a second the even ones'.  A sweep fails exactly when
+no single move shortens the path, so one call screens the single moves of
+a ladder of sweeps, drawn at once, and only the first that passes runs in
+full.  The result equals the one-vertex-at-a-time descent's bit for bit
+under the same acceptance rule, _shortens.  The segment kernel measures
+each segment by two Gauss-Legendre nodes per chunk, forms every node's
+invariants from its segment's and evaluates every node of every spec in
+one call; only a spec that reads_vectors also gets the node rows.  An
+unresolved segment measures inf, so the descent compares lengths alone.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ import numpy as np
 from .errors import (InvalidArgumentError, NonPositiveMetricError, OutOfDomainError,
                      ZeroVectorError, check_counts)
 from .linalg import (
+    _R_MIN,
     Field,
     Vector,
     canonical_invariants,
@@ -353,9 +351,10 @@ def _directions(rng: np.random.Generator, count: int, dim: int, field: Field) ->
     return D / row_norms(D)[:, None]
 
 
-def _sweep_positions(verts: np.ndarray, step: float, rng: np.random.Generator,
+def _sweep_positions(verts: np.ndarray, step, rng: np.random.Generator,
                      field: Field) -> np.ndarray:
-    """Every position one sweep can move each interior vertex to.
+    """Every position a sweep can move each interior vertex to; for an array
+    of steps, a block per step, all from one draw, the stream of one sweep at a time.
 
     Each vertex draws two directions d1, d2, which give its moves, in order,
     +step d1, -step d1, +step d2, -step d2.  Row S of vertex i's (16, dim)
@@ -363,14 +362,16 @@ def _sweep_positions(verts: np.ndarray, step: float, rng: np.random.Generator,
     (row 0 is v_i), so each row is the float the greedy pass reaches when it
     accepts exactly the moves in S.
     """
-    ni, dim = len(verts) - 2, verts.shape[1]
-    D = _directions(rng, 2 * ni, dim, field).reshape(ni, 2, 1, dim)
-    moves = (np.array([step, -step])[:, None] * D).reshape(ni, 4, dim)
-    P = np.empty((ni, 16, dim), dtype=verts.dtype)
-    P[:, 0] = verts[1:-1]
+    steps, ni, dim = np.asarray(step, dtype=float), len(verts) - 2, verts.shape[1]
+    D = np.moveaxis(_directions(rng, steps.size * 2 * ni, dim, field).reshape(
+        *steps.shape, ni, 2, dim), -2, 0)[:, None]  # (direction a, 1, ..., ni, dim)
+    moves = np.multiply(np.multiply.outer([1.0, -1.0], steps)[..., None, None], D,
+                        order="C").reshape(4, *steps.shape, ni, dim)  # move 2a + s: (+-step) d_a
+    P = np.empty((16, *steps.shape, ni, dim), dtype=verts.dtype)  # moves, subsets first: blocks
+    P[0] = verts[1:-1]
     for j in range(4):  # the subsets whose highest move is j: the lower ones plus move j
-        P[:, 1 << j:2 << j] = P[:, :1 << j] + moves[:, j:j + 1]
-    return P
+        P[1 << j:2 << j] = P[:1 << j] + moves[j]
+    return np.moveaxis(P, 0, -2)
 
 
 # A move must shorten its two segments by more than this fraction of their
@@ -394,30 +395,23 @@ def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: floa
     """The next sweeps on the unchanged path, told apart by their single moves.
 
     Takes up to window sweeps at step, step/2, ..., stopping at the one whose
-    failure reaches the step floor, draws all their directions at once (the
-    stream of their draws one sweep at a time) and measures both segments of
-    every single move v +- step d (rows 1, 2, 4 and 8 of each vertex's
-    _sweep_positions block, bit for bit) against the path in one
-    _segment_length call.  Until a vertex moves, the greedy walk tries single
-    moves only, so a sweep moves a vertex exactly when one of them _shortens
-    the path.  Returns None per sweep up to the first that a single passes,
-    then that sweep's table: the stream is rewound and its failed sweeps'
-    draws replayed, so the table and the stream after it are those of
-    drawing one sweep at a time.  With no sweep passing, the stream stays
-    after the whole window's draws.
+    failure reaches the step floor, builds their blocks from one draw
+    (_sweep_positions) and measures both segments of every single move, rows
+    1, 2, 4 and 8 of each block, against the path in one _segment_length
+    call.  Until a vertex moves, the greedy walk tries single moves only, so
+    a sweep moves a vertex exactly when one of them _shortens the path.
+    Returns None per sweep up to the first that a single passes, then that
+    sweep's block, with the stream replayed to where drawing one sweep at a
+    time leaves it; with none passing, after the whole window's draws.
     """
     steps = [step]
     while len(steps) < window and 0.5 * steps[-1] >= step_floor:
         steps.append(0.5 * steps[-1])
     n, ni, dim = len(steps), len(verts) - 2, spec.dim
     state = rng.bit_generator.state
-    D = _directions(rng, n * 2 * ni, dim, spec.field).reshape(n, ni, 2, 1, dim)
-    # each sweep's +step d1, -step d1, +step d2, -step d2, formed as _sweep_positions forms them
-    moves = np.array(steps)[:, None, None, None, None] * np.array([1.0, -1.0])[:, None] * D
-    singles = verts[1:-1, None] + moves.reshape(n, ni, 4, dim)
-    prev, after = (np.broadcast_to(V[:, None], singles.shape).reshape(-1, dim)
-                   for V in (verts[:-2], verts[2:]))
-    singles = singles.reshape(-1, dim)
+    P = _sweep_positions(verts, np.array(steps), rng, spec.field)
+    singles = P[:, :, [1, 2, 4, 8]].reshape(-1, dim)
+    prev, after = (np.tile(V.repeat(4, axis=0), (n, 1)) for V in (verts[:-2], verts[2:]))
     lengths, _ = _segment_length(spec, np.concatenate([prev, singles]),
                                  np.concatenate([singles, after]), ell0)
     a, b = lengths.reshape(2, n, -1)
@@ -426,8 +420,8 @@ def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: floa
         return [None] * n
     j = int(passes.argmax())
     rng.bit_generator.state = state
-    _directions(rng, j * 2 * ni, dim, spec.field)  # the failed sweeps' draws
-    return [None] * j + [_sweep_positions(verts, steps[j], rng, spec.field)]
+    _directions(rng, (j + 1) * 2 * ni, dim, spec.field)  # the draws up to sweep j's
+    return [None] * j + [P[j]]
 
 
 def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
@@ -562,9 +556,11 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
 
     Raises InvalidArgumentError unless n_vertices >= 3
     and n_iterations >= 0, ValueError when g != h and the chord's length
-    under- or overflows; MismatchError unless g and h have the spec's
-    dimension and field; OutOfDomainError naming an endpoint outside the
-    domain (one on the boundary of a radius interval is a valid start).
+    under- or overflows or max(|g|, |h|) is below linalg._R_MIN (about
+    1.49e-154), where the chunk invariants underflow; MismatchError unless g
+    and h have the spec's dimension and field; OutOfDomainError naming an
+    endpoint outside the domain (one on the boundary of a radius interval is
+    a valid start).
     """
     check_counts(3, n_vertices=n_vertices)
     check_counts(0, n_iterations=n_iterations)
@@ -585,6 +581,9 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     if chord_len == 0.0 or chord_len == math.inf:
         how = "overflows to inf" if chord_len else "underflows to 0"
         raise ValueError(f"the chord |h - g| {how} although g != h")
+    if (scale := max(r.tolist())) < _R_MIN:  # the kernel's invariants would underflow
+        raise ValueError(f"the scale max(|g|, |h|) = {scale} is below {_R_MIN:.4g}, "
+                         "too small to measure")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     ell0 = chord_len / (4.0 * (n_vertices - 1))
     verts, seglen = _initial_vertices(spec, g, h, n_vertices, rng, ell0)

@@ -708,6 +708,10 @@ def test_distance_from_an_endpoint_outside_the_domain_names_it(capsys):
     ("1e-300,0", "0,1e-300", "endpoint g is outside the metric's domain (|g| = 0.0)"),
     ("1e154,0", "-1e154,1", "the chord |h - g| overflows to inf although g != h"),
     ("1,0", "1,1e-170", "the chord |h - g| underflows to 0 although g != h"),
+    ("2.5e-162,1e-163", "-2.5e-162,1e-163", "the scale max(|g|, |h|) = 2.501999200639361e-162"
+                                            " is below 1.492e-154, too small to measure"),
+    ("1e-160,0", "0,1e-160",
+     "the scale max(|g|, |h|) = 1e-160 is below 1.492e-154, too small to measure"),
 ])
 def test_distance_names_a_norm_or_chord_that_under_or_overflows(capsys, g, h, message):
     # one error line, no numpy warning before it

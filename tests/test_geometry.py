@@ -581,12 +581,19 @@ def test_geodesic_names_an_endpoint_whose_norm_under_or_overflows(field):
 @pytest.mark.parametrize("field", [R, C])
 def test_geodesic_refuses_a_chord_that_under_or_overflows(field):
     spec = mm.fubini_study(2, field)
-    # both endpoints inside the domain, g != h, |h - g| overflows or underflows
-    cases = (([1e154, 0.0], [-1e154, 1.0], "overflows to inf"),
-             ([1.0, 0.0], [1.0, 1e-170], "underflows to 0"),
-             ([1e-100, 0.0], [1e-100, 1e-170], "underflows to 0"))
-    for g, h, how in cases:
-        with pytest.raises(ValueError, match=rf"^the chord \|h - g\| {how} although g != h$"):
+    # both endpoints inside the domain, g != h, |h - g| overflows or underflows;
+    # or max(|g|, |h|) is below linalg._R_MIN, where the chunk invariants
+    # underflow (euclidean gave 0 and 1.2975e-160 for chords of 5e-162 and 1.41e-160)
+    chord = r"^the chord \|h - g\| {} although g != h$"
+    scale = r"^the scale max\(\|g\|, \|h\|\) = {} is below 1\.492e-154, too small to measure$"
+    cases = (([1e154, 0.0], [-1e154, 1.0], chord.format("overflows to inf")),
+             ([1.0, 0.0], [1.0, 1e-170], chord.format("underflows to 0")),
+             ([1e-100, 0.0], [1e-100, 1e-170], chord.format("underflows to 0")),
+             ([2.5e-162, 1e-163], [-2.5e-162, 1e-163],
+              scale.format(r"2\.50199920063936\d*e-162")),  # the complex norm's last digit differs
+             ([1e-160, 0.0], [0.0, 1e-160], scale.format("1e-160")))
+    for g, h, message in cases:
+        with pytest.raises(ValueError, match=message):
             ge.geodesic_distance(spec, la.vector(g, field), la.vector(h, field))
     # just inside the range the descent runs
     res = ge.geodesic_distance(spec, la.vector([1e153, 0.0], field),
