@@ -1,7 +1,8 @@
 """Layer costs from the package's own calls: python bench/layers.py > BENCH_layers.json
 
 One JSON object: the machine, the Python and numpy versions and the tables
-src_lines, import_time, segment_kernel, solves, expression_rows and simpson.
+src_lines, import_time, segment_kernel, solves, expression_rows, simpson and
+probe.
 Counts and timed batches are captured by wrapping package functions while the
 package runs; times ("us") are medians of raw runs.  Writes no file."""
 
@@ -26,7 +27,7 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
 import numpy as np  # noqa: E402
 from ab import machine  # noqa: E402
-from finsler_iso import geometry as ge, linalg as la, metrics as mm  # noqa: E402
+from finsler_iso import geometry as ge, invariance as iv, linalg as la, metrics as mm  # noqa: E402
 from finsler_iso.expressions import compile_rows  # noqa: E402
 
 R, C = la.Field.REAL, la.Field.COMPLEX
@@ -63,7 +64,8 @@ def counted(spec, call):
 
 def capture() -> dict:
     """Each timed table's rows, counts only, with their timings: (row, runs, call[, before])."""
-    tables = {"segment_kernel": [], "solves": [], "expression_rows": [], "simpson": []}
+    tables = {"segment_kernel": [], "solves": [], "expression_rows": [], "simpson": [],
+              "probe": []}
     for field in (R, C):
         rng = np.random.default_rng(7)
         g, h = (la.random_vector_with_norm(3, field, r, rng) for r in (1.0, 1.5))
@@ -115,6 +117,17 @@ def capture() -> dict:
         row = {"case": name, "nodes": len(nodes),
                "converged": not any("node cap" in str(w.message) for w in caught)}
         tables["simpson"].append((row, 30, lambda s=spec, c=curve: ge.curve_length(s, c)))
+    for name, spec in (("euclidean real 3", mm.euclidean(3)),
+                       ("fubini_study complex 4", mm.fubini_study(4, C)),
+                       ("riemann:1+r;1 real 3",
+                        mm.induced_finsler(mm.riemann_profile("1+r", "1"), 3, R))):
+        probe = functools.partial(iv.congruence_theorem_probe, spec, seed=0)  # its defaults
+        with captured(iv, "eval_batch") as evals, captured(iv, "sample_pairs") as draws:
+            probe()
+        row = {"spec": name, "eval_batch_calls": len(evals),
+               "eval_batch_rows": sum(len(a[1]) for a in evals),
+               "sample_pairs_rows": sum(a[1] for a in draws)}
+        tables["probe"].append((row, 30, probe))
     return tables
 
 

@@ -45,39 +45,24 @@ class CongruenceClass(NamedTuple):
     sv_ratio: float | None = None
 
 
-def _deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray, TG: np.ndarray,
-                TH: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|rho_{Tg}(Th) - rho_g(h)| / (1 + |rho_g(h)|) per row, inf where the
-    image base point leaves the metric's domain, and the mask of the rows
-    where it stays.  An infinite rho (e.g. an overflowing exp in the profile)
-    deviates by 0 where both sides are that infinity, by inf otherwise."""
-    base, _ = eval_batch(spec, G, H)
-    mapped, inside = eval_batch(spec, TG, TH)
-    dev = deviations(mapped, base, base)
-    dev[~inside] = np.inf
-    return dev, inside
-
-
-def _verdicts(spec: MetricSpec, G: np.ndarray, H: np.ndarray, dev: np.ndarray,
-              used: np.ndarray, skipped: np.ndarray, tol: float) -> list[SymmetryVerdict]:
-    """The verdict of each row i of the (k, n) deviations dev on its first
-    used[i] entries, whose samples are rows i*n .. of G and H; the witness is
-    the first sample with the largest deviation, copied out of G and H so a
-    verdict does not keep every map's samples alive."""
-    k, n = dev.shape
-    read = np.where(np.arange(n) < used[:, None], dev, -1.0)  # deviations are >= 0
-    at = read.argmax(axis=1)
-    max_dev = read[np.arange(k), at]
-    ok = ~skipped & (max_dev <= tol)
+def _symmetry_verdict(spec: MetricSpec, G: np.ndarray, H: np.ndarray, max_dev: float,
+                      row: int, used: int, skipped: int, tol: float) -> SymmetryVerdict:
+    """The verdict of a largest deviation max_dev first met at row `row` of G
+    and H; the witness is that row, copied out of G and H so a verdict does
+    not keep every sample alive."""
+    ok = not skipped and max_dev <= tol
     f = spec.field
+    return SymmetryVerdict(ok, max_dev, None if ok else (Vector(G[row].copy(), f),
+                                                         Vector(H[row].copy(), f)),
+                           used, skipped)
 
-    def witness(j: int) -> tuple[Vector, Vector]:
-        return Vector(G[j].copy(), f), Vector(H[j].copy(), f)
 
-    return [SymmetryVerdict(o, d, None if o else witness(j), u, s)
-            for o, d, j, u, s in zip(ok.tolist(), max_dev.tolist(),
-                                     (np.arange(k) * n + at).tolist(), used.tolist(),
-                                     skipped.astype(int).tolist())]
+class _StackVerdicts(NamedTuple):
+    """Per map of a stack, by is_symmetry's rule on its rows up to the first exit."""
+    max_deviation: np.ndarray  # the largest deviation on those rows
+    used: np.ndarray           # how many rows that is
+    skipped: np.ndarray        # whether the last of them takes its base point out of the domain
+    witness: np.ndarray        # the row of G and H where the largest deviation is first met
 
 
 # Rows per eval_batch call in _symmetry_verdicts: whole maps' samples, about
@@ -85,30 +70,45 @@ def _verdicts(spec: MetricSpec, G: np.ndarray, H: np.ndarray, dev: np.ndarray,
 _BLOCK_ROWS = 1024
 
 
-def _symmetry_verdicts(spec: MetricSpec, M: np.ndarray, G: np.ndarray, H: np.ndarray,
-                       tol: float) -> list[SymmetryVerdict]:
-    """is_symmetry's verdict for each map of a (k, dim, dim) stack, map i on
-    the rows i*n .. (i+1)*n - 1 of the (k*n, dim) samples G and H.
+def _symmetry_verdicts(spec: MetricSpec, G: np.ndarray, H: np.ndarray,
+                       stacks: list[tuple[np.ndarray, float]]) -> list[_StackVerdicts]:
+    """is_symmetry's rule for each map of each (M, tol) stack of (k, dim, dim)
+    maps, map i of every stack on the rows i*n .. (i+1)*n - 1 of the samples
+    G and H, which hold n rows for each map of the longest stack.
 
-    The maps are applied in stacked matmuls and each side is one eval_batch
-    call per block of whole maps' rows; each map's verdict reads only its
-    own rows, by is_symmetry's rule.
+    The base side rho_g(h) is one eval_batch call per block of whole maps'
+    rows, shared by every stack; each stack's maps are applied in stacked
+    matmuls and its mapped side is one eval_batch call per block it reaches.
     """
-    k, dim = len(M), spec.dim
-    n = len(G) // k
+    k_max, dim = max(len(M) for M, _ in stacks), spec.dim
+    n = len(G) // k_max
     per = max(1, _BLOCK_ROWS // n)
-    Mt = M.transpose(0, 2, 1)
-    dev, inside = np.empty(k * n), np.empty(k * n, dtype=bool)
-    for a in range(0, k, per):
-        b = min(k, a + per)
-        rows = slice(a * n, b * n)
-        TG = (G[rows].reshape(b - a, n, dim) @ Mt[a:b]).reshape(-1, dim)
-        TH = (H[rows].reshape(b - a, n, dim) @ Mt[a:b]).reshape(-1, dim)
-        dev[rows], inside[rows] = _deviations(spec, G[rows], H[rows], TG, TH)
-    dev, inside = dev.reshape(k, n), inside.reshape(k, n)
-    exits = dev > 1e3 * tol  # inf on every domain exit
-    used = np.where(exits.any(axis=1), exits.argmax(axis=1) + 1, n)
-    return _verdicts(spec, G, H, dev, used, ~inside[np.arange(k), used - 1], tol)
+    devs = [np.empty(len(M) * n) for M, _ in stacks]
+    insides = [np.empty(len(M) * n, dtype=bool) for M, _ in stacks]
+    for a in range(0, k_max, per):
+        b = min(k_max, a + per)
+        base, _ = eval_batch(spec, G[a * n:b * n], H[a * n:b * n])
+        for (M, _), dev, inside in zip(stacks, devs, insides):
+            if (c := min(b, len(M))) <= a:
+                continue
+            rows, Mt = slice(a * n, c * n), M[a:c].transpose(0, 2, 1)
+            TG = (G[rows].reshape(c - a, n, dim) @ Mt).reshape(-1, dim)
+            TH = (H[rows].reshape(c - a, n, dim) @ Mt).reshape(-1, dim)
+            mapped, inside[rows] = eval_batch(spec, TG, TH)
+            # an infinite rho deviates by 0 where both sides are that infinity, by inf otherwise
+            dev[rows] = deviations(mapped, base[:len(TG)], base[:len(TG)])
+    out = []
+    for (M, tol), dev, inside in zip(stacks, devs, insides):
+        k, first = len(M), np.arange(len(M))
+        dev, inside = dev.reshape(k, n), inside.reshape(k, n)
+        dev[~inside] = np.inf
+        exits = dev > 1e3 * tol  # inf on every domain exit
+        used = np.where(exits.any(axis=1), exits.argmax(axis=1) + 1, n)
+        read = np.where(np.arange(n) < used[:, None], dev, -1.0)  # deviations are >= 0
+        at = read.argmax(axis=1)
+        out.append(_StackVerdicts(read[first, at], used, ~inside[first, used - 1],
+                                  first * n + at))
+    return out
 
 
 def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int = 0,
@@ -133,7 +133,9 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
     check_counts(n_samples=n_samples)
     check_tolerances(tol=tol)
     G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
-    return _symmetry_verdicts(spec, T.entries[None], G, H, tol)[0]
+    (v,) = _symmetry_verdicts(spec, G, H, [(T.entries[None], tol)])
+    return _symmetry_verdict(spec, G, H, float(v.max_deviation[0]), int(v.witness[0]),
+                             int(v.used[0]), int(v.skipped[0]), tol)
 
 
 def classify_congruence(T: LinearMap, tol: float = 1e-9) -> CongruenceClass:
@@ -167,11 +169,13 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
     rng = np.random.default_rng(seed)
     U = random_unitaries(n_unitaries, spec.dim, spec.field, rng)
     G, H = sample_pairs(spec, len(U), rng)
-    dev, inside = _deviations(spec, G, H, (U @ G[:, :, None])[:, :, 0],
-                              (U @ H[:, :, None])[:, :, 0])
+    base, _ = eval_batch(spec, G, H)
+    mapped, inside = eval_batch(spec, (U @ G[:, :, None])[:, :, 0], (U @ H[:, :, None])[:, :, 0])
     if not inside.all():
         raise OutOfDomainError("a unitary of the suite maps a base point out of the domain")
-    return _verdicts(spec, G, H, dev[None], np.array([len(dev)]), np.array([False]), tol)[0]
+    dev = deviations(mapped, base, base)
+    at = int(dev.argmax())
+    return _symmetry_verdict(spec, G, H, float(dev[at]), at, len(dev), 0, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +234,12 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     of a counterexample is the assertion, not a proof.
 
     The seed spawns three streams: one for the test of a metric that is 0
-    everywhere, one from which all the maps and then all their n_maps *
-    n_samples pairs are drawn at once, and one for the controls' unitaries
-    (one stacked QR), scales and pairs.  Each map is tested on its own
-    n_samples pairs by is_symmetry's rule, in one stacked test per side.
+    everywhere, one from which all the maps and then max(n_maps, n_controls)
+    * n_samples pairs are drawn at once, and one for the controls' unitaries
+    (one stacked QR) and scales.  Map i and control i are both tested on
+    rows i*n_samples .. (i+1)*n_samples - 1 of those pairs by is_symmetry's
+    rule, in one stacked test: rho_g(h) is evaluated once for the maps and
+    the controls, and each stack's mapped side once.
     """
     if spec.dim < 3:
         raise ValueError("the probe applies in dimension >= 3")
@@ -249,19 +255,17 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     dim, field = spec.dim, spec.field
     rng = np.random.default_rng(map_ss)
     maps = _random_noncongruences(n_maps, dim, field, rng, min_sv_ratio)
-    verdicts = _symmetry_verdicts(spec, maps, *sample_pairs(spec, n_maps * n_samples, rng),
-                                  deviation_threshold)
+    G, H = sample_pairs(spec, max(n_maps, n_controls) * n_samples, rng)
     rng = np.random.default_rng(control_ss)
     controls = random_unitaries(n_controls, dim, field, rng)
     scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), n_controls))
     if spec.congruence_invariant:
         controls *= scales[:, None, None]
-    control_verdicts = _symmetry_verdicts(spec, controls,
-                                          *sample_pairs(spec, n_controls * n_samples, rng),
-                                          control_tol)
-    weakest = min(range(n_maps), key=lambda i: verdicts[i].max_deviation)
-    weakest_deviation = verdicts[weakest].max_deviation
-    control_worst = max(v.max_deviation for v in control_verdicts)
+    found, checked = _symmetry_verdicts(spec, G, H, [(maps, deviation_threshold),
+                                                     (controls, control_tol)])
+    weakest = int(found.max_deviation.argmin())
+    weakest_deviation = float(found.max_deviation[weakest])
+    control_worst = float(checked.max_deviation.max())
     return ProbeReport(
         maps_tested=n_maps,
         all_failed=weakest_deviation > deviation_threshold,
@@ -271,8 +275,8 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
         controls_passed=control_worst <= control_tol,
         control_worst_deviation=control_worst,
         vacuous=False,
-        map_samples=sum(v.samples_used for v in verdicts),
-        control_samples=sum(v.samples_used for v in control_verdicts),
+        map_samples=int(found.used.sum()),
+        control_samples=int(checked.used.sum()),
     )
 
 
@@ -289,7 +293,7 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
     Supplied maps must be real 2x2 with |det| = 1 (within tol); anything
     else is rejected as a precondition failure.  All len(maps) * n_samples
     pairs are drawn at once from the seed, and each map is tested on its own
-    n_samples of them by is_symmetry's rule, in one stacked test per side.
+    n_samples of them by is_symmetry's rule, in one stacked test.
     """
     check_counts(maps=len(maps), n_samples=n_samples)
     check_tolerances(tol=tol)
@@ -301,8 +305,8 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
         if abs(d - 1.0) > max(tol, 1e-9):
             raise ValueError(f"non-unimodular map supplied: |det| = {d}")
     G, H = sample_pairs(spec, len(maps) * n_samples, np.random.default_rng(seed))
-    verdicts = _symmetry_verdicts(spec, np.stack([T.entries for T in maps]), G, H, tol)
-    worst = max(v.max_deviation for v in verdicts)
+    (v,) = _symmetry_verdicts(spec, G, H, [(np.stack([T.entries for T in maps]), tol)])
+    worst = float(v.max_deviation.max())
     return Dim2Report(len(maps), worst <= tol, worst)
 
 
@@ -333,7 +337,8 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
     Haar orthogonal maps and compares outcomes.  From the seed come the
     orthogonal maps and then the rotations (each one stacked QR), then
     n_rotations * n_samples pairs; rotation i and orthogonal map i are tested
-    on the same n_samples of them by is_symmetry's rule.
+    on the same n_samples of them by is_symmetry's rule, in one stacked test
+    that evaluates rho_g(h) once for both stacks.
     """
     if spec.field is not Field.REAL:
         raise MismatchError("rotation sufficiency is a real-field statement")
@@ -346,7 +351,7 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
     rot = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)
     rot[np.linalg.det(rot) < 0, :, 0] *= -1.0
     G, H = sample_pairs(spec, n_rotations * n_samples, rng)
-    rot_worst, orth_worst = (max(v.max_deviation for v in _symmetry_verdicts(spec, M, G, H, tol))
-                             for M in (rot, orth))
+    rot_worst, orth_worst = (float(v.max_deviation.max()) for v in
+                             _symmetry_verdicts(spec, G, H, [(rot, tol), (orth, tol)]))
     rp, op = rot_worst <= tol, orth_worst <= tol
     return RotationSufficiencyReport(rot_worst, orth_worst, rp, op, rp == op)

@@ -366,8 +366,9 @@ def test_a_min_sv_ratio_the_maps_cannot_reach_raises():
 @pytest.mark.parametrize("field", [R, C])
 def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field, block_rows,
                                                                    monkeypatch):
-    # one stack, maps that exit at different rows or not at all; at 80 rows a
-    # block holds two maps' samples, so blocks split the stack
+    # maps that exit at different rows or not at all, in a stack and in a
+    # shorter second stack on the same rows; at 80 rows a block holds two
+    # maps' samples, so blocks split the stacks and the shorter one ends mid-way
     monkeypatch.setattr(iv, "_BLOCK_ROWS", block_rows)
     spec = mm.CongruenceInvariant(3, field, mm.RadiusDomain(((1.0, 2.0),)),
                                   mm.norm_quotient(3, field).vartheta)
@@ -377,17 +378,24 @@ def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field, block_rows
     n = 40
     pairs = [mm.sample_pairs(spec, n, np.random.default_rng(seed)) for seed in range(len(maps))]
     G, H = (np.concatenate(rows) for rows in zip(*pairs))
-    stacked = iv._symmetry_verdicts(spec, np.stack(maps), G, H, 1e-9)
-    alone = [iv.is_symmetry(la.LinearMap(m, field), spec, n, seed=seed, tol=1e-9)
-             for seed, m in enumerate(maps)]
-    for i, (got, want) in enumerate(zip(stacked, alone)):
-        assert (got.is_symmetry, got.max_deviation, got.samples_used, got.skipped) \
-            == (want.is_symmetry, want.max_deviation, want.samples_used, want.skipped), i
-        if want.witness is None:
-            assert got.witness is None, i
-        else:
-            for a, b in zip(got.witness, want.witness):
-                assert a.field is b.field and np.array_equal(a.entries, b.entries), i
+    short = [maps[3], maps[1], maps[0]]  # its map i also reads rows i*n ..
+    stacks = iv._symmetry_verdicts(spec, G, H, [(np.stack(maps), 1e-9),
+                                                (np.stack(short), 1e-9)])
+    alone, alone_short = ([iv.is_symmetry(la.LinearMap(m, field), spec, n, seed=seed, tol=1e-9)
+                           for seed, m in enumerate(stack)] for stack in (maps, short))
+    for stack, want_stack in zip(stacks, (alone, alone_short)):
+        assert len(stack.used) == len(want_stack)
+        for i, want in enumerate(want_stack):
+            got = iv._symmetry_verdict(spec, G, H, float(stack.max_deviation[i]),
+                                       int(stack.witness[i]), int(stack.used[i]),
+                                       int(stack.skipped[i]), 1e-9)
+            assert (got.is_symmetry, got.max_deviation, got.samples_used, got.skipped) \
+                == (want.is_symmetry, want.max_deviation, want.samples_used, want.skipped), i
+            if want.witness is None:
+                assert got.witness is None, i
+            else:
+                for a, b in zip(got.witness, want.witness):
+                    assert a.field is b.field and np.array_equal(a.entries, b.entries), i
     # the cases the stack must hold: no exit, domain exits and deviation exits
     # at different rows, and a failure with no exit
     assert alone[0].is_symmetry and alone[0].samples_used == n
@@ -396,6 +404,47 @@ def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field, block_rows
     assert 1 < alone[2].samples_used < n and alone[2].max_deviation > 1e-6
     assert alone[3].samples_used == 1 and alone[3].max_deviation > 1e-6
     assert not alone[4].is_symmetry and alone[4].samples_used == n
+
+
+def _reference_verdict(spec, M, G, H, tol):
+    """is_symmetry's rule for one map on its own rows, with plain eval_batch
+    calls: (max deviation, rows used)."""
+    base, _ = mm.eval_batch(spec, G, H)
+    mapped, inside = mm.eval_batch(spec, G @ M.T, H @ M.T)
+    dev = mm.deviations(mapped, base, base)
+    dev[~inside] = math.inf
+    exits = np.flatnonzero(dev > 1e3 * tol)
+    used = int(exits[0]) + 1 if exits.size else len(dev)
+    return float(dev[:used].max()), used
+
+
+@pytest.mark.parametrize("n_maps, n_controls", [(12, 5), (8, 8), (5, 12)])
+@pytest.mark.parametrize("field", [R, C])
+def test_the_probe_reads_one_draw_and_control_i_reads_map_i_rows(field, n_maps, n_controls):
+    # the map stream replayed by hand: the maps, then max(n_maps, n_controls)
+    # * n pairs; the controls' unitaries and scales come from the third stream
+    spec, n, seed = mm.norm_quotient(3, field), 30, 11
+    _, map_ss, control_ss = np.random.SeedSequence(seed).spawn(3)
+    rng = np.random.default_rng(map_ss)
+    maps = iv._random_noncongruences(n_maps, 3, field, rng, 1.1)
+    G, H = mm.sample_pairs(spec, max(n_maps, n_controls) * n, rng)
+    rng = np.random.default_rng(control_ss)
+    controls = la.random_unitaries(n_controls, 3, field, rng)
+    controls *= np.exp(rng.uniform(-np.log(2.0), np.log(2.0), n_controls))[:, None, None]
+    rows = lambda i: slice(i * n, (i + 1) * n)  # noqa: E731
+    found = [_reference_verdict(spec, M, G[rows(i)], H[rows(i)], 1e-3)
+             for i, M in enumerate(maps)]
+    checked = [_reference_verdict(spec, M, G[rows(i)], H[rows(i)], 1e-9)
+               for i, M in enumerate(controls)]
+    report = iv.congruence_theorem_probe(spec, n_maps=n_maps, n_samples=n, seed=seed,
+                                         n_controls=n_controls)
+    weakest = min(range(n_maps), key=lambda i: found[i][0])
+    assert report.weakest_deviation == found[weakest][0]
+    assert np.array_equal(report.weakest_map.entries, maps[weakest])
+    assert report.map_samples == sum(used for _, used in found)
+    assert report.control_worst_deviation == max(dev for dev, _ in checked)
+    assert report.control_samples == sum(used for _, used in checked) == n_controls * n
+    assert report.all_failed and report.controls_passed
 
 
 def test_probes_evaluate_one_batch_per_side_per_block(monkeypatch):
@@ -407,8 +456,12 @@ def test_probes_evaluate_one_batch_per_side_per_block(monkeypatch):
 
     monkeypatch.setattr(iv, "eval_batch", counting)
     iv.congruence_theorem_probe(mm.euclidean(3), seed=1)  # 100 maps, 100 controls, 40 samples
-    # the zero-metric test, then 4 blocks of 25 maps each for the maps and the controls
-    assert rows == [32] + [1000] * 16
+    # the zero-metric test, then per block of 25 maps: rho_g(h), the maps, the controls
+    assert rows == [32] + [1000] * 12
+    rows.clear()
+    iv.rotation_sufficiency_check(mm.euclidean(3), 100, 20)
+    # per block of 51 rotations: rho_g(h) once, then the rotations and the orthogonal maps
+    assert rows == [1020] * 3 + [980] * 3
     rows.clear()
     iv.dim2_exception_check(1.0, [iv.random_unimodular(k) for k in range(30)], 40, seed=2)
     assert rows == [1000, 1000, 200, 200]
