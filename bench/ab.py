@@ -11,11 +11,18 @@ tree's run.py imports its own src/.  Writes BENCH_<slug>.json (the slug
 defaults to the workload) at the root of this checkout with the machine,
 the Python and numpy versions, both revisions, every pair's end-to-end
 metrics, each metric's quartiles per side, the parent's interquartile range,
-the change's win count and `failed` per seed.  With --claim, it also records
-whether that metric meets the rule for claiming a gain: the change is better
-in at least nine tenths of the pairs (ties count for neither) and the medians
-differ by more than the parent's interquartile range.  It writes nothing else
-outside its temporary directory.
+the change's win count, a regression verdict and `failed` per seed.  With
+--claim, it also records whether that metric meets the rule for claiming a
+gain: the change is better in at least nine tenths of the pairs (ties count
+for neither) and the medians differ by more than the parent's interquartile
+range.  It writes nothing else outside its temporary directory.
+
+The regression verdict reads the metric's bound in BENCHMARK.json as a
+fraction of the parent's median: `worse` when the change's median is worse
+than the parent's by more than the bound; `unresolved` when the parent's
+interquartile range exceeds the bound, so a regression of that size cannot
+be told from noise, unless every change run beats every parent run; and
+`within bound` otherwise.
 """
 
 from __future__ import annotations
@@ -70,19 +77,36 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per metric (name -> "lower" or "higher" is better): each side's
-    quartiles, the parent's IQR, the median change and the change's wins."""
+def regression(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The regression verdict in the module docstring, on each side's runs."""
+    p = quartiles(parent)
+    worse, beats_all = quartiles(change)["median"] - p["median"], max(change) < min(parent)
+    if better != "lower":
+        worse, beats_all = -worse, min(change) > max(parent)
+    if worse > bound * abs(p["median"]):
+        return "worse"
+    if p["q3"] - p["q1"] > bound * abs(p["median"]) and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric (name -> its BENCHMARK.json entry: "better", "lower" or
+    "higher", and "bound"): each side's quartiles, the parent's IQR, the
+    median change, the change's wins and the regression verdict."""
     summary = {}
-    for m, better in metrics.items():
-        sides = {side: quartiles([p[side][m] for p in pairs]) for side in SIDES}
-        sign = 1.0 if better == "lower" else -1.0
+    for m, entry in metrics.items():
+        runs = {side: [p[side][m] for p in pairs] for side in SIDES}
+        sides = {side: quartiles(runs[side]) for side in SIDES}
+        sign = 1.0 if entry["better"] == "lower" else -1.0
         summary[m] = {**sides, "parent_iqr": sides["parent"]["q3"] - sides["parent"]["q1"],
                       "median_change_pct": 100.0 * (sides["change"]["median"]
                                                     / sides["parent"]["median"] - 1.0),
                       "change_better_in": sum(sign * (p["change"][m] - p["parent"][m]) < 0.0
                                               for p in pairs),
-                      "pairs": len(pairs)}
+                      "pairs": len(pairs), "bound": entry["bound"],
+                      "regression": regression(runs["parent"], runs["change"], entry["better"],
+                                               entry["bound"])}
     return summary
 
 
@@ -101,7 +125,7 @@ def claim(summary: dict, metric: str, better: str) -> dict:
             "met": 10 * s["change_better_in"] >= 9 * s["pairs"] and gap > s["parent_iqr"]}
 
 
-def compare(workload: str, seeds: list[int], run: Runner, metrics: dict[str, str],
+def compare(workload: str, seeds: list[int], run: Runner, metrics: dict[str, dict],
             claimed: str | None = None) -> dict:
     """The pairs and their summary, as BENCH_<slug>.json holds them after the
     provenance that main adds."""
@@ -115,7 +139,7 @@ def compare(workload: str, seeds: list[int], run: Runner, metrics: dict[str, str
            "correct_everywhere": all(p[side]["correct"] for p in pairs for side in SIDES),
            "summary": summary, "pairs": pairs}
     if claimed is not None:
-        doc["claim"] = claim(summary, claimed, metrics[claimed])
+        doc["claim"] = claim(summary, claimed, metrics[claimed]["better"])
     return doc
 
 
@@ -169,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--slug", help="names the output BENCH_<slug>.json; the workload by default")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     if args.workload not in {w["name"] for w in bench["workloads"]}:
         parser.error(f"no workload {args.workload!r} in BENCHMARK.json")
     if len(args.seeds) < 2:
@@ -200,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     for m, s in doc["summary"].items():
         print(f"{m:12s} parent {s['parent']['median']:.6g}  change {s['change']['median']:.6g}"
               f"  ({s['median_change_pct']:+.1f}%)  better in {s['change_better_in']}"
-              f"/{s['pairs']}  parent IQR {s['parent_iqr']:.3g}")
+              f"/{s['pairs']}  parent IQR {s['parent_iqr']:.3g}  {s['regression']}")
     if "claim" in doc:
         print(f"claim on {args.claim}: {'met' if doc['claim']['met'] else 'not met'}")
     print(f"wrote {out}")

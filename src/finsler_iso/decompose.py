@@ -245,7 +245,7 @@ def roundtrip_check(metric: MetricSpec | SesquiOracle, extracted_spec: MetricSpe
     k = int(np.argmax(dev))
     worst = float(dev[k])
     passed = worst <= tol
-    witness = None if passed else tuple(Vector(a[k], metric.field) for a in rows)
+    witness = None if passed else tuple(Vector(a[k].copy(), metric.field) for a in rows)
     return RoundtripReport(worst, witness, n_samples, passed)
 
 

@@ -9,14 +9,14 @@ named families' exact geodesics (the chord, the log-polar arc and, over C,
 the phase-aligned arc).  A sweep tabulates every position a vertex can
 reach; one _segment_length call measures the odd interior vertices', which
 share no segment, and a second the even ones'.  A sweep fails exactly when
-no single move shortens the path, so one call screens the single moves of
-a ladder of sweeps, drawn at once, and only the first that passes runs in
-full.  The result equals the one-vertex-at-a-time descent's bit for bit
-under the same acceptance rule, _shortens.  The segment kernel measures
+no single move shortens the path, so one call screens the moves of a ladder
+of sweeps, drawn at once, and only the first that passes is tabulated and
+runs in full.  The result equals the one-vertex-at-a-time descent's bit for
+bit under the same acceptance rule, _shortens.  The segment kernel measures
 each segment by two Gauss-Legendre nodes per chunk, forms every node's
-invariants from its segment's and evaluates every node of every spec in
-one call; only a spec that reads_vectors also gets the node rows.  An
-unresolved segment measures inf, so the descent compares lengths alone.
+invariants from its segment's and evaluates every node of every spec in one
+call; only a spec that reads_vectors also gets the node rows.  An unresolved
+segment measures inf, so the descent compares lengths alone.
 """
 
 from __future__ import annotations
@@ -351,27 +351,30 @@ def _directions(rng: np.random.Generator, count: int, dim: int, field: Field) ->
     return D / row_norms(D)[:, None]
 
 
-def _sweep_positions(verts: np.ndarray, step, rng: np.random.Generator,
-                     field: Field) -> np.ndarray:
-    """Every position a sweep can move each interior vertex to; for an array
-    of steps, a block per step, all from one draw, the stream of one sweep at a time.
+def _moves(rng: np.random.Generator, steps, ni: int, dim: int, field: Field) -> np.ndarray:
+    """The moves of ni interior vertices in n sweeps at steps, as an (n, ni, 4,
+    dim) array, from one draw, the stream of one sweep at a time.  Each vertex
+    draws two directions d1, d2; its moves are +step d1, -step d1, +step d2,
+    -step d2."""
+    D = _directions(rng, len(steps) * 2 * ni, dim, field).reshape(-1, ni, 2, 1, dim)
+    signed = np.multiply.outer(steps, [1.0, -1.0])[:, None, None, :, None]  # (n, 1, 1, 2, 1)
+    return (signed * D).reshape(-1, ni, 4, dim)
 
-    Each vertex draws two directions d1, d2, which give its moves, in order,
-    +step d1, -step d1, +step d2, -step d2.  Row S of vertex i's (16, dim)
-    block is v_i plus the moves in the bitmask S, added in move order
-    (row 0 is v_i), so each row is the float the greedy pass reaches when it
-    accepts exactly the moves in S.
+
+def _sweep_positions(verts: np.ndarray, step: float, rng: np.random.Generator,
+                     field: Field) -> np.ndarray:
+    """Every position one sweep at step can move each interior vertex to, as
+    an (ni, 16, dim) table.  Row S of vertex i's block is v_i plus the moves
+    in the bitmask S (see _moves), added in move order (row 0 is v_i), so
+    each row is the float the greedy pass reaches when it accepts exactly
+    the moves in S.
     """
-    steps, ni, dim = np.asarray(step, dtype=float), len(verts) - 2, verts.shape[1]
-    D = np.moveaxis(_directions(rng, steps.size * 2 * ni, dim, field).reshape(
-        *steps.shape, ni, 2, dim), -2, 0)[:, None]  # (direction a, 1, ..., ni, dim)
-    moves = np.multiply(np.multiply.outer([1.0, -1.0], steps)[..., None, None], D,
-                        order="C").reshape(4, *steps.shape, ni, dim)  # move 2a + s: (+-step) d_a
-    P = np.empty((16, *steps.shape, ni, dim), dtype=verts.dtype)  # moves, subsets first: blocks
-    P[0] = verts[1:-1]
+    moves = _moves(rng, [step], len(verts) - 2, verts.shape[1], field)[0]
+    P = np.empty((len(moves), 16, verts.shape[1]), dtype=verts.dtype)
+    P[:, 0] = verts[1:-1]
     for j in range(4):  # the subsets whose highest move is j: the lower ones plus move j
-        P[1 << j:2 << j] = P[:1 << j] + moves[j]
-    return np.moveaxis(P, 0, -2)
+        P[:, 1 << j:2 << j] = P[:, :1 << j] + moves[:, j, None]
+    return P
 
 
 # A move must shorten its two segments by more than this fraction of their
@@ -391,37 +394,36 @@ def _shortens(length, local):
 
 def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: float,
             step_floor: float, rng: np.random.Generator, ell0: float,
-            window: int) -> list[np.ndarray | None]:
+            window: int) -> list[bool]:
     """The next sweeps on the unchanged path, told apart by their single moves.
 
     Takes up to window sweeps at step, step/2, ..., stopping at the one whose
-    failure reaches the step floor, builds their blocks from one draw
-    (_sweep_positions) and measures both segments of every single move, rows
-    1, 2, 4 and 8 of each block, against the path in one _segment_length
-    call.  Until a vertex moves, the greedy walk tries single moves only, so
-    a sweep moves a vertex exactly when one of them _shortens the path.
-    Returns None per sweep up to the first that a single passes, then that
-    sweep's block, with the stream replayed to where drawing one sweep at a
-    time leaves it; with none passing, after the whole window's draws.
+    failure reaches the step floor, draws their moves at once (_moves) and
+    measures both segments of every v + move against the path in one
+    _segment_length call.  Until a vertex moves, the greedy walk tries single
+    moves only, so a sweep moves a vertex exactly when one of them _shortens
+    the path.  Returns, per sweep it settles, whether it runs in full: False
+    up to the first that a single passes, then True, with the stream
+    replayed to where drawing one sweep at a time leaves it before that
+    sweep's draws; all False when none passes, after the whole window's.
     """
     steps = [step]
     while len(steps) < window and 0.5 * steps[-1] >= step_floor:
         steps.append(0.5 * steps[-1])
     n, ni, dim = len(steps), len(verts) - 2, spec.dim
     state = rng.bit_generator.state
-    P = _sweep_positions(verts, np.array(steps), rng, spec.field)
-    singles = P[:, :, [1, 2, 4, 8]].reshape(-1, dim)
+    singles = (verts[1:-1, None] + _moves(rng, steps, ni, dim, spec.field)).reshape(-1, dim)
     prev, after = (np.tile(V.repeat(4, axis=0), (n, 1)) for V in (verts[:-2], verts[2:]))
     lengths, _ = _segment_length(spec, np.concatenate([prev, singles]),
                                  np.concatenate([singles, after]), ell0)
     a, b = lengths.reshape(2, n, -1)
     passes = _shortens(a + b, np.add(seglen[:-1], seglen[1:]).repeat(4)).any(axis=1)
     if not passes.any():
-        return [None] * n
+        return [False] * n
     j = int(passes.argmax())
     rng.bit_generator.state = state
-    _directions(rng, (j + 1) * 2 * ni, dim, spec.field)  # the draws up to sweep j's
-    return [None] * j + [P[j]]
+    _directions(rng, j * 2 * ni, dim, spec.field)  # the draws of the sweeps before sweep j
+    return [False] * j + [True]
 
 
 def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
@@ -546,13 +548,13 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     the step floor (17 at the default vertices), and after each failed one
     as many next sweeps as have failed in a row (1, 2, 4, ...), never past
     n_iterations.  Each that no single move passes fails and halves the
-    step.  The first that one passes runs in full on its table, with the
-    random stream where drawing one sweep at a time leaves it; a sweep after
-    one that moved runs in full directly.  So a solve that never moves makes
-    two _segment_length calls, the starts' and one screen's.  A failed sweep
-    measures no multi-move position, and a NaN there does not raise; the
-    single moves of the window's sweeps after the first that passes are
-    measured though never taken, and a NaN there raises.
+    step.  Only the first that one passes builds its table and runs in full,
+    drawing its moves again where one sweep at a time leaves the stream; a
+    sweep after one that moved does so directly.  So a solve that never
+    moves makes two _segment_length calls, the starts' and one screen's.  A
+    failed sweep measures no multi-move position, and a NaN there does not
+    raise; the single moves of the window's sweeps after the first that
+    passes are measured though never taken, and a NaN there raises.
 
     Raises InvalidArgumentError unless n_vertices >= 3
     and n_iterations >= 0, ValueError when g != h and the chord's length
@@ -587,11 +589,9 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     ell0 = chord_len / (4.0 * (n_vertices - 1))
     verts, seglen = _initial_vertices(spec, g, h, n_vertices, rng, ell0)
-    total = sum(seglen)
-    initial = total
+    initial = total = sum(seglen)
     history = [total]
-    step = chord_len / (n_vertices - 1)
-    step_floor = 1e-6 * chord_len
+    step, step_floor = chord_len / (n_vertices - 1), 1e-6 * chord_len
     stop_reason = "iteration-cap"
 
     # the odd interior vertices, then the even (none at three vertices): the
@@ -604,9 +604,10 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
             left = n_iterations + 1 - len(history)
             screened = _screen(spec, verts, seglen, step, step_floor, rng, ell0,
                                min(fails, left) if fails else left)
-        P = screened.pop(0) if screened else _sweep_positions(verts, step, rng, spec.field)
+        full = screened.pop(0) if screened else True
+        P = _sweep_positions(verts, step, rng, spec.field) if full else None
         moved = False
-        for i in halves if P is not None else ():
+        for i in halves if full else ():
             # Both segments of each candidate of this half, against neighbours
             # that do not move in it: prev -> cand first, then cand -> next.
             cands = P[i - 1, 1:].reshape(-1, spec.dim)

@@ -160,22 +160,21 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
     """Invariance under Haar unitaries, one fresh sample pair per unitary.
 
     From default_rng(seed) come the unitaries (random_unitaries, one stacked
-    QR) and then the pairs (sample_pairs); the unitaries are applied in one
-    stacked matmul and each side is one eval_batch call.  Every pair counts;
-    a unitary that takes a base point out of the domain is an OutOfDomainError.
+    QR) and then the pairs (sample_pairs), one per unitary in the stacked
+    test (_symmetry_verdicts).  Every pair counts; a unitary that takes a
+    base point out of the domain is an OutOfDomainError.
     """
     check_counts(n_unitaries=n_unitaries)
     check_tolerances(tol=tol)
     rng = np.random.default_rng(seed)
     U = random_unitaries(n_unitaries, spec.dim, spec.field, rng)
     G, H = sample_pairs(spec, len(U), rng)
-    base, _ = eval_batch(spec, G, H)
-    mapped, inside = eval_batch(spec, (U @ G[:, :, None])[:, :, 0], (U @ H[:, :, None])[:, :, 0])
-    if not inside.all():
+    (v,) = _symmetry_verdicts(spec, G, H, [(U, tol)])
+    if v.skipped.any():
         raise OutOfDomainError("a unitary of the suite maps a base point out of the domain")
-    dev = deviations(mapped, base, base)
-    at = int(dev.argmax())
-    return _symmetry_verdict(spec, G, H, float(dev[at]), at, len(dev), 0, tol)
+    at = int(v.max_deviation.argmax())
+    return _symmetry_verdict(spec, G, H, float(v.max_deviation[at]), int(v.witness[at]),
+                             len(U), 0, tol)
 
 
 # ---------------------------------------------------------------------------

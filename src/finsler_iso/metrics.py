@@ -735,7 +735,7 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
     k = int(np.argmax(dev))
     max_dev = float(dev[k])
     ok = max_dev <= tol
-    witness = None if ok else (Vector(G[k], spec.field), Vector(H[k], spec.field))
+    witness = None if ok else (Vector(G[k].copy(), spec.field), Vector(H[k].copy(), spec.field))
     return HomothetyVerdict(ok, max_dev, witness, used, n_samples - used)
 
 

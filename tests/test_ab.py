@@ -11,7 +11,8 @@ _SPEC = importlib.util.spec_from_file_location("ab", _PATH)
 ab = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab)
 
-METRICS = {"wall_s": "lower", "task_p50_s": "lower"}
+METRICS = {"wall_s": {"better": "lower", "bound": 0.25},
+           "task_p50_s": {"better": "lower", "bound": 0.25}}
 
 
 def _fake(values, calls):
@@ -74,9 +75,29 @@ def test_quartiles_medians_wins_and_the_claim():
 
 def test_a_higher_is_better_metric_wins_where_the_change_is_higher():
     pairs = [{"seed": s, "parent": {"rate": 1.0}, "change": {"rate": 2.0}} for s in (1, 2, 3)]
-    summary = ab.summarize(pairs, {"rate": "higher"})
+    summary = ab.summarize(pairs, {"rate": {"better": "higher", "bound": 0.1}})
     assert summary["rate"]["change_better_in"] == 3
+    assert summary["rate"]["regression"] == "within bound"
     assert ab.claim(summary, "rate", "higher")["median_gap"] == 1.0
+    assert ab.regression([2.0, 2.0, 2.0], [1.0, 1.0, 1.0], "higher", 0.1) == "worse"
+
+
+def test_the_regression_verdict_reads_the_bound_and_the_parents_spread():
+    seeds = list(range(1, 11))
+
+    def verdict(parent, change):
+        doc = ab.compare("geodesic", seeds, _fake({"parent": dict(zip(seeds, parent)),
+                                                   "change": dict(zip(seeds, change))}, []),
+                         METRICS)
+        return doc["summary"]["wall_s"]["regression"]
+    tight = [10.0 + 0.01 * s for s in seeds]  # an IQR of 0.045 on a median of 10.055
+    wide = [float(s) for s in seeds]  # an IQR of 4.5 on a median of 5.5: over the bound
+    assert verdict(tight, [v * 1.3 for v in tight]) == "worse"  # 30% over a 25% bound
+    assert verdict(tight, [v * 1.2 for v in tight]) == "within bound"
+    assert verdict(wide, [v * 1.3 for v in wide]) == "worse"  # worse wins over unresolved
+    assert verdict(wide, wide) == "unresolved"
+    assert verdict(wide, [0.5] * 10) == "within bound"  # every change run beats every parent run
+    assert verdict(wide, [0.5] * 9 + [1.0]) == "unresolved"  # a tie with the best parent run
 
 
 def test_the_document_holds_every_pair_and_round_trips_through_json():

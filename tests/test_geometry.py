@@ -1250,7 +1250,7 @@ def _recorded_screens(monkeypatch):
 
     def recorded(*args):
         out = screen(*args)
-        screens.append((args[-1], [P is not None for P in out]))
+        screens.append((args[-1], list(out)))
         return out
     monkeypatch.setattr(ge, "_screen", recorded)
     return screens
@@ -1369,10 +1369,11 @@ def test_a_screen_draws_and_rewinds_as_per_sweep_draws_do(monkeypatch, field):
     # the euclidean chord at 13 vertices, with vertex 6's two segments given
     # 1e-4 of their length more than they measure: a single move passes once
     # the step is small enough that it lengthens them by less, a few sweeps
-    # down the ladder.  The screen's single moves, its one table and the
-    # stream after it equal those of drawing one sweep at a time by
-    # _sweep_positions, bit for bit; with the path's own lengths no sweep
-    # passes, and the stream ends after every sweep's draws
+    # down the ladder.  The screen's single moves equal the rows of drawing
+    # one sweep at a time by _sweep_positions, bit for bit, and it leaves the
+    # stream before the passing sweep's draws, so the table the loop then
+    # builds is that sweep's; with the path's own lengths no sweep passes,
+    # and the stream ends after every sweep's draws
     rng = np.random.default_rng(3)
     g, h = (la.random_vector_with_norm(3, field, r, rng).entries for r in (1.0, 1.5))
     verts = ge._segment_rows(g, h, np.linspace(0.0, 1.0, 13))
@@ -1391,19 +1392,20 @@ def test_a_screen_draws_and_rewinds_as_per_sweep_draws_do(monkeypatch, field):
         rng, replay = np.random.default_rng(9), np.random.default_rng(9)
         out = ge._screen(mm.euclidean(3, field), verts, lengths, chord / 12, 1e-6 * chord,
                          rng, chord / 48, 20)
-        tables, states = [], []  # the floor cuts the window of 20 at 17 sweeps
+        tables, states = [], [replay.bit_generator.state]  # the floor cuts 20 at 17 sweeps
         for s in range(17):
             tables.append(ge._sweep_positions(verts, chord / 12 * 0.5 ** s, replay, field))
             states.append(replay.bit_generator.state)
         assert len(singles) == 1
         assert singles[0].tobytes() == np.stack([P[:, [1, 2, 4, 8]] for P in tables]).tobytes()
-        j = len(out) - 1 if passing else 16  # the sweep the stream ends after
-        assert out[:j] == [None] * j and len(out) == j + 1
         if passing:
-            assert 0 < j < 16 and out[j].tobytes() == tables[j].tobytes()
+            j = len(out) - 1  # the sweep that runs in full
+            assert 0 < j < 16 and out == [False] * j + [True]
+            assert rng.bit_generator.state == states[j]
+            table = ge._sweep_positions(verts, chord / 12 * 0.5 ** j, rng, field)
+            assert table.tobytes() == tables[j].tobytes()
         else:
-            assert out[j] is None
-        assert rng.bit_generator.state == states[j]
+            assert out == [False] * 17 and rng.bit_generator.state == states[17]
 
 
 @pytest.mark.parametrize("field", [R, C])
@@ -1425,6 +1427,35 @@ def test_a_solve_that_never_moves_makes_two_kernel_calls(monkeypatch, field):
         res = ge.geodesic_distance(spec, g, h)
         assert (res.stop_reason, res.iterations, len(set(res.history))) == ("step-floor", 17, 1)
         assert len(calls) == 2 and calls[1] == 17 * 88, (spec.family, spec.dim)
+
+
+def test_only_a_sweep_that_runs_in_full_builds_its_table(monkeypatch):
+    # a screen measures moves and builds no table: the never-moving solves of
+    # the two-call test build none, and the _REWOUND theta solve builds one
+    # per sweep that runs in full (every sweep but a screened failure), the
+    # first at the 9th sweep's step, 1/256 of the first
+    steps, build = [], ge._sweep_positions
+
+    def counted(verts, step, rng, field):
+        steps.append(step)
+        return build(verts, step, rng, field)
+    monkeypatch.setattr(ge, "_sweep_positions", counted)
+    screens = _recorded_screens(monkeypatch)
+    g, h = _gaussian_pair(11)
+    for field in (R, C):
+        solves = [(mm.euclidean(3, field), la.vector(g.entries, field),
+                   la.vector(h.entries, field))]
+        solves += [(mm.fubini_study(dim, field), la.basis_vector(dim, 0, field),
+                    la.basis_vector(dim, 1, field)) for dim in (2, 3, 5)]
+        for spec, a, b in solves:
+            assert ge.geodesic_distance(spec, a, b).iterations == 17
+    assert steps == []
+    spec, g, h, kwargs = _REWOUND
+    screens.clear()
+    res = ge.geodesic_distance(spec, g, h, **kwargs)
+    failed = sum(not runs for _, settled in screens for runs in settled)
+    assert len(steps) == res.iterations - failed >= 5
+    assert steps[0] == 0.5 ** 8 * float(np.linalg.norm(h.entries - g.entries)) / 12
 
 
 @pytest.mark.parametrize("field", [R, C])

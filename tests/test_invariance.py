@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsler_iso import decompose as dc
 from finsler_iso import invariance as iv
 from finsler_iso import linalg as la
 from finsler_iso import metrics as mm
@@ -301,15 +302,29 @@ def test_batched_checks_equal_the_scalar_loop(dim, field):
                 M = T.entries.T
                 want = _scalar_symmetry(spec, G, H, G @ M, H @ M, tol, exit_early=True)
                 _assert_same(iv.is_symmetry(T, spec, 30, seed=i, tol=tol), want, (name, label, tol))
-        rng = np.random.default_rng(i)  # the suite's own draw: unitaries, then pairs
-        U = la.random_unitaries(20, dim, field, rng)
-        G, H = mm.sample_pairs(spec, 20, rng)
-        want = _scalar_symmetry(spec, G, H, (U @ G[:, :, None])[:, :, 0],
-                                (U @ H[:, :, None])[:, :, 0], 1e-9, exit_early=False)
-        _assert_same(iv.invariance_suite(spec, 20, seed=i), want, (name, "suite"))
+        # the suite's own draw: unitaries, then pairs; for the step metric also
+        # past one block of _BLOCK_ROWS pairs, with ties in every block
+        for n in (20, 1100) if spec is step else (20,):
+            rng = np.random.default_rng(i)
+            U = la.random_unitaries(n, dim, field, rng)
+            G, H = mm.sample_pairs(spec, n, rng)
+            want = _scalar_symmetry(spec, G, H, (U @ G[:, :, None])[:, :, 0],
+                                    (U @ H[:, :, None])[:, :, 0], 1e-9, exit_early=False)
+            _assert_same(iv.invariance_suite(spec, n, seed=i), want, (name, "suite", n))
         G, H = mm.sample_pairs(spec, 30, np.random.default_rng(i))
         want = _scalar_homothety(spec, G, H, 1.5, 1e-10)
         _assert_same(mm.check_homothety_invariance(spec, 1.5, 30, seed=i), want, (name, "homothety"))
+
+
+def test_a_verdicts_witness_owns_its_rows():
+    # a failed check's witness rows are copies, so a verdict does not keep its
+    # whole sample arrays alive: 200 rows for a symmetry or homothety check
+    # at their defaults, 1000 for a round-trip
+    verdicts = [iv.is_symmetry(la.LinearMap(2.0 * np.eye(3), R), mm.euclidean(3)),
+                mm.check_homothety_invariance(mm.euclidean(3), 1.5),
+                dc.roundtrip_check(mm.euclidean(3), mm.norm_quotient(3))]
+    for v in verdicts:
+        assert v.witness is not None and all(w.entries.base is None for w in v.witness), v
 
 
 def test_batched_checks_cover_domain_exits_and_skips():
@@ -465,6 +480,12 @@ def test_probes_evaluate_one_batch_per_side_per_block(monkeypatch):
     rows.clear()
     iv.dim2_exception_check(1.0, [iv.random_unimodular(k) for k in range(30)], 40, seed=2)
     assert rows == [1000, 1000, 200, 200]
+    rows.clear()
+    iv.invariance_suite(mm.euclidean(3))  # 200 unitaries, one pair each
+    assert rows == [200, 200]
+    rows.clear()
+    iv.invariance_suite(mm.euclidean(3), 1100)  # a block of 1024 pairs, then the rest
+    assert rows == [1024, 1024, 76, 76]
 
 
 def test_is_symmetry_fails_a_map_whose_image_is_finite_where_rho_is_infinite():
