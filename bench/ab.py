@@ -8,14 +8,16 @@ tar -x -C DIR` into one temporary directory and runs each tree's own
 `perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds: one parent
 and one change run per seed, alternating which side goes first.  Each
 tree's run.py imports its own src/.  Writes BENCH_<slug>.json (the slug
-defaults to the workload) at the root of this checkout with the machine,
-the Python and numpy versions, both revisions, every pair's end-to-end
-metrics, each metric's quartiles per side, the parent's interquartile range,
-the change's win count, a regression verdict and `failed` per seed.  With
+defaults to the workload) with the machine, the Python and numpy versions,
+both revisions, every pair's end-to-end metrics, each metric's quartiles
+per side, the parent's interquartile range, the change's win count, a
+regression verdict and `failed` per seed.  With
 --claim, it also records whether that metric meets the rule for claiming a
 gain: the change is better in at least nine tenths of the pairs (ties count
 for neither) and the medians differ by more than the parent's interquartile
-range.  It writes nothing else outside its temporary directory.
+range.  A run with --claim writes its file at the root of this checkout,
+to be committed; any other run writes it under the gitignored
+.perfbench_out/.  It writes nothing else outside its temporary directory.
 
 The regression verdict reads the metric's bound in BENCHMARK.json as a
 fraction of the parent's median: `worse` when the change's median is worse
@@ -219,7 +221,10 @@ def main(argv: list[str] | None = None) -> int:
            "command": f"perfbench/run.py --workload {args.workload} --seed SEED --seconds "
                       f"{bench['run_seconds']} --trace 0, from each revision's exported tree",
            **doc}
-    out = ROOT / f"BENCH_{args.slug or args.workload}.json"
+    # a claim is committed with the change; any other run is kept out of the checkout
+    out_dir = ROOT if args.claim else ROOT / ".perfbench_out"
+    out = out_dir / f"BENCH_{args.slug or args.workload}.json"
+    out_dir.mkdir(exist_ok=True)
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for m, s in doc["summary"].items():
         print(f"{m:12s} parent {s['parent']['median']:.6g}  change {s['change']['median']:.6g}"

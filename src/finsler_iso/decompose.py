@@ -36,6 +36,7 @@ from .metrics import (
     eval_sesquilinear_rows,
     sample_pairs,
     sesquilinear_profile,
+    verdict,
 )
 
 
@@ -232,8 +233,8 @@ def roundtrip_check(metric: MetricSpec | SesquiOracle, extracted_spec: MetricSpe
     orthogonal to g): those are the degenerate strata of the canonical
     invariants.  For a sesquilinear oracle the comparison runs on random
     triples against the reconstructed form.  The samples are drawn in one
-    batch and each side is one rows call; the witness is the first sample
-    with the largest deviation.
+    batch and each side is one rows call; the verdict and witness are
+    metrics.verdict()'s.
     """
     check_counts(n_samples=n_samples)
     rows = _roundtrip_rows(metric, n_samples, np.random.default_rng(seed))
@@ -241,11 +242,7 @@ def roundtrip_check(metric: MetricSpec | SesquiOracle, extracted_spec: MetricSpe
         got, want = metric.eval_rows(*rows), eval_sesquilinear_rows(extracted_spec, *rows)
     else:  # each side refuses a row outside its domain
         got, want = _rows(metric, *rows), _rows(extracted_spec, *rows)
-    dev = deviations(got, want, got)
-    k = int(np.argmax(dev))
-    worst = float(dev[k])
-    passed = worst <= tol
-    witness = None if passed else tuple(Vector(a[k].copy(), metric.field) for a in rows)
+    passed, worst, witness = verdict(deviations(got, want, got), tol, rows, metric.field)
     return RoundtripReport(worst, witness, n_samples, passed)
 
 

@@ -24,7 +24,7 @@ from .linalg import (
     random_unitaries,
     singular_values,
 )
-from .metrics import MetricSpec, area_dim2, deviations, eval_batch, sample_pairs
+from .metrics import MetricSpec, area_dim2, deviations, eval_batch, sample_pairs, verdict
 # Unused here; kept while perfbench/tests/test_tracer.py asserts a wrapper on
 # this name, see FOUND in CHANGES.md.  The benchmark change that drops that
 # assertion deletes this import.
@@ -45,50 +45,32 @@ class CongruenceClass(NamedTuple):
     sv_ratio: float | None = None
 
 
-def _symmetry_verdict(spec: MetricSpec, G: np.ndarray, H: np.ndarray, max_dev: float,
-                      row: int, used: int, skipped: int, tol: float) -> SymmetryVerdict:
-    """The verdict of a largest deviation max_dev first met at row `row` of G
-    and H; the witness is that row, copied out of G and H so a verdict does
-    not keep every sample alive."""
-    ok = not skipped and max_dev <= tol
-    f = spec.field
-    return SymmetryVerdict(ok, max_dev, None if ok else (Vector(G[row].copy(), f),
-                                                         Vector(H[row].copy(), f)),
-                           used, skipped)
-
-
-class _StackVerdicts(NamedTuple):
-    """Per map of a stack, by is_symmetry's rule on its rows up to the first exit."""
-    max_deviation: np.ndarray  # the largest deviation on those rows
-    used: np.ndarray           # how many rows that is
-    skipped: np.ndarray        # whether the last of them takes its base point out of the domain
-    witness: np.ndarray        # the row of G and H where the largest deviation is first met
-
-
-# Rows per eval_batch call in _symmetry_verdicts: whole maps' samples, about
-# this many, so a stack of maps keeps its temporaries small.
+# Rows per eval_batch call in _symmetry_deviations: whole maps' samples,
+# about this many, so a stack of maps keeps its temporaries small.
 _BLOCK_ROWS = 1024
 
 
-def _symmetry_verdicts(spec: MetricSpec, G: np.ndarray, H: np.ndarray,
-                       stacks: list[tuple[np.ndarray, float]]) -> list[_StackVerdicts]:
-    """is_symmetry's rule for each map of each (M, tol) stack of (k, dim, dim)
-    maps, map i of every stack on the rows i*n .. (i+1)*n - 1 of the samples
-    G and H, which hold n rows for each map of the longest stack.
+def _symmetry_deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray,
+                         stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The deviations of rho_{Tg}(Th) from rho_g(h) for each map T of each
+    (k, dim, dim) stack, map i of every stack on the rows i*n .. (i+1)*n - 1
+    of the samples G and H, which hold n rows for each map of the longest
+    stack.  Per stack: the (k, n) deviations, inf on a row whose image base
+    point Tg leaves the domain, and the (k, n) mask of those rows.
 
     The base side rho_g(h) is one eval_batch call per block of whole maps'
     rows, shared by every stack; each stack's maps are applied in stacked
     matmuls and its mapped side is one eval_batch call per block it reaches.
     """
-    k_max, dim = max(len(M) for M, _ in stacks), spec.dim
+    k_max, dim = max(len(M) for M in stacks), spec.dim
     n = len(G) // k_max
     per = max(1, _BLOCK_ROWS // n)
-    devs = [np.empty(len(M) * n) for M, _ in stacks]
-    insides = [np.empty(len(M) * n, dtype=bool) for M, _ in stacks]
+    devs = [np.empty(len(M) * n) for M in stacks]
+    insides = [np.empty(len(M) * n, dtype=bool) for M in stacks]
     for a in range(0, k_max, per):
         b = min(k_max, a + per)
         base, _ = eval_batch(spec, G[a * n:b * n], H[a * n:b * n])
-        for (M, _), dev, inside in zip(stacks, devs, insides):
+        for M, dev, inside in zip(stacks, devs, insides):
             if (c := min(b, len(M))) <= a:
                 continue
             rows, Mt = slice(a * n, c * n), M[a:c].transpose(0, 2, 1)
@@ -98,16 +80,10 @@ def _symmetry_verdicts(spec: MetricSpec, G: np.ndarray, H: np.ndarray,
             # an infinite rho deviates by 0 where both sides are that infinity, by inf otherwise
             dev[rows] = deviations(mapped, base[:len(TG)], base[:len(TG)])
     out = []
-    for (M, tol), dev, inside in zip(stacks, devs, insides):
-        k, first = len(M), np.arange(len(M))
-        dev, inside = dev.reshape(k, n), inside.reshape(k, n)
-        dev[~inside] = np.inf
-        exits = dev > 1e3 * tol  # inf on every domain exit
-        used = np.where(exits.any(axis=1), exits.argmax(axis=1) + 1, n)
-        read = np.where(np.arange(n) < used[:, None], dev, -1.0)  # deviations are >= 0
-        at = read.argmax(axis=1)
-        out.append(_StackVerdicts(read[first, at], used, ~inside[first, used - 1],
-                                  first * n + at))
+    for dev, inside in zip(devs, insides):
+        dev, leaves = dev.reshape(-1, n), ~inside.reshape(-1, n)
+        dev[leaves] = np.inf
+        out.append((dev, leaves))
     return out
 
 
@@ -116,13 +92,12 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
     """Sampled test of rho_{Tg}(Th) = rho_g(h), deviations measured relatively.
 
     The n_samples pairs come from sample_pairs and each side is one
-    eval_batch call.  The verdict reads the rows up to and including the
-    first exit row, and samples_used counts them.  An exit row is one whose
-    deviation passes 1000x the tolerance, or whose image base point Tg leaves
-    the domain.  The latter violates the domain-preservation half of the
-    definition: it is counted in `skipped`, its deviation is inf and it fails
-    the verdict outright.  This is the one-map case of the stacked test the
-    probes run.
+    eval_batch call; samples_used counts them all, and the verdict, the
+    largest deviation and the witness are metrics.verdict()'s over them all.
+    A sample whose image base point Tg leaves the domain violates the
+    domain-preservation half of the definition: it is counted in `skipped`,
+    its deviation is inf and it fails the verdict outright.  This is the
+    one-map case of the stacked test the probes run.
     """
     if T.dim_in != T.dim_out:
         raise MismatchError("symmetry candidates must be square")
@@ -133,9 +108,9 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
     check_counts(n_samples=n_samples)
     check_tolerances(tol=tol)
     G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
-    (v,) = _symmetry_verdicts(spec, G, H, [(T.entries[None], tol)])
-    return _symmetry_verdict(spec, G, H, float(v.max_deviation[0]), int(v.witness[0]),
-                             int(v.used[0]), int(v.skipped[0]), tol)
+    ((dev, leaves),) = _symmetry_deviations(spec, G, H, [T.entries[None]])
+    return SymmetryVerdict(*verdict(dev[0], tol, (G, H), spec.field), n_samples,
+                           int(leaves.sum()))
 
 
 def classify_congruence(T: LinearMap, tol: float = 1e-9) -> CongruenceClass:
@@ -161,7 +136,7 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
 
     From default_rng(seed) come the unitaries (random_unitaries, one stacked
     QR) and then the pairs (sample_pairs), one per unitary in the stacked
-    test (_symmetry_verdicts).  Every pair counts; a unitary that takes a
+    test (_symmetry_deviations).  Every pair counts; a unitary that takes a
     base point out of the domain is an OutOfDomainError.
     """
     check_counts(n_unitaries=n_unitaries)
@@ -169,12 +144,10 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
     rng = np.random.default_rng(seed)
     U = random_unitaries(n_unitaries, spec.dim, spec.field, rng)
     G, H = sample_pairs(spec, len(U), rng)
-    (v,) = _symmetry_verdicts(spec, G, H, [(U, tol)])
-    if v.skipped.any():
+    ((dev, leaves),) = _symmetry_deviations(spec, G, H, [U])
+    if leaves.any():
         raise OutOfDomainError("a unitary of the suite maps a base point out of the domain")
-    at = int(v.max_deviation.argmax())
-    return _symmetry_verdict(spec, G, H, float(v.max_deviation[at]), int(v.witness[at]),
-                             len(U), 0, tol)
+    return SymmetryVerdict(*verdict(dev[:, 0], tol, (G, H), spec.field), len(U), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +156,12 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
 class ProbeReport(NamedTuple):
     maps_tested: int
     all_failed: bool
-    weakest_deviation: float          # smallest max-deviation among tested maps
+    weakest_deviation: float          # smallest, over the maps, of a map's largest deviation
     weakest_map: LinearMap | None
     controls_tested: int
     controls_passed: bool
-    control_worst_deviation: float
+    control_worst_deviation: float    # largest deviation over every control's samples
     vacuous: bool
-    map_samples: int                  # samples_used summed over the maps
-    control_samples: int              # and over the controls
 
 
 _MAX_DRAW_ROUNDS = 1000  # then _random_noncongruences gives up on its ratio
@@ -236,9 +207,10 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     everywhere, one from which all the maps and then max(n_maps, n_controls)
     * n_samples pairs are drawn at once, and one for the controls' unitaries
     (one stacked QR) and scales.  Map i and control i are both tested on
-    rows i*n_samples .. (i+1)*n_samples - 1 of those pairs by is_symmetry's
-    rule, in one stacked test: rho_g(h) is evaluated once for the maps and
-    the controls, and each stack's mapped side once.
+    rows i*n_samples .. (i+1)*n_samples - 1 of those pairs, in one stacked
+    test: rho_g(h) is evaluated once for the maps and the controls, and each
+    stack's mapped side once.  A map's deviation is its largest over all its
+    samples, inf where a sample's image base point leaves the domain.
     """
     if spec.dim < 3:
         raise ValueError("the probe applies in dimension >= 3")
@@ -249,8 +221,7 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
                                    f"got {min_sv_ratio}")
     aux, map_ss, control_ss = np.random.SeedSequence(seed).spawn(3)
     if _spec_is_vacuous(spec, np.random.default_rng(aux)):
-        return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True,
-                           map_samples=0, control_samples=0)
+        return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True)
     dim, field = spec.dim, spec.field
     rng = np.random.default_rng(map_ss)
     maps = _random_noncongruences(n_maps, dim, field, rng, min_sv_ratio)
@@ -260,11 +231,11 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), n_controls))
     if spec.congruence_invariant:
         controls *= scales[:, None, None]
-    found, checked = _symmetry_verdicts(spec, G, H, [(maps, deviation_threshold),
-                                                     (controls, control_tol)])
-    weakest = int(found.max_deviation.argmin())
-    weakest_deviation = float(found.max_deviation[weakest])
-    control_worst = float(checked.max_deviation.max())
+    found, checked = (dev.max(axis=1) for dev, _ in
+                      _symmetry_deviations(spec, G, H, [maps, controls]))
+    weakest = int(found.argmin())
+    weakest_deviation = float(found[weakest])
+    control_worst = float(checked.max())
     return ProbeReport(
         maps_tested=n_maps,
         all_failed=weakest_deviation > deviation_threshold,
@@ -274,8 +245,6 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
         controls_passed=control_worst <= control_tol,
         control_worst_deviation=control_worst,
         vacuous=False,
-        map_samples=int(found.used.sum()),
-        control_samples=int(checked.used.sum()),
     )
 
 
@@ -292,7 +261,7 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
     Supplied maps must be real 2x2 with |det| = 1 (within tol); anything
     else is rejected as a precondition failure.  All len(maps) * n_samples
     pairs are drawn at once from the seed, and each map is tested on its own
-    n_samples of them by is_symmetry's rule, in one stacked test.
+    n_samples of them, in one stacked test.
     """
     check_counts(maps=len(maps), n_samples=n_samples)
     check_tolerances(tol=tol)
@@ -304,8 +273,8 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
         if abs(d - 1.0) > max(tol, 1e-9):
             raise ValueError(f"non-unimodular map supplied: |det| = {d}")
     G, H = sample_pairs(spec, len(maps) * n_samples, np.random.default_rng(seed))
-    (v,) = _symmetry_verdicts(spec, G, H, [(np.stack([T.entries for T in maps]), tol)])
-    worst = float(v.max_deviation.max())
+    ((dev, _),) = _symmetry_deviations(spec, G, H, [np.stack([T.entries for T in maps])])
+    worst = float(dev.max())
     return Dim2Report(len(maps), worst <= tol, worst)
 
 
@@ -336,8 +305,8 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
     Haar orthogonal maps and compares outcomes.  From the seed come the
     orthogonal maps and then the rotations (each one stacked QR), then
     n_rotations * n_samples pairs; rotation i and orthogonal map i are tested
-    on the same n_samples of them by is_symmetry's rule, in one stacked test
-    that evaluates rho_g(h) once for both stacks.
+    on the same n_samples of them, in one stacked test that evaluates
+    rho_g(h) once for both stacks.
     """
     if spec.field is not Field.REAL:
         raise MismatchError("rotation sufficiency is a real-field statement")
@@ -350,7 +319,7 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
     rot = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)
     rot[np.linalg.det(rot) < 0, :, 0] *= -1.0
     G, H = sample_pairs(spec, n_rotations * n_samples, rng)
-    rot_worst, orth_worst = (float(v.max_deviation.max()) for v in
-                             _symmetry_verdicts(spec, G, H, [(rot, tol), (orth, tol)]))
+    rot_worst, orth_worst = (float(dev.max()) for dev, _ in
+                             _symmetry_deviations(spec, G, H, [rot, orth]))
     rp, op = rot_worst <= tol, orth_worst <= tol
     return RotationSufficiencyReport(rot_worst, orth_worst, rp, op, rp == op)

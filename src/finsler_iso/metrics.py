@@ -36,13 +36,20 @@ from .linalg import (
 
 
 class _Value:
-    """Equality and hashing by value: over the type and the instance's attributes."""
+    """Equality and hashing by value: over the type and the instance's
+    attributes, except those a class names in _not_identity."""
+
+    _not_identity: tuple[str, ...] = ()
+
+    def _identity(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k not in self._not_identity}
 
     def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+        return self._identity() == other._identity() if type(other) is type(self) \
+            else NotImplemented
 
     def __hash__(self):
-        return hash((type(self), *vars(self).values()))
+        return hash((type(self), *self._identity().values()))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +329,8 @@ class FromRiemann(MetricSpec):
     """Finsler metric induced by a sesquilinear profile: sign(v) sqrt|v|."""
 
     family = "riemann"
+    # induced_finsler's note on its probe, not a part of the metric
+    _not_identity = ("indefinite_warning",)
 
     def __init__(self, dim: int, field: Field, domain: RadiusDomain, profile: RiemannProfile):
         super().__init__(dim, field, domain)
@@ -703,6 +712,19 @@ def deviations(got: np.ndarray, want: np.ndarray, ref: np.ndarray) -> np.ndarray
     return dev
 
 
+def verdict(dev: np.ndarray, tol: float, rows: tuple[np.ndarray, ...],
+            field: Field) -> tuple[bool, float, tuple[Vector, ...] | None]:
+    """Every sampled check's reading of its deviations: (passed, largest,
+    witness).  The check passes when the largest deviation is within tol,
+    and has no witness then; otherwise the witness is the first row at the
+    largest deviation, copied out of each of rows so a verdict does not keep
+    every sample alive."""
+    k = int(np.argmax(dev))
+    largest = float(dev[k])
+    passed = largest <= tol
+    return passed, largest, None if passed else tuple(Vector(a[k].copy(), field) for a in rows)
+
+
 class HomothetyVerdict(NamedTuple):
     invariant: bool
     max_deviation: float
@@ -717,8 +739,8 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
 
     The pairs come from sample_pairs and each side is one eval_batch call.
     Samples whose scaled radius leaves the domain are skipped and counted;
-    the check fails loudly if every sample is skipped.  The witness is the
-    first sample with the largest deviation, by the rule of deviations().
+    the check fails loudly if every sample is skipped.  The deviations are
+    deviations()'s and the verdict and witness verdict()'s.
     """
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise InvalidArgumentError(f"alpha must be a finite positive number != 1, got {alpha}")
@@ -732,11 +754,7 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
         raise ValueError("all samples skipped: alpha * R does not meet R on the sampler")
     dev = deviations(mapped, base, base)
     dev[~kept] = 0.0
-    k = int(np.argmax(dev))
-    max_dev = float(dev[k])
-    ok = max_dev <= tol
-    witness = None if ok else (Vector(G[k].copy(), spec.field), Vector(H[k].copy(), spec.field))
-    return HomothetyVerdict(ok, max_dev, witness, used, n_samples - used)
+    return HomothetyVerdict(*verdict(dev, tol, (G, H), spec.field), used, n_samples - used)
 
 
 # ---------------------------------------------------------------------------

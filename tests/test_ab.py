@@ -130,3 +130,25 @@ def test_an_unknown_revision_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert "no commit 'no-such-rev'" in err and "Traceback" not in err
     assert sorted(ab.ROOT.glob("BENCH_*.json")) == before
+
+
+@pytest.mark.parametrize("claim, where", [(None, ".perfbench_out"), ("wall_s", ".")])
+def test_only_a_claim_writes_its_document_at_the_checkout_root(tmp_path, monkeypatch, capsys,
+                                                               claim, where):
+    # main on a fake checkout: the revisions, the exports and the runs are stubbed
+    bench = {"run_seconds": 1, "workloads": [{"name": "geodesic"}],
+             "end_to_end": [{"name": name, **m} for name, m in METRICS.items()]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(ab, "export", lambda rev, into: into.mkdir())
+    values = {"parent": {1: 2.0, 2: 2.5}, "change": {1: 1.0, 2: 1.5}}
+    monkeypatch.setattr(ab, "tree_runner", lambda trees, workload, seconds: _fake(values, []))
+    argv = ["--parent", "HEAD", "--workload", "geodesic", "--seeds", "1-2", "--slug", "s"]
+    assert ab.main(argv + (["--claim", claim] if claim else [])) == 0
+    out = tmp_path / where / "BENCH_s.json"
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("BENCH_*.json")) \
+        == [out.relative_to(tmp_path)]
+    assert json.loads(out.read_text())["workload"] == "geodesic"
+    assert ("claim" in json.loads(out.read_text())) is (claim is not None)
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")

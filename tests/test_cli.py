@@ -482,13 +482,19 @@ def test_probe_main_of_a_zero_metric_is_usage_error(capsys):
     assert code == 2 and out == "" and "tests nothing" in err
 
 
-def test_probe_main_reports_sample_counts(capsys):
+def test_probe_main_reports_the_probe(capsys):
+    # every key, each from the probe's report; a map's deviation is its
+    # largest over all its samples, so the key set has no sample counts
     code, out, _ = run(capsys, "probe-main", "--metric", "euclidean", "--dim", "3",
                        "--maps", "10", "--samples", "20", "--seed", "3")
     report = iv.congruence_theorem_probe(mm.euclidean(3), n_maps=10, n_samples=20, seed=3)
     obj = json.loads(out)
-    assert code == 0 and obj["map_samples"] == report.map_samples
-    assert obj["control_samples"] == report.control_samples == 100 * 20
+    assert code == 0 and obj == {
+        "probe": "theorem-main", "spec": mm.spec_to_json(mm.euclidean(3)),
+        "maps_tested": 10, "all_non_congruences_failed": True,
+        "weakest_deviation": report.weakest_deviation, "controls_tested": 100,
+        "controls_passed": True, "control_worst_deviation": report.control_worst_deviation,
+        "vacuous": False, "passed": True}
 
 
 def test_probe_main_tol_is_the_controls_tolerance(capsys):
@@ -502,7 +508,8 @@ def test_probe_main_tol_is_the_controls_tolerance(capsys):
                                              control_tol=float(tol))
         obj = json.loads(out)
         assert obj["controls_passed"] is report.controls_passed is passed, tol
-        assert obj["control_samples"] == report.control_samples and code == (0 if passed else 1)
+        assert obj["control_worst_deviation"] == report.control_worst_deviation
+        assert code == (0 if passed else 1)
 
 
 @pytest.mark.parametrize("argv,option,name", [

@@ -230,24 +230,22 @@ def _one_row(spec, g, h):
     return mm.eval_batch(spec, g[None], h[None])[0].item()
 
 
-def _scalar_symmetry(spec, G, H, TG, TH, tol, exit_early):
-    """The per-pair symmetry loop over given rows: (verdict, max deviation,
-    witness rows, samples used, skipped)."""
+def _scalar_symmetry(spec, G, H, TG, TH, tol):
+    """The per-pair symmetry loop over given rows, reading every row:
+    (verdict, max deviation, witness rows, samples used, skipped).  A row
+    whose image base point leaves the domain deviates by inf."""
     vec = lambda row: la.Vector(row, spec.field)  # noqa: E731
-    max_dev, witness, used, skipped = 0.0, None, 0, 0
+    max_dev, witness, skipped = 0.0, None, 0
     for g, h, tg, th in zip(G, H, TG, TH):
-        base = _one_row(spec, g, h)
-        used += 1
-        if not spec.domain.contains(la.norm(vec(tg))):
-            max_dev, witness, skipped = math.inf, (g, h), 1
-            break
-        dev = abs(_one_row(spec, tg, th) - base) / (1.0 + abs(base))
+        if spec.domain.contains(la.norm(vec(tg))):
+            base = _one_row(spec, g, h)
+            dev = abs(_one_row(spec, tg, th) - base) / (1.0 + abs(base))
+        else:
+            dev, skipped = math.inf, skipped + 1
         if dev > max_dev:
             max_dev, witness = dev, (g, h)
-        if exit_early and dev > 1e3 * tol:
-            break
-    ok = skipped == 0 and max_dev <= tol
-    return ok, max_dev, None if ok else witness, used, skipped
+    ok = max_dev <= tol
+    return ok, max_dev, None if ok else witness, len(G), skipped
 
 
 def _scalar_homothety(spec, G, H, alpha, tol):
@@ -280,7 +278,7 @@ def _assert_same(verdict, want, name):
 
 def _maps(dim, field, seed):
     u = la.random_unitary(dim, field, seed)
-    stretch = np.diag(np.linspace(1.0, 1.02, dim))  # deviations near 1e-2: exits at tol 1e-5
+    stretch = np.diag(np.linspace(1.0, 1.02, dim))  # deviations near 1e-2
     return {"unitary": u, "2-unitary": la.LinearMap(2.0 * u.entries, field),
             "1.3-unitary": la.LinearMap(1.3 * u.entries, field),  # leaves (1, 2) part way
             "stretch": la.LinearMap(u.entries @ stretch, field)}
@@ -300,7 +298,7 @@ def test_batched_checks_equal_the_scalar_loop(dim, field):
             for tol in (1e-9, 1e-5):
                 G, H = mm.sample_pairs(spec, 30, np.random.default_rng(i))
                 M = T.entries.T
-                want = _scalar_symmetry(spec, G, H, G @ M, H @ M, tol, exit_early=True)
+                want = _scalar_symmetry(spec, G, H, G @ M, H @ M, tol)
                 _assert_same(iv.is_symmetry(T, spec, 30, seed=i, tol=tol), want, (name, label, tol))
         # the suite's own draw: unitaries, then pairs; for the step metric also
         # past one block of _BLOCK_ROWS pairs, with ties in every block
@@ -309,7 +307,7 @@ def test_batched_checks_equal_the_scalar_loop(dim, field):
             U = la.random_unitaries(n, dim, field, rng)
             G, H = mm.sample_pairs(spec, n, rng)
             want = _scalar_symmetry(spec, G, H, (U @ G[:, :, None])[:, :, 0],
-                                    (U @ H[:, :, None])[:, :, 0], 1e-9, exit_early=False)
+                                    (U @ H[:, :, None])[:, :, 0], 1e-9)
             _assert_same(iv.invariance_suite(spec, n, seed=i), want, (name, "suite", n))
         G, H = mm.sample_pairs(spec, 30, np.random.default_rng(i))
         want = _scalar_homothety(spec, G, H, 1.5, 1e-10)
@@ -332,11 +330,19 @@ def test_batched_checks_cover_domain_exits_and_skips():
     bounded = mm.RadiusDomain(((1.0, 2.0),))
     quotient = mm.CongruenceInvariant(3, R, bounded, mm.norm_quotient(3, R).vartheta)
     v = iv.is_symmetry(la.LinearMap(1.3 * np.eye(3), R), quotient, 30, seed=1)
-    assert v.skipped == 1 and v.samples_used > 1 and v.max_deviation == math.inf
+    assert 1 < v.skipped < 30 and v.samples_used == 30 and v.max_deviation == math.inf
     h = mm.check_homothety_invariance(mm.Euclidean(3, R, bounded), 1.5, 30, seed=1)
     assert 0 < h.skipped < 30 and h.samples_used + h.skipped == 30
-    stretch = iv.is_symmetry(_maps(3, R, 100)["stretch"], mm.euclidean(3), 30, seed=1, tol=1e-5)
-    assert 1 < stretch.samples_used < 30 and not stretch.is_symmetry
+    # rows above 1000x the tolerance before the largest one: every row is read
+    T = _maps(3, R, 100)["stretch"]
+    stretch = iv.is_symmetry(T, mm.euclidean(3), 30, seed=1, tol=1e-5)
+    G, H = mm.sample_pairs(mm.euclidean(3), 30, np.random.default_rng(1))
+    base, _ = mm.eval_batch(mm.euclidean(3), G, H)
+    mapped, _ = mm.eval_batch(mm.euclidean(3), G @ T.entries.T, H @ T.entries.T)
+    dev = mm.deviations(mapped, base, base)
+    assert np.flatnonzero(dev > 1e-2)[0] < dev.argmax()
+    assert stretch.samples_used == 30 and stretch.max_deviation == dev.max()
+    assert not stretch.is_symmetry
 
 
 def test_checks_pass_over_rows_where_rho_is_infinite():
@@ -354,12 +360,65 @@ def test_checks_pass_over_rows_where_rho_is_infinite():
     assert report.controls_passed and report.all_failed
 
 
-def test_probe_report_counts_samples():
-    report = iv.congruence_theorem_probe(mm.euclidean(3), n_maps=10, n_samples=20, seed=3,
-                                         n_controls=5)
-    assert (report.map_samples, report.control_samples) == (173, 100)
-    vacuous = iv.congruence_theorem_probe(mm.Custom(3, R, POS, fn=lambda g, h: 0.0), n_maps=5)
-    assert (vacuous.map_samples, vacuous.control_samples) == (0, 0)
+def test_a_verdict_reads_every_sample():
+    # the first sample deviates by 0.485; every one of the 40 by more than
+    # 1e-6, and the largest by 1.747
+    T = la.linear_map(np.random.default_rng(3).standard_normal((3, 3)))
+    v = iv.is_symmetry(T, mm.euclidean(3), 40, seed=0)
+    assert (v.max_deviation, v.samples_used, v.skipped) == (1.7466785816883044, 40, 0)
+    assert not v.is_symmetry
+
+
+def _permuting(n, seed):
+    """sample_pairs with the rows of each block of n permuted, the same
+    permutation in G and H; a draw that is not whole blocks is left alone."""
+    def draw(spec, count, rng):
+        G, H = mm.sample_pairs(spec, count, rng)
+        if count % n:
+            return G, H
+        order = np.random.default_rng(seed).permuted(np.arange(count).reshape(-1, n), axis=1)
+        return G[order.ravel()], H[order.ravel()]
+    return draw
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_permuting_each_maps_samples_changes_no_verdict(field, monkeypatch):
+    # each map's largest deviation, skipped count and witness pair do not
+    # depend on the order of its samples; the maps pass, fail by a little or
+    # by much, or leave the domain on some rows
+    bounded = mm.CongruenceInvariant(3, field, mm.RadiusDomain(((1.0, 2.0),)),
+                                     mm.norm_quotient(3, field).vartheta)
+    u = la.random_unitary(3, field, 4).entries
+    cases = [(bounded, u), (bounded, 1.3 * u), (bounded, u @ np.diag([1.0, 1.0, 1.0 + 3e-6])),
+             (mm.euclidean(3, field), u @ np.diag([1.0, 1.1, 1.3])),
+             (mm.euclidean(3, field), la.random_gaussian_rows(3, 3, field,
+                                                              np.random.default_rng(5)))]
+    n = 40
+    plain = [iv.is_symmetry(la.LinearMap(M, field), spec, n, seed=i)
+             for i, (spec, M) in enumerate(cases)]
+    assert [v.is_symmetry for v in plain] == [True, False, False, False, False]
+    assert [v.skipped > 0 for v in plain] == [False, True, False, False, False]
+    probe = iv.congruence_theorem_probe(mm.euclidean(3, field), n_maps=8, n_samples=n,
+                                        n_controls=8)
+    for seed in range(3):
+        monkeypatch.setattr(iv, "sample_pairs", _permuting(n, seed))
+        for i, ((spec, M), want) in enumerate(zip(cases, plain)):
+            got = iv.is_symmetry(la.LinearMap(M, field), spec, n, seed=i)
+            assert (got.is_symmetry, got.max_deviation, got.skipped) \
+                == (want.is_symmetry, want.max_deviation, want.skipped), (seed, i)
+            if want.skipped:  # many rows tie at inf: the witness is one of them
+                image = la.Vector(M @ got.witness[0].entries, field)
+                assert not spec.domain.contains(la.norm(image)), (seed, i)
+            elif want.witness is None:
+                assert got.witness is None
+            else:
+                for a, b in zip(got.witness, want.witness):
+                    assert np.array_equal(a.entries, b.entries), (seed, i)
+        got = iv.congruence_theorem_probe(mm.euclidean(3, field), n_maps=8, n_samples=n,
+                                          n_controls=8)
+        assert (got.weakest_deviation, got.control_worst_deviation) \
+            == (probe.weakest_deviation, probe.control_worst_deviation), seed
+        monkeypatch.undo()
 
 
 def test_a_min_sv_ratio_the_maps_cannot_reach_raises():
@@ -381,8 +440,8 @@ def test_a_min_sv_ratio_the_maps_cannot_reach_raises():
 @pytest.mark.parametrize("field", [R, C])
 def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field, block_rows,
                                                                    monkeypatch):
-    # maps that exit at different rows or not at all, in a stack and in a
-    # shorter second stack on the same rows; at 80 rows a block holds two
+    # maps whose images leave the domain on some rows or on none, in a stack
+    # and in a shorter second stack on the same rows; at 80 rows a block holds two
     # maps' samples, so blocks split the stacks and the shorter one ends mid-way
     monkeypatch.setattr(iv, "_BLOCK_ROWS", block_rows)
     spec = mm.CongruenceInvariant(3, field, mm.RadiusDomain(((1.0, 2.0),)),
@@ -394,43 +453,38 @@ def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field, block_rows
     pairs = [mm.sample_pairs(spec, n, np.random.default_rng(seed)) for seed in range(len(maps))]
     G, H = (np.concatenate(rows) for rows in zip(*pairs))
     short = [maps[3], maps[1], maps[0]]  # its map i also reads rows i*n ..
-    stacks = iv._symmetry_verdicts(spec, G, H, [(np.stack(maps), 1e-9),
-                                                (np.stack(short), 1e-9)])
+    stacks = iv._symmetry_deviations(spec, G, H, [np.stack(maps), np.stack(short)])
     alone, alone_short = ([iv.is_symmetry(la.LinearMap(m, field), spec, n, seed=seed, tol=1e-9)
                            for seed, m in enumerate(stack)] for stack in (maps, short))
-    for stack, want_stack in zip(stacks, (alone, alone_short)):
-        assert len(stack.used) == len(want_stack)
+    for (dev, leaves), want_stack in zip(stacks, (alone, alone_short)):
+        assert dev.shape == leaves.shape == (len(want_stack), n)
         for i, want in enumerate(want_stack):
-            got = iv._symmetry_verdict(spec, G, H, float(stack.max_deviation[i]),
-                                       int(stack.witness[i]), int(stack.used[i]),
-                                       int(stack.skipped[i]), 1e-9)
-            assert (got.is_symmetry, got.max_deviation, got.samples_used, got.skipped) \
+            rows = slice(i * n, (i + 1) * n)
+            ok, largest, witness = mm.verdict(dev[i], 1e-9, (G[rows], H[rows]), field)
+            assert (ok, largest, n, int(leaves[i].sum())) \
                 == (want.is_symmetry, want.max_deviation, want.samples_used, want.skipped), i
             if want.witness is None:
-                assert got.witness is None, i
+                assert witness is None, i
             else:
-                for a, b in zip(got.witness, want.witness):
+                for a, b in zip(witness, want.witness):
                     assert a.field is b.field and np.array_equal(a.entries, b.entries), i
-    # the cases the stack must hold: no exit, domain exits and deviation exits
-    # at different rows, and a failure with no exit
+    # the cases the stack must hold: a pass, domain exits on some rows only,
+    # and small failures without one
     assert alone[0].is_symmetry and alone[0].samples_used == n
-    assert [v.skipped for v in alone] == [0, 1, 0, 0, 0, 1]
-    assert alone[1].samples_used > 1 and alone[1].max_deviation == math.inf
-    assert 1 < alone[2].samples_used < n and alone[2].max_deviation > 1e-6
-    assert alone[3].samples_used == 1 and alone[3].max_deviation > 1e-6
-    assert not alone[4].is_symmetry and alone[4].samples_used == n
+    assert [v.skipped > 0 for v in alone] == [False, True, False, True, False, True]
+    assert all(1 < v.skipped < n and v.max_deviation == math.inf for v in alone if v.skipped)
+    assert not alone[2].is_symmetry and alone[2].max_deviation < 1e-5
+    assert not alone[4].is_symmetry and alone[4].max_deviation < 1e-7
 
 
-def _reference_verdict(spec, M, G, H, tol):
-    """is_symmetry's rule for one map on its own rows, with plain eval_batch
-    calls: (max deviation, rows used)."""
+def _reference_deviation(spec, M, G, H):
+    """One map's largest deviation on its own rows, with plain eval_batch
+    calls; inf where an image base point leaves the domain."""
     base, _ = mm.eval_batch(spec, G, H)
     mapped, inside = mm.eval_batch(spec, G @ M.T, H @ M.T)
     dev = mm.deviations(mapped, base, base)
     dev[~inside] = math.inf
-    exits = np.flatnonzero(dev > 1e3 * tol)
-    used = int(exits[0]) + 1 if exits.size else len(dev)
-    return float(dev[:used].max()), used
+    return float(dev.max())
 
 
 @pytest.mark.parametrize("n_maps, n_controls", [(12, 5), (8, 8), (5, 12)])
@@ -447,18 +501,15 @@ def test_the_probe_reads_one_draw_and_control_i_reads_map_i_rows(field, n_maps, 
     controls = la.random_unitaries(n_controls, 3, field, rng)
     controls *= np.exp(rng.uniform(-np.log(2.0), np.log(2.0), n_controls))[:, None, None]
     rows = lambda i: slice(i * n, (i + 1) * n)  # noqa: E731
-    found = [_reference_verdict(spec, M, G[rows(i)], H[rows(i)], 1e-3)
-             for i, M in enumerate(maps)]
-    checked = [_reference_verdict(spec, M, G[rows(i)], H[rows(i)], 1e-9)
+    found = [_reference_deviation(spec, M, G[rows(i)], H[rows(i)]) for i, M in enumerate(maps)]
+    checked = [_reference_deviation(spec, M, G[rows(i)], H[rows(i)])
                for i, M in enumerate(controls)]
     report = iv.congruence_theorem_probe(spec, n_maps=n_maps, n_samples=n, seed=seed,
                                          n_controls=n_controls)
-    weakest = min(range(n_maps), key=lambda i: found[i][0])
-    assert report.weakest_deviation == found[weakest][0]
+    weakest = int(np.argmin(found))
+    assert report.weakest_deviation == found[weakest]
     assert np.array_equal(report.weakest_map.entries, maps[weakest])
-    assert report.map_samples == sum(used for _, used in found)
-    assert report.control_worst_deviation == max(dev for dev, _ in checked)
-    assert report.control_samples == sum(used for _, used in checked) == n_controls * n
+    assert report.control_worst_deviation == max(checked)
     assert report.all_failed and report.controls_passed
 
 

@@ -599,6 +599,25 @@ def test_induced_finsler_negative_profile_signs_and_warns():
     assert mm.eval_finsler(spec, la.vector([1, 1]), la.vector([1, 0])) == pytest.approx(-1.0)
 
 
+def test_the_indefinite_warning_is_no_part_of_a_specs_identity():
+    # induced_finsler flags the spec, and so does spec_from_json, which builds
+    # it; the flag is kept, but the spec built directly is the same metric.
+    # (A spec read back from JSON holds newly compiled profiles, which
+    # compare by identity, so it is compared on its own profile.)
+    p = mm.riemann_profile("-1", "0")
+    direct = mm.FromRiemann(2, R, POS, p)
+    with pytest.warns(RuntimeWarning):
+        induced = mm.induced_finsler(p, 2)
+        back = mm.spec_from_json(mm.spec_to_json(direct))
+    assert induced.indefinite_warning and back.indefinite_warning
+    assert not direct.indefinite_warning
+    assert induced == direct and hash(induced) == hash(direct)
+    assert back == mm.FromRiemann(2, R, POS, back.profile)
+    assert hash(back) == hash(mm.FromRiemann(2, R, POS, back.profile))
+    assert mm.spec_to_json(back) == mm.spec_to_json(direct)
+    assert induced != mm.FromRiemann(2, R, POS, mm.riemann_profile("-1", "0"))
+
+
 def test_induced_fubini_study_vanishes_on_the_line():
     # the generic phi/psi path cancels to eps before the sqrt, so the induced
     # value on the degenerate line carries sqrt(eps)-level noise
