@@ -194,19 +194,36 @@ def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
     return expr
 
 
+class _Positional:
+    """compile_positional's callable.  Two compare equal, with equal hashes,
+    when their names and the canonical forms of their texts, to_string of
+    the tree, are equal: whitespace, redundant parentheses and 1 against 1.0
+    do not count, operand order does.  Nothing is cached, so equality never
+    depends on what was compiled before."""
+
+    def __init__(self, text: str, names: tuple[str, ...]):
+        self._expr, self.names = parse(text, names), names
+        self.text, self.rows = text, compile_rows(text, names)
+        self._key = (names, to_string(self._expr))
+
+    def __call__(self, *args):
+        if len(args) != len(self.names):  # zip would drop an extra one or leave a name unbound
+            raise _arity_error(self.text, self.names, len(args))
+        return evaluate(self._expr, dict(zip(self.names, args)))
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+
 def compile_positional(text: str, names: tuple[str, ...]) -> Callable[..., float]:
     """Parse text once; the callable evaluates it with its arguments bound to
     names in order, and raises TypeError unless it gets one per name.  It
     carries its text as .text and its array form, compile_rows(text, names),
-    as .rows."""
-    expr, n = parse(text, names), len(names)
-
-    def fn(*args):
-        if len(args) != n:  # zip would drop an extra argument or leave a name unbound
-            raise _arity_error(text, names, len(args))
-        return evaluate(expr, dict(zip(names, args)))
-    fn.text, fn.rows = text, compile_rows(text, names)
-    return fn
+    as .rows, and compares by value (see _Positional)."""
+    return _Positional(text, names)
 
 
 def _arity_error(text: str, names: tuple[str, ...], got: int) -> TypeError:

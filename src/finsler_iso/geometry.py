@@ -1,12 +1,12 @@
 """Curve lengths, projective pseudodistances and numerical geodesics.
 
 Lengths integrate rho along a curve (composite Simpson for parametric
-curves, on nested grids until two levels agree; per-segment midpoint sums
-for polylines).  Geodesic distance is estimated by derivative-free
-coordinate descent over the interior vertices of a polyline, which yields
-an upper bound on the infimum.  The descent starts from the shortest of the
-named families' exact geodesics (the chord, the log-polar arc and, over C,
-the phase-aligned arc).  A sweep tabulates every position a vertex can
+curves, on nested grids until two levels agree; for polylines the segment
+kernel the descent measures its paths with).  Geodesic distance is
+estimated by derivative-free coordinate descent over the interior vertices
+of a polyline, which yields an upper bound on the infimum.  The descent
+starts from the shortest of the named families' exact geodesics (the chord,
+the log-polar arc and, over C, the phase-aligned arc).  A sweep tabulates every position a vertex can
 reach; one _segment_length call measures the odd interior vertices', which
 share no segment, and a second the even ones'.  A sweep fails exactly when
 no single move shortens the path, so one call screens the moves of a ladder
@@ -28,8 +28,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, NonPositiveMetricError, OutOfDomainError,
-                     ZeroVectorError, check_counts)
+from .errors import (InvalidArgumentError, MismatchError, NonPositiveMetricError,
+                     OutOfDomainError, ZeroVectorError, check_counts)
 from .linalg import (
     _R_MIN,
     Field,
@@ -41,7 +41,7 @@ from .linalg import (
     row_norms,
 )
 from .metrics import (MetricSpec, _check_compatible, _inside_rows, _refuse_nan, _where_nonzero,
-                      eval_batch, eval_finsler, fubini_study)
+                      eval_finsler, fubini_study)
 
 
 class ParametricCurve:
@@ -83,12 +83,6 @@ class Polyline:
         self.vertices = vertices
 
 
-def _warn_if_negative(values: np.ndarray) -> None:
-    if np.any(values < 0.0):
-        warnings.warn("metric takes negative values along the curve; the "
-                      "integral is signed", RuntimeWarning, stacklevel=3)
-
-
 # The default Simpson rule: nested grids from _SIMPSON_START nodes, each level
 # doubling the intervals, until two levels agree to _SIMPSON_TOL relative (the
 # 15 is Simpson's error ratio between levels) or the grid reaches _SIMPSON_CAP.
@@ -108,17 +102,25 @@ def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline,
     then.  Stopping at the cap raises one RuntimeWarning.  An explicit
     n_nodes (odd, >= 3, any value operator.index takes, else
     InvalidArgumentError) keeps that one fixed grid and never warns.
-    Polylines use the exact sum of per-segment midpoint evaluations
-    rho_mid(delta), all segments in one eval_batch call.  Negative integrand
-    values raise one warning but still integrate.
+    Negative integrand values raise one warning but still integrate.
+
+    A polyline is measured as geodesic_distance measures its paths: one
+    _segment_length call over its segments, at ell0 = max(|V[-1] - V[0]| /
+    (4(n - 1)), longest segment / _CHUNK_CAP), summed left to right.  On a
+    descent's own path the first term wins, so its length is the descent's
+    distance bit for bit; the second keeps a closed polyline measurable.  A
+    polyline whose width is not spec.dim or whose dtype is not the field's
+    raises MismatchError, and one at a scale geodesic_distance refuses
+    raises as it does: OutOfDomainError for a vertex whose |v| overflows,
+    ValueError for a segment or chord that overflows or every |v| below
+    linalg._R_MIN.  A segment with a negative node value raises
+    NonPositiveMetricError, and one with a node outside the domain, or that
+    passes nearer the origin than the kernel resolves (through 0, say),
+    OutOfDomainError.  A polyline whose segments all measure 0 (one that
+    never moves, say) has length 0.
     """
     if isinstance(curve, Polyline):
-        V = curve.vertices
-        values, inside = eval_batch(spec, 0.5 * (V[:-1] + V[1:]), V[1:] - V[:-1])
-        if not inside.all():
-            raise OutOfDomainError("a segment midpoint is outside the metric's domain")
-        _warn_if_negative(values)
-        return float(values.sum())
+        return _polyline_length(spec, curve.vertices)
     if n_nodes is None:
         n, cap = _SIMPSON_START, _SIMPSON_CAP
     else:
@@ -145,7 +147,9 @@ def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline,
             warnings.warn(f"Simpson quadrature stopped at the {cap}-node cap before two "
                           "levels agreed; the length may be inaccurate", RuntimeWarning,
                           stacklevel=2)
-    _warn_if_negative(values)
+    if np.any(values < 0.0):
+        warnings.warn("metric takes negative values along the curve; the "
+                      "integral is signed", RuntimeWarning, stacklevel=2)
     return length
 
 
@@ -636,6 +640,35 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
 
     return GeodesicResult(total, Polyline(verts), initial, len(history) - 1, tuple(history),
                           stop_reason)
+
+
+def _polyline_length(spec: MetricSpec, V: np.ndarray) -> float:
+    """curve_length of the polyline through the rows of V."""
+    if V.shape[1] != spec.dim or V.dtype != spec.field.dtype:
+        raise MismatchError(f"polyline vertices of shape {V.shape} and dtype {V.dtype} are "
+                            f"not rows of dimension {spec.dim} of the {spec.field.value} "
+                            f"field's {spec.field.dtype}")
+    with np.errstate(over="ignore"):  # a radius or a length may overflow: each is named below
+        r, seg = row_norms(V), row_norms(V[1:] - V[:-1])
+        chord_len = float(np.linalg.norm(V[-1] - V[0]))  # geodesic_distance's chord
+    if not np.isfinite(r).all():  # |v| overflows to inf (or v is NaN): outside every domain
+        raise OutOfDomainError(f"polyline vertex {int(np.argmin(np.isfinite(r)))} is outside "
+                               "the metric's domain")
+    if chord_len == math.inf or math.inf in seg:
+        raise ValueError("a segment or the chord of the polyline overflows to inf")
+    if (longest := float(seg.max())) == 0.0:
+        return 0.0
+    if (scale := float(r.max())) < _R_MIN:  # the kernel's invariants would underflow
+        raise ValueError(f"the scale max |v| = {scale} is below {_R_MIN:.4g}, too small "
+                         "to measure")
+    ell0 = max(chord_len / (4.0 * (len(V) - 1)), longest / _CHUNK_CAP)
+    lengths, status = _segment_length(spec, V[:-1], V[1:], ell0)
+    if (status == _NEGATIVE).any():
+        raise NonPositiveMetricError("metric is negative along the path")
+    if status.any():
+        raise OutOfDomainError("a segment leaves the metric's domain or passes nearer the "
+                               "origin than the segment kernel resolves")
+    return sum(lengths.tolist())  # in order, as geodesic_distance sums its segments
 
 
 def path_rows(path: Polyline) -> list[list[float]]:

@@ -169,16 +169,26 @@ def vartheta_profile(text: str) -> Callable[[float], float]:
     return expressions.compile_positional(text, ("tau",))
 
 
+class _SplitLambda(_Value):
+    """A nonsym-lambda text over C, where complex p enters as the real pair
+    (pre, pim): equal where its compiled text is."""
+
+    def __init__(self, text: str):
+        self.fn = expressions.compile_positional(text, ("r", "pre", "pim", "q"))
+
+    text = property(lambda self: self.fn.text)
+
+    def __call__(self, r, p, q):
+        return self.fn(r, p.real, p.imag, q)
+
+    def rows(self, r, p, q):
+        return self.fn.rows(r, p.real, p.imag, q)
+
+
 def nonsym_lambda_profile(text: str, field: Field) -> Callable[[float, complex, float], float]:
     if field is Field.REAL:
         return expressions.compile_positional(text, ("r", "p", "q"))
-    # Complex p enters the expression as the real pair (pre, pim).
-    fn = expressions.compile_positional(text, ("r", "pre", "pim", "q"))
-
-    def lam(r, p, q):
-        return fn(r, p.real, p.imag, q)
-    lam.text, lam.rows = text, lambda r, p, q: fn.rows(r, p.real, p.imag, q)
-    return lam
+    return _SplitLambda(text)
 
 
 def riemann_profile(phi_text: str, psi_text: str) -> RiemannProfile:

@@ -58,19 +58,64 @@ def test_negative_metric_warns_but_integrates():
     assert value == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_polyline_length_is_midpoint_sum():
+def test_a_radial_polyline_measures_the_log_of_its_radii():
     spec = mm.norm_quotient(2)
     poly = ge.Polyline(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    # single segment: |delta| / |midpoint| = 1 / 1.5
-    assert ge.curve_length(spec, poly) == pytest.approx(1.0 / 1.5, rel=1e-12)
+    # one segment: the integral of |h| / |g| from 1 to 2 is log 2, to the
+    # kernel's error on 4 chunks (a midpoint rule read 1 / 1.5)
+    assert abs(ge.curve_length(spec, poly) - math.log(2.0)) <= 5e-7
 
 
-def test_negative_polyline_warns_but_integrates():
-    spec = mm.FromLambda(2, R, POS, mm.lambda_profile("0-sqrt(p^2+q^2)/r"))
-    poly = ge.Polyline(np.array([[1.0, 0.0], [1.0, 1.0]]))
-    with pytest.warns(RuntimeWarning, match="negative"):
-        value = ge.curve_length(spec, poly)
-    assert value == pytest.approx(-1.0, rel=1e-12)  # sqrt(p^2 + q^2) / r = |h|
+def test_a_refused_polyline_segment_raises_as_in_the_descent():
+    # a negative node value, with no warning; a pass through the origin, and
+    # a node outside a bounded domain
+    negative = mm.FromLambda(2, R, POS, mm.lambda_profile("0-sqrt(p^2+q^2)/r"))
+    bounded = mm.FromTheta(2, R, mm.RadiusDomain(((0.5, 3.0),)), mm.theta_profile("1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveMetricError):
+            ge.curve_length(negative, ge.Polyline(np.array([[1.0, 0.0], [1.0, 1.0]])))
+        for spec, verts in ((mm.euclidean(2), [[1.0, 0.0], [-1.0, 0.0]]),
+                            (mm.euclidean(2), [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+                            (bounded, [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]])):
+            with pytest.raises(OutOfDomainError):
+                ge.curve_length(spec, ge.Polyline(np.array(verts)))
+        # the scales the descent refuses as ends: a |v| that overflows, a chord
+        # that does, and one below _R_MIN, where the kernel's invariants underflow
+        with pytest.raises(OutOfDomainError, match="vertex 1"):
+            ge.curve_length(mm.euclidean(2), ge.Polyline(np.array([[1.0, 0.0], [1e160, 0.0]])))
+        with pytest.raises(ValueError, match="overflows"):
+            ge.curve_length(mm.euclidean(2), ge.Polyline(np.array([[1e154, 0.0], [-1e154, 0.0]])))
+        with pytest.raises(ValueError, match="too small"):
+            ge.curve_length(mm.euclidean(2), ge.Polyline(np.array([[1e-160, 0.0], [0.0, 1e-160]])))
+
+
+def test_a_polyline_of_the_wrong_shape_or_dtype_is_a_mismatch():
+    square = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for spec, verts in ((mm.euclidean(3), square), (mm.euclidean(2), square.astype(complex)),
+                        (mm.euclidean(2, C), square), (mm.euclidean(2), square.astype(int))):
+        with pytest.raises(MismatchError):
+            ge.curve_length(spec, ge.Polyline(verts))
+    assert ge.curve_length(mm.euclidean(2), ge.Polyline(square)) == 2.0
+
+
+def test_a_closed_polyline_around_the_origin_measures_its_angle():
+    # Fubini-Study over R measures the angle swept: 2 pi around the loop, whose
+    # chord is 0, so the longest segment sets the node floor
+    loop = np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, 0)], dtype=float)
+    assert abs(ge.curve_length(mm.fubini_study(2), ge.Polyline(loop)) - 2.0 * math.pi) <= 1e-12
+
+
+def test_a_descent_path_measures_the_descent_distance():
+    # curve_length measures a polyline with the descent's own kernel and floor
+    for field in (R, C):
+        for dim in (2, 3, 4, 5):
+            rng = np.random.default_rng([dim, field is C])
+            for k, spec in enumerate(family_specs(dim, field)):
+                g = la.random_gaussian_vector(dim, field, rng)
+                h = la.random_gaussian_vector(dim, field, rng)
+                res = ge.geodesic_distance(spec, g, h, n_iterations=10, seed=k)
+                assert ge.curve_length(spec, res.path) == res.distance, (spec.family, dim, field)
 
 
 def _scalar_simpson(spec, curve, n_nodes):
@@ -98,9 +143,12 @@ def test_batched_lengths_equal_the_scalar_sums(field):
                 assert np.array_equal(v, curve.velocity(t).entries)
             assert ge.curve_length(spec, curve, 101) == pytest.approx(
                 _scalar_simpson(spec, curve, 101), rel=1e-12), spec.family
-        want = sum(mm.eval_finsler(spec, la.Vector(0.5 * (u + v), field), la.Vector(v - u, field))
-                   for u, v in zip(verts, verts[1:]))
-        assert ge.curve_length(spec, poly) == pytest.approx(want, rel=1e-12), spec.family
+        # the polyline: its segments measured one call each at its own floor
+        lengths = np.linalg.norm(verts[1:] - verts[:-1], axis=1)
+        ell0 = max(np.linalg.norm(verts[-1] - verts[0]) / 32.0, lengths.max() / ge._CHUNK_CAP)
+        want = sum(ge._segment_length(spec, verts[k:k + 1], verts[k + 1:k + 2], ell0)[0][0]
+                   for k in range(len(verts) - 1))
+        assert ge.curve_length(spec, poly) == want, spec.family
 
 
 def _counted_length(spec, curve, n_nodes=None):

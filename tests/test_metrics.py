@@ -44,7 +44,9 @@ def test_specs_and_domains_compare_and_hash_by_value():
     theta = mm.theta_profile("1")
     assert {mm.FromTheta(3, R, POS, theta), mm.FromTheta(3, R, POS, theta)} == {
         mm.FromTheta(3, R, POS, theta)}
-    assert mm.FromTheta(3, R, POS, theta) != mm.FromTheta(3, R, POS, mm.theta_profile("1"))
+    assert mm.FromTheta(3, R, POS, theta) == mm.FromTheta(3, R, POS, mm.theta_profile("1"))
+    assert hash(mm.FromTheta(3, R, POS, theta)) == hash(
+        mm.FromTheta(3, R, POS, mm.theta_profile("1")))
     assert mm.FromLambda(3, R, POS, theta) != mm.FromLambda(3, R, POS, theta, alpha=2.0)
     phi, psi = mm.fubini_study_profile()  # a RiemannProfile is a named tuple
     assert (phi, psi) == (mm.FubiniStudy.profile.phi, mm.FubiniStudy.profile.psi)
@@ -601,9 +603,8 @@ def test_induced_finsler_negative_profile_signs_and_warns():
 
 def test_the_indefinite_warning_is_no_part_of_a_specs_identity():
     # induced_finsler flags the spec, and so does spec_from_json, which builds
-    # it; the flag is kept, but the spec built directly is the same metric.
-    # (A spec read back from JSON holds newly compiled profiles, which
-    # compare by identity, so it is compared on its own profile.)
+    # it; the flag is kept, but the spec built directly is the same metric,
+    # and so is one built from newly compiled texts
     p = mm.riemann_profile("-1", "0")
     direct = mm.FromRiemann(2, R, POS, p)
     with pytest.warns(RuntimeWarning):
@@ -612,10 +613,9 @@ def test_the_indefinite_warning_is_no_part_of_a_specs_identity():
     assert induced.indefinite_warning and back.indefinite_warning
     assert not direct.indefinite_warning
     assert induced == direct and hash(induced) == hash(direct)
-    assert back == mm.FromRiemann(2, R, POS, back.profile)
-    assert hash(back) == hash(mm.FromRiemann(2, R, POS, back.profile))
+    assert back == direct and hash(back) == hash(direct)
     assert mm.spec_to_json(back) == mm.spec_to_json(direct)
-    assert induced != mm.FromRiemann(2, R, POS, mm.riemann_profile("-1", "0"))
+    assert induced == mm.FromRiemann(2, R, POS, mm.riemann_profile("-1", "0"))
 
 
 def test_induced_fubini_study_vanishes_on_the_line():
@@ -856,6 +856,34 @@ def test_spec_json_roundtrip(spec):
         g, h = sample_pair(spec, rng)
         assert mm.eval_finsler(back, g, h) == pytest.approx(
             mm.eval_finsler(spec, g, h), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_a_spec_read_back_from_json_equals_the_spec(field):
+    # a profile compares by its names and its text's canonical form, so the
+    # specs of one text are one key
+    for dim in (2, 3):
+        for spec in family_specs(dim, field):
+            try:
+                obj = mm.spec_to_json(spec)
+            except ValueError:  # a profile given as a bare callable
+                continue
+            back = mm.spec_from_json(obj)
+            assert back == spec and hash(back) == hash(spec), spec.family
+            assert {spec: 1}[back] == 1
+
+
+def test_a_profile_compares_by_its_canonical_text():
+    a, b = mm.theta_profile("1+cos(tau)"), mm.theta_profile("1 + cos( tau )")
+    assert a == b and hash(a) == hash(b)
+    assert a == mm.theta_profile("(1.0)+(cos(tau))")
+    assert a != mm.theta_profile("cos(tau)+1")  # operands are not reordered
+    assert a.text == "1+cos(tau)" and b.text == "1 + cos( tau )"  # the text as given
+    assert mm.vartheta_profile("1") != mm.theta_profile("1")  # other names
+    lam = "sqrt(pre^2+pim^2+q^2)+pre"
+    assert mm.nonsym_lambda_profile(lam, C) == mm.nonsym_lambda_profile(f" {lam} ", C)
+    assert mm.nonsym_lambda_profile(lam, C) != mm.nonsym_lambda_profile(f"{lam}+1", C)
+    assert mm.nonsym_lambda_profile("p+q", R) == mm.lambda_profile("p+q")  # one text, one names
 
 
 def test_zero_extended_json_includes_zero():
