@@ -7,7 +7,9 @@ Exports the parent and the change, HEAD, with `git archive REV |
 tar -x -C DIR` into one temporary directory and runs each tree's own
 `perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds: one parent
 and one change run per seed, alternating which side goes first.  Each
-tree's run.py imports its own src/.  Writes BENCH_<slug>.json (the slug
+tree's run.py imports its own src/, which `python -m compileall -q` compiles
+before that tree's first run, so no run pays for compiling the package, even
+where PYTHONDONTWRITEBYTECODE keeps the runs from writing bytecode.  Writes BENCH_<slug>.json (the slug
 defaults to the workload) with the machine, the Python and numpy versions,
 both revisions, every pair's end-to-end metrics, each metric's quartiles
 per side, the parent's interquartile range, the change's win count, a
@@ -171,6 +173,23 @@ def export(rev: str, into: Path) -> None:
         raise RuntimeError(f"git archive {rev} failed")
 
 
+def compile_tree(tree: Path) -> None:
+    """python -m compileall -q tree/src."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True)
+
+
+def compiled_first(trees: dict[str, Path], run: Runner) -> Runner:
+    """run, with each side's tree compiled (compile_tree) before its first run."""
+    compiled = set()
+
+    def first(side: str, seed: int) -> dict:
+        if side not in compiled:
+            compile_tree(trees[side])
+            compiled.add(side)
+        return run(side, seed)
+    return first
+
+
 def tree_runner(trees: dict[str, Path], workload: str, seconds: float) -> Runner:
     """Runs a side's own perfbench/run.py and reads the result from its last line."""
     def run(side: str, seed: int) -> dict:
@@ -213,8 +232,8 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(revisions[side], trees[side])
-        doc = compare(args.workload, args.seeds,
-                      tree_runner(trees, args.workload, bench["run_seconds"]), metrics,
+        run = tree_runner(trees, args.workload, bench["run_seconds"])
+        doc = compare(args.workload, args.seeds, compiled_first(trees, run), metrics,
                       args.claim)
     doc = {"machine": machine(), "python": platform.python_version(),
            "numpy": numpy.__version__, "revisions": revisions,

@@ -421,7 +421,10 @@ def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: floa
     lengths, _ = _segment_length(spec, np.concatenate([prev, singles]),
                                  np.concatenate([singles, after]), ell0)
     a, b = lengths.reshape(2, n, -1)
-    passes = _shortens(a + b, np.add(seglen[:-1], seglen[1:]).repeat(4)).any(axis=1)
+    # where the path's local length overflows to inf, the threshold inf - inf
+    # is NaN, which no move passes, as in the sweep's scalar test
+    with np.errstate(invalid="ignore"):
+        passes = _shortens(a + b, np.add(seglen[:-1], seglen[1:]).repeat(4)).any(axis=1)
     if not passes.any():
         return [False] * n
     j = int(passes.argmax())

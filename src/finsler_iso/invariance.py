@@ -46,8 +46,9 @@ class CongruenceClass(NamedTuple):
 
 
 # Rows per eval_batch call in _symmetry_deviations: whole maps' samples,
-# about this many, so a stack of maps keeps its temporaries small.
-_BLOCK_ROWS = 1024
+# about this many, so a stack of maps keeps its temporaries small.  A default
+# probe's 100 maps of 40 samples are one block, and so are 100 dim-2 maps of 40.
+_BLOCK_ROWS = 4096
 
 
 def _symmetry_deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray,

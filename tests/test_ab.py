@@ -48,6 +48,27 @@ def test_the_sides_alternate_which_runs_first_per_seed():
                                   "wall_s": 1.0, "task_p50_s": 0.1}
 
 
+def test_each_sides_tree_is_compiled_once_before_its_first_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ab, "compile_tree", lambda tree: calls.append(("compile", tree.name)))
+    trees = {side: pathlib.Path(side) for side in ab.SIDES}
+    seeds = [1, 2, 3]
+    values = {side: dict.fromkeys(seeds, 1.0) for side in ab.SIDES}
+    ab.run_pairs(seeds, ab.compiled_first(trees, _fake(values, calls)), list(METRICS))
+    assert calls == [("compile", "parent"), ("parent", 1), ("compile", "change"), ("change", 1),
+                     ("change", 2), ("parent", 2), ("parent", 3), ("change", 3)]
+
+
+def test_compiling_a_tree_writes_its_sources_bytecode(tmp_path, monkeypatch):
+    # whatever PYTHONDONTWRITEBYTECODE says, as the runs that read it may set it
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("X = 1\n")
+    ab.compile_tree(tmp_path)
+    assert [p.name.split(".")[0] for p in (package / "__pycache__").glob("*.pyc")] == ["__init__"]
+
+
 def test_quartiles_medians_wins_and_the_claim():
     seeds = list(range(1, 11))
     parent = {s: float(s) for s in seeds}  # 1..10: quartiles 3.25, 5.5, 7.75
@@ -142,10 +163,13 @@ def test_only_a_claim_writes_its_document_at_the_checkout_root(tmp_path, monkeyp
     monkeypatch.setattr(ab, "ROOT", tmp_path)
     monkeypatch.setattr(ab, "git", lambda *args: "0" * 40)
     monkeypatch.setattr(ab, "export", lambda rev, into: into.mkdir())
+    compiled = []
+    monkeypatch.setattr(ab, "compile_tree", lambda tree: compiled.append(tree.name))
     values = {"parent": {1: 2.0, 2: 2.5}, "change": {1: 1.0, 2: 1.5}}
     monkeypatch.setattr(ab, "tree_runner", lambda trees, workload, seconds: _fake(values, []))
     argv = ["--parent", "HEAD", "--workload", "geodesic", "--seeds", "1-2", "--slug", "s"]
     assert ab.main(argv + (["--claim", claim] if claim else [])) == 0
+    assert compiled == ["parent", "change"]  # the parent runs first at the first seed
     out = tmp_path / where / "BENCH_s.json"
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("BENCH_*.json")) \
         == [out.relative_to(tmp_path)]

@@ -664,6 +664,19 @@ def test_the_phase_aligned_start_splits_its_legs_without_overflow():
     assert chord <= euclidean.distance <= chord * (1.0 + 1e-4)
 
 
+def test_a_path_whose_metric_overflows_is_screened_without_a_warning():
+    # the path's first length is inf, so the screen's thresholds read inf - inf;
+    # that NaN accepts no move, silently, and the solve runs to its cap at inf
+    # (seen in a seeded battery; the CLI's `distance` at the same pair)
+    spec = mm.FromTheta(4, R, POS, mm.theta_profile(OVERFLOWING_THETA))
+    g, h = la.vector([0.14, -0.151, 0.742, 0.105]), la.vector([-2.1, 0.47, 1.6, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = ge.geodesic_distance(spec, g, h)
+    assert (res.distance, res.initial_length, res.iterations, res.stop_reason) \
+        == (math.inf, math.inf, 150, "iteration-cap")
+
+
 def test_geodesic_triangle_sanity_fubini_study():
     rng = np.random.default_rng(4)
     spec = mm.fubini_study(3)

@@ -302,7 +302,7 @@ def test_batched_checks_equal_the_scalar_loop(dim, field):
                 _assert_same(iv.is_symmetry(T, spec, 30, seed=i, tol=tol), want, (name, label, tol))
         # the suite's own draw: unitaries, then pairs; for the step metric also
         # past one block of _BLOCK_ROWS pairs, with ties in every block
-        for n in (20, 1100) if spec is step else (20,):
+        for n in (20, iv._BLOCK_ROWS + 76) if spec is step else (20,):
             rng = np.random.default_rng(i)
             U = la.random_unitaries(n, dim, field, rng)
             G, H = mm.sample_pairs(spec, n, rng)
@@ -522,21 +522,21 @@ def test_probes_evaluate_one_batch_per_side_per_block(monkeypatch):
 
     monkeypatch.setattr(iv, "eval_batch", counting)
     iv.congruence_theorem_probe(mm.euclidean(3), seed=1)  # 100 maps, 100 controls, 40 samples
-    # the zero-metric test, then per block of 25 maps: rho_g(h), the maps, the controls
-    assert rows == [32] + [1000] * 12
+    # the zero-metric test, then one block of 100 maps: rho_g(h), the maps, the controls
+    assert rows == [32] + [4000] * 3
     rows.clear()
     iv.rotation_sufficiency_check(mm.euclidean(3), 100, 20)
-    # per block of 51 rotations: rho_g(h) once, then the rotations and the orthogonal maps
-    assert rows == [1020] * 3 + [980] * 3
+    # one block of 100 rotations: rho_g(h) once, then the rotations and the orthogonal maps
+    assert rows == [2000] * 3
     rows.clear()
     iv.dim2_exception_check(1.0, [iv.random_unimodular(k) for k in range(30)], 40, seed=2)
-    assert rows == [1000, 1000, 200, 200]
+    assert rows == [1200, 1200]
     rows.clear()
     iv.invariance_suite(mm.euclidean(3))  # 200 unitaries, one pair each
     assert rows == [200, 200]
     rows.clear()
-    iv.invariance_suite(mm.euclidean(3), 1100)  # a block of 1024 pairs, then the rest
-    assert rows == [1024, 1024, 76, 76]
+    iv.invariance_suite(mm.euclidean(3), 4200)  # a block of 4096 pairs, then the rest
+    assert rows == [4096, 4096, 104, 104]
 
 
 def test_is_symmetry_fails_a_map_whose_image_is_finite_where_rho_is_infinite():

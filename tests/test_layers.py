@@ -39,7 +39,7 @@ def test_the_capture_pass_counts_what_the_package_calls():
     assert segments == 3 * [24, 1496, 180, 150] + 3 * [36, 1496, 180, 150]
     assert [(row["nodes"], row["converged"]) for row in tables["simpson"]] == [
         (65, True), (65, True), (1025, False)]
-    # per default probe: the zero-metric test's 32 rows, then 4 blocks of 1000
+    # per default probe: the zero-metric test's 32 rows, then one block of 4000
     # rows each for rho_g(h), the maps and the controls, all on one draw of 4000
     assert [(row["eval_batch_calls"], row["eval_batch_rows"], row["sample_pairs_rows"])
-            for row in tables["probe"]] == 3 * [(13, 32 + 3 * 4000, 32 + 4000)]
+            for row in tables["probe"]] == 3 * [(4, 32 + 3 * 4000, 32 + 4000)]
