@@ -9,11 +9,11 @@ tar -x -C DIR` into one temporary directory and runs each tree's own
 and one change run per seed, alternating which side goes first.  Each
 tree's run.py imports its own src/, which `python -m compileall -q` compiles
 before that tree's first run, so no run pays for compiling the package, even
-where PYTHONDONTWRITEBYTECODE keeps the runs from writing bytecode.  Writes BENCH_<slug>.json (the slug
-defaults to the workload) with the machine, the Python and numpy versions,
-both revisions, every pair's end-to-end metrics, each metric's quartiles
-per side, the parent's interquartile range, the change's win count, a
-regression verdict and `failed` per seed.  With
+where PYTHONDONTWRITEBYTECODE keeps the runs from writing bytecode.  Writes
+BENCH_<slug>.json (the slug defaults to the workload) with the machine, the
+Python and numpy versions, both revisions, every pair's end-to-end metrics,
+each metric's quartiles per side, the parent's interquartile range, the
+change's win count, a regression verdict and `failed` per seed.  With
 --claim, it also records whether that metric meets the rule for claiming a
 gain: the change is better in at least nine tenths of the pairs (ties count
 for neither) and the medians differ by more than the parent's interquartile

@@ -667,7 +667,7 @@ def test_the_phase_aligned_start_splits_its_legs_without_overflow():
 def test_a_path_whose_metric_overflows_is_screened_without_a_warning():
     # the path's first length is inf, so the screen's thresholds read inf - inf;
     # that NaN accepts no move, silently, and the solve runs to its cap at inf
-    # (seen in a seeded battery; the CLI's `distance` at the same pair)
+    # (CI's edge smoke runs the CLI's `distance` at the same pair)
     spec = mm.FromTheta(4, R, POS, mm.theta_profile(OVERFLOWING_THETA))
     g, h = la.vector([0.14, -0.151, 0.742, 0.105]), la.vector([-2.1, 0.47, 1.6, 4.0])
     with warnings.catch_warnings():
