@@ -250,7 +250,7 @@ class GeodesicResult(NamedTuple):
     initial_length: float
     iterations: int
     history: tuple[float, ...]
-    stop_reason: str  # "zero-chord", "step-floor" or "iteration-cap"
+    stop_reason: str  # "zero-chord", "infinite-start", "step-floor" or "iteration-cap"
 
 
 _CHUNK_CAP = 4096
@@ -421,10 +421,7 @@ def _screen(spec: MetricSpec, verts: np.ndarray, seglen: list[float], step: floa
     lengths, _ = _segment_length(spec, np.concatenate([prev, singles]),
                                  np.concatenate([singles, after]), ell0)
     a, b = lengths.reshape(2, n, -1)
-    # where the path's local length overflows to inf, the threshold inf - inf
-    # is NaN, which no move passes, as in the sweep's scalar test
-    with np.errstate(invalid="ignore"):
-        passes = _shortens(a + b, np.add(seglen[:-1], seglen[1:]).repeat(4)).any(axis=1)
+    passes = _shortens(a + b, np.add(seglen[:-1], seglen[1:]).repeat(4)).any(axis=1)
     if not passes.any():
         return [False] * n
     j = int(passes.argmax())
@@ -540,8 +537,9 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     length (_shortens: a smaller gain is within the quadrature's error, so it
     is not taken); the step halves after a sweep without improvement.  The
     length sequence is non-increasing; negative metrics are refused.  The
-    result says why the descent stopped: a zero chord (g = h), the step
-    floor, or the iteration cap.
+    result says why the descent stopped: a zero chord (g = h), a start with
+    a segment that measures inf (no move can shorten it, so the distance is
+    inf after no sweep), the step floor, or the iteration cap.
 
     Vertices of one parity share no segment, so each half is measured in one
     _segment_length call: both segments of every position its vertices can
@@ -557,11 +555,12 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     n_iterations.  Each that no single move passes fails and halves the
     step.  Only the first that one passes builds its table and runs in full,
     drawing its moves again where one sweep at a time leaves the stream; a
-    sweep after one that moved does so directly.  So a solve that never
-    moves makes two _segment_length calls, the starts' and one screen's.  A
-    failed sweep measures no multi-move position, and a NaN there does not
-    raise; the single moves of the window's sweeps after the first that
-    passes are measured though never taken, and a NaN there raises.
+    sweep after one that moved does so directly.  So a solve from a
+    finite start that never moves makes two _segment_length calls, the
+    starts' and one screen's.  A failed sweep measures no multi-move
+    position, and a NaN there does not raise; the single moves of the
+    window's sweeps after the first that passes are measured though never
+    taken, and a NaN there raises.
 
     Raises InvalidArgumentError unless n_vertices >= 3
     and n_iterations >= 0, ValueError when g != h and the chord's length
@@ -597,6 +596,9 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     ell0 = chord_len / (4.0 * (n_vertices - 1))
     verts, seglen = _initial_vertices(spec, g, h, n_vertices, rng, ell0)
     initial = total = sum(seglen)
+    if math.inf in seglen:  # no move shortens an inf segment, so the total stays inf
+        return GeodesicResult(math.inf, Polyline(verts), math.inf, 0, (math.inf,),
+                              "infinite-start")
     history = [total]
     step, step_floor = chord_len / (n_vertices - 1), 1e-6 * chord_len
     stop_reason = "iteration-cap"

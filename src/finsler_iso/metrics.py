@@ -36,20 +36,13 @@ from .linalg import (
 
 
 class _Value:
-    """Equality and hashing by value: over the type and the instance's
-    attributes, except those a class names in _not_identity."""
-
-    _not_identity: tuple[str, ...] = ()
-
-    def _identity(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k not in self._not_identity}
+    """Equality and hashing by value: over the type and the instance's attributes."""
 
     def __eq__(self, other):
-        return self._identity() == other._identity() if type(other) is type(self) \
-            else NotImplemented
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash((type(self), *self._identity().values()))
+        return hash((type(self), *vars(self).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +332,10 @@ class FromRiemann(MetricSpec):
     """Finsler metric induced by a sesquilinear profile: sign(v) sqrt|v|."""
 
     family = "riemann"
-    # induced_finsler's note on its probe, not a part of the metric
-    _not_identity = ("indefinite_warning",)
 
     def __init__(self, dim: int, field: Field, domain: RadiusDomain, profile: RiemannProfile):
         super().__init__(dim, field, domain)
-        self.profile, self.indefinite_warning = profile, False  # induced_finsler sets it
+        self.profile = profile
 
     def _value(self, r, ip, q, g, h):
         r2, p = r * r, abs(ip)
@@ -629,8 +620,8 @@ def induced_finsler(profile: RiemannProfile, dim: int, field: Field = Field.REAL
     """The Finsler metric sign(v) sqrt|v| with v = sigma_g(h, h), on the domain.
 
     Probes v on 64 pairs inside it from sample_pairs with default_rng(0) and
-    flags the spec (plus a RuntimeWarning) when any sampled v is negative,
-    i.e. the profile is not positive semi-definite there.
+    emits a RuntimeWarning when any sampled v is negative, i.e. the profile
+    is not positive semi-definite there.
     """
     spec = FromRiemann(dim, field, domain, profile)
     values, _ = eval_batch(spec, *sample_pairs(spec, 64, np.random.default_rng(0)))
@@ -638,7 +629,6 @@ def induced_finsler(profile: RiemannProfile, dim: int, field: Field = Field.REAL
     if (values < -1e-6).any():
         warnings.warn("sesquilinear profile takes negative values; induced "
                       "metric uses sign(v) sqrt|v|", RuntimeWarning, stacklevel=2)
-        spec.indefinite_warning = True
     return spec
 
 

@@ -906,7 +906,7 @@ def test_each_readme_command_loads_only_its_own_module(tmp_path):
 
 
 # The package's own warnings; any other warning, such as numpy's "overflow
-# encountered in ...", breaks the contract on a success.
+# encountered in ...", breaks the contract at any exit code.
 PACKAGE_WARNINGS = ("sesquilinear profile takes negative values",
                     "metric takes negative values along the curve",
                     "Simpson quadrature stopped")
@@ -939,14 +939,44 @@ def _assert_csv(text):
     assert not any(math.isnan(float(x)) for row in rows for x in row), text
 
 
+# Edge cases with their outcome pinned, by argv: the exit code and a pattern
+# that the whole of stdout matches.  Each is an example of the contract test.
+EDGE_OUTCOMES = {
+    # a complex <h, g> that is inf and a q that is NaN: inf prints as null, with no warning
+    ("eval", "--metric", "euclidean", "--dim", "5", "--field", "complex",
+     "--g", "2:-0.7,1e-200:1.5,2:0.5,-1,-1:1.5", "--h", "0.5:1e308,1:2,1:2,1.5,0.3"):
+        (0, re.escape('{"value":null}') + "\n"),
+    # |<h, g>| overflows, though its parts do not: no OverflowError, and inf - inf is undefined
+    ("eval", "--metric", "riemann:1;-0.5/r", "--dim", "2", "--field", "complex",
+     "--g", "1:1,0", "--h", "1.5e308,0"): (3, ""),
+    # non-symmetric metrics: refused by validate_alpha's sign flips
+    ("decompose", "--metric", "nonsym-lambda:sqrt(p^2+q^2)+p", "--dim", "3"): (2, ""),
+    ("decompose", "--metric", "nonsym-lambda:(sqrt(p^2+q^2)+p/2)/(r^2)", "--dim", "3"): (2, ""),
+    # a chord through the origin whose node count overflows: refused without a warning
+    ("distance", "--metric", "norm-quotient", "--dim", "2", "--g", "1e153,0",
+     "--h=-1e153,0"): (0, r"\{.+\}\n"),
+    # a phase-aligned start whose first leg squares past the float range, no warning
+    ("distance", "--metric", "euclidean", "--dim", "2", "--field", "complex",
+     "--g", "1e154:0,0", "--h=-4.16e149:9.09e149,1e150"): (0, r"\{.+\}\n"),
+    # a metric that overflows on every start: stopped before the first sweep,
+    # without a warning, its inf printed as null
+    ("distance", "--metric", "theta:exp(exp(2*r))", "--dim", "4",
+     "--g=0.14,-0.151,0.742,0.105", "--h=-2.1,0.47,1.6,4"):
+        (0, re.escape('{"initial_length":null,"iterations":0,'
+                      '"stop_reason":"infinite-start","value":null}') + "\n"),
+}
+
+
+def _edge_examples(test):
+    """test with each argv of EDGE_OUTCOMES as an example, in the table's order."""
+    for argv in reversed(EDGE_OUTCOMES):
+        test = example((list(argv), None))(test)
+    return test
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(cli_cases())
-# a complex <h, g> that is inf and a q that is NaN: inf prints as null, with no warning
-@example((["eval", "--metric", "euclidean", "--dim", "5", "--field", "complex",
-           "--g", "2:-0.7,1e-200:1.5,2:0.5,-1,-1:1.5", "--h", "0.5:1e308,1:2,1:2,1.5,0.3"], None))
-# |<h, g>| overflows, though its parts do not: no OverflowError, and inf - inf is undefined
-@example((["eval", "--metric", "riemann:1;-0.5/r", "--dim", "2", "--field", "complex",
-           "--g", "1:1,0", "--h", "1.5e308,0"], None))
+@_edge_examples
 # a radius bound that is not finite: exit 2 naming it, not a NaN radius grid
 @example((["check", "kaehler", "--metric", "fubini-study", "--dim", "2", "--samples", "3",
            "--r-min", "inf", "--r-max", "0"], None))
@@ -957,16 +987,6 @@ def _assert_csv(text):
 # a finite radius bound whose square overflows: exit 2 naming it, not |g|^2 = inf outside
 @example((["check", "pd", "--metric", "riemann:1+r;1", "--dim", "2", "--samples", "3",
            "--r-min", "2", "--r-max", "1e200"], None))
-# non-symmetric metrics: refused by validate_alpha's sign flips, exit 2
-@example((["decompose", "--metric", "nonsym-lambda:sqrt(p^2+q^2)+p", "--dim", "3"], None))
-@example((["decompose", "--metric", "nonsym-lambda:(sqrt(p^2+q^2)+p/2)/(r^2)", "--dim", "3"],
-          None))
-# a chord through the origin whose node count overflows: refused without a warning, exit 0
-@example((["distance", "--metric", "norm-quotient", "--dim", "2", "--g", "1e153,0",
-           "--h=-1e153,0"], None))
-# a phase-aligned start whose first leg squares past the float range: exit 0, no warning
-@example((["distance", "--metric", "euclidean", "--dim", "2", "--field", "complex",
-           "--g", "1e154:0,0", "--h=-4.16e149:9.09e149,1e150"], None))
 # a distance from 0 under a zero extension: no start resolves, exit 3 without a warning
 @example((["distance", "--metric", "@SPEC", "--g", "0,0", "--h", "1,0"],
           {"family": "zero-extended", "dim": 2, "field": "real",
@@ -978,10 +998,11 @@ def _assert_csv(text):
 def test_the_cli_contract_holds_at_the_edges(tmp_path_factory, case):
     # exit 0-3; output, on stdout or in the --path-out or --output file, exactly
     # when the code is 0 or 1, and then JSON or CSV that parses; no exception out
-    # of main (a Traceback from the console script); on a success, no warning
-    # but the package's own; a second run of the same argv gives the same bytes;
-    # a radius bound that is not finite, or of check whose square overflows, is
-    # exit 2, naming it; decompose of a non-symmetric metric is exit 2
+    # of main (a Traceback from the console script); at any exit code, no
+    # warning but the package's own; a second run of the same argv gives the
+    # same bytes; a radius bound that is not finite, or of check whose square
+    # overflows, is exit 2, naming it; decompose of a non-symmetric metric is
+    # exit 2; an argv of EDGE_OUTCOMES has its pinned exit code and stdout
     argv, spec = case
     base = tmp_path_factory.getbasetemp()
     out_file = base / "cli_contract_out.csv"
@@ -1004,9 +1025,11 @@ def test_the_cli_contract_holds_at_the_edges(tmp_path_factory, case):
     else:
         assert out == "" and written is None, (out, written)
     assert "Traceback" not in err
-    if code == 0:
-        stray = [m for m in caught if not m.startswith(PACKAGE_WARNINGS)]
-        assert not stray, stray
+    stray = [m for m in caught if not m.startswith(PACKAGE_WARNINGS)]
+    assert not stray, (code, stray)
+    if tuple(case[0]) in EDGE_OUTCOMES:
+        want, pattern = EDGE_OUTCOMES[tuple(case[0])]
+        assert code == want and re.fullmatch(pattern, out), (code, out, err)
     radii = [(flag[2:].replace("-", "_"), float(argv[argv.index(flag) + 1]))
              for flag in ("--r-min", "--r-max") if flag in argv]
     bad = [(name, r) for name, r in radii if not math.isfinite(r)]

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -578,12 +579,17 @@ def test_riemann_json_keeps_a_bounded_domain_and_probes_inside_it():
     for field in ("real", "complex"):
         obj = {"family": "riemann", "dim": 3, "field": field, "domain": mm.domain_to_json(domain),
                "params": {"phi": "sqrt(3-r)", "psi": "0"}}
-        spec = mm.spec_from_json(obj)
-        back = mm.spec_from_json(mm.spec_to_json(spec))
+        with warnings.catch_warnings():  # the probe finds no negative value
+            warnings.simplefilter("error", RuntimeWarning)
+            spec = mm.spec_from_json(obj)
+            back = mm.spec_from_json(mm.spec_to_json(spec))
         assert spec.domain.intervals == back.domain.intervals == ((0.3, 1.7),)
-        assert mm.spec_to_json(back) == mm.spec_to_json(spec) and not back.indefinite_warning
+        assert mm.spec_to_json(back) == mm.spec_to_json(spec)
         with pytest.raises(EvalError):  # on the positive radii the probe reaches |g|^2 > 3
             mm.spec_from_json({**obj, "domain": mm.domain_to_json(POS)})
+
+
+INDEFINITE = "sesquilinear profile takes negative values; induced metric uses sign(v) sqrt|v|"
 
 
 def test_induced_finsler_euclidean_profile():
@@ -595,23 +601,23 @@ def test_induced_finsler_euclidean_profile():
 
 
 def test_induced_finsler_negative_profile_signs_and_warns():
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match=re.escape(INDEFINITE)):
         spec = mm.induced_finsler(mm.riemann_profile("-1", "0"), 2)
-    assert spec.indefinite_warning
     assert mm.eval_finsler(spec, la.vector([1, 1]), la.vector([1, 0])) == pytest.approx(-1.0)
 
 
 def test_the_indefinite_warning_is_no_part_of_a_specs_identity():
-    # induced_finsler flags the spec, and so does spec_from_json, which builds
-    # it; the flag is kept, but the spec built directly is the same metric,
-    # and so is one built from newly compiled texts
+    # induced_finsler warns, and so does spec_from_json, which builds the spec;
+    # building it directly does not, yet it is the same metric, and so is one
+    # built from newly compiled texts
     p = mm.riemann_profile("-1", "0")
-    direct = mm.FromRiemann(2, R, POS, p)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        direct = mm.FromRiemann(2, R, POS, p)
+    with pytest.warns(RuntimeWarning) as caught:
         induced = mm.induced_finsler(p, 2)
         back = mm.spec_from_json(mm.spec_to_json(direct))
-    assert induced.indefinite_warning and back.indefinite_warning
-    assert not direct.indefinite_warning
+    assert [str(w.message) for w in caught] == [INDEFINITE] * 2
     assert induced == direct and hash(induced) == hash(direct)
     assert back == direct and hash(back) == hash(direct)
     assert mm.spec_to_json(back) == mm.spec_to_json(direct)
