@@ -32,7 +32,6 @@ from .metrics import (
     _roots_inside,
     deviations,
     eval_batch,
-    eval_sesquilinear,
     eval_sesquilinear_rows,
     sample_pairs,
     sesquilinear_profile,
@@ -41,28 +40,19 @@ from .metrics import (
 
 
 class SesquiOracle(NamedTuple):
-    """A black-box conjugate-symmetric sesquilinear sigma(g, f, h), and
-    optionally its rows form rows(G, F, H)."""
+    """A black-box conjugate-symmetric sesquilinear form: sigma(G, F, H) is
+    sigma(g, f, h) over the rows of three (N, dim) arrays."""
 
-    fn: Callable[[Vector, Vector, Vector], complex]
+    sigma: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     dim: int
     field: Field
     domain: RadiusDomain
-    rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def eval_rows(self, G: np.ndarray, F: np.ndarray, H: np.ndarray) -> np.ndarray:
-        """sigma over the rows of three (N, dim) arrays: the rows form in one
-        call when there is one, else a loop over fn."""
-        if self.rows is not None:
-            return self.rows(G, F, H)
-        return np.array([self.fn(*(Vector(v, self.field) for v in row)) for row in zip(G, F, H)])
 
 
 def sesqui_oracle_from_spec(spec: MetricSpec) -> SesquiOracle:
     sesquilinear_profile(spec)  # InvalidArgumentError unless the spec is Riemann-backed
-    return SesquiOracle(lambda g, f, h: eval_sesquilinear(spec, g, f, h),
-                        spec.dim, spec.field, spec.domain,
-                        rows=lambda G, F, H: eval_sesquilinear_rows(spec, G, F, H))
+    return SesquiOracle(functools.partial(eval_sesquilinear_rows, spec),
+                        spec.dim, spec.field, spec.domain)
 
 
 def _rows(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -101,17 +91,16 @@ def _require_radii(r: np.ndarray, inside: np.ndarray) -> None:
         raise OutOfDomainError(f"r = {r[~inside][0]} is outside the extracted profile's domain")
 
 
-def validate_alpha(spec: MetricSpec, n_samples: int = 24, seed: int = 0,
-                   tol: float = 1e-8) -> float:
-    """Worst relative violation of rho_g(t h) = |t|^alpha rho_g(h) on samples,
+def validate_alpha(spec: MetricSpec) -> float:
+    """Worst relative violation of rho_g(t h) = |t|^alpha rho_g(h) on 24 samples,
     alpha being the spec's degree and t a scalar: |t| in (0.2, 3), times -1 on
     every other sample over R and a phase spread around the circle over C.  So
     a metric not even in h (lambda and theta assume it is) fails here too.
 
-    The samples are drawn in one batch and each side is one eval_batch call.
+    A violation above 1e-8 is an InvalidArgumentError.  The samples are
+    drawn in one batch from seed 0 and each side is one eval_batch call.
     """
-    check_counts(n_samples=n_samples)
-    rng = np.random.default_rng(seed)
+    n_samples, rng = 24, np.random.default_rng(0)
     G, H = sample_pairs(spec, n_samples, rng)
     t = rng.uniform(0.2, 3.0, n_samples)
     k = np.arange(n_samples)
@@ -119,7 +108,7 @@ def validate_alpha(spec: MetricSpec, n_samples: int = 24, seed: int = 0,
             else np.exp(2j * math.pi * k / n_samples))
     want = (t ** spec.alpha) * _rows(spec, G, H)
     worst = float(deviations(_rows(spec, G, (unit * t)[:, None] * H), want, want).max())
-    if worst > tol:
+    if worst > 1e-8:
         raise InvalidArgumentError(f"homogeneity of degree {spec.alpha} violated by {worst:g} "
                                    f"on samples: the metric is non-symmetric or not of degree "
                                    f"{spec.alpha}")
@@ -177,21 +166,20 @@ def extract_phi_psi(oracle: SesquiOracle,
     def sigma(r: np.ndarray, v: np.ndarray) -> np.ndarray:
         _require_radii(r, _roots_inside(oracle, r))  # r is |g|^2: its root is in the domain
         V = np.tile(v, (len(r), 1))
-        return np.real(oracle.eval_rows(np.sqrt(r)[:, None] * e, V, V))
+        return np.real(oracle.sigma(np.sqrt(r)[:, None] * e, V, V))
 
     phi = _profile_fn(lambda r: sigma(r, f))
     psi = _profile_fn(lambda r: (sigma(r, e) - phi.rows(r)) / r)
     return RiemannProfile(phi, psi)
 
 
-def _validate_conjugate_symmetry(oracle: SesquiOracle, n_samples: int = 16,
-                                 seed: int = 0, tol: float = 1e-8) -> None:
-    check_counts(n_samples=n_samples)
-    rng = np.random.default_rng(seed)
-    G, F = sample_pairs(oracle, n_samples, rng)
-    H = random_gaussian_rows(n_samples, oracle.dim, oracle.field, rng)
-    a, b = oracle.eval_rows(G, F, H), oracle.eval_rows(G, H, F)
-    if (deviations(a, np.conj(b), a) > tol).any():
+def _validate_conjugate_symmetry(oracle: SesquiOracle) -> None:
+    """ValueError unless sigma(g, f, h) = conj(sigma(g, h, f)) to 1e-8 on 16 samples."""
+    rng = np.random.default_rng(0)
+    G, F = sample_pairs(oracle, 16, rng)
+    H = random_gaussian_rows(16, oracle.dim, oracle.field, rng)
+    a, b = oracle.sigma(G, F, H), oracle.sigma(G, H, F)
+    if (deviations(a, np.conj(b), a) > 1e-8).any():
         raise ValueError("oracle is not conjugate-symmetric on samples")
 
 
@@ -239,7 +227,7 @@ def roundtrip_check(metric: MetricSpec | SesquiOracle, extracted_spec: MetricSpe
     check_counts(n_samples=n_samples)
     rows = _roundtrip_rows(metric, n_samples, np.random.default_rng(seed))
     if isinstance(metric, SesquiOracle):  # against the sigma of the Riemann-backed rebuilt spec
-        got, want = metric.eval_rows(*rows), eval_sesquilinear_rows(extracted_spec, *rows)
+        got, want = metric.sigma(*rows), eval_sesquilinear_rows(extracted_spec, *rows)
     else:  # each side refuses a row outside its domain
         got, want = _rows(metric, *rows), _rows(extracted_spec, *rows)
     passed, worst, witness = verdict(deviations(got, want, got), tol, rows, metric.field)

@@ -116,8 +116,9 @@ def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline,
     linalg._R_MIN.  A segment with a negative node value raises
     NonPositiveMetricError, and one with a node outside the domain, or that
     passes nearer the origin than the kernel resolves (through 0, say),
-    OutOfDomainError.  A polyline whose segments all measure 0 (one that
-    never moves, say) has length 0.
+    OutOfDomainError.  A polyline that never moves (every finite vertex
+    equal) has length 0 before the scale and the segments are checked, so
+    at the origin and below linalg._R_MIN too, as a zero-chord path does.
     """
     if isinstance(curve, Polyline):
         return _polyline_length(spec, curve.vertices)
@@ -436,7 +437,8 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
 
     The candidates, measured in one _segment_length call, are the exact
     geodesics of the named families: the chord; the log-polar arc in the
-    real plane of g and h, unless their real angle is 0 or pi; and over C
+    real plane of g and h, unless their real angle is 0, or pi over R (over
+    C a half turn stays on g's complex line); and over C
     the phase-aligned arc, which turns g to g e^{i phi} (phi = arg <h, g>)
     on g's own complex line, where Fubini-Study is 0, then takes the
     log-polar arc to h.  The choice reads measured lengths only.  When none
@@ -464,13 +466,18 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
     raise ValueError("no valid initialization found inside the metric's domain")
 
 
+# A half turn's |w| bound: on v = -k u, w is rounding noise of at most 7.1e-16.
+_HALF_TURN = 1e-12
+
+
 def _log_polar_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
     """The log-polar arc from u to v at each entry of ts, from 0 to 1, or None
-    where the real angle theta between them is 0 or pi: the radius |u|
+    where the real angle theta between them is 0: the radius |u|
     (|v|/|u|)^t times the unit direction at the angle t theta in their real
     plane.  It takes no exp or log, so its rows scale with u and v exactly
     under powers of 2.  Its ends are u and v.  None too where either end is
-    0 or |v|/|u| overflows."""
+    0 or |v|/|u| overflows.  At a half turn (theta near pi, |w| <= _HALF_TURN)
+    no real plane is defined: None over R, and over C a turn toward i u."""
     nu, nv = row_norms(np.stack([u, v])).tolist()
     if nu == 0.0 or nv == 0.0:
         return None
@@ -478,9 +485,11 @@ def _log_polar_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray 
     c = np.vdot(a, b).real
     w = b - c * a  # the part of v's direction orthogonal to a over R
     s = float(row_norms(w[None])[0])
+    angle = math.atan2(s, c) * ts
+    if s <= _HALF_TURN and c < 0.0:  # a half turn: None over R, toward i u over C
+        w, s = (1j * a, 1.0) if np.iscomplexobj(a) else (w, 0.0)
     if s == 0.0 or nv / nu == math.inf:
         return None
-    angle = math.atan2(s, c) * ts
     rows = (nu * (nv / nu) ** ts)[:, None] * (np.cos(angle)[:, None] * a
                                               + np.sin(angle)[:, None] * (w / s))
     rows[0], rows[-1] = u, v

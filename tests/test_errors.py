@@ -33,9 +33,6 @@ COUNTS = [
     ("grid_size", 1,
      lambda n: mm.validate_profile(mm.FromLambda(3, la.Field.REAL, POS,
                                                  mm.lambda_profile("sqrt(p^2+q^2)")), n)),
-    ("n_samples", 1, lambda n: dc.validate_alpha(E3, n)),
-    ("n_samples", 1,
-     lambda n: dc._validate_conjugate_symmetry(dc.sesqui_oracle_from_spec(FS3), n)),
     ("n_samples", 1, lambda n: dc.roundtrip_check(E3, E3, n)),
     ("n_segments", 1, lambda n: ge.polygonal_delta_length("delta1", ge.circle_arc(2), n)),
     ("n_nodes", 3, lambda n: ge.curve_length(mm.euclidean(2), ge.circle_arc(2), n)),

@@ -88,6 +88,10 @@ def test_a_refused_polyline_segment_raises_as_in_the_descent():
             ge.curve_length(mm.euclidean(2), ge.Polyline(np.array([[1e154, 0.0], [-1e154, 0.0]])))
         with pytest.raises(ValueError, match="too small"):
             ge.curve_length(mm.euclidean(2), ge.Polyline(np.array([[1e-160, 0.0], [0.0, 1e-160]])))
+        # a polyline that never moves measures 0 before any of these refusals,
+        # as a zero-chord descent's path does: at the origin and below _R_MIN too
+        for v in ([0.0, 0.0], [1e-160, 0.0]):
+            assert ge.curve_length(mm.euclidean(2), ge.Polyline(np.array([v] * 3))) == 0.0
 
 
 def test_a_polyline_of_the_wrong_shape_or_dtype_is_a_mismatch():
@@ -662,6 +666,28 @@ def test_the_phase_aligned_start_splits_its_legs_without_overflow():
     assert fubini_study.distance == pytest.approx(want, abs=1e-5)
     chord = _closed_form("euclidean", g.entries, h.entries)
     assert chord <= euclidean.distance <= chord * (1.0 + 1e-4)
+
+
+def test_a_real_half_turn_has_no_log_polar_arc():
+    # h = -1.5 u: the part of h's direction orthogonal to u's is rounding
+    # noise, not 0, so the real plane of u and h is not defined, and over R
+    # the solve takes the lifted chord, as for an exactly antipodal pair
+    u = np.array([0.3, 0.7, -1.1])
+    a, b = u / np.linalg.norm(u), -u / np.linalg.norm(u)
+    assert 0.0 < la.row_norms((b - np.dot(a, b) * a)[None])[0] <= 1e-15
+    assert ge._log_polar_rows(u, -1.5 * u, np.linspace(0.0, 1.0, 13)) is None
+
+
+def test_a_complex_half_turn_start_stays_on_the_complex_line():
+    # h = -1.5 g over C: the log-polar arc turns toward i g, on g's own complex
+    # line, and norm-quotient's start there is the solve's path (no sweep moves it)
+    g = la.vector([0.3 + 0.1j, 0.7j, -1.1], C)
+    res = ge.geodesic_distance(mm.norm_quotient(3, C), g, la.vector(-1.5 * g.entries, C))
+    assert (res.stop_reason, res.iterations) == ("step-floor", 17)
+    assert res.distance == res.initial_length
+    for v in res.path.vertices:
+        q = la.canonical_invariants(g, la.Vector(v, C))[2]
+        assert q <= 1e-12 * la.norm(g) * np.linalg.norm(v)
 
 
 def test_a_path_whose_metric_overflows_is_screened_without_a_warning():

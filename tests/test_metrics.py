@@ -769,6 +769,18 @@ def test_validate_profile_pass():
     spec = mm.FromLambda(2, R, POS, mm.lambda_profile("sqrt(p^2+q^2)/r"))
     report = mm.validate_profile(spec)
     assert report.ok and report.worst_homogeneity <= 1e-9 and report.worst_evenness <= 1e-9
+    # on a bounded domain the grid stays inside it: a profile undefined
+    # outside (1, 2) is read at r = 1.2, 1.4, 1.6 and 1.8 only
+    radii = set()
+
+    def inside_only(r, p, q):
+        if not 1.0 < r < 2.0:
+            raise ValueError(f"undefined at r = {r}")
+        radii.add(r)
+        return math.hypot(p, q)
+    report = mm.validate_profile(mm.FromLambda(2, R, mm.RadiusDomain(((1.0, 2.0),)), inside_only))
+    assert report.ok and report.checked == 48
+    assert sorted(radii) == pytest.approx([1.2, 1.4, 1.6, 1.8], rel=1e-15)
 
 
 def test_validate_profile_evenness_violation():
