@@ -95,6 +95,17 @@ def test_validate_alpha_refuses_exactly_the_non_symmetric_or_inhomogeneous(dim, 
             assert dc.validate_alpha(spec) <= 1e-14, name
 
 
+def test_validate_alpha_refuses_a_violation_above_1e_8():
+    # |h|^(1 + delta) misses degree 1 by about delta |log t| on the fixed
+    # samples, at most 0.89 delta: 4.5e-9 passes, 1.8e-8 is refused
+    def power(delta):
+        return mm.Custom(3, R, POS, fn=lambda g, h: la.norm(h) ** (1.0 + delta))
+    assert 4e-9 < dc.validate_alpha(power(5e-9)) <= 1e-8
+    assert dc.validate_alpha(power(5e-9)) == dc.validate_alpha(power(5e-9))  # seed 0
+    with pytest.raises(InvalidArgumentError, match="violated by 1.78"):
+        dc.validate_alpha(power(2e-8))
+
+
 def _skewed(g, h):
     """|h| + 0.5 Re<h, g>/|g|: homogeneous for t > 0, not even in h."""
     return la.norm(h) + 0.5 * complex(la.inner(h, g)).real / la.norm(g)
@@ -522,3 +533,14 @@ def test_conjugate_symmetry_fails_on_opposite_infinities():
     both = dc.SesquiOracle(
         lambda G, F, H: np.where(la.row_norms(G) > 2.0, math.inf, _inner(F, H)), 3, R, POS)
     dc._validate_conjugate_symmetry(both)  # inf against the same inf passes
+
+
+def test_conjugate_symmetry_refuses_a_deviation_above_1e_8():
+    # <f, h> + i eps (1 + |<f, h>|) deviates from its conjugate swap by 2 eps
+    # relative: 5e-9 passes, 2e-8 is refused
+    def skewed(eps):
+        return dc.SesquiOracle(
+            lambda G, F, H: _inner(F, H) + 1j * eps * (1.0 + np.abs(_inner(F, H))), 3, C, POS)
+    dc._validate_conjugate_symmetry(skewed(2.5e-9))
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        dc._validate_conjugate_symmetry(skewed(1e-8))
