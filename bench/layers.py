@@ -132,9 +132,10 @@ def capture() -> dict:
 
 
 def import_time() -> list:
-    """-X importtime's [module, self us, cumulative us] per finsler_iso or dataclasses line."""
+    """-X importtime's [module, self us, cumulative us] per finsler_iso or dataclasses line.
+    The expression language comes last: no other module loads it at import."""
     code = "import " + ", ".join("finsler_iso." + m for m in ("cli", "decompose", "invariance",
-                                                             "geometry"))
+                                                             "geometry", "expressions"))
     with tempfile.TemporaryDirectory() as src:  # a copy without src/'s __pycache__; -B writes none
         shutil.copytree(ROOT / "src" / "finsler_iso", Path(src) / "finsler_iso",
                         ignore=shutil.ignore_patterns("__pycache__"))

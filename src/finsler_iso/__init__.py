@@ -12,8 +12,8 @@ import importlib
 
 # Each submodule and the names the package exports from it.
 _EXPORTS = {
-    "errors": ("MismatchError", "NonPositiveMetricError", "OutOfDomainError", "ZeroVectorError"),
-    "expressions": ("EvalError", "ParseError"),
+    "errors": ("EvalError", "MismatchError", "NonPositiveMetricError", "OutOfDomainError",
+               "ParseError", "ZeroVectorError"),
     "linalg": (
         "Field", "LinearMap", "Vector", "acute_angle", "build_canonical_isometry",
         "canonical_invariants", "inner", "linear_map", "norm", "random_rotation",

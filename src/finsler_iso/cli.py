@@ -11,22 +11,20 @@ Exit codes: 0 success/pass, 1 property violated, 2 usage or parse error,
 
 from __future__ import annotations
 
-# The package modules load before argparse, csv and json: in the other order a
+# The package modules load before argparse and json: in the other order a
 # child whose bytecode is compiled afresh peaks about 0.2 MB higher in RSS.
 # They are imported dotted, which -X importtime reports on lines of their own,
-# and each command imports the one further module it runs.
+# and each command imports the one further module it runs (metrics loads the
+# expression language with the first profile text, _write_csv loads csv).
 import numpy as np
 
 import finsler_iso.metrics as mm
 
-from .errors import (InvalidArgumentError, MismatchError, NonPositiveMetricError,
-                     OutOfDomainError, ZeroVectorError, check_finite)
-from .expressions import EvalError, ParseError
+from .errors import (EvalError, InvalidArgumentError, MismatchError, NonPositiveMetricError,
+                     OutOfDomainError, ParseError, ZeroVectorError, check_finite)
 from .linalg import Field, Vector
 
 import argparse
-import cmath
-import csv
 import json
 import math
 import sys
@@ -116,7 +114,7 @@ def parse_vector(text: str, dim: int, field: Field) -> Vector:
                 entry = complex(float(part), 0.0) if field is Field.COMPLEX else float(part)
         except ValueError:
             raise UsageError(f"cannot parse vector entry {part!r}") from None
-        if not cmath.isfinite(entry):
+        if not (math.isfinite(entry.real) and math.isfinite(entry.imag)):
             raise UsageError(f"vector entry {part!r} is not finite")
         entries.append(entry)
     return Vector(np.array(entries, dtype=field.dtype), field)
@@ -176,6 +174,8 @@ def _named_metric(raw: str, args) -> mm.MetricSpec:
 
 def _write_csv(rows, header, path) -> None:
     """Header and rows as CSV, floats in .17g, to the file at path or to stdout."""
+    import csv
+
     try:
         out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
     except OSError as exc:

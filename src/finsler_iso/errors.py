@@ -19,6 +19,18 @@ class NonPositiveMetricError(ValueError):
     """Distance computation refused: the metric takes negative values."""
 
 
+class ParseError(ValueError):
+    """Expression text that the grammar does not accept, at a character offset."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (at offset {offset})")
+        self.offset = offset
+
+
+class EvalError(ValueError):
+    """Missing binding, or a domain error such as log of a negative number."""
+
+
 class InvalidArgumentError(ValueError):
     """An argument under which a call means nothing, named in the message: a
     count below its least value (a sampled check of no samples, maps or radii

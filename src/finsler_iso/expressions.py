@@ -21,15 +21,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
-
-class ParseError(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
-
-
-class EvalError(ValueError):
-    """Missing binding, or a domain error such as log of a negative number."""
+from .errors import EvalError, ParseError
 
 
 class Num(NamedTuple):

@@ -437,20 +437,24 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
 
     The candidates, measured in one _segment_length call, are the exact
     geodesics of the named families: the chord; the log-polar arc in the
-    real plane of g and h, unless their real angle is 0, or pi over R (over
-    C a half turn stays on g's complex line); and over C
-    the phase-aligned arc, which turns g to g e^{i phi} (phi = arg <h, g>)
-    on g's own complex line, where Fubini-Study is 0, then takes the
-    log-polar arc to h.  The choice reads measured lengths only.  When none
-    resolves, arcs through a randomly lifted midpoint are tried, the only
-    draws from rng.  A negative segment on any path measured raises
-    NonPositiveMetricError.
+    real plane of g and h, unless their real angle is 0 (at a half turn, in
+    the plane _log_polar_rows picks); and over C the phase-aligned arc,
+    which turns g to g e^{i phi} (phi = arg <h, g>) on g's own complex line,
+    where Fubini-Study is 0, then takes the log-polar arc to h.  At a half
+    turn the chord passes through 0, so a path through a randomly lifted
+    midpoint is measured with them: it may be shorter than the arc, as
+    for the euclidean metric.  The choice reads measured lengths only.  When
+    none resolves, paths through other lifted midpoints are tried.  Only
+    the lifted midpoints draw from rng.  A negative segment on any path
+    measured raises NonPositiveMetricError.
     """
     u, v, n_seg = g.entries, h.entries, n_vertices - 1
     ts = np.linspace(0.0, 1.0, n_vertices)
     starts = [_segment_rows(u, v, ts), _log_polar_rows(u, v, ts)]
     if g.field is Field.COMPLEX:
         starts.append(_phase_aligned_rows(u, v, n_seg))
+    if _half_turn(u, v):
+        starts.append(_lifted_chord(g, h, n_vertices, rng))
     starts = [verts for verts in starts if verts is not None]
     for _ in range(8):
         lengths, status = _segment_length(spec, np.concatenate([P[:-1] for P in starts]),
@@ -470,14 +474,29 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
 _HALF_TURN = 1e-12
 
 
+def _half_turn(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the real angle from u to v is pi up to rounding: the part w of
+    v's unit direction orthogonal to u's over R has |w| <= _HALF_TURN, and
+    the real part of <v, u> is negative.  False where either end is 0."""
+    nu, nv = row_norms(np.stack([u, v])).tolist()
+    if nu == 0.0 or nv == 0.0:
+        return False
+    a, b = u / nu, v / nv
+    c = np.vdot(a, b).real
+    return bool(c < 0.0 and row_norms((b - c * a)[None])[0] <= _HALF_TURN)
+
+
 def _log_polar_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
     """The log-polar arc from u to v at each entry of ts, from 0 to 1, or None
     where the real angle theta between them is 0: the radius |u|
     (|v|/|u|)^t times the unit direction at the angle t theta in their real
     plane.  It takes no exp or log, so its rows scale with u and v exactly
     under powers of 2.  Its ends are u and v.  None too where either end is
-    0 or |v|/|u| overflows.  At a half turn (theta near pi, |w| <= _HALF_TURN)
-    no real plane is defined: None over R, and over C a turn toward i u."""
+    0 or |v|/|u| overflows.  At a half turn (see _half_turn) the real plane
+    of u and v is not defined, and every plane through u holds a half turn:
+    over R the arc turns toward the standard basis vector least along u,
+    made orthogonal to u (None in dim 1, where no such vector is), and over
+    C toward i u, on u's own complex line."""
     nu, nv = row_norms(np.stack([u, v])).tolist()
     if nu == 0.0 or nv == 0.0:
         return None
@@ -486,8 +505,14 @@ def _log_polar_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray 
     w = b - c * a  # the part of v's direction orthogonal to a over R
     s = float(row_norms(w[None])[0])
     angle = math.atan2(s, c) * ts
-    if s <= _HALF_TURN and c < 0.0:  # a half turn: None over R, toward i u over C
-        w, s = (1j * a, 1.0) if np.iscomplexobj(a) else (w, 0.0)
+    if _half_turn(u, v):
+        if np.iscomplexobj(a):
+            w = 1j * a
+        else:
+            j = int(np.abs(a).argmin())
+            w = -a[j] * a
+            w[j] += 1.0
+        s = float(row_norms(w[None])[0])
     if s == 0.0 or nv / nu == math.inf:
         return None
     rows = (nu * (nv / nu) ** ts)[:, None] * (np.cos(angle)[:, None] * a

@@ -13,16 +13,15 @@ sample_pairs draws such rows.  Pointwise criteria live here too.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-import finsler_iso.expressions as expressions  # dotted: -X importtime reports it
-
-from .errors import (InvalidArgumentError, MismatchError, OutOfDomainError, ZeroVectorError,
-                     check_counts, check_tolerances)
+from .errors import (EvalError, InvalidArgumentError, MismatchError, OutOfDomainError,
+                     ZeroVectorError, check_counts, check_tolerances)
 from .linalg import (
     Field,
     Vector,
@@ -150,16 +149,25 @@ def _array_form(fn: Callable) -> Callable[..., np.ndarray]:
     return lambda *cols: np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
 
 
+def _compiled(text: str, names: tuple[str, ...]) -> Callable[..., float]:
+    """expressions.compile_positional(text, names).  The expression language
+    loads with the first profile text, not at import: a metric without one
+    never compiles it."""
+    import finsler_iso.expressions  # dotted: -X importtime reports it
+
+    return finsler_iso.expressions.compile_positional(text, names)
+
+
 def lambda_profile(text: str) -> Callable[[float, float, float], float]:
-    return expressions.compile_positional(text, ("r", "p", "q"))
+    return _compiled(text, ("r", "p", "q"))
 
 
 def theta_profile(text: str) -> Callable[[float, float], float]:
-    return expressions.compile_positional(text, ("r", "tau"))
+    return _compiled(text, ("r", "tau"))
 
 
 def vartheta_profile(text: str) -> Callable[[float], float]:
-    return expressions.compile_positional(text, ("tau",))
+    return _compiled(text, ("tau",))
 
 
 class _SplitLambda(_Value):
@@ -167,7 +175,7 @@ class _SplitLambda(_Value):
     (pre, pim): equal where its compiled text is."""
 
     def __init__(self, text: str):
-        self.fn = expressions.compile_positional(text, ("r", "pre", "pim", "q"))
+        self.fn = _compiled(text, ("r", "pre", "pim", "q"))
 
     text = property(lambda self: self.fn.text)
 
@@ -180,13 +188,12 @@ class _SplitLambda(_Value):
 
 def nonsym_lambda_profile(text: str, field: Field) -> Callable[[float, complex, float], float]:
     if field is Field.REAL:
-        return expressions.compile_positional(text, ("r", "p", "q"))
+        return _compiled(text, ("r", "p", "q"))
     return _SplitLambda(text)
 
 
 def riemann_profile(phi_text: str, psi_text: str) -> RiemannProfile:
-    return RiemannProfile(expressions.compile_positional(phi_text, ("r",)),
-                          expressions.compile_positional(psi_text, ("r",)))
+    return RiemannProfile(_compiled(phi_text, ("r",)), _compiled(psi_text, ("r",)))
 
 
 def congruence_invariant_riemann(a: float, b: float) -> RiemannProfile:
@@ -199,8 +206,10 @@ def congruence_invariant_riemann(a: float, b: float) -> RiemannProfile:
     return riemann_profile(f"{float(a)!r}/r", f"{float(b)!r}/(r^2)")
 
 
+@functools.cache
 def fubini_study_profile() -> RiemannProfile:
-    return FubiniStudy.profile
+    """Fubini-Study's (phi, psi), built on first use and then shared."""
+    return congruence_invariant_riemann(1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +260,11 @@ class FubiniStudy(MetricSpec):
 
     family = "fubini-study"
     congruence_invariant = True
-    profile = congruence_invariant_riemann(1.0, -1.0)  # sigma's, built once
+
+    @property
+    def profile(self) -> RiemannProfile:
+        """sigma's (phi, psi), the one pair fubini_study_profile builds."""
+        return fubini_study_profile()
 
     def _value(self, r, ip, q, g, h):
         return q / (r * r)
@@ -541,7 +554,7 @@ def eval_batch(spec: MetricSpec, G: np.ndarray, H: np.ndarray) -> tuple[np.ndarr
 def _refuse_nan(values: np.ndarray) -> np.ndarray:
     """values, unless one is NaN: then np.vdot's sum of squares is NaN, with no warning."""
     if math.isnan(np.vdot(values, values)):
-        raise expressions.EvalError("metric value is undefined here (evaluates to NaN)")
+        raise EvalError("metric value is undefined here (evaluates to NaN)")
     return values
 
 
@@ -591,8 +604,8 @@ def eval_sesquilinear_rows(spec: MetricSpec, G: np.ndarray, F: np.ndarray,
         sigma = (np.where(phi == 0.0, 0.0, _scaled(phi, np.vecdot(H, F)))
                  + np.where(psi == 0.0, 0.0, _scaled(psi, np.vecdot(G, F)) * np.vecdot(H, G)))
     if np.isnan(sigma).any():
-        raise expressions.EvalError("sigma is undefined: phi(|g|^2)<f, h> + "
-                                    "psi(|g|^2)<f, g><g, h> is NaN")
+        raise EvalError("sigma is undefined: phi(|g|^2)<f, h> + "
+                        "psi(|g|^2)<f, g><g, h> is NaN")
     return sigma
 
 

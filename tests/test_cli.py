@@ -857,8 +857,14 @@ def test_decompose_rejects_nonsym(capsys):
 
 
 # Which of the optional modules each README command loads: the start-up of
-# finsler_iso.cli loads cli, metrics, expressions, linalg and errors only, and
-# no module of the package loads dataclasses.
+# finsler_iso.cli loads cli, metrics, linalg and errors only, and no module of
+# the package loads dataclasses.  Each command loads the one further module it
+# runs, and the expression language only where a metric is given as text or
+# Fubini-Study's sigma is read: these four of the README's examples.
+EXPRESSION_COMMANDS = {"eval --metric fubini-study --dim 2 --g 1,0 --h 0,1 --f 0,1",
+                       "decompose --metric fubini-study --dim 3",
+                       "check kaehler --metric fubini-study --dim 2",
+                       "check pd --metric riemann:1/r;-1/(r^2) --dim 2"}
 COMMAND_MODULES = {("eval",): set(), ("check", "pd"): set(), ("check", "kaehler"): set(),
                    ("check", "invariance"): {"invariance"}, ("check", "homothety"): set(),
                    ("probe-main",): {"invariance"}, ("decompose",): {"decompose"},
@@ -883,17 +889,21 @@ def readme_commands():
 def test_each_readme_command_loads_only_its_own_module(tmp_path):
     commands = readme_commands()
     assert len(commands) == 12
+    assert EXPRESSION_COMMANDS <= {" ".join(argv) for argv in commands}
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
-    def loads_dataclasses(code: str) -> bool:
+    def loads(code: str) -> dict[str, bool]:
+        names = ("dataclasses", "csv", "cmath", "finsler_iso.expressions")
         out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n"
-                              "print('dataclasses' in sys.modules)"], cwd=tmp_path, env=env,
-                             capture_output=True, text=True, timeout=120, check=True).stdout
+                              f"print({{m: m in sys.modules for m in {names!r}}})"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+                             check=True).stdout
         return ast.literal_eval(out)
-    # a site hook of the environment may load it before the package does
-    bare = loads_dataclasses("pass")
-    assert loads_dataclasses("import finsler_iso.decompose, finsler_iso.invariance, "
-                             "finsler_iso.geometry") == bare
+    # a site hook of the environment may load one of them before the package does
+    bare = loads("pass")
+    assert loads("import finsler_iso.cli") == bare
+    assert loads("import finsler_iso.decompose, finsler_iso.invariance, "
+                 "finsler_iso.geometry")["dataclasses"] == bare["dataclasses"]
     for argv in commands:
         key = tuple(argv[:2]) if argv[0] == "check" else (argv[0],)
         proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=tmp_path, env=env,
@@ -901,8 +911,10 @@ def test_each_readme_command_loads_only_its_own_module(tmp_path):
         assert proc.returncode in (0, 1), (argv, proc.stderr)
         modules, dataclasses = ast.literal_eval(proc.stderr.splitlines()[-1])
         loaded = {m.split(".")[1] for m in modules}
-        assert loaded == {"cli", "metrics", "expressions", "linalg", "errors"} | COMMAND_MODULES[key], argv
-        assert dataclasses == bare, argv
+        expressions = {"expressions"} if " ".join(argv) in EXPRESSION_COMMANDS else set()
+        want = {"cli", "metrics", "linalg", "errors"} | expressions | COMMAND_MODULES[key]
+        assert loaded == want, argv
+        assert dataclasses == bare["dataclasses"], argv
 
 
 # The package's own warnings; any other warning, such as numpy's "overflow

@@ -491,6 +491,18 @@ def test_geodesic_stop_reasons():
     lifted = ge.geodesic_distance(mm.euclidean(3), la.vector([1.0, 0.0, 0.0]),
                                   la.vector([-1.0, 0.0, 0.0]), seed=0)
     assert lifted.stop_reason == "iteration-cap" and lifted.iterations == 150
+    # at a half turn h = -1.5 g the chord passes through 0: norm-quotient starts
+    # on the log-polar arc, whose only error is the polyline's, and no sweep
+    # moves it; euclidean starts on a lifted chord, shorter than that arc
+    g = la.vector([0.3, 0.7, -1.1])
+    h = la.vector(-1.5 * g.entries)
+    half = ge.geodesic_distance(mm.norm_quotient(3), g, h)
+    assert (half.stop_reason, half.iterations) == ("step-floor", 17)
+    assert half.distance == half.initial_length
+    assert 0.0 < half.distance - _closed_form("norm-quotient", g.entries, h.entries) <= 9.1e-3
+    half = ge.geodesic_distance(mm.euclidean(3), g, h)
+    assert (half.stop_reason, half.iterations) == ("iteration-cap", 150)
+    assert 0.0 < half.distance - _closed_form("euclidean", g.entries, h.entries) <= 1.71e-2
     g = la.vector([1.0, 2.0])
     same = ge.geodesic_distance(mm.euclidean(2), g, g, seed=0)
     assert same.stop_reason == "zero-chord" and same.iterations == 0 and same.distance == 0.0
@@ -668,14 +680,19 @@ def test_the_phase_aligned_start_splits_its_legs_without_overflow():
     assert chord <= euclidean.distance <= chord * (1.0 + 1e-4)
 
 
-def test_a_real_half_turn_has_no_log_polar_arc():
+def test_a_real_half_turn_turns_in_one_real_plane():
     # h = -1.5 u: the part of h's direction orthogonal to u's is rounding
-    # noise, not 0, so the real plane of u and h is not defined, and over R
-    # the solve takes the lifted chord, as for an exactly antipodal pair
+    # noise, not 0, so the real plane of u and h is not defined; the arc
+    # turns in a plane through u, orthogonal to u at its middle, not along
+    # the noise
     u = np.array([0.3, 0.7, -1.1])
     a, b = u / np.linalg.norm(u), -u / np.linalg.norm(u)
     assert 0.0 < la.row_norms((b - np.dot(a, b) * a)[None])[0] <= 1e-15
-    assert ge._log_polar_rows(u, -1.5 * u, np.linspace(0.0, 1.0, 13)) is None
+    rows = ge._log_polar_rows(u, -1.5 * u, np.linspace(0.0, 1.0, 13))
+    assert rows[0].tolist() == u.tolist() and rows[-1].tolist() == (-1.5 * u).tolist()
+    singular = np.linalg.svd(rows, compute_uv=False)
+    assert singular[2] <= 1e-14 * singular[0]
+    assert abs(np.dot(rows[6], u)) <= 1e-14 * np.dot(u, u)
 
 
 def test_a_complex_half_turn_start_stays_on_the_complex_line():

@@ -50,7 +50,7 @@ def test_specs_and_domains_compare_and_hash_by_value():
         mm.FromTheta(3, R, POS, mm.theta_profile("1")))
     assert mm.FromLambda(3, R, POS, theta) != mm.FromLambda(3, R, POS, theta, alpha=2.0)
     phi, psi = mm.fubini_study_profile()  # a RiemannProfile is a named tuple
-    assert (phi, psi) == (mm.FubiniStudy.profile.phi, mm.FubiniStudy.profile.psi)
+    assert (phi, psi) == (mm.fubini_study(2).profile.phi, mm.fubini_study(2).profile.psi)
 
 
 # ---------------------------------------------------------------------------

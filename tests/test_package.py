@@ -9,8 +9,8 @@ import finsler_iso
 
 # The package's exported names, by home module.
 EXPORTED = {
-    "errors": ["MismatchError", "NonPositiveMetricError", "OutOfDomainError", "ZeroVectorError"],
-    "expressions": ["EvalError", "ParseError"],
+    "errors": ["EvalError", "MismatchError", "NonPositiveMetricError", "OutOfDomainError",
+               "ParseError", "ZeroVectorError"],
     "linalg": ["Field", "LinearMap", "Vector", "acute_angle", "build_canonical_isometry",
                "canonical_invariants", "inner", "linear_map", "norm", "random_rotation",
                "random_unitaries", "random_unitary", "singular_values", "vector"],
@@ -48,6 +48,10 @@ def test_each_name_is_its_home_module_object_and_is_not_bound():
         assert getattr(finsler_iso, name) is getattr(home, name), name
         # resolved on each lookup, so the package namespace stays as it was
         assert name not in vars(finsler_iso), name
+    # the expression language raises the errors module's classes, which the CLI maps
+    expressions = importlib.import_module("finsler_iso.expressions")
+    assert expressions.EvalError is finsler_iso.errors.EvalError
+    assert expressions.ParseError is finsler_iso.errors.ParseError
 
 
 def test_star_import_gives_every_exported_name():
