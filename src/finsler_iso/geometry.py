@@ -507,12 +507,12 @@ def _log_polar_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray 
     angle = math.atan2(s, c) * ts
     if _half_turn(u, v):
         if np.iscomplexobj(a):
-            w = 1j * a
-        else:
+            w, s = 1j * a, 1.0
+        else:  # e_j - a_j a, for the basis vector e_j least along a
             j = int(np.abs(a).argmin())
             w = -a[j] * a
             w[j] += 1.0
-        s = float(row_norms(w[None])[0])
+            s = float(row_norms(w[None])[0])
     if s == 0.0 or nv / nu == math.inf:
         return None
     rows = (nu * (nv / nu) ** ts)[:, None] * (np.cos(angle)[:, None] * a
