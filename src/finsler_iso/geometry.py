@@ -475,9 +475,12 @@ _HALF_TURN = 1e-12
 
 
 def _half_turn(u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether the real angle from u to v is pi up to rounding: the part w of
-    v's unit direction orthogonal to u's over R has |w| <= _HALF_TURN, and
-    the real part of <v, u> is negative.  False where either end is 0."""
+    """Whether the real angle from u to v is pi up to rounding, as
+    _log_polar_rows tests it: the part w of v's unit direction orthogonal to
+    u's over R has |w| <= _HALF_TURN, and the real part of <v, u> is
+    negative.  False where either end is 0."""
+    if np.vdot(u, v).real > 0.0:  # an acute angle, at any scale: no norms needed
+        return False
     nu, nv = row_norms(np.stack([u, v])).tolist()
     if nu == 0.0 or nv == 0.0:
         return False
@@ -505,7 +508,7 @@ def _log_polar_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray 
     w = b - c * a  # the part of v's direction orthogonal to a over R
     s = float(row_norms(w[None])[0])
     angle = math.atan2(s, c) * ts
-    if _half_turn(u, v):
+    if s <= _HALF_TURN and c < 0.0:  # a half turn (_half_turn)
         if np.iscomplexobj(a):
             w, s = 1j * a, 1.0
         else:  # e_j - a_j a, for the basis vector e_j least along a
