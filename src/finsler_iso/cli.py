@@ -61,8 +61,8 @@ def render_json(obj) -> str:
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
-def _emit(obj, out=None) -> None:
-    (out or sys.stdout).write(render_json(obj) + "\n")
+def _emit(obj) -> None:
+    sys.stdout.write(render_json(obj) + "\n")
 
 
 def vector_json(v: Vector) -> list:

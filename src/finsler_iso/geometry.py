@@ -6,8 +6,10 @@ kernel the descent measures its paths with).  Geodesic distance is
 estimated by derivative-free coordinate descent over the interior vertices
 of a polyline, which yields an upper bound on the infimum.  The descent
 starts from the shortest of the named families' exact geodesics (the chord,
-the log-polar arc and, over C, the phase-aligned arc).  A sweep tabulates every position a vertex can
-reach; one _segment_length call measures the odd interior vertices', which
+the log-polar arc and, over C, the phase-aligned arc) and, at a half turn,
+the lifted chord, a path through a randomly lifted midpoint.  A sweep
+tabulates every position a vertex can reach; one _segment_length call
+measures the odd interior vertices', which
 share no segment, and a second the even ones'.  A sweep fails exactly when
 no single move shortens the path, so one call screens the moves of a ladder
 of sweeps, drawn at once, and only the first that passes is tabulated and
@@ -159,9 +161,7 @@ def _node_values(spec: MetricSpec, curve: ParametricCurve, ts: np.ndarray) -> np
     eval_batch: see FOUND in CHANGES.md on perfbench/tests/test_tracer.py, which
     counts these calls."""
     P, D = curve.points(ts), curve.velocities(ts)
-    field = Field.COMPLEX if P.dtype.kind == "c" else Field.REAL
-    return np.array([eval_finsler(spec, Vector(p, field), Vector(d, field))
-                     for p, d in zip(P, D)])
+    return np.array([eval_finsler(spec, p, d) for p, d in zip(_vectors(P), _vectors(D))])
 
 
 def _simpson(values: np.ndarray, curve: ParametricCurve) -> float:
@@ -441,19 +441,20 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
     the plane _log_polar_rows picks); and over C the phase-aligned arc,
     which turns g to g e^{i phi} (phi = arg <h, g>) on g's own complex line,
     where Fubini-Study is 0, then takes the log-polar arc to h.  At a half
-    turn the chord passes through 0, so a path through a randomly lifted
-    midpoint is measured with them: it may be shorter than the arc, as
-    for the euclidean metric.  The choice reads measured lengths only.  When
-    none resolves, paths through other lifted midpoints are tried.  Only
-    the lifted midpoints draw from rng.  A negative segment on any path
-    measured raises NonPositiveMetricError.
+    turn, as _log_polar_rows reports it, the chord passes through 0, so a
+    path through a randomly lifted midpoint is measured with them: it may be
+    shorter than the arc, as for the euclidean metric.  The choice reads
+    measured lengths only.  When none resolves, paths through other lifted
+    midpoints are tried.  Only the lifted midpoints draw from rng.  A
+    negative segment on any path measured raises NonPositiveMetricError.
     """
     u, v, n_seg = g.entries, h.entries, n_vertices - 1
     ts = np.linspace(0.0, 1.0, n_vertices)
-    starts = [_segment_rows(u, v, ts), _log_polar_rows(u, v, ts)]
+    arc, half_turn = _log_polar_rows(u, v, ts)
+    starts = [_segment_rows(u, v, ts), arc]
     if g.field is Field.COMPLEX:
         starts.append(_phase_aligned_rows(u, v, n_seg))
-    if _half_turn(u, v):
+    if half_turn:
         starts.append(_lifted_chord(g, h, n_vertices, rng))
     starts = [verts for verts in starts if verts is not None]
     for _ in range(8):
@@ -474,41 +475,31 @@ def _initial_vertices(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int,
 _HALF_TURN = 1e-12
 
 
-def _half_turn(u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether the real angle from u to v is pi up to rounding, as
-    _log_polar_rows tests it: the part w of v's unit direction orthogonal to
-    u's over R has |w| <= _HALF_TURN, and the real part of <v, u> is
-    negative.  False where either end is 0."""
-    if np.vdot(u, v).real > 0.0:  # an acute angle, at any scale: no norms needed
-        return False
+def _log_polar_rows(u: np.ndarray, v: np.ndarray,
+                    ts: np.ndarray) -> tuple[np.ndarray | None, bool]:
+    """The log-polar arc from u to v at each entry of ts, from 0 to 1, and
+    whether u and v make a half turn.  The arc is the radius |u| (|v|/|u|)^t
+    times the unit direction at the angle t theta in their real plane, theta
+    their real angle.  It takes no exp or log, so its rows scale with u and
+    v exactly under powers of 2.  Its ends are u and v.  It is None where
+    theta is 0, where |v|/|u| overflows, or where either end is 0, which is
+    no half turn.  A half turn is theta = pi up to rounding: the part w of
+    v's unit direction orthogonal to u's over R has |w| <= _HALF_TURN and
+    the real part of <v, u> is negative.  There the real plane of u and v
+    is not defined, and every plane through u holds a half turn: over R the
+    arc turns toward the standard basis vector least along u, made
+    orthogonal to u (None in dim 1, where no such vector is), and over C
+    toward i u, on u's own complex line."""
     nu, nv = row_norms(np.stack([u, v])).tolist()
     if nu == 0.0 or nv == 0.0:
-        return False
-    a, b = u / nu, v / nv
-    c = np.vdot(a, b).real
-    return bool(c < 0.0 and row_norms((b - c * a)[None])[0] <= _HALF_TURN)
-
-
-def _log_polar_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
-    """The log-polar arc from u to v at each entry of ts, from 0 to 1, or None
-    where the real angle theta between them is 0: the radius |u|
-    (|v|/|u|)^t times the unit direction at the angle t theta in their real
-    plane.  It takes no exp or log, so its rows scale with u and v exactly
-    under powers of 2.  Its ends are u and v.  None too where either end is
-    0 or |v|/|u| overflows.  At a half turn (see _half_turn) the real plane
-    of u and v is not defined, and every plane through u holds a half turn:
-    over R the arc turns toward the standard basis vector least along u,
-    made orthogonal to u (None in dim 1, where no such vector is), and over
-    C toward i u, on u's own complex line."""
-    nu, nv = row_norms(np.stack([u, v])).tolist()
-    if nu == 0.0 or nv == 0.0:
-        return None
+        return None, False
     a, b = u / nu, v / nv
     c = np.vdot(a, b).real
     w = b - c * a  # the part of v's direction orthogonal to a over R
     s = float(row_norms(w[None])[0])
     angle = math.atan2(s, c) * ts
-    if s <= _HALF_TURN and c < 0.0:  # a half turn (_half_turn)
+    half_turn = bool(s <= _HALF_TURN and c < 0.0)
+    if half_turn:
         if np.iscomplexobj(a):
             w, s = 1j * a, 1.0
         else:  # e_j - a_j a, for the basis vector e_j least along a
@@ -517,11 +508,11 @@ def _log_polar_rows(u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray 
             w[j] += 1.0
             s = float(row_norms(w[None])[0])
     if s == 0.0 or nv / nu == math.inf:
-        return None
+        return None, half_turn
     rows = (nu * (nv / nu) ** ts)[:, None] * (np.cos(angle)[:, None] * a
                                               + np.sin(angle)[:, None] * (w / s))
     rows[0], rows[-1] = u, v
-    return rows
+    return rows, half_turn
 
 
 def _phase_aligned_rows(u: np.ndarray, v: np.ndarray, n_seg: int) -> np.ndarray | None:
@@ -540,7 +531,7 @@ def _phase_aligned_rows(u: np.ndarray, v: np.ndarray, n_seg: int) -> np.ndarray 
     # the legs over the larger end, whose squares cannot overflow
     legs = row_norms(np.stack([turned - u, v - turned]) / max(nu, nv))
     n1 = min(max(round(n_seg * legs[0] / legs.sum()), 1), n_seg - 1)
-    arc = _log_polar_rows(turned, v, np.linspace(0.0, 1.0, n_seg - n1 + 1))
+    arc, _ = _log_polar_rows(turned, v, np.linspace(0.0, 1.0, n_seg - n1 + 1))
     if arc is None:
         return None
     turn = u * np.exp(1j * phi * np.linspace(0.0, 1.0, n1 + 1))[:, None]

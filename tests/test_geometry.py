@@ -688,11 +688,41 @@ def test_a_real_half_turn_turns_in_one_real_plane():
     u = np.array([0.3, 0.7, -1.1])
     a, b = u / np.linalg.norm(u), -u / np.linalg.norm(u)
     assert 0.0 < la.row_norms((b - np.dot(a, b) * a)[None])[0] <= 1e-15
-    rows = ge._log_polar_rows(u, -1.5 * u, np.linspace(0.0, 1.0, 13))
+    rows, half_turn = ge._log_polar_rows(u, -1.5 * u, np.linspace(0.0, 1.0, 13))
+    assert half_turn
     assert rows[0].tolist() == u.tolist() and rows[-1].tolist() == (-1.5 * u).tolist()
     singular = np.linalg.svd(rows, compute_uv=False)
     assert singular[2] <= 1e-14 * singular[0]
     assert abs(np.dot(rows[6], u)) <= 1e-14 * np.dot(u, u)
+
+
+_TURN_U = np.array([0.3, 0.7, -1.1])
+_DEG_179 = math.radians(179.0)
+# h for u = _TURN_U, whether u and h make a half turn, whether the arc is None
+_HALF_TURN_TABLE = {
+    # h's direction is exactly -u's, so |w| is only a's own rounding, 1.6e-16
+    "exact-antipode": (-2.0 * _TURN_U, True, False),
+    "noise-antipode": (-1.5 * _TURN_U, True, False),
+    "acute": (np.array([1.0, 0.2, 0.1]), False, False),
+    "right-angle": (np.array([0.7, -0.3, 0.0]), False, False),
+    "obtuse-179": (math.cos(_DEG_179) * _TURN_U / np.linalg.norm(_TURN_U)
+                   + math.sin(_DEG_179) * np.array([0.7, -0.3, 0.0]) / math.sqrt(0.58),
+                   False, False),
+    "zero-end": (np.zeros(3), False, True),
+}
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("case", list(_HALF_TURN_TABLE))
+def test_the_log_polar_arc_reports_a_half_turn(case, field):
+    # the flag is the one half-turn rule: the start adds the lifted chord on it
+    h, want_turn, want_none = _HALF_TURN_TABLE[case]
+    u, v = _TURN_U.astype(field.dtype), h.astype(field.dtype)
+    rows, half_turn = ge._log_polar_rows(u, v, np.linspace(0.0, 1.0, 13))
+    assert half_turn is want_turn
+    assert (rows is None) is want_none
+    if rows is not None:
+        assert rows[0].tolist() == u.tolist() and rows[-1].tolist() == v.tolist()
 
 
 def test_a_complex_half_turn_start_stays_on_the_complex_line():
