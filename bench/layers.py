@@ -1,8 +1,8 @@
 """Layer costs from the package's own calls: python bench/layers.py > BENCH_layers.json
 
 One JSON object: the machine, the Python and numpy versions and the tables
-src_lines, import_time, segment_kernel, solves, expression_rows, simpson and
-probe.
+src_lines, import_time, segment_kernel, solves, expression_rows, simpson, probe
+and invariance_suite.
 Counts and timed batches are captured by wrapping package functions while the
 package runs; times ("us") are medians of raw runs.  Writes no file."""
 
@@ -65,7 +65,7 @@ def counted(spec, call):
 def capture() -> dict:
     """Each timed table's rows, counts only, with their timings: (row, runs, call[, before])."""
     tables = {"segment_kernel": [], "solves": [], "expression_rows": [], "simpson": [],
-              "probe": []}
+              "probe": [], "invariance_suite": []}
     for field in (R, C):
         rng = np.random.default_rng(7)
         g, h = (la.random_vector_with_norm(3, field, r, rng) for r in (1.0, 1.5))
@@ -128,6 +128,13 @@ def capture() -> dict:
                "eval_batch_rows": sum(len(a[1]) for a in evals),
                "sample_pairs_rows": sum(a[1] for a in draws)}
         tables["probe"].append((row, 30, probe))
+    for dim in (5, 50, 200):
+        suite = functools.partial(iv.invariance_suite, mm.euclidean(dim, C), 200)
+        with captured(iv, "eval_batch") as evals:
+            suite()
+        row = {"spec": f"euclidean complex {dim}", "samples": 200,
+               "eval_batch_calls": len(evals), "eval_batch_rows": sum(len(a[1]) for a in evals)}
+        tables["invariance_suite"].append((row, 30, suite))
     return tables
 
 

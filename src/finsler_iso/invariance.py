@@ -20,8 +20,10 @@ from .linalg import (
     Field,
     LinearMap,
     Vector,
+    pair_invariants_rows,
     random_gaussian_rows,
     random_unitaries,
+    row_norms,
     singular_values,
 )
 from .metrics import MetricSpec, area_dim2, deviations, eval_batch, sample_pairs, verdict
@@ -131,24 +133,64 @@ def classify_congruence(T: LinearMap, tol: float = 1e-9) -> CongruenceClass:
                            sv_ratio=float("inf") if smin == 0.0 else smax / smin)
 
 
+def _haar_frames(n: int, dim: int, field: Field,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """n Haar-random orthonormal 2-frames (u1, u2) over the field, as two
+    (n, dim) arrays: Gram-Schmidt on two Gaussian rows X and Y, u1 = X/|X|
+    and u2 = W/|W| with W = Y - <Y, u1> u1.  They are the first two columns
+    of n Haar unitaries.  A row whose |X| or |W| is below 1e-12 draws its X
+    or Y again, as sample_pairs does.  In dim 1 there is no u2 (W = 0): None.
+    """
+    def unit_rows(project) -> np.ndarray:
+        X = project(random_gaussian_rows(n, dim, field, rng), slice(None))
+        norms = row_norms(X)
+        while (short := norms < 1e-12).any():  # astronomically unlikely; resample for safety
+            k = np.flatnonzero(short)
+            X[k] = project(random_gaussian_rows(k.size, dim, field, rng), k)
+            norms = row_norms(X)
+        X /= norms[:, None]
+        return X
+
+    def orthogonal(Y, k):  # W = Y - <Y, u1> u1, in place
+        for _ in range(2):  # once more, as one pass leaves <W, u1> at rounding times |Y|/|W|
+            Y -= np.vecdot(u1[k], Y)[:, None] * u1[k]
+        return Y
+
+    u1 = unit_rows(lambda X, k: X)
+    return u1, (unit_rows(orthogonal) if dim > 1 else None)
+
+
 def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
                      tol: float = 1e-9) -> SymmetryVerdict:
     """Invariance under Haar unitaries, one fresh sample pair per unitary.
 
-    From default_rng(seed) come the unitaries (random_unitaries, one stacked
-    QR) and then the pairs (sample_pairs), one per unitary in the stacked
-    test (_symmetry_deviations).  Every pair counts; a unitary that takes a
-    base point out of the domain is an OutOfDomainError.
+    A metric invariant under isometries sees a pair only through its
+    invariants r = |g|, <h, g> and q, so the suite needs only the image pair
+    (U g, U h), never U itself.  From default_rng(seed) come the pairs
+    (sample_pairs), then one Haar 2-frame (u1, u2) per pair (_haar_frames):
+    U g = r u1 and U h = (<h, g>/r) u1 + (q/r) u2 have exactly the
+    distribution of (U g, U h) for a Haar U, over R and over C (in dim 1,
+    U h = (<h, g>/r) u1).  Each side is one eval_batch call, and every pair
+    counts; an image base point outside the domain is an OutOfDomainError.
     """
     check_counts(n_unitaries=n_unitaries)
     check_tolerances(tol=tol)
     rng = np.random.default_rng(seed)
-    U = random_unitaries(n_unitaries, spec.dim, spec.field, rng)
-    G, H = sample_pairs(spec, len(U), rng)
-    ((dev, leaves),) = _symmetry_deviations(spec, G, H, [U])
-    if leaves.any():
+    G, H = sample_pairs(spec, n_unitaries, rng)
+    UG, u2 = _haar_frames(n_unitaries, spec.dim, spec.field, rng)
+    r = row_norms(G)
+    ip, q = pair_invariants_rows(G, H, r)
+    UH = (ip / r)[:, None] * UG
+    if u2 is not None:
+        u2 *= (q / r)[:, None]
+        UH += u2
+    UG *= r[:, None]
+    base, _ = eval_batch(spec, G, H)
+    mapped, inside = eval_batch(spec, UG, UH)
+    if not inside.all():
         raise OutOfDomainError("a unitary of the suite maps a base point out of the domain")
-    return SymmetryVerdict(*verdict(dev[:, 0], tol, (G, H), spec.field), len(U), 0)
+    return SymmetryVerdict(*verdict(deviations(mapped, base, base), tol, (G, H), spec.field),
+                           n_unitaries, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,32 @@ def vartheta_profile(text: str) -> Callable[[float], float]:
     return _compiled(text, ("tau",))
 
 
+def _ones(tau: np.ndarray) -> np.ndarray:
+    return np.ones(np.shape(tau))
+
+
+_ones.constant = 1.0
+
+
+class _UnitVartheta:
+    """norm_quotient's vartheta, the text "1", built without the expression
+    language: the text, values and rows of vartheta_profile("1"), and equal
+    to it with an equal hash, so the spec read back from its JSON is equal."""
+
+    text = "1"
+    _key = (("tau",), "1.0")  # the compiled profile's key: its names and canonical text
+    rows = staticmethod(_ones)
+
+    def __call__(self, tau: float) -> float:
+        return 1.0
+
+    def __eq__(self, other):
+        return getattr(other, "_key", None) == self._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+
 class _SplitLambda(_Value):
     """A nonsym-lambda text over C, where complex p enters as the real pair
     (pre, pim): equal where its compiled text is."""
@@ -478,7 +504,7 @@ def fubini_study(dim: int, field: Field = Field.REAL) -> FubiniStudy:
 
 
 def norm_quotient(dim: int, field: Field = Field.REAL) -> CongruenceInvariant:
-    return CongruenceInvariant(dim, field, RadiusDomain.positive(), vartheta_profile("1"))
+    return CongruenceInvariant(dim, field, RadiusDomain.positive(), _UnitVartheta())
 
 
 def area_dim2(b: float = 1.0, field: Field = Field.REAL) -> AreaDim2:

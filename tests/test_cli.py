@@ -976,6 +976,9 @@ EDGE_OUTCOMES = {
      "--g=0.14,-0.151,0.742,0.105", "--h=-2.1,0.47,1.6,4"):
         (0, re.escape('{"initial_length":null,"iterations":0,'
                       '"stop_reason":"infinite-start","value":null}') + "\n"),
+    # a Hilbert-scale dimension: the suite draws 2-frames, never a (dim, dim) unitary
+    ("check", "invariance", "--metric", "euclidean", "--dim", "5000", "--samples", "200"):
+        (0, r'\{.*"passed":true.*\}\n'),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,95 @@ def test_invariance_suite_aggregates():
     assert verdict.is_symmetry and verdict.samples_used == 100
 
 
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_the_suite_images_keep_the_invariants(dim, field, monkeypatch):
+    # the pairs and their images as the suite evaluates them: |g|, <h, g> and
+    # q are kept to 1e-13 relative, and the frames are orthonormal
+    sides = []
+
+    def recording(spec, G, H):
+        sides.append((G, H))
+        return mm.eval_batch(spec, G, H)
+
+    monkeypatch.setattr(iv, "eval_batch", recording)
+    assert iv.invariance_suite(mm.euclidean(dim, field), 500, seed=3).is_symmetry
+    (G, H), (UG, UH) = sides
+    invariants = []
+    for A, B in ((G, H), (UG, UH)):
+        r = la.row_norms(A)
+        invariants.append((r, *la.pair_invariants_rows(A, B, r)))
+    (r, ip, q), (ur, uip, uq) = invariants
+    scale = np.hypot(np.abs(ip), q)  # r |h|
+    assert np.abs(ur - r).max() <= 1e-13 * r.min()
+    assert (np.abs(uip - ip) / scale).max() <= 1e-13
+    assert (np.abs(uq - q) / scale).max() <= 1e-13
+    u1, u2 = iv._haar_frames(500, dim, field, np.random.default_rng(4))
+    assert np.abs(la.row_norms(u1) - 1.0).max() <= 1e-15
+    if dim == 1:
+        assert u2 is None
+    else:
+        assert np.abs(la.row_norms(u2) - 1.0).max() <= 1e-15
+        assert np.abs(np.vecdot(u1, u2)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_haar_frames_have_the_haar_moments(field):
+    # each column of a Haar unitary is uniform on the unit sphere: over 20,000
+    # rows at dim 3, E u_i is 0 and E |u_i|^2 is 1/3, each within 0.02
+    u1, u2 = iv._haar_frames(20_000, 3, field, np.random.default_rng(8))
+    for u in (u1, u2):
+        assert np.abs(u.mean(axis=0)).max() <= 0.02
+        assert np.abs((np.abs(u) ** 2).mean(axis=0) - 1.0 / 3.0).max() <= 0.02
+
+
+class _Draws:
+    """A generator stand-in: standard_normal returns the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        out = self.arrays.pop(0)
+        assert out.shape == shape
+        return out
+
+
+def test_haar_frames_draw_a_degenerate_row_again():
+    # X's row 0 is 0 and Y's row 1 is parallel to X's: each row is drawn again
+    draws = _Draws(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), np.array([[0.0, 0.0, 2.0]]),
+                   np.array([[1.0, 0.0, 0.0], [2.0, 4.0, 6.0]]), np.array([[0.0, 1.0, 0.0]]))
+    u1, u2 = iv._haar_frames(2, 3, R, draws)
+    assert not draws.arrays
+    e = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    w = np.array([0.0, 1.0, 0.0]) - 2.0 / math.sqrt(14.0) * e
+    np.testing.assert_allclose(u1, [[0.0, 0.0, 1.0], e], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(u2, [[1.0, 0.0, 0.0], w / np.linalg.norm(w)], rtol=0, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field", [R, C])
+def test_the_suite_passes_in_dim_1_without_a_warning(field):
+    # in dim 1 there is no second frame vector: U h = (<h, g>/r) u1
+    verdict = iv.invariance_suite(mm.euclidean(1, field))
+    assert verdict.is_symmetry and verdict.max_deviation <= 1e-15
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_the_suite_holds_a_few_sample_arrays_at_dim_5000(field):
+    # the suite never builds a unitary: at dim 5000 its traced peak is at most
+    # 16 arrays of (samples, dim) entries, where 200 unitaries would take 40 GB or more
+    n, dim = 200, 5000
+    tracemalloc.start()
+    try:
+        verdict = iv.invariance_suite(mm.euclidean(dim, field), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_symmetry
+    assert peak <= 16 * n * dim * field.dtype.itemsize, peak
+
+
 # ---------------------------------------------------------------------------
 # Batched checks against the per-pair loops they replace
 
@@ -300,15 +390,16 @@ def test_batched_checks_equal_the_scalar_loop(dim, field):
                 M = T.entries.T
                 want = _scalar_symmetry(spec, G, H, G @ M, H @ M, tol)
                 _assert_same(iv.is_symmetry(T, spec, 30, seed=i, tol=tol), want, (name, label, tol))
-        # the suite's own draw: unitaries, then pairs; for the step metric also
-        # past one block of _BLOCK_ROWS pairs, with ties in every block
-        for n in (20, iv._BLOCK_ROWS + 76) if spec is step else (20,):
-            rng = np.random.default_rng(i)
-            U = la.random_unitaries(n, dim, field, rng)
-            G, H = mm.sample_pairs(spec, n, rng)
-            want = _scalar_symmetry(spec, G, H, (U @ G[:, :, None])[:, :, 0],
-                                    (U @ H[:, :, None])[:, :, 0], 1e-9)
-            _assert_same(iv.invariance_suite(spec, n, seed=i), want, (name, "suite", n))
+        # the suite's own draw: pairs, then a Haar 2-frame per pair, which
+        # carries g to r u1 and h to (<h, g>/r) u1 + (q/r) u2
+        rng = np.random.default_rng(i)
+        G, H = mm.sample_pairs(spec, 20, rng)
+        u1, u2 = iv._haar_frames(20, dim, field, rng)
+        r = la.row_norms(G)
+        ip, q = la.pair_invariants_rows(G, H, r)
+        UG, UH = r[:, None] * u1, (ip / r)[:, None] * u1 + (q / r)[:, None] * u2
+        want = _scalar_symmetry(spec, G, H, UG, UH, 1e-9)
+        _assert_same(iv.invariance_suite(spec, 20, seed=i), want, (name, "suite"))
         G, H = mm.sample_pairs(spec, 30, np.random.default_rng(i))
         want = _scalar_homothety(spec, G, H, 1.5, 1e-10)
         _assert_same(mm.check_homothety_invariance(spec, 1.5, 30, seed=i), want, (name, "homothety"))
@@ -532,11 +623,11 @@ def test_probes_evaluate_one_batch_per_side_per_block(monkeypatch):
     iv.dim2_exception_check(1.0, [iv.random_unimodular(k) for k in range(30)], 40, seed=2)
     assert rows == [1200, 1200]
     rows.clear()
-    iv.invariance_suite(mm.euclidean(3))  # 200 unitaries, one pair each
+    iv.invariance_suite(mm.euclidean(3))  # 200 pairs and their images
     assert rows == [200, 200]
     rows.clear()
-    iv.invariance_suite(mm.euclidean(3), 4200)  # a block of 4096 pairs, then the rest
-    assert rows == [4096, 4096, 104, 104]
+    iv.invariance_suite(mm.euclidean(3), 4200)  # no blocks: one call per side
+    assert rows == [4200, 4200]
 
 
 def test_is_symmetry_fails_a_map_whose_image_is_finite_where_rho_is_infinite():

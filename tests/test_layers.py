@@ -43,3 +43,6 @@ def test_the_capture_pass_counts_what_the_package_calls():
     # rows each for rho_g(h), the maps and the controls, all on one draw of 4000
     assert [(row["eval_batch_calls"], row["eval_batch_rows"], row["sample_pairs_rows"])
             for row in tables["probe"]] == 3 * [(4, 32 + 3 * 4000, 32 + 4000)]
+    # per suite of 200 samples, at any dim: one eval_batch call per side
+    assert [(row["eval_batch_calls"], row["eval_batch_rows"])
+            for row in tables["invariance_suite"]] == 3 * [(2, 400)]

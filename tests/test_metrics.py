@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -889,6 +892,37 @@ def test_a_spec_read_back_from_json_equals_the_spec(field):
             back = mm.spec_from_json(obj)
             assert back == spec and hash(back) == hash(spec), spec.family
             assert {spec: 1}[back] == 1
+
+
+def test_norm_quotient_loads_no_parser_and_reads_back_equal(tmp_path):
+    # the closed-form norm quotient builds its vartheta = 1 without the
+    # expression language; its JSON still reads {"vartheta": "1"}, the spec
+    # read back (through the parser) is equal with an equal hash, and the
+    # values of both are the compiled text's, bit for bit
+    code = ("import sys\nfrom finsler_iso import linalg as la, metrics as mm\n"
+            "specs = [mm.norm_quotient(d, f) for d in (1, 3) for f in la.Field]\n"
+            "print('finsler_iso.expressions' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out == "False\n"
+    for field in (R, C):
+        spec = mm.norm_quotient(3, field)
+        obj = mm.spec_to_json(spec)
+        back = mm.spec_from_json(obj)
+        assert obj["params"] == {"vartheta": "1"}
+        assert back == spec and spec == back and hash(back) == hash(spec)
+        assert spec.vartheta != mm.theta_profile("1")  # other names
+        compiled = mm.CongruenceInvariant(3, field, POS, mm.vartheta_profile("1"))
+        G, H = mm.sample_pairs(spec, 100, np.random.default_rng(2))
+        G[0] = 0.0  # outside the domain, as for the compiled text
+        H[1] = 0.0  # h = 0 gives 0
+        values, inside = mm.eval_batch(spec, G, H)
+        want, want_inside = mm.eval_batch(compiled, G, H)
+        assert np.array_equal(values, want) and np.array_equal(inside, want_inside)
+        for g, h in zip(G[1:20], H[1:20]):
+            g, h = la.Vector(g, field), la.Vector(h, field)
+            assert mm.eval_finsler(spec, g, h) == mm.eval_finsler(compiled, g, h)
 
 
 def test_a_profile_compares_by_its_canonical_text():
