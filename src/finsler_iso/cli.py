@@ -151,8 +151,9 @@ def _named_metric(raw: str, args) -> mm.MetricSpec:
     if name in ("euclidean", "fubini-study", "norm-quotient"):
         if colon:
             raise UsageError(f"metric {name!r} takes no payload, got {raw!r}")
-        name, params = (("congruence-invariant", {"vartheta": "1"}) if name == "norm-quotient"
-                        else (name, {}))
+        if name == "norm-quotient":  # its vartheta = 1 without the expression language
+            return mm.norm_quotient(args.dim, field)
+        params = {}
     elif name == "area":
         params = {"b": float(payload) if payload else 1.0}
     elif name in ("lambda", "nonsym-lambda"):

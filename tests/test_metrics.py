@@ -898,14 +898,17 @@ def test_norm_quotient_loads_no_parser_and_reads_back_equal(tmp_path):
     # the closed-form norm quotient builds its vartheta = 1 without the
     # expression language; its JSON still reads {"vartheta": "1"}, the spec
     # read back (through the parser) is equal with an equal hash, and the
-    # values of both are the compiled text's, bit for bit
-    code = ("import sys\nfrom finsler_iso import linalg as la, metrics as mm\n"
+    # values of both are the compiled text's, bit for bit; the CLI's
+    # --metric norm-quotient loads no parser either
+    code = ("import sys\nfrom finsler_iso import cli, linalg as la, metrics as mm\n"
             "specs = [mm.norm_quotient(d, f) for d in (1, 3) for f in la.Field]\n"
+            "cli.main(['eval', '--metric', 'norm-quotient', '--dim', '3', '--field', 'complex',\n"
+            "          '--g', '1,0,0', '--h', '0,1,0'])\n"
             "print('finsler_iso.expressions' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
                          capture_output=True, text=True, timeout=120, check=True).stdout
-    assert out == "False\n"
+    assert out == '{"value":1}\nFalse\n'
     for field in (R, C):
         spec = mm.norm_quotient(3, field)
         obj = mm.spec_to_json(spec)
