@@ -102,7 +102,7 @@ def capture() -> dict:
     Mt, r = la.random_unitaries(100, 5, C, rng).transpose(0, 2, 1), la.row_norms(G)
     for name, call in (("row_norms", lambda: la.row_norms(G)),
                        ("pair_invariants_rows", lambda: la.pair_invariants_rows(G, H, r))):
-        # each after the stacked matmul invariance._symmetry_verdicts runs first
+        # each after the stacked matmul invariance._symmetry_deviations runs first
         tables["expression_rows"].append(({"call": name, "rows": "complex 4000 x 5"}, 500, call,
                                           lambda: G.reshape(100, 40, 5) @ Mt))
     theta = mm.FromTheta(3, R, mm.RadiusDomain.positive(), mm.theta_profile("1+cos(tau)"))
@@ -117,11 +117,15 @@ def capture() -> dict:
         row = {"case": name, "nodes": len(nodes),
                "converged": not any("node cap" in str(w.message) for w in caught)}
         tables["simpson"].append((row, 30, lambda s=spec, c=curve: ge.curve_length(s, c)))
-    for name, spec in (("euclidean real 3", mm.euclidean(3)),
-                       ("fubini_study complex 4", mm.fubini_study(4, C)),
-                       ("riemann:1+r;1 real 3",
-                        mm.induced_finsler(mm.riemann_profile("1+r", "1"), 3, R))):
-        probe = functools.partial(iv.congruence_theorem_probe, spec, seed=0)  # its defaults
+    probes = [(name, functools.partial(iv.congruence_theorem_probe, spec, seed=0))  # defaults
+              for name, spec in (("euclidean real 3", mm.euclidean(3)),
+                                 ("fubini_study complex 4", mm.fubini_study(4, C)),
+                                 ("riemann:1+r;1 real 3",
+                                  mm.induced_finsler(mm.riemann_profile("1+r", "1"), 3, R)))]
+    unimodular = [iv.random_unimodular(k) for k in range(100)]  # README's --sl2 100
+    probes.append(("dim2_exception_check area real 2, 100 maps x 40",
+                   functools.partial(iv.dim2_exception_check, 1.0, unimodular, 40)))
+    for name, probe in probes:
         with captured(iv, "eval_batch") as evals, captured(iv, "sample_pairs") as draws:
             probe()
         row = {"spec": name, "eval_batch_calls": len(evals),

@@ -47,44 +47,25 @@ class CongruenceClass(NamedTuple):
     sv_ratio: float | None = None
 
 
-# Rows per eval_batch call in _symmetry_deviations: whole maps' samples,
-# about this many, so a stack of maps keeps its temporaries small.  A default
-# probe's 100 maps of 40 samples are one block, and so are 100 dim-2 maps of 40.
-_BLOCK_ROWS = 4096
-
-
-def _symmetry_deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray,
+def _symmetry_deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray, base: np.ndarray,
                          stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The deviations of rho_{Tg}(Th) from rho_g(h) for each map T of each
-    (k, dim, dim) stack, map i of every stack on the rows i*n .. (i+1)*n - 1
-    of the samples G and H, which hold n rows for each map of the longest
-    stack.  Per stack: the (k, n) deviations, inf on a row whose image base
-    point Tg leaves the domain, and the (k, n) mask of those rows.
-
-    The base side rho_g(h) is one eval_batch call per block of whole maps'
-    rows, shared by every stack; each stack's maps are applied in stacked
-    matmuls and its mapped side is one eval_batch call per block it reaches.
+    """The deviations of rho_{Tg}(Th) from base = rho_g(h), evaluated once by
+    the caller on the samples G and H, for each map T of each (k, dim, dim)
+    stack: map i of every stack reads rows i*n .. (i+1)*n - 1, where G holds
+    n rows for each map of the longest stack.  Each stack's maps are applied
+    in one stacked matmul and its mapped side is one eval_batch call.  Per
+    stack: the (k, n) deviations, inf on a row whose image base point Tg
+    leaves the domain, and the (k, n) mask of those rows.
     """
-    k_max, dim = max(len(M) for M in stacks), spec.dim
-    n = len(G) // k_max
-    per = max(1, _BLOCK_ROWS // n)
-    devs = [np.empty(len(M) * n) for M in stacks]
-    insides = [np.empty(len(M) * n, dtype=bool) for M in stacks]
-    for a in range(0, k_max, per):
-        b = min(k_max, a + per)
-        base, _ = eval_batch(spec, G[a * n:b * n], H[a * n:b * n])
-        for M, dev, inside in zip(stacks, devs, insides):
-            if (c := min(b, len(M))) <= a:
-                continue
-            rows, Mt = slice(a * n, c * n), M[a:c].transpose(0, 2, 1)
-            TG = (G[rows].reshape(c - a, n, dim) @ Mt).reshape(-1, dim)
-            TH = (H[rows].reshape(c - a, n, dim) @ Mt).reshape(-1, dim)
-            mapped, inside[rows] = eval_batch(spec, TG, TH)
-            # an infinite rho deviates by 0 where both sides are that infinity, by inf otherwise
-            dev[rows] = deviations(mapped, base[:len(TG)], base[:len(TG)])
+    n = len(G) // max(len(M) for M in stacks)
     out = []
-    for dev, inside in zip(devs, insides):
-        dev, leaves = dev.reshape(-1, n), ~inside.reshape(-1, n)
+    for M in stacks:
+        k, Mt = len(M), M.transpose(0, 2, 1)
+        images = ((X[:k * n].reshape(k, n, -1) @ Mt).reshape(k * n, -1) for X in (G, H))
+        mapped, inside = eval_batch(spec, *images)
+        # an infinite rho deviates by 0 where both sides are that infinity, by inf otherwise
+        dev = deviations(mapped, base[:k * n], base[:k * n]).reshape(k, n)
+        leaves = ~inside.reshape(k, n)
         dev[leaves] = np.inf
         out.append((dev, leaves))
     return out
@@ -111,7 +92,8 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
     check_counts(n_samples=n_samples)
     check_tolerances(tol=tol)
     G, H = sample_pairs(spec, n_samples, np.random.default_rng(seed))
-    ((dev, leaves),) = _symmetry_deviations(spec, G, H, [T.entries[None]])
+    base, _ = eval_batch(spec, G, H)
+    ((dev, leaves),) = _symmetry_deviations(spec, G, H, base, [T.entries[None]])
     return SymmetryVerdict(*verdict(dev[0], tol, (G, H), spec.field), n_samples,
                            int(leaves.sum()))
 
@@ -228,11 +210,6 @@ def _random_noncongruences(n: int, dim: int, field: Field, rng: np.random.Genera
                      f"{_MAX_DRAW_ROUNDS} draw rounds")
 
 
-def _spec_is_vacuous(spec: MetricSpec, rng: np.random.Generator) -> bool:
-    values, _ = eval_batch(spec, *sample_pairs(spec, 32, rng))
-    return not (np.abs(values) > 1e-12).any()
-
-
 def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int = 40,
                        seed: int = 0, min_sv_ratio: float = 1.1,
                        deviation_threshold: float = 1e-3, n_controls: int = 100,
@@ -246,14 +223,15 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     invariant under all congruences; they must pass at control_tol.  Absence
     of a counterexample is the assertion, not a proof.
 
-    The seed spawns three streams: one for the test of a metric that is 0
-    everywhere, one from which all the maps and then max(n_maps, n_controls)
-    * n_samples pairs are drawn at once, and one for the controls' unitaries
-    (one stacked QR) and scales.  Map i and control i are both tested on
-    rows i*n_samples .. (i+1)*n_samples - 1 of those pairs, in one stacked
-    test: rho_g(h) is evaluated once for the maps and the controls, and each
-    stack's mapped side once.  A map's deviation is its largest over all its
-    samples, inf where a sample's image base point leaves the domain.
+    The seed spawns three streams; the first is left undrawn, so that every
+    seed keeps its maps and controls.  From the second come the maps, then
+    max(n_maps, n_controls) * n_samples pairs; rho_g(h) is evaluated once on
+    them, and where it is 0 on every pair no map can fail: the report is
+    vacuous.  Otherwise the third gives the controls' unitaries (one stacked
+    QR) and scales.  Map i and control i are both tested on rows i*n_samples
+    .. (i+1)*n_samples - 1, each stack's mapped side in one eval_batch call.
+    A map's deviation is its largest over its samples, inf where a sample's
+    image base point leaves the domain.
     """
     if spec.dim < 3:
         raise ValueError("the probe applies in dimension >= 3")
@@ -262,20 +240,21 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     if not 1.0 <= min_sv_ratio < math.inf:
         raise InvalidArgumentError(f"min_sv_ratio must be a finite number >= 1, "
                                    f"got {min_sv_ratio}")
-    aux, map_ss, control_ss = np.random.SeedSequence(seed).spawn(3)
-    if _spec_is_vacuous(spec, np.random.default_rng(aux)):
-        return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True)
+    _, map_ss, control_ss = np.random.SeedSequence(seed).spawn(3)
     dim, field = spec.dim, spec.field
     rng = np.random.default_rng(map_ss)
     maps = _random_noncongruences(n_maps, dim, field, rng, min_sv_ratio)
     G, H = sample_pairs(spec, max(n_maps, n_controls) * n_samples, rng)
+    base, _ = eval_batch(spec, G, H)
+    if not (np.abs(base) > 1e-12).any():
+        return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True)
     rng = np.random.default_rng(control_ss)
     controls = random_unitaries(n_controls, dim, field, rng)
     scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), n_controls))
     if spec.congruence_invariant:
         controls *= scales[:, None, None]
     found, checked = (dev.max(axis=1) for dev, _ in
-                      _symmetry_deviations(spec, G, H, [maps, controls]))
+                      _symmetry_deviations(spec, G, H, base, [maps, controls]))
     weakest = int(found.argmin())
     weakest_deviation = float(found[weakest])
     control_worst = float(checked.max())
@@ -309,14 +288,15 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
     check_counts(maps=len(maps), n_samples=n_samples)
     check_tolerances(tol=tol)
     spec = area_dim2(b)
-    for T in maps:
-        if T.field is not Field.REAL or T.dim_in != 2 or T.dim_out != 2:
-            raise MismatchError("dim-2 exception check needs real 2x2 maps")
-        d = abs(float(np.linalg.det(T.entries)))
-        if abs(d - 1.0) > max(tol, 1e-9):
-            raise ValueError(f"non-unimodular map supplied: |det| = {d}")
+    if any(T.field is not Field.REAL or T.dim_in != 2 or T.dim_out != 2 for T in maps):
+        raise MismatchError("dim-2 exception check needs real 2x2 maps")
+    M = np.stack([T.entries for T in maps])
+    d = np.abs(np.linalg.det(M))
+    if (bad := np.abs(d - 1.0) > max(tol, 1e-9)).any():
+        raise ValueError(f"non-unimodular map supplied: |det| = {float(d[bad.argmax()])}")
     G, H = sample_pairs(spec, len(maps) * n_samples, np.random.default_rng(seed))
-    ((dev, _),) = _symmetry_deviations(spec, G, H, [np.stack([T.entries for T in maps])])
+    base, _ = eval_batch(spec, G, H)
+    ((dev, _),) = _symmetry_deviations(spec, G, H, base, [M])
     worst = float(dev.max())
     return Dim2Report(len(maps), worst <= tol, worst)
 
@@ -362,7 +342,8 @@ def rotation_sufficiency_check(spec: MetricSpec, n_rotations: int = 100,
     rot = random_unitaries(n_rotations, spec.dim, Field.REAL, rng)
     rot[np.linalg.det(rot) < 0, :, 0] *= -1.0
     G, H = sample_pairs(spec, n_rotations * n_samples, rng)
+    base, _ = eval_batch(spec, G, H)
     rot_worst, orth_worst = (float(dev.max()) for dev, _ in
-                             _symmetry_deviations(spec, G, H, [rot, orth]))
+                             _symmetry_deviations(spec, G, H, base, [rot, orth]))
     rp, op = rot_worst <= tol, orth_worst <= tol
     return RotationSufficiencyReport(rot_worst, orth_worst, rp, op, rp == op)

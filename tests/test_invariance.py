@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -176,6 +177,19 @@ def test_theorem_probe_vacuous_spec_reported():
     assert report.vacuous and report.maps_tested == 0
 
 
+def test_a_probe_is_vacuous_only_where_its_own_pairs_are_all_zero(monkeypatch):
+    # max(0, p - 4q) is 0 on most pairs, but not on all of the probe's own
+    # 4000 at seed 0: a separate draw of 32 pairs saw only zeros there
+    spec = mm.FromLambda(3, R, POS, mm.lambda_profile("max(0,p-4*q)"))
+    report = iv.congruence_theorem_probe(spec, seed=0)
+    assert not report.vacuous and report.maps_tested == 100
+    calls = []
+    monkeypatch.setattr(iv, "eval_batch", lambda *args: calls.append(args) or mm.eval_batch(*args))
+    zero = mm.Custom(3, R, POS, fn=lambda g, h: 0.0)
+    assert iv.congruence_theorem_probe(zero, n_maps=5, n_samples=10, n_controls=5).vacuous
+    assert len(calls) == 1  # rho_g(h) on the probe's pairs, and no mapped side
+
+
 def test_dim2_exception_members():
     stretch = la.linear_map([[2.0, 0.0], [0.0, 0.5]])
     shear = la.linear_map([[1.0, 1.0], [0.0, 1.0]])
@@ -193,6 +207,16 @@ def test_dim2_exception_rejects_nonunimodular_and_scaling_fails():
     spec = mm.area_dim2(1.0)
     assert mm.eval_finsler(spec, la.apply_map(double, g), la.apply_map(double, h)) \
         == pytest.approx(4.0 * mm.eval_finsler(spec, g, h))  # values scale by det = 4
+
+
+def test_dim2_exception_names_the_first_non_unimodular_map():
+    maps = [iv.random_unimodular(k) for k in range(4)]
+    maps[2] = la.linear_map([[3.0, 0.0], [0.0, 1.0]])
+    maps[3] = la.linear_map([[0.5, 0.0], [0.0, 1.0]])
+    d = abs(float(np.linalg.det(maps[2].entries)))  # 3 up to rounding
+    message = f"non-unimodular map supplied: |det| = {d}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        iv.dim2_exception_check(1.0, maps, 10)
 
 
 def test_dim2_exception_random_unimodular_suite():
@@ -308,6 +332,22 @@ def test_the_suite_holds_a_few_sample_arrays_at_dim_5000(field):
         tracemalloc.stop()
     assert verdict.is_symmetry
     assert peak <= 16 * n * dim * field.dtype.itemsize, peak
+
+
+@pytest.mark.parametrize("field", [R, C])
+def test_the_probe_holds_a_few_sample_arrays(field):
+    # the probe tests all its rows in one pass: at 100 maps and 100 controls
+    # of 200 samples in dim 20 its traced peak is at most 8 (rows, dim) arrays
+    n_maps, n, dim = 100, 200, 20
+    tracemalloc.start()
+    try:
+        report = iv.congruence_theorem_probe(mm.euclidean(dim, field), n_maps, n,
+                                             n_controls=n_maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_failed and report.controls_passed
+    assert peak <= 8 * n_maps * n * dim * field.dtype.itemsize, peak
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +567,10 @@ def test_a_min_sv_ratio_the_maps_cannot_reach_raises():
     assert report.maps_tested == 3 and report.all_failed
 
 
-@pytest.mark.parametrize("block_rows", [iv._BLOCK_ROWS, 80])
 @pytest.mark.parametrize("field", [R, C])
-def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field, block_rows,
-                                                                   monkeypatch):
+def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field):
     # maps whose images leave the domain on some rows or on none, in a stack
-    # and in a shorter second stack on the same rows; at 80 rows a block holds two
-    # maps' samples, so blocks split the stacks and the shorter one ends mid-way
-    monkeypatch.setattr(iv, "_BLOCK_ROWS", block_rows)
+    # and in a shorter second stack on the same rows, which ends mid-way
     spec = mm.CongruenceInvariant(3, field, mm.RadiusDomain(((1.0, 2.0),)),
                                   mm.norm_quotient(3, field).vartheta)
     u = la.random_unitary(3, field, 4).entries
@@ -544,7 +580,8 @@ def test_a_stacked_verdict_equals_is_symmetry_on_the_same_rows(field, block_rows
     pairs = [mm.sample_pairs(spec, n, np.random.default_rng(seed)) for seed in range(len(maps))]
     G, H = (np.concatenate(rows) for rows in zip(*pairs))
     short = [maps[3], maps[1], maps[0]]  # its map i also reads rows i*n ..
-    stacks = iv._symmetry_deviations(spec, G, H, [np.stack(maps), np.stack(short)])
+    base, _ = mm.eval_batch(spec, G, H)
+    stacks = iv._symmetry_deviations(spec, G, H, base, [np.stack(maps), np.stack(short)])
     alone, alone_short = ([iv.is_symmetry(la.LinearMap(m, field), spec, n, seed=seed, tol=1e-9)
                            for seed, m in enumerate(stack)] for stack in (maps, short))
     for (dev, leaves), want_stack in zip(stacks, (alone, alone_short)):
@@ -604,7 +641,7 @@ def test_the_probe_reads_one_draw_and_control_i_reads_map_i_rows(field, n_maps, 
     assert report.all_failed and report.controls_passed
 
 
-def test_probes_evaluate_one_batch_per_side_per_block(monkeypatch):
+def test_probes_evaluate_one_batch_per_side(monkeypatch):
     rows = []
 
     def counting(spec, G, H):
@@ -613,11 +650,11 @@ def test_probes_evaluate_one_batch_per_side_per_block(monkeypatch):
 
     monkeypatch.setattr(iv, "eval_batch", counting)
     iv.congruence_theorem_probe(mm.euclidean(3), seed=1)  # 100 maps, 100 controls, 40 samples
-    # the zero-metric test, then one block of 100 maps: rho_g(h), the maps, the controls
-    assert rows == [32] + [4000] * 3
+    # rho_g(h), which is also the zero-metric test, then the maps and the controls
+    assert rows == [4000] * 3
     rows.clear()
     iv.rotation_sufficiency_check(mm.euclidean(3), 100, 20)
-    # one block of 100 rotations: rho_g(h) once, then the rotations and the orthogonal maps
+    # rho_g(h) once, then the rotations and the orthogonal maps
     assert rows == [2000] * 3
     rows.clear()
     iv.dim2_exception_check(1.0, [iv.random_unimodular(k) for k in range(30)], 40, seed=2)
@@ -626,8 +663,11 @@ def test_probes_evaluate_one_batch_per_side_per_block(monkeypatch):
     iv.invariance_suite(mm.euclidean(3))  # 200 pairs and their images
     assert rows == [200, 200]
     rows.clear()
-    iv.invariance_suite(mm.euclidean(3), 4200)  # no blocks: one call per side
+    iv.invariance_suite(mm.euclidean(3), 4200)
     assert rows == [4200, 4200]
+    rows.clear()
+    iv.congruence_theorem_probe(mm.euclidean(3), n_maps=150, n_samples=40, n_controls=120)
+    assert rows == [6000, 6000, 4800]  # the controls read the first 120 maps' rows
 
 
 def test_is_symmetry_fails_a_map_whose_image_is_finite_where_rho_is_infinite():

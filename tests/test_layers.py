@@ -39,10 +39,10 @@ def test_the_capture_pass_counts_what_the_package_calls():
     assert segments == 3 * [24, 1496, 180, 150] + 3 * [36, 1496, 180, 150]
     assert [(row["nodes"], row["converged"]) for row in tables["simpson"]] == [
         (65, True), (65, True), (1025, False)]
-    # per default probe: the zero-metric test's 32 rows, then one block of 4000
-    # rows each for rho_g(h), the maps and the controls, all on one draw of 4000
+    # per default probe: 4000 rows each for rho_g(h), the maps and the controls,
+    # all on one draw of 4000; the dim-2 check's 100 maps of 40: rho_g(h), the maps
     assert [(row["eval_batch_calls"], row["eval_batch_rows"], row["sample_pairs_rows"])
-            for row in tables["probe"]] == 3 * [(4, 32 + 3 * 4000, 32 + 4000)]
+            for row in tables["probe"]] == 3 * [(3, 3 * 4000, 4000)] + [(2, 2 * 4000, 4000)]
     # per suite of 200 samples, at any dim: one eval_batch call per side
     assert [(row["eval_batch_calls"], row["eval_batch_rows"])
             for row in tables["invariance_suite"]] == 3 * [(2, 400)]
