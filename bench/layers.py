@@ -1,10 +1,11 @@
 """Layer costs from the package's own calls: python bench/layers.py > BENCH_layers.json
 
 One JSON object: the machine, the Python and numpy versions and the tables
-src_lines, import_time, segment_kernel, solves, expression_rows, simpson, probe
-and invariance_suite.
+src_lines, import_time, segment_kernel, solves, expression_rows, simpson, probe,
+invariance_suite and eval_paths.
 Counts and timed batches are captured by wrapping package functions while the
-package runs; times ("us") are medians of raw runs.  Writes no file."""
+package runs; times ("us", or a key ending in "_us") are medians of raw runs.
+Writes no file."""
 
 import contextlib
 import functools
@@ -55,6 +56,54 @@ def median_s(runs, call, before=lambda: None):
     return statistics.median(times)
 
 
+def timings(runs, call, before=lambda: None) -> dict:
+    """{"us": the median µs of runs calls of call}; for a dict {key: (call,
+    reps)} of calls of a few µs, the median over runs of reps calls, per
+    call, under each key (None where the row has no such call)."""
+    if not isinstance(call, dict):
+        return {"us": round(1e6 * median_s(runs, call, before), 1)}
+    return {key: None if entry is None else round(1e6 * median_s(
+        runs, lambda: [entry[0]() for _ in range(entry[1])]) / entry[1], 2)
+        for key, entry in call.items()}
+
+
+EVAL_BATCH_ROWS = (1, 16, 300, 5000)
+
+
+def path_specs(field):
+    """One spec per family at dim 3 (the area metric at its dim 2), profiles as text."""
+    nonsym = "sqrt(p^2+q^2)+p" if field is R else "sqrt(pre^2+pim^2+q^2)+pre"
+    pos = mm.RadiusDomain.positive()
+    return [mm.euclidean(3, field), mm.fubini_study(3, field), mm.area_dim2(1.0, field),
+            mm.zero_extended(1.0, mm.fubini_study(3, field)),
+            mm.Custom(3, field, pos, lambda g, h: la.norm(h)),
+            mm.FromLambda(3, field, pos, mm.lambda_profile("sqrt(p^2+2*q^2)/r")),
+            mm.FromTheta(3, field, pos, mm.theta_profile("1+cos(tau)")),
+            mm.FromNonSymLambda(3, field, pos, mm.nonsym_lambda_profile(nonsym, field)),
+            mm.induced_finsler(mm.riemann_profile("1+r", "1"), 3, field),
+            mm.CongruenceInvariant(3, field, pos, mm.vartheta_profile("1+sin(tau)^2"))]
+
+
+def eval_path(spec, rng):
+    """A family's row and its timed calls: eval_finsler on one pair, the
+    family's scalar _value where it has one, its one-row _values, and
+    eval_batch at each of EVAL_BATCH_ROWS."""
+    g, h = (la.random_vector_with_norm(spec.dim, spec.field, r, rng) for r in (1.0, 1.5))
+    r = la.norm(g)
+    ip, q = (0.0, 0.0) if spec.reads_vectors else la.pair_invariants(g, h, r)
+    rows = (np.array([r]), np.array([ip]), np.array([q]), g.entries[None], h.entries[None])
+    scalar = type(spec)._value is not mm.MetricSpec._value
+    calls = {"eval_finsler_us": (lambda: mm.eval_finsler(spec, g, h), 200),
+             "value_us": (lambda: spec._value(r, ip, q, g, h), 200) if scalar else None,
+             "values_us": (lambda: spec._values(*rows), 200)}
+    for n in EVAL_BATCH_ROWS:
+        pairs = mm.sample_pairs(spec, n, rng)
+        calls[f"eval_batch_{n}_us"] = (lambda p=pairs: mm.eval_batch(spec, *p), max(1, 200 // n))
+    row = {"family": spec.family, "field": spec.field.value, "dim": spec.dim,
+           "scalar_value": scalar}
+    return row, 15, calls
+
+
 def counted(spec, call):
     """call(), the _segment_length calls it makes and the chunk rows spec's kernel takes."""
     with captured(ge, "_segment_length") as calls, captured(type(spec), "_values") as values:
@@ -63,9 +112,10 @@ def counted(spec, call):
 
 
 def capture() -> dict:
-    """Each timed table's rows, counts only, with their timings: (row, runs, call[, before])."""
+    """Each timed table's rows, counts only, with their timings: (row, runs,
+    call[, before]), or (row, runs, {key: (call, reps)}) as timings() reads."""
     tables = {"segment_kernel": [], "solves": [], "expression_rows": [], "simpson": [],
-              "probe": [], "invariance_suite": []}
+              "probe": [], "invariance_suite": [], "eval_paths": []}
     for field in (R, C):
         rng = np.random.default_rng(7)
         g, h = (la.random_vector_with_norm(3, field, r, rng) for r in (1.0, 1.5))
@@ -139,6 +189,9 @@ def capture() -> dict:
         row = {"spec": f"euclidean complex {dim}", "samples": 200,
                "eval_batch_calls": len(evals), "eval_batch_rows": sum(len(a[1]) for a in evals)}
         tables["invariance_suite"].append((row, 30, suite))
+    rng = np.random.default_rng(11)
+    for field in (R, C):
+        tables["eval_paths"] += [eval_path(spec, rng) for spec in path_specs(field)]
     return tables
 
 
@@ -165,7 +218,7 @@ def main() -> None:
            "src_lines": {**lines, "total": sum(lines.values())}, "import_time": import_time()}
     warnings.simplefilter("ignore", RuntimeWarning)  # the Simpson cap's, recorded by capture
     for table, rows in capture().items():
-        doc[table] = [{**row, "us": round(1e6 * median_s(*timing), 1)} for row, *timing in rows]
+        doc[table] = [{**row, **timings(*timing)} for row, *timing in rows]
     print(json.dumps(doc, indent=1))
 
 

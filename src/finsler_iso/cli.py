@@ -89,13 +89,6 @@ def verdict_to_json(verdict, spec_obj) -> dict:
 # ---------------------------------------------------------------------------
 # Argument parsing helpers
 
-def _parse_field(text: str) -> Field:
-    try:
-        return Field(text)
-    except ValueError:
-        raise UsageError(f"field must be 'real' or 'complex', got {text!r}") from None
-
-
 def parse_vector(text: str, dim: int, field: Field) -> Vector:
     """Comma-separated entries; complex entries as re:im pairs."""
     parts = text.split(",")
@@ -130,7 +123,7 @@ def metric_from_args(args) -> mm.MetricSpec:
             spec = mm.spec_from_json(obj)
             if args.dim is not None and args.dim != spec.dim:
                 raise UsageError(f"--dim {args.dim} conflicts with spec dim {spec.dim}")
-            if args.field is not None and _parse_field(args.field) is not spec.field:
+            if args.field is not None and Field(args.field) is not spec.field:
                 raise UsageError(f"--field {args.field} conflicts with the spec's field")
             return spec
         return _named_metric(raw, args)
@@ -144,7 +137,7 @@ def metric_from_args(args) -> mm.MetricSpec:
 
 def _named_metric(raw: str, args) -> mm.MetricSpec:
     """NAME[:PAYLOAD] with --dim/--field, built by spec_from_json."""
-    field = _parse_field(args.field) if args.field is not None else Field.REAL
+    field = Field(args.field) if args.field is not None else Field.REAL
     if args.dim is None:
         raise UsageError("--dim is required with a named metric")
     name, colon, payload = raw.partition(":")
@@ -292,7 +285,7 @@ def cmd_probe_main(args) -> int:
                                          seed=args.seed, min_sv_ratio=args.min_sv_ratio,
                                          control_tol=args.tol)
     if report.vacuous:
-        raise UsageError("the metric is 0 on every sampled pair, so no map can fail: "
+        raise UsageError("the metric is 0 on every map's sampled pairs, so no map can fail: "
                          "a probe of it tests nothing")
     ok = report.all_failed and report.controls_passed
     _emit({"probe": "theorem-main", "spec": spec_obj, "maps_tested": report.maps_tested,

@@ -181,7 +181,7 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
 class ProbeReport(NamedTuple):
     maps_tested: int
     all_failed: bool
-    weakest_deviation: float          # smallest, over the maps, of a map's largest deviation
+    weakest_deviation: float          # smallest, over the tested maps, of a map's largest deviation
     weakest_map: LinearMap | None
     controls_tested: int
     controls_passed: bool
@@ -225,13 +225,15 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
 
     The seed spawns three streams; the first is left undrawn, so that every
     seed keeps its maps and controls.  From the second come the maps, then
-    max(n_maps, n_controls) * n_samples pairs; rho_g(h) is evaluated once on
-    them, and where it is 0 on every pair no map can fail: the report is
-    vacuous.  Otherwise the third gives the controls' unitaries (one stacked
-    QR) and scales.  Map i and control i are both tested on rows i*n_samples
-    .. (i+1)*n_samples - 1, each stack's mapped side in one eval_batch call.
-    A map's deviation is its largest over its samples, inf where a sample's
-    image base point leaves the domain.
+    max(n_maps, n_controls) * n_samples pairs, on which rho_g(h) is evaluated
+    once.  Map i and control i are tested on rows i*n_samples ..
+    (i+1)*n_samples - 1, and test something only where some |rho_g(h)| there
+    is > 1e-12: only those count, and the weakest map is a tested one.  With
+    no map tested the report is vacuous; otherwise the third stream gives the
+    controls' unitaries (one stacked QR) and scales, and the controls pass
+    when one tested something and all are within control_tol.  Each stack's
+    mapped side is one eval_batch call.  A map's deviation is its largest
+    over its samples, inf where a sample's image base point leaves the domain.
     """
     if spec.dim < 3:
         raise ValueError("the probe applies in dimension >= 3")
@@ -246,7 +248,9 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     maps = _random_noncongruences(n_maps, dim, field, rng, min_sv_ratio)
     G, H = sample_pairs(spec, max(n_maps, n_controls) * n_samples, rng)
     base, _ = eval_batch(spec, G, H)
-    if not (np.abs(base) > 1e-12).any():
+    tests = (np.abs(base) > 1e-12).reshape(-1, n_samples).any(axis=1)
+    tested = np.flatnonzero(tests[:n_maps])
+    if not tested.size:
         return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True)
     rng = np.random.default_rng(control_ss)
     controls = random_unitaries(n_controls, dim, field, rng)
@@ -255,16 +259,17 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
         controls *= scales[:, None, None]
     found, checked = (dev.max(axis=1) for dev, _ in
                       _symmetry_deviations(spec, G, H, base, [maps, controls]))
-    weakest = int(found.argmin())
+    weakest = int(tested[found[tested].argmin()])
     weakest_deviation = float(found[weakest])
     control_worst = float(checked.max())
+    controls_tested = int(tests[:n_controls].sum())
     return ProbeReport(
-        maps_tested=n_maps,
+        maps_tested=tested.size,
         all_failed=weakest_deviation > deviation_threshold,
         weakest_deviation=weakest_deviation,
         weakest_map=LinearMap(maps[weakest], field),
-        controls_tested=n_controls,
-        controls_passed=control_worst <= control_tol,
+        controls_tested=controls_tested,
+        controls_passed=controls_tested > 0 and control_worst <= control_tol,
         control_worst_deviation=control_worst,
         vacuous=False,
     )

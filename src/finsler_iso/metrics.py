@@ -7,7 +7,9 @@ eval_finsler forms the invariants r = |g|, ip = <h, g> and q once; each family
 is a function of them (p = |ip|, |h| = hypot(p, q)/r, angle atan2(q, p)); only
 a spec that reads_vectors (Custom, or a zero extension of one) sees vectors.
 eval_batch does the same for the rows of two arrays in one pass, and
-sample_pairs draws such rows.  Pointwise criteria live here too.
+sample_pairs draws such rows.  A family is its rows kernel, _values; only the
+five profile families keep a scalar _value too, for the Simpson sum's one
+eval_finsler call per node.  Pointwise criteria live here too.
 """
 
 from __future__ import annotations
@@ -256,8 +258,12 @@ class MetricSpec(_Value):
     def _value(self, r: float, ip: float | complex, q: float, g: Vector, h: Vector) -> float:
         """rho_g(h) from the invariants r = |g|, ip = <h, g> and q of checked
         vectors whose radius lies in the domain (r > 0 unless the spec is
-        defined at 0); only a spec that reads_vectors reads g and h."""
-        raise NotImplementedError
+        defined at 0); only a spec that reads_vectors reads g and h.  It is
+        _values' one-row view, under eval_batch's errstate (so a NaN reaches
+        eval_finsler's fallback); only the five profile families override it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self._values(np.array([r]), np.array([ip]), np.array([q]),
+                                      g.entries[None], h.entries[None])[0])
 
     def _values(self, r: np.ndarray, ip: np.ndarray, q: np.ndarray,
                 G: np.ndarray | None, H: np.ndarray | None) -> np.ndarray:
@@ -268,9 +274,6 @@ class MetricSpec(_Value):
 
 class Euclidean(MetricSpec):
     family = "euclidean"
-
-    def _value(self, r, ip, q, g, h):
-        return math.hypot(abs(ip), q) / r
 
     def _values(self, r, ip, q, G, H):
         return np.hypot(np.abs(ip), q) / r
@@ -292,10 +295,8 @@ class FubiniStudy(MetricSpec):
         """sigma's (phi, psi), the one pair fubini_study_profile builds."""
         return fubini_study_profile()
 
-    def _value(self, r, ip, q, g, h):
+    def _values(self, r, ip, q, G, H):
         return q / (r * r)
-
-    _values = _value  # the same expression over scalars and over rows
 
 
 def _where_nonzero(mask: np.ndarray, value: Callable, *rows: np.ndarray) -> np.ndarray:
@@ -437,10 +438,8 @@ class AreaDim2(MetricSpec):
             raise ValueError("the area metric is defined in dimension 2 only")
         self.b = _finite_coefficient(b, "b")
 
-    def _value(self, r, ip, q, g, h):
+    def _values(self, r, ip, q, G, H):
         return self.b * q
-
-    _values = _value  # the same expression over scalars and over rows
 
 
 class ZeroExtended(MetricSpec):
@@ -461,9 +460,6 @@ class ZeroExtended(MetricSpec):
         self.b, self.inner_spec = _finite_coefficient(b, "b"), inner_spec
 
     reads_vectors = property(lambda self: self.inner_spec.reads_vectors)  # no setter
-
-    def _value(self, r, ip, q, g, h):  # eval_finsler's checks on the extension hold inside
-        return self.b * norm(h) if r == 0.0 else self.inner_spec._value(r, ip, q, g, h)
 
     def _values(self, r, ip, q, G, H):
         k = r != 0.0  # the others are rows at g = 0, where rho_0(h) = b |h|
@@ -486,9 +482,6 @@ class Custom(MetricSpec):
                  fn: Callable[[Vector, Vector], float], alpha: float = 1.0):
         super().__init__(dim, field, domain)
         self.fn, self.alpha = fn, _finite_coefficient(alpha, "alpha")
-
-    def _value(self, r, ip, q, g, h):
-        return float(self.fn(g, h))
 
     def _values(self, r, ip, q, G, H):  # the callable sees vectors: row by row
         f = self.field

@@ -482,6 +482,17 @@ def test_probe_main_of_a_zero_metric_is_usage_error(capsys):
     assert code == 2 and out == "" and "tests nothing" in err
 
 
+def test_probe_main_counts_only_the_maps_that_tested_something(capsys):
+    # max(0, p - 4q) is 0 on every one of 24 maps' 40 pairs at seed 1: such a
+    # map cannot fail, and its deviation of 0 once read as a counterexample
+    code, out, _ = run(capsys, "probe-main", "--metric", "lambda:max(0,p-4*q)", "--dim", "3",
+                       "--seed", "1")
+    obj = json.loads(out)
+    assert code == 0 and obj["passed"] and obj["maps_tested"] == 76
+    assert obj["weakest_deviation"] == pytest.approx(0.0888, abs=1e-4)
+    assert obj["controls_tested"] == 76 and obj["controls_passed"]
+
+
 def test_probe_main_reports_the_probe(capsys):
     # every key, each from the probe's report; a map's deviation is its
     # largest over all its samples, so the key set has no sample counts

@@ -179,15 +179,44 @@ def test_theorem_probe_vacuous_spec_reported():
 
 def test_a_probe_is_vacuous_only_where_its_own_pairs_are_all_zero(monkeypatch):
     # max(0, p - 4q) is 0 on most pairs, but not on all of the probe's own
-    # 4000 at seed 0: a separate draw of 32 pairs saw only zeros there
+    # 4000 at seed 0: a separate draw of 32 pairs saw only zeros there; 25
+    # maps see only zeros on their own 40 pairs, so 75 are tested
     spec = mm.FromLambda(3, R, POS, mm.lambda_profile("max(0,p-4*q)"))
     report = iv.congruence_theorem_probe(spec, seed=0)
-    assert not report.vacuous and report.maps_tested == 100
+    assert not report.vacuous and report.maps_tested == 75
     calls = []
     monkeypatch.setattr(iv, "eval_batch", lambda *args: calls.append(args) or mm.eval_batch(*args))
     zero = mm.Custom(3, R, POS, fn=lambda g, h: 0.0)
     assert iv.congruence_theorem_probe(zero, n_maps=5, n_samples=10, n_controls=5).vacuous
     assert len(calls) == 1  # rho_g(h) on the probe's pairs, and no mapped side
+
+
+@pytest.mark.parametrize("n_maps,n_controls,vacuous,maps_tested,controls_tested", [
+    (2, 4, True, 0, 0),  # the controls' last two blocks are not 0, but no map tests anything
+    (4, 2, False, 2, 0),  # the maps' last two blocks test; no control does, so none passes
+])
+def test_a_block_of_zeros_tests_nothing(monkeypatch, n_maps, n_controls, vacuous, maps_tested,
+                                        controls_tested):
+    # rho read as 0 on the first two blocks of 5 rows of rho_g(h) and of the
+    # controls' side: the maps and controls there test nothing, and those
+    # controls deviate by 0
+    calls = []
+
+    def first_two_blocks_zero(*args):
+        values, inside = mm.eval_batch(*args)
+        if len(calls) != 1:  # rho_g(h), then the maps' side, then the controls'
+            values[:10] = 0.0
+        calls.append(args)
+        return values, inside
+
+    monkeypatch.setattr(iv, "eval_batch", first_two_blocks_zero)
+    report = iv.congruence_theorem_probe(mm.euclidean(3), n_maps=n_maps, n_samples=5,
+                                         n_controls=n_controls)
+    assert (report.vacuous, report.maps_tested, report.controls_tested) == (
+        vacuous, maps_tested, controls_tested)
+    if not vacuous:  # the maps tested fail; every control is within its tolerance
+        assert report.all_failed and report.control_worst_deviation <= 1e-9
+        assert not report.controls_passed
 
 
 def test_dim2_exception_members():

@@ -29,7 +29,8 @@ def test_loading_the_script_leaves_sys_path_as_it_was():
 
 
 def test_the_capture_pass_counts_what_the_package_calls():
-    tables = {name: [row for row, *_ in rows] for name, rows in layers.capture().items()}
+    captured = layers.capture()
+    tables = {name: [row for row, *_ in rows] for name, rows in captured.items()}
     pinned, e1_e2 = tables["solves"]  # the solve tests/test_geometry.py pins, then e1 -> e2
     assert (e1_e2["calls"], e1_e2["segments"]) == (2, [24, 1496])
     assert (pinned["sweeps"], pinned["stop_reason"], pinned["calls"],
@@ -46,3 +47,16 @@ def test_the_capture_pass_counts_what_the_package_calls():
     # per suite of 200 samples, at any dim: one eval_batch call per side
     assert [(row["eval_batch_calls"], row["eval_batch_rows"])
             for row in tables["invariance_suite"]] == 3 * [(2, 400)]
+    # one row per family and field; only the five profile families keep a
+    # scalar _value to time, and every row times eval_batch at 1 to 5000 rows
+    paths = tables["eval_paths"]
+    families = ["euclidean", "fubini-study", "area", "zero-extended", "custom", "lambda",
+                "theta", "nonsym-lambda", "riemann", "congruence-invariant"]
+    assert [(row["family"], row["field"], row["dim"]) for row in paths] == [
+        (family, field, 2 if family == "area" else 3)
+        for field in ("real", "complex") for family in families]
+    assert [row["family"] for row in paths if row["scalar_value"]] == 2 * families[5:]
+    keys = ["eval_finsler_us", "value_us", "values_us",
+            *(f"eval_batch_{n}_us" for n in (1, 16, 300, 5000))]
+    assert all(list(calls) == keys and (calls["value_us"] is None) is not row["scalar_value"]
+               for row, _, calls in captured["eval_paths"])

@@ -345,6 +345,35 @@ def test_eval_batch_overflows_to_inf_or_raises_as_the_scalar_path_does(g, h):
         assert batch == scalar and batch in (math.inf, EvalError, OverflowError), (spec, batch)
 
 
+PROFILE_FAMILIES = {mm.FromLambda, mm.FromTheta, mm.FromNonSymLambda, mm.FromRiemann,
+                    mm.CongruenceInvariant}
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_a_family_without_a_scalar_form_evaluates_one_pair_as_one_row(dim, field):
+    # only the five profile families keep a _value of their own; for every
+    # other spec eval_finsler is eval_batch's one-row value, bit for bit, or
+    # the same exception, on sampled pairs, the edge pairs and g = 0 where
+    # the domain holds it, with every warning an error
+    specs = family_specs(dim, field)
+    own = {type(spec) for spec in specs if type(spec)._value is not mm.MetricSpec._value}
+    assert own == PROFILE_FAMILIES
+    rng = np.random.default_rng(dim)
+    edge = [(g, h) for g, h in EDGE_PAIRS if field is C and len(g) == dim]
+    for spec in (spec for spec in specs if type(spec) not in own):
+        pairs = [*zip(*mm.sample_pairs(spec, 20, rng)), *edge]
+        if spec.domain.includes_zero:
+            pairs.append((np.zeros(dim, field.dtype), pairs[0][1]))
+        for g, h in pairs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch = _outcome(lambda: mm.eval_batch(spec, g[None], h[None])[0][0])
+                scalar = _outcome(lambda: mm.eval_finsler(spec, la.Vector(g, field),
+                                                          la.Vector(h, field)))
+            assert scalar == batch, (spec, g, h)
+
+
 @pytest.mark.parametrize("build", [mm.euclidean, mm.fubini_study])
 def test_a_complex_g_whose_inverse_square_norm_overflows_has_a_value(build):
     # |g| = 3.7e-155 is in the domain, but 1/|g|^2 overflows, so <h,g>/|g|^2
