@@ -67,9 +67,6 @@ def timings(runs, call, before=lambda: None) -> dict:
         for key, entry in call.items()}
 
 
-EVAL_BATCH_ROWS = (1, 16, 300, 5000)
-
-
 def path_specs(field):
     """One spec per family at dim 3 (the area metric at its dim 2), profiles as text."""
     nonsym = "sqrt(p^2+q^2)+p" if field is R else "sqrt(pre^2+pim^2+q^2)+pre"
@@ -87,7 +84,7 @@ def path_specs(field):
 def eval_path(spec, rng):
     """A family's row and its timed calls: eval_finsler on one pair, the
     family's scalar _value where it has one, its one-row _values, and
-    eval_batch at each of EVAL_BATCH_ROWS."""
+    eval_batch at 1, 16, 300 and 5000 rows."""
     g, h = (la.random_vector_with_norm(spec.dim, spec.field, r, rng) for r in (1.0, 1.5))
     r = la.norm(g)
     ip, q = (0.0, 0.0) if spec.reads_vectors else la.pair_invariants(g, h, r)
@@ -96,7 +93,7 @@ def eval_path(spec, rng):
     calls = {"eval_finsler_us": (lambda: mm.eval_finsler(spec, g, h), 200),
              "value_us": (lambda: spec._value(r, ip, q, g, h), 200) if scalar else None,
              "values_us": (lambda: spec._values(*rows), 200)}
-    for n in EVAL_BATCH_ROWS:
+    for n in (1, 16, 300, 5000):
         pairs = mm.sample_pairs(spec, n, rng)
         calls[f"eval_batch_{n}_us"] = (lambda p=pairs: mm.eval_batch(spec, *p), max(1, 200 // n))
     row = {"family": spec.family, "field": spec.field.value, "dim": spec.dim,
