@@ -342,7 +342,9 @@ def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]
     every domain rule is a mask over the elements.  + - * /, sqrt, abs, min
     and max are the same IEEE operations as evaluate's, and numpy's six
     functions are within 1 ulp of math's.  The closure's .constant is the
-    value of a text without a variable, and None for any other text.
+    value of a text without a variable, and None for any other text; with
+    no names, a call returns that value as a 0-d array or raises the text's
+    EvalError.
     """
     tree = parse(text, names)
     read: list[str] = []  # the variables the walk meets
@@ -350,23 +352,25 @@ def compile_rows(text: str, names: tuple[str, ...]) -> Callable[..., np.ndarray]
     def column(name: str) -> Callable:
         read.append(name)
         return operator.itemgetter(names.index(name))
-    node = _compile(tree, lambda value: lambda cols: np.full(cols[0].shape, value),
-                    column, _ROW_OPS, _ROW_CALLS)
+
+    def number(value: float) -> Callable:  # 0-d when there is no column
+        return lambda cols: np.full(cols[0].shape if cols else (), value)
+    node = _compile(tree, number, column, _ROW_OPS, _ROW_CALLS)
 
     def rows(*columns):
         if len(columns) != len(names):  # an extra column would be ignored, a missing one unread
             raise _arity_error(text, names, len(columns))
         cols = tuple(np.asarray(c, dtype=float) for c in columns)
         with np.errstate(all="ignore"):  # inf and NaN are handled as evaluate does
-            out = node(cols)
+            out = np.asarray(node(cols))  # 0-d operands give numpy scalars
         if np.isnan(out).any():
             raise EvalError("expression is undefined here (evaluates to NaN)")
         return out
     rows.constant = None  # a tree without a variable carries its value: callers need no column
-    if not read and names:
+    if not read:
         try:  # such a tree reads only a column's shape
-            rows.constant = float(rows(*[np.zeros(1)] * len(names))[0])
-        except EvalError:  # no value: every non-empty call raises
+            rows.constant = rows(*[np.zeros(1)] * len(names)).item()
+        except EvalError:  # no value: every call raises
             pass
     return rows
 

@@ -114,7 +114,8 @@ def curve_length(spec: MetricSpec, curve: ParametricCurve | Polyline,
     polyline whose width is not spec.dim or whose dtype is not the field's
     raises MismatchError, and one at a scale geodesic_distance refuses
     raises as it does: OutOfDomainError for a vertex whose |v| overflows,
-    ValueError for a segment or chord that overflows or every |v| below
+    ValueError for a segment or chord that overflows, a segment whose ends
+    differ but whose length underflows to 0, or every |v| below
     linalg._R_MIN.  A segment with a negative node value raises
     NonPositiveMetricError, and one with a node outside the domain, or that
     passes nearer the origin than the kernel resolves (through 0, say),
@@ -276,7 +277,8 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     coarse chunks would miss and undercount).  A segment takes about as many
     nodes as the rules need, and at least 4: m = max(ceil(needed/2), 2)
     chunks of two nodes.  Segments that would need more than _CHUNK_CAP nodes
-    are refused as unresolvable, also where that need overflows.
+    are refused as unresolvable, also where that need overflows, and so are
+    segments whose ends differ but whose length underflows to 0.
 
     Every node of every segment, whatever the spec, is evaluated in one call
     of the spec's family kernel, from the segment's own invariants.  Chunk j
@@ -311,6 +313,8 @@ def _segment_length(spec: MetricSpec, U: np.ndarray, V: np.ndarray,
     with np.errstate(over="ignore"):
         needed = np.maximum(length / ell0, 16.0 * length / np.maximum(gap, 1e-300))
     refused = needed > _CHUNK_CAP
+    if not moving.all():  # ends that differ have a D != 0, though |D| may underflow
+        refused |= ~moving & D.any(axis=1)
     # m chunks, a float; k = 2m, the node count as a repeat count, spreads each
     # segment's values over its nodes.  A segment that is not refused has at
     # most _CHUNK_CAP + 1 nodes
@@ -592,8 +596,9 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
 
     Raises InvalidArgumentError unless n_vertices >= 3
     and n_iterations >= 0, ValueError when g != h and the chord's length
-    under- or overflows or max(|g|, |h|) is below linalg._R_MIN (about
-    1.49e-154), where the chunk invariants underflow; MismatchError unless g
+    under- or overflows, max(|g|, |h|) is below linalg._R_MIN (about
+    1.49e-154), where the chunk invariants underflow, or the length of
+    (h - g)/(n_vertices - 1), a step of the chord, underflows to 0; MismatchError unless g
     and h have the spec's dimension and field; OutOfDomainError naming an
     endpoint outside the domain (one on the boundary of a radius interval is
     a valid start).
@@ -603,7 +608,7 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     _check_compatible(spec, g, h)
     with np.errstate(over="ignore"):  # |g|, |h| or the chord may overflow: each is named below
         r, inside = _inside_rows(spec, np.stack([g.entries, h.entries]))
-        chord_len = float(np.linalg.norm(h.entries - g.entries))
+        chord_len = norm(h.entries - g.entries)
     # a path may start on the boundary of a radius interval: only chunk midpoints are evaluated
     inside |= (0.0 < r) & (r < math.inf) & np.any(
         [(lo <= r) & (r <= hi) for lo, hi in spec.domain.intervals], axis=0)
@@ -620,6 +625,9 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     if (scale := max(r.tolist())) < _R_MIN:  # the kernel's invariants would underflow
         raise ValueError(f"the scale max(|g|, |h|) = {scale} is below {_R_MIN:.4g}, "
                          "too small to measure")
+    if norm((h.entries - g.entries) / (n_vertices - 1)) == 0.0:
+        raise ValueError(f"the chord |h - g| = {chord_len} is too short for {n_vertices - 1} "
+                         "segments: their lengths underflow to 0")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     ell0 = chord_len / (4.0 * (n_vertices - 1))
     verts, seglen = _initial_vertices(spec, g, h, n_vertices, rng, ell0)
@@ -683,13 +691,16 @@ def _polyline_length(spec: MetricSpec, V: np.ndarray) -> float:
                             f"field's {spec.field.dtype}")
     with np.errstate(over="ignore"):  # a radius or a length may overflow: each is named below
         r, seg = row_norms(V), row_norms(V[1:] - V[:-1])
-        chord_len = float(np.linalg.norm(V[-1] - V[0]))  # geodesic_distance's chord
+        chord_len = norm(V[-1] - V[0])  # geodesic_distance's chord
     if not np.isfinite(r).all():  # |v| overflows to inf (or v is NaN): outside every domain
         raise OutOfDomainError(f"polyline vertex {int(np.argmin(np.isfinite(r)))} is outside "
                                "the metric's domain")
     if chord_len == math.inf or math.inf in seg:
         raise ValueError("a segment or the chord of the polyline overflows to inf")
-    if (longest := float(seg.max())) == 0.0:
+    if (stuck := (seg == 0.0) & (V[1:] != V[:-1]).any(axis=1)).any():
+        raise ValueError(f"the length of segment {int(stuck.argmax())} of the polyline "
+                         "underflows to 0 although its ends differ")
+    if (longest := float(seg.max())) == 0.0:  # every vertex equal
         return 0.0
     if (scale := float(r.max())) < _R_MIN:  # the kernel's invariants would underflow
         raise ValueError(f"the scale max |v| = {scale} is below {_R_MIN:.4g}, too small "

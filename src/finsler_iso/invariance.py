@@ -22,11 +22,13 @@ from .linalg import (
     Vector,
     pair_invariants_rows,
     random_gaussian_rows,
+    random_rows_and_norms,
     random_unitaries,
     row_norms,
     singular_values,
 )
-from .metrics import MetricSpec, area_dim2, deviations, eval_batch, sample_pairs, verdict
+from .metrics import (ZERO_RHO, MetricSpec, area_dim2, deviations, eval_batch, refuse_vacuous,
+                      sample_pairs, verdict)
 # Unused here; kept while perfbench/tests/test_tracer.py asserts a wrapper on
 # this name, see FOUND in CHANGES.md.  The benchmark change that drops that
 # assertion deletes this import.
@@ -55,10 +57,12 @@ def _symmetry_deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray, base: n
     n rows for each map of the longest stack.  Each stack's maps are applied
     in one stacked matmul and its mapped side is one eval_batch call.  Per
     stack: the (k, n) deviations, inf on a row whose image base point Tg
-    leaves the domain, and the (k, n) mask of those rows.
+    leaves the domain, and the (k, n) mask of those rows.  Where the metric
+    is 0 on every sample and on every image inside the domain, the test
+    tests nothing: InvalidArgumentError (metrics.refuse_vacuous).
     """
     n = len(G) // max(len(M) for M in stacks)
-    out = []
+    out, sides = [], []
     for M in stacks:
         k, Mt = len(M), M.transpose(0, 2, 1)
         images = ((X[:k * n].reshape(k, n, -1) @ Mt).reshape(k * n, -1) for X in (G, H))
@@ -67,7 +71,10 @@ def _symmetry_deviations(spec: MetricSpec, G: np.ndarray, H: np.ndarray, base: n
         dev = deviations(mapped, base[:k * n], base[:k * n]).reshape(k, n)
         leaves = ~inside.reshape(k, n)
         dev[leaves] = np.inf
+        mapped[~inside] = np.inf  # an image outside the domain fails, so it tests something
         out.append((dev, leaves))
+        sides.append(mapped)
+    refuse_vacuous(base, *sides)
     return out
 
 
@@ -80,8 +87,10 @@ def is_symmetry(T: LinearMap, spec: MetricSpec, n_samples: int = 200, seed: int 
     largest deviation and the witness are metrics.verdict()'s over them all.
     A sample whose image base point Tg leaves the domain violates the
     domain-preservation half of the definition: it is counted in `skipped`,
-    its deviation is inf and it fails the verdict outright.  This is the
-    one-map case of the stacked test the probes run.
+    its deviation is inf and it fails the verdict outright.  A test where
+    the metric is 0 on every sample and its image tests nothing:
+    InvalidArgumentError.  This is the one-map case of the stacked test the
+    probes run.
     """
     if T.dim_in != T.dim_out:
         raise MismatchError("symmetry candidates must be square")
@@ -121,15 +130,10 @@ def _haar_frames(n: int, dim: int, field: Field,
     (n, dim) arrays: Gram-Schmidt on two Gaussian rows X and Y, u1 = X/|X|
     and u2 = W/|W| with W = Y - <Y, u1> u1.  They are the first two columns
     of n Haar unitaries.  A row whose |X| or |W| is below 1e-12 draws its X
-    or Y again, as sample_pairs does.  In dim 1 there is no u2 (W = 0): None.
+    or Y again (random_rows_and_norms).  In dim 1 there is no u2 (W = 0): None.
     """
-    def unit_rows(project) -> np.ndarray:
-        X = project(random_gaussian_rows(n, dim, field, rng), slice(None))
-        norms = row_norms(X)
-        while (short := norms < 1e-12).any():  # astronomically unlikely; resample for safety
-            k = np.flatnonzero(short)
-            X[k] = project(random_gaussian_rows(k.size, dim, field, rng), k)
-            norms = row_norms(X)
+    def unit_rows(project=lambda X, k: X) -> np.ndarray:
+        X, norms = random_rows_and_norms(n, dim, field, rng, project)
         X /= norms[:, None]
         return X
 
@@ -138,7 +142,7 @@ def _haar_frames(n: int, dim: int, field: Field,
             Y -= np.vecdot(u1[k], Y)[:, None] * u1[k]
         return Y
 
-    u1 = unit_rows(lambda X, k: X)
+    u1 = unit_rows()
     return u1, (unit_rows(orthogonal) if dim > 1 else None)
 
 
@@ -153,7 +157,9 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
     U g = r u1 and U h = (<h, g>/r) u1 + (q/r) u2 have exactly the
     distribution of (U g, U h) for a Haar U, over R and over C (in dim 1,
     U h = (<h, g>/r) u1).  Each side is one eval_batch call, and every pair
-    counts; an image base point outside the domain is an OutOfDomainError.
+    counts; an image base point outside the domain is an OutOfDomainError,
+    and a metric that is 0 on every pair and its image an InvalidArgumentError
+    (metrics.refuse_vacuous).
     """
     check_counts(n_unitaries=n_unitaries)
     check_tolerances(tol=tol)
@@ -171,6 +177,7 @@ def invariance_suite(spec: MetricSpec, n_unitaries: int = 200, seed: int = 0,
     mapped, inside = eval_batch(spec, UG, UH)
     if not inside.all():
         raise OutOfDomainError("a unitary of the suite maps a base point out of the domain")
+    refuse_vacuous(base, mapped)
     return SymmetryVerdict(*verdict(deviations(mapped, base, base), tol, (G, H), spec.field),
                            n_unitaries, 0)
 
@@ -228,10 +235,10 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     max(n_maps, n_controls) * n_samples pairs, on which rho_g(h) is evaluated
     once.  Map i and control i are tested on rows i*n_samples ..
     (i+1)*n_samples - 1, and test something only where some |rho_g(h)| there
-    is > 1e-12: only those count, and the weakest map is a tested one.  With
-    no map tested the report is vacuous; otherwise the third stream gives the
-    controls' unitaries (one stacked QR) and scales, and the controls pass
-    when one tested something and all are within control_tol.  Each stack's
+    is > metrics.ZERO_RHO: only those count, and the weakest map is a tested
+    one.  With no map tested the report is vacuous; otherwise the third
+    stream gives the controls' unitaries (one stacked QR) and scales, and the
+    controls pass when one tested something and all are within control_tol.  Each stack's
     mapped side is one eval_batch call.  A map's deviation is its largest
     over its samples, inf where a sample's image base point leaves the domain.
     """
@@ -248,7 +255,7 @@ def congruence_theorem_probe(spec: MetricSpec, n_maps: int = 100, n_samples: int
     maps = _random_noncongruences(n_maps, dim, field, rng, min_sv_ratio)
     G, H = sample_pairs(spec, max(n_maps, n_controls) * n_samples, rng)
     base, _ = eval_batch(spec, G, H)
-    tests = (np.abs(base) > 1e-12).reshape(-1, n_samples).any(axis=1)
+    tests = (np.abs(base) > ZERO_RHO).reshape(-1, n_samples).any(axis=1)
     tested = np.flatnonzero(tests[:n_maps])
     if not tested.size:
         return ProbeReport(0, False, 0.0, None, 0, False, 0.0, vacuous=True)
@@ -288,7 +295,8 @@ def dim2_exception_check(b: float, maps: list[LinearMap], n_samples: int = 200,
     Supplied maps must be real 2x2 with |det| = 1 (within tol); anything
     else is rejected as a precondition failure.  All len(maps) * n_samples
     pairs are drawn at once from the seed, and each map is tested on its own
-    n_samples of them, in one stacked test.
+    n_samples of them, in one stacked test.  At b = 0 it tests nothing:
+    InvalidArgumentError.
     """
     check_counts(maps=len(maps), n_samples=n_samples)
     check_tolerances(tol=tol)

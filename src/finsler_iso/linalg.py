@@ -121,13 +121,13 @@ def _float_view(x: np.ndarray) -> np.ndarray:
     return (x.copy() if x.dtype.kind == "c" and x.strides[-1] != x.itemsize else x).view(float)
 
 
-def norm(h: Vector) -> float:
-    """row_norms' formula for one vector (over R np.linalg.norm's, bit for bit)
-    without its overhead.  np.vdot overflows to inf without the RuntimeWarning
-    that ndarray.dot gives."""
-    x = _float_view(h.entries)
-    s = float(np.vdot(x, x))
-    return float(row_norms(h.entries[None])[0]) if 0.0 < s < _TINY else math.sqrt(s)
+def norm(h: Vector | np.ndarray) -> float:
+    """|h| of a Vector or a 1-d array: row_norms' formula for one row (over R
+    numpy.linalg.norm's, bit for bit) without its overhead.  np.vdot overflows
+    to inf without the RuntimeWarning that ndarray.dot gives."""
+    x = h.entries if isinstance(h, Vector) else h
+    s = float(np.vdot(v := _float_view(x), v))
+    return float(row_norms(x[None])[0]) if 0.0 < s < _TINY else math.sqrt(s)
 
 
 def apply_map(T: LinearMap, v: Vector) -> Vector:
@@ -162,9 +162,7 @@ def pair_invariants(g: Vector, h: Vector, r: float) -> tuple[float | complex, fl
         with np.errstate(over="ignore", invalid="ignore"):
             ip, q = pair_invariants_rows(g.entries[None], h.entries[None], np.array([r]))
         return (float(ip[0]) if real else complex(ip[0])), float(q[0])
-    perp = (h.entries - (ip / (r * r)) * g.entries).view(float)  # fresh, so contiguous: _float_view
-    q = r * math.sqrt(np.vdot(perp, perp))
-    return (ip if real else z), q
+    return (ip if real else z), r * norm(h.entries - (ip / (r * r)) * g.entries)
 
 
 def row_norms(G: np.ndarray) -> np.ndarray:
@@ -198,8 +196,7 @@ def pair_invariants_rows(G: np.ndarray, H: np.ndarray,
     ip = np.vecdot(G, H)
     c = ip / (r * r) if plain else np.divide(ip, r * r, out=np.zeros_like(ip), where=r > 0.0)
     cG = c[:, None] * G
-    perp = np.subtract(H, cG, out=cG).view(float)  # in place; fresh, so contiguous: _float_view
-    s = np.sqrt(np.vecdot(perp, perp))
+    s = row_norms(np.subtract(H, cG, out=cG))  # |h - c g|, in place
     q = r * s if plain else np.multiply(r, s, out=np.zeros_like(s), where=r > 0.0)
     if k is not None:  # and scale their invariants back by r
         ip[k] *= rk
@@ -282,7 +279,7 @@ def build_canonical_isometry(g: Vector, h: Vector, e: Vector, f: Vector,
     u1 = g.entries / ng
     ip = inner(h, g)
     w = h.entries - (ip / (ng * ng)) * g.entries
-    nw = np.linalg.norm(w)
+    nw = norm(w)
     # h collinear with g: the completion's first column stands in for w/|w|
     domain_basis = _complete_frame([u1, w / nw] if nw > tol * max(1.0, norm(h)) else [u1])
     mu = ip / abs(ip) if abs(ip) > 0.0 else 1.0
@@ -345,11 +342,20 @@ def random_gaussian_vector(dim: int, field: Field, rng: np.random.Generator) -> 
     return Vector(random_gaussian_rows(1, dim, field, rng)[0], field)
 
 
+def random_rows_and_norms(n: int, dim: int, field: Field, rng: np.random.Generator,
+                          project=lambda X, k: X) -> tuple[np.ndarray, np.ndarray]:
+    """n random_gaussian_rows, each passed through project(rows, k) (k the
+    indices of the rows drawn, slice(None) for all n), and their norms.  A
+    row shorter than 1e-12, too short to normalise, is drawn again in place
+    (astronomically unlikely)."""
+    X = project(random_gaussian_rows(n, dim, field, rng), slice(None))
+    while ((norms := row_norms(X)) < 1e-12).any():
+        k = np.flatnonzero(norms < 1e-12)
+        X[k] = project(random_gaussian_rows(k.size, dim, field, rng), k)
+    return X, norms
+
+
 def random_vector_with_norm(dim: int, field: Field, r: float,
                             rng: np.random.Generator) -> Vector:
-    v = random_gaussian_vector(dim, field, rng)
-    n = norm(v)
-    while n < 1e-12:  # astronomically unlikely; resample for safety
-        v = random_gaussian_vector(dim, field, rng)
-        n = norm(v)
-    return Vector(v.entries * (r / n), field)
+    (v,), (n,) = random_rows_and_norms(1, dim, field, rng)
+    return Vector(v * (r / n), field)

@@ -32,6 +32,7 @@ from .linalg import (
     pair_invariants,
     pair_invariants_rows,
     random_gaussian_rows,
+    random_rows_and_norms,
     row_norms,
 )
 
@@ -101,11 +102,7 @@ def sample_pairs(spec: MetricSpec, n: int,
     a, b, log_scale = ranges[rng.integers(len(ranges), size=n)].T
     radii = rng.uniform(a, b)
     np.exp(radii, out=radii, where=log_scale != 0.0)
-    G = random_gaussian_rows(n, spec.dim, spec.field, rng)
-    norms = row_norms(G)
-    while (short := norms < 1e-12).any():  # astronomically unlikely; resample for safety
-        G[short] = random_gaussian_rows(int(short.sum()), spec.dim, spec.field, rng)
-        norms = row_norms(G)
+    G, norms = random_rows_and_norms(n, spec.dim, spec.field, rng)
     G *= (radii / norms)[:, None]
     return G, random_gaussian_rows(n, spec.dim, spec.field, rng)
 
@@ -757,6 +754,19 @@ def verdict(dev: np.ndarray, tol: float, rows: tuple[np.ndarray, ...],
     return passed, largest, None if passed else tuple(Vector(a[k].copy(), field) for a in rows)
 
 
+# A sampled check tests nothing where every value it compares, on the samples
+# and on their images, has |rho| at most ZERO_RHO: such values cannot tell a
+# symmetry from a map that is none.
+ZERO_RHO = 1e-12
+
+
+def refuse_vacuous(*values: np.ndarray) -> None:
+    """InvalidArgumentError when no entry of values has |rho| > ZERO_RHO."""
+    if not any((np.abs(v) > ZERO_RHO).any() for v in values):
+        raise InvalidArgumentError(f"the metric is 0 (|rho| <= {ZERO_RHO:g}) on every sampled "
+                                   "pair and its image, so the check tests nothing")
+
+
 class HomothetyVerdict(NamedTuple):
     invariant: bool
     max_deviation: float
@@ -771,8 +781,10 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
 
     The pairs come from sample_pairs and each side is one eval_batch call.
     Samples whose scaled radius leaves the domain are skipped and counted;
-    the check fails loudly if every sample is skipped.  The deviations are
-    deviations()'s and the verdict and witness verdict()'s.
+    the check fails loudly if every sample is skipped, and refuses
+    (refuse_vacuous) where the metric is 0 on every kept sample and its
+    image.  The deviations are deviations()'s and the verdict and witness
+    verdict()'s.
     """
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise InvalidArgumentError(f"alpha must be a finite positive number != 1, got {alpha}")
@@ -784,6 +796,7 @@ def check_homothety_invariance(spec: MetricSpec, alpha: float, n_samples: int = 
     used = int(kept.sum())
     if used == 0:
         raise ValueError("all samples skipped: alpha * R does not meet R on the sampler")
+    refuse_vacuous(base[kept], mapped[kept])
     dev = deviations(mapped, base, base)
     dev[~kept] = 0.0
     return HomothetyVerdict(*verdict(dev, tol, (G, H), spec.field), used, n_samples - used)

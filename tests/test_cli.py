@@ -482,6 +482,30 @@ def test_probe_main_of_a_zero_metric_is_usage_error(capsys):
     assert code == 2 and out == "" and "tests nothing" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "invariance", "--metric", "lambda:0*p", "--dim", "3"),
+    ("check", "homothety", "--metric", "lambda:0*p", "--dim", "3", "--alpha", "2"),
+    ("probe-main", "--metric", "area:0", "--dim", "2", "--sl2", "3"),
+])
+def test_a_check_of_a_zero_metric_is_usage_error(capsys, argv):
+    # rho is 0 on every sample and on its image, so no map can fail the check
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: the metric is 0 (|rho| <= 1e-12) on every "
+                                       "sampled pair and its image, so the check tests nothing\n")
+
+
+def test_distance_measures_a_chord_whose_square_is_subnormal(capsys):
+    # |h - g|^2 = 1e-320 and each step's square is subnormal too: measured
+    # again, not read 9.6% short by a descent that squeezes steps to 0
+    code, out, _ = run(capsys, "distance", "--metric", "euclidean", "--dim", "2", "--g", "1,0",
+                       "--h", "1,1e-160")
+    value = json.loads(out)["value"]
+    assert code == 0 and 1e-160 <= value <= 1e-160 * (1.0 + 1e-12)
+    code, out, err = run(capsys, "distance", "--metric", "euclidean", "--dim", "2", "--g", "1,0",
+                         "--h", "1,1e-161")
+    assert (code, out) == (3, "") and "their lengths underflow to 0" in err
+
+
 def test_probe_main_counts_only_the_maps_that_tested_something(capsys):
     # max(0, p - 4q) is 0 on every one of 24 maps' 40 pairs at seed 1: such a
     # map cannot fail, and its deviation of 0 once read as a counterexample
@@ -990,6 +1014,18 @@ EDGE_OUTCOMES = {
     # a Hilbert-scale dimension: the suite draws 2-frames, never a (dim, dim) unitary
     ("check", "invariance", "--metric", "euclidean", "--dim", "5000", "--samples", "200"):
         (0, r'\{.*"passed":true.*\}\n'),
+    # a metric that is 0 on every sample and its image: the check tests nothing
+    ("check", "invariance", "--metric", "lambda:0*p", "--dim", "3"): (2, ""),
+    ("check", "homothety", "--metric", "lambda:0*p", "--dim", "3", "--alpha", "2"): (2, ""),
+    ("probe-main", "--metric", "area:0", "--dim", "2", "--sl2", "3"): (2, ""),
+    # 2 of 200 base values are not 0 at seed 0: enough to test something
+    ("check", "invariance", "--metric", "lambda:max(0,p-4*q)", "--dim", "3"):
+        (0, r'\{.*"passed":true.*\}\n'),
+    # a chord whose |h - g|^2 is subnormal is measured as it is, and one whose
+    # steps' squares underflow to 0 is refused
+    ("distance", "--metric", "euclidean", "--dim", "2", "--g", "1,0", "--h", "1,1e-160"):
+        (0, r"\{.+\}\n"),
+    ("distance", "--metric", "euclidean", "--dim", "2", "--g", "1,0", "--h", "1,1e-161"): (3, ""),
 }
 
 

@@ -504,3 +504,15 @@ def test_compiled_trees_are_cached_by_identity_and_bounded():
     again = parse("r+299", ("r",))  # an equal tree is another entry
     assert evaluate(again, {"r": 1.0}) == 300.0
     assert id(again) in expressions._compiled and expressions._compiled[id(again)][0] is again
+
+
+def test_compile_rows_of_a_text_without_names_is_its_constant():
+    # no column to take a shape from: a 0-d value, or the text's EvalError
+    rows = compile_rows("1+2", ())
+    assert rows.constant == 3.0 and rows().shape == () and rows() == 3.0
+    assert compile_positional("1+2", ())() == 3.0
+    undefined = compile_rows("1/0", ())
+    assert undefined.constant is None
+    with pytest.raises(EvalError, match="division by zero"):
+        undefined()
+    assert compile_rows("2*3", ("r",)).constant == 6.0

@@ -94,6 +94,28 @@ def test_a_refused_polyline_segment_raises_as_in_the_descent():
             assert ge.curve_length(mm.euclidean(2), ge.Polyline(np.array([v] * 3))) == 0.0
 
 
+def test_a_step_whose_length_underflows_is_never_measured_as_0():
+    # |D|^2 underflows to 0 though the ends differ: the kernel refuses the
+    # segment, a polyline raises, and a descent refuses such a chord
+    U, V = np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 1e-170], [1.0, 0.0]])
+    lengths, status = ge._segment_length(mm.euclidean(2), U, V, 1e-3)
+    assert lengths.tolist() == [math.inf, 0.0]
+    assert status.tolist() == [ge._LEFT_DOMAIN, ge._RESOLVED]
+    with pytest.raises(ValueError, match="segment 1 of the polyline underflows to 0"):
+        ge.curve_length(mm.euclidean(2), ge.Polyline(np.array([[0.0, 1.0], [1.0, 0.0],
+                                                                [1.0, 1e-170]])))
+    g = la.vector([1.0, 0.0])
+    with pytest.raises(ValueError, match="chord .h - g. underflows to 0"):
+        ge.geodesic_distance(mm.euclidean(2), g, la.vector([1.0, 1e-170]))
+    with pytest.raises(ValueError, match="12 segments: their lengths underflow to 0"):
+        ge.geodesic_distance(mm.euclidean(2), g, la.vector([1.0, 1e-161]))
+    # steps whose squares are subnormal are measured again, and exactly
+    for spec in (mm.euclidean(2), mm.fubini_study(2), mm.norm_quotient(2)):
+        for s in (1e-154, 1e-158, 1e-160):
+            res = ge.geodesic_distance(spec, g, la.vector([1.0, s]))
+            assert res.distance == pytest.approx(s, rel=1e-12), (spec.family, s)
+
+
 def test_a_polyline_of_the_wrong_shape_or_dtype_is_a_mismatch():
     square = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     for spec, verts in ((mm.euclidean(3), square), (mm.euclidean(2), square.astype(complex)),
@@ -1257,7 +1279,7 @@ def _per_vertex_descend(spec, g, h, n_vertices, n_iterations, rng):
     _RESOLVED, _segment_length = ge._RESOLVED, ge._segment_length
     Polyline, GeodesicResult = ge.Polyline, ge.GeodesicResult
     field = spec.field
-    chord_len = float(np.linalg.norm(h.entries - g.entries))
+    chord_len = la.norm(h.entries - g.entries)
     if chord_len == 0.0:
         line = Polyline(np.stack([g.entries] * (n_vertices - 1) + [h.entries]))
         return GeodesicResult(0.0, line, 0.0, 0, (0.0,), "zero-chord")

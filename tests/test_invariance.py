@@ -177,6 +177,36 @@ def test_theorem_probe_vacuous_spec_reported():
     assert report.vacuous and report.maps_tested == 0
 
 
+_TESTS_NOTHING = re.escape("the metric is 0 (|rho| <= 1e-12) on every sampled pair and its "
+                           "image, so the check tests nothing")
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_symmetry_test_of_a_zero_metric_tests_nothing(dim, field):
+    # every compared value is 0, on the samples and their images: no verdict
+    zero = mm.Custom(dim, field, POS, fn=lambda g, h: 0.0)
+    u = la.random_unitary(dim, field, 1)
+    for check in (lambda: iv.invariance_suite(zero, 20),
+                  lambda: iv.is_symmetry(u, zero, 20),
+                  lambda: iv.is_symmetry(la.LinearMap(2.0 * u.entries, field), zero, 20),
+                  lambda: mm.check_homothety_invariance(zero, 2.0, 20)):
+        with pytest.raises(InvalidArgumentError, match=_TESTS_NOTHING):
+            check()
+    if dim == 2 and field is R:
+        maps = [iv.random_unimodular(k) for k in range(3)]
+        with pytest.raises(InvalidArgumentError, match=_TESTS_NOTHING):
+            iv.dim2_exception_check(0.0, maps, 20)
+
+
+def test_an_image_that_leaves_the_domain_tests_something():
+    # 0 inside [1, 2], but 2g leaves the domain: the map fails, as it does
+    # for any metric on that domain, and is not refused as testing nothing
+    zero = mm.Custom(3, R, mm.RadiusDomain(((1.0, 2.0),)), fn=lambda g, h: 0.0)
+    v = iv.is_symmetry(la.linear_map(2.0 * np.eye(3)), zero, 20)
+    assert not v.is_symmetry and v.skipped == 20 and v.max_deviation == math.inf
+
+
 def test_a_probe_is_vacuous_only_where_its_own_pairs_are_all_zero(monkeypatch):
     # max(0, p - 4q) is 0 on most pairs, but not on all of the probe's own
     # 4000 at seed 0: a separate draw of 32 pairs saw only zeros there; 25

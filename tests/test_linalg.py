@@ -295,10 +295,17 @@ def _numpy_norm(v):
 
 
 def _numpy_pair_invariants(g, h, r):
-    """pair_invariants as it was written with numpy scalars: the reference."""
+    """pair_invariants as it was written with numpy scalars, and |h_perp|
+    measured by the package's rule: the reference.  A subnormal |h_perp|^2
+    is measured again as m |h_perp/m|, m the largest |entry|."""
     ip = np.vdot(g.entries, h.entries)
     perp = h.entries - (ip / (r * r)) * g.entries
-    q = r * math.sqrt(_squared_norm(perp))
+    s = _squared_norm(perp)
+    n = math.sqrt(s)
+    if 0.0 < s < np.finfo(float).tiny:
+        m = float(np.abs(perp).max())
+        n = m * math.sqrt(_squared_norm(perp / m))
+    q = r * n
     return (float(ip.real) if g.field is la.Field.REAL else complex(ip)), q
 
 

@@ -408,6 +408,32 @@ def test_euclidean_at_a_tiny_g_is_the_norm_of_h(field, scale):
     assert inside.all() and values[0] == pytest.approx(want, rel=1e-15)
 
 
+def _scaling_specs(dim, field):
+    """The closed forms, a zero extension, family_specs' theta and vartheta
+    specs and, in dim 2, the area metric: each of degree 1 in h."""
+    specs = [mm.euclidean(dim, field), mm.fubini_study(dim, field), mm.norm_quotient(dim, field),
+             mm.zero_extended(2.0, mm.euclidean(dim, field))]
+    specs += [s for s in family_specs(dim, field)
+              if isinstance(s, (mm.FromTheta, mm.CongruenceInvariant))]
+    return specs + ([mm.area_dim2(1.5, field)] if dim == 2 else [])
+
+
+@pytest.mark.parametrize("field", [R, C])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_a_tiny_h_orthogonal_to_g_scales_the_value(dim, field):
+    # |h_perp|^2 = s^2 is subnormal at each s, so q is measured again as
+    # m |h_perp/m|, as |g| is; it once read -6.3e-7, -0.6% and +4.8% off
+    g, e2 = la.basis_vector(dim, 0, field), la.basis_vector(dim, 1, field)
+    paths = (lambda spec, h: mm.eval_finsler(spec, g, h),
+             lambda spec, h: mm.eval_batch(spec, g.entries[None], h.entries[None])[0][0])
+    for spec in _scaling_specs(dim, field):
+        for value in paths:
+            one = value(spec, e2)
+            for s in (1e-159, 1e-161, 3e-162):
+                got, want = value(spec, la.Vector(s * e2.entries, field)), s * one
+                assert abs(got - want) <= 4 * np.spacing(want), (spec.family, s, got / want - 1)
+
+
 @pytest.mark.parametrize("field", [R, C])
 def test_riemann_rows_and_scalars_agree_on_overflowing_invariants(field):
     # a zero coefficient makes its term 0 where |h|^2 or p^2 overflows; a term
