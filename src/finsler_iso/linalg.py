@@ -5,8 +5,9 @@ operations are rejected.  The inner product is linear in the first slot and
 conjugate-linear in the second, and that convention is used consistently
 everywhere else in the package.  Every row-wise inner product is
 np.vecdot(a, b), which conjugates a and runs np.vdot's dot routine, so row i
-equals np.vdot(a[i], b[i]) bit for bit; every squared norm is one real dot
-of a float64 view, over C of the interleaved parts (re_0, im_0, re_1, ...).
+equals np.vdot(a[i], b[i]) bit for bit.  Every length is norm or row_norms:
+the root of one real dot of a float64 view, over C of the interleaved parts
+(re_0, im_0, re_1, ...), a subnormal square measured again as m |x/m|.
 """
 
 from __future__ import annotations
