@@ -597,11 +597,11 @@ def geodesic_distance(spec: MetricSpec, g: Vector, h: Vector, n_vertices: int = 
     Raises InvalidArgumentError unless n_vertices >= 3
     and n_iterations >= 0, ValueError when g != h and the chord's length
     under- or overflows, max(|g|, |h|) is below linalg._R_MIN (about
-    1.49e-154), where the chunk invariants underflow, or the length of
-    (h - g)/(n_vertices - 1), a step of the chord, underflows to 0; MismatchError unless g
-    and h have the spec's dimension and field; OutOfDomainError naming an
-    endpoint outside the domain (one on the boundary of a radius interval is
-    a valid start).
+    1.49e-154), where the chunk invariants underflow, or the length of a
+    step of the chord, (h - g)/(n_vertices - 1), underflows to 0;
+    MismatchError unless g and h have the spec's dimension and field;
+    OutOfDomainError naming an endpoint outside the domain (one on the
+    boundary of a radius interval is a valid start).
     """
     check_counts(3, n_vertices=n_vertices)
     check_counts(0, n_iterations=n_iterations)
