@@ -173,8 +173,7 @@ def row_norms(G: np.ndarray) -> np.ndarray:
     X = _float_view(G)
     s = np.vecdot(X, X)
     r = np.sqrt(s)
-    if s.size and s.min() < _TINY:
-        k = np.flatnonzero((s > 0.0) & (s < _TINY))
+    if s.size and s.min() < _TINY and (k := np.flatnonzero((s > 0.0) & (s < _TINY))).size:
         m = np.abs(G[k]).max(axis=1)
         r[k] = m * row_norms(G[k] / m[:, None])
     return r
